@@ -9,13 +9,9 @@ and the spectral verification tooling around them.
 
 from .askey_wilson import AskeyWilsonParams
 from .para_krawtchouk import ParaKrawtchoukFamily
-from .para_racah import (
-    DegenerateFamilyError,
-    LatticeWeights,
-    ParaRacahFamily,
-    TridiagonalSystem,
-)
+from .para_racah import DegenerateFamilyError, LatticeWeights, ParaRacahFamily
 from .qseries import SeriesSpec, SingularSeriesError
+from .recurrence import TridiagonalSystem
 
 __version__ = "0.1.0"
 

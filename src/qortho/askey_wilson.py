@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .qseries import SeriesSpec, terminating_series_eval
+from .recurrence import monic_values
 
 __all__ = [
     "AskeyWilsonParams",
@@ -102,16 +103,14 @@ def monic_eval(p: AskeyWilsonParams, n: int, z):
         raise ValueError("n must be non-negative")
     if z == 0:
         raise ValueError("z must be nonzero")
-    x = (z + 1 / z) / 2
-    prev, cur = 0.0, 1.0
+    b, u = [], []
     prev_A = None
     for m in range(n):
         A, C = recurrence_ac(p, m)
-        b = (p.a + 1 / p.a - A - C) / 2
-        u = 0.0 if m == 0 else prev_A * C / 4
-        cur, prev = (x - b) * cur - u * prev, cur
+        b.append((p.a + 1 / p.a - A - C) / 2)
+        u.append(0.0 if m == 0 else prev_A * C / 4)
         prev_A = A
-    return cur
+    return monic_values(b, u, (z + 1 / z) / 2)[-1]
 
 
 def _shift_coefficient(p: AskeyWilsonParams, z):

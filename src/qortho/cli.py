@@ -22,6 +22,7 @@ import sys
 from . import para_krawtchouk, para_racah, verify
 from .para_racah import DegenerateFamilyError
 from .qseries import SingularSeriesError
+from .recurrence import family_module, tridiagonal
 from .scalars import DEFAULT_EXTENDED_DIGITS, as_scalar, extended_precision, format_scalar
 
 EXIT_OK = 0
@@ -127,15 +128,8 @@ def _json_number(x, prec: _Precision):
 def cmd_coeffs(args) -> int:
     prec = _resolve_precision(args)
     with prec.context():
-        fam = _build_family(args, prec)
-        rows = []
-        for n in range(fam.N + 1):
-            if args.kind == "qpr":
-                b, u = para_racah.recurrence_coefficients(fam, n)
-            else:
-                b = para_krawtchouk.b_coefficient(fam, n)
-                u = 0.0 if n == 0 else para_krawtchouk.u_coefficient(fam, n)
-            rows.append((n, b, u))
+        tri = tridiagonal(_build_family(args, prec))
+        rows = [(n, b, u) for n, (b, u) in enumerate(zip(tri.b, (0.0,) + tri.u))]
         if args.format == "csv":
             print("n,b,u")
             for n, b, u in rows:
@@ -152,21 +146,18 @@ def cmd_coeffs(args) -> int:
     return EXIT_OK
 
 
+# Name of the lattice variable in lattice-weights output, per family kind.
+_POINT_KEY = {"qpr": "x", "qpk": "y"}
+
+
 def cmd_lattice_weights(args) -> int:
     prec = _resolve_precision(args)
     with prec.context():
         fam = _build_family(args, prec)
-        if args.kind == "qpr":
-            lw = para_racah.weights(fam)
-            pts = lw.points
-            d, o = verify.gram_errors(fam, lw)
-            point_key = "x"
-        else:
-            lw = para_krawtchouk.weights(fam)
-            pts = lw.points
-            d, o = verify.gram_errors_qpk(fam, lw)
-            point_key = "y"
-        gram_max = max(d, o)
+        lw = family_module(fam).weights(fam)
+        pts = lw.points
+        gram_max = verify.max_keep_nan(*verify.gram_errors(fam, lw))
+        point_key = _POINT_KEY[args.kind]
         sum_even = sum(lw.weights[i] for i in range(0, fam.N + 1, 2))
         sum_odd = sum(lw.weights[i] for i in range(1, fam.N + 1, 2))
         if args.format == "csv":

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .para_racah import ParaRacahFamily, eval_recurrence, limit_recurrence_ac
+from .para_racah import ParaRacahFamily, limit_recurrence_ac
+from .recurrence import monic_values, tridiagonal
 from .scalars import sqrt
 
 __all__ = [
@@ -61,19 +62,23 @@ def qracah_recurrence_ac(p: QRacahParams, n: int):
     return A, C
 
 
+def _qracah_monic_coefficients(p: QRacahParams, n: int):
+    """Monic coefficients b_0..b_{n-1} and u_0..u_{n-1} (u_0 = 0.0)."""
+    b, u = [], []
+    prev_A = None
+    for m in range(n):
+        A, C = qracah_recurrence_ac(p, m)
+        b.append(1 + p.gamma * p.delta * p.q - A - C)
+        u.append(0.0 if m == 0 else prev_A * C)
+        prev_A = A
+    return b, u
+
+
 def qracah_monic_eval(p: QRacahParams, n: int, y):
     """Monic q-Racah value by forward recurrence from p_{-1} = 0, p_0 = 1."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    prev, cur = 0.0, 1.0
-    prev_A = None
-    for m in range(n):
-        A, C = qracah_recurrence_ac(p, m)
-        b = 1 + p.gamma * p.delta * p.q - A - C
-        u = 0.0 if m == 0 else prev_A * C
-        cur, prev = (y - b) * cur - u * prev, cur
-        prev_A = A
-    return cur
+    return monic_values(*_qracah_monic_coefficients(p, n), y)[-1]
 
 
 def single_lattice_family(a, q, N: int) -> ParaRacahFamily:
@@ -120,10 +125,11 @@ def verify_qracah_identity(a, q, N: int, z) -> float:
     fam = single_lattice_family(a, q, N)
     qr = single_lattice_qracah_params(a, q, N)
     x = (z + 1 / z) / 2
+    lhs_values = tridiagonal(fam).values(x, N)
+    rhs_values = monic_values(*_qracah_monic_coefficients(qr, N), 2 * a * x)
     worst = 0.0
-    for n in range(N + 1):
-        lhs = eval_recurrence(fam, n, z)
-        rhs = (2 * a) ** -n * qracah_monic_eval(qr, n, 2 * a * x)
+    for n, (lhs, p_n) in enumerate(zip(lhs_values, rhs_values)):
+        rhs = (2 * a) ** -n * p_n
         scale = max(abs(lhs), abs(rhs), 1.0)
         worst = max(worst, abs(lhs - rhs) / scale)
     return float(worst)

@@ -11,18 +11,16 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .para_racah import DegenerateFamilyError, LatticeWeights, TridiagonalSystem
+from .para_racah import DegenerateFamilyError, LatticeWeights
 from .qseries import qpochhammer
+from .recurrence import normalization_products, tridiagonal
 
 __all__ = [
     "ParaKrawtchoukFamily",
     "b_coefficient",
     "u_coefficient",
-    "tridiagonal",
-    "persymmetry_residual",
     "lattice_points",
     "eval_recurrence",
-    "normalization_products",
     "weights",
 ]
 
@@ -105,18 +103,6 @@ def u_coefficient(fam: ParaKrawtchoukFamily, n: int):
                * (q ** (2 * j + 1) - q ** (2 * n)) ** 2))
 
 
-def tridiagonal(fam: ParaKrawtchoukFamily) -> TridiagonalSystem:
-    b = tuple(b_coefficient(fam, n) for n in range(fam.N + 1))
-    u = tuple(u_coefficient(fam, n) for n in range(1, fam.N + 1))
-    return TridiagonalSystem(family=fam, b=b, u=u, positive=all(v > 0 for v in u))
-
-
-def persymmetry_residual(tri: TridiagonalSystem) -> float:
-    rb = max(abs(x - y) for x, y in zip(tri.b, reversed(tri.b)))
-    ru = max(abs(x - y) for x, y in zip(tri.u, reversed(tri.u)))
-    return max(float(rb), float(ru))
-
-
 def lattice_points(fam: ParaKrawtchoukFamily) -> tuple:
     """Interleaved exponential bi-lattice: Delta q^s on even indices, q^s on odd."""
     D, q, j = fam.Delta, fam.q, fam.j
@@ -133,19 +119,7 @@ def eval_recurrence(fam: ParaKrawtchoukFamily, n: int, y):
     """Monic Q_n(y) by forward recurrence; n = N+1 gives the characteristic polynomial."""
     if not 0 <= n <= fam.N + 1:
         raise ValueError("recurrence evaluation requires 0 <= n <= N+1")
-    prev, cur = 0.0, 1.0
-    for m in range(n):
-        b = b_coefficient(fam, m)
-        u = 0.0 if m == 0 else u_coefficient(fam, m)
-        cur, prev = (y - b) * cur - u * prev, cur
-    return cur
-
-
-def normalization_products(fam: ParaKrawtchoukFamily) -> tuple:
-    h = [1.0]
-    for n in range(1, fam.N + 1):
-        h.append(h[-1] * u_coefficient(fam, n))
-    return tuple(h)
+    return tridiagonal(fam).values(y, n)[-1]
 
 
 def _k_norm(fam: ParaKrawtchoukFamily):
@@ -198,20 +172,9 @@ def weights(fam: ParaKrawtchoukFamily) -> LatticeWeights:
         raise DegenerateFamilyError(
             "Delta = 1 collapses the two strands; weights are undefined"
         )
-    pts = lattice_points(fam)
+    lw = LatticeWeights(points=lattice_points(fam), z_points=None)
     k_norm = _k_norm(fam)
     w = tuple(_weight_at(fam, i, k_norm) for i in range(fam.N + 1))
     half = dataclasses.replace(fam, alpha=0.5)
     w_half = tuple(_weight_at(half, i, k_norm) for i in range(fam.N + 1))
-    h = normalization_products(fam)
-    positive = all(v > 0 for v in w) and all(v > 0 for v in h[1:])
-    return LatticeWeights(
-        points=pts,
-        z_points=None,
-        weights=w,
-        weights_half=w_half,
-        h=h,
-        k_norm=k_norm,
-        beta=1 - 2 * fam.alpha,
-        positive_measure=positive,
-    )
+    return lw.weighted(fam, w, w_half, normalization_products(fam), k_norm)

@@ -22,19 +22,16 @@ from typing import Optional
 import mpmath
 
 from .qseries import SeriesSpec, _series_eval_with_magnitude, qpochhammer
+from .recurrence import normalization_products, tridiagonal
 from .scalars import is_mp
 
 __all__ = [
     "ParaRacahFamily",
-    "TridiagonalSystem",
     "LatticeWeights",
     "PositivityReport",
     "DegenerateFamilyError",
     "b_coefficient",
     "u_coefficient",
-    "recurrence_coefficients",
-    "tridiagonal",
-    "persymmetry_residual",
     "eval_recurrence",
     "eval_explicit",
     "limit_recurrence_ac",
@@ -46,7 +43,6 @@ __all__ = [
     "qdiff_eigenvalue",
     "qdiff_residual",
     "positivity_check",
-    "normalization_products",
 ]
 
 # Relative spacing below which the two lattice strands are treated as
@@ -99,20 +95,6 @@ class ParaRacahFamily:
 
 
 @dataclass
-class TridiagonalSystem:
-    """Monic recurrence data: diagonal b_0..b_N and sub-diagonal u_1..u_N.
-
-    ``u[k]`` stores u_{k+1}, so persymmetry reads as both tuples being
-    palindromic.  ``positive`` flags the Favard condition u_n > 0.
-    """
-
-    family: ParaRacahFamily
-    b: tuple
-    u: tuple
-    positive: bool
-
-
-@dataclass
 class LatticeWeights:
     """Bi-lattice points with (optionally) their orthogonality weights.
 
@@ -131,6 +113,13 @@ class LatticeWeights:
     k_norm: Optional[object] = None
     beta: Optional[object] = None
     positive_measure: Optional[bool] = None
+
+    def weighted(self, fam, w, w_half, h, k_norm=None) -> "LatticeWeights":
+        """These points with weights attached and the measure's sign flagged."""
+        positive = all(v > 0 for v in w) and all(v > 0 for v in h[1:])
+        return dataclasses.replace(
+            self, weights=w, weights_half=w_half, h=h, k_norm=k_norm,
+            beta=1 - 2 * fam.alpha, positive_measure=positive)
 
 
 @dataclass(frozen=True)
@@ -204,13 +193,6 @@ def u_coefficient(fam: ParaRacahFamily, n: int):
                * (q ** (2 * j + 1) - q ** (2 * n)) ** 2))
 
 
-def recurrence_coefficients(fam: ParaRacahFamily, n: int):
-    """The pair (b_n, u_n) for 0 <= n <= N, with the convention u_0 = 0."""
-    b = b_coefficient(fam, n)
-    u = 0.0 if n == 0 else u_coefficient(fam, n)
-    return b, u
-
-
 def limit_recurrence_ac(fam: ParaRacahFamily, n: int):
     """Resolved truncation limits of the parent coefficients (A_n, C_n).
 
@@ -250,45 +232,21 @@ def limit_recurrence_ac(fam: ParaRacahFamily, n: int):
     return A, C
 
 
-def tridiagonal(fam: ParaRacahFamily) -> TridiagonalSystem:
-    """Full coefficient arrays, with the Favard positivity flag."""
-    b = tuple(b_coefficient(fam, n) for n in range(fam.N + 1))
-    u = tuple(u_coefficient(fam, n) for n in range(1, fam.N + 1))
-    return TridiagonalSystem(family=fam, b=b, u=u, positive=all(v > 0 for v in u))
-
-
-def persymmetry_residual(tri: TridiagonalSystem) -> float:
-    """max deviation from b_n = b_{N-n} and u_n = u_{N-n+1}."""
-    rb = max(abs(x - y) for x, y in zip(tri.b, reversed(tri.b)))
-    ru = max(abs(x - y) for x, y in zip(tri.u, reversed(tri.u)))
-    return max(float(rb), float(ru))
-
-
-def eval_recurrence(fam: ParaRacahFamily, n: int, z):
+def eval_recurrence(fam: ParaRacahFamily, n: int, z, tri=None):
     """Monic R_n at x = (z + 1/z)/2 by forward recurrence.
 
     n = N+1 is allowed and produces the characteristic polynomial of the
-    Jacobi matrix, whose zeros are the orthogonality lattice.
+    Jacobi matrix, whose zeros are the orthogonality lattice.  ``tri`` is
+    the family's table from :func:`tridiagonal`; a caller evaluating many
+    points passes it instead of having it refilled on every call.
     """
     if not 0 <= n <= fam.N + 1:
         raise ValueError("recurrence evaluation requires 0 <= n <= N+1")
     if z == 0:
         raise ValueError("z must be nonzero")
-    x = (z + 1 / z) / 2
-    prev, cur = 0.0, 1.0
-    for m in range(n):
-        b = b_coefficient(fam, m)
-        u = 0.0 if m == 0 else u_coefficient(fam, m)
-        cur, prev = (x - b) * cur - u * prev, cur
-    return cur
-
-
-def normalization_products(fam: ParaRacahFamily) -> tuple:
-    """h_n = u_1 u_2 ... u_n for n = 0..N (h_0 = 1)."""
-    h = [1.0]
-    for n in range(1, fam.N + 1):
-        h.append(h[-1] * u_coefficient(fam, n))
-    return tuple(h)
+    if tri is None:
+        tri = tridiagonal(fam)
+    return tri.values((z + 1 / z) / 2, n)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -596,18 +554,7 @@ def weights(fam: ParaRacahFamily) -> LatticeWeights:
     w = tuple(_weight_at(fam, i, k_norm) for i in range(fam.N + 1))
     half = dataclasses.replace(fam, alpha=0.5)
     w_half = tuple(_weight_at(half, i, k_norm) for i in range(fam.N + 1))
-    h = normalization_products(fam)
-    positive = all(v > 0 for v in w) and all(v > 0 for v in h[1:])
-    return LatticeWeights(
-        points=lw.points,
-        z_points=lw.z_points,
-        weights=w,
-        weights_half=w_half,
-        h=h,
-        k_norm=k_norm,
-        beta=1 - 2 * fam.alpha,
-        positive_measure=positive,
-    )
+    return lw.weighted(fam, w, w_half, normalization_products(fam), k_norm)
 
 
 def _char_poly_derivative(points, s):
@@ -633,13 +580,13 @@ def weights_from_christoffel(fam: ParaRacahFamily) -> LatticeWeights:
     """
     _require_simple_spectrum(fam)
     lw = lattice(fam)
-    h = normalization_products(fam)
 
-    def route(f):
-        hN = normalization_products(f)[-1]
+    def route(t):
+        f = t.family
+        hN = t.h[-1]
         out = []
         for s, z in enumerate(lw.z_points):
-            rN = eval_recurrence(f, f.N, z)
+            rN = eval_recurrence(f, f.N, z, t)
             if abs(rN) == 0:
                 raise DegenerateFamilyError(
                     "R_N vanishes at a lattice point; configuration is degenerate"
@@ -647,19 +594,10 @@ def weights_from_christoffel(fam: ParaRacahFamily) -> LatticeWeights:
             out.append(hN / (rN * _char_poly_derivative(lw.points, s)))
         return tuple(out)
 
-    w = route(fam)
-    w_half = route(dataclasses.replace(fam, alpha=0.5))
-    positive = all(v > 0 for v in w) and all(v > 0 for v in h[1:])
-    return LatticeWeights(
-        points=lw.points,
-        z_points=lw.z_points,
-        weights=w,
-        weights_half=w_half,
-        h=h,
-        k_norm=None,
-        beta=1 - 2 * fam.alpha,
-        positive_measure=positive,
-    )
+    tri = tridiagonal(fam)
+    w = route(tri)
+    w_half = route(tridiagonal(dataclasses.replace(fam, alpha=0.5)))
+    return lw.weighted(fam, w, w_half, tri.h)
 
 
 # ---------------------------------------------------------------------------
@@ -684,16 +622,21 @@ def _shift_coefficient(fam: ParaRacahFamily, z):
             * (1 - c * z) * (1 - q ** -c_exp * z / c)) / den
 
 
-def qdiff_residual(fam: ParaRacahFamily, n: int, z):
-    """LHS - RHS of the q-difference equation plus the operator scale."""
+def qdiff_residual(fam: ParaRacahFamily, n: int, z, tri=None):
+    """LHS - RHS of the q-difference equation plus the operator scale.
+
+    ``tri`` is the family's table, as in :func:`eval_recurrence`.
+    """
     if not 0 <= n <= fam.N:
         raise ValueError("q-difference residual requires 0 <= n <= N")
     q = fam.q
     coef_up = _shift_coefficient(fam, z)
     coef_dn = _shift_coefficient(fam, 1 / z)
-    r_up = eval_recurrence(fam, n, q * z)
-    r_mid = eval_recurrence(fam, n, z)
-    r_dn = eval_recurrence(fam, n, z / q)
+    if tri is None:
+        tri = tridiagonal(fam)
+    r_up = eval_recurrence(fam, n, q * z, tri)
+    r_mid = eval_recurrence(fam, n, z, tri)
+    r_dn = eval_recurrence(fam, n, z / q, tri)
     lhs = qdiff_eigenvalue(fam, n) * r_mid
     t_up = coef_up * r_up
     t_mid = (coef_up + coef_dn) * r_mid
@@ -723,8 +666,7 @@ def positivity_check(fam: ParaRacahFamily) -> PositivityReport:
         failed.append("q < a/c < 1/q")
     if not (a * c < 1 or a * c > q ** (1 - fam.N)):
         failed.append("ac < 1 or ac > q^(1-N)")
-    us = [u_coefficient(fam, n) for n in range(1, fam.N + 1)]
-    min_u = min(us)
+    min_u = min(tridiagonal(fam).u)
     return PositivityReport(
         conditions_ok=not failed,
         failed_conditions=tuple(failed),

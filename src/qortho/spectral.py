@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .para_racah import ParaRacahFamily, TridiagonalSystem, lattice, tridiagonal
+from .para_racah import ParaRacahFamily, lattice
+from .recurrence import TridiagonalSystem, tridiagonal
 
 __all__ = [
     "SymmetricTridiagonal",

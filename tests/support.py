@@ -8,7 +8,7 @@ coefficient tables are checked against.
 
 import mpmath
 
-from qortho import askey_wilson, para_racah
+from qortho import askey_wilson
 
 # Tiny but nonzero limit parameter; the weights e1, e2 are scaled down so the
 # first-order limit error e*t*log(q) sits far below the 40-digit comparison.
@@ -36,12 +36,6 @@ def truncated_parent_params(fam):
     return askey_wilson.AskeyWilsonParams(a=a, b=b, c=c, d=d, q=q)
 
 
-def oracle_limit_ac(fam, n):
-    """(A_n, C_n) by direct substitution into the raw parent formulas."""
-    p = truncated_parent_params(fam)
-    return askey_wilson.recurrence_ac(p, n, singular_tol=0.0)
-
-
 def oracle_recurrence_coefficients(fam, n):
     """(b_n, u_n) from the substitution oracle; u_0 is returned as 0."""
     p = truncated_parent_params(fam)
@@ -53,18 +47,20 @@ def oracle_recurrence_coefficients(fam, n):
     return b, A_prev * C_n / 4
 
 
-def eval_recurrence_with_peak(fam, n, z):
-    """Recurrence value together with the largest intermediate magnitude.
+def eval_recurrence_with_peak(b_coefficient, u_coefficient, fam, n, x):
+    """Monic P_n(x) together with the largest intermediate magnitude.
 
-    The peak is the natural roundoff scale for near-zero values such as the
-    characteristic polynomial at its own roots.
+    A reference loop, independent of the library's recurrence engine, over
+    the coefficient functions b_coefficient(fam, m) and u_coefficient(fam, m)
+    (u_0 is taken as the float 0.0).  The peak is the natural roundoff scale
+    for near-zero values such as the characteristic polynomial at its own
+    roots.
     """
-    x = (z + 1 / z) / 2
     prev, cur = 0.0, 1.0
     peak = 1.0
     for m in range(n):
-        b = para_racah.b_coefficient(fam, m)
-        u = 0.0 if m == 0 else para_racah.u_coefficient(fam, m)
+        b = b_coefficient(fam, m)
+        u = 0.0 if m == 0 else u_coefficient(fam, m)
         cur, prev = (x - b) * cur - u * prev, cur
         peak = max(peak, abs(cur))
     return cur, peak

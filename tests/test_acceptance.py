@@ -16,7 +16,7 @@ import mpmath
 import pytest
 
 import support
-from qortho import cli, connections, para_krawtchouk, para_racah, spectral, verify
+from qortho import cli, connections, para_krawtchouk, para_racah, recurrence, spectral, verify
 
 BOX_ALPHAS = (0.25, 0.5, 0.75)
 
@@ -90,7 +90,7 @@ def test_criterion_04_persymmetry_isospectrality():
     fams, _ = _families(104, range(2, 10), 3)
     for fam in fams:
         half = dataclasses.replace(fam, alpha=0.5)
-        mat = spectral.build_jacobi(para_racah.tridiagonal(half))
+        mat = spectral.build_jacobi(recurrence.tridiagonal(half))
         assert spectral.persymmetry_residual(mat) <= 1e-12
         norm = spectral.matrix_norm(mat)
         dev = spectral.isospectrality_check(fam, [0.1, 0.3, 0.5, 0.7, 0.9])
@@ -121,7 +121,7 @@ def test_criterion_06_christoffel_cross_check():
         for w_closed, w_chr in zip(lw.weights, cw.weights):
             assert abs(w_closed - w_chr) <= 1e-7 * abs(w_closed), fam
         half = dataclasses.replace(fam, alpha=0.5)
-        root = math.sqrt(para_racah.normalization_products(half)[-1])
+        root = math.sqrt(recurrence.normalization_products(half)[-1])
         for s, z in enumerate(para_racah.lattice(half).z_points):
             val = para_racah.eval_recurrence(half, half.N, z)
             target = (-1) ** (half.N + s) * root
@@ -196,8 +196,7 @@ def test_criterion_09_para_krawtchouk():
                     else:
                         assert abs(g) <= 1e-8 * math.sqrt(lw.h[n] * lw.h[m])
         half = para_krawtchouk.ParaKrawtchoukFamily(Delta=1.3, alpha=0.5, q=0.5, N=N)
-        assert para_krawtchouk.persymmetry_residual(
-            para_krawtchouk.tridiagonal(half)) <= 1e-12
+        assert recurrence.persymmetry_residual(recurrence.tridiagonal(half)) <= 1e-12
     _report(9, "para-krawtchouk")
 
 

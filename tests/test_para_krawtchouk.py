@@ -10,13 +10,11 @@ from qortho.para_krawtchouk import (
     b_coefficient,
     eval_recurrence,
     lattice_points,
-    normalization_products,
-    persymmetry_residual,
-    tridiagonal,
     u_coefficient,
     weights,
 )
 from qortho.para_racah import DegenerateFamilyError
+from qortho.recurrence import normalization_products, persymmetry_residual, tridiagonal
 
 ODD = ParaKrawtchoukFamily(Delta=1.3, alpha=0.35, q=0.5, N=5)
 EVEN = ParaKrawtchoukFamily(Delta=1.3, alpha=0.35, q=0.5, N=6)

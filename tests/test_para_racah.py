@@ -16,17 +16,14 @@ from qortho.para_racah import (
     eval_recurrence,
     lattice,
     limit_recurrence_ac,
-    normalization_products,
-    persymmetry_residual,
     positivity_check,
     qdiff_eigenvalue,
     qdiff_residual,
-    recurrence_coefficients,
-    tridiagonal,
     u_coefficient,
     weights,
     weights_from_christoffel,
 )
+from qortho.recurrence import normalization_products, persymmetry_residual, tridiagonal
 
 ODD = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=5)
 EVEN = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=6)
@@ -62,10 +59,6 @@ def test_persymmetric_point_has_equal_mid_diagonals():
     fam = dataclasses.replace(ODD, alpha=0.5)
     assert b_coefficient(fam, fam.j) == pytest.approx(
         b_coefficient(fam, fam.j + 1), rel=1e-14)
-
-
-def test_u_pair_convention_at_zero():
-    assert recurrence_coefficients(ODD, 0) == (b_coefficient(ODD, 0), 0.0)
 
 
 def test_top_u_vanishes():
@@ -223,7 +216,8 @@ def test_degenerate_strands_coincide():
 def test_lattice_points_are_characteristic_roots(fam):
     lw = lattice(fam)
     for z in lw.z_points:
-        val, peak = support.eval_recurrence_with_peak(fam, fam.N + 1, z)
+        val, peak = support.eval_recurrence_with_peak(
+            b_coefficient, u_coefficient, fam, fam.N + 1, (z + 1 / z) / 2)
         assert abs(val) <= 1e-9 * peak
         assert abs(char_poly_eval(fam, z)) <= 1e-12
 

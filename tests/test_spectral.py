@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qortho.para_racah import ParaRacahFamily, lattice, tridiagonal
+from qortho.para_racah import ParaRacahFamily, lattice
+from qortho.recurrence import tridiagonal
 from qortho.spectral import (
     SymmetricTridiagonal,
     build_jacobi,
