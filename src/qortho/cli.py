@@ -1,10 +1,11 @@
 """Command-line front end: coefficient tables, lattice/weight tables, and
 verification suites, with CSV or JSON output.
 
-Exit codes: 0 success, 2 invalid parameters or usage, 3 degenerate
-configuration (coincident strands), 4 verification failure.  Data goes to
-stdout, diagnostics to stderr.  A fixed configuration (including --seed and
-the precision mode) produces byte-identical output.
+Exit codes: 0 success, 2 invalid parameters, usage or numeric overflow,
+3 degenerate configuration (coincident strands), 4 verification failure or
+non-finite output.  Data goes to stdout, diagnostics to stderr.  A fixed
+configuration (including --seed and the precision mode) produces
+byte-identical output.
 
 The environment variable QORTHO_PRECISION ("double", "extended" or
 "extended:P") overrides the --precision flag.  When neither is given,
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -125,8 +127,7 @@ def _json_number(x, prec: _Precision):
     return prec.fmt(x) if prec.extended else float(x)
 
 
-def cmd_coeffs(args) -> int:
-    prec = _resolve_precision(args)
+def cmd_coeffs(args, prec: _Precision) -> int:
     with prec.context():
         tri = tridiagonal(_build_family(args, prec))
         rows = [(n, b, u) for n, (b, u) in enumerate(zip(tri.b, (0.0,) + tri.u))]
@@ -150,8 +151,7 @@ def cmd_coeffs(args) -> int:
 _POINT_KEY = {"qpr": "x", "qpk": "y"}
 
 
-def cmd_lattice_weights(args) -> int:
-    prec = _resolve_precision(args)
+def cmd_lattice_weights(args, prec: _Precision) -> int:
     with prec.context():
         fam = _build_family(args, prec)
         lw = family_module(fam).weights(fam)
@@ -182,11 +182,17 @@ def cmd_lattice_weights(args) -> int:
                     "gram_max_error": float(gram_max),
                 },
             })
+        # abs(v) < inf also holds for mpf values beyond the double range.
+        printed = (*pts, *lw.weights, sum_even, sum_odd, gram_max)
+        bad = sum(not abs(v) < math.inf for v in printed)
+    if bad:
+        print("non-finite output: %d of %d printed values are nan or inf"
+              % (bad, len(printed)), file=sys.stderr)
+        return EXIT_VERIFY
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    prec = _resolve_precision(args)
+def cmd_verify(args, prec: _Precision) -> int:
     with prec.context():
         fam = _build_family(args, prec)
         if args.suite != "all" and args.suite not in verify.suite_names_for(fam):
@@ -263,10 +269,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        prec = _resolve_precision(args)
+        return args.func(args, prec)
     except DegenerateFamilyError as exc:
         print("degenerate configuration: %s" % exc, file=sys.stderr)
         return EXIT_DEGENERATE
+    except OverflowError as exc:
+        print("numeric overflow at %s precision: %s" % (prec.label, exc), file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, SingularSeriesError, ArithmeticError) as exc:
         print("invalid parameters: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

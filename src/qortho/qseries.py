@@ -16,18 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .scalars import is_mp, sqrt
+from .scalars import is_mp
 
 __all__ = [
     "SingularSeriesError",
     "SeriesSpec",
     "qpochhammer",
-    "qpochhammer_multi",
     "phi_basis",
     "terminating_series_eval",
-    "z_from_x",
 ]
 
 # Relative guard below which a denominator q-Pochhammer factor is treated as
@@ -72,16 +70,6 @@ def qpochhammer(a, q, k):
     for _ in range(k):
         out = out * (1 - a * qpow)
         qpow = qpow * q
-    return out
-
-
-def qpochhammer_multi(bases: Sequence, q, k):
-    """Product of qpochhammer over several bases; 1 for an empty base list."""
-    _check_nome(q)
-    k = _check_length(k)
-    out = 1.0
-    for a in bases:
-        out = out * qpochhammer(a, q, k)
     return out
 
 
@@ -176,12 +164,3 @@ def _series_eval_with_magnitude(spec: SeriesSpec):
         term = term * spec.argument
         qpow = qpow * q
     return total, magnitude
-
-
-def z_from_x(x):
-    """Principal representative z = x + sqrt(x^2 - 1), so x = (z + 1/z)/2.
-
-    The result is complex of modulus one for |x| < 1.  Lattice points should
-    bypass this converter and supply their exponential z directly.
-    """
-    return x + sqrt(x * x - 1)

@@ -2,7 +2,6 @@ import cmath
 import random
 
 import mpmath
-import numpy as np
 import pytest
 
 from qortho.askey_wilson import (
@@ -101,10 +100,13 @@ def test_monic_leading_coefficient_is_one():
         p = AskeyWilsonParams(a=rng.uniform(0.2, 0.9), b=rng.uniform(0.2, 0.9),
                               c=rng.uniform(0.2, 0.9), d=rng.uniform(0.2, 0.9), q=0.5)
         zs = [1.25 + 0.2 * k for k in range(n + 3)]
-        xs = np.array([(z + 1 / z) / 2 for z in zs])
-        ys = np.array([monic_eval(p, n, z) for z in zs])
-        coeffs = np.polyfit(xs, ys, n)
-        assert coeffs[0] == pytest.approx(1.0, abs=1e-9)
+        xs = [(z + 1 / z) / 2 for z in zs]
+        dd = [monic_eval(p, n, z) for z in zs]
+        # Every n-th divided difference of a degree-n polynomial is its
+        # leading coefficient.
+        for k in range(1, n + 1):
+            dd = [(dd[i + 1] - dd[i]) / (xs[i + k] - xs[i]) for i in range(len(dd) - 1)]
+        assert dd == pytest.approx([1.0] * 3, abs=1e-9)
 
 
 def test_qdiff_residual_degree_zero():

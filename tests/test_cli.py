@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,11 +192,37 @@ def test_nan_weights_fail_gram_checks(capsys):
 
 
 def test_nan_weights_gram_trailer_is_not_zero(capsys):
-    code, out, _ = run_cli(capsys, ["lattice-weights"] + NAN_WEIGHTS)
-    # NaN output still exits 0: a refusal path for it is not defined yet.
-    assert code == 0
+    code, out, err = run_cli(capsys, ["lattice-weights"] + NAN_WEIGHTS)
+    # The table is still printed, but NaN output is refused.
+    assert code == 4
+    assert "non-finite output" in err
     trailer = out.strip().splitlines()[-1]
     assert trailer == "# gram_max_error = nan"
+
+
+@pytest.mark.parametrize("command", ["verify", "lattice-weights"])
+def test_overflow_is_not_invalid_parameters(capsys, command):
+    argv = [command, "--kind", "qpr", "--a", "0.9", "--c", "0.7", "--alpha", "0.5",
+            "--q", "0.5", "--N", "60", "--precision", "double"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "invalid parameters" not in err
+    assert "overflow at double precision" in err
+
+
+def test_runtime_imports_neither_numpy_nor_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        "import sys\n"
+        "import qortho.cli\n"
+        "code = qortho.cli.main(['verify', '--kind', 'qpr', '--a', '0.9', '--c', '0.7',"
+        " '--alpha', '0.3', '--q', '0.5', '--N', '6', '--suite', 'all'])\n"
+        "print(code, sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("QORTHO_PRECISION", None)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "0 []"
 
 
 # sha256 of the table commands' stdout, both kinds, CSV and JSON, binary64

@@ -1,5 +1,3 @@
-import math
-
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -10,9 +8,7 @@ from qortho.qseries import (
     SingularSeriesError,
     phi_basis,
     qpochhammer,
-    qpochhammer_multi,
     terminating_series_eval,
-    z_from_x,
 )
 
 
@@ -45,18 +41,6 @@ def test_qpochhammer_rejects_infinite_length():
 def test_nome_validation(bad_q):
     with pytest.raises(ValueError):
         qpochhammer(0.5, bad_q, 2)
-
-
-def test_qpochhammer_multi_empty():
-    assert qpochhammer_multi([], 0.5, 5) == 1.0
-
-
-def test_qpochhammer_multi_product():
-    assert qpochhammer_multi([0.5, 0.5], 0.5, 2) == pytest.approx(0.140625, abs=0)
-
-
-def test_qpochhammer_multi_zero_factor():
-    assert qpochhammer_multi([1.0, 0.3], 0.5, 1) == 0.0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -192,16 +176,3 @@ def test_double_vs_extended_ten_digits():
                 tuple(mpmath.mpf(v) for v in den),
                 mpmath.mpf(q), mpmath.mpf(arg), truncation=k))
             assert abs(lo - hi) <= 1e-10 * max(1.0, abs(hi))
-
-
-def test_z_from_x_real_branch():
-    z = z_from_x(1.7)
-    assert z == pytest.approx(1.7 + math.sqrt(1.7 ** 2 - 1))
-    assert (z + 1 / z) / 2 == pytest.approx(1.7, rel=1e-14)
-
-
-def test_z_from_x_unit_circle():
-    z = z_from_x(0.3)
-    assert isinstance(z, complex)
-    assert abs(z) == pytest.approx(1.0, rel=1e-14)
-    assert ((z + 1 / z) / 2).real == pytest.approx(0.3, rel=1e-14)

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 
-import numpy as np
 import pytest
 
 from qortho.para_racah import ParaRacahFamily, lattice
@@ -22,8 +21,8 @@ FAM = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=7)
 def test_build_two_by_two():
     tri = tridiagonal(ParaRacahFamily(a=0.9, c=0.7, alpha=0.5, q=0.5, N=1))
     m = build_jacobi(tri)
-    assert m.diagonal.shape == (2,)
-    assert m.offdiag.shape == (1,)
+    assert len(m.diagonal) == 2
+    assert len(m.offdiag) == 1
     assert m.offdiag[0] == pytest.approx(math.sqrt(tri.u[0]))
 
 
@@ -35,14 +34,28 @@ def test_build_rejects_nonpositive_u():
 
 
 def test_spectrum_of_diagonal_matrix():
-    m = SymmetricTridiagonal(diagonal=np.array([3.0, -1.0, 2.0]),
-                             offdiag=np.zeros(2))
+    m = SymmetricTridiagonal(diagonal=(3.0, -1.0, 2.0), offdiag=(0.0, 0.0))
     assert spectrum(m) == pytest.approx([-1.0, 2.0, 3.0])
 
 
 def test_spectrum_two_by_two_analytic():
-    m = SymmetricTridiagonal(diagonal=np.zeros(2), offdiag=np.array([1.0]))
+    m = SymmetricTridiagonal(diagonal=(0.0, 0.0), offdiag=(1.0,))
     assert spectrum(m) == pytest.approx([-1.0, 1.0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 30, 40])
+def test_spectrum_free_jacobi_analytic(n):
+    # Zero diagonal, unit off-diagonal: eigenvalues 2 cos(k pi / (n + 1)).
+    m = SymmetricTridiagonal(diagonal=(0.0,) * n, offdiag=(1.0,) * (n - 1))
+    exact = sorted(2 * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1))
+    eig = spectrum(m)
+    assert len(eig) == n
+    assert max(abs(x - y) for x, y in zip(eig, exact)) <= 4 * math.ulp(matrix_norm(m))
+
+
+def test_spectrum_rejects_non_finite_entries():
+    with pytest.raises(ValueError):
+        spectrum(SymmetricTridiagonal(diagonal=(0.0, math.nan), offdiag=(1.0,)))
 
 
 def test_persymmetric_matrix_at_half():
@@ -57,10 +70,9 @@ def test_persymmetry_broken_away_from_half():
 
 
 def test_spectrum_equals_bilattice():
-    for N in (4, 5, 7, 9):
-        fam = dataclasses.replace(FAM, N=N)
-        m = build_jacobi(tridiagonal(fam))
-        assert spectrum_vs_lattice(fam) <= 1e-9 * matrix_norm(m)
+    for N in (4, 5, 7, 9, 16, 30):
+        tri = tridiagonal(dataclasses.replace(FAM, N=N))
+        assert spectrum_vs_lattice(tri) <= 1e-9 * matrix_norm(build_jacobi(tri))
 
 
 def test_isospectrality_reference_point_is_exact():
@@ -77,5 +89,5 @@ def test_spectrum_matches_lattice_points_sorted():
     fam = dataclasses.replace(FAM, N=6)
     m = build_jacobi(tridiagonal(fam))
     eig = spectrum(m)
-    pts = np.sort([float(x) for x in lattice(fam).points])
-    assert np.max(np.abs(eig - pts)) <= 1e-9 * matrix_norm(m)
+    pts = sorted(float(x) for x in lattice(fam).points)
+    assert max(abs(x - y) for x, y in zip(eig, pts)) <= 1e-9 * matrix_norm(m)
