@@ -2,10 +2,10 @@
 verification suites, with CSV or JSON output.
 
 Exit codes: 0 success, 2 invalid parameters, usage or numeric overflow,
-3 degenerate configuration (coincident strands), 4 verification failure or
-non-finite output.  Data goes to stdout, diagnostics to stderr.  A fixed
-configuration (including --seed and the precision mode) produces
-byte-identical output.
+3 degenerate configuration (coincident strands), 4 verification failure,
+non-finite output or a lattice-weights Gram error above tolerance.  Data goes
+to stdout, diagnostics to stderr.  A fixed configuration (including --seed
+and the precision mode) produces byte-identical output.
 
 The environment variable QORTHO_PRECISION ("double", "extended" or
 "extended:P") overrides the --precision flag.  When neither is given,
@@ -25,7 +25,8 @@ from . import para_krawtchouk, para_racah, verify
 from .para_racah import DegenerateFamilyError
 from .qseries import SingularSeriesError
 from .recurrence import family_module, tridiagonal
-from .scalars import DEFAULT_EXTENDED_DIGITS, as_scalar, extended_precision, format_scalar
+from .scalars import (DEFAULT_EXTENDED_DIGITS, as_scalar, extended_precision,
+                      format_scalar, max_keep_nan)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -154,9 +155,10 @@ _POINT_KEY = {"qpr": "x", "qpk": "y"}
 def cmd_lattice_weights(args, prec: _Precision) -> int:
     with prec.context():
         fam = _build_family(args, prec)
-        lw = family_module(fam).weights(fam)
+        tri = tridiagonal(fam)
+        lw = family_module(fam).weights(tri)
         pts = lw.points
-        gram_max = verify.max_keep_nan(*verify.gram_errors(fam, lw))
+        gram_max = max_keep_nan(*verify.gram_errors(tri, lw))
         point_key = _POINT_KEY[args.kind]
         sum_even = sum(lw.weights[i] for i in range(0, fam.N + 1, 2))
         sum_odd = sum(lw.weights[i] for i in range(1, fam.N + 1, 2))
@@ -188,6 +190,10 @@ def cmd_lattice_weights(args, prec: _Precision) -> int:
     if bad:
         print("non-finite output: %d of %d printed values are nan or inf"
               % (bad, len(printed)), file=sys.stderr)
+        return EXIT_VERIFY
+    if gram_max > verify.TOL_GRAM:
+        print("orthogonality not certified: gram_max_error = %.3e exceeds %.0e"
+              % (gram_max, verify.TOL_GRAM), file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
 

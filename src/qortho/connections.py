@@ -15,7 +15,7 @@ import mpmath
 
 from .para_racah import ParaRacahFamily, limit_recurrence_ac
 from .recurrence import monic_values, tridiagonal
-from .scalars import sqrt
+from .scalars import max_keep_nan, sqrt
 
 __all__ = [
     "QRacahParams",
@@ -115,23 +115,28 @@ def single_lattice_points(a, q, N: int) -> tuple:
     return tuple((1 / (a * p ** s) + a * p ** s) / 2 for s in range(N + 1))
 
 
-def verify_qracah_identity(a, q, N: int, z) -> float:
-    """Max over n <= N of the scaled two-sided deviation of the identity
+def verify_qracah_identity(a, q, N: int, zs) -> float:
+    """Max over n <= N and the points z in zs, x = (z + 1/z)/2, of the scaled
+    two-sided deviation of the identity
 
         R_n(x; a, a sqrt(q), 1/2) = (2a)^{-n} p_n(2 a x)
 
     with p_n the monic q-Racah polynomial of :func:`single_lattice_qracah_params`.
+    Both coefficient tables are filled once for all points; a NaN deviation
+    makes the result NaN.
     """
-    fam = single_lattice_family(a, q, N)
-    qr = single_lattice_qracah_params(a, q, N)
-    x = (z + 1 / z) / 2
-    lhs_values = tridiagonal(fam).values(x, N)
-    rhs_values = monic_values(*_qracah_monic_coefficients(qr, N), 2 * a * x)
+    tri = tridiagonal(single_lattice_family(a, q, N))
+    qr_coefficients = _qracah_monic_coefficients(single_lattice_qracah_params(a, q, N), N)
+    rhs_scales = [(2 * a) ** -n for n in range(N + 1)]
     worst = 0.0
-    for n, (lhs, p_n) in enumerate(zip(lhs_values, rhs_values)):
-        rhs = (2 * a) ** -n * p_n
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        worst = max(worst, abs(lhs - rhs) / scale)
+    for z in zs:
+        x = (z + 1 / z) / 2
+        lhs_values = tri.values(x, N)
+        rhs_values = monic_values(*qr_coefficients, 2 * a * x)
+        for lhs, rhs_scale, p_n in zip(lhs_values, rhs_scales, rhs_values):
+            rhs = rhs_scale * p_n
+            scale = max(abs(lhs), abs(rhs), 1.0)
+            worst = max_keep_nan(worst, abs(lhs - rhs) / scale)
     return float(worst)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .para_racah import DegenerateFamilyError, LatticeWeights
 from .qseries import qpochhammer
-from .recurrence import normalization_products, tridiagonal
+from .recurrence import TridiagonalSystem, tridiagonal
 
 __all__ = [
     "ParaKrawtchoukFamily",
@@ -162,12 +162,14 @@ def _weight_at(fam: ParaKrawtchoukFamily, index: int, k_norm):
     return num / den
 
 
-def weights(fam: ParaKrawtchoukFamily) -> LatticeWeights:
-    """Closed-form weights on the exponential bi-lattice.
+def weights(tri: TridiagonalSystem) -> LatticeWeights:
+    """Closed-form weights of the table's family on the exponential bi-lattice.
 
-    Satisfy sum_s w_s Q_n(y_s) Q_m(y_s) = delta_{nm} u_1...u_n together with
-    the strand sums 1 - alpha (even indices) and alpha (odd indices).
+    Satisfy sum_s w_s Q_n(y_s) Q_m(y_s) = delta_{nm} u_1...u_n, with the
+    products read from the table, together with the strand sums 1 - alpha
+    (even indices) and alpha (odd indices).
     """
+    fam = tri.family
     if fam.degenerate:
         raise DegenerateFamilyError(
             "Delta = 1 collapses the two strands; weights are undefined"
@@ -177,4 +179,4 @@ def weights(fam: ParaKrawtchoukFamily) -> LatticeWeights:
     w = tuple(_weight_at(fam, i, k_norm) for i in range(fam.N + 1))
     half = dataclasses.replace(fam, alpha=0.5)
     w_half = tuple(_weight_at(half, i, k_norm) for i in range(fam.N + 1))
-    return lw.weighted(fam, w, w_half, normalization_products(fam), k_norm)
+    return lw.weighted(fam, w, w_half, tri.h, k_norm)

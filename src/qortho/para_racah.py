@@ -22,7 +22,7 @@ from typing import Optional
 import mpmath
 
 from .qseries import SeriesSpec, _series_eval_with_magnitude, qpochhammer
-from .recurrence import normalization_products, tridiagonal
+from .recurrence import TridiagonalSystem, tridiagonal
 from .scalars import is_mp
 
 __all__ = [
@@ -297,15 +297,15 @@ def _middle_sum(fam, z, degree):
     return _series_eval_with_magnitude(SeriesSpec(num, den, q, q, truncation=degree))
 
 
-def _explicit_value(fam: ParaRacahFamily, n: int, z):
+def _explicit_value(fam: ParaRacahFamily, n: int, z, eta):
     """Branch-appropriate explicit value together with its cancellation scale.
 
-    The scale is |eta| times the sum of absolute series terms; roundoff in a
-    binary64 evaluation is a small multiple of eps times this scale.
+    ``eta`` is :func:`_eta` of the degree.  The scale is |eta| times the sum
+    of absolute series terms; roundoff in a binary64 evaluation is a small
+    multiple of eps times this scale.
     """
     a, c, al, q, j = _unpack(fam)
     qp = qpochhammer
-    eta = _eta(fam, n)
     if fam.odd:
         if n < j:
             num = (q ** -n, q ** (n - 2 * j - 1), a * z, a / z)
@@ -373,31 +373,41 @@ _PROMOTION_RATIO = 1e6
 _PROMOTION_DPS = 40
 
 
-def eval_explicit(fam: ParaRacahFamily, n: int, z):
-    """R_n at x = (z + 1/z)/2 from the branch-appropriate explicit expression.
+def eval_explicit(fam: ParaRacahFamily, n: int, zs) -> list:
+    """[R_n(x(z)) for z in zs], x = (z + 1/z)/2, from the branch-appropriate
+    explicit expression; the normalization of the degree is computed once.
 
     Agrees with :func:`eval_recurrence`; the two routes together cross-check
     the coefficient tables and the series normalizations.  The terminating
     sums cancel badly for small q and large N (term scale grows like
     q**(-j^2)); when the tracked term magnitude shows binary64 cannot hold
-    ~1e-9 relative accuracy the evaluation transparently reruns at extended
-    precision and is rounded back.
+    ~1e-9 relative accuracy at a point, that point transparently reruns at
+    extended precision and is rounded back.
     """
     if not 0 <= n <= fam.N:
         raise ValueError("explicit evaluation requires 0 <= n <= N")
-    if z == 0:
+    if any(z == 0 for z in zs):
         raise ValueError("z must be nonzero")
-    value, magnitude = _explicit_value(fam, n, z)
-    if is_mp(value) or magnitude <= _PROMOTION_RATIO * abs(value):
-        return value
-    with mpmath.workdps(_PROMOTION_DPS):
-        hi_fam = dataclasses.replace(
-            fam, a=mpmath.mpf(fam.a), c=mpmath.mpf(fam.c),
-            alpha=mpmath.mpf(fam.alpha), q=mpmath.mpf(fam.q))
-        hi = _explicit_value(hi_fam, n, mpmath.mpmathify(z))[0]
-        if isinstance(z, complex):
-            return complex(hi)
-        return float(hi.real if hasattr(hi, "real") else hi)
+    eta = _eta(fam, n)
+    hi_fam = hi_eta = None
+    out = []
+    for z in zs:
+        value, magnitude = _explicit_value(fam, n, z, eta)
+        if is_mp(value) or magnitude <= _PROMOTION_RATIO * abs(value):
+            out.append(value)
+            continue
+        with mpmath.workdps(_PROMOTION_DPS):
+            if hi_fam is None:
+                hi_fam = dataclasses.replace(
+                    fam, a=mpmath.mpf(fam.a), c=mpmath.mpf(fam.c),
+                    alpha=mpmath.mpf(fam.alpha), q=mpmath.mpf(fam.q))
+                hi_eta = _eta(hi_fam, n)
+            hi = _explicit_value(hi_fam, n, mpmath.mpmathify(z), hi_eta)[0]
+            if isinstance(z, complex):
+                out.append(complex(hi))
+            else:
+                out.append(float(hi.real if hasattr(hi, "real") else hi))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -540,21 +550,22 @@ def _require_simple_spectrum(fam):
         )
 
 
-def weights(fam: ParaRacahFamily) -> LatticeWeights:
-    """Orthogonality weights from the closed-form tables.
+def weights(tri: TridiagonalSystem) -> LatticeWeights:
+    """Orthogonality weights of the table's family from the closed-form tables.
 
-    The weights satisfy sum_s w_s R_n(x_s) R_m(x_s) = delta_{nm} h_n, and the
-    strand sums are 1 - alpha (even indices) and alpha (odd indices).  A
-    family outside the positivity region still gets weights, flagged as a
-    signed measure.
+    The weights satisfy sum_s w_s R_n(x_s) R_m(x_s) = delta_{nm} h_n, with
+    h_n read from the table, and the strand sums are 1 - alpha (even
+    indices) and alpha (odd indices).  A family outside the positivity
+    region still gets weights, flagged as a signed measure.
     """
+    fam = tri.family
     _require_simple_spectrum(fam)
     lw = lattice(fam)
     k_norm = _k_norm(fam)
     w = tuple(_weight_at(fam, i, k_norm) for i in range(fam.N + 1))
     half = dataclasses.replace(fam, alpha=0.5)
     w_half = tuple(_weight_at(half, i, k_norm) for i in range(fam.N + 1))
-    return lw.weighted(fam, w, w_half, normalization_products(fam), k_norm)
+    return lw.weighted(fam, w, w_half, tri.h, k_norm)
 
 
 def _char_poly_derivative(points, s):
@@ -571,13 +582,19 @@ def _char_poly_derivative(points, s):
     return out
 
 
-def weights_from_christoffel(fam: ParaRacahFamily) -> LatticeWeights:
+def weights_from_christoffel(tri: TridiagonalSystem,
+                             half: TridiagonalSystem) -> LatticeWeights:
     """Independent weight route: w_s = h_N / (R_N(x_s) R'_{N+1}(x_s)).
 
-    R_N is evaluated by recurrence at the stored z representatives and the
-    derivative comes from the factored characteristic polynomial.  Agrees
-    with :func:`weights` point by point.
+    ``tri`` is the family's table and ``half`` the table of the same family
+    at alpha = 1/2, which gives ``weights_half``.  R_N is evaluated by
+    recurrence at the stored z representatives and the derivative comes from
+    the factored characteristic polynomial.  Agrees with :func:`weights`
+    point by point.
     """
+    fam = tri.family
+    if half.family != dataclasses.replace(fam, alpha=0.5):
+        raise ValueError("half must be the table of the same family at alpha = 1/2")
     _require_simple_spectrum(fam)
     lw = lattice(fam)
 
@@ -594,10 +611,7 @@ def weights_from_christoffel(fam: ParaRacahFamily) -> LatticeWeights:
             out.append(hN / (rN * _char_poly_derivative(lw.points, s)))
         return tuple(out)
 
-    tri = tridiagonal(fam)
-    w = route(tri)
-    w_half = route(tridiagonal(dataclasses.replace(fam, alpha=0.5)))
-    return lw.weighted(fam, w, w_half, tri.h)
+    return lw.weighted(fam, route(tri), route(half), tri.h)
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +665,10 @@ def qdiff_residual(fam: ParaRacahFamily, n: int, z, tri=None):
 # ---------------------------------------------------------------------------
 
 
-def positivity_check(fam: ParaRacahFamily) -> PositivityReport:
-    """Evaluate the printed parameter inequalities and scan u_1..u_N > 0."""
+def positivity_check(tri: TridiagonalSystem) -> PositivityReport:
+    """Evaluate the printed parameter inequalities of the table's family and
+    scan its u_1..u_N > 0."""
+    fam = tri.family
     a, c, al, q, _ = _unpack(fam)
     failed = []
     if not 0 < q < 1:
@@ -666,10 +682,10 @@ def positivity_check(fam: ParaRacahFamily) -> PositivityReport:
         failed.append("q < a/c < 1/q")
     if not (a * c < 1 or a * c > q ** (1 - fam.N)):
         failed.append("ac < 1 or ac > q^(1-N)")
-    min_u = min(tridiagonal(fam).u)
+    min_u = min(tri.u)
     return PositivityReport(
         conditions_ok=not failed,
         failed_conditions=tuple(failed),
-        u_positive=min_u > 0,
+        u_positive=tri.positive,
         min_u=float(min_u),
     )

@@ -10,9 +10,10 @@ once with :func:`tridiagonal` and read every degree, the normalization
 products and the persymmetry residual from it.  The Askey-Wilson and q-Racah
 recurrences feed their own coefficient lists to the same loop.
 
-A table belongs to the call or suite that builds it and is never cached: a
-table of mpmath values built at one working precision must not be read at
-another.
+A table belongs to one verify run or one command, which fills it once and
+hands it to every function that reads the family's coefficients; it is never
+cached beyond that: a table of mpmath values built at one working precision
+must not be read at another.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
+from .scalars import max_keep_nan
+
 __all__ = [
     "TridiagonalSystem",
     "monic_values",
     "family_module",
     "tridiagonal",
-    "normalization_products",
     "persymmetry_residual",
 ]
 
@@ -89,13 +91,8 @@ def tridiagonal(fam) -> TridiagonalSystem:
     return TridiagonalSystem(family=fam, b=b, u=u, positive=all(v > 0 for v in u))
 
 
-def normalization_products(fam) -> tuple:
-    """h_n = u_1 u_2 ... u_n for n = 0..N (h_0 = 1)."""
-    return tridiagonal(fam).h
-
-
 def persymmetry_residual(tri: TridiagonalSystem) -> float:
-    """max deviation from b_n = b_{N-n} and u_n = u_{N-n+1}."""
-    rb = max(abs(x - y) for x, y in zip(tri.b, reversed(tri.b)))
-    ru = max(abs(x - y) for x, y in zip(tri.u, reversed(tri.u)))
-    return max(float(rb), float(ru))
+    """max deviation from b_n = b_{N-n} and u_n = u_{N-n+1}; NaN if any is NaN."""
+    rb = max_keep_nan(0.0, *(abs(x - y) for x, y in zip(tri.b, reversed(tri.b))))
+    ru = max_keep_nan(0.0, *(abs(x - y) for x, y in zip(tri.u, reversed(tri.u))))
+    return max_keep_nan(float(rb), float(ru))

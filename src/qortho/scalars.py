@@ -42,6 +42,22 @@ def as_scalar(value, extended: bool = False):
     return float(value)
 
 
+def max_keep_nan(first, *rest):
+    """max(first, *rest), but NaN when any value is NaN.
+
+    The builtin keeps a NaN only in first place, so folding residuals with
+    it would let a NaN residual read as a pass.  Ties keep the earlier value,
+    as the builtin does.
+    """
+    out = first
+    for v in rest:
+        if out != out:
+            break
+        if not v <= out:
+            out = v
+    return out
+
+
 def sqrt(x):
     """Square root staying in x's scalar family, complex for negative reals."""
     if is_mp(x):

@@ -8,12 +8,12 @@ Numer. Math. 11, 1968; EISPACK ``tql1``).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
-from .para_racah import ParaRacahFamily, lattice
-from .recurrence import TridiagonalSystem, tridiagonal
+from .para_racah import lattice
+from .recurrence import TridiagonalSystem
+from .scalars import max_keep_nan
 
 __all__ = [
     "SymmetricTridiagonal",
@@ -100,8 +100,7 @@ def spectrum(m: SymmetricTridiagonal) -> list:
 
 def _max_abs(values) -> float:
     """max |v| (0.0 for none); NaN when any v is NaN."""
-    mags = [abs(v) for v in values]
-    return math.nan if any(v != v for v in mags) else max(mags, default=0.0)
+    return max_keep_nan(0.0, *(abs(v) for v in values))
 
 
 def matrix_norm(m: SymmetricTridiagonal) -> float:
@@ -113,23 +112,20 @@ def persymmetry_residual(m: SymmetricTridiagonal) -> float:
     """Max entry deviation of J M J - M with J the exchange matrix."""
     rd = _max_abs(x - y for x, y in zip(m.diagonal, reversed(m.diagonal)))
     re = _max_abs(x - y for x, y in zip(m.offdiag, reversed(m.offdiag)))
-    return max(rd, re)
+    return max_keep_nan(rd, re)
 
 
-def isospectrality_check(fam: ParaRacahFamily, alphas) -> float:
-    """Max spectral deviation across the alpha grid, against alpha = 1/2.
+def isospectrality_check(ref: TridiagonalSystem, tables) -> float:
+    """Max spectral deviation of the tables against the reference table.
 
-    Spectra are sorted ascending and compared pairwise; the result is the
-    worst absolute eigenvalue gap over all requested deformations.
+    The reference is a family's alpha = 1/2 table and the tables are the
+    same family at other deformations.  Spectra are sorted ascending and
+    compared pairwise; the result is the worst absolute eigenvalue gap over
+    all tables, NaN if any gap is NaN.
     """
-    ref = spectrum(build_jacobi(tridiagonal(dataclasses.replace(fam, alpha=0.5))))
-    worst = 0.0
-    for al in alphas:
-        if al == 0.5:
-            continue  # the reference itself: deviation 0
-        s = spectrum(build_jacobi(tridiagonal(dataclasses.replace(fam, alpha=al))))
-        worst = max(worst, _max_abs(x - y for x, y in zip(s, ref)))
-    return worst
+    s_ref = spectrum(build_jacobi(ref))
+    return _max_abs(x - y for t in tables
+                    for x, y in zip(spectrum(build_jacobi(t)), s_ref))
 
 
 def spectrum_vs_lattice(tri: TridiagonalSystem) -> float:

@@ -5,18 +5,28 @@ measured residual, tolerance).  The CLI renders them and derives its exit
 code; the acceptance tests reuse the same machinery.  All random evaluation
 points come from a caller-seeded generator, so a fixed configuration
 reproduces byte-identical reports.
+
+One run computes each quantity that depends only on the family's parameters
+once, in a :class:`RunTables` that every suite of the run reads and that is
+dropped when the run ends.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+
+import mpmath
 
 from . import connections, para_krawtchouk, para_racah, spectral
 from .recurrence import family_module, persymmetry_residual, tridiagonal
+from .scalars import is_mp, max_keep_nan
 
-__all__ = ["Check", "SUITES", "run_suite", "suite_names_for", "sample_family"]
+__all__ = ["Check", "RunTables", "SUITES", "run_suite", "suite_names_for",
+           "sample_family"]
 
 # Pinned tolerances: relative 1e-8 scale for binary64 families in the
 # moderate parameter box, tighter where the quantity is exact algebra.
@@ -35,6 +45,9 @@ TOL_QRACAH = 1e-8
 TOL_DUALHAHN = 1e-4
 TOL_QPK_LIMIT = 1e-6
 TOL_LATTICE_ROOT = 1e-9
+
+# Deformations whose spectra the isospectral suite compares with alpha = 1/2.
+ISOSPECTRAL_ALPHAS = (0.1, 0.3, 0.7, 0.9)
 
 
 @dataclass
@@ -55,17 +68,46 @@ def _failed(name, tolerance, note):
     return Check(name, False, float("nan"), tolerance, note)
 
 
-def max_keep_nan(a, b):
-    """max(a, b), but NaN when either is NaN.
+def _random_z(rng, fam, lo=1.15, hi=2.5):
+    """A uniform evaluation point in the family's scalar type, so that an
+    extended-precision run does not evaluate at binary64 points."""
+    z = rng.uniform(lo, hi)
+    return mpmath.mpf(z) if is_mp(fam.q) else z
 
-    The builtin keeps a NaN only in first place, so folding residuals with
-    it would let a NaN residual read as a pass.
+
+class RunTables:
+    """The parameter-only quantities of one family, each computed on first use.
+
+    One instance serves one :func:`run_suite` call and is dropped with it, so
+    its mpmath values are read only at the working precision that made them.
     """
-    return a if a != a or b <= a else b
 
+    def __init__(self, fam):
+        self.fam = fam
 
-def _random_z(rng, lo=1.15, hi=2.5):
-    return rng.uniform(lo, hi)
+    @cached_property
+    def tri(self):
+        """The family's recurrence table."""
+        return tridiagonal(self.fam)
+
+    @cached_property
+    def half(self):
+        """The table of the same family at alpha = 1/2."""
+        return self._at_alpha(0.5)
+
+    @cached_property
+    def grid(self):
+        """The tables at the deformations in ISOSPECTRAL_ALPHAS."""
+        return [self._at_alpha(al) for al in ISOSPECTRAL_ALPHAS]
+
+    def _at_alpha(self, alpha):
+        fam = self.fam
+        # Equal alphas give the same coefficients bit for bit when they have
+        # the same type, and at 1/2, where 1 - alpha and alpha (1 - alpha)
+        # are exact in binary64 as well.
+        if alpha == fam.alpha and (alpha == 0.5 or type(alpha) is type(fam.alpha)):
+            return self.tri
+        return tridiagonal(dataclasses.replace(fam, alpha=alpha))
 
 
 def sample_family(rng, N, alpha=None, q=None):
@@ -87,21 +129,21 @@ def sample_family(rng, N, alpha=None, q=None):
         if not qq < a / c < 1 / qq:
             continue
         fam = para_racah.ParaRacahFamily(a=a, c=c, alpha=al, q=qq, N=N)
-        if para_racah.positivity_check(fam).u_positive:
+        if para_racah.positivity_check(tridiagonal(fam)).u_positive:
             return fam
 
 
-def gram_errors(fam, lw):
+def gram_errors(tri, lw):
     """(max diagonal relative error, max scaled off-diagonal entry).
 
-    The Gram matrix sum_s w_s P_n(x_s) P_m(x_s) is compared with diag(h_n)
-    at the lattice points ``lw.points``, for either family kind.  A NaN
-    entry makes its error NaN.
+    The Gram matrix sum_s w_s P_n(x_s) P_m(x_s) of the table's family is
+    compared with diag(h_n) at the lattice points ``lw.points``, for either
+    family kind.  A NaN entry makes its error NaN.
     """
-    tri = tridiagonal(fam)
-    vals = [tri.values(x, fam.N) for x in lw.points]
+    N = tri.family.N
+    vals = [tri.values(x, N) for x in lw.points]
     worst_diag = worst_off = 0.0
-    for n in range(fam.N + 1):
+    for n in range(N + 1):
         for m in range(n + 1):
             g = sum(w * vals[s][n] * vals[s][m] for s, w in enumerate(lw.weights))
             if n == m:
@@ -125,31 +167,32 @@ def _is_qpk(fam) -> bool:
     return isinstance(fam, para_krawtchouk.ParaKrawtchoukFamily)
 
 
-def suite_orthogonality(fam, rng):
+def suite_orthogonality(run, rng):
     """Favard positivity, strand sums and Gram errors; for qpr also the
     Christoffel cross-check and the beta factor."""
+    fam, tri = run.fam, run.tri
     if _is_qpk(fam):
-        positive, note = tridiagonal(fam).positive, ""
+        positive, note = tri.positive, ""
     else:
-        rep = para_racah.positivity_check(fam)
+        rep = para_racah.positivity_check(tri)
         positive, note = rep.u_positive, "min u_n = %.3e" % rep.min_u
     checks = [_check("favard-positivity", 0.0 if positive else 1.0, 0.5, note=note)]
     if not positive:
         checks.append(_failed("gram-orthogonality", TOL_GRAM,
                               "skipped: family is outside the positivity region"))
         return checks
-    lw = family_module(fam).weights(fam)
+    lw = family_module(fam).weights(tri)
     se = sum(lw.weights[i] for i in range(0, fam.N + 1, 2))
     so = sum(lw.weights[i] for i in range(1, fam.N + 1, 2))
     checks.append(_check("weight-sum-even", abs(se - (1 - fam.alpha)), TOL_WEIGHT_SUM))
     checks.append(_check("weight-sum-odd", abs(so - fam.alpha), TOL_WEIGHT_SUM))
-    d, o = gram_errors(fam, lw)
+    d, o = gram_errors(tri, lw)
     checks.append(_check("gram-diagonal", d, TOL_GRAM))
     checks.append(_check("gram-off-diagonal", o, TOL_GRAM))
     if _is_qpk(fam):
         return checks
-    cw = para_racah.weights_from_christoffel(fam)
-    worst = max(abs(x - y) / abs(x) for x, y in zip(lw.weights, cw.weights))
+    cw = para_racah.weights_from_christoffel(tri, run.half)
+    worst = max_keep_nan(*(abs(x - y) / abs(x) for x, y in zip(lw.weights, cw.weights)))
     checks.append(_check("christoffel-cross-check", worst, TOL_CHRISTOFFEL))
     ratios = [w / wh for w, wh in zip(lw.weights, lw.weights_half)]
     beta_fit = (ratios[0] - ratios[1]) / (ratios[0] + ratios[1])
@@ -157,37 +200,36 @@ def suite_orthogonality(fam, rng):
     return checks
 
 
-def suite_explicit(fam, rng):
-    tri = tridiagonal(fam)
+def suite_explicit(run, rng):
+    fam, tri = run.fam, run.tri
     worst = 0.0
     for n in range(fam.N + 1):
-        for _ in range(10):
-            z = _random_z(rng)
+        zs = [_random_z(rng, fam) for _ in range(10)]
+        for z, e in zip(zs, para_racah.eval_explicit(fam, n, zs)):
             r = para_racah.eval_recurrence(fam, n, z, tri)
-            e = para_racah.eval_explicit(fam, n, z)
-            worst = max(worst, abs(e - r) / max(abs(r), abs(e)))
+            worst = max_keep_nan(worst, abs(e - r) / max(abs(r), abs(e)))
     return [_check("explicit-vs-recurrence", worst, TOL_EXPLICIT)]
 
 
-def suite_bispectral(fam, rng):
-    tri = tridiagonal(fam)
+def suite_bispectral(run, rng):
+    fam, tri = run.fam, run.tri
     worst = 0.0
     for n in range(fam.N + 1):
         for _ in range(10):
-            z = _random_z(rng, 2.0, 3.0)
+            z = _random_z(rng, fam, 2.0, 3.0)
             res, scale = para_racah.qdiff_residual(fam, n, z, tri)
-            worst = max(worst, abs(res) / scale)
+            worst = max_keep_nan(worst, abs(res) / scale)
     lam = [para_racah.qdiff_eigenvalue(fam, n) for n in range(fam.N + 1)]
-    degen = max((abs(lam[n] - lam[fam.N - n]) / abs(lam[n])
-                 for n in range(1, fam.N)), default=0.0)
+    degen = max_keep_nan(0.0, *(abs(lam[n] - lam[fam.N - n]) / abs(lam[n])
+                                for n in range(1, fam.N)))
     return [
         _check("qdiff-residual", worst, TOL_BISPECTRAL),
         _check("eigenvalue-degeneracy", degen, TOL_EIGEN_DEGENERACY),
     ]
 
 
-def suite_persymmetry(fam, rng):
-    tri = tridiagonal(fam)
+def suite_persymmetry(run, rng):
+    fam, tri = run.fam, run.tri
     coeff_res = persymmetry_residual(tri)
     checks = []
     if fam.alpha == 0.5:
@@ -204,13 +246,13 @@ def suite_persymmetry(fam, rng):
     return checks
 
 
-def suite_isospectral(fam, rng):
-    tri = tridiagonal(fam)
+def suite_isospectral(run, rng):
+    tri = run.tri
     if not tri.positive:
         return [_failed("isospectrality", TOL_ISOSPECTRAL,
                         "skipped: Jacobi matrix is not symmetrizable")]
     norm = spectral.matrix_norm(spectral.build_jacobi(tri))
-    dev = spectral.isospectrality_check(fam, [0.1, 0.3, 0.5, 0.7, 0.9])
+    dev = spectral.isospectrality_check(run.half, run.grid)
     gap = spectral.spectrum_vs_lattice(tri)
     return [
         _check("isospectrality", dev / norm, TOL_ISOSPECTRAL),
@@ -218,31 +260,30 @@ def suite_isospectral(fam, rng):
     ]
 
 
-def suite_qracah(fam, rng):
-    worst = 0.0
-    for _ in range(10):
-        z = _random_z(rng)
-        worst = max(worst, connections.verify_qracah_identity(fam.a, fam.q, fam.N, z))
+def suite_qracah(run, rng):
+    fam = run.fam
+    zs = [_random_z(rng, fam) for _ in range(10)]
+    worst = connections.verify_qracah_identity(fam.a, fam.q, fam.N, zs)
     return [_check("qracah-identity", worst, TOL_QRACAH,
                    note="at c = a sqrt(q), alpha = 1/2")]
 
 
-def suite_dualhahn(fam, rng):
+def suite_dualhahn(run, rng):
+    fam = run.fam
     a_exp = math.log(fam.a) / math.log(fam.q)
     worst = 0.0
     for n in range(1, fam.N):
         lim_a, lim_c, t_a, t_c = connections.dual_hahn_limit(a_exp, fam.N, n)
-        worst = max(worst,
-                    abs(lim_a - t_a) / max(1.0, abs(t_a)),
-                    abs(lim_c - t_c) / max(1.0, abs(t_c)))
+        worst = max_keep_nan(worst,
+                             abs(lim_a - t_a) / max(1.0, abs(t_a)),
+                             abs(lim_c - t_c) / max(1.0, abs(t_c)))
     return [_check("dual-hahn-limit", worst, TOL_DUALHAHN,
                    note="a-exponent %.6g" % a_exp)]
 
 
-def suite_qpk_limit(fam, rng):
+def suite_qpk_limit(run, rng):
     """Closed-form exponential-lattice coefficients vs the scaled limit."""
-    import mpmath
-
+    fam = run.fam
     if _is_qpk(fam):
         delta, alpha, q, N = fam.Delta, fam.alpha, fam.q, fam.N
     else:
@@ -265,12 +306,14 @@ def suite_qpk_limit(fam, rng):
                     vals_u.append((4 * a * a / theta ** 2)
                                   * para_racah.u_coefficient(big, n))
             b_ext = _richardson10(vals_b)
-            worst = max(worst, abs(b_ext - para_krawtchouk.b_coefficient(qfam, n))
-                        / max(mpmath.mpf(1) / 10 ** 6, abs(b_ext)))
+            worst = max_keep_nan(
+                worst, abs(b_ext - para_krawtchouk.b_coefficient(qfam, n))
+                / max(mpmath.mpf(1) / 10 ** 6, abs(b_ext)))
             if n >= 1:
                 u_ext = _richardson10(vals_u)
-                worst = max(worst, abs(u_ext - para_krawtchouk.u_coefficient(qfam, n))
-                            / max(mpmath.mpf(1) / 10 ** 6, abs(u_ext)))
+                worst = max_keep_nan(
+                    worst, abs(u_ext - para_krawtchouk.u_coefficient(qfam, n))
+                    / max(mpmath.mpf(1) / 10 ** 6, abs(u_ext)))
     return [_check("qpk-theta-limit", worst, TOL_QPK_LIMIT)]
 
 
@@ -312,10 +355,11 @@ def run_suite(name: str, fam, seed: int = 0):
         names = (name,)
     else:
         raise ValueError("unknown suite %r for this family kind" % name)
+    run = RunTables(fam)
     checks = []
     for suite_name in names:
         rng = random.Random(seed)
-        for chk in table[suite_name](fam, rng):
+        for chk in table[suite_name](run, rng):
             chk.name = "%s/%s" % (suite_name, chk.name)
             checks.append(chk)
     return checks

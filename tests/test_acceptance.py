@@ -49,7 +49,7 @@ def test_criterion_01_explicit_recurrence_equivalence():
             for _ in range(20):
                 z = rng.uniform(1.15, 2.5)
                 r = para_racah.eval_recurrence(fam, n, z)
-                e = para_racah.eval_explicit(fam, n, z)
+                e = para_racah.eval_explicit(fam, n, [z])[0]
                 worst = max(worst, abs(e - r) / max(abs(r), abs(e)))
     elapsed = time.time() - start
     assert worst <= 1e-8, worst
@@ -60,8 +60,9 @@ def test_criterion_01_explicit_recurrence_equivalence():
 def test_criterion_02_orthogonality():
     fams, _ = _families(102, range(2, 10), 5)
     for fam in fams:
-        lw = para_racah.weights(fam)
-        d, o = verify.gram_errors(fam, lw)
+        tri = recurrence.tridiagonal(fam)
+        lw = para_racah.weights(tri)
+        d, o = verify.gram_errors(tri, lw)
         assert d <= 1e-8, (fam, d)
         assert o <= 1e-8, (fam, o)
         se = sum(lw.weights[i] for i in range(0, fam.N + 1, 2))
@@ -93,7 +94,9 @@ def test_criterion_04_persymmetry_isospectrality():
         mat = spectral.build_jacobi(recurrence.tridiagonal(half))
         assert spectral.persymmetry_residual(mat) <= 1e-12
         norm = spectral.matrix_norm(mat)
-        dev = spectral.isospectrality_check(fam, [0.1, 0.3, 0.5, 0.7, 0.9])
+        dev = spectral.isospectrality_check(recurrence.tridiagonal(half), [
+            recurrence.tridiagonal(dataclasses.replace(fam, alpha=alpha))
+            for alpha in (0.1, 0.3, 0.5, 0.7, 0.9)])
         assert dev <= 1e-9 * norm, (fam, dev)
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
             gap = spectral.spectrum_vs_lattice(
@@ -105,7 +108,7 @@ def test_criterion_04_persymmetry_isospectrality():
 def test_criterion_05_beta_factor():
     fams, _ = _families(105, range(2, 10), 2, alphas=(0.25, 0.75))
     for fam in fams:
-        lw = para_racah.weights(fam)
+        lw = para_racah.weights(recurrence.tridiagonal(fam))
         ratios = [w / wh for w, wh in zip(lw.weights, lw.weights_half)]
         beta = (ratios[0] - ratios[1]) / (ratios[0] + ratios[1])
         assert abs(beta - (1 - 2 * fam.alpha)) <= 1e-8, fam
@@ -117,12 +120,13 @@ def test_criterion_06_christoffel_cross_check():
     # orientation, which is the a > c interlacing.
     fams, _ = _families(106, range(2, 8), 3, orientation="a>c")
     for fam in fams:
-        lw = para_racah.weights(fam)
-        cw = para_racah.weights_from_christoffel(fam)
+        half = dataclasses.replace(fam, alpha=0.5)
+        lw = para_racah.weights(recurrence.tridiagonal(fam))
+        cw = para_racah.weights_from_christoffel(
+            recurrence.tridiagonal(fam), recurrence.tridiagonal(half))
         for w_closed, w_chr in zip(lw.weights, cw.weights):
             assert abs(w_closed - w_chr) <= 1e-7 * abs(w_closed), fam
-        half = dataclasses.replace(fam, alpha=0.5)
-        root = math.sqrt(recurrence.normalization_products(half)[-1])
+        root = math.sqrt(recurrence.tridiagonal(half).h[-1])
         for s, z in enumerate(para_racah.lattice(half).z_points):
             val = para_racah.eval_recurrence(half, half.N, z)
             target = (-1) ** (half.N + s) * root
@@ -136,7 +140,7 @@ def test_criterion_07_qracah_identity():
         for a in (0.5, 0.7, 0.9):
             for _ in range(10):
                 z = rng.uniform(1.1, 2.4)
-                residual = connections.verify_qracah_identity(a, 0.49, N, z)
+                residual = connections.verify_qracah_identity(a, 0.49, N, [z])
                 assert residual <= 1e-8, (N, a, residual)
     _report(7, "qracah-identity")
 
@@ -185,7 +189,7 @@ def test_criterion_09_para_krawtchouk():
         for alpha in BOX_ALPHAS:
             fam = para_krawtchouk.ParaKrawtchoukFamily(
                 Delta=1.3, alpha=alpha, q=0.5, N=N)
-            lw = para_krawtchouk.weights(fam)
+            lw = para_krawtchouk.weights(recurrence.tridiagonal(fam))
             vals = [[para_krawtchouk.eval_recurrence(fam, n, y) for y in lw.points]
                     for n in range(N + 1)]
             for n in range(N + 1):

@@ -200,6 +200,16 @@ def test_nan_weights_gram_trailer_is_not_zero(capsys):
     assert trailer == "# gram_max_error = nan"
 
 
+def test_uncertified_gram_trailer_exits_4(capsys):
+    code, out, err = run_cli(capsys, [
+        "lattice-weights", "--kind", "qpr", "--a", "0.9", "--c", "0.7", "--alpha", "0.5",
+        "--q", "0.5", "--N", "30", "--precision", "double"])
+    # Finite but far above TOL_GRAM: the table is printed and refused.
+    assert code == 4
+    assert "orthogonality not certified" in err
+    assert out.strip().splitlines()[-1] == "# gram_max_error = 2.154e+36"
+
+
 @pytest.mark.parametrize("command", ["verify", "lattice-weights"])
 def test_overflow_is_not_invalid_parameters(capsys, command):
     argv = [command, "--kind", "qpr", "--a", "0.9", "--c", "0.7", "--alpha", "0.5",
@@ -225,8 +235,9 @@ def test_runtime_imports_neither_numpy_nor_scipy():
     assert done.stdout.splitlines()[-1] == "0 []"
 
 
-# sha256 of the table commands' stdout, both kinds, CSV and JSON, binary64
-# and extended precision: any change to a printed digit shows here.
+# sha256 of the table commands' and of verify's stdout, both kinds, CSV and
+# JSON, binary64 and extended precision: any change to a printed digit shows
+# here.
 GOLDEN = [
     ("coeffs --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5 --format csv",
      "0ba27eda587deb014f07895bbdbdeffa0f937ec7520d3d688d22fb7654aa64ea"),
@@ -256,6 +267,16 @@ GOLDEN = [
      "1bd54ff8d1139511527c197b15b5ac163eaf16e219f7da8ddabaea15905a9056"),
     ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format json",
      "8789755b4ef0d6117848b5788d023f3ea78785ac2e1859721666d1740985a316"),
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5 --format csv --precision double",
+     "771d51e39fd639fd98d119e9920fc28070d6f8a391d546365b7dae3702b44319"),
+    ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --format json --precision double --seed 3",
+     "5bbdcd044869188b3a692c85fed5d79e6a4491e8536c6af43d47bc73a1e2bdd0"),
+    ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
+     "13125aac4a7c8d6fab3a5bf6a5afd67421b3fae4edc94ea22257ed5e2b1a5646"),
+    ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format csv --precision extended",
+     "ad47161bf513e75cffee97aaa44bedfe16a2af5b18a10a7b0ecce9adc7e235c4"),
+    ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --suite orthogonality --format json --precision extended",
+     "909e472e84106a08add3dc0ed17e7f8a00aa70326a7c804189fb531a51290d8a"),
 ]
 
 

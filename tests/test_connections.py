@@ -38,7 +38,7 @@ def test_identity_residual(N, a):
     rng = random.Random(1000 * N + int(10 * a))
     for _ in range(5):
         z = rng.uniform(1.1, 2.4)
-        assert verify_qracah_identity(a, 0.49, N, z) <= 1e-8
+        assert verify_qracah_identity(a, 0.49, N, [z]) <= 1e-8
 
 
 def test_lattice_collapses_to_single_grid():

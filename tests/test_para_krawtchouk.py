@@ -14,7 +14,7 @@ from qortho.para_krawtchouk import (
     weights,
 )
 from qortho.para_racah import DegenerateFamilyError
-from qortho.recurrence import normalization_products, persymmetry_residual, tridiagonal
+from qortho.recurrence import persymmetry_residual, tridiagonal
 
 ODD = ParaKrawtchoukFamily(Delta=1.3, alpha=0.35, q=0.5, N=5)
 EVEN = ParaKrawtchoukFamily(Delta=1.3, alpha=0.35, q=0.5, N=6)
@@ -56,7 +56,7 @@ def test_degenerate_delta_collapses_strands():
     for s in range(fam.j + 1):
         assert pts[2 * s] == pytest.approx(pts[2 * s + 1])
     with pytest.raises(DegenerateFamilyError):
-        weights(fam)
+        weights(tridiagonal(fam))
 
 
 def test_eval_trivial_degree():
@@ -74,8 +74,9 @@ def test_characteristic_roots_on_lattice(fam):
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_gram_orthogonality_and_sums(N, alpha):
     fam = ParaKrawtchoukFamily(Delta=1.3, alpha=alpha, q=0.5, N=N)
-    assert tridiagonal(fam).positive
-    lw = weights(fam)
+    tri = tridiagonal(fam)
+    assert tri.positive
+    lw = weights(tri)
     se = sum(lw.weights[i] for i in range(0, N + 1, 2))
     so = sum(lw.weights[i] for i in range(1, N + 1, 2))
     assert abs(se - (1 - alpha)) <= 1e-9
@@ -95,7 +96,7 @@ def test_persymmetric_weights_reflect_through_gram_structure():
     # grid with signs alternating along the value-sorted lattice.
     for fam in (dataclasses.replace(ODD, alpha=0.5),
                 dataclasses.replace(EVEN, alpha=0.5)):
-        hN = normalization_products(fam)[-1]
+        hN = tridiagonal(fam).h[-1]
         pts = lattice_points(fam)
         vals = {y: eval_recurrence(fam, fam.N, y) for y in pts}
         for y, v in vals.items():

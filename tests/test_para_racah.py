@@ -23,7 +23,7 @@ from qortho.para_racah import (
     weights,
     weights_from_christoffel,
 )
-from qortho.recurrence import normalization_products, persymmetry_residual, tridiagonal
+from qortho.recurrence import persymmetry_residual, tridiagonal
 
 ODD = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=5)
 EVEN = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=6)
@@ -173,17 +173,17 @@ def test_explicit_matches_recurrence_every_branch(N, n):
         for _ in range(8):
             z = rng.uniform(1.1, 2.5)
             r = eval_recurrence(fam, n, z)
-            e = eval_explicit(fam, n, z)
+            e = eval_explicit(fam, n, [z])[0]
             assert abs(e - r) <= 1e-8 * max(abs(r), abs(e))
 
 
 def test_explicit_degree_zero():
-    assert eval_explicit(ODD, 0, 1.7) == pytest.approx(1.0, rel=1e-14)
+    assert eval_explicit(ODD, 0, [1.7]) == [pytest.approx(1.0, rel=1e-14)]
 
 
 def test_explicit_range_ends_at_top_degree():
     with pytest.raises(ValueError):
-        eval_explicit(ODD, ODD.N + 1, 1.7)
+        eval_explicit(ODD, ODD.N + 1, [1.7])
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def test_degenerate_double_roots():
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_weight_strand_sums(N, alpha):
     fam = ParaRacahFamily(a=0.9, c=0.7, alpha=alpha, q=0.5, N=N)
-    lw = weights(fam)
+    lw = weights(tridiagonal(fam))
     se = sum(lw.weights[i] for i in range(0, N + 1, 2))
     so = sum(lw.weights[i] for i in range(1, N + 1, 2))
     assert abs(se - (1 - alpha)) <= 1e-9
@@ -265,7 +265,7 @@ def test_weight_strand_sums(N, alpha):
 
 @pytest.mark.parametrize("fam", [ODD, EVEN], ids=["odd", "even"])
 def test_gram_orthogonality(fam):
-    lw = weights(fam)
+    lw = weights(tridiagonal(fam))
     vals = [[eval_recurrence(fam, n, z) for z in lw.z_points]
             for n in range(fam.N + 1)]
     for n in range(fam.N + 1):
@@ -279,8 +279,9 @@ def test_gram_orthogonality(fam):
 
 @pytest.mark.parametrize("fam", [ODD, EVEN], ids=["odd", "even"])
 def test_christoffel_route_matches_closed_forms(fam):
-    lw = weights(fam)
-    cw = weights_from_christoffel(fam)
+    lw = weights(tridiagonal(fam))
+    cw = weights_from_christoffel(
+        tridiagonal(fam), tridiagonal(dataclasses.replace(fam, alpha=0.5)))
     for w_closed, w_chr in zip(lw.weights, cw.weights):
         assert abs(w_closed - w_chr) <= 1e-7 * abs(w_closed)
     assert cw.positive_measure
@@ -289,22 +290,22 @@ def test_christoffel_route_matches_closed_forms(fam):
 def test_weights_refuse_degenerate_spectrum():
     fam = ParaRacahFamily(a=0.8, c=0.8, alpha=0.5, q=0.5, N=5)
     with pytest.raises(DegenerateFamilyError):
-        weights(fam)
+        weights(tridiagonal(fam))
     with pytest.raises(DegenerateFamilyError):
-        weights_from_christoffel(fam)
+        weights_from_christoffel(tridiagonal(fam), tridiagonal(fam))
 
 
 def test_signed_measure_is_flagged_not_raised():
     fam = ParaRacahFamily(a=0.9, c=0.2, alpha=0.5, q=0.5, N=4)
-    assert not positivity_check(fam).u_positive
-    lw = weights(fam)
+    assert not positivity_check(tridiagonal(fam)).u_positive
+    lw = weights(tridiagonal(fam))
     assert lw.positive_measure is False
 
 
 def test_beta_factor_profile():
     for alpha in (0.25, 0.75):
         fam = dataclasses.replace(ODD, alpha=alpha)
-        lw = weights(fam)
+        lw = weights(tridiagonal(fam))
         ratios = [w / wh for w, wh in zip(lw.weights, lw.weights_half)]
         beta = (ratios[0] - ratios[1]) / (ratios[0] + ratios[1])
         assert beta == pytest.approx(1 - 2 * alpha, abs=1e-9)
@@ -320,15 +321,16 @@ def test_signed_square_root_evaluation_at_half():
     for a, c, sigma in ((0.9, 0.7, 1.0), (0.7, 0.9, -1.0)):
         fam = ParaRacahFamily(a=a, c=c, alpha=0.5, q=0.5, N=5)
         lw = lattice(fam)
-        root = math.sqrt(normalization_products(fam)[-1])
+        root = math.sqrt(tridiagonal(fam).h[-1])
         for s, z in enumerate(lw.z_points):
             expected = sigma * (-1) ** (fam.N + s) * root
             assert eval_recurrence(fam, fam.N, z) == pytest.approx(expected, rel=1e-8)
 
 
 def test_k_norm_is_square_root_of_product_odd_case():
-    lw = weights(dataclasses.replace(ODD, alpha=0.5))
-    h = normalization_products(dataclasses.replace(ODD, alpha=0.5))
+    half = tridiagonal(dataclasses.replace(ODD, alpha=0.5))
+    lw = weights(half)
+    h = half.h
     assert abs(lw.k_norm) == pytest.approx(math.sqrt(h[-1]), rel=1e-12)
 
 
@@ -388,26 +390,26 @@ def test_qdiff_eigenvalue_endpoints_vanish():
 
 
 def test_positivity_check_passes_in_region():
-    rep = positivity_check(ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=4))
+    rep = positivity_check(tridiagonal(ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=4)))
     assert rep.conditions_ok and rep.u_positive
 
 
 def test_positivity_check_flags_ratio_violation():
     q = 0.5
-    rep = positivity_check(ParaRacahFamily(a=0.2, c=0.8, alpha=0.5, q=q, N=5))
+    rep = positivity_check(tridiagonal(ParaRacahFamily(a=0.2, c=0.8, alpha=0.5, q=q, N=5)))
     assert not rep.conditions_ok
     assert "q < a/c < 1/q" in rep.failed_conditions
     assert not rep.u_positive
 
 
 def test_positivity_check_interior_point():
-    rep = positivity_check(ParaRacahFamily(a=0.8, c=0.6, alpha=0.5, q=0.4, N=6))
+    rep = positivity_check(tridiagonal(ParaRacahFamily(a=0.8, c=0.6, alpha=0.5, q=0.4, N=6)))
     assert rep.conditions_ok and rep.u_positive
 
 
 def test_even_case_conditions_are_not_sharp():
     # The printed inequalities admit a < c for even N, but the direct u-scan
     # rejects it: the two verdicts intentionally disagree there.
-    rep = positivity_check(ParaRacahFamily(a=0.7, c=0.9, alpha=0.5, q=0.5, N=4))
+    rep = positivity_check(tridiagonal(ParaRacahFamily(a=0.7, c=0.9, alpha=0.5, q=0.5, N=4)))
     assert rep.conditions_ok
     assert not rep.u_positive

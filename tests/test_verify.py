@@ -1,0 +1,136 @@
+"""Verify runs: one coefficient fill per run, NaN-keeping residual folds, and
+the benchmark tracer's view of the suites."""
+
+import dataclasses
+import importlib
+import importlib.util
+import itertools
+import math
+from collections import Counter
+from pathlib import Path
+
+import mpmath
+import pytest
+
+from qortho import cli, connections, para_krawtchouk, para_racah, spectral, verify
+
+FAM = para_racah.ParaRacahFamily(a=0.9, c=0.7, alpha=0.5, q=0.5, N=5)
+NAN = float("nan")
+
+
+def _count_coefficient_calls(monkeypatch):
+    calls = Counter()
+    for name in ("b_coefficient", "u_coefficient"):
+        original = getattr(para_racah, name)
+
+        def counted(fam, n, _name=name, _original=original):
+            calls[_name, fam, n] += 1
+            return _original(fam, n)
+
+        monkeypatch.setattr(para_racah, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("alpha,num,N", [
+    (0.5, float, 5), (0.3, float, 6), ("0.25", mpmath.mpf, 7), ("0.5", mpmath.mpf, 8)])
+def test_one_coefficient_call_per_family_and_degree(monkeypatch, alpha, num, N):
+    calls = _count_coefficient_calls(monkeypatch)
+    with mpmath.workdps(50):
+        fam = para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num(alpha),
+                                         q=num("0.5"), N=N)
+        verify.run_suite("all", fam)
+    assert calls and max(calls.values()) == 1, calls.most_common(3)
+
+
+def _poison_calls(monkeypatch, module, name, when, poison):
+    """Make module.name return poison(its result) on each call for which
+    when(call number, args) holds."""
+    original = getattr(module, name)
+    counter = itertools.count(1)
+
+    def poisoned(*args):
+        result = original(*args)
+        return poison(result) if when(next(counter), args) else result
+
+    monkeypatch.setattr(module, name, poisoned)
+
+
+def _nan_at_1(values):
+    return [values[0], NAN, *values[2:]]
+
+
+def _second(k, args):
+    return k == 2
+
+
+# (suite, check, module, function, which calls, how their results are
+# poisoned): each poisoned value is a later one in its check's fold, never
+# the first.
+NAN_CASES = [
+    ("explicit", "explicit-vs-recurrence", para_racah, "eval_recurrence", _second,
+     lambda r: NAN),
+    ("bispectral", "qdiff-residual", para_racah, "qdiff_residual", _second,
+     lambda r: (NAN, r[1])),
+    ("bispectral", "eigenvalue-degeneracy", para_racah, "qdiff_eigenvalue",
+     lambda k, args: args[1] == 2, lambda r: NAN),
+    ("orthogonality", "christoffel-cross-check", para_racah, "weights_from_christoffel",
+     lambda k, args: True,
+     lambda lw: dataclasses.replace(lw, weights=tuple(_nan_at_1(lw.weights)))),
+    ("persymmetry", "coefficient-persymmetry", para_racah, "b_coefficient",
+     lambda k, args: args[1] == 2, lambda r: NAN),
+    ("isospectral", "isospectrality", spectral, "spectrum", lambda k, args: k == 3,
+     _nan_at_1),
+    ("qracah", "qracah-identity", connections, "monic_values", _second, _nan_at_1),
+    ("dualhahn", "dual-hahn-limit", connections, "dual_hahn_limit", _second,
+     lambda r: (NAN, *r[1:])),
+    ("qpk-limit", "qpk-theta-limit", para_krawtchouk, "b_coefficient", _second,
+     lambda r: NAN),
+]
+
+
+@pytest.mark.parametrize("suite,check,module,name,when,poison", NAN_CASES,
+                         ids=["%s/%s" % case[:2] for case in NAN_CASES])
+def test_nan_evaluation_fails_its_check(monkeypatch, suite, check, module, name, when,
+                                        poison):
+    _poison_calls(monkeypatch, module, name, when, poison)
+    checks = {c.name: c for c in verify.run_suite(suite, FAM)}
+    chk = checks["%s/%s" % (suite, check)]
+    assert not chk.passed
+    assert math.isnan(chk.residual)
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_layers_resolve():
+    tracer = _load_tracer()
+    for module, names, _ in tracer.LAYERS:
+        mod = importlib.import_module("qortho." + module)
+        for name in names:
+            assert callable(getattr(mod, name, None)), (module, name)
+    for table in tracer.SUITE_TABLES:
+        assert isinstance(getattr(verify, table), dict), table
+
+
+def test_traced_verify_counts_every_layer_it_calls(capsys):
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["verify", "--a", "0.9", "--c", "0.7", "--alpha", "0.25",
+                         "--q", "0.5", "--N", "5", "--precision", "extended"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    calls = tracer.totals()
+    for layer in ("para_racah.coef", "para_racah.eval_recurrence",
+                  "para_racah.eval_explicit", "para_racah.qdiff_residual",
+                  "para_racah.christoffel", "para_racah.weights",
+                  "verify.gram_errors", "spectral.spectrum",
+                  "connections.qracah_identity", "connections.dual_hahn"):
+        assert calls.get(layer + ".calls", 0) > 0, layer
