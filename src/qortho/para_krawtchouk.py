@@ -8,12 +8,11 @@ recurrence coefficients; the limit itself is exercised only by tests.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .para_racah import DegenerateFamilyError, LatticeWeights
 from .qseries import qpochhammer
-from .recurrence import TridiagonalSystem, tridiagonal
+from .recurrence import _DEGENERATE_TOL, BiLatticeFamily, TridiagonalSystem
 
 __all__ = [
     "ParaKrawtchoukFamily",
@@ -24,11 +23,9 @@ __all__ = [
     "weights",
 ]
 
-_DEGENERATE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
-class ParaKrawtchoukFamily:
+class ParaKrawtchoukFamily(BiLatticeFamily):
     """Parameter set {Delta, alpha, q, N} on the grid Delta q^s / q^s.
 
     The inherited positivity region is q < Delta < 1/q with Delta != 1 for
@@ -42,22 +39,9 @@ class ParaKrawtchoukFamily:
     N: int
 
     def __post_init__(self):
-        if not 0 < self.q < 1:
-            raise ValueError("nome q must satisfy 0 < q < 1")
-        if not 0 < self.alpha < 1:
-            raise ValueError("deformation alpha must satisfy 0 < alpha < 1")
-        if self.N < 1 or self.N != int(self.N):
-            raise ValueError("N must be an integer >= 1")
+        super().__post_init__()
         if not self.Delta > 0:
             raise ValueError("Delta must be a positive real")
-
-    @property
-    def odd(self) -> bool:
-        return self.N % 2 == 1
-
-    @property
-    def j(self) -> int:
-        return (self.N - 1) // 2 if self.odd else self.N // 2
 
     @property
     def degenerate(self) -> bool:
@@ -109,17 +93,17 @@ def lattice_points(fam: ParaKrawtchoukFamily) -> tuple:
     pts = [None] * (fam.N + 1)
     for s in range(j + 1):
         pts[2 * s] = D * q ** s
-    top = j if fam.odd else j - 1
-    for s in range(top + 1):
+    for s in range(fam.N - j):
         pts[2 * s + 1] = q ** s
     return tuple(pts)
 
 
-def eval_recurrence(fam: ParaKrawtchoukFamily, n: int, y):
-    """Monic Q_n(y) by forward recurrence; n = N+1 gives the characteristic polynomial."""
-    if not 0 <= n <= fam.N + 1:
+def eval_recurrence(tri: TridiagonalSystem, n: int, y):
+    """Monic Q_n(y) of the table's family by forward recurrence; n = N+1 gives
+    the characteristic polynomial."""
+    if not 0 <= n <= tri.family.N + 1:
         raise ValueError("recurrence evaluation requires 0 <= n <= N+1")
-    return tridiagonal(fam).values(y, n)[-1]
+    return tri.values(y, n)[-1]
 
 
 def _k_norm(fam: ParaKrawtchoukFamily):
@@ -177,6 +161,4 @@ def weights(tri: TridiagonalSystem) -> LatticeWeights:
     lw = LatticeWeights(points=lattice_points(fam), z_points=None)
     k_norm = _k_norm(fam)
     w = tuple(_weight_at(fam, i, k_norm) for i in range(fam.N + 1))
-    half = dataclasses.replace(fam, alpha=0.5)
-    w_half = tuple(_weight_at(half, i, k_norm) for i in range(fam.N + 1))
-    return lw.weighted(fam, w, w_half, tri.h, k_norm)
+    return lw.weighted(w, tri.h, k_norm=k_norm)

@@ -2,11 +2,10 @@
 biexponential bi-lattice, obtained from the Askey-Wilson family through the
 singular truncation abcd = q^(1-N).
 
-All truncation limits are encoded as closed-form case tables, split on the
-parity of N; no limits are taken at runtime.  The deformation parameter
-alpha in (0, 1) moves a handful of recurrence coefficients around the middle
-of the band without moving the spectrum; alpha = 1/2 is the persymmetric
-point.
+All truncation limits are encoded as closed-form case tables; no limits are
+taken at runtime.  The deformation parameter alpha in (0, 1) moves a handful
+of recurrence coefficients around the middle of the band without moving the
+spectrum; alpha = 1/2 is the persymmetric point.
 
 Polynomials are evaluated in the exponential variable z with
 x = (z + 1/z)/2.  Lattice points carry their own z representatives
@@ -22,7 +21,7 @@ from typing import Optional
 import mpmath
 
 from .qseries import SeriesSpec, _series_eval_with_magnitude, qpochhammer
-from .recurrence import TridiagonalSystem, tridiagonal
+from .recurrence import _DEGENERATE_TOL, BiLatticeFamily, TridiagonalSystem
 from .scalars import is_mp
 
 __all__ = [
@@ -45,17 +44,12 @@ __all__ = [
     "positivity_check",
 ]
 
-# Relative spacing below which the two lattice strands are treated as
-# coincident (doubly degenerate spectrum).
-_DEGENERATE_TOL = 1e-12
-
-
 class DegenerateFamilyError(ArithmeticError):
     """The spectrum is doubly degenerate (c = a): weights are undefined."""
 
 
 @dataclass(frozen=True)
-class ParaRacahFamily:
+class ParaRacahFamily(BiLatticeFamily):
     """Parameter set {a, c, alpha, q, N} with derived parity and j.
 
     Construction enforces only the structural constraints (real positive
@@ -72,22 +66,9 @@ class ParaRacahFamily:
     N: int
 
     def __post_init__(self):
-        if not 0 < self.q < 1:
-            raise ValueError("nome q must satisfy 0 < q < 1")
-        if not 0 < self.alpha < 1:
-            raise ValueError("deformation alpha must satisfy 0 < alpha < 1")
-        if self.N < 1 or self.N != int(self.N):
-            raise ValueError("N must be an integer >= 1")
+        super().__post_init__()
         if not self.a > 0 or not self.c > 0:
             raise ValueError("parameters a and c must be positive reals")
-
-    @property
-    def odd(self) -> bool:
-        return self.N % 2 == 1
-
-    @property
-    def j(self) -> int:
-        return (self.N - 1) // 2 if self.odd else self.N // 2
 
     @property
     def degenerate(self) -> bool:
@@ -101,8 +82,9 @@ class LatticeWeights:
     Points are stored in interleaved index order: even indices on the
     a-strand, odd indices on the c-strand.  ``z_points`` holds the
     exponential representatives.  ``weights_half`` are the persymmetric
-    (alpha = 1/2) weights, ``h`` the normalization products u_1...u_n, and
-    ``k_norm`` the closed-form normalization constant of the weight tables.
+    (alpha = 1/2) weights, filled only by the q-para-Racah closed forms,
+    ``h`` the normalization products u_1...u_n, and ``k_norm`` the
+    closed-form normalization constant of the weight tables.
     """
 
     points: tuple
@@ -111,15 +93,14 @@ class LatticeWeights:
     weights_half: Optional[tuple] = None
     h: Optional[tuple] = None
     k_norm: Optional[object] = None
-    beta: Optional[object] = None
     positive_measure: Optional[bool] = None
 
-    def weighted(self, fam, w, w_half, h, k_norm=None) -> "LatticeWeights":
+    def weighted(self, w, h, w_half=None, k_norm=None) -> "LatticeWeights":
         """These points with weights attached and the measure's sign flagged."""
         positive = all(v > 0 for v in w) and all(v > 0 for v in h[1:])
         return dataclasses.replace(
             self, weights=w, weights_half=w_half, h=h, k_norm=k_norm,
-            beta=1 - 2 * fam.alpha, positive_measure=positive)
+            positive_measure=positive)
 
 
 @dataclass(frozen=True)
@@ -232,20 +213,16 @@ def limit_recurrence_ac(fam: ParaRacahFamily, n: int):
     return A, C
 
 
-def eval_recurrence(fam: ParaRacahFamily, n: int, z, tri=None):
-    """Monic R_n at x = (z + 1/z)/2 by forward recurrence.
+def eval_recurrence(tri: TridiagonalSystem, n: int, z):
+    """Monic R_n of the table's family at x = (z + 1/z)/2 by forward recurrence.
 
     n = N+1 is allowed and produces the characteristic polynomial of the
-    Jacobi matrix, whose zeros are the orthogonality lattice.  ``tri`` is
-    the family's table from :func:`tridiagonal`; a caller evaluating many
-    points passes it instead of having it refilled on every call.
+    Jacobi matrix, whose zeros are the orthogonality lattice.
     """
-    if not 0 <= n <= fam.N + 1:
+    if not 0 <= n <= tri.family.N + 1:
         raise ValueError("recurrence evaluation requires 0 <= n <= N+1")
     if z == 0:
         raise ValueError("z must be nonzero")
-    if tri is None:
-        tri = tridiagonal(fam)
     return tri.values((z + 1 / z) / 2, n)[-1]
 
 
@@ -253,38 +230,30 @@ def eval_recurrence(fam: ParaRacahFamily, n: int, z, tri=None):
 # Explicit hypergeometric expressions
 # ---------------------------------------------------------------------------
 #
-# The degree splits into branches.  Odd N = 2j+1: for n < j and n > j+1 the
-# polynomial is a single (resp. a combination of two) terminating series; at
-# n = j and n = j+1 parameter cancellations force a truncated sum plus, for
-# n = j+1, one alpha-weighted extra term.  Even N = 2j needs no middle
-# branch.  Every series below is summed with an explicit truncation degree:
-# relying on floating-point zeros of (q^-m; q)_k would be fragile.
+# With j = floor(N/2), degree n <= j is a single terminating series and
+# degree n > j a head series truncated at N-n plus a tail truncated at
+# n-j-1; the parameters q^(n-N) and (a/c) q^(j+1-N) serve both parities of
+# N.  For odd N the degrees n = j and n = j+1, where a head parameter
+# cancels against the denominator, are summed with that pair removed, as a
+# middle sum plus, for n = j+1, the alpha-weighted tail term.  Every series
+# below is summed with an explicit truncation degree: relying on
+# floating-point zeros of (q^-m; q)_k would be fragile.
 
 
 def _eta(fam: ParaRacahFamily, n: int):
     """Monic normalization of the explicit expansion."""
     a, c, al, q, j = _unpack(fam)
+    N = fam.N
     qp = qpochhammer
+    r = (a / c) * q ** (j + 1 - N)
     sign_pow = (-2 * a) ** n * q ** (n * (n + 1) // 2)
-    if fam.odd:
-        if n <= j:
-            num = (qp(q, q, n) * qp(q ** -j, q, n)
-                   * qp((a / c) * q ** -j, q, n) * qp(a * c, q, n))
-            den = qp(q ** (n - 2 * j - 1), q, n) * qp(q ** -n, q, n) * sign_pow
-            return num / den
-        num = (al * qp(q ** -j, q, j) * qp(q, q, n - j - 1)
-               * qp((a / c) * q ** -j, q, n) * qp(a * c, q, n) * qp(q, q, n))
-        den = (qp(q ** (n - 2 * j - 1), q, 2 * j + 1 - n) * qp(q, q, 2 * n - 2 * j - 2)
-               * qp(q ** -n, q, n) * sign_pow)
-        return num / den
     if n <= j:
-        num = (qp(q, q, n) * qp(q ** -j, q, n)
-               * qp((a / c) * q ** (-j + 1), q, n) * qp(a * c, q, n))
-        den = qp(q ** (n - 2 * j), q, n) * qp(q ** -n, q, n) * sign_pow
+        num = qp(q, q, n) * qp(q ** -j, q, n) * qp(r, q, n) * qp(a * c, q, n)
+        den = qp(q ** (n - N), q, n) * qp(q ** -n, q, n) * sign_pow
         return num / den
     num = (al * qp(q ** -j, q, j) * qp(q, q, n - j - 1)
-           * qp((a / c) * q ** (-j + 1), q, n) * qp(a * c, q, n) * qp(q, q, n))
-    den = (qp(q ** (n - 2 * j), q, 2 * j - n) * qp(q, q, 2 * n - 2 * j - 1)
+           * qp(r, q, n) * qp(a * c, q, n) * qp(q, q, n))
+    den = (qp(q ** (n - N), q, N - n) * qp(q, q, 2 * n - N - 1)
            * qp(q ** -n, q, n) * sign_pow)
     return num / den
 
@@ -305,61 +274,36 @@ def _explicit_value(fam: ParaRacahFamily, n: int, z, eta):
     multiple of eps times this scale.
     """
     a, c, al, q, j = _unpack(fam)
+    N = fam.N
     qp = qpochhammer
-    if fam.odd:
-        if n < j:
-            num = (q ** -n, q ** (n - 2 * j - 1), a * z, a / z)
-            den = (q ** -j, a * c, (a / c) * q ** -j, q)
-            body, mag = _series_eval_with_magnitude(
-                SeriesSpec(num, den, q, q, truncation=n))
-            return eta * body, abs(eta) * mag
+    if fam.odd and n in (j, j + 1):
+        body, mag = _middle_sum(fam, z, j)
         if n == j:
-            body, mag = _middle_sum(fam, z, j)
             return eta * body, abs(eta) * mag
-        if n == j + 1:
-            extra_num = (qp(q ** (-j - 1), q, j + 1) * qp(a * z, q, j + 1)
-                         * qp(a / z, q, j + 1) * q ** (j + 1))
-            extra_den = (al * qp(q, q, j + 1) * qp(a * c, q, j + 1)
-                         * qp((a / c) * q ** -j, q, j + 1))
-            body, mag = _middle_sum(fam, z, j)
-            extra = extra_num / extra_den
-            return eta * (body + extra), abs(eta) * (mag + abs(extra))
-        head_num = (q ** -n, q ** (n - 2 * j - 1), a * z, a / z)
-        head_den = (q ** -j, a * c, (a / c) * q ** -j, q)
-        head, head_mag = _series_eval_with_magnitude(
-            SeriesSpec(head_num, head_den, q, q, truncation=2 * j + 1 - n))
-        pref_num = (qp(q ** (n - 2 * j - 1), q, 2 * j + 1 - n)
-                    * qp(q ** -n, q, j + 1) * qp(a * z, q, j + 1) * qp(a / z, q, j + 1)
-                    * qp(q, q, n - j - 1) * q ** (j + 1))
-        pref_den = (al * qp(q ** -j, q, j) * qp(q, q, j + 1)
-                    * qp(a * c, q, j + 1) * qp((a / c) * q ** -j, q, j + 1))
-        tail_num = (q ** (j + 1 - n), q ** (n - j),
-                    a * q ** (j + 1) * z, a * q ** (j + 1) / z)
-        tail_den = (q ** (j + 2), a * c * q ** (j + 1), (a / c) * q, q)
-        tail, tail_mag = _series_eval_with_magnitude(
-            SeriesSpec(tail_num, tail_den, q, q, truncation=n - j - 1))
-        pref = pref_num / pref_den
-        return (eta * (head + pref * tail),
-                abs(eta) * (head_mag + abs(pref) * tail_mag))
-    # even N = 2j
+        extra_num = (qp(q ** (-j - 1), q, j + 1) * qp(a * z, q, j + 1)
+                     * qp(a / z, q, j + 1) * q ** (j + 1))
+        extra_den = (al * qp(q, q, j + 1) * qp(a * c, q, j + 1)
+                     * qp((a / c) * q ** -j, q, j + 1))
+        extra = extra_num / extra_den
+        return eta * (body + extra), abs(eta) * (mag + abs(extra))
+    r = (a / c) * q ** (j + 1 - N)
+    head_num = (q ** -n, q ** (n - N), a * z, a / z)
+    head_den = (q ** -j, a * c, r, q)
     if n <= j:
-        num = (q ** -n, q ** (n - 2 * j), a * z, a / z)
-        den = (q ** -j, a * c, (a / c) * q ** (-j + 1), q)
         body, mag = _series_eval_with_magnitude(
-            SeriesSpec(num, den, q, q, truncation=n))
+            SeriesSpec(head_num, head_den, q, q, truncation=n))
         return eta * body, abs(eta) * mag
-    head_num = (q ** -n, q ** (n - 2 * j), a * z, a / z)
-    head_den = (q ** -j, a * c, (a / c) * q ** (-j + 1), q)
     head, head_mag = _series_eval_with_magnitude(
-        SeriesSpec(head_num, head_den, q, q, truncation=2 * j - n))
-    pref_num = (qp(q ** (n - 2 * j), q, 2 * j - n)
+        SeriesSpec(head_num, head_den, q, q, truncation=N - n))
+    pref_num = (qp(q ** (n - N), q, N - n)
                 * qp(q ** -n, q, j + 1) * qp(a * z, q, j + 1) * qp(a / z, q, j + 1)
-                * qp(q, q, n - j) * q ** (j + 1))
+                * qp(q, q, n + j - N) * q ** (j + 1))
     pref_den = (al * qp(q ** -j, q, j) * qp(q, q, j + 1)
-                * qp(a * c, q, j + 1) * qp((a / c) * q ** (-j + 1), q, j + 1))
-    tail_num = (q ** (j + 1 - n), q ** (n - j + 1),
+                * qp(a * c, q, j + 1) * qp(r, q, j + 1))
+    # (a/c) q^(2j+2-N), multiplied left to right: (a/c) q q for even N.
+    tail_num = (q ** (j + 1 - n), q ** (n + j + 1 - N),
                 a * q ** (j + 1) * z, a * q ** (j + 1) / z)
-    tail_den = (q ** (j + 2), a * c * q ** (j + 1), (a / c) * q * q, q)
+    tail_den = (q ** (j + 2), a * c * q ** (j + 1), (a / c) * q * q ** (2 * j + 1 - N), q)
     tail, tail_mag = _series_eval_with_magnitude(
         SeriesSpec(tail_num, tail_den, q, q, truncation=n - j - 1))
     pref = pref_num / pref_den
@@ -418,8 +362,8 @@ def eval_explicit(fam: ParaRacahFamily, n: int, zs) -> list:
 def lattice(fam: ParaRacahFamily) -> LatticeWeights:
     """The interleaved bi-lattice (points and z representatives only).
 
-    Even indices 2s sit on the a-strand, odd indices 2s+1 on the c-strand;
-    the c-strand is one point shorter when N is even.  Points are kept in
+    Even indices 2s sit on the a-strand (j+1 points), odd indices 2s+1 on
+    the c-strand (N-j points, one fewer when N is even).  Points are kept in
     this index order (not sorted) because the weight tables are index-keyed.
     """
     a, c, _, q, j = _unpack(fam)
@@ -429,8 +373,7 @@ def lattice(fam: ParaRacahFamily) -> LatticeWeights:
         z = a * q ** s
         zs[2 * s] = z
         pts[2 * s] = (1 / z + z) / 2
-    c_top = j if fam.odd else j - 1
-    for s in range(c_top + 1):
+    for s in range(fam.N - j):
         z = c * q ** s
         zs[2 * s + 1] = z
         pts[2 * s + 1] = (1 / z + z) / 2
@@ -440,15 +383,14 @@ def lattice(fam: ParaRacahFamily) -> LatticeWeights:
 def char_poly_eval(fam: ParaRacahFamily, z):
     """The factorized characteristic polynomial, up to an overall constant.
 
-    Proportional to eval_recurrence(fam, N+1, z); the constant is fitted once
-    per family by :func:`char_poly_scale`.
+    Proportional to R_{N+1}(x(z)); the constant is fitted once per family by
+    :func:`char_poly_scale`.
     """
     if z == 0:
         raise ValueError("z must be nonzero")
     a, c, _, q, j = _unpack(fam)
-    c_len = j + 1 if fam.odd else j
     return (qpochhammer(a * z, q, j + 1) * qpochhammer(a / z, q, j + 1)
-            * qpochhammer(c * z, q, c_len) * qpochhammer(c / z, q, c_len))
+            * qpochhammer(c * z, q, fam.N - j) * qpochhammer(c / z, q, fam.N - j))
 
 
 # Fixed fitting point for the characteristic-polynomial scale: negative, so
@@ -456,9 +398,10 @@ def char_poly_eval(fam: ParaRacahFamily, z):
 _SCALE_Z = -1.25
 
 
-def char_poly_scale(fam: ParaRacahFamily):
+def char_poly_scale(tri: TridiagonalSystem):
     """Constant kappa with R_{N+1}(x(z)) = kappa * char_poly_eval(z)."""
-    return eval_recurrence(fam, fam.N + 1, _SCALE_Z) / char_poly_eval(fam, _SCALE_Z)
+    fam = tri.family
+    return eval_recurrence(tri, fam.N + 1, _SCALE_Z) / char_poly_eval(fam, _SCALE_Z)
 
 
 def _k_norm(fam: ParaRacahFamily):
@@ -565,7 +508,7 @@ def weights(tri: TridiagonalSystem) -> LatticeWeights:
     w = tuple(_weight_at(fam, i, k_norm) for i in range(fam.N + 1))
     half = dataclasses.replace(fam, alpha=0.5)
     w_half = tuple(_weight_at(half, i, k_norm) for i in range(fam.N + 1))
-    return lw.weighted(fam, w, w_half, tri.h, k_norm)
+    return lw.weighted(w, tri.h, w_half, k_norm)
 
 
 def _char_poly_derivative(points, s):
@@ -582,36 +525,26 @@ def _char_poly_derivative(points, s):
     return out
 
 
-def weights_from_christoffel(tri: TridiagonalSystem,
-                             half: TridiagonalSystem) -> LatticeWeights:
+def weights_from_christoffel(tri: TridiagonalSystem) -> LatticeWeights:
     """Independent weight route: w_s = h_N / (R_N(x_s) R'_{N+1}(x_s)).
 
-    ``tri`` is the family's table and ``half`` the table of the same family
-    at alpha = 1/2, which gives ``weights_half``.  R_N is evaluated by
-    recurrence at the stored z representatives and the derivative comes from
-    the factored characteristic polynomial.  Agrees with :func:`weights`
-    point by point.
+    R_N is evaluated from the table at the stored z representatives and the
+    derivative comes from the monic characteristic polynomial's roots.
+    Agrees with :func:`weights` point by point.
     """
     fam = tri.family
-    if half.family != dataclasses.replace(fam, alpha=0.5):
-        raise ValueError("half must be the table of the same family at alpha = 1/2")
     _require_simple_spectrum(fam)
     lw = lattice(fam)
-
-    def route(t):
-        f = t.family
-        hN = t.h[-1]
-        out = []
-        for s, z in enumerate(lw.z_points):
-            rN = eval_recurrence(f, f.N, z, t)
-            if abs(rN) == 0:
-                raise DegenerateFamilyError(
-                    "R_N vanishes at a lattice point; configuration is degenerate"
-                )
-            out.append(hN / (rN * _char_poly_derivative(lw.points, s)))
-        return tuple(out)
-
-    return lw.weighted(fam, route(tri), route(half), tri.h)
+    hN = tri.h[-1]
+    w = []
+    for s, z in enumerate(lw.z_points):
+        rN = eval_recurrence(tri, fam.N, z)
+        if abs(rN) == 0:
+            raise DegenerateFamilyError(
+                "R_N vanishes at a lattice point; configuration is degenerate"
+            )
+        w.append(hN / (rN * _char_poly_derivative(lw.points, s)))
+    return lw.weighted(tuple(w), tri.h)
 
 
 # ---------------------------------------------------------------------------
@@ -631,26 +564,22 @@ def _shift_coefficient(fam: ParaRacahFamily, z):
     den = (1 - z2) * (1 - q * z2)
     if abs(den) < 1e-12:
         raise ValueError("evaluation point too close to a shift-operator pole")
-    c_exp = j if fam.odd else j - 1
     return ((1 - a * z) * (1 - q ** -j * z / a)
-            * (1 - c * z) * (1 - q ** -c_exp * z / c)) / den
+            * (1 - c * z) * (1 - q ** (j + 1 - fam.N) * z / c)) / den
 
 
-def qdiff_residual(fam: ParaRacahFamily, n: int, z, tri=None):
-    """LHS - RHS of the q-difference equation plus the operator scale.
-
-    ``tri`` is the family's table, as in :func:`eval_recurrence`.
-    """
+def qdiff_residual(tri: TridiagonalSystem, n: int, z):
+    """LHS - RHS of the q-difference equation of the table's family at degree
+    n, plus the operator scale."""
+    fam = tri.family
     if not 0 <= n <= fam.N:
         raise ValueError("q-difference residual requires 0 <= n <= N")
     q = fam.q
     coef_up = _shift_coefficient(fam, z)
     coef_dn = _shift_coefficient(fam, 1 / z)
-    if tri is None:
-        tri = tridiagonal(fam)
-    r_up = eval_recurrence(fam, n, q * z, tri)
-    r_mid = eval_recurrence(fam, n, z, tri)
-    r_dn = eval_recurrence(fam, n, z / q, tri)
+    r_up = eval_recurrence(tri, n, q * z)
+    r_mid = eval_recurrence(tri, n, z)
+    r_dn = eval_recurrence(tri, n, z / q)
     lhs = qdiff_eigenvalue(fam, n) * r_mid
     t_up = coef_up * r_up
     t_mid = (coef_up + coef_dn) * r_mid

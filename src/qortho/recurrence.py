@@ -24,12 +24,43 @@ from dataclasses import dataclass
 from .scalars import max_keep_nan
 
 __all__ = [
+    "BiLatticeFamily",
     "TridiagonalSystem",
     "monic_values",
     "family_module",
     "tridiagonal",
     "persymmetry_residual",
 ]
+
+
+# Relative spacing below which the two lattice strands of a family are
+# treated as coincident (doubly degenerate spectrum).
+_DEGENERATE_TOL = 1e-12
+
+
+class BiLatticeFamily:
+    """Checks and derived indices shared by the truncated families.
+
+    Subclasses are frozen dataclasses with fields ``alpha``, ``q`` and ``N``
+    beside their lattice parameters; they extend :meth:`__post_init__` with
+    the checks on those parameters.  N = 2j+1 when ``odd``, N = 2j otherwise.
+    """
+
+    def __post_init__(self):
+        if not 0 < self.q < 1:
+            raise ValueError("nome q must satisfy 0 < q < 1")
+        if not 0 < self.alpha < 1:
+            raise ValueError("deformation alpha must satisfy 0 < alpha < 1")
+        if self.N < 1 or self.N != int(self.N):
+            raise ValueError("N must be an integer >= 1")
+
+    @property
+    def odd(self) -> bool:
+        return self.N % 2 == 1
+
+    @property
+    def j(self) -> int:
+        return self.N // 2
 
 
 def monic_values(b, u, x) -> list:

@@ -115,22 +115,20 @@ def persymmetry_residual(m: SymmetricTridiagonal) -> float:
     return max_keep_nan(rd, re)
 
 
-def isospectrality_check(ref: TridiagonalSystem, tables) -> float:
-    """Max spectral deviation of the tables against the reference table.
+def isospectrality_check(ref: list, tables) -> float:
+    """Max spectral deviation of the tables against the reference spectrum.
 
-    The reference is a family's alpha = 1/2 table and the tables are the
-    same family at other deformations.  Spectra are sorted ascending and
-    compared pairwise; the result is the worst absolute eigenvalue gap over
-    all tables, NaN if any gap is NaN.
+    The reference is the :func:`spectrum` of a family's alpha = 1/2 table
+    and the tables are the same family at other deformations.  Spectra are
+    sorted ascending and compared pairwise; the result is the worst absolute
+    eigenvalue gap over all tables, NaN if any gap is NaN.
     """
-    s_ref = spectrum(build_jacobi(ref))
     return _max_abs(x - y for t in tables
-                    for x, y in zip(spectrum(build_jacobi(t)), s_ref))
+                    for x, y in zip(spectrum(build_jacobi(t)), ref))
 
 
-def spectrum_vs_lattice(tri: TridiagonalSystem) -> float:
-    """Max gap between the Jacobi spectrum of the table and its family's
+def spectrum_vs_lattice(eig: list, fam) -> float:
+    """Max gap between an ascending Jacobi spectrum of the family and its
     sorted bi-lattice."""
-    s = spectrum(build_jacobi(tri))
-    pts = sorted(float(x) for x in lattice(tri.family).points)
-    return _max_abs(x - y for x, y in zip(s, pts))
+    pts = sorted(float(x) for x in lattice(fam).points)
+    return _max_abs(x - y for x, y in zip(eig, pts))

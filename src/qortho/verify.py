@@ -23,7 +23,7 @@ import mpmath
 
 from . import connections, para_krawtchouk, para_racah, spectral
 from .recurrence import family_module, persymmetry_residual, tridiagonal
-from .scalars import is_mp, max_keep_nan
+from .scalars import is_mp, max_keep_nan, sqrt
 
 __all__ = ["Check", "RunTables", "SUITES", "run_suite", "suite_names_for",
            "sample_family"]
@@ -92,7 +92,8 @@ class RunTables:
 
     @cached_property
     def half(self):
-        """The table of the same family at alpha = 1/2."""
+        """The table of the same family at alpha = 1/2, the isospectral
+        reference."""
         return self._at_alpha(0.5)
 
     @cached_property
@@ -150,7 +151,7 @@ def gram_errors(tri, lw):
                 worst_diag = max_keep_nan(worst_diag, abs(g - lw.h[n]) / abs(lw.h[n]))
             else:
                 worst_off = max_keep_nan(
-                    worst_off, abs(g) / math.sqrt(abs(lw.h[n] * lw.h[m])))
+                    worst_off, abs(g) / sqrt(abs(lw.h[n] * lw.h[m])))
     return float(worst_diag), float(worst_off)
 
 
@@ -191,7 +192,7 @@ def suite_orthogonality(run, rng):
     checks.append(_check("gram-off-diagonal", o, TOL_GRAM))
     if _is_qpk(fam):
         return checks
-    cw = para_racah.weights_from_christoffel(tri, run.half)
+    cw = para_racah.weights_from_christoffel(tri)
     worst = max_keep_nan(*(abs(x - y) / abs(x) for x, y in zip(lw.weights, cw.weights)))
     checks.append(_check("christoffel-cross-check", worst, TOL_CHRISTOFFEL))
     ratios = [w / wh for w, wh in zip(lw.weights, lw.weights_half)]
@@ -206,7 +207,7 @@ def suite_explicit(run, rng):
     for n in range(fam.N + 1):
         zs = [_random_z(rng, fam) for _ in range(10)]
         for z, e in zip(zs, para_racah.eval_explicit(fam, n, zs)):
-            r = para_racah.eval_recurrence(fam, n, z, tri)
+            r = para_racah.eval_recurrence(tri, n, z)
             worst = max_keep_nan(worst, abs(e - r) / max(abs(r), abs(e)))
     return [_check("explicit-vs-recurrence", worst, TOL_EXPLICIT)]
 
@@ -217,7 +218,7 @@ def suite_bispectral(run, rng):
     for n in range(fam.N + 1):
         for _ in range(10):
             z = _random_z(rng, fam, 2.0, 3.0)
-            res, scale = para_racah.qdiff_residual(fam, n, z, tri)
+            res, scale = para_racah.qdiff_residual(tri, n, z)
             worst = max_keep_nan(worst, abs(res) / scale)
     lam = [para_racah.qdiff_eigenvalue(fam, n) for n in range(fam.N + 1)]
     degen = max_keep_nan(0.0, *(abs(lam[n] - lam[fam.N - n]) / abs(lam[n])
@@ -251,9 +252,12 @@ def suite_isospectral(run, rng):
     if not tri.positive:
         return [_failed("isospectrality", TOL_ISOSPECTRAL,
                         "skipped: Jacobi matrix is not symmetrizable")]
-    norm = spectral.matrix_norm(spectral.build_jacobi(tri))
-    dev = spectral.isospectrality_check(run.half, run.grid)
-    gap = spectral.spectrum_vs_lattice(tri)
+    jacobi = spectral.build_jacobi(tri)
+    ref = spectral.spectrum(spectral.build_jacobi(run.half))
+    dev = spectral.isospectrality_check(ref, run.grid)
+    eig = ref if tri is run.half else spectral.spectrum(jacobi)
+    gap = spectral.spectrum_vs_lattice(eig, tri.family)
+    norm = spectral.matrix_norm(jacobi)
     return [
         _check("isospectrality", dev / norm, TOL_ISOSPECTRAL),
         _check("spectrum-vs-lattice", gap / norm, TOL_ISOSPECTRAL),

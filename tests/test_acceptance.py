@@ -45,10 +45,11 @@ def test_criterion_01_explicit_recurrence_equivalence():
     fams, rng = _families(101, range(2, 10), 5)
     worst = 0.0
     for fam in fams:
+        tri = recurrence.tridiagonal(fam)
         for n in range(fam.N + 1):
             for _ in range(20):
                 z = rng.uniform(1.15, 2.5)
-                r = para_racah.eval_recurrence(fam, n, z)
+                r = para_racah.eval_recurrence(tri, n, z)
                 e = para_racah.eval_explicit(fam, n, [z])[0]
                 worst = max(worst, abs(e - r) / max(abs(r), abs(e)))
     elapsed = time.time() - start
@@ -75,10 +76,11 @@ def test_criterion_02_orthogonality():
 def test_criterion_03_bispectrality():
     fams, rng = _families(103, range(2, 8), 2)
     for fam in fams:
+        tri = recurrence.tridiagonal(fam)
         for n in range(fam.N + 1):
             for _ in range(10):
                 z = rng.uniform(2.0, 3.0)
-                res, scale = para_racah.qdiff_residual(fam, n, z)
+                res, scale = para_racah.qdiff_residual(tri, n, z)
                 assert abs(res) <= 1e-9 * scale, (fam, n)
         for n in range(1, fam.N):
             lam = para_racah.qdiff_eigenvalue(fam, n)
@@ -94,14 +96,14 @@ def test_criterion_04_persymmetry_isospectrality():
         mat = spectral.build_jacobi(recurrence.tridiagonal(half))
         assert spectral.persymmetry_residual(mat) <= 1e-12
         norm = spectral.matrix_norm(mat)
-        dev = spectral.isospectrality_check(recurrence.tridiagonal(half), [
-            recurrence.tridiagonal(dataclasses.replace(fam, alpha=alpha))
-            for alpha in (0.1, 0.3, 0.5, 0.7, 0.9)])
+        tables = [recurrence.tridiagonal(dataclasses.replace(fam, alpha=alpha))
+                  for alpha in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        dev = spectral.isospectrality_check(spectral.spectrum(mat), tables)
         assert dev <= 1e-9 * norm, (fam, dev)
-        for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
-            gap = spectral.spectrum_vs_lattice(
-                recurrence.tridiagonal(dataclasses.replace(fam, alpha=alpha)))
-            assert gap <= 1e-9 * norm, (fam, alpha, gap)
+        for tri in tables:
+            eig = spectral.spectrum(spectral.build_jacobi(tri))
+            gap = spectral.spectrum_vs_lattice(eig, tri.family)
+            assert gap <= 1e-9 * norm, (fam, tri.family.alpha, gap)
     _report(4, "persymmetry-isospectrality")
 
 
@@ -121,14 +123,14 @@ def test_criterion_06_christoffel_cross_check():
     fams, _ = _families(106, range(2, 8), 3, orientation="a>c")
     for fam in fams:
         half = dataclasses.replace(fam, alpha=0.5)
+        half_tri = recurrence.tridiagonal(half)
         lw = para_racah.weights(recurrence.tridiagonal(fam))
-        cw = para_racah.weights_from_christoffel(
-            recurrence.tridiagonal(fam), recurrence.tridiagonal(half))
+        cw = para_racah.weights_from_christoffel(recurrence.tridiagonal(fam))
         for w_closed, w_chr in zip(lw.weights, cw.weights):
             assert abs(w_closed - w_chr) <= 1e-7 * abs(w_closed), fam
-        root = math.sqrt(recurrence.tridiagonal(half).h[-1])
+        root = math.sqrt(half_tri.h[-1])
         for s, z in enumerate(para_racah.lattice(half).z_points):
-            val = para_racah.eval_recurrence(half, half.N, z)
+            val = para_racah.eval_recurrence(half_tri, half.N, z)
             target = (-1) ** (half.N + s) * root
             assert abs(val - target) <= 1e-8 * abs(target), (fam, s)
     _report(6, "christoffel-cross-check")
@@ -189,8 +191,9 @@ def test_criterion_09_para_krawtchouk():
         for alpha in BOX_ALPHAS:
             fam = para_krawtchouk.ParaKrawtchoukFamily(
                 Delta=1.3, alpha=alpha, q=0.5, N=N)
-            lw = para_krawtchouk.weights(recurrence.tridiagonal(fam))
-            vals = [[para_krawtchouk.eval_recurrence(fam, n, y) for y in lw.points]
+            tri = recurrence.tridiagonal(fam)
+            lw = para_krawtchouk.weights(tri)
+            vals = [[para_krawtchouk.eval_recurrence(tri, n, y) for y in lw.points]
                     for n in range(N + 1)]
             for n in range(N + 1):
                 for m in range(n + 1):

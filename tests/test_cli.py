@@ -277,6 +277,16 @@ GOLDEN = [
      "ad47161bf513e75cffee97aaa44bedfe16a2af5b18a10a7b0ecce9adc7e235c4"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --suite orthogonality --format json --precision extended",
      "909e472e84106a08add3dc0ed17e7f8a00aa70326a7c804189fb531a51290d8a"),
+    # The explicit expansion of both parities, in double where the 40-digit
+    # rerun fires (q = 0.3) and at 60 digits.
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.3 --N 8 --suite explicit --format csv --precision double",
+     "ab9912474df32e43210120e3c5455d8b23a56bb705629367ff25b8f53f024fdf"),
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.3 --N 9 --suite explicit --format csv --precision double",
+     "05a0a08401e3d370681a7aa0f454a2ecc84c14aa54f3eee1472317d9e6653419"),
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 12 --suite explicit --format csv --precision extended:60",
+     "df177fa13c628cabd2dee4efe007d05aeb557f28263caaabbf217e357de17cfc"),
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite explicit --format csv --precision extended:60",
+     "a1104d2f9634d98a8f917720c605893704f14e6f51a8b0f50848310223cf5a86"),
 ]
 
 

@@ -12,6 +12,7 @@ from qortho.connections import (
     single_lattice_qracah_params,
     verify_qracah_identity,
 )
+from qortho.recurrence import tridiagonal
 
 
 def test_qracah_monic_trivial_degrees():
@@ -28,7 +29,7 @@ def test_identity_trivial_at_degree_zero():
     p = single_lattice_qracah_params(0.8, 0.49, 4)
     z = 1.6
     x = (z + 1 / z) / 2
-    assert para_racah.eval_recurrence(fam, 0, z) == 1.0
+    assert para_racah.eval_recurrence(tridiagonal(fam), 0, z) == 1.0
     assert qracah_monic_eval(p, 0, 2 * 0.8 * x) == 1.0
 
 

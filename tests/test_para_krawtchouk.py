@@ -60,13 +60,14 @@ def test_degenerate_delta_collapses_strands():
 
 
 def test_eval_trivial_degree():
-    assert eval_recurrence(ODD, 0, 0.77) == 1.0
+    assert eval_recurrence(tridiagonal(ODD), 0, 0.77) == 1.0
 
 
 @pytest.mark.parametrize("fam", [ODD, EVEN], ids=["odd", "even"])
 def test_characteristic_roots_on_lattice(fam):
+    tri = tridiagonal(fam)
     for y in lattice_points(fam):
-        val = eval_recurrence(fam, fam.N + 1, y)
+        val = eval_recurrence(tri, fam.N + 1, y)
         assert abs(val) <= 1e-10
 
 
@@ -81,7 +82,7 @@ def test_gram_orthogonality_and_sums(N, alpha):
     so = sum(lw.weights[i] for i in range(1, N + 1, 2))
     assert abs(se - (1 - alpha)) <= 1e-9
     assert abs(so - alpha) <= 1e-9
-    vals = [[eval_recurrence(fam, n, y) for y in lw.points] for n in range(N + 1)]
+    vals = [[eval_recurrence(tri, n, y) for y in lw.points] for n in range(N + 1)]
     for n in range(N + 1):
         for m in range(n + 1):
             g = sum(w * vals[n][s] * vals[m][s] for s, w in enumerate(lw.weights))
@@ -96,9 +97,10 @@ def test_persymmetric_weights_reflect_through_gram_structure():
     # grid with signs alternating along the value-sorted lattice.
     for fam in (dataclasses.replace(ODD, alpha=0.5),
                 dataclasses.replace(EVEN, alpha=0.5)):
-        hN = tridiagonal(fam).h[-1]
+        tri = tridiagonal(fam)
+        hN = tri.h[-1]
         pts = lattice_points(fam)
-        vals = {y: eval_recurrence(fam, fam.N, y) for y in pts}
+        vals = {y: eval_recurrence(tri, fam.N, y) for y in pts}
         for y, v in vals.items():
             assert abs(v) == pytest.approx(math.sqrt(hN), rel=1e-9)
         ordered = [vals[y] for y in sorted(pts)]
@@ -161,10 +163,10 @@ def test_eval_is_scaled_limit_of_biexponential_polynomials():
         D = mpmath.mpf("1.3")
         q = mpmath.mpf("0.5")
         al = mpmath.mpf("0.4")
-        fam = ParaKrawtchoukFamily(Delta=D, alpha=al, q=q, N=5)
+        tri = tridiagonal(ParaKrawtchoukFamily(Delta=D, alpha=al, q=q, N=5))
         y = mpmath.mpf("0.8")
         for n in (2, 4):
-            target = eval_recurrence(fam, n, y)
+            target = eval_recurrence(tri, n, y)
             vals = []
             for k in (3, 4, 5):
                 theta = mpmath.mpf(10) ** k
@@ -175,7 +177,8 @@ def test_eval_is_scaled_limit_of_biexponential_polynomials():
                 # x = scale * y maps to z via the exponential representative
                 x = scale * y
                 z = x + mpmath.sqrt(x * x - 1)
-                vals.append(scale ** -n * para_racah.eval_recurrence(big, n, z))
+                big_tri = tridiagonal(big)
+                vals.append(scale ** -n * para_racah.eval_recurrence(big_tri, n, z))
             r = [(10 * hi - lo) / 9 for lo, hi in zip(vals, vals[1:])]
             ext = (100 * r[1] - r[0]) / 99
             assert abs(ext - target) <= 1e-6 * max(1, abs(target))

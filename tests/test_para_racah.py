@@ -141,15 +141,16 @@ def test_boundary_ratio_kills_positivity():
 def test_recurrence_trivial_degrees():
     z = 1.8
     x = (z + 1 / z) / 2
-    assert eval_recurrence(ODD, 0, z) == 1.0
-    assert eval_recurrence(ODD, 1, z) == pytest.approx(x - b_coefficient(ODD, 0))
+    tri = tridiagonal(ODD)
+    assert eval_recurrence(tri, 0, z) == 1.0
+    assert eval_recurrence(tri, 1, z) == pytest.approx(x - b_coefficient(ODD, 0))
 
 
 def test_recurrence_rejects_bad_input():
     with pytest.raises(ValueError):
-        eval_recurrence(ODD, ODD.N + 2, 1.5)
+        eval_recurrence(tridiagonal(ODD), ODD.N + 2, 1.5)
     with pytest.raises(ValueError):
-        eval_recurrence(ODD, 2, 0.0)
+        eval_recurrence(tridiagonal(ODD), 2, 0.0)
 
 
 BRANCH_CASES = [
@@ -170,9 +171,10 @@ def test_explicit_matches_recurrence_every_branch(N, n):
     rng = random.Random(100 * N + n)
     for alpha in (0.25, 0.5, 0.75):
         fam = ParaRacahFamily(a=0.9, c=0.7, alpha=alpha, q=0.5, N=N)
+        tri = tridiagonal(fam)
         for _ in range(8):
             z = rng.uniform(1.1, 2.5)
-            r = eval_recurrence(fam, n, z)
+            r = eval_recurrence(tri, n, z)
             e = eval_explicit(fam, n, [z])[0]
             assert abs(e - r) <= 1e-8 * max(abs(r), abs(e))
 
@@ -184,6 +186,23 @@ def test_explicit_degree_zero():
 def test_explicit_range_ends_at_top_degree():
     with pytest.raises(ValueError):
         eval_explicit(ODD, ODD.N + 1, [1.7])
+
+
+@pytest.mark.parametrize("N", range(1, 15))
+def test_explicit_matches_recurrence_at_60_digits(N):
+    # Every degree of both parities; the series cancel like q^(-j^2), which
+    # leaves about 40 of the 60 digits at q = 0.4 and N = 14.
+    rng = random.Random(600 + N)
+    with mpmath.workdps(60):
+        for q in ("0.4", "0.7"):
+            fam = ParaRacahFamily(a=mpmath.mpf("0.9"), c=mpmath.mpf("0.7"),
+                                  alpha=mpmath.mpf("0.3"), q=mpmath.mpf(q), N=N)
+            tri = tridiagonal(fam)
+            for n in range(N + 1):
+                zs = [mpmath.mpf(rng.uniform(1.1, 2.5)) for _ in range(3)]
+                for z, e in zip(zs, eval_explicit(fam, n, zs)):
+                    r = eval_recurrence(tri, n, z)
+                    assert abs(e - r) <= mpmath.mpf("1e-30") * max(abs(r), abs(e)), (q, n)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +244,11 @@ def test_lattice_points_are_characteristic_roots(fam):
 @pytest.mark.parametrize("fam", [ODD, EVEN], ids=["odd", "even"])
 def test_char_poly_proportionality(fam):
     rng = random.Random(9)
-    kappa = char_poly_scale(fam)
+    tri = tridiagonal(fam)
+    kappa = char_poly_scale(tri)
     for _ in range(10):
         z = rng.uniform(1.1, 2.8)
-        r = eval_recurrence(fam, fam.N + 1, z)
+        r = eval_recurrence(tri, fam.N + 1, z)
         p = kappa * char_poly_eval(fam, z)
         assert abs(r - p) <= 1e-8 * max(abs(r), abs(p))
 
@@ -265,8 +285,9 @@ def test_weight_strand_sums(N, alpha):
 
 @pytest.mark.parametrize("fam", [ODD, EVEN], ids=["odd", "even"])
 def test_gram_orthogonality(fam):
-    lw = weights(tridiagonal(fam))
-    vals = [[eval_recurrence(fam, n, z) for z in lw.z_points]
+    tri = tridiagonal(fam)
+    lw = weights(tri)
+    vals = [[eval_recurrence(tri, n, z) for z in lw.z_points]
             for n in range(fam.N + 1)]
     for n in range(fam.N + 1):
         for m in range(n + 1):
@@ -280,8 +301,7 @@ def test_gram_orthogonality(fam):
 @pytest.mark.parametrize("fam", [ODD, EVEN], ids=["odd", "even"])
 def test_christoffel_route_matches_closed_forms(fam):
     lw = weights(tridiagonal(fam))
-    cw = weights_from_christoffel(
-        tridiagonal(fam), tridiagonal(dataclasses.replace(fam, alpha=0.5)))
+    cw = weights_from_christoffel(tridiagonal(fam))
     for w_closed, w_chr in zip(lw.weights, cw.weights):
         assert abs(w_closed - w_chr) <= 1e-7 * abs(w_closed)
     assert cw.positive_measure
@@ -292,7 +312,7 @@ def test_weights_refuse_degenerate_spectrum():
     with pytest.raises(DegenerateFamilyError):
         weights(tridiagonal(fam))
     with pytest.raises(DegenerateFamilyError):
-        weights_from_christoffel(tridiagonal(fam), tridiagonal(fam))
+        weights_from_christoffel(tridiagonal(fam))
 
 
 def test_signed_measure_is_flagged_not_raised():
@@ -321,10 +341,11 @@ def test_signed_square_root_evaluation_at_half():
     for a, c, sigma in ((0.9, 0.7, 1.0), (0.7, 0.9, -1.0)):
         fam = ParaRacahFamily(a=a, c=c, alpha=0.5, q=0.5, N=5)
         lw = lattice(fam)
-        root = math.sqrt(tridiagonal(fam).h[-1])
+        tri = tridiagonal(fam)
+        root = math.sqrt(tri.h[-1])
         for s, z in enumerate(lw.z_points):
             expected = sigma * (-1) ** (fam.N + s) * root
-            assert eval_recurrence(fam, fam.N, z) == pytest.approx(expected, rel=1e-8)
+            assert eval_recurrence(tri, fam.N, z) == pytest.approx(expected, rel=1e-8)
 
 
 def test_k_norm_is_square_root_of_product_odd_case():
@@ -339,6 +360,7 @@ def test_analytic_derivative_matches_finite_differences():
     # 5-point central difference through the z-parametrization.
     for fam in (ODD, EVEN):
         lw = lattice(fam)
+        tri = tridiagonal(fam)
         pts = lw.points
         for s, z in enumerate(lw.z_points):
             analytic = 1.0
@@ -346,7 +368,7 @@ def test_analytic_derivative_matches_finite_differences():
                 if k != s:
                     analytic *= pts[s] - xk
             h = 1e-4 * z
-            vals = [eval_recurrence(fam, fam.N + 1, z + m * h) for m in (-2, -1, 1, 2)]
+            vals = [eval_recurrence(tri, fam.N + 1, z + m * h) for m in (-2, -1, 1, 2)]
             dz = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
             fd = dz * 2 * z ** 2 / (z ** 2 - 1)
             assert fd == pytest.approx(analytic, rel=1e-6)
@@ -358,17 +380,18 @@ def test_analytic_derivative_matches_finite_differences():
 
 
 def test_qdiff_degree_zero_annihilated():
-    res, scale = qdiff_residual(ODD, 0, 2.2)
+    res, scale = qdiff_residual(tridiagonal(ODD), 0, 2.2)
     assert abs(res) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("fam", [ODD, EVEN], ids=["odd", "even"])
 def test_qdiff_residual_small(fam):
     rng = random.Random(fam.N)
+    tri = tridiagonal(fam)
     for n in range(fam.N + 1):
         for _ in range(5):
             z = rng.uniform(2.0, 3.0)
-            res, scale = qdiff_residual(fam, n, z)
+            res, scale = qdiff_residual(tri, n, z)
             assert abs(res) <= 1e-9 * scale
 
 

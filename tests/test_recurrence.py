@@ -43,7 +43,7 @@ def _check_family(kind, N, num):
         for n in range(N + 2):
             ref, _ = support.eval_recurrence_with_peak(
                 module.b_coefficient, module.u_coefficient, fam, n, x)
-            assert module.eval_recurrence(fam, n, z) == ref, (kind, N, n, z)
+            assert module.eval_recurrence(tri, n, z) == ref, (kind, N, n, z)
             assert swept[n] == ref, (kind, N, n, z)
 
 

@@ -1,5 +1,6 @@
-"""Verify runs: one coefficient fill per run, NaN-keeping residual folds, and
-the benchmark tracer's view of the suites."""
+"""Verify runs: one coefficient fill and one reference spectrum per run,
+NaN-keeping residual folds, Gram errors beyond the binary64 range, and the
+benchmark tracer's view of the suites."""
 
 import dataclasses
 import importlib
@@ -8,11 +9,13 @@ import itertools
 import math
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import pytest
 
 from qortho import cli, connections, para_krawtchouk, para_racah, spectral, verify
+from qortho.recurrence import TridiagonalSystem
 
 FAM = para_racah.ParaRacahFamily(a=0.9, c=0.7, alpha=0.5, q=0.5, N=5)
 NAN = float("nan")
@@ -40,6 +43,39 @@ def test_one_coefficient_call_per_family_and_degree(monkeypatch, alpha, num, N):
                                          q=num("0.5"), N=N)
         verify.run_suite("all", fam)
     assert calls and max(calls.values()) == 1, calls.most_common(3)
+
+
+@pytest.mark.parametrize("alpha,spectra", [(0.5, 5), (0.3, 6)])
+def test_isospectral_suite_spectrum_count(monkeypatch, alpha, spectra):
+    # The alpha = 1/2 reference, the four grid tables and, away from
+    # alpha = 1/2, the family's own table: at 1/2 the reference is reused.
+    calls = []
+    original = spectral.spectrum
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(spectral, "spectrum", counted)
+    checks = verify.run_suite("isospectral", dataclasses.replace(FAM, alpha=alpha))
+    assert all(c.passed for c in checks)
+    assert len(calls) == spectra
+
+
+def test_gram_off_diagonal_beyond_the_double_range():
+    # b_n = 0, u_n = U on four symmetric points with equal weights: the
+    # scaled off-diagonal entries are 1.5 (n, m = 2, 0) and 3.5 (3, 1), where
+    # h_n h_m is U^2 and U^4, far above the largest double.
+    with mpmath.workdps(30):
+        U = mpmath.mpf(10) ** 200
+        tri = TridiagonalSystem(family=SimpleNamespace(N=3), b=(mpmath.mpf(0),) * 4,
+                                u=(U,) * 3, positive=True)
+        root = mpmath.sqrt(U)
+        lw = para_racah.LatticeWeights(
+            points=tuple(k * root for k in (-2, -1, 1, 2)), z_points=None,
+            weights=(mpmath.mpf(1) / 4,) * 4, h=tri.h)
+        _, off = verify.gram_errors(tri, lw)
+    assert off == pytest.approx(3.5, rel=1e-12)
 
 
 def _poison_calls(monkeypatch, module, name, when, poison):
