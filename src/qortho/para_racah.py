@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 from typing import Optional
 
 import mpmath
 
-from .qseries import SeriesSpec, _series_eval_with_magnitude, qpochhammer
+from .qseries import SeriesPlan, qpochhammer
 from .recurrence import _DEGENERATE_TOL, BiLatticeFamily, TridiagonalSystem
 from .scalars import is_mp
 
@@ -258,57 +260,72 @@ def _eta(fam: ParaRacahFamily, n: int):
     return num / den
 
 
-def _middle_sum(fam, z, degree):
-    """sum_{k<=degree} (q^{-j-1}, az, a/z; q)_k q^k / (q, ac, (a/c)q^{-j}; q)_k."""
-    a, c, _, q, j = _unpack(fam)
-    num = (q ** (-j - 1), a * z, a / z)
-    den = (q, a * c, (a / c) * q ** -j)
-    return _series_eval_with_magnitude(SeriesSpec(num, den, q, q, truncation=degree))
+def _explicit_plan(fam: ParaRacahFamily, n: int):
+    """The branch-appropriate explicit expression of degree n, as a function
+    z -> (value, cancellation scale).
 
-
-def _explicit_value(fam: ParaRacahFamily, n: int, z, eta):
-    """Branch-appropriate explicit value together with its cancellation scale.
-
-    ``eta`` is :func:`_eta` of the degree.  The scale is |eta| times the sum
-    of absolute series terms; roundoff in a binary64 evaluation is a small
-    multiple of eps times this scale.
+    Everything free of z (the normalization :func:`_eta`, the series plans
+    and the prefactor products) is computed here, once per degree; the
+    returned function multiplies in the z-dependent factors at the places a
+    per-point evaluation of the whole expression would, so each value is that
+    evaluation's bit for bit.  The scale is |eta| times the sum of absolute
+    series terms; roundoff in a binary64 evaluation is a small multiple of
+    eps times this scale.
     """
     a, c, al, q, j = _unpack(fam)
     N = fam.N
     qp = qpochhammer
+    eta = _eta(fam, n)
     if fam.odd and n in (j, j + 1):
-        body, mag = _middle_sum(fam, z, j)
+        # sum_{k<=j} (q^{-j-1}, az, a/z; q)_k q^k / (q, ac, (a/c)q^{-j}; q)_k
+        middle = SeriesPlan((q ** (-j - 1),), (q, a * c, (a / c) * q ** -j), q, q, j)
         if n == j:
-            return eta * body, abs(eta) * mag
-        extra_num = (qp(q ** (-j - 1), q, j + 1) * qp(a * z, q, j + 1)
-                     * qp(a / z, q, j + 1) * q ** (j + 1))
+            def value(z):
+                body, mag = middle.sum((a * z, a / z))
+                return eta * body, abs(eta) * mag
+            return value
+        extra_head = qp(q ** (-j - 1), q, j + 1)
         extra_den = (al * qp(q, q, j + 1) * qp(a * c, q, j + 1)
                      * qp((a / c) * q ** -j, q, j + 1))
-        extra = extra_num / extra_den
-        return eta * (body + extra), abs(eta) * (mag + abs(extra))
+        qj1 = q ** (j + 1)
+
+        def value(z):
+            az, a_z = a * z, a / z
+            body, mag = middle.sum((az, a_z))
+            extra = extra_head * qp(az, q, j + 1) * qp(a_z, q, j + 1) * qj1 / extra_den
+            return eta * (body + extra), abs(eta) * (mag + abs(extra))
+        return value
     r = (a / c) * q ** (j + 1 - N)
-    head_num = (q ** -n, q ** (n - N), a * z, a / z)
+    head_num = (q ** -n, q ** (n - N))
     head_den = (q ** -j, a * c, r, q)
     if n <= j:
-        body, mag = _series_eval_with_magnitude(
-            SeriesSpec(head_num, head_den, q, q, truncation=n))
-        return eta * body, abs(eta) * mag
-    head, head_mag = _series_eval_with_magnitude(
-        SeriesSpec(head_num, head_den, q, q, truncation=N - n))
-    pref_num = (qp(q ** (n - N), q, N - n)
-                * qp(q ** -n, q, j + 1) * qp(a * z, q, j + 1) * qp(a / z, q, j + 1)
-                * qp(q, q, n + j - N) * q ** (j + 1))
+        head = SeriesPlan(head_num, head_den, q, q, n)
+
+        def value(z):
+            body, mag = head.sum((a * z, a / z))
+            return eta * body, abs(eta) * mag
+        return value
+    head = SeriesPlan(head_num, head_den, q, q, N - n)
+    pref_head = qp(q ** (n - N), q, N - n) * qp(q ** -n, q, j + 1)
+    pref_tail = qp(q, q, n + j - N)
+    qj1 = q ** (j + 1)
     pref_den = (al * qp(q ** -j, q, j) * qp(q, q, j + 1)
                 * qp(a * c, q, j + 1) * qp(r, q, j + 1))
+    aq = a * qj1
     # (a/c) q^(2j+2-N), multiplied left to right: (a/c) q q for even N.
-    tail_num = (q ** (j + 1 - n), q ** (n + j + 1 - N),
-                a * q ** (j + 1) * z, a * q ** (j + 1) / z)
-    tail_den = (q ** (j + 2), a * c * q ** (j + 1), (a / c) * q * q ** (2 * j + 1 - N), q)
-    tail, tail_mag = _series_eval_with_magnitude(
-        SeriesSpec(tail_num, tail_den, q, q, truncation=n - j - 1))
-    pref = pref_num / pref_den
-    return (eta * (head + pref * tail),
-            abs(eta) * (head_mag + abs(pref) * tail_mag))
+    tail = SeriesPlan((q ** (j + 1 - n), q ** (n + j + 1 - N)),
+                      (q ** (j + 2), a * c * qj1, (a / c) * q * q ** (2 * j + 1 - N), q),
+                      q, q, n - j - 1)
+
+    def value(z):
+        az, a_z = a * z, a / z
+        body, body_mag = head.sum((az, a_z))
+        pref_num = pref_head * qp(az, q, j + 1) * qp(a_z, q, j + 1) * pref_tail * qj1
+        tail_sum, tail_mag = tail.sum((aq * z, aq / z))
+        pref = pref_num / pref_den
+        return (eta * (body + pref * tail_sum),
+                abs(eta) * (body_mag + abs(pref) * tail_mag))
+    return value
 
 
 # Promote a binary64 explicit evaluation once its cancellation scale says the
@@ -319,7 +336,8 @@ _PROMOTION_DPS = 40
 
 def eval_explicit(fam: ParaRacahFamily, n: int, zs) -> list:
     """[R_n(x(z)) for z in zs], x = (z + 1/z)/2, from the branch-appropriate
-    explicit expression; the normalization of the degree is computed once.
+    explicit expression; its z-free factors are computed once for the degree
+    (:func:`_explicit_plan`).
 
     Agrees with :func:`eval_recurrence`; the two routes together cross-check
     the coefficient tables and the series normalizations.  The terminating
@@ -332,21 +350,20 @@ def eval_explicit(fam: ParaRacahFamily, n: int, zs) -> list:
         raise ValueError("explicit evaluation requires 0 <= n <= N")
     if any(z == 0 for z in zs):
         raise ValueError("z must be nonzero")
-    eta = _eta(fam, n)
-    hi_fam = hi_eta = None
+    route = _explicit_plan(fam, n)
+    hi_route = None
     out = []
     for z in zs:
-        value, magnitude = _explicit_value(fam, n, z, eta)
+        value, magnitude = route(z)
         if is_mp(value) or magnitude <= _PROMOTION_RATIO * abs(value):
             out.append(value)
             continue
         with mpmath.workdps(_PROMOTION_DPS):
-            if hi_fam is None:
-                hi_fam = dataclasses.replace(
+            if hi_route is None:
+                hi_route = _explicit_plan(dataclasses.replace(
                     fam, a=mpmath.mpf(fam.a), c=mpmath.mpf(fam.c),
-                    alpha=mpmath.mpf(fam.alpha), q=mpmath.mpf(fam.q))
-                hi_eta = _eta(hi_fam, n)
-            hi = _explicit_value(hi_fam, n, mpmath.mpmathify(z), hi_eta)[0]
+                    alpha=mpmath.mpf(fam.alpha), q=mpmath.mpf(fam.q)), n)
+            hi = hi_route(mpmath.mpmathify(z))[0]
             if isinstance(z, complex):
                 out.append(complex(hi))
             else:
@@ -436,54 +453,65 @@ def _k_norm(fam: ParaRacahFamily):
     return -num / den
 
 
-def _weight_at(fam: ParaRacahFamily, index: int, k_norm):
-    """Closed-form weight at interleaved lattice index."""
-    a, c, al, q, j = _unpack(fam)
+def _weight_strands(fam: ParaRacahFamily, k_norm):
+    """The alpha-free parts of the closed-form weights, a-strand first.
+
+    On each strand the weight at point s is, multiplied left to right,
+    lead * head[0] * head[1] * ... * row[0] * row[1] * ... / den with lead the
+    strand's factor of alpha (:func:`_weight_leads`).  Returns per strand the
+    s-free factors ``head`` and the list of (row, den) over its points.
+    """
+    a, c, _, q, j = _unpack(fam)
     qp = qpochhammer
-    s, on_c_strand = divmod(index, 2)
     if fam.odd:
-        if not on_c_strand:
-            num = (-2 * (1 - al) * k_norm * 2 ** (2 * j + 1) * a ** j * c ** (j + 1)
-                   * q ** ((2 * j + 1) * s + (j + 1) * j)
-                   * (1 - a * a * q ** (2 * s))
-                   * qp(a * a, q, s) * qp(q ** -j, q, s)
-                   * qp(a * c, q, s) * qp((a / c) * q ** -j, q, s))
-            den = (qp(q, q, j) * qp(a * a * q, q, j)
-                   * qp(c / a, q, j + 1) * qp(a * c, q, j + 1) * (1 - a * a)
-                   * qp(q, q, s) * qp((a / c) * q, q, s)
-                   * qp(a * a * q ** (j + 1), q, s) * qp(a * c * q ** (j + 1), q, s))
-            return num / den
-        num = (2 * al * k_norm * 2 ** (2 * j + 1) * c ** j * a ** (j + 1)
-               * q ** ((2 * j + 1) * s + (j + 1) * j)
-               * (1 - c * c * q ** (2 * s))
-               * qp(c * c, q, s) * qp(q ** -j, q, s)
-               * qp(a * c, q, s) * qp((c / a) * q ** -j, q, s))
-        den = (qp(q, q, j) * qp(c * c * q, q, j)
-               * qp(a / c, q, j + 1) * qp(a * c, q, j + 1) * (1 - c * c)
-               * qp(q, q, s) * qp((c / a) * q, q, s)
-               * qp(c * c * q ** (j + 1), q, s) * qp(a * c * q ** (j + 1), q, s))
-        return num / den
-    if not on_c_strand:
-        num = ((1 - al) * k_norm * a ** j * c ** j * q ** (2 * j * s)
-               * (1 - a * a * q ** (2 * s))
-               * qp(a * a, q, s) * qp(q ** -j, q, s)
-               * qp(a * c, q, s) * qp((a / c) * q ** (-j + 1), q, s))
-        # (c/a; q)_j here, one factor shorter than on the other strand: the
-        # length is fixed by the Christoffel route and the strand-sum 1-alpha.
-        den = (qp(q, q, j) * qp(a * a * q, q, j)
-               * qp(c / a, q, j) * qp(a * c, q, j) * (1 - a * a)
-               * qp(q, q, s) * qp((a / c) * q, q, s)
+        def strand(x, y):
+            den0 = (qp(q, q, j) * qp(x * x * q, q, j)
+                    * qp(y / x, q, j + 1) * qp(a * c, q, j + 1) * (1 - x * x))
+            return ((k_norm, 2 ** (2 * j + 1), x ** j, y ** (j + 1)),
+                    [((q ** ((2 * j + 1) * s + (j + 1) * j), 1 - x * x * q ** (2 * s),
+                       qp(x * x, q, s), qp(q ** -j, q, s),
+                       qp(a * c, q, s), qp((x / y) * q ** -j, q, s)),
+                      den0 * qp(q, q, s) * qp((x / y) * q, q, s)
+                      * qp(x * x * q ** (j + 1), q, s) * qp(a * c * q ** (j + 1), q, s))
+                     for s in range(j + 1)])
+        return strand(a, c), strand(c, a)
+    # (c/a; q)_j on the a-strand, one factor shorter than on the c-strand: the
+    # length is fixed by the Christoffel route and the strand-sum 1-alpha.
+    a_den0 = (qp(q, q, j) * qp(a * a * q, q, j)
+              * qp(c / a, q, j) * qp(a * c, q, j) * (1 - a * a))
+    c_den0 = (qp(q, q, j - 1) * qp(c * c * q, q, j - 1)
+              * qp(a / c, q, j + 1) * qp(a * c, q, j + 1) * (1 - c * c))
+    return (((k_norm, a ** j, c ** j),
+             [((q ** (2 * j * s), 1 - a * a * q ** (2 * s),
+                qp(a * a, q, s), qp(q ** -j, q, s),
+                qp(a * c, q, s), qp((a / c) * q ** (-j + 1), q, s)),
+               a_den0 * qp(q, q, s) * qp((a / c) * q, q, s)
                * qp(a * a * q ** (j + 1), q, s) * qp(a * c * q ** j, q, s))
-        return num / den
-    num = (-al * k_norm * a ** (j + 1) * c ** (j - 1) * q ** (2 * j * s)
-           * (1 - c * c * q ** (2 * s))
-           * qp(c * c, q, s) * qp(q ** (-j + 1), q, s)
-           * qp(a * c, q, s) * qp((c / a) * q ** -j, q, s))
-    den = (qp(q, q, j - 1) * qp(c * c * q, q, j - 1)
-           * qp(a / c, q, j + 1) * qp(a * c, q, j + 1) * (1 - c * c)
-           * qp(q, q, s) * qp((c / a) * q, q, s)
-           * qp(c * c * q ** j, q, s) * qp(a * c * q ** (j + 1), q, s))
-    return num / den
+              for s in range(j + 1)]),
+            ((k_norm, a ** (j + 1), c ** (j - 1)),
+             [((q ** (2 * j * s), 1 - c * c * q ** (2 * s),
+                qp(c * c, q, s), qp(q ** (-j + 1), q, s),
+                qp(a * c, q, s), qp((c / a) * q ** -j, q, s)),
+               c_den0 * qp(q, q, s) * qp((c / a) * q, q, s)
+               * qp(c * c * q ** j, q, s) * qp(a * c * q ** (j + 1), q, s))
+              for s in range(j)]))
+
+
+def _weight_leads(fam: ParaRacahFamily, al):
+    """Each strand's factor of the deformation alpha = al in its weights."""
+    return (-2 * (1 - al), 2 * al) if fam.odd else (1 - al, -al)
+
+
+def _weight_table(strands, leads) -> tuple:
+    """The weights of :func:`_weight_strands` for one alpha, in interleaved
+    index order (a-strand at even indices, c-strand at odd)."""
+    tables = []
+    for lead, (head, rows) in zip(leads, strands):
+        prefix = reduce(mul, head, lead)
+        tables.append([reduce(mul, row, prefix) / den for row, den in rows])
+    out = [None] * (len(tables[0]) + len(tables[1]))
+    out[0::2], out[1::2] = tables
+    return tuple(out)
 
 
 def _require_simple_spectrum(fam):
@@ -505,9 +533,9 @@ def weights(tri: TridiagonalSystem) -> LatticeWeights:
     _require_simple_spectrum(fam)
     lw = lattice(fam)
     k_norm = _k_norm(fam)
-    w = tuple(_weight_at(fam, i, k_norm) for i in range(fam.N + 1))
-    half = dataclasses.replace(fam, alpha=0.5)
-    w_half = tuple(_weight_at(half, i, k_norm) for i in range(fam.N + 1))
+    strands = _weight_strands(fam, k_norm)
+    w = _weight_table(strands, _weight_leads(fam, fam.alpha))
+    w_half = _weight_table(strands, _weight_leads(fam, 0.5))
     return lw.weighted(w, tri.h, w_half, k_norm)
 
 
@@ -558,35 +586,43 @@ def qdiff_eigenvalue(fam: ParaRacahFamily, n: int):
     return q ** -n * (1 - q ** n) * (1 - q ** (n - fam.N))
 
 
-def _shift_coefficient(fam: ParaRacahFamily, z):
-    a, c, _, q, j = _unpack(fam)
+def _shift_coefficient(fam: ParaRacahFamily, q_j, q_jN, z):
+    """The operator's shift coefficient at z, given q^-j and q^(j+1-N)."""
+    a, c, q = fam.a, fam.c, fam.q
     z2 = z * z
     den = (1 - z2) * (1 - q * z2)
     if abs(den) < 1e-12:
         raise ValueError("evaluation point too close to a shift-operator pole")
-    return ((1 - a * z) * (1 - q ** -j * z / a)
-            * (1 - c * z) * (1 - q ** (j + 1 - fam.N) * z / c)) / den
+    return ((1 - a * z) * (1 - q_j * z / a)
+            * (1 - c * z) * (1 - q_jN * z / c)) / den
 
 
-def qdiff_residual(tri: TridiagonalSystem, n: int, z):
-    """LHS - RHS of the q-difference equation of the table's family at degree
-    n, plus the operator scale."""
+def qdiff_residual(tri: TridiagonalSystem, n: int, zs) -> list:
+    """[(LHS - RHS, operator scale) for z in zs] of the q-difference
+    equation of the table's family at degree n.
+
+    The z-free powers of q and lambda_n are computed once for the degree.
+    """
     fam = tri.family
     if not 0 <= n <= fam.N:
         raise ValueError("q-difference residual requires 0 <= n <= N")
-    q = fam.q
-    coef_up = _shift_coefficient(fam, z)
-    coef_dn = _shift_coefficient(fam, 1 / z)
-    r_up = eval_recurrence(tri, n, q * z)
-    r_mid = eval_recurrence(tri, n, z)
-    r_dn = eval_recurrence(tri, n, z / q)
-    lhs = qdiff_eigenvalue(fam, n) * r_mid
-    t_up = coef_up * r_up
-    t_mid = (coef_up + coef_dn) * r_mid
-    t_dn = coef_dn * r_dn
-    residual = lhs - (t_up - t_mid + t_dn)
-    scale = max(abs(lhs), abs(t_up), abs(t_mid), abs(t_dn))
-    return residual, scale
+    q, j = fam.q, fam.j
+    q_j, q_jN = q ** -j, q ** (j + 1 - fam.N)
+    lam = qdiff_eigenvalue(fam, n)
+    out = []
+    for z in zs:
+        coef_up = _shift_coefficient(fam, q_j, q_jN, z)
+        coef_dn = _shift_coefficient(fam, q_j, q_jN, 1 / z)
+        r_up = eval_recurrence(tri, n, q * z)
+        r_mid = eval_recurrence(tri, n, z)
+        r_dn = eval_recurrence(tri, n, z / q)
+        lhs = lam * r_mid
+        t_up = coef_up * r_up
+        t_mid = (coef_up + coef_dn) * r_mid
+        t_dn = coef_dn * r_dn
+        residual = lhs - (t_up - t_mid + t_dn)
+        out.append((residual, max(abs(lhs), abs(t_up), abs(t_mid), abs(t_dn))))
+    return out
 
 
 # ---------------------------------------------------------------------------

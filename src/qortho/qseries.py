@@ -5,7 +5,9 @@ numerator and denominator parameter lists uniformly: the standard r-phi-s
 normalisation is obtained by listing the nome q itself among the denominator
 parameters, which contributes the usual (q;q)_k factor.  Every sum
 terminates, either at an explicitly supplied truncation degree or at the
-degree implied by a numerator parameter of the form q**(-n).
+degree implied by a numerator parameter of the form q**(-n).  A
+:class:`SeriesPlan` computes the parameter-only factors once, so that a sum
+taken at many evaluation points recomputes only the point-dependent ones.
 
 In binary64 mode terms are accumulated in increasing k with compensated
 (Kahan) summation; mpmath inputs are summed plainly since the working
@@ -23,6 +25,7 @@ from .scalars import is_mp
 __all__ = [
     "SingularSeriesError",
     "SeriesSpec",
+    "SeriesPlan",
     "qpochhammer",
     "phi_basis",
     "terminating_series_eval",
@@ -130,37 +133,76 @@ def _series_eval_with_magnitude(spec: SeriesSpec):
     q = spec.q
     _check_nome(q)
     num = tuple(spec.numerator)
-    den = tuple(spec.denominator)
     degree = spec.truncation
     if degree is None:
         degree = _terminating_degree(num, q)
-    if degree < 0:
-        raise ValueError("truncation degree must be non-negative")
+    return SeriesPlan(num, tuple(spec.denominator), q, spec.argument, degree).sum()
 
-    plain = any(is_mp(v) for v in (q, spec.argument) + num + den)
-    term = 1.0 * spec.argument ** 0
-    total = 0.0
-    comp = 0.0
-    magnitude = 0.0
-    qpow = q ** 0
-    for k in range(degree + 1):
-        magnitude = magnitude + abs(term)
-        if plain:
-            total = total + term
-        else:
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        if k == degree:
-            break
-        for p in num:
-            term = term * (1 - p * qpow)
-        for p in den:
-            f = 1 - p * qpow
-            if abs(f) <= _SINGULAR_GUARD * max(1.0, abs(p * qpow)):
-                raise SingularSeriesError(p, k)
-            term = term / f
-        term = term * spec.argument
-        qpow = qpow * q
-    return total, magnitude
+
+class SeriesPlan:
+    """The parameter-only work of a terminating sum, done once for many sums.
+
+    For each k below the truncation degree the plan holds the factors
+    1 - p q^k of the fixed numerator and of the denominator parameters, the
+    latter already checked against the singular guard.  :meth:`sum` then adds
+    the numerator parameters that vary from sum to sum (an evaluation point)
+    and multiplies every factor into the term in the same order as a sum
+    written with the varying parameters listed after the fixed ones, so its
+    result is that sum's bit for bit.  A plan holds values at the working
+    precision that built it and belongs to one computation.
+    """
+
+    def __init__(self, numerator, denominator, q, argument, degree: int):
+        if degree < 0:
+            raise ValueError("truncation degree must be non-negative")
+        self.degree = degree
+        self.argument = argument
+        self.plain = any(is_mp(v) for v in (q, argument) + numerator + denominator)
+        self.first = 1.0 * argument ** 0
+        self.qpows = []
+        qpow = q ** 0
+        for _ in range(degree):
+            self.qpows.append(qpow)
+            qpow = qpow * q
+        self.num = []
+        self.den = []
+        for k, qpow in enumerate(self.qpows):
+            self.num.append(tuple(1 - p * qpow for p in numerator))
+            row = []
+            for p in denominator:
+                f = 1 - p * qpow
+                if abs(f) <= _SINGULAR_GUARD * max(1.0, abs(p * qpow)):
+                    raise SingularSeriesError(p, k)
+                row.append(f)
+            self.den.append(tuple(row))
+
+    def sum(self, varying=()):
+        """(value, sum of |term|) with the numerator parameters ``varying``
+        appended after the fixed ones."""
+        plain = self.plain or any(is_mp(v) for v in varying)
+        degree, argument = self.degree, self.argument
+        num, den, qpows = self.num, self.den, self.qpows
+        term = self.first
+        total = 0.0
+        comp = 0.0
+        magnitude = 0.0
+        for k in range(degree + 1):
+            magnitude = magnitude + abs(term)
+            if plain:
+                total = total + term
+            else:
+                y = term - comp
+                t = total + y
+                comp = (t - total) - y
+                total = t
+            if k == degree:
+                break
+            for f in num[k]:
+                term = term * f
+            qpow = qpows[k]
+            for p in varying:
+                term = term * (1 - p * qpow)
+            for f in den[k]:
+                term = term / f
+            term = term * argument
+        return total, magnitude

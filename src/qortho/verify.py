@@ -18,6 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 import mpmath
 
@@ -142,11 +143,14 @@ def gram_errors(tri, lw):
     family kind.  A NaN entry makes its error NaN.
     """
     N = tri.family.N
-    vals = [tri.values(x, N) for x in lw.points]
+    # Column n holds P_n at every lattice point; w_s P_n(x_s) is formed once
+    # per (s, n) and then multiplied by P_m(x_s).
+    cols = list(zip(*(tri.values(x, N) for x in lw.points)))
+    weighted = [list(map(mul, lw.weights, col)) for col in cols]
     worst_diag = worst_off = 0.0
     for n in range(N + 1):
         for m in range(n + 1):
-            g = sum(w * vals[s][n] * vals[s][m] for s, w in enumerate(lw.weights))
+            g = sum(map(mul, weighted[n], cols[m]))
             if n == m:
                 worst_diag = max_keep_nan(worst_diag, abs(g - lw.h[n]) / abs(lw.h[n]))
             else:
@@ -216,9 +220,8 @@ def suite_bispectral(run, rng):
     fam, tri = run.fam, run.tri
     worst = 0.0
     for n in range(fam.N + 1):
-        for _ in range(10):
-            z = _random_z(rng, fam, 2.0, 3.0)
-            res, scale = para_racah.qdiff_residual(tri, n, z)
+        zs = [_random_z(rng, fam, 2.0, 3.0) for _ in range(10)]
+        for res, scale in para_racah.qdiff_residual(tri, n, zs):
             worst = max_keep_nan(worst, abs(res) / scale)
     lam = [para_racah.qdiff_eigenvalue(fam, n) for n in range(fam.N + 1)]
     degen = max_keep_nan(0.0, *(abs(lam[n] - lam[fam.N - n]) / abs(lam[n])

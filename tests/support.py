@@ -3,12 +3,16 @@
 The truncation-substitution oracle evaluates the raw parent-family
 recurrence coefficients at an explicit tiny limit parameter t under mpmath,
 instead of using the resolved closed forms; it is the independent route the
-coefficient tables are checked against.
+coefficient tables are checked against.  The per-point references at the end
+are the exact-equality references of the per-degree library routes.
 """
+
+import dataclasses
 
 import mpmath
 
-from qortho import askey_wilson
+from qortho import askey_wilson, para_racah, qseries
+from qortho.scalars import is_mp
 
 # Tiny but nonzero limit parameter; the weights e1, e2 are scaled down so the
 # first-order limit error e*t*log(q) sits far below the 40-digit comparison.
@@ -64,3 +68,180 @@ def eval_recurrence_with_peak(b_coefficient, u_coefficient, fam, n, x):
         cur, prev = (x - b) * cur - u * prev, cur
         peak = max(peak, abs(cur))
     return cur, peak
+
+
+# ---------------------------------------------------------------------------
+# Per-point references for the per-degree routes of para_racah
+# ---------------------------------------------------------------------------
+#
+# The q-para-Racah explicit expansion, q-difference residual and closed-form
+# weights as they were computed before their parameter-only factors were
+# hoisted out of the point loops: every factor recomputed at every point and
+# every series summed by a self-contained loop.  The library routes must
+# return these values exactly.
+
+
+def series_reference(num, den, q, argument, degree):
+    """(value, sum of |term|) of sum_k prod (num; q)_k / prod (den; q)_k arg^k."""
+    plain = any(is_mp(v) for v in (q, argument) + num + den)
+    term = 1.0 * argument ** 0
+    total = comp = magnitude = 0.0
+    qpow = q ** 0
+    for k in range(degree + 1):
+        magnitude = magnitude + abs(term)
+        if plain:
+            total = total + term
+        else:
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+        if k == degree:
+            break
+        for p in num:
+            term = term * (1 - p * qpow)
+        for p in den:
+            f = 1 - p * qpow
+            if abs(f) <= qseries._SINGULAR_GUARD * max(1.0, abs(p * qpow)):
+                raise qseries.SingularSeriesError(p, k)
+            term = term / f
+        term = term * argument
+        qpow = qpow * q
+    return total, magnitude
+
+
+def explicit_value_reference(fam, n, z, eta):
+    """Explicit value of degree n at z with its cancellation scale."""
+    a, c, al, q, j = fam.a, fam.c, fam.alpha, fam.q, fam.j
+    N = fam.N
+    qp = qseries.qpochhammer
+    if fam.odd and n in (j, j + 1):
+        body, mag = series_reference((q ** (-j - 1), a * z, a / z),
+                                     (q, a * c, (a / c) * q ** -j), q, q, j)
+        if n == j:
+            return eta * body, abs(eta) * mag
+        extra_num = (qp(q ** (-j - 1), q, j + 1) * qp(a * z, q, j + 1)
+                     * qp(a / z, q, j + 1) * q ** (j + 1))
+        extra_den = (al * qp(q, q, j + 1) * qp(a * c, q, j + 1)
+                     * qp((a / c) * q ** -j, q, j + 1))
+        extra = extra_num / extra_den
+        return eta * (body + extra), abs(eta) * (mag + abs(extra))
+    r = (a / c) * q ** (j + 1 - N)
+    head_num = (q ** -n, q ** (n - N), a * z, a / z)
+    head_den = (q ** -j, a * c, r, q)
+    if n <= j:
+        body, mag = series_reference(head_num, head_den, q, q, n)
+        return eta * body, abs(eta) * mag
+    head, head_mag = series_reference(head_num, head_den, q, q, N - n)
+    pref_num = (qp(q ** (n - N), q, N - n)
+                * qp(q ** -n, q, j + 1) * qp(a * z, q, j + 1) * qp(a / z, q, j + 1)
+                * qp(q, q, n + j - N) * q ** (j + 1))
+    pref_den = (al * qp(q ** -j, q, j) * qp(q, q, j + 1)
+                * qp(a * c, q, j + 1) * qp(r, q, j + 1))
+    tail_num = (q ** (j + 1 - n), q ** (n + j + 1 - N),
+                a * q ** (j + 1) * z, a * q ** (j + 1) / z)
+    tail_den = (q ** (j + 2), a * c * q ** (j + 1), (a / c) * q * q ** (2 * j + 1 - N), q)
+    tail, tail_mag = series_reference(tail_num, tail_den, q, q, n - j - 1)
+    pref = pref_num / pref_den
+    return (eta * (head + pref * tail),
+            abs(eta) * (head_mag + abs(pref) * tail_mag))
+
+
+def eval_explicit_reference(fam, n, zs):
+    """para_racah.eval_explicit, one point at a time, with its 40-digit rerun."""
+    eta = para_racah._eta(fam, n)
+    hi_fam = hi_eta = None
+    out = []
+    for z in zs:
+        value, magnitude = explicit_value_reference(fam, n, z, eta)
+        if is_mp(value) or magnitude <= para_racah._PROMOTION_RATIO * abs(value):
+            out.append(value)
+            continue
+        with mpmath.workdps(para_racah._PROMOTION_DPS):
+            if hi_fam is None:
+                hi_fam = dataclasses.replace(
+                    fam, a=mpmath.mpf(fam.a), c=mpmath.mpf(fam.c),
+                    alpha=mpmath.mpf(fam.alpha), q=mpmath.mpf(fam.q))
+                hi_eta = para_racah._eta(hi_fam, n)
+            hi = explicit_value_reference(hi_fam, n, mpmath.mpmathify(z), hi_eta)[0]
+            if isinstance(z, complex):
+                out.append(complex(hi))
+            else:
+                out.append(float(hi.real if hasattr(hi, "real") else hi))
+    return out
+
+
+def _shift_coefficient_reference(fam, z):
+    a, c, q, j = fam.a, fam.c, fam.q, fam.j
+    z2 = z * z
+    den = (1 - z2) * (1 - q * z2)
+    if abs(den) < 1e-12:
+        raise ValueError("evaluation point too close to a shift-operator pole")
+    return ((1 - a * z) * (1 - q ** -j * z / a)
+            * (1 - c * z) * (1 - q ** (j + 1 - fam.N) * z / c)) / den
+
+
+def qdiff_residual_reference(tri, n, z):
+    """(LHS - RHS, operator scale) of the q-difference equation at one z."""
+    fam = tri.family
+    q = fam.q
+    coef_up = _shift_coefficient_reference(fam, z)
+    coef_dn = _shift_coefficient_reference(fam, 1 / z)
+    r_up = para_racah.eval_recurrence(tri, n, q * z)
+    r_mid = para_racah.eval_recurrence(tri, n, z)
+    r_dn = para_racah.eval_recurrence(tri, n, z / q)
+    lhs = para_racah.qdiff_eigenvalue(fam, n) * r_mid
+    t_up = coef_up * r_up
+    t_mid = (coef_up + coef_dn) * r_mid
+    t_dn = coef_dn * r_dn
+    residual = lhs - (t_up - t_mid + t_dn)
+    scale = max(abs(lhs), abs(t_up), abs(t_mid), abs(t_dn))
+    return residual, scale
+
+
+def weight_reference(fam, index, k_norm):
+    """Closed-form weight at an interleaved lattice index."""
+    a, c, al, q, j = fam.a, fam.c, fam.alpha, fam.q, fam.j
+    qp = qseries.qpochhammer
+    s, on_c_strand = divmod(index, 2)
+    if fam.odd:
+        if not on_c_strand:
+            num = (-2 * (1 - al) * k_norm * 2 ** (2 * j + 1) * a ** j * c ** (j + 1)
+                   * q ** ((2 * j + 1) * s + (j + 1) * j)
+                   * (1 - a * a * q ** (2 * s))
+                   * qp(a * a, q, s) * qp(q ** -j, q, s)
+                   * qp(a * c, q, s) * qp((a / c) * q ** -j, q, s))
+            den = (qp(q, q, j) * qp(a * a * q, q, j)
+                   * qp(c / a, q, j + 1) * qp(a * c, q, j + 1) * (1 - a * a)
+                   * qp(q, q, s) * qp((a / c) * q, q, s)
+                   * qp(a * a * q ** (j + 1), q, s) * qp(a * c * q ** (j + 1), q, s))
+            return num / den
+        num = (2 * al * k_norm * 2 ** (2 * j + 1) * c ** j * a ** (j + 1)
+               * q ** ((2 * j + 1) * s + (j + 1) * j)
+               * (1 - c * c * q ** (2 * s))
+               * qp(c * c, q, s) * qp(q ** -j, q, s)
+               * qp(a * c, q, s) * qp((c / a) * q ** -j, q, s))
+        den = (qp(q, q, j) * qp(c * c * q, q, j)
+               * qp(a / c, q, j + 1) * qp(a * c, q, j + 1) * (1 - c * c)
+               * qp(q, q, s) * qp((c / a) * q, q, s)
+               * qp(c * c * q ** (j + 1), q, s) * qp(a * c * q ** (j + 1), q, s))
+        return num / den
+    if not on_c_strand:
+        num = ((1 - al) * k_norm * a ** j * c ** j * q ** (2 * j * s)
+               * (1 - a * a * q ** (2 * s))
+               * qp(a * a, q, s) * qp(q ** -j, q, s)
+               * qp(a * c, q, s) * qp((a / c) * q ** (-j + 1), q, s))
+        den = (qp(q, q, j) * qp(a * a * q, q, j)
+               * qp(c / a, q, j) * qp(a * c, q, j) * (1 - a * a)
+               * qp(q, q, s) * qp((a / c) * q, q, s)
+               * qp(a * a * q ** (j + 1), q, s) * qp(a * c * q ** j, q, s))
+        return num / den
+    num = (-al * k_norm * a ** (j + 1) * c ** (j - 1) * q ** (2 * j * s)
+           * (1 - c * c * q ** (2 * s))
+           * qp(c * c, q, s) * qp(q ** (-j + 1), q, s)
+           * qp(a * c, q, s) * qp((c / a) * q ** -j, q, s))
+    den = (qp(q, q, j - 1) * qp(c * c * q, q, j - 1)
+           * qp(a / c, q, j + 1) * qp(a * c, q, j + 1) * (1 - c * c)
+           * qp(q, q, s) * qp((c / a) * q, q, s)
+           * qp(c * c * q ** j, q, s) * qp(a * c * q ** (j + 1), q, s))
+    return num / den

@@ -287,6 +287,17 @@ GOLDEN = [
      "df177fa13c628cabd2dee4efe007d05aeb557f28263caaabbf217e357de17cfc"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite explicit --format csv --precision extended:60",
      "a1104d2f9634d98a8f917720c605893704f14e6f51a8b0f50848310223cf5a86"),
+    # Every suite at the default extended precision, the setting of the
+    # verify-ext benchmark: odd N, even N, and odd N with the middle-degree
+    # branch at n = j and j+1; and the q-difference check at 60 digits.
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 9 --format json --precision extended",
+     "d5f1a2fe6ecb6e41f0aaedafabc43b2bd13ce5609ec00c31f49672e6f66a4ea1"),
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 12 --format json --precision extended",
+     "0d38e4d4a9eda616a1a54a693289bb635537e852d9d19b9a9d89528b97773858"),
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --format json --precision extended",
+     "f65513336363eed2f89ecde7adb574fadfba28f0186a7744793eba0d526dcc3b"),
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite bispectral --format json --precision extended:60",
+     "de40b70d6ee8f88ac2efadb6eb1ef2b384547c0bd6a0d6b03d1e373f8743dac8"),
 ]
 
 

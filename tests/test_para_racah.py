@@ -6,6 +6,7 @@ import mpmath
 import pytest
 
 import support
+from qortho import para_racah
 from qortho.para_racah import (
     DegenerateFamilyError,
     ParaRacahFamily,
@@ -23,6 +24,7 @@ from qortho.para_racah import (
     weights,
     weights_from_christoffel,
 )
+from qortho.qseries import SingularSeriesError
 from qortho.recurrence import persymmetry_residual, tridiagonal
 
 ODD = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=5)
@@ -380,7 +382,7 @@ def test_analytic_derivative_matches_finite_differences():
 
 
 def test_qdiff_degree_zero_annihilated():
-    res, scale = qdiff_residual(tridiagonal(ODD), 0, 2.2)
+    [(res, scale)] = qdiff_residual(tridiagonal(ODD), 0, [2.2])
     assert abs(res) <= 1e-14 * scale
 
 
@@ -389,9 +391,8 @@ def test_qdiff_residual_small(fam):
     rng = random.Random(fam.N)
     tri = tridiagonal(fam)
     for n in range(fam.N + 1):
-        for _ in range(5):
-            z = rng.uniform(2.0, 3.0)
-            res, scale = qdiff_residual(tri, n, z)
+        zs = [rng.uniform(2.0, 3.0) for _ in range(5)]
+        for res, scale in qdiff_residual(tri, n, zs):
             assert abs(res) <= 1e-9 * scale
 
 
@@ -436,3 +437,131 @@ def test_even_case_conditions_are_not_sharp():
     rep = positivity_check(tridiagonal(ParaRacahFamily(a=0.7, c=0.9, alpha=0.5, q=0.5, N=4)))
     assert rep.conditions_ok
     assert not rep.u_positive
+
+
+# ---------------------------------------------------------------------------
+# per-degree routes against their per-point references, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _draw_family(rng, N, scalar=float):
+    while True:
+        a, c = rng.uniform(0.1, 0.99), rng.uniform(0.1, 0.99)
+        if abs(a - c) > 1e-3:
+            return ParaRacahFamily(a=scalar(a), c=scalar(c),
+                                   alpha=scalar(rng.uniform(0.05, 0.95)),
+                                   q=scalar(rng.uniform(0.1, 0.9)), N=N)
+
+
+def _draw_points(rng, scalar=float):
+    """Three real points above 1, three below 1 and three complex points."""
+    real = [scalar(rng.uniform(1.15, 2.5)) for _ in range(3)]
+    recip = [1 / scalar(rng.uniform(1.15, 2.5)) for _ in range(3)]
+    cplx = [scalar(rng.uniform(1.15, 2.5)) + 1j * scalar(rng.uniform(-1, 1)) for _ in range(3)]
+    return real + recip + cplx
+
+
+@pytest.mark.parametrize("N", range(1, 21))
+def test_explicit_equals_per_point_reference_in_double(N):
+    rng = random.Random(1000 + N)
+    for _ in range(3):
+        fam = _draw_family(rng, N)
+        for n in range(N + 1):
+            zs = _draw_points(rng)
+            assert eval_explicit(fam, n, zs) == support.eval_explicit_reference(fam, n, zs)
+
+
+@pytest.mark.parametrize("N", [8, 9])
+def test_explicit_equals_reference_where_the_rerun_fires(monkeypatch, N):
+    plans = []
+    original = para_racah._explicit_plan
+    monkeypatch.setattr(para_racah, "_explicit_plan",
+                        lambda fam, n: plans.append(n) or original(fam, n))
+    fam = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.3, N=N)
+    rng = random.Random(N)
+    for n in range(N + 1):
+        zs = _draw_points(rng)
+        assert eval_explicit(fam, n, zs) == support.eval_explicit_reference(fam, n, zs)
+    # A second plan per degree is the 40-digit one.
+    assert len(plans) > N + 1
+
+
+@pytest.mark.parametrize("N", range(1, 21))
+def test_explicit_equals_per_point_reference_at_60_digits(N):
+    rng = random.Random(2000 + N)
+    with mpmath.workdps(60):
+        fam = _draw_family(rng, N, mpmath.mpf)
+        for n in range(N + 1):
+            zs = _draw_points(rng, mpmath.mpf)
+            assert eval_explicit(fam, n, zs) == support.eval_explicit_reference(fam, n, zs)
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except ArithmeticError as exc:
+        return type(exc), getattr(exc, "parameter", None), getattr(exc, "index", None)
+
+
+def test_explicit_singular_denominators_raise_as_the_reference():
+    # a c = q^-m or a / c = q^m with exact binary powers of q = 1/2 make a
+    # denominator factor of the head, middle or tail series vanish.
+    singular = 0
+    zs = [1.7, 2.2]
+    for N in range(1, 13):
+        for m in range(-3, 4):
+            for a, c in ((2.0 ** m, 2.0 ** -m / 4), (2.0 ** -m, 0.5), (0.5, 2.0 ** m)):
+                fam = ParaRacahFamily(a=a, c=c, alpha=0.3, q=0.5, N=N)
+                for n in range(N + 1):
+                    got = _outcome(eval_explicit, fam, n, zs)
+                    assert got == _outcome(support.eval_explicit_reference, fam, n, zs)
+                    singular += isinstance(got, tuple) and got[0] is SingularSeriesError
+    assert singular > 0
+
+
+@pytest.mark.parametrize("scalar,dps", [(float, 15), (mpmath.mpf, 60)], ids=["double", "60"])
+def test_qdiff_residual_equals_per_point_reference(scalar, dps):
+    rng = random.Random(7)
+    with mpmath.workdps(dps):
+        for N in range(1, 21):
+            tri = tridiagonal(_draw_family(rng, N, scalar))
+            for n in range(N + 1):
+                zs = [scalar(rng.uniform(2.0, 3.0)) for _ in range(4)]
+                zs.append(scalar(rng.uniform(2.0, 3.0)) + 1j * scalar(rng.uniform(-1, 1)))
+                assert qdiff_residual(tri, n, zs) == [
+                    support.qdiff_residual_reference(tri, n, z) for z in zs]
+
+
+@pytest.mark.parametrize("scalar,dps", [(float, 15), (mpmath.mpf, 40)], ids=["double", "40"])
+def test_weights_equal_per_point_reference(scalar, dps):
+    rng = random.Random(11)
+    with mpmath.workdps(dps):
+        for N in range(1, 21):
+            fam = _draw_family(rng, N, scalar)
+            lw = weights(tridiagonal(fam))
+            half = dataclasses.replace(fam, alpha=0.5)
+            k_norm = para_racah._k_norm(fam)
+            assert lw.weights == tuple(support.weight_reference(fam, i, k_norm)
+                                       for i in range(N + 1))
+            assert lw.weights_half == tuple(support.weight_reference(half, i, k_norm)
+                                            for i in range(N + 1))
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_explicit_qpochhammer_calls_per_point(monkeypatch, N):
+    # Only the prefactor's (az; q)_{j+1} and (a/z; q)_{j+1}, for n > j, are
+    # computed per point; everything else is computed once per degree.
+    calls = []
+    original = para_racah.qpochhammer
+    monkeypatch.setattr(para_racah, "qpochhammer",
+                        lambda *args: calls.append(1) or original(*args))
+    with mpmath.workdps(30):
+        fam = _draw_family(random.Random(N), N, mpmath.mpf)
+        for n in range(N + 1):
+            counts = []
+            for size in (1, 2, 3):
+                del calls[:]
+                eval_explicit(fam, n, [mpmath.mpf(1.5 + k / 7) for k in range(size)])
+                counts.append(len(calls))
+            per_point = 2 if n > fam.j else 0
+            assert counts[1] - counts[0] == counts[2] - counts[1] == per_point, (n, counts)

@@ -106,7 +106,7 @@ NAN_CASES = [
     ("explicit", "explicit-vs-recurrence", para_racah, "eval_recurrence", _second,
      lambda r: NAN),
     ("bispectral", "qdiff-residual", para_racah, "qdiff_residual", _second,
-     lambda r: (NAN, r[1])),
+     lambda r: [(NAN, r[0][1]), *r[1:]]),
     ("bispectral", "eigenvalue-degeneracy", para_racah, "qdiff_eigenvalue",
      lambda k, args: args[1] == 2, lambda r: NAN),
     ("orthogonality", "christoffel-cross-check", para_racah, "weights_from_christoffel",
