@@ -16,6 +16,7 @@ q in [0.3, 0.8], N <= 9) are promoted to extended precision automatically.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -46,11 +47,7 @@ class _Precision:
         return "extended:%d" % self.digits if self.extended else "double"
 
     def context(self):
-        if self.extended:
-            return extended_precision(self.digits)
-        import contextlib
-
-        return contextlib.nullcontext()
+        return extended_precision(self.digits) if self.extended else contextlib.nullcontext()
 
     def fmt(self, x) -> str:
         return format_scalar(x, self.digits if self.extended else 17)
@@ -120,12 +117,18 @@ def _family_params(args) -> dict:
 
 
 def _emit_json(payload):
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True, allow_nan=False))
+
+
+def _json_float(x):
+    # JSON has no nan or +-inf: those are the strings the CSV prints for them.
+    x = float(x)
+    return x if math.isfinite(x) else "%g" % x
 
 
 def _json_number(x, prec: _Precision):
     # Extended-precision values do not fit a JSON double; ship them as strings.
-    return prec.fmt(x) if prec.extended else float(x)
+    return prec.fmt(x) if prec.extended else _json_float(x)
 
 
 def cmd_coeffs(args, prec: _Precision) -> int:
@@ -181,7 +184,7 @@ def cmd_lattice_weights(args, prec: _Precision) -> int:
                 "trailer": {
                     "sum_even": _json_number(sum_even, prec),
                     "sum_odd": _json_number(sum_odd, prec),
-                    "gram_max_error": float(gram_max),
+                    "gram_max_error": _json_float(gram_max),
                 },
             })
         # abs(v) < inf also holds for mpf values beyond the double range.
@@ -221,8 +224,8 @@ def cmd_verify(args, prec: _Precision) -> int:
             "checks": [{
                 "name": chk.name,
                 "status": "pass" if chk.passed else "fail",
-                "residual": chk.residual,
-                "tolerance": chk.tolerance,
+                "residual": _json_float(chk.residual),
+                "tolerance": _json_float(chk.tolerance),
                 "note": chk.note,
             } for chk in checks],
         })

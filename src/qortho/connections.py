@@ -26,8 +26,12 @@ __all__ = [
     "single_lattice_qracah_params",
     "single_lattice_points",
     "verify_qracah_identity",
+    "richardson",
     "dual_hahn_limit",
 ]
+
+# Working precision (decimal digits) of the dual-Hahn and theta limits.
+LIMIT_DIGITS = 50
 
 
 class ExtrapolationError(ArithmeticError):
@@ -140,51 +144,52 @@ def verify_qracah_identity(a, q, N: int, zs) -> float:
     return float(worst)
 
 
-def _richardson_halving(values):
-    """Accelerate v_k = L + c1 h_k + c2 h_k^2 + ... with h_k halving each step."""
+def richardson(values, ratio):
+    """The last entry of every level of the Richardson table of
+    v_k = L + c1 h_k + c2 h_k^2 + ..., h_k shrinking by ``ratio`` each step:
+    from v_last itself to the fully accelerated estimate of L."""
     table = list(values)
-    level = 0
-    last = table[-1]
-    deltas = []
-    while len(table) > 1:
-        level += 1
-        f = mpmath.mpf(2) ** level
+    estimates = [table[-1]]
+    for level in range(1, len(table)):
+        f = mpmath.mpf(ratio) ** level
         table = [(f * hi - lo) / (f - 1) for lo, hi in zip(table, table[1:])]
-        deltas.append(abs(table[-1] - last))
-        last = table[-1]
-    if deltas and deltas[-1] > max(abs(last), mpmath.mpf(1)) * mpmath.mpf("1e-3"):
-        raise ExtrapolationError("extrapolation estimates are not contracting")
-    return last
+        estimates.append(table[-1])
+    return estimates
 
 
-def dual_hahn_limit(a_exponent, N: int, n: int, digits: int = 50):
-    """q -> 1 limit of A_n/(1-sqrt(q))^2 and C_n/(1-sqrt(q))^2 at the
+def dual_hahn_limit(a_exponent, N: int, degrees) -> list:
+    """q -> 1 limits of A_n/(1-sqrt(q))^2 and C_n/(1-sqrt(q))^2 at the
     collapsed-lattice configuration c = a sqrt(q), alpha = 1/2, a = q^a_exponent.
 
-    Approaches along sqrt(q) = 1 - 2^-k at extended precision and Richardson-
-    accelerates the first-order tail.  Returns
-    ``(lim_a, lim_c, target_a, target_c)`` where the targets are the dual-Hahn
+    Richardson-extrapolates eleven families along sqrt(q) = 1 - 2^-k, k = 6..16,
+    built once at LIMIT_DIGITS digits.  Returns one ``(lim_a, lim_c, target_a,
+    target_c)`` per degree n in ``degrees``; the targets are the dual-Hahn
     recurrence coefficients with both lattice parameters (4*a_exponent - 1)/2:
 
         target_a = (n + (4a-1)/2 + 1)(n - N),
         target_c = n (n - (4a-1)/2 - N - 1).
     """
-    if not 0 <= n <= N:
+    degrees = list(degrees)
+    if not all(0 <= n <= N for n in degrees):
         raise ValueError("n must satisfy 0 <= n <= N")
-    with mpmath.workdps(digits):
-        vals_a, vals_c = [], []
+    if not degrees:
+        return []
+    g = (4 * a_exponent - 1) / 2
+    out = []
+    with mpmath.workdps(LIMIT_DIGITS):
+        fams, scales = [], []
         for k in range(6, 17):
             p = 1 - mpmath.mpf(2) ** -k
             q = p * p
             a = q ** mpmath.mpf(a_exponent)
-            fam = ParaRacahFamily(a=a, c=a * p, alpha=0.5, q=q, N=N)
-            A, C = limit_recurrence_ac(fam, n)
-            s = (1 - p) ** 2
-            vals_a.append(A / s)
-            vals_c.append(C / s)
-        lim_a = _richardson_halving(vals_a)
-        lim_c = _richardson_halving(vals_c)
-    g = (4 * a_exponent - 1) / 2
-    target_a = (n + g + 1) * (n - N)
-    target_c = n * (n - g - N - 1)
-    return float(lim_a), float(lim_c), float(target_a), float(target_c)
+            fams.append(ParaRacahFamily(a=a, c=a * p, alpha=0.5, q=q, N=N))
+            scales.append((1 - p) ** 2)
+        for n in degrees:
+            limits = []
+            for steps in zip(*(limit_recurrence_ac(fam, n) for fam in fams)):
+                *_, prev, last = richardson([v / s for v, s in zip(steps, scales)], 2)
+                if abs(last - prev) > max(abs(last), mpmath.mpf(1)) * mpmath.mpf("1e-3"):
+                    raise ExtrapolationError("extrapolation estimates are not contracting")
+                limits.append(float(last))
+            out.append((*limits, float((n + g + 1) * (n - N)), float(n * (n - g - N - 1))))
+    return out

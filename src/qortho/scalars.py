@@ -67,7 +67,7 @@ def sqrt(x):
     return math.sqrt(x)
 
 
-def format_scalar(x, digits: int = 17) -> str:
+def format_scalar(x, digits: int) -> str:
     """Deterministic decimal rendering with a fixed number of significant digits."""
     if is_mp(x):
         return mpmath.nstr(x, digits)

@@ -278,55 +278,45 @@ def suite_qracah(run, rng):
 def suite_dualhahn(run, rng):
     fam = run.fam
     a_exp = math.log(fam.a) / math.log(fam.q)
+    limits = connections.dual_hahn_limit(a_exp, fam.N, range(1, fam.N))
     worst = 0.0
-    for n in range(1, fam.N):
-        lim_a, lim_c, t_a, t_c = connections.dual_hahn_limit(a_exp, fam.N, n)
-        worst = max_keep_nan(worst,
-                             abs(lim_a - t_a) / max(1.0, abs(t_a)),
+    for lim_a, lim_c, t_a, t_c in limits:
+        worst = max_keep_nan(worst, abs(lim_a - t_a) / max(1.0, abs(t_a)),
                              abs(lim_c - t_c) / max(1.0, abs(t_c)))
     return [_check("dual-hahn-limit", worst, TOL_DUALHAHN,
                    note="a-exponent %.6g" % a_exp)]
 
 
 def suite_qpk_limit(run, rng):
-    """Closed-form exponential-lattice coefficients vs the scaled limit."""
-    fam = run.fam
+    """Closed-form exponential-lattice coefficients vs the scaled limit of
+    the q-para-Racah tables at a c = theta = 10^3, 10^4, 10^5, a / c = Delta."""
+    fam, N = run.fam, run.fam.N
     if _is_qpk(fam):
-        delta, alpha, q, N = fam.Delta, fam.alpha, fam.q, fam.N
+        # Read outside the block below, so it is filled at the run's precision.
+        qpk, delta = run.tri, fam.Delta
     else:
-        delta, alpha, q, N = fam.a / fam.c, fam.alpha, fam.q, fam.N
-    qfam = para_krawtchouk.ParaKrawtchoukFamily(Delta=delta, alpha=alpha, q=q, N=N)
+        qpk, delta = None, fam.a / fam.c
     worst = 0.0
-    with mpmath.workdps(50):
-        D = mpmath.mpf(delta)
-        qq = mpmath.mpf(q)
-        al = mpmath.mpf(alpha)
-        for n in range(N + 1):
-            vals_b, vals_u = [], []
-            for k in (3, 4, 5):
-                theta = mpmath.mpf(10) ** k
-                a = mpmath.sqrt(theta * D)
-                c = mpmath.sqrt(theta / D)
-                big = para_racah.ParaRacahFamily(a=a, c=c, alpha=al, q=qq, N=N)
-                vals_b.append((2 * a / theta) * para_racah.b_coefficient(big, n))
-                if n >= 1:
-                    vals_u.append((4 * a * a / theta ** 2)
-                                  * para_racah.u_coefficient(big, n))
-            b_ext = _richardson10(vals_b)
-            worst = max_keep_nan(
-                worst, abs(b_ext - para_krawtchouk.b_coefficient(qfam, n))
-                / max(mpmath.mpf(1) / 10 ** 6, abs(b_ext)))
-            if n >= 1:
-                u_ext = _richardson10(vals_u)
+    with mpmath.workdps(connections.LIMIT_DIGITS):
+        if qpk is None:
+            qpk = tridiagonal(para_krawtchouk.ParaKrawtchoukFamily(
+                Delta=delta, alpha=fam.alpha, q=fam.q, N=N))
+        D, qq, al = map(mpmath.mpf, (delta, fam.q, fam.alpha))
+        b_rows, u_rows = [], []
+        for k in (3, 4, 5):
+            theta = mpmath.mpf(10) ** k
+            a = mpmath.sqrt(theta * D)
+            c = mpmath.sqrt(theta / D)
+            big = tridiagonal(para_racah.ParaRacahFamily(a=a, c=c, alpha=al, q=qq, N=N))
+            scale_b, scale_u = 2 * a / theta, 4 * a * a / theta ** 2
+            b_rows.append([scale_b * v for v in big.b])
+            u_rows.append([scale_u * v for v in big.u])
+        for rows, closed in ((b_rows, qpk.b), (u_rows, qpk.u)):
+            for steps, value in zip(zip(*rows), closed):
+                ext = connections.richardson(steps, 10)[-1]
                 worst = max_keep_nan(
-                    worst, abs(u_ext - para_krawtchouk.u_coefficient(qfam, n))
-                    / max(mpmath.mpf(1) / 10 ** 6, abs(u_ext)))
+                    worst, abs(ext - value) / max(mpmath.mpf(1) / 10 ** 6, abs(ext)))
     return [_check("qpk-theta-limit", worst, TOL_QPK_LIMIT)]
-
-
-def _richardson10(vals):
-    first = [(10 * hi - lo) / 9 for lo, hi in zip(vals, vals[1:])]
-    return (100 * first[1] - first[0]) / 99
 
 
 _QPR_SUITES = {

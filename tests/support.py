@@ -3,16 +3,16 @@
 The truncation-substitution oracle evaluates the raw parent-family
 recurrence coefficients at an explicit tiny limit parameter t under mpmath,
 instead of using the resolved closed forms; it is the independent route the
-coefficient tables are checked against.  The per-point references at the end
-are the exact-equality references of the per-degree library routes.
+coefficient tables are checked against.  The per-point and limit references
+at the end are the exact-equality references of the library routes.
 """
 
 import dataclasses
 
 import mpmath
 
-from qortho import askey_wilson, para_racah, qseries
-from qortho.scalars import is_mp
+from qortho import askey_wilson, para_krawtchouk, para_racah, qseries
+from qortho.scalars import is_mp, max_keep_nan
 
 # Tiny but nonzero limit parameter; the weights e1, e2 are scaled down so the
 # first-order limit error e*t*log(q) sits far below the 40-digit comparison.
@@ -245,3 +245,106 @@ def weight_reference(fam, index, k_norm):
            * qp(q, q, s) * qp((c / a) * q, q, s)
            * qp(c * c * q ** j, q, s) * qp(a * c * q ** (j + 1), q, s))
     return num / den
+
+
+# ---------------------------------------------------------------------------
+# References for the two limit oracles
+# ---------------------------------------------------------------------------
+#
+# The dual-Hahn limit and the theta limit as they were computed before their
+# step families were built once per call: one set of step families per
+# degree, each oracle with its own Richardson loop.  The library routes must
+# return these values exactly.
+
+
+def count_family_builds(monkeypatch, module):
+    """The list of ParaRacahFamily objects built, from now on, through
+    ``module``'s name for the class."""
+    built = []
+    original = para_racah.ParaRacahFamily
+
+    def counted(**params):
+        built.append(original(**params))
+        return built[-1]
+
+    monkeypatch.setattr(module, "ParaRacahFamily", counted)
+    return built
+
+
+def _richardson_halving_reference(values):
+    table = list(values)
+    level = 0
+    last = table[-1]
+    deltas = []
+    while len(table) > 1:
+        level += 1
+        f = mpmath.mpf(2) ** level
+        table = [(f * hi - lo) / (f - 1) for lo, hi in zip(table, table[1:])]
+        deltas.append(abs(table[-1] - last))
+        last = table[-1]
+    if deltas and deltas[-1] > max(abs(last), mpmath.mpf(1)) * mpmath.mpf("1e-3"):
+        raise ArithmeticError("extrapolation estimates are not contracting")
+    return last
+
+
+def dual_hahn_limit_reference(a_exponent, N, n):
+    """(lim_a, lim_c, target_a, target_c) of one degree at 50 digits."""
+    with mpmath.workdps(50):
+        vals_a, vals_c = [], []
+        for k in range(6, 17):
+            p = 1 - mpmath.mpf(2) ** -k
+            q = p * p
+            a = q ** mpmath.mpf(a_exponent)
+            fam = para_racah.ParaRacahFamily(a=a, c=a * p, alpha=0.5, q=q, N=N)
+            A, C = para_racah.limit_recurrence_ac(fam, n)
+            s = (1 - p) ** 2
+            vals_a.append(A / s)
+            vals_c.append(C / s)
+        lim_a = _richardson_halving_reference(vals_a)
+        lim_c = _richardson_halving_reference(vals_c)
+    g = (4 * a_exponent - 1) / 2
+    target_a = (n + g + 1) * (n - N)
+    target_c = n * (n - g - N - 1)
+    return float(lim_a), float(lim_c), float(target_a), float(target_c)
+
+
+def _richardson10_reference(vals):
+    first = [(10 * hi - lo) / 9 for lo, hi in zip(vals, vals[1:])]
+    return (100 * first[1] - first[0]) / 99
+
+
+def qpk_theta_limit_reference(fam):
+    """The qpk-theta-limit residual of a family of either kind, with the
+    q-para-Krawtchouk coefficients refilled at 50 digits."""
+    if isinstance(fam, para_krawtchouk.ParaKrawtchoukFamily):
+        delta = fam.Delta
+    else:
+        delta = fam.a / fam.c
+    alpha, q, N = fam.alpha, fam.q, fam.N
+    qfam = para_krawtchouk.ParaKrawtchoukFamily(Delta=delta, alpha=alpha, q=q, N=N)
+    worst = 0.0
+    with mpmath.workdps(50):
+        D = mpmath.mpf(delta)
+        qq = mpmath.mpf(q)
+        al = mpmath.mpf(alpha)
+        for n in range(N + 1):
+            vals_b, vals_u = [], []
+            for k in (3, 4, 5):
+                theta = mpmath.mpf(10) ** k
+                a = mpmath.sqrt(theta * D)
+                c = mpmath.sqrt(theta / D)
+                big = para_racah.ParaRacahFamily(a=a, c=c, alpha=al, q=qq, N=N)
+                vals_b.append((2 * a / theta) * para_racah.b_coefficient(big, n))
+                if n >= 1:
+                    vals_u.append((4 * a * a / theta ** 2)
+                                  * para_racah.u_coefficient(big, n))
+            b_ext = _richardson10_reference(vals_b)
+            worst = max_keep_nan(
+                worst, abs(b_ext - para_krawtchouk.b_coefficient(qfam, n))
+                / max(mpmath.mpf(1) / 10 ** 6, abs(b_ext)))
+            if n >= 1:
+                u_ext = _richardson10_reference(vals_u)
+                worst = max_keep_nan(
+                    worst, abs(u_ext - para_krawtchouk.u_coefficient(qfam, n))
+                    / max(mpmath.mpf(1) / 10 ** 6, abs(u_ext)))
+    return float(worst)

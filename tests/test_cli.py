@@ -210,6 +210,25 @@ def test_uncertified_gram_trailer_exits_4(capsys):
     assert out.strip().splitlines()[-1] == "# gram_max_error = 2.154e+36"
 
 
+def _reject_constant(name):
+    raise ValueError("not strict JSON: %s" % name)
+
+
+@pytest.mark.parametrize("argv,field", [
+    ("verify --a 0.9 --c 0.2 --alpha 0.5 --q 0.5 --N 4 --suite orthogonality --format json",
+     lambda doc: [c["residual"] for c in doc["checks"]]),
+    ("lattice-weights --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 70 --precision double "
+     "--format json", lambda doc: [r["w"] for r in doc["rows"]]),
+], ids=["verify", "lattice-weights"])
+def test_json_output_is_strict_with_non_finite_values(capsys, argv, field):
+    code, out, _ = run_cli(capsys, argv.split())
+    assert code == 4
+    doc = json.loads(out, parse_constant=_reject_constant)
+    values = field(doc)
+    assert "nan" in values
+    assert all(isinstance(v, float) or v in ("nan", "inf", "-inf") for v in values)
+
+
 @pytest.mark.parametrize("command", ["verify", "lattice-weights"])
 def test_overflow_is_not_invalid_parameters(capsys, command):
     argv = [command, "--kind", "qpr", "--a", "0.9", "--c", "0.7", "--alpha", "0.5",
@@ -298,6 +317,17 @@ GOLDEN = [
      "f65513336363eed2f89ecde7adb574fadfba28f0186a7744793eba0d526dcc3b"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite bispectral --format json --precision extended:60",
      "de40b70d6ee8f88ac2efadb6eb1ef2b384547c0bd6a0d6b03d1e373f8743dac8"),
+    # The two limit oracles, which extrapolate at a fixed 50 digits whatever
+    # the run's precision, and a qpk run that reads its own table in the
+    # theta limit.
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 9 --suite dualhahn --format csv --precision extended:80",
+     "55ae200d8239ef067b86b3ffb3d4308fca30e4ff16a870360dded366fd9bed47"),
+    ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 8 --suite qpk-limit --format csv --precision extended:80",
+     "a41a5d52c5051fba59e1a2d802321c168a34dec7d019ca4a746e846913b50768"),
+    ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 7 --suite all --format csv --precision double",
+     "9e4c4694979563183b1bf9672063df16f1b1a1f19bfcf3e2f9b1ad792a15a899"),
+    ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 8 --suite all --format json --precision extended",
+     "262703b113b92b2ea5e943fb27554de48864690930fadb9eaf26a6622ee49a27"),
 ]
 
 

@@ -1,8 +1,10 @@
 import random
 
+import mpmath
 import pytest
 
-from qortho import para_racah
+import support
+from qortho import connections, para_racah
 from qortho.connections import (
     dual_hahn_limit,
     qracah_monic_eval,
@@ -52,29 +54,55 @@ def test_lattice_collapses_to_single_grid():
 
 
 def test_dual_hahn_targets_vanish_at_band_edges():
-    _, _, t_a, t_c = dual_hahn_limit(0.6, 4, 0)
+    [(_, _, t_a, t_c)] = dual_hahn_limit(0.6, 4, [0])
     assert t_c == 0.0
-    _, _, t_a, _ = dual_hahn_limit(0.6, 4, 4)
+    [(_, _, t_a, _)] = dual_hahn_limit(0.6, 4, [4])
     assert t_a == 0.0
 
 
 @pytest.mark.parametrize("a_exp", [0.4, 0.6])
 def test_dual_hahn_limit_matches_targets(a_exp):
-    for n in (1, 2, 3):
-        lim_a, lim_c, t_a, t_c = dual_hahn_limit(a_exp, 4, n)
+    for lim_a, lim_c, t_a, t_c in dual_hahn_limit(a_exp, 4, (1, 2, 3)):
         assert abs(lim_a - t_a) <= 1e-4 * max(1.0, abs(t_a))
         assert abs(lim_c - t_c) <= 1e-4 * max(1.0, abs(t_c))
 
 
 def test_dual_hahn_also_converges_for_odd_band():
-    lim_a, lim_c, t_a, t_c = dual_hahn_limit(0.5, 5, 2)
+    [(lim_a, lim_c, t_a, t_c)] = dual_hahn_limit(0.5, 5, [2])
     assert abs(lim_a - t_a) <= 1e-4 * max(1.0, abs(t_a))
     assert abs(lim_c - t_c) <= 1e-4 * max(1.0, abs(t_c))
 
 
 def test_dual_hahn_rejects_out_of_range_degree():
     with pytest.raises(ValueError):
-        dual_hahn_limit(0.5, 4, 5)
+        dual_hahn_limit(0.5, 4, [5])
+
+
+@pytest.mark.parametrize("degrees", [[], [2], range(6)])
+def test_dual_hahn_builds_its_step_families_once_per_call(monkeypatch, degrees):
+    built = support.count_family_builds(monkeypatch, connections)
+    assert len(dual_hahn_limit(0.4, 5, degrees)) == len(degrees)
+    assert len(built) == (11 if degrees else 0)
+
+
+@pytest.mark.parametrize("N", range(1, 17))
+def test_dual_hahn_matches_the_per_degree_reference(N):
+    rng = random.Random(N)
+    a_exp = rng.uniform(0.05, 1.5)
+    expected = [support.dual_hahn_limit_reference(a_exp, N, n) for n in range(N + 1)]
+    assert dual_hahn_limit(a_exp, N, range(N + 1)) == expected
+    with mpmath.workdps(50):
+        assert dual_hahn_limit(a_exp, N, range(N + 1)) == expected
+
+
+def test_richardson_levels():
+    # v_k = 1 + 2^-k + 4^-k: each level removes one power exactly.
+    with mpmath.workdps(30):
+        values = [1 + mpmath.mpf(2) ** -k + mpmath.mpf(4) ** -k for k in range(3)]
+        estimates = connections.richardson(values, 2)
+    assert estimates[0] == values[-1]
+    assert len(estimates) == 3
+    assert estimates[-1] == 1
 
 
 def test_truncation_of_matched_qracah_parameters():

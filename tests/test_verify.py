@@ -1,12 +1,15 @@
-"""Verify runs: one coefficient fill and one reference spectrum per run,
-NaN-keeping residual folds, Gram errors beyond the binary64 range, and the
-benchmark tracer's view of the suites."""
+"""Verify runs: one coefficient fill and one reference spectrum per run, the
+limit oracles' step families built once, NaN-keeping residual folds, Gram
+errors beyond the binary64 range, named fixed precisions, and the benchmark
+tracer's view of the suites."""
 
 import dataclasses
 import importlib
 import importlib.util
 import itertools
 import math
+import random
+import re
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +17,9 @@ from types import SimpleNamespace
 import mpmath
 import pytest
 
-from qortho import cli, connections, para_krawtchouk, para_racah, spectral, verify
+import support
+from qortho import (cli, connections, para_krawtchouk, para_racah, scalars, spectral,
+                    verify)
 from qortho.recurrence import TridiagonalSystem
 
 FAM = para_racah.ParaRacahFamily(a=0.9, c=0.7, alpha=0.5, q=0.5, N=5)
@@ -22,27 +27,102 @@ NAN = float("nan")
 
 
 def _count_coefficient_calls(monkeypatch):
+    """Count b_coefficient and u_coefficient calls of both family kinds per
+    (module, function, family, n)."""
     calls = Counter()
-    for name in ("b_coefficient", "u_coefficient"):
-        original = getattr(para_racah, name)
+    for module in (para_racah, para_krawtchouk):
+        for name in ("b_coefficient", "u_coefficient"):
+            original = getattr(module, name)
 
-        def counted(fam, n, _name=name, _original=original):
-            calls[_name, fam, n] += 1
-            return _original(fam, n)
+            def counted(fam, n, _key=(module.__name__, name), _original=original):
+                calls[(*_key, fam, n)] += 1
+                return _original(fam, n)
 
-        monkeypatch.setattr(para_racah, name, counted)
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
-@pytest.mark.parametrize("alpha,num,N", [
-    (0.5, float, 5), (0.3, float, 6), ("0.25", mpmath.mpf, 7), ("0.5", mpmath.mpf, 8)])
-def test_one_coefficient_call_per_family_and_degree(monkeypatch, alpha, num, N):
+def _qpk(Delta, alpha, q, N, num=float):
+    return para_krawtchouk.ParaKrawtchoukFamily(Delta=num(Delta), alpha=num(alpha),
+                                                q=num(q), N=N)
+
+
+@pytest.mark.parametrize("kind,alpha,num,N", [
+    pytest.param(kind, alpha, num, N, id="-".join(
+        ([] if kind == "qpr" else [kind]) + [str(alpha), num.__name__, str(N)]))
+    for kind, alpha, num, N in [
+        ("qpr", 0.5, float, 5), ("qpr", 0.3, float, 6), ("qpr", "0.25", mpmath.mpf, 7),
+        ("qpr", "0.5", mpmath.mpf, 8), ("qpk", "0.35", float, 5), ("qpk", "0.35", float, 6),
+        ("qpk", "0.25", mpmath.mpf, 7), ("qpk", "0.5", mpmath.mpf, 8)]])
+def test_one_coefficient_call_per_family_and_degree(monkeypatch, kind, alpha, num, N):
+    # A qpk run's own table is the one the theta limit compares with; a qpr
+    # run fills the one qpk table of Delta = a/c.
     calls = _count_coefficient_calls(monkeypatch)
     with mpmath.workdps(50):
-        fam = para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num(alpha),
-                                         q=num("0.5"), N=N)
+        if kind == "qpr":
+            fam = para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num(alpha),
+                                             q=num("0.5"), N=N)
+        else:
+            fam = _qpk("1.3", alpha, "0.5", N, num)
         verify.run_suite("all", fam)
-    assert calls and max(calls.values()) == 1, calls.most_common(3)
+    assert max(calls.values()) == 1, calls.most_common(3)
+    qpk_keys = [key for key in calls if key[0] == para_krawtchouk.__name__]
+    assert len(qpk_keys) == 2 * N + 1
+
+
+@pytest.mark.parametrize("N", [1, 6, 9])
+def test_theta_limit_builds_one_family_per_step(monkeypatch, N):
+    built = support.count_family_builds(monkeypatch, para_racah)
+    checks = verify.run_suite("qpk-limit", _qpk(1.3, 0.35, 0.5, N))
+    assert checks[0].passed
+    assert len(built) == 3
+
+
+@pytest.mark.parametrize("kind", ["qpr", "qpk"])
+@pytest.mark.parametrize("N", range(1, 17))
+def test_theta_limit_matches_the_per_degree_reference(kind, N):
+    rng = random.Random(N)
+    for num, digits in ((float, 15), (mpmath.mpf, 50)):
+        with mpmath.workdps(digits):
+            if kind == "qpr":
+                fam = verify.sample_family(rng, N, alpha=rng.choice([0.25, 0.5, 0.75]))
+                fam = dataclasses.replace(fam, a=num(fam.a), c=num(fam.c),
+                                          alpha=num(fam.alpha), q=num(fam.q))
+            else:
+                fam = _qpk(rng.uniform(1.05, 1.5), rng.choice([0.25, 0.5, 0.75]),
+                           rng.uniform(0.3, 0.6), N, num)
+            [chk] = verify.run_suite("qpk-limit", fam)
+            assert chk.residual == support.qpk_theta_limit_reference(fam), num
+
+
+@pytest.mark.parametrize("digits", [30, 80])
+@pytest.mark.parametrize("N", [5, 8, 13, 16])
+def test_qpr_theta_limit_is_the_reference_at_any_precision(digits, N):
+    # A qpr run fills its qpk table at the limit's 50 digits whatever its own
+    # precision, so every residual is the reference's.
+    with mpmath.workdps(digits):
+        fam = para_racah.ParaRacahFamily(a=mpmath.mpf("0.8"), c=mpmath.mpf("0.55"),
+                                         alpha=mpmath.mpf("0.75"), q=mpmath.mpf("0.45"),
+                                         N=N)
+        [chk] = verify.run_suite("qpk-limit", fam)
+        assert chk.residual == support.qpk_theta_limit_reference(fam)
+
+
+def test_qpk_theta_limit_reads_the_runs_own_table():
+    # At 30 digits the residual measures the run's 30-digit table, whether
+    # the table was filled by an earlier suite or by the limit itself.
+    with mpmath.workdps(30):
+        fam = _qpk("2.2695", "0.5", "0.4148", 5, mpmath.mpf)
+        alone = verify.run_suite("qpk-limit", fam)[0].residual
+        every = {c.name: c.residual for c in verify.run_suite("all", fam)}
+        run = verify.RunTables(fam)
+        tri = run.tri
+        run.tri = dataclasses.replace(tri, b=(tri.b[0] * (1 + mpmath.mpf(10) ** -20),)
+                                      + tri.b[1:])
+        perturbed = verify.suite_qpk_limit(run, None)[0].residual
+    assert alone == every["qpk-limit/qpk-theta-limit"]
+    assert 1e-35 < alone <= 1e-28
+    assert perturbed > 1e-22
 
 
 @pytest.mark.parametrize("alpha,spectra", [(0.5, 5), (0.3, 6)])
@@ -117,8 +197,8 @@ NAN_CASES = [
     ("isospectral", "isospectrality", spectral, "spectrum", lambda k, args: k == 3,
      _nan_at_1),
     ("qracah", "qracah-identity", connections, "monic_values", _second, _nan_at_1),
-    ("dualhahn", "dual-hahn-limit", connections, "dual_hahn_limit", _second,
-     lambda r: (NAN, *r[1:])),
+    ("dualhahn", "dual-hahn-limit", connections, "dual_hahn_limit", lambda k, args: True,
+     lambda r: [r[0], (NAN, *r[1][1:]), *r[2:]]),
     ("qpk-limit", "qpk-theta-limit", para_krawtchouk, "b_coefficient", _second,
      lambda r: NAN),
 ]
@@ -170,3 +250,20 @@ def test_traced_verify_counts_every_layer_it_calls(capsys):
                   "verify.gram_errors", "spectral.spectrum",
                   "connections.qracah_identity", "connections.dual_hahn"):
         assert calls.get(layer + ".calls", 0) > 0, layer
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qortho"
+
+
+def test_every_fixed_precision_is_named():
+    # A fixed working precision is one of three named constants, never a
+    # literal at its point of use, so a precision planner has one list to
+    # replace.
+    literal = re.compile(r"workdps\(\s*\d|digits\s*:\s*int\s*=\s*\d")
+    found = [(path.name, number, line.strip())
+             for path in sorted(SRC.glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if literal.search(line)]
+    assert not found
+    assert (scalars.DEFAULT_EXTENDED_DIGITS, para_racah._PROMOTION_DPS,
+            connections.LIMIT_DIGITS) == (50, 40, 50)
