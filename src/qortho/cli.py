@@ -131,6 +131,18 @@ def _json_number(x, prec: _Precision):
     return prec.fmt(x) if prec.extended else _json_float(x)
 
 
+def _refuse_non_finite(printed) -> int:
+    """EXIT_VERIFY, with a count on stderr, when a printed value is nan or
+    inf; EXIT_OK otherwise."""
+    # abs(v) < inf also holds for mpf values beyond the double range.
+    bad = sum(not abs(v) < math.inf for v in printed)
+    if not bad:
+        return EXIT_OK
+    print("non-finite output: %d of %d printed values are nan or inf"
+          % (bad, len(printed)), file=sys.stderr)
+    return EXIT_VERIFY
+
+
 def cmd_coeffs(args, prec: _Precision) -> int:
     with prec.context():
         tri = tridiagonal(_build_family(args, prec))
@@ -148,7 +160,8 @@ def cmd_coeffs(args, prec: _Precision) -> int:
                 "rows": [{"n": n, "b": _json_number(b, prec),
                           "u": _json_number(u, prec)} for n, b, u in rows],
             })
-    return EXIT_OK
+        printed = [v for _, b, u in rows for v in (b, u)]
+    return _refuse_non_finite(printed)
 
 
 # Name of the lattice variable in lattice-weights output, per family kind.
@@ -187,12 +200,8 @@ def cmd_lattice_weights(args, prec: _Precision) -> int:
                     "gram_max_error": _json_float(gram_max),
                 },
             })
-        # abs(v) < inf also holds for mpf values beyond the double range.
         printed = (*pts, *lw.weights, sum_even, sum_odd, gram_max)
-        bad = sum(not abs(v) < math.inf for v in printed)
-    if bad:
-        print("non-finite output: %d of %d printed values are nan or inf"
-              % (bad, len(printed)), file=sys.stderr)
+    if _refuse_non_finite(printed):
         return EXIT_VERIFY
     if gram_max > verify.TOL_GRAM:
         print("orthogonality not certified: gram_max_error = %.3e exceeds %.0e"

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath
-
 from .para_racah import ParaRacahFamily, limit_recurrence_ac
 from .recurrence import monic_values, tridiagonal
 from .scalars import max_keep_nan, sqrt
@@ -148,6 +146,7 @@ def richardson(values, ratio):
     """The last entry of every level of the Richardson table of
     v_k = L + c1 h_k + c2 h_k^2 + ..., h_k shrinking by ``ratio`` each step:
     from v_last itself to the fully accelerated estimate of L."""
+    import mpmath
     table = list(values)
     estimates = [table[-1]]
     for level in range(1, len(table)):
@@ -174,6 +173,7 @@ def dual_hahn_limit(a_exponent, N: int, degrees) -> list:
         raise ValueError("n must satisfy 0 <= n <= N")
     if not degrees:
         return []
+    import mpmath
     g = (4 * a_exponent - 1) / 2
     out = []
     with mpmath.workdps(LIMIT_DIGITS):

@@ -8,6 +8,7 @@ recurrence coefficients; the limit itself is exercised only by tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .para_racah import DegenerateFamilyError, LatticeWeights
@@ -42,6 +43,8 @@ class ParaKrawtchoukFamily(BiLatticeFamily):
         super().__post_init__()
         if not self.Delta > 0:
             raise ValueError("Delta must be a positive real")
+        if not self.Delta < math.inf:
+            raise ValueError("Delta must be finite")
 
     @property
     def degenerate(self) -> bool:

@@ -15,12 +15,11 @@ x = (z + 1/z)/2.  Lattice points carry their own z representatives
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul
 from typing import Optional
-
-import mpmath
 
 from .qseries import SeriesPlan, qpochhammer
 from .recurrence import _DEGENERATE_TOL, BiLatticeFamily, TridiagonalSystem
@@ -54,7 +53,7 @@ class DegenerateFamilyError(ArithmeticError):
 class ParaRacahFamily(BiLatticeFamily):
     """Parameter set {a, c, alpha, q, N} with derived parity and j.
 
-    Construction enforces only the structural constraints (real positive
+    Construction enforces only the structural constraints (finite positive
     a, c, nome and deformation in (0,1), integer N >= 1).  The positivity
     region that guarantees an orthogonality measure is reported separately by
     :func:`positivity_check`, and c = a is rejected only where it matters
@@ -71,6 +70,8 @@ class ParaRacahFamily(BiLatticeFamily):
         super().__post_init__()
         if not self.a > 0 or not self.c > 0:
             raise ValueError("parameters a and c must be positive reals")
+        if not self.a < math.inf or not self.c < math.inf:
+            raise ValueError("parameters a and c must be finite")
 
     @property
     def degenerate(self) -> bool:
@@ -358,6 +359,7 @@ def eval_explicit(fam: ParaRacahFamily, n: int, zs) -> list:
         if is_mp(value) or magnitude <= _PROMOTION_RATIO * abs(value):
             out.append(value)
             continue
+        import mpmath
         with mpmath.workdps(_PROMOTION_DPS):
             if hi_route is None:
                 hi_route = _explicit_plan(dataclasses.replace(

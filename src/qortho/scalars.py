@@ -5,28 +5,31 @@ whatever scalar type the caller supplies.  Binary64 mode works on plain
 Python float/complex, extended mode on mpmath mpf/mpc values created under an
 ``extended_precision`` context.  Only the handful of operations that need to
 dispatch on the type live here.
+
+mpmath is imported by the functions that create or operate on its values, so
+a binary64 run never loads it.  Until something has imported mpmath no value
+can be an mpmath scalar, and :func:`is_mp` answers False without loading it.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-
-import mpmath
-
-MP_TYPES = (mpmath.mpf, mpmath.mpc)
+import sys
 
 DEFAULT_EXTENDED_DIGITS = 50
 
 
 def extended_precision(digits: int = DEFAULT_EXTENDED_DIGITS):
     """Context manager setting the mpmath working precision in decimal digits."""
+    import mpmath
     return mpmath.workdps(digits)
 
 
 def is_mp(x) -> bool:
     """True for mpmath scalars (extended-precision mode)."""
-    return isinstance(x, MP_TYPES)
+    mpmath = sys.modules.get("mpmath")
+    return mpmath is not None and isinstance(x, (mpmath.mpf, mpmath.mpc))
 
 
 def as_scalar(value, extended: bool = False):
@@ -36,8 +39,9 @@ def as_scalar(value, extended: bool = False):
     keeps full precision instead of round-tripping through binary64.
     """
     if extended:
-        if isinstance(value, MP_TYPES):
+        if is_mp(value):
             return value
+        import mpmath
         return mpmath.mpf(value)
     return float(value)
 
@@ -61,6 +65,7 @@ def max_keep_nan(first, *rest):
 def sqrt(x):
     """Square root staying in x's scalar family, complex for negative reals."""
     if is_mp(x):
+        import mpmath
         return mpmath.sqrt(x)
     if isinstance(x, complex) or x < 0:
         return cmath.sqrt(x)
@@ -70,5 +75,6 @@ def sqrt(x):
 def format_scalar(x, digits: int) -> str:
     """Deterministic decimal rendering with a fixed number of significant digits."""
     if is_mp(x):
+        import mpmath
         return mpmath.nstr(x, digits)
     return "%.*g" % (digits, x)

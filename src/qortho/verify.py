@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
-import mpmath
-
 from . import connections, para_krawtchouk, para_racah, spectral
 from .recurrence import family_module, persymmetry_residual, tridiagonal
 from .scalars import is_mp, max_keep_nan, sqrt
@@ -73,7 +71,10 @@ def _random_z(rng, fam, lo=1.15, hi=2.5):
     """A uniform evaluation point in the family's scalar type, so that an
     extended-precision run does not evaluate at binary64 points."""
     z = rng.uniform(lo, hi)
-    return mpmath.mpf(z) if is_mp(fam.q) else z
+    if not is_mp(fam.q):
+        return z
+    import mpmath
+    return mpmath.mpf(z)
 
 
 class RunTables:
@@ -296,6 +297,7 @@ def suite_qpk_limit(run, rng):
         qpk, delta = run.tri, fam.Delta
     else:
         qpk, delta = None, fam.a / fam.c
+    import mpmath
     worst = 0.0
     with mpmath.workdps(connections.LIMIT_DIGITS):
         if qpk is None:

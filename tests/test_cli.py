@@ -239,6 +239,48 @@ def test_overflow_is_not_invalid_parameters(capsys, command):
     assert "overflow at double precision" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("coeffs --kind qpr --a inf --c 0.7 --alpha 0.5 --q 0.5 --N 5",
+     "parameters a and c must be finite"),
+    ("coeffs --kind qpr --a inf --c 0.7 --alpha 0.5 --q 0.5 --N 5 --precision double",
+     "parameters a and c must be finite"),
+    ("coeffs --kind qpr --a 0.9 --c inf --alpha 0.5 --q 0.5 --N 5 --precision extended",
+     "parameters a and c must be finite"),
+    ("coeffs --kind qpk --Delta inf --alpha 0.5 --q 0.5 --N 5",
+     "Delta must be finite"),
+    ("coeffs --kind qpk --Delta inf --alpha 0.5 --q 0.5 --N 5 --precision extended",
+     "Delta must be finite"),
+    ("lattice-weights --kind qpr --a inf --c 0.7 --alpha 0.5 --q 0.5 --N 5",
+     "parameters a and c must be finite"),
+    ("verify --kind qpr --a inf --c 0.7 --alpha 0.5 --q 0.5 --N 5",
+     "parameters a and c must be finite"),
+    ("verify --kind qpk --Delta inf --alpha 0.5 --q 0.5 --N 5",
+     "Delta must be finite"),
+    # Refused before non-finite input was: the message is unchanged.
+    ("coeffs --kind qpr --a nan --c 0.7 --alpha 0.5 --q 0.5 --N 5 --precision double",
+     "parameters a and c must be positive reals"),
+    ("coeffs --kind qpk --Delta=-inf --alpha 0.5 --q 0.5 --N 5 --precision double",
+     "Delta must be a positive real"),
+])
+def test_infinite_lattice_parameters_are_invalid(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("QORTHO_PRECISION", raising=False)
+    code, out, err = run_cli(capsys, argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[-1] == "invalid parameters: " + message
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_coeffs_refuses_non_finite_output(capsys, fmt):
+    code, out, err = run_cli(capsys, [
+        "coeffs", "--kind", "qpr", "--a", "1e150", "--c", "0.7", "--alpha", "0.5",
+        "--q", "0.5", "--N", "5", "--precision", "double", "--format", fmt])
+    # The table is still printed, then refused.
+    assert code == 4
+    assert "inf" in out
+    assert err == "non-finite output: 5 of 12 printed values are nan or inf\n"
+
+
 def test_runtime_imports_neither_numpy_nor_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = (

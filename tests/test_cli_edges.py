@@ -1,0 +1,76 @@
+"""Edge property of the table commands: whatever the parameters, `coeffs`
+and `lattice-weights` exit with a documented code, and exit 0 only with
+finite numbers on stdout."""
+
+import contextlib
+import io
+import json
+import os
+from decimal import Decimal
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qortho.cli import main
+from qortho.recurrence import _DEGENERATE_TOL
+
+EDGE = ("0", "-0.7", "nan", "inf", "-inf", "1e150", "1e-150")
+
+# Relative offsets of c from a that straddle the degenerate-strand tolerance.
+NEAR = tuple(f * _DEGENERATE_TOL for f in (-10, -2, -1, -0.5, 0, 0.5, 1, 2, 10))
+
+unit = st.floats(0, 1, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def table_commands(draw):
+    kind = draw(st.sampled_from(("qpr", "qpk")))
+    params = {"--alpha": draw(unit), "--q": draw(st.floats(0.01, 0.99))}
+    if kind == "qpr":
+        a = draw(unit)
+        if draw(st.booleans()):
+            c = a * (1 + draw(st.sampled_from(NEAR)))
+        else:
+            c = draw(unit)
+        params.update({"--a": a, "--c": c})
+    else:
+        params["--Delta"] = draw(st.floats(0.05, 20.0))
+    texts = {name: repr(value) for name, value in params.items()}
+    edge = draw(st.sampled_from((None, *sorted(texts))))
+    if edge is not None:
+        texts[edge] = draw(st.sampled_from(EDGE))
+    argv = [draw(st.sampled_from(("coeffs", "lattice-weights"))), "--kind", kind,
+            "--N", str(draw(st.integers(1, 20))),
+            "--format", draw(st.sampled_from(("csv", "json")))]
+    if draw(st.booleans()):
+        argv += ["--precision", "double"]
+    # --name=value, so that argparse reads "-inf" as a value, not an option.
+    return argv + ["%s=%s" % item for item in texts.items()]
+
+
+def _printed_numbers(out: str, fmt: str) -> list:
+    """Every number the command printed, as text (row indices excluded)."""
+    if fmt == "json":
+        doc = json.loads(out)
+        values = [v for row in doc["rows"] for k, v in row.items() if k not in ("n", "s")]
+        return [str(v) for v in values + list(doc.get("trailer", {}).values())]
+    lines = out.splitlines()[1:]
+    return [field for line in lines if not line.startswith("#")
+            for field in line.split(",")[1:]] + [
+        line.split("=")[1].strip() for line in lines if line.startswith("#")]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(table_commands())
+def test_table_commands_exit_with_a_documented_code(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        os.environ.pop("QORTHO_PRECISION", None)
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, stderr.getvalue())
+    if code == 0:
+        numbers = _printed_numbers(stdout.getvalue(), argv[argv.index("--format") + 1])
+        assert numbers
+        assert all(Decimal(text).is_finite() for text in numbers), argv

@@ -1,0 +1,126 @@
+"""Where mpmath is loaded: a binary64 table command never imports it, every
+run that needs extended precision or a limit check does, and ``is_mp`` stays
+right when a caller imports mpmath after qortho."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath
+import pytest
+
+from qortho.para_racah import ParaRacahFamily
+from qortho.recurrence import tridiagonal
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qortho"
+
+BOX = {"qpr": ["--kind", "qpr", "--a", "0.9", "--c", "0.7", "--alpha", "0.3", "--q", "0.5"],
+       "qpk": ["--kind", "qpk", "--Delta", "1.3", "--alpha", "0.35", "--q", "0.5"]}
+
+# Runs each argv through qortho.cli.main in this fresh process and prints, per
+# argv, the exit code and whether mpmath is loaded afterwards.
+_RUNNER = """
+import contextlib, io, json, sys
+import qortho, qortho.cli
+out = [[None, "mpmath" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = qortho.cli.main(argv)
+    out.append([code, "mpmath" in sys.modules])
+print(json.dumps(out))
+"""
+
+
+def _fresh_process(script, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("QORTHO_PRECISION", None)
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _run_fresh(*argvs):
+    return _fresh_process(_RUNNER, json.dumps(argvs))
+
+
+def test_binary64_table_commands_never_load_mpmath():
+    argvs = [[command, *BOX[kind], "--N", str(N), "--format", fmt]
+             for command in ("coeffs", "lattice-weights")
+             for kind in ("qpr", "qpk")
+             for fmt in ("csv", "json")
+             for N in (5, 6)]
+    assert _run_fresh(*argvs) == [[None, False]] + [[0, False]] * len(argvs)
+
+
+@pytest.mark.parametrize("argv,code", [
+    ("verify --suite all --N 6 --precision double", 0),
+    ("coeffs --N 6 --precision extended", 0),
+    ("coeffs --N 12", 0),
+    # q = 0.3 overrides the box family's q: the 40-digit rerun fires.
+    ("verify --suite explicit --q 0.3 --N 8 --precision double", 0),
+], ids=["verify-double", "coeffs-extended", "auto-promoted", "explicit-rerun"])
+def test_extended_values_and_limit_checks_load_mpmath(argv, code):
+    assert _run_fresh(argv.split()[:1] + BOX["qpr"] + argv.split()[1:]) == [
+        [None, False], [code, True]]
+
+
+def _module_level_imports(tree):
+    """Names imported by statements that run at import time (not inside a
+    function body)."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_mpmath_at_import_time():
+    found = [(path.name, name)
+             for path in sorted(SRC.glob("*.py"))
+             for name in _module_level_imports(ast.parse(path.read_text()))
+             if name.split(".")[0] == "mpmath"]
+    assert not found
+
+
+_IS_MP_LATE = """
+import json, sys
+from fractions import Fraction
+from qortho import scalars
+assert "mpmath" not in sys.modules
+import mpmath
+from qortho.para_racah import ParaRacahFamily
+from qortho.qseries import SeriesPlan
+from qortho.recurrence import tridiagonal
+mp = [scalars.is_mp(v) for v in (mpmath.mpf(1), mpmath.mpc(1, 2))]
+plain = [scalars.is_mp(v) for v in (1.0, 1, 1j, Fraction(1, 3))]
+plan = SeriesPlan((mpmath.mpf("0.25"),), (mpmath.mpf("0.5"),), mpmath.mpf("0.5"),
+                  mpmath.mpf("0.5"), 3)
+with mpmath.workdps(50):
+    fam = ParaRacahFamily(a=mpmath.mpf("0.9"), c=mpmath.mpf("0.7"),
+                          alpha=mpmath.mpf("0.3"), q=mpmath.mpf("0.5"), N=7)
+    tri = tridiagonal(fam)
+    entries = [[type(v) is mpmath.mpf, list(v.man_exp)] for v in tri.b + tri.u]
+print(json.dumps([mp, plain, plan.plain, entries]))
+"""
+
+
+def test_is_mp_when_mpmath_is_imported_after_qortho():
+    mp, plain, plan_plain, entries = _fresh_process(_IS_MP_LATE)
+    assert mp == [True, True]
+    assert plain == [False, False, False, False]
+    assert plan_plain is True
+    with mpmath.workdps(50):
+        fam = ParaRacahFamily(a=mpmath.mpf("0.9"), c=mpmath.mpf("0.7"),
+                              alpha=mpmath.mpf("0.3"), q=mpmath.mpf("0.5"), N=7)
+        tri = tridiagonal(fam)
+        expected = [[True, list(v.man_exp)] for v in tri.b + tri.u]
+    assert entries == expected

@@ -184,6 +184,12 @@ def test_eval_is_scaled_limit_of_biexponential_polynomials():
             assert abs(ext - target) <= 1e-6 * max(1, abs(target))
 
 
+@pytest.mark.parametrize("scalar", [float, mpmath.mpf], ids=["float", "mpf"])
+def test_infinite_delta_is_refused(scalar):
+    with pytest.raises(ValueError, match="^Delta must be finite$"):
+        ParaKrawtchoukFamily(Delta=scalar("inf"), alpha=scalar(0.5), q=scalar(0.5), N=5)
+
+
 def test_coefficient_validation():
     with pytest.raises(ValueError):
         ParaKrawtchoukFamily(Delta=1.3, alpha=0.5, q=1.5, N=4)

@@ -47,6 +47,15 @@ def test_family_validation(kwargs):
         ParaRacahFamily(**kwargs)
 
 
+@pytest.mark.parametrize("scalar", [float, mpmath.mpf], ids=["float", "mpf"])
+@pytest.mark.parametrize("field", ["a", "c"])
+def test_infinite_a_or_c_is_refused(scalar, field):
+    params = dict(a=scalar(0.9), c=scalar(0.7), alpha=scalar(0.5), q=scalar(0.5), N=5)
+    params[field] = scalar("inf")
+    with pytest.raises(ValueError, match="^parameters a and c must be finite$"):
+        ParaRacahFamily(**params)
+
+
 def test_parity_and_j():
     assert ODD.odd and ODD.j == 2
     assert not EVEN.odd and EVEN.j == 3
