@@ -1,11 +1,12 @@
 """Command-line front end: coefficient tables, lattice/weight tables, and
 verification suites, with CSV or JSON output.
 
-Exit codes: 0 success, 2 invalid parameters, usage or numeric overflow,
-3 degenerate configuration (coincident strands), 4 verification failure,
-non-finite output or a lattice-weights Gram error above tolerance.  Data goes
-to stdout, diagnostics to stderr.  A fixed configuration (including --seed
-and the precision mode) produces byte-identical output.
+Exit codes: 0 success, 2 invalid parameters, usage, numeric overflow or a
+division by zero (a denominator that underflows or vanishes at the working
+precision), 3 degenerate configuration (coincident strands), 4 verification
+failure, non-finite output or a lattice-weights Gram error above tolerance.
+Data goes to stdout, diagnostics to stderr.  A fixed configuration (including
+--seed and the precision mode) produces byte-identical output.
 
 The environment variable QORTHO_PRECISION ("double", "extended" or
 "extended:P") overrides the --precision flag.  When neither is given,
@@ -294,6 +295,12 @@ def main(argv=None) -> int:
         return EXIT_DEGENERATE
     except OverflowError as exc:
         print("numeric overflow at %s precision: %s" % (prec.label, exc), file=sys.stderr)
+        return EXIT_USAGE
+    except ZeroDivisionError as exc:
+        # Caught before ArithmeticError: a valid a = 1e-160 underflows a
+        # binary64 denominator to zero.  mpmath raises it without a message.
+        print("numeric underflow or zero denominator at %s precision: %s"
+              % (prec.label, str(exc) or "division by zero"), file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, SingularSeriesError, ArithmeticError) as exc:
         print("invalid parameters: %s" % exc, file=sys.stderr)

@@ -151,7 +151,8 @@ def richardson(values, ratio):
     estimates = [table[-1]]
     for level in range(1, len(table)):
         f = mpmath.mpf(ratio) ** level
-        table = [(f * hi - lo) / (f - 1) for lo, hi in zip(table, table[1:])]
+        d = f - 1
+        table = [(f * hi - lo) / d for lo, hi in zip(table, table[1:])]
         estimates.append(table[-1])
     return estimates
 

@@ -10,16 +10,20 @@ once with :func:`tridiagonal` and read every degree, the normalization
 products and the persymmetry residual from it.  The Askey-Wilson and q-Racah
 recurrences feed their own coefficient lists to the same loop.
 
+The deformation alpha enters b_n and u_n only at the splice n = j, j+1, so
+:meth:`TridiagonalSystem.at_alpha` gives the same family's table at another
+alpha by recomputing those entries and sharing every other one.
+
 A table belongs to one verify run or one command, which fills it once and
 hands it to every function that reads the family's coefficients; it is never
 cached beyond that: a table of mpmath values built at one working precision
-must not be read at another.
+must not be read at another, nor deformed by ``at_alpha`` at another.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .scalars import max_keep_nan
 
@@ -44,6 +48,9 @@ class BiLatticeFamily:
     Subclasses are frozen dataclasses with fields ``alpha``, ``q`` and ``N``
     beside their lattice parameters; they extend :meth:`__post_init__` with
     the checks on those parameters.  N = 2j+1 when ``odd``, N = 2j otherwise.
+    alpha enters the recurrence coefficients b_n and u_n only at n = j, j+1,
+    which is what :meth:`TridiagonalSystem.at_alpha` relies on; it must run
+    at the working precision that built the table it deforms.
     """
 
     def __post_init__(self):
@@ -103,6 +110,30 @@ class TridiagonalSystem:
         for v in self.u:
             h.append(h[-1] * v)
         return tuple(h)
+
+    def at_alpha(self, alpha) -> TridiagonalSystem:
+        """The same family's table at deformation ``alpha``.
+
+        Only b_n and u_n at n = j, j+1 carry alpha, so only they are
+        recomputed, each exactly as :func:`tridiagonal` would at the working
+        precision in force; every other entry is this table's own.  Call it
+        at the precision that built this table.
+        """
+        fam = self.family
+        # Equal alphas give the same coefficients bit for bit when they have
+        # the same type, and at 1/2, where 1 - alpha and alpha (1 - alpha)
+        # are exact in binary64 as well.
+        if alpha == fam.alpha and (alpha == 0.5 or type(alpha) is type(fam.alpha)):
+            return self
+        fam = replace(fam, alpha=alpha)
+        kind = family_module(fam)
+        b, u = list(self.b), list(self.u)
+        for n in (fam.j, fam.j + 1):
+            b[n] = kind.b_coefficient(fam, n)
+            if n:  # there is no u_0 (N = 1)
+                u[n - 1] = kind.u_coefficient(fam, n)
+        return TridiagonalSystem(family=fam, b=tuple(b), u=tuple(u),
+                                 positive=all(v > 0 for v in u))
 
 
 def family_module(fam):

@@ -13,7 +13,6 @@ dropped when the run ends.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 from dataclasses import dataclass
@@ -96,21 +95,12 @@ class RunTables:
     def half(self):
         """The table of the same family at alpha = 1/2, the isospectral
         reference."""
-        return self._at_alpha(0.5)
+        return self.tri.at_alpha(0.5)
 
     @cached_property
     def grid(self):
         """The tables at the deformations in ISOSPECTRAL_ALPHAS."""
-        return [self._at_alpha(al) for al in ISOSPECTRAL_ALPHAS]
-
-    def _at_alpha(self, alpha):
-        fam = self.fam
-        # Equal alphas give the same coefficients bit for bit when they have
-        # the same type, and at 1/2, where 1 - alpha and alpha (1 - alpha)
-        # are exact in binary64 as well.
-        if alpha == fam.alpha and (alpha == 0.5 or type(alpha) is type(fam.alpha)):
-            return self.tri
-        return tridiagonal(dataclasses.replace(fam, alpha=alpha))
+        return [self.tri.at_alpha(al) for al in ISOSPECTRAL_ALPHAS]
 
 
 def sample_family(rng, N, alpha=None, q=None):

@@ -239,6 +239,29 @@ def test_overflow_is_not_invalid_parameters(capsys, command):
     assert "overflow at double precision" in err
 
 
+@pytest.mark.parametrize("command", ["coeffs", "lattice-weights", "verify"])
+def test_underflow_is_not_invalid_parameters(capsys, command):
+    # a = 1e-160 is valid; a binary64 denominator underflows to zero.
+    argv = [command, "--kind", "qpr", "--a", "1e-160", "--c", "0.7", "--alpha", "0.5",
+            "--q", "0.5", "--N", "5", "--precision", "double"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert "invalid parameters" not in err
+    assert err == ("numeric underflow or zero denominator at double precision: "
+                   "float division by zero\n")
+
+
+def test_zero_denominator_without_a_message_names_the_precision(capsys):
+    # c = a cancels a denominator of the explicit expansion exactly; mpmath
+    # raises ZeroDivisionError with no text.
+    argv = ["verify", "--kind", "qpr", "--a", "0.7", "--c", "0.7", "--alpha", "0.5",
+            "--q", "0.5", "--N", "5", "--suite", "explicit", "--precision", "extended"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err == ("numeric underflow or zero denominator at extended:50 precision: "
+                   "division by zero\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     ("coeffs --kind qpr --a inf --c 0.7 --alpha 0.5 --q 0.5 --N 5",
      "parameters a and c must be finite"),
@@ -370,6 +393,33 @@ GOLDEN = [
      "9e4c4694979563183b1bf9672063df16f1b1a1f19bfcf3e2f9b1ad792a15a899"),
     ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 8 --suite all --format json --precision extended",
      "262703b113b92b2ea5e943fb27554de48864690930fadb9eaf26a6622ee49a27"),
+    # The isospectral suite's deformed tables: N = 1, 2, 3, where the splice
+    # n = j, j+1 reaches both ends of the table, families at alpha = 1/2 of
+    # both parities, and one at a grid alpha, each in double and extended.
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 1 --suite isospectral --format json --precision double",
+     "ad252ab62a3781b1d67dd9dbcafb316c16ae9b5d36b260f53e6269956888c112"),
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 1 --suite isospectral --format json --precision extended",
+     "4b7b05642c510814b4801a5d230e59595321ca9568a6f5c9043ba574f46382f7"),
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 2 --suite isospectral --format json --precision double",
+     "cf9c4aea8e070870cf73f6411321daa0369cf7b5ca8e07c46e83fe8156fffbd3"),
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 2 --suite isospectral --format json --precision extended",
+     "d454d2b1c671d5f6795948390d572a72b78924c9ba7fbbf31b156982a31b10c7"),
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 3 --suite isospectral --format json --precision double",
+     "48baf3f77b623c03d9eb91b4ce91104537e9c8597fb6c6f13f08e619dca7f936"),
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 3 --suite isospectral --format json --precision extended",
+     "617155709acdc5766a6a398a120ae919c4cbc8da675d754e54ea79196df7eeb6"),
+    ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 7 --suite isospectral --format json --precision double",
+     "c5987d2c30cc5b4cc058d20d2412e48b34b572b9624f695e54dfae9e25914f5b"),
+    ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 7 --suite isospectral --format json --precision extended",
+     "88c45e74c2e417bf17477f8d9ad76d89eefe9d7a40c2d08a0c03fce44ffda143"),
+    ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --suite isospectral --format json --precision double",
+     "e058683329fa2a01282ba7a22f0535c0b915eb0a4690a839e814f9a99fb17f92"),
+    ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --suite isospectral --format json --precision extended",
+     "bdf744dadca9673782f96dc1183a45bec2d5783a6a57b6f1bae99a6eb9e37bc4"),
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.7 --q 0.5 --N 4 --suite isospectral --format json --precision double",
+     "ad43926a9b403f4311bab689b95b97a9613ae62c000e25c9b9082c4fb66bf322"),
+    ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.7 --q 0.5 --N 4 --suite isospectral --format json --precision extended",
+     "eb9392c02b8c27a9e2297bdd6298866d4d3e4e2acf418ef6419f7c12fbe4c87f"),
 ]
 
 

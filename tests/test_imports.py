@@ -1,6 +1,7 @@
 """Where mpmath is loaded: a binary64 table command never imports it, every
 run that needs extended precision or a limit check does, and ``is_mp`` stays
-right when a caller imports mpmath after qortho."""
+right when a caller imports mpmath after qortho.  A ``coeffs`` process does
+not load the Askey-Wilson parent family."""
 
 import ast
 import json
@@ -54,6 +55,21 @@ def test_binary64_table_commands_never_load_mpmath():
              for fmt in ("csv", "json")
              for N in (5, 6)]
     assert _run_fresh(*argvs) == [[None, False]] + [[0, False]] * len(argvs)
+
+
+def test_coeffs_process_does_not_load_askey_wilson():
+    # -X importtime lists every module the process imports on stderr.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("QORTHO_PRECISION", None)
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "qortho.cli", "coeffs",
+                           *BOX["qpr"], "--N", "5"], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    loaded = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+              if line.startswith("import time:") and "|" in line}
+    assert "qortho.para_racah" in loaded
+    assert "qortho.askey_wilson" not in loaded
+    # The benchmark tracer (perfbench/tracer.py) looks these up in sys.modules.
+    assert {"qortho.verify", "qortho.spectral", "qortho.connections"} <= loaded
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -3,8 +3,11 @@
 ``support.eval_recurrence_with_peak`` keeps the plain forward loop over the
 coefficient functions; every family's evaluation must agree with it exactly
 (``==``), in binary64 and at 50 digits, so routing callers through the
-shared table changes no computed value.
+shared table changes no computed value.  A table deformed to another alpha
+is the table built at that alpha, entry for entry.
 """
+
+from dataclasses import replace
 
 import mpmath
 import pytest
@@ -58,6 +61,30 @@ def test_engine_matches_reference_loop_double(kind, N):
 def test_engine_matches_reference_loop_extended(kind, N):
     with mpmath.workdps(50):
         _check_family(kind, N, mpmath.mpf)
+
+
+def _bits(v):
+    return type(v), v._mpf_ if isinstance(v, mpmath.mpf) else v.hex()
+
+
+@pytest.mark.parametrize("N", range(1, 17))
+@pytest.mark.parametrize("kind", ["qpr", "qpk"])
+def test_deformed_table_is_the_table_built_at_that_alpha(kind, N):
+    # The splice n = j, j+1 reaches both ends of the table at N = 1 and 2;
+    # fam.alpha itself and alpha = 1/2 take the shortcut that returns the
+    # table unchanged.
+    for num, digits in ((float, 15), (mpmath.mpf, 50)):
+        with mpmath.workdps(digits):
+            for fam_alpha in ("0.3", "0.5"):
+                fam = (_qpr if kind == "qpr" else _qpk)(N, num)[0]
+                fam = replace(fam, alpha=num(fam_alpha))
+                tri = tridiagonal(fam)
+                for al in (0.1, 0.3, 0.5, 0.7, 0.9, fam.alpha):
+                    got, ref = tri.at_alpha(al), tridiagonal(replace(fam, alpha=al))
+                    assert got.family == ref.family
+                    assert got.positive == ref.positive
+                    assert list(map(_bits, got.b + got.u)) == list(map(_bits, ref.b + ref.u)), (
+                        num, fam_alpha, al)
 
 
 def test_table_rows_and_normalization_products():

@@ -70,6 +70,30 @@ def test_one_coefficient_call_per_family_and_degree(monkeypatch, kind, alpha, nu
     assert len(qpk_keys) == 2 * N + 1
 
 
+@pytest.mark.parametrize("num", [float, mpmath.mpf], ids=["double", "mpf"])
+@pytest.mark.parametrize("kind", ["qpr", "qpk"])
+@pytest.mark.parametrize("N", [1, 2, 3, 6, 9])
+def test_deformed_tables_recompute_only_the_splice(monkeypatch, N, kind, num):
+    # The reference and grid tables share every entry alpha does not enter
+    # with the run's own table: at most b_j, b_{j+1}, u_j and u_{j+1} each.
+    # A grid alpha equal to the family's (0.3 in double) is the run's table.
+    with mpmath.workdps(50):
+        if kind == "qpr":
+            fam = para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"),
+                                             q=num("0.5"), N=N)
+        else:
+            fam = _qpk("1.3", "0.35", "0.5", N, num)
+        run = verify.RunTables(fam)
+        tri = run.tri
+        calls = _count_coefficient_calls(monkeypatch)
+        tables = [run.half, *run.grid]
+    per_table = Counter(key[2] for key in calls.elements())
+    assert set(per_table) == {t.family for t in tables if t is not tri}
+    assert max(per_table.values()) <= 4
+    outside = [n for n in range(N + 1) if n not in (N // 2, N // 2 + 1)]
+    assert all(t.b[n] is tri.b[n] for t in tables for n in outside)
+
+
 @pytest.mark.parametrize("N", [1, 6, 9])
 def test_theta_limit_builds_one_family_per_step(monkeypatch, N):
     built = support.count_family_builds(monkeypatch, para_racah)
