@@ -7,8 +7,6 @@ are obtained from by truncation.  Only real parameters and real nome
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .qseries import SeriesSpec, terminating_series_eval
 from .recurrence import monic_values
 
@@ -37,17 +35,15 @@ class RecurrenceSingularityError(ArithmeticError):
         super().__init__("recurrence coefficients singular at n = %d" % n)
 
 
-@dataclass(frozen=True)
 class AskeyWilsonParams:
-    a: float
-    b: float
-    c: float
-    d: float
-    q: float
-
-    def __post_init__(self):
-        if not 0 < self.q < 1:
+    def __init__(self, a, b, c, d, q):
+        if not 0 < q < 1:
             raise ValueError("nome q must satisfy 0 < q < 1")
+        self.a = a
+        self.b = b
+        self.c = c
+        self.d = d
+        self.q = q
 
     @property
     def abcd(self):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
@@ -118,6 +117,7 @@ def _family_params(args) -> dict:
 
 
 def _emit_json(payload):
+    import json  # only a JSON-writing process pays for it
     print(json.dumps(payload, sort_keys=True, allow_nan=False))
 
 

@@ -9,8 +9,6 @@ the independently built bi-lattice side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .para_racah import ParaRacahFamily, limit_recurrence_ac
 from .recurrence import monic_values, tridiagonal
 from .scalars import max_keep_nan, sqrt
@@ -36,15 +34,15 @@ class ExtrapolationError(ArithmeticError):
     """Successive extrapolation estimates failed to contract."""
 
 
-@dataclass(frozen=True)
 class QRacahParams:
     """The four q-Racah parameters and the nome they live in."""
 
-    alpha: object
-    beta: object
-    gamma: object
-    delta: object
-    q: object
+    def __init__(self, alpha, beta, gamma, delta, q):
+        self.alpha = alpha
+        self.beta = beta
+        self.gamma = gamma
+        self.delta = delta
+        self.q = q
 
 
 def qracah_recurrence_ac(p: QRacahParams, n: int):

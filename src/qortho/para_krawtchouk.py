@@ -9,7 +9,6 @@ recurrence coefficients; the limit itself is exercised only by tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .para_racah import DegenerateFamilyError, LatticeWeights
 from .qseries import qpochhammer
@@ -25,7 +24,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ParaKrawtchoukFamily(BiLatticeFamily):
     """Parameter set {Delta, alpha, q, N} on the grid Delta q^s / q^s.
 
@@ -34,17 +32,19 @@ class ParaKrawtchoukFamily(BiLatticeFamily):
     structural constraints.
     """
 
-    Delta: float
-    alpha: float
-    q: float
-    N: int
+    _fields = ("Delta", "alpha", "q", "N")
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.Delta > 0:
+    def __init__(self, Delta, alpha, q, N: int):
+        self._check_shared(alpha, q, N)
+        if not Delta > 0:
             raise ValueError("Delta must be a positive real")
-        if not self.Delta < math.inf:
+        if not Delta < math.inf:
             raise ValueError("Delta must be finite")
+        fields = self.__dict__
+        fields["Delta"] = Delta
+        fields["alpha"] = alpha
+        fields["q"] = q
+        fields["N"] = N
 
     @property
     def degenerate(self) -> bool:

@@ -14,15 +14,12 @@ x = (z + 1/z)/2.  Lattice points carry their own z representatives
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
 from functools import reduce
 from operator import mul
-from typing import Optional
 
 from .qseries import SeriesPlan, qpochhammer
-from .recurrence import _DEGENERATE_TOL, BiLatticeFamily, TridiagonalSystem
+from .recurrence import _DEGENERATE_TOL, BiLatticeFamily, Record, TridiagonalSystem
 from .scalars import is_mp
 
 __all__ = [
@@ -49,7 +46,6 @@ class DegenerateFamilyError(ArithmeticError):
     """The spectrum is doubly degenerate (c = a): weights are undefined."""
 
 
-@dataclass(frozen=True)
 class ParaRacahFamily(BiLatticeFamily):
     """Parameter set {a, c, alpha, q, N} with derived parity and j.
 
@@ -60,26 +56,27 @@ class ParaRacahFamily(BiLatticeFamily):
     (weights).
     """
 
-    a: float
-    c: float
-    alpha: float
-    q: float
-    N: int
+    _fields = ("a", "c", "alpha", "q", "N")
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.a > 0 or not self.c > 0:
+    def __init__(self, a, c, alpha, q, N: int):
+        self._check_shared(alpha, q, N)
+        if not a > 0 or not c > 0:
             raise ValueError("parameters a and c must be positive reals")
-        if not self.a < math.inf or not self.c < math.inf:
+        if not a < math.inf or not c < math.inf:
             raise ValueError("parameters a and c must be finite")
+        fields = self.__dict__
+        fields["a"] = a
+        fields["c"] = c
+        fields["alpha"] = alpha
+        fields["q"] = q
+        fields["N"] = N
 
     @property
     def degenerate(self) -> bool:
         return abs(self.a - self.c) <= _DEGENERATE_TOL * max(self.a, self.c)
 
 
-@dataclass
-class LatticeWeights:
+class LatticeWeights(Record):
     """Bi-lattice points with (optionally) their orthogonality weights.
 
     Points are stored in interleaved index order: even indices on the
@@ -90,23 +87,26 @@ class LatticeWeights:
     closed-form normalization constant of the weight tables.
     """
 
-    points: tuple
-    z_points: tuple
-    weights: Optional[tuple] = None
-    weights_half: Optional[tuple] = None
-    h: Optional[tuple] = None
-    k_norm: Optional[object] = None
-    positive_measure: Optional[bool] = None
+    _fields = ("points", "z_points", "weights", "weights_half", "h", "k_norm",
+               "positive_measure")
 
-    def weighted(self, w, h, w_half=None, k_norm=None) -> "LatticeWeights":
+    def __init__(self, points: tuple, z_points: tuple, weights=None, weights_half=None,
+                 h=None, k_norm=None, positive_measure=None):
+        self.points = points
+        self.z_points = z_points
+        self.weights = weights
+        self.weights_half = weights_half
+        self.h = h
+        self.k_norm = k_norm
+        self.positive_measure = positive_measure
+
+    def weighted(self, w, h, w_half=None, k_norm=None) -> LatticeWeights:
         """These points with weights attached and the measure's sign flagged."""
         positive = all(v > 0 for v in w) and all(v > 0 for v in h[1:])
-        return dataclasses.replace(
-            self, weights=w, weights_half=w_half, h=h, k_norm=k_norm,
-            positive_measure=positive)
+        return self.replace(weights=w, weights_half=w_half, h=h, k_norm=k_norm,
+                            positive_measure=positive)
 
 
-@dataclass(frozen=True)
 class PositivityReport:
     """Two verdicts: the printed parameter inequalities and the direct u-scan.
 
@@ -114,10 +114,12 @@ class PositivityReport:
     not sharp for the even one), which is why both are reported.
     """
 
-    conditions_ok: bool
-    failed_conditions: tuple
-    u_positive: bool
-    min_u: float
+    def __init__(self, conditions_ok: bool, failed_conditions: tuple, u_positive: bool,
+                 min_u: float):
+        self.conditions_ok = conditions_ok
+        self.failed_conditions = failed_conditions
+        self.u_positive = u_positive
+        self.min_u = min_u
 
 
 def _unpack(fam):
@@ -345,12 +347,18 @@ def eval_explicit(fam: ParaRacahFamily, n: int, zs) -> list:
     sums cancel badly for small q and large N (term scale grows like
     q**(-j^2)); when the tracked term magnitude shows binary64 cannot hold
     ~1e-9 relative accuracy at a point, that point transparently reruns at
-    extended precision and is rounded back.
+    extended precision and is rounded back.  A degenerate family (c = a)
+    raises :class:`DegenerateFamilyError`.
     """
     if not 0 <= n <= fam.N:
         raise ValueError("explicit evaluation requires 0 <= n <= N")
     if any(z == 0 for z in zs):
         raise ValueError("z must be nonzero")
+    if fam.degenerate:
+        # c = a puts an exact zero in a denominator of the expansion.
+        raise DegenerateFamilyError(
+            "c = a makes the spectrum doubly degenerate; "
+            "the explicit expansion is undefined")
     route = _explicit_plan(fam, n)
     hi_route = None
     out = []
@@ -362,8 +370,8 @@ def eval_explicit(fam: ParaRacahFamily, n: int, zs) -> list:
         import mpmath
         with mpmath.workdps(_PROMOTION_DPS):
             if hi_route is None:
-                hi_route = _explicit_plan(dataclasses.replace(
-                    fam, a=mpmath.mpf(fam.a), c=mpmath.mpf(fam.c),
+                hi_route = _explicit_plan(fam.replace(
+                    a=mpmath.mpf(fam.a), c=mpmath.mpf(fam.c),
                     alpha=mpmath.mpf(fam.alpha), q=mpmath.mpf(fam.q)), n)
             hi = hi_route(mpmath.mpmathify(z))[0]
             if isinstance(z, complex):

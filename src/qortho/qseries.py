@@ -17,8 +17,6 @@ precision already dominates the roundoff budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 from .scalars import is_mp
 
@@ -83,7 +81,6 @@ def phi_basis(a, z, q, k):
     return qpochhammer(a * z, q, k) * qpochhammer(a / z, q, k)
 
 
-@dataclass
 class SeriesSpec:
     """A terminating basic hypergeometric sum.
 
@@ -93,11 +90,13 @@ class SeriesSpec:
     convention list q among the denominator parameters.
     """
 
-    numerator: tuple
-    denominator: tuple
-    q: object
-    argument: object
-    truncation: Optional[int] = None
+    def __init__(self, numerator: tuple, denominator: tuple, q, argument,
+                 truncation: int | None = None):
+        self.numerator = numerator
+        self.denominator = denominator
+        self.q = q
+        self.argument = argument
+        self.truncation = truncation
 
 
 def _terminating_degree(numerator, q) -> int:

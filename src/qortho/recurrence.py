@@ -23,11 +23,12 @@ must not be read at another, nor deformed by ``at_alpha`` at another.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from operator import attrgetter
 
 from .scalars import max_keep_nan
 
 __all__ = [
+    "Record",
     "BiLatticeFamily",
     "TridiagonalSystem",
     "monic_values",
@@ -42,24 +43,65 @@ __all__ = [
 _DEGENERATE_TOL = 1e-12
 
 
-class BiLatticeFamily:
-    """Checks and derived indices shared by the truncated families.
+class Record:
+    """Value semantics for a record class: ``replace``, ``==`` and repr.
 
-    Subclasses are frozen dataclasses with fields ``alpha``, ``q`` and ``N``
-    beside their lattice parameters; they extend :meth:`__post_init__` with
-    the checks on those parameters.  N = 2j+1 when ``odd``, N = 2j otherwise.
-    alpha enters the recurrence coefficients b_n and u_n only at n = j, j+1,
-    which is what :meth:`TridiagonalSystem.at_alpha` relies on; it must run
-    at the working precision that built the table it deforms.
+    A subclass names its fields (two or more) in a ``_fields`` tuple, in
+    ``__init__`` order, and writes its ``__init__`` out field by field;
+    ``replace`` builds the copy through that ``__init__``, so its checks run
+    again.  Equal records have the same type and equal fields.
     """
 
-    def __post_init__(self):
-        if not 0 < self.q < 1:
+    def replace(self, **changes):
+        """A copy with the named fields changed."""
+        values = dict(zip(self._fields, self._values()))
+        values.update(changes)
+        return type(self)(**values)
+
+    def _values(self) -> tuple:
+        return attrgetter(*self._fields)(self)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+
+class BiLatticeFamily(Record):
+    """Checks and derived indices shared by the truncated families.
+
+    Subclasses are immutable records with fields ``alpha``, ``q`` and ``N``
+    beside their lattice parameters; their ``__init__`` calls
+    :meth:`_check_shared` before its own checks on those parameters and
+    stores each field in the instance ``__dict__``.  A family hashes by
+    value.  N = 2j+1 when ``odd``, N = 2j otherwise.  alpha enters the
+    recurrence coefficients b_n and u_n only at n = j, j+1, which is what
+    :meth:`TridiagonalSystem.at_alpha` relies on; it must run at the working
+    precision that built the table it deforms.
+    """
+
+    @staticmethod
+    def _check_shared(alpha, q, N):
+        if not 0 < q < 1:
             raise ValueError("nome q must satisfy 0 < q < 1")
-        if not 0 < self.alpha < 1:
+        if not 0 < alpha < 1:
             raise ValueError("deformation alpha must satisfy 0 < alpha < 1")
-        if self.N < 1 or self.N != int(self.N):
+        if N < 1 or N != int(N):
             raise ValueError("N must be an integer >= 1")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to %r: a family is immutable; "
+                             "use replace()" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete %r: a family is immutable" % name)
+
+    def __hash__(self):
+        return hash(self._values())
 
     @property
     def odd(self) -> bool:
@@ -83,8 +125,7 @@ def monic_values(b, u, x) -> list:
     return out
 
 
-@dataclass
-class TridiagonalSystem:
+class TridiagonalSystem(Record):
     """Recurrence table of one family: diagonal b_0..b_N, sub-diagonal u_1..u_N.
 
     Built by :func:`tridiagonal` for either family kind; it evaluates P_0 up
@@ -94,10 +135,13 @@ class TridiagonalSystem:
     the Favard condition u_n > 0.
     """
 
-    family: object
-    b: tuple
-    u: tuple
-    positive: bool
+    _fields = ("family", "b", "u", "positive")
+
+    def __init__(self, family, b: tuple, u: tuple, positive: bool):
+        self.family = family
+        self.b = b
+        self.u = u
+        self.positive = positive
 
     def values(self, x, n=None) -> list:
         """[P_0(x), ..., P_n(x)] for n <= N+1 (default N+1)."""
@@ -125,7 +169,7 @@ class TridiagonalSystem:
         # are exact in binary64 as well.
         if alpha == fam.alpha and (alpha == 0.5 or type(alpha) is type(fam.alpha)):
             return self
-        fam = replace(fam, alpha=alpha)
+        fam = fam.replace(alpha=alpha)
         kind = family_module(fam)
         b, u = list(self.b), list(self.u)
         for n in (fam.j, fam.j + 1):

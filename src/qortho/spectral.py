@@ -9,7 +9,6 @@ Numer. Math. 11, 1968; EISPACK ``tql1``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .para_racah import lattice
 from .recurrence import TridiagonalSystem
@@ -29,10 +28,10 @@ __all__ = [
 _MAX_SWEEPS = 30
 
 
-@dataclass(frozen=True, eq=False)
 class SymmetricTridiagonal:
-    diagonal: tuple
-    offdiag: tuple
+    def __init__(self, diagonal: tuple, offdiag: tuple):
+        self.diagonal = diagonal
+        self.offdiag = offdiag
 
 
 def build_jacobi(tri: TridiagonalSystem) -> SymmetricTridiagonal:

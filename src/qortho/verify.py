@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
 
@@ -48,13 +47,14 @@ TOL_LATTICE_ROOT = 1e-9
 ISOSPECTRAL_ALPHAS = (0.1, 0.3, 0.7, 0.9)
 
 
-@dataclass
 class Check:
-    name: str
-    passed: bool
-    residual: float
-    tolerance: float
-    note: str = ""
+    def __init__(self, name: str, passed: bool, residual: float, tolerance: float,
+                 note: str = ""):
+        self.name = name
+        self.passed = passed
+        self.residual = residual
+        self.tolerance = tolerance
+        self.note = note
 
 
 def _check(name, residual, tolerance, note=""):

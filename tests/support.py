@@ -7,7 +7,6 @@ coefficient tables are checked against.  The per-point and limit references
 at the end are the exact-equality references of the library routes.
 """
 
-import dataclasses
 
 import mpmath
 
@@ -159,8 +158,8 @@ def eval_explicit_reference(fam, n, zs):
             continue
         with mpmath.workdps(para_racah._PROMOTION_DPS):
             if hi_fam is None:
-                hi_fam = dataclasses.replace(
-                    fam, a=mpmath.mpf(fam.a), c=mpmath.mpf(fam.c),
+                hi_fam = fam.replace(
+                    a=mpmath.mpf(fam.a), c=mpmath.mpf(fam.c),
                     alpha=mpmath.mpf(fam.alpha), q=mpmath.mpf(fam.q))
                 hi_eta = para_racah._eta(hi_fam, n)
             hi = explicit_value_reference(hi_fam, n, mpmath.mpmathify(z), hi_eta)[0]

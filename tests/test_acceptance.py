@@ -6,7 +6,6 @@ parameter box (a, c in [0.2, 0.95], q in [0.3, 0.8], alpha in
 {0.25, 0.5, 0.75}) restricted to the positivity region.
 """
 
-import dataclasses
 import json
 import math
 import random
@@ -91,11 +90,11 @@ def test_criterion_03_bispectrality():
 def test_criterion_04_persymmetry_isospectrality():
     fams, _ = _families(104, range(2, 10), 3)
     for fam in fams:
-        half = dataclasses.replace(fam, alpha=0.5)
+        half = fam.replace(alpha=0.5)
         mat = spectral.build_jacobi(recurrence.tridiagonal(half))
         assert spectral.persymmetry_residual(mat) <= 1e-12
         norm = spectral.matrix_norm(mat)
-        tables = [recurrence.tridiagonal(dataclasses.replace(fam, alpha=alpha))
+        tables = [recurrence.tridiagonal(fam.replace(alpha=alpha))
                   for alpha in (0.1, 0.3, 0.5, 0.7, 0.9)]
         dev = spectral.isospectrality_check(spectral.spectrum(mat), tables)
         assert dev <= 1e-9 * norm, (fam, dev)
@@ -121,7 +120,7 @@ def test_criterion_06_christoffel_cross_check():
     # orientation, which is the a > c interlacing.
     fams, _ = _families(106, range(2, 8), 3, orientation="a>c")
     for fam in fams:
-        half = dataclasses.replace(fam, alpha=0.5)
+        half = fam.replace(alpha=0.5)
         half_tri = recurrence.tridiagonal(half)
         lw = para_racah.weights(recurrence.tridiagonal(fam))
         cw = para_racah.weights_from_christoffel(recurrence.tridiagonal(fam))

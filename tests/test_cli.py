@@ -252,14 +252,28 @@ def test_underflow_is_not_invalid_parameters(capsys, command):
 
 
 def test_zero_denominator_without_a_message_names_the_precision(capsys):
-    # c = a cancels a denominator of the explicit expansion exactly; mpmath
-    # raises ZeroDivisionError with no text.
-    argv = ["verify", "--kind", "qpr", "--a", "0.7", "--c", "0.7", "--alpha", "0.5",
-            "--q", "0.5", "--N", "5", "--suite", "explicit", "--precision", "extended"]
+    # a = c q^j (a / c = q at N = 2, the edge of the positivity region) is an
+    # exact zero of the factor a - c q^j in the denominator of the closed-form
+    # weights' normalization; mpmath raises ZeroDivisionError with no text.
+    argv = ["lattice-weights", "--kind", "qpr", "--a", "0.125", "--c", "0.25",
+            "--alpha", "0.5", "--q", "0.5", "--N", "2", "--precision", "extended"]
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert err == ("numeric underflow or zero denominator at extended:50 precision: "
                    "division by zero\n")
+
+
+@pytest.mark.parametrize("suite", ["explicit", "all"])
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_verify_degenerate_exits_3(capsys, suite, precision):
+    # c = a: the explicit expansion refuses the family as lattice-weights does.
+    code, out, err = run_cli(capsys, [
+        "verify", "--kind", "qpr", "--a", "0.7", "--c", "0.7", "--alpha", "0.5",
+        "--q", "0.5", "--N", "5", "--suite", suite, "--precision", precision])
+    assert code == 3
+    assert out == ""
+    assert err == ("degenerate configuration: c = a makes the spectrum doubly "
+                   "degenerate; the explicit expansion is undefined\n")
 
 
 @pytest.mark.parametrize("argv,message", [

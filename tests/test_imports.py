@@ -1,7 +1,10 @@
-"""Where mpmath is loaded: a binary64 table command never imports it, every
-run that needs extended precision or a limit check does, and ``is_mp`` stays
-right when a caller imports mpmath after qortho.  A ``coeffs`` process does
-not load the Askey-Wilson parent family."""
+"""What a process loads.  mpmath: a binary64 table command never imports
+it, every run that needs extended precision or a limit check does, and
+``is_mp`` stays right when a caller imports mpmath after qortho.  A ``coeffs``
+process does not load the Askey-Wilson parent family; no process loads
+``dataclasses`` (or the ``inspect`` it pulls in), and only a JSON-writing one
+loads ``json``.  No module imports mpmath, ``dataclasses`` or ``typing`` at
+import time."""
 
 import ast
 import json
@@ -57,18 +60,35 @@ def test_binary64_table_commands_never_load_mpmath():
     assert _run_fresh(*argvs) == [[None, False]] + [[0, False]] * len(argvs)
 
 
-def test_coeffs_process_does_not_load_askey_wilson():
-    # -X importtime lists every module the process imports on stderr.
+def _modules_loaded_by(*argv):
+    """Every module a ``python -m qortho.cli`` process with ``argv`` imports,
+    read from -X importtime on stderr."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("QORTHO_PRECISION", None)
-    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "qortho.cli", "coeffs",
-                           *BOX["qpr"], "--N", "5"], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    loaded = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
-              if line.startswith("import time:") and "|" in line}
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "qortho.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+def test_coeffs_process_does_not_load_askey_wilson():
+    loaded = _modules_loaded_by("coeffs", *BOX["qpr"], "--N", "5")
     assert "qortho.para_racah" in loaded
     assert "qortho.askey_wilson" not in loaded
     # The benchmark tracer (perfbench/tracer.py) looks these up in sys.modules.
+    assert {"qortho.verify", "qortho.spectral", "qortho.connections"} <= loaded
+
+
+@pytest.mark.parametrize("argv", [
+    "coeffs --format csv", "coeffs --format json",
+    "lattice-weights --format csv", "lattice-weights --format json",
+    "verify --suite all --precision double",
+])
+def test_no_process_loads_dataclasses_and_only_json_output_loads_json(argv):
+    command, *rest = argv.split()
+    loaded = _modules_loaded_by(command, *BOX["qpr"], "--N", "5", *rest)
+    assert not {"dataclasses", "inspect"} & loaded
+    assert ("json" in loaded) == ("json" in rest)
     assert {"qortho.verify", "qortho.spectral", "qortho.connections"} <= loaded
 
 
@@ -99,11 +119,15 @@ def _module_level_imports(tree):
         stack.extend(ast.iter_child_nodes(node))
 
 
-def test_no_module_imports_mpmath_at_import_time():
+# Loaded inside the functions that need them (mpmath), or not at all.
+_DENIED_AT_IMPORT_TIME = {"mpmath", "dataclasses", "typing"}
+
+
+def test_no_module_imports_a_denied_module_at_import_time():
     found = [(path.name, name)
              for path in sorted(SRC.glob("*.py"))
              for name in _module_level_imports(ast.parse(path.read_text()))
-             if name.split(".")[0] == "mpmath"]
+             if name.split(".")[0] in _DENIED_AT_IMPORT_TIME]
     assert not found
 
 

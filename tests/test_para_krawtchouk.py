@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -23,7 +22,7 @@ EVEN = ParaKrawtchoukFamily(Delta=1.3, alpha=0.35, q=0.5, N=6)
 def test_mid_band_u_read_off():
     # at alpha = 1/2 the deformation slot is alpha(1-alpha)(Delta-1)^2
     # (1-q^(j+1))^2/(1-q)^2
-    fam = dataclasses.replace(ODD, alpha=0.5)
+    fam = ODD.replace(alpha=0.5)
     j, D, q = fam.j, fam.Delta, fam.q
     expected = 0.25 * (D - 1) ** 2 * (1 - q ** (j + 1)) ** 2 / (1 - q) ** 2
     assert u_coefficient(fam, j + 1) == pytest.approx(expected, rel=1e-14)
@@ -95,8 +94,8 @@ def test_gram_orthogonality_and_sums(N, alpha):
 def test_persymmetric_weights_reflect_through_gram_structure():
     # At alpha = 1/2 the top polynomial takes values +/- sqrt(h_N) on the
     # grid with signs alternating along the value-sorted lattice.
-    for fam in (dataclasses.replace(ODD, alpha=0.5),
-                dataclasses.replace(EVEN, alpha=0.5)):
+    for fam in (ODD.replace(alpha=0.5),
+                EVEN.replace(alpha=0.5)):
         tri = tridiagonal(fam)
         hN = tri.h[-1]
         pts = lattice_points(fam)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -67,7 +66,7 @@ def test_mid_band_u_vanishes_when_strands_coincide():
 
 
 def test_persymmetric_point_has_equal_mid_diagonals():
-    fam = dataclasses.replace(ODD, alpha=0.5)
+    fam = ODD.replace(alpha=0.5)
     assert b_coefficient(fam, fam.j) == pytest.approx(
         b_coefficient(fam, fam.j + 1), rel=1e-14)
 
@@ -326,6 +325,17 @@ def test_weights_refuse_degenerate_spectrum():
         weights_from_christoffel(tridiagonal(fam))
 
 
+@pytest.mark.parametrize("scalar,dps", [(float, 15), (mpmath.mpf, 50)], ids=["double", "50"])
+def test_explicit_refuses_degenerate_family(scalar, dps):
+    with mpmath.workdps(dps):
+        for N in (5, 6):
+            fam = ParaRacahFamily(a=scalar(0.7), c=scalar(0.7), alpha=scalar(0.5),
+                                  q=scalar(0.5), N=N)
+            for n in range(N + 1):
+                with pytest.raises(DegenerateFamilyError, match="explicit expansion"):
+                    eval_explicit(fam, n, [scalar(1.7)])
+
+
 def test_signed_measure_is_flagged_not_raised():
     fam = ParaRacahFamily(a=0.9, c=0.2, alpha=0.5, q=0.5, N=4)
     assert not positivity_check(tridiagonal(fam)).u_positive
@@ -335,7 +345,7 @@ def test_signed_measure_is_flagged_not_raised():
 
 def test_beta_factor_profile():
     for alpha in (0.25, 0.75):
-        fam = dataclasses.replace(ODD, alpha=alpha)
+        fam = ODD.replace(alpha=alpha)
         lw = weights(tridiagonal(fam))
         ratios = [w / wh for w, wh in zip(lw.weights, lw.weights_half)]
         beta = (ratios[0] - ratios[1]) / (ratios[0] + ratios[1])
@@ -360,7 +370,7 @@ def test_signed_square_root_evaluation_at_half():
 
 
 def test_k_norm_is_square_root_of_product_odd_case():
-    half = tridiagonal(dataclasses.replace(ODD, alpha=0.5))
+    half = tridiagonal(ODD.replace(alpha=0.5))
     lw = weights(half)
     h = half.h
     assert abs(lw.k_norm) == pytest.approx(math.sqrt(h[-1]), rel=1e-12)
@@ -523,6 +533,10 @@ def test_explicit_singular_denominators_raise_as_the_reference():
                 fam = ParaRacahFamily(a=a, c=c, alpha=0.3, q=0.5, N=N)
                 for n in range(N + 1):
                     got = _outcome(eval_explicit, fam, n, zs)
+                    if fam.degenerate:
+                        # c = a is refused at every degree, before any sum.
+                        assert got == (DegenerateFamilyError, None, None)
+                        continue
                     assert got == _outcome(support.eval_explicit_reference, fam, n, zs)
                     singular += isinstance(got, tuple) and got[0] is SingularSeriesError
     assert singular > 0
@@ -548,7 +562,7 @@ def test_weights_equal_per_point_reference(scalar, dps):
         for N in range(1, 21):
             fam = _draw_family(rng, N, scalar)
             lw = weights(tridiagonal(fam))
-            half = dataclasses.replace(fam, alpha=0.5)
+            half = fam.replace(alpha=0.5)
             k_norm = para_racah._k_norm(fam)
             assert lw.weights == tuple(support.weight_reference(fam, i, k_norm)
                                        for i in range(N + 1))

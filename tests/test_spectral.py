@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -59,7 +58,7 @@ def test_spectrum_rejects_non_finite_entries():
 
 
 def test_persymmetric_matrix_at_half():
-    fam = dataclasses.replace(FAM, alpha=0.5)
+    fam = FAM.replace(alpha=0.5)
     m = build_jacobi(tridiagonal(fam))
     assert persymmetry_residual(m) <= 1e-12
 
@@ -71,27 +70,27 @@ def test_persymmetry_broken_away_from_half():
 
 def test_spectrum_equals_bilattice():
     for N in (4, 5, 7, 9, 16, 30):
-        tri = tridiagonal(dataclasses.replace(FAM, N=N))
+        tri = tridiagonal(FAM.replace(N=N))
         m = build_jacobi(tri)
         assert spectrum_vs_lattice(spectrum(m), tri.family) <= 1e-9 * matrix_norm(m)
 
 
 def test_isospectrality_reference_point_is_exact():
-    half = tridiagonal(dataclasses.replace(FAM, alpha=0.5))
+    half = tridiagonal(FAM.replace(alpha=0.5))
     assert isospectrality_check(spectrum(build_jacobi(half)), [half]) == 0.0
 
 
 def test_isospectrality_across_deformations():
     m = build_jacobi(tridiagonal(FAM))
-    half = tridiagonal(dataclasses.replace(FAM, alpha=0.5))
+    half = tridiagonal(FAM.replace(alpha=0.5))
     dev = isospectrality_check(
         spectrum(build_jacobi(half)),
-        [tridiagonal(dataclasses.replace(FAM, alpha=al)) for al in (0.1, 0.3, 0.7, 0.9)])
+        [tridiagonal(FAM.replace(alpha=al)) for al in (0.1, 0.3, 0.7, 0.9)])
     assert dev <= 1e-9 * matrix_norm(m)
 
 
 def test_spectrum_matches_lattice_points_sorted():
-    fam = dataclasses.replace(FAM, N=6)
+    fam = FAM.replace(N=6)
     m = build_jacobi(tridiagonal(fam))
     eig = spectrum(m)
     pts = sorted(float(x) for x in lattice(fam).points)

@@ -3,7 +3,6 @@ limit oracles' step families built once, NaN-keeping residual folds, Gram
 errors beyond the binary64 range, named fixed precisions, and the benchmark
 tracer's view of the suites."""
 
-import dataclasses
 import importlib
 import importlib.util
 import itertools
@@ -110,8 +109,8 @@ def test_theta_limit_matches_the_per_degree_reference(kind, N):
         with mpmath.workdps(digits):
             if kind == "qpr":
                 fam = verify.sample_family(rng, N, alpha=rng.choice([0.25, 0.5, 0.75]))
-                fam = dataclasses.replace(fam, a=num(fam.a), c=num(fam.c),
-                                          alpha=num(fam.alpha), q=num(fam.q))
+                fam = fam.replace(a=num(fam.a), c=num(fam.c),
+                                  alpha=num(fam.alpha), q=num(fam.q))
             else:
                 fam = _qpk(rng.uniform(1.05, 1.5), rng.choice([0.25, 0.5, 0.75]),
                            rng.uniform(0.3, 0.6), N, num)
@@ -141,8 +140,8 @@ def test_qpk_theta_limit_reads_the_runs_own_table():
         every = {c.name: c.residual for c in verify.run_suite("all", fam)}
         run = verify.RunTables(fam)
         tri = run.tri
-        run.tri = dataclasses.replace(tri, b=(tri.b[0] * (1 + mpmath.mpf(10) ** -20),)
-                                      + tri.b[1:])
+        run.tri = tri.replace(b=(tri.b[0] * (1 + mpmath.mpf(10) ** -20),)
+                              + tri.b[1:])
         perturbed = verify.suite_qpk_limit(run, None)[0].residual
     assert alone == every["qpk-limit/qpk-theta-limit"]
     assert 1e-35 < alone <= 1e-28
@@ -161,7 +160,7 @@ def test_isospectral_suite_spectrum_count(monkeypatch, alpha, spectra):
         return original(m)
 
     monkeypatch.setattr(spectral, "spectrum", counted)
-    checks = verify.run_suite("isospectral", dataclasses.replace(FAM, alpha=alpha))
+    checks = verify.run_suite("isospectral", FAM.replace(alpha=alpha))
     assert all(c.passed for c in checks)
     assert len(calls) == spectra
 
@@ -215,7 +214,7 @@ NAN_CASES = [
      lambda k, args: args[1] == 2, lambda r: NAN),
     ("orthogonality", "christoffel-cross-check", para_racah, "weights_from_christoffel",
      lambda k, args: True,
-     lambda lw: dataclasses.replace(lw, weights=tuple(_nan_at_1(lw.weights)))),
+     lambda lw: lw.replace(weights=tuple(_nan_at_1(lw.weights)))),
     ("persymmetry", "coefficient-persymmetry", para_racah, "b_coefficient",
      lambda k, args: args[1] == 2, lambda r: NAN),
     ("isospectral", "isospectrality", spectral, "spectrum", lambda k, args: k == 3,
