@@ -10,9 +10,9 @@ load.
 """
 
 from .para_krawtchouk import ParaKrawtchoukFamily
-from .para_racah import DegenerateFamilyError, LatticeWeights, ParaRacahFamily
+from .para_racah import DegenerateFamilyError, ParaRacahFamily
 from .qseries import SeriesSpec, SingularSeriesError
-from .recurrence import TridiagonalSystem
+from .recurrence import LatticeWeights, TridiagonalSystem
 
 __version__ = "0.1.0"
 

@@ -8,7 +8,7 @@ are obtained from by truncation.  Only real parameters and real nome
 from __future__ import annotations
 
 from .qseries import SeriesSpec, terminating_series_eval
-from .recurrence import monic_values
+from .recurrence import monic_coefficients, monic_values, qdifference_residual
 
 __all__ = [
     "AskeyWilsonParams",
@@ -99,22 +99,9 @@ def monic_eval(p: AskeyWilsonParams, n: int, z):
         raise ValueError("n must be non-negative")
     if z == 0:
         raise ValueError("z must be nonzero")
-    b, u = [], []
-    prev_A = None
-    for m in range(n):
-        A, C = recurrence_ac(p, m)
-        b.append((p.a + 1 / p.a - A - C) / 2)
-        u.append(0.0 if m == 0 else prev_A * C / 4)
-        prev_A = A
+    # The recurrence is in the variable 2x.
+    b, u = monic_coefficients(lambda m: recurrence_ac(p, m), n, p.a + 1 / p.a, 2)
     return monic_values(b, u, (z + 1 / z) / 2)[-1]
-
-
-def _shift_coefficient(p: AskeyWilsonParams, z):
-    z2 = z * z
-    den = (1 - z2) * (1 - p.q * z2)
-    if abs(den) < 1e-12:
-        raise ValueError("evaluation point too close to a shift-operator pole")
-    return ((1 - p.a * z) * (1 - p.b * z) * (1 - p.c * z) * (1 - p.d * z)) / den
 
 
 def qdiff_residual(p: AskeyWilsonParams, n: int, z):
@@ -131,19 +118,10 @@ def qdiff_residual(p: AskeyWilsonParams, n: int, z):
     if n < 0:
         raise ValueError("n must be non-negative")
     q = p.q
-    coef_up = _shift_coefficient(p, z)
-    coef_dn = _shift_coefficient(p, 1 / z)
-    w_up = monic_eval(p, n, q * z)
-    w_mid = monic_eval(p, n, z)
-    w_dn = monic_eval(p, n, z / q)
     lam = q ** -n * (1 - q ** n) * (1 - p.abcd * q ** (n - 1))
-    lhs = lam * w_mid
-    t_up = coef_up * w_up
-    t_mid = (coef_up + coef_dn) * w_mid
-    t_dn = coef_dn * w_dn
-    residual = lhs - (t_up - t_mid + t_dn)
-    scale = max(abs(lhs), abs(t_up), abs(t_mid), abs(t_dn))
-    return residual, scale
+    return qdifference_residual(
+        lambda x: (1 - p.a * x) * (1 - p.b * x) * (1 - p.c * x) * (1 - p.d * x),
+        lambda x: monic_eval(p, n, x), lam, q, z)
 
 
 def truncation_check(p: AskeyWilsonParams, N: int, tol: float = _TRUNCATION_TOL) -> str:

@@ -91,34 +91,35 @@ def _resolve_precision(args) -> _Precision:
     return _Precision(False, 0)
 
 
+# Per family kind: its class, its lattice parameters (the options that only
+# this kind takes) and the name of the lattice variable in lattice-weights
+# output.
+_KINDS = {
+    "qpr": (para_racah.ParaRacahFamily, ("a", "c"), "x"),
+    "qpk": (para_krawtchouk.ParaKrawtchoukFamily, ("Delta",), "y"),
+}
+
+
 def _build_family(args, prec: _Precision):
+    cls, lattice_params, _ = _KINDS[args.kind]
+    if any(getattr(args, name) is None for name in lattice_params):
+        raise ValueError("kind %r requires %s" % (
+            args.kind, " and ".join("--" + name for name in lattice_params)))
     ext = prec.extended
-    if args.kind == "qpr":
-        if args.a is None or args.c is None:
-            raise ValueError("kind 'qpr' requires --a and --c")
-        return para_racah.ParaRacahFamily(
-            a=as_scalar(args.a, ext), c=as_scalar(args.c, ext),
-            alpha=as_scalar(args.alpha, ext), q=as_scalar(args.q, ext), N=args.N)
-    if args.Delta is None:
-        raise ValueError("kind 'qpk' requires --Delta")
-    return para_krawtchouk.ParaKrawtchoukFamily(
-        Delta=as_scalar(args.Delta, ext), alpha=as_scalar(args.alpha, ext),
-        q=as_scalar(args.q, ext), N=args.N)
+    return cls(**{name: as_scalar(getattr(args, name), ext) for name in lattice_params},
+               alpha=as_scalar(args.alpha, ext), q=as_scalar(args.q, ext), N=args.N)
 
 
-def _family_params(args) -> dict:
-    out = {"kind": args.kind, "alpha": args.alpha, "q": args.q, "N": args.N,
-           "seed": args.seed}
-    if args.kind == "qpr":
-        out.update(a=args.a, c=args.c)
-    else:
-        out.update(Delta=args.Delta)
-    return out
-
-
-def _emit_json(payload):
+def _emit_json(args, prec: _Precision, **body):
+    """Print the command's JSON document: the envelope every command shares
+    (schema version, command, precision, family parameters) and ``body``."""
     import json  # only a JSON-writing process pays for it
-    print(json.dumps(payload, sort_keys=True, allow_nan=False))
+    params = {"kind": args.kind, "alpha": args.alpha, "q": args.q, "N": args.N,
+              "seed": args.seed}
+    params.update((name, getattr(args, name)) for name in _KINDS[args.kind][1])
+    print(json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command,
+                      "precision": prec.label, "params": params, **body},
+                     sort_keys=True, allow_nan=False))
 
 
 def _json_float(x):
@@ -153,20 +154,10 @@ def cmd_coeffs(args, prec: _Precision) -> int:
             for n, b, u in rows:
                 print("%d,%s,%s" % (n, prec.fmt(b), prec.fmt(u)))
         else:
-            _emit_json({
-                "schema_version": SCHEMA_VERSION,
-                "command": "coeffs",
-                "precision": prec.label,
-                "params": _family_params(args),
-                "rows": [{"n": n, "b": _json_number(b, prec),
-                          "u": _json_number(u, prec)} for n, b, u in rows],
-            })
+            _emit_json(args, prec, rows=[{"n": n, "b": _json_number(b, prec),
+                                          "u": _json_number(u, prec)} for n, b, u in rows])
         printed = [v for _, b, u in rows for v in (b, u)]
     return _refuse_non_finite(printed)
-
-
-# Name of the lattice variable in lattice-weights output, per family kind.
-_POINT_KEY = {"qpr": "x", "qpk": "y"}
 
 
 def cmd_lattice_weights(args, prec: _Precision) -> int:
@@ -176,9 +167,8 @@ def cmd_lattice_weights(args, prec: _Precision) -> int:
         lw = family_module(fam).weights(tri)
         pts = lw.points
         gram_max = max_keep_nan(*verify.gram_errors(tri, lw))
-        point_key = _POINT_KEY[args.kind]
-        sum_even = sum(lw.weights[i] for i in range(0, fam.N + 1, 2))
-        sum_odd = sum(lw.weights[i] for i in range(1, fam.N + 1, 2))
+        point_key = _KINDS[args.kind][2]
+        sum_even, sum_odd = lw.strand_sums()
         if args.format == "csv":
             print("s,%s,w" % point_key)
             for s in range(fam.N + 1):
@@ -187,20 +177,15 @@ def cmd_lattice_weights(args, prec: _Precision) -> int:
             print("# sum_odd = %s" % prec.fmt(sum_odd))
             print("# gram_max_error = %.3e" % gram_max)
         else:
-            _emit_json({
-                "schema_version": SCHEMA_VERSION,
-                "command": "lattice-weights",
-                "precision": prec.label,
-                "params": _family_params(args),
-                "rows": [{"s": s, point_key: _json_number(pts[s], prec),
-                          "w": _json_number(lw.weights[s], prec)}
-                         for s in range(fam.N + 1)],
-                "trailer": {
-                    "sum_even": _json_number(sum_even, prec),
-                    "sum_odd": _json_number(sum_odd, prec),
-                    "gram_max_error": _json_float(gram_max),
-                },
-            })
+            _emit_json(args, prec,
+                       rows=[{"s": s, point_key: _json_number(pts[s], prec),
+                              "w": _json_number(lw.weights[s], prec)}
+                             for s in range(fam.N + 1)],
+                       trailer={
+                           "sum_even": _json_number(sum_even, prec),
+                           "sum_odd": _json_number(sum_odd, prec),
+                           "gram_max_error": _json_float(gram_max),
+                       })
         printed = (*pts, *lw.weights, sum_even, sum_odd, gram_max)
     if _refuse_non_finite(printed):
         return EXIT_VERIFY
@@ -213,11 +198,7 @@ def cmd_lattice_weights(args, prec: _Precision) -> int:
 
 def cmd_verify(args, prec: _Precision) -> int:
     with prec.context():
-        fam = _build_family(args, prec)
-        if args.suite != "all" and args.suite not in verify.suite_names_for(fam):
-            raise ValueError("suite %r is not defined for kind %r"
-                             % (args.suite, args.kind))
-        checks = verify.run_suite(args.suite, fam, seed=args.seed)
+        checks = verify.run_suite(args.suite, _build_family(args, prec), seed=args.seed)
     if args.format == "csv":
         print("check,status,residual,tolerance,note")
         for chk in checks:
@@ -225,20 +206,13 @@ def cmd_verify(args, prec: _Precision) -> int:
                 chk.name, "pass" if chk.passed else "fail",
                 chk.residual, chk.tolerance, chk.note))
     else:
-        _emit_json({
-            "schema_version": SCHEMA_VERSION,
-            "command": "verify",
-            "precision": prec.label,
-            "suite": args.suite,
-            "params": _family_params(args),
-            "checks": [{
-                "name": chk.name,
-                "status": "pass" if chk.passed else "fail",
-                "residual": _json_float(chk.residual),
-                "tolerance": _json_float(chk.tolerance),
-                "note": chk.note,
-            } for chk in checks],
-        })
+        _emit_json(args, prec, suite=args.suite, checks=[{
+            "name": chk.name,
+            "status": "pass" if chk.passed else "fail",
+            "residual": _json_float(chk.residual),
+            "tolerance": _json_float(chk.tolerance),
+            "note": chk.note,
+        } for chk in checks])
     if all(chk.passed for chk in checks):
         return EXIT_OK
     print("verification failed: %d of %d checks"
@@ -247,7 +221,7 @@ def cmd_verify(args, prec: _Precision) -> int:
 
 
 def _add_family_arguments(p: argparse.ArgumentParser):
-    p.add_argument("--kind", choices=("qpr", "qpk"), default="qpr",
+    p.add_argument("--kind", choices=tuple(_KINDS), default="qpr",
                    help="family kind: biexponential (qpr) or exponential (qpk)")
     p.add_argument("--a", help="a parameter (qpr)")
     p.add_argument("--c", help="c parameter (qpr)")

@@ -10,7 +10,7 @@ the independently built bi-lattice side.
 from __future__ import annotations
 
 from .para_racah import ParaRacahFamily, limit_recurrence_ac
-from .recurrence import monic_values, tridiagonal
+from .recurrence import monic_coefficients, monic_values, tridiagonal
 from .scalars import max_keep_nan, sqrt
 
 __all__ = [
@@ -63,15 +63,10 @@ def qracah_recurrence_ac(p: QRacahParams, n: int):
 
 
 def _qracah_monic_coefficients(p: QRacahParams, n: int):
-    """Monic coefficients b_0..b_{n-1} and u_0..u_{n-1} (u_0 = 0.0)."""
-    b, u = [], []
-    prev_A = None
-    for m in range(n):
-        A, C = qracah_recurrence_ac(p, m)
-        b.append(1 + p.gamma * p.delta * p.q - A - C)
-        u.append(0.0 if m == 0 else prev_A * C)
-        prev_A = A
-    return b, u
+    """Monic coefficients b_0..b_{n-1} and u_0..u_{n-1} (u_0 = 0.0); the
+    recurrence is in the variable y itself."""
+    return monic_coefficients(lambda m: qracah_recurrence_ac(p, m), n,
+                              1 + p.gamma * p.delta * p.q, 1)
 
 
 def qracah_monic_eval(p: QRacahParams, n: int, y):

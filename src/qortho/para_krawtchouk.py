@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 
-from .para_racah import DegenerateFamilyError, LatticeWeights
+from .para_racah import DegenerateFamilyError
 from .qseries import qpochhammer
-from .recurrence import _DEGENERATE_TOL, BiLatticeFamily, TridiagonalSystem
+from .recurrence import (_DEGENERATE_TOL, BiLatticeFamily, LatticeWeights,
+                         TridiagonalSystem, interleave)
 
 __all__ = [
     "ParaKrawtchoukFamily",
@@ -93,12 +94,8 @@ def u_coefficient(fam: ParaKrawtchoukFamily, n: int):
 def lattice_points(fam: ParaKrawtchoukFamily) -> tuple:
     """Interleaved exponential bi-lattice: Delta q^s on even indices, q^s on odd."""
     D, q, j = fam.Delta, fam.q, fam.j
-    pts = [None] * (fam.N + 1)
-    for s in range(j + 1):
-        pts[2 * s] = D * q ** s
-    for s in range(fam.N - j):
-        pts[2 * s + 1] = q ** s
-    return tuple(pts)
+    return interleave([D * q ** s for s in range(j + 1)],
+                      [q ** s for s in range(fam.N - j)])
 
 
 def eval_recurrence(tri: TridiagonalSystem, n: int, y):
@@ -123,10 +120,10 @@ def _k_norm(fam: ParaKrawtchoukFamily):
                * qp(q ** (-2 * j - 1), q2, j) ** 2 * qp(-q, q, j) ** 2))
 
 
-def _weight_at(fam: ParaKrawtchoukFamily, index: int, k_norm):
+def _weight_at(fam: ParaKrawtchoukFamily, s: int, on_unit_strand: bool, k_norm):
+    """The closed-form weight at point s of the Delta-strand or the unit strand."""
     D, al, q, j = fam.Delta, fam.alpha, fam.q, fam.j
     qp = qpochhammer
-    s, on_unit_strand = divmod(index, 2)
     if fam.odd:
         if not on_unit_strand:
             num = (k_norm * (1 - al) * (1 - 1 / D) * q ** s
@@ -163,5 +160,6 @@ def weights(tri: TridiagonalSystem) -> LatticeWeights:
         )
     lw = LatticeWeights(points=lattice_points(fam), z_points=None)
     k_norm = _k_norm(fam)
-    w = tuple(_weight_at(fam, i, k_norm) for i in range(fam.N + 1))
+    w = interleave([_weight_at(fam, s, False, k_norm) for s in range(fam.j + 1)],
+                   [_weight_at(fam, s, True, k_norm) for s in range(fam.N - fam.j)])
     return lw.weighted(w, tri.h, k_norm=k_norm)

@@ -19,12 +19,12 @@ from functools import reduce
 from operator import mul
 
 from .qseries import SeriesPlan, qpochhammer
-from .recurrence import _DEGENERATE_TOL, BiLatticeFamily, Record, TridiagonalSystem
+from .recurrence import (_DEGENERATE_TOL, BiLatticeFamily, LatticeWeights,
+                         TridiagonalSystem, interleave, qdifference_residual)
 from .scalars import is_mp
 
 __all__ = [
     "ParaRacahFamily",
-    "LatticeWeights",
     "PositivityReport",
     "DegenerateFamilyError",
     "b_coefficient",
@@ -74,37 +74,6 @@ class ParaRacahFamily(BiLatticeFamily):
     @property
     def degenerate(self) -> bool:
         return abs(self.a - self.c) <= _DEGENERATE_TOL * max(self.a, self.c)
-
-
-class LatticeWeights(Record):
-    """Bi-lattice points with (optionally) their orthogonality weights.
-
-    Points are stored in interleaved index order: even indices on the
-    a-strand, odd indices on the c-strand.  ``z_points`` holds the
-    exponential representatives.  ``weights_half`` are the persymmetric
-    (alpha = 1/2) weights, filled only by the q-para-Racah closed forms,
-    ``h`` the normalization products u_1...u_n, and ``k_norm`` the
-    closed-form normalization constant of the weight tables.
-    """
-
-    _fields = ("points", "z_points", "weights", "weights_half", "h", "k_norm",
-               "positive_measure")
-
-    def __init__(self, points: tuple, z_points: tuple, weights=None, weights_half=None,
-                 h=None, k_norm=None, positive_measure=None):
-        self.points = points
-        self.z_points = z_points
-        self.weights = weights
-        self.weights_half = weights_half
-        self.h = h
-        self.k_norm = k_norm
-        self.positive_measure = positive_measure
-
-    def weighted(self, w, h, w_half=None, k_norm=None) -> LatticeWeights:
-        """These points with weights attached and the measure's sign flagged."""
-        positive = all(v > 0 for v in w) and all(v > 0 for v in h[1:])
-        return self.replace(weights=w, weights_half=w_half, h=h, k_norm=k_norm,
-                            positive_measure=positive)
 
 
 class PositivityReport:
@@ -389,22 +358,15 @@ def eval_explicit(fam: ParaRacahFamily, n: int, zs) -> list:
 def lattice(fam: ParaRacahFamily) -> LatticeWeights:
     """The interleaved bi-lattice (points and z representatives only).
 
-    Even indices 2s sit on the a-strand (j+1 points), odd indices 2s+1 on
-    the c-strand (N-j points, one fewer when N is even).  Points are kept in
-    this index order (not sorted) because the weight tables are index-keyed.
+    The a-strand z = a q^s (j+1 points) and the c-strand z = c q^s (N-j
+    points, one fewer when N is even) in :func:`~qortho.recurrence.interleave`
+    order.  Points are kept in this index order (not sorted) because the
+    weight tables are index-keyed.
     """
     a, c, _, q, j = _unpack(fam)
-    pts = [None] * (fam.N + 1)
-    zs = [None] * (fam.N + 1)
-    for s in range(j + 1):
-        z = a * q ** s
-        zs[2 * s] = z
-        pts[2 * s] = (1 / z + z) / 2
-    for s in range(fam.N - j):
-        z = c * q ** s
-        zs[2 * s + 1] = z
-        pts[2 * s + 1] = (1 / z + z) / 2
-    return LatticeWeights(points=tuple(pts), z_points=tuple(zs))
+    zs = interleave([a * q ** s for s in range(j + 1)],
+                    [c * q ** s for s in range(fam.N - j)])
+    return LatticeWeights(points=tuple((1 / z + z) / 2 for z in zs), z_points=zs)
 
 
 def char_poly_eval(fam: ParaRacahFamily, z):
@@ -519,9 +481,7 @@ def _weight_table(strands, leads) -> tuple:
     for lead, (head, rows) in zip(leads, strands):
         prefix = reduce(mul, head, lead)
         tables.append([reduce(mul, row, prefix) / den for row, den in rows])
-    out = [None] * (len(tables[0]) + len(tables[1]))
-    out[0::2], out[1::2] = tables
-    return tuple(out)
+    return interleave(*tables)
 
 
 def _require_simple_spectrum(fam):
@@ -596,43 +556,27 @@ def qdiff_eigenvalue(fam: ParaRacahFamily, n: int):
     return q ** -n * (1 - q ** n) * (1 - q ** (n - fam.N))
 
 
-def _shift_coefficient(fam: ParaRacahFamily, q_j, q_jN, z):
-    """The operator's shift coefficient at z, given q^-j and q^(j+1-N)."""
-    a, c, q = fam.a, fam.c, fam.q
-    z2 = z * z
-    den = (1 - z2) * (1 - q * z2)
-    if abs(den) < 1e-12:
-        raise ValueError("evaluation point too close to a shift-operator pole")
-    return ((1 - a * z) * (1 - q_j * z / a)
-            * (1 - c * z) * (1 - q_jN * z / c)) / den
-
-
 def qdiff_residual(tri: TridiagonalSystem, n: int, zs) -> list:
     """[(LHS - RHS, operator scale) for z in zs] of the q-difference
     equation of the table's family at degree n.
 
-    The z-free powers of q and lambda_n are computed once for the degree.
+    The shift coefficient's numerator is the Askey-Wilson one at the
+    truncation b = q^-j / a, d = q^(j+1-N) / c; its z-free powers of q and
+    lambda_n are computed once for the degree.
     """
     fam = tri.family
     if not 0 <= n <= fam.N:
         raise ValueError("q-difference residual requires 0 <= n <= N")
-    q, j = fam.q, fam.j
+    a, c, _, q, j = _unpack(fam)
     q_j, q_jN = q ** -j, q ** (j + 1 - fam.N)
     lam = qdiff_eigenvalue(fam, n)
-    out = []
-    for z in zs:
-        coef_up = _shift_coefficient(fam, q_j, q_jN, z)
-        coef_dn = _shift_coefficient(fam, q_j, q_jN, 1 / z)
-        r_up = eval_recurrence(tri, n, q * z)
-        r_mid = eval_recurrence(tri, n, z)
-        r_dn = eval_recurrence(tri, n, z / q)
-        lhs = lam * r_mid
-        t_up = coef_up * r_up
-        t_mid = (coef_up + coef_dn) * r_mid
-        t_dn = coef_dn * r_dn
-        residual = lhs - (t_up - t_mid + t_dn)
-        out.append((residual, max(abs(lhs), abs(t_up), abs(t_mid), abs(t_dn))))
-    return out
+
+    def numerator(z):
+        return (1 - a * z) * (1 - q_j * z / a) * (1 - c * z) * (1 - q_jN * z / c)
+
+    def value(z):
+        return eval_recurrence(tri, n, z)
+    return [qdifference_residual(numerator, value, lam, q, z) for z in zs]
 
 
 # ---------------------------------------------------------------------------

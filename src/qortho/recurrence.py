@@ -1,4 +1,4 @@
-"""The three-term recurrence engine shared by every family in the package.
+"""The three-term recurrence engine and the conventions every family shares.
 
 Every family here is a sequence of monic polynomials
 
@@ -8,7 +8,15 @@ and :func:`monic_values` is the one loop that evaluates it.  The truncated
 families (q-para-Racah and q-para-Krawtchouk) fill a :class:`TridiagonalSystem`
 once with :func:`tridiagonal` and read every degree, the normalization
 products and the persymmetry residual from it.  The Askey-Wilson and q-Racah
-recurrences feed their own coefficient lists to the same loop.
+recurrences map their parent coefficients (A_n, C_n) to monic ones with
+:func:`monic_coefficients` and feed them to the same loop.
+
+This module owns the other conventions the families share, each written
+once: the bi-lattice order (:func:`interleave` puts one strand at the even
+indices and the other at the odd ones, :meth:`LatticeWeights.strand_sums`
+reads them back), the q-difference equation on x = (z + 1/z)/2 with its
+shift-operator pole guard (:func:`qdifference_residual`), and the palindrome
+residual behind both persymmetry checks (:func:`palindrome_residual`).
 
 The deformation alpha enters b_n and u_n only at the splice n = j, j+1, so
 :meth:`TridiagonalSystem.at_alpha` gives the same family's table at another
@@ -19,7 +27,6 @@ hands it to every function that reads the family's coefficients; it is never
 cached beyond that: a table of mpmath values built at one working precision
 must not be read at another, nor deformed by ``at_alpha`` at another.
 """
-
 from __future__ import annotations
 
 import sys
@@ -31,9 +38,14 @@ __all__ = [
     "Record",
     "BiLatticeFamily",
     "TridiagonalSystem",
+    "LatticeWeights",
     "monic_values",
+    "monic_coefficients",
+    "interleave",
     "family_module",
     "tridiagonal",
+    "qdifference_residual",
+    "palindrome_residual",
     "persymmetry_residual",
 ]
 
@@ -125,6 +137,70 @@ def monic_values(b, u, x) -> list:
     return out
 
 
+def monic_coefficients(ac, n, shift, scale) -> tuple:
+    """Monic b_0..b_{n-1} and u_0..u_{n-1} (u_0 = 0.0) of a parent recurrence
+
+        X p_m = A_m p_{m+1} + (shift - A_m - C_m) p_m + C_m p_{m-1}
+
+    in the variable X = scale * x, with (A_m, C_m) = ac(m).
+    """
+    b, u = [], []
+    prev_A = None
+    for m in range(n):
+        A, C = ac(m)
+        b.append((shift - A - C) / scale)
+        u.append(0.0 if m == 0 else prev_A * C / scale ** 2)
+        prev_A = A
+    return b, u
+
+
+def interleave(even, odd) -> tuple:
+    """The bi-lattice order: even[s] at index 2s and odd[s] at 2s+1.
+
+    ``odd`` has as many entries as ``even`` (N odd) or one fewer (N even).
+    """
+    out = [None] * (len(even) + len(odd))
+    out[0::2], out[1::2] = even, odd
+    return tuple(out)
+
+
+class LatticeWeights(Record):
+    """Bi-lattice points with (optionally) their orthogonality weights.
+
+    Points are stored in :func:`interleave` order: even indices on the
+    a-strand (Delta-strand for q-para-Krawtchouk), odd indices on the
+    c-strand (unit strand).  ``z_points`` holds the exponential
+    representatives.  ``weights_half`` are the persymmetric (alpha = 1/2)
+    weights, filled only by the q-para-Racah closed forms, ``h`` the
+    normalization products u_1...u_n, and ``k_norm`` the closed-form
+    normalization constant of the weight tables.
+    """
+
+    _fields = ("points", "z_points", "weights", "weights_half", "h", "k_norm",
+               "positive_measure")
+
+    def __init__(self, points: tuple, z_points: tuple, weights=None, weights_half=None,
+                 h=None, k_norm=None, positive_measure=None):
+        self.points = points
+        self.z_points = z_points
+        self.weights = weights
+        self.weights_half = weights_half
+        self.h = h
+        self.k_norm = k_norm
+        self.positive_measure = positive_measure
+
+    def weighted(self, w, h, w_half=None, k_norm=None) -> LatticeWeights:
+        """These points with weights attached and the measure's sign flagged."""
+        positive = all(v > 0 for v in w) and all(v > 0 for v in h[1:])
+        return self.replace(weights=w, weights_half=w_half, h=h, k_norm=k_norm,
+                            positive_measure=positive)
+
+    def strand_sums(self) -> tuple:
+        """(sum of the weights at even indices, at odd indices): 1 - alpha and
+        alpha for an orthogonality measure."""
+        return sum(self.weights[0::2]), sum(self.weights[1::2])
+
+
 class TridiagonalSystem(Record):
     """Recurrence table of one family: diagonal b_0..b_N, sub-diagonal u_1..u_N.
 
@@ -197,8 +273,39 @@ def tridiagonal(fam) -> TridiagonalSystem:
     return TridiagonalSystem(family=fam, b=b, u=u, positive=all(v > 0 for v in u))
 
 
+def _shift_coefficient(numerator, q, z):
+    z2 = z * z
+    den = (1 - z2) * (1 - q * z2)
+    if abs(den) < 1e-12:
+        raise ValueError("evaluation point too close to a shift-operator pole")
+    return numerator(z) / den
+
+
+def qdifference_residual(numerator, value, lam, q, z) -> tuple:
+    """(LHS - RHS, scale) of the q-difference equation at one point z,
+
+        lam P(z) = c(z) P(qz) - (c(z) + c(1/z)) P(z) + c(1/z) P(z/q),
+
+    with c(z) = numerator(z) / ((1 - z^2)(1 - q z^2)), ``value(z)`` the
+    polynomial at x = (z + 1/z)/2, and the scale the largest term magnitude.
+    """
+    coef_up = _shift_coefficient(numerator, q, z)
+    coef_dn = _shift_coefficient(numerator, q, 1 / z)
+    p_up, p_mid, p_dn = value(q * z), value(z), value(z / q)
+    lhs = lam * p_mid
+    t_up = coef_up * p_up
+    t_mid = (coef_up + coef_dn) * p_mid
+    t_dn = coef_dn * p_dn
+    return lhs - (t_up - t_mid + t_dn), max(abs(lhs), abs(t_up), abs(t_mid), abs(t_dn))
+
+
+def palindrome_residual(*rows) -> float:
+    """max |r_k - r_{len-1-k}| over the rows, as a float; NaN if any is NaN."""
+    return max_keep_nan(*(
+        float(max_keep_nan(0.0, *(abs(x - y) for x, y in zip(row, reversed(row)))))
+        for row in rows))
+
+
 def persymmetry_residual(tri: TridiagonalSystem) -> float:
     """max deviation from b_n = b_{N-n} and u_n = u_{N-n+1}; NaN if any is NaN."""
-    rb = max_keep_nan(0.0, *(abs(x - y) for x, y in zip(tri.b, reversed(tri.b))))
-    ru = max_keep_nan(0.0, *(abs(x - y) for x, y in zip(tri.u, reversed(tri.u))))
-    return max_keep_nan(float(rb), float(ru))
+    return palindrome_residual(tri.b, tri.u)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .para_racah import lattice
-from .recurrence import TridiagonalSystem
+from .recurrence import TridiagonalSystem, palindrome_residual
 from .scalars import max_keep_nan
 
 __all__ = [
@@ -109,9 +109,7 @@ def matrix_norm(m: SymmetricTridiagonal) -> float:
 
 def persymmetry_residual(m: SymmetricTridiagonal) -> float:
     """Max entry deviation of J M J - M with J the exchange matrix."""
-    rd = _max_abs(x - y for x, y in zip(m.diagonal, reversed(m.diagonal)))
-    re = _max_abs(x - y for x, y in zip(m.offdiag, reversed(m.offdiag)))
-    return max_keep_nan(rd, re)
+    return palindrome_residual(m.diagonal, m.offdiag)
 
 
 def isospectrality_check(ref: list, tables) -> float:

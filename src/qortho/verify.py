@@ -22,8 +22,7 @@ from . import connections, para_krawtchouk, para_racah, spectral
 from .recurrence import family_module, persymmetry_residual, tridiagonal
 from .scalars import is_mp, max_keep_nan, sqrt
 
-__all__ = ["Check", "RunTables", "SUITES", "run_suite", "suite_names_for",
-           "sample_family"]
+__all__ = ["Check", "RunTables", "SUITES", "run_suite", "sample_family"]
 
 # Pinned tolerances: relative 1e-8 scale for binary64 families in the
 # moderate parameter box, tighter where the quantity is exact algebra.
@@ -122,7 +121,7 @@ def sample_family(rng, N, alpha=None, q=None):
         if not qq < a / c < 1 / qq:
             continue
         fam = para_racah.ParaRacahFamily(a=a, c=c, alpha=al, q=qq, N=N)
-        if para_racah.positivity_check(tridiagonal(fam)).u_positive:
+        if tridiagonal(fam).positive:
             return fam
 
 
@@ -167,19 +166,14 @@ def suite_orthogonality(run, rng):
     """Favard positivity, strand sums and Gram errors; for qpr also the
     Christoffel cross-check and the beta factor."""
     fam, tri = run.fam, run.tri
-    if _is_qpk(fam):
-        positive, note = tri.positive, ""
-    else:
-        rep = para_racah.positivity_check(tri)
-        positive, note = rep.u_positive, "min u_n = %.3e" % rep.min_u
-    checks = [_check("favard-positivity", 0.0 if positive else 1.0, 0.5, note=note)]
-    if not positive:
+    note = "" if _is_qpk(fam) else "min u_n = %.3e" % float(min(tri.u))
+    checks = [_check("favard-positivity", 0.0 if tri.positive else 1.0, 0.5, note=note)]
+    if not tri.positive:
         checks.append(_failed("gram-orthogonality", TOL_GRAM,
                               "skipped: family is outside the positivity region"))
         return checks
     lw = family_module(fam).weights(tri)
-    se = sum(lw.weights[i] for i in range(0, fam.N + 1, 2))
-    so = sum(lw.weights[i] for i in range(1, fam.N + 1, 2))
+    se, so = lw.strand_sums()
     checks.append(_check("weight-sum-even", abs(se - (1 - fam.alpha)), TOL_WEIGHT_SUM))
     checks.append(_check("weight-sum-odd", abs(so - fam.alpha), TOL_WEIGHT_SUM))
     d, o = gram_errors(tri, lw)
@@ -331,19 +325,16 @@ _QPK_SUITES = {
 SUITES = tuple(_QPR_SUITES) + ("all",)
 
 
-def suite_names_for(fam) -> tuple:
-    return tuple(_QPK_SUITES if _is_qpk(fam) else _QPR_SUITES)
-
-
 def run_suite(name: str, fam, seed: int = 0):
-    """Run one named suite (or 'all') and return its Check list."""
-    table = _QPK_SUITES if _is_qpk(fam) else _QPR_SUITES
+    """Run one named suite (or 'all') and return its Check list; a suite the
+    family's kind does not define raises ValueError."""
+    kind, table = ("qpk", _QPK_SUITES) if _is_qpk(fam) else ("qpr", _QPR_SUITES)
     if name == "all":
         names = tuple(table)
     elif name in table:
         names = (name,)
     else:
-        raise ValueError("unknown suite %r for this family kind" % name)
+        raise ValueError("suite %r is not defined for kind %r" % (name, kind))
     run = RunTables(fam)
     checks = []
     for suite_name in names:

@@ -47,12 +47,16 @@ def test_coeffs_invalid_alpha_exits_2(capsys):
     assert "alpha" in err
 
 
-def test_missing_kind_parameter_exits_2(capsys):
-    code, _, err = run_cli(capsys, [
-        "coeffs", "--kind", "qpr", "--a", "0.9",
-        "--alpha", "0.5", "--q", "0.5", "--N", "5"])
-    assert code == 2
-    assert "--c" in err
+@pytest.mark.parametrize("argv,err_text", [
+    (["coeffs", "--kind", "qpr", "--a", "0.9", "--alpha", "0.5", "--q", "0.5", "--N", "5"],
+     "note: parameters outside the double-precision box; promoting to extended precision\n"
+     "invalid parameters: kind 'qpr' requires --a and --c\n"),
+    (["coeffs", "--kind", "qpk", "--alpha", "0.5", "--q", "0.5", "--N", "5"],
+     "invalid parameters: kind 'qpk' requires --Delta\n"),
+], ids=["--c", "--Delta"])
+def test_missing_kind_parameter_exits_2(capsys, argv, err_text):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", err_text)
 
 
 def test_lattice_weights_trailer(capsys):
@@ -137,12 +141,14 @@ def test_qpk_kind_suites(capsys):
     assert "orthogonality/gram-diagonal,pass" in out
 
 
-def test_qpk_rejects_qpr_only_suite(capsys):
-    code, _, err = run_cli(capsys, [
+@pytest.mark.parametrize("suite", ["bispectral", "explicit", "isospectral", "qracah",
+                                   "dualhahn"])
+def test_qpk_rejects_qpr_only_suite(capsys, suite):
+    code, out, err = run_cli(capsys, [
         "verify", "--kind", "qpk", "--Delta", "1.3",
-        "--alpha", "0.5", "--q", "0.5", "--N", "4", "--suite", "bispectral"])
-    assert code == 2
-    assert "not defined" in err
+        "--alpha", "0.5", "--q", "0.5", "--N", "4", "--suite", suite])
+    assert (code, out, err) == (
+        2, "", "invalid parameters: suite %r is not defined for kind 'qpk'\n" % suite)
 
 
 def test_env_precision_override(capsys, monkeypatch):

@@ -238,6 +238,15 @@ def test_nan_evaluation_fails_its_check(monkeypatch, suite, check, module, name,
     assert math.isnan(chk.residual)
 
 
+@pytest.mark.parametrize("suite", ["bispectral", "explicit", "isospectral", "qracah",
+                                   "dualhahn"])
+def test_run_suite_refuses_a_suite_the_kind_lacks_in_the_cli_text(suite):
+    fam = para_krawtchouk.ParaKrawtchoukFamily(Delta=1.3, alpha=0.5, q=0.5, N=4)
+    with pytest.raises(ValueError) as info:
+        verify.run_suite(suite, fam)
+    assert str(info.value) == "suite %r is not defined for kind 'qpk'" % suite
+
+
 def _load_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
