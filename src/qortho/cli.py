@@ -100,11 +100,15 @@ _KINDS = {
 }
 
 
-def _build_family(args, prec: _Precision):
-    cls, lattice_params, _ = _KINDS[args.kind]
+def _require_lattice_options(args):
+    lattice_params = _KINDS[args.kind][1]
     if any(getattr(args, name) is None for name in lattice_params):
         raise ValueError("kind %r requires %s" % (
             args.kind, " and ".join("--" + name for name in lattice_params)))
+
+
+def _build_family(args, prec: _Precision):
+    cls, lattice_params, _ = _KINDS[args.kind]
     ext = prec.extended
     return cls(**{name: as_scalar(getattr(args, name), ext) for name in lattice_params},
                alpha=as_scalar(args.alpha, ext), q=as_scalar(args.q, ext), N=args.N)
@@ -262,13 +266,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Before the precision, whose box test reads the lattice options.
+        _require_lattice_options(args)
         prec = _resolve_precision(args)
         return args.func(args, prec)
     except DegenerateFamilyError as exc:
         print("degenerate configuration: %s" % exc, file=sys.stderr)
         return EXIT_DEGENERATE
     except OverflowError as exc:
-        print("numeric overflow at %s precision: %s" % (prec.label, exc), file=sys.stderr)
+        # A binary64 overflow's own text is an errno tuple.
+        detail = (exc if prec.extended else "a value exceeds the binary64 range; "
+                  "rerun with --precision extended or extended:P")
+        print("numeric overflow at %s precision: %s" % (prec.label, detail), file=sys.stderr)
         return EXIT_USAGE
     except ZeroDivisionError as exc:
         # Caught before ArithmeticError: a valid a = 1e-160 underflows a

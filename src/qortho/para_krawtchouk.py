@@ -56,17 +56,18 @@ def b_coefficient(fam: ParaKrawtchoukFamily, n: int):
     if not 0 <= n <= fam.N:
         raise ValueError("b_n requires 0 <= n <= N")
     D, al, q, j = fam.Delta, fam.alpha, fam.q, fam.j
+    pw = fam.powers()
     if fam.odd:
         if n == j or n == j + 1:
             w = al if n == j else 1 - al
-            return (D - w * (1 - q ** (j + 1)) * (D - 1) / (1 - q)
-                    + q * (1 - q ** j) * (D * q - 1) / (1 - q * q))
-        return (q ** (n + j) * (1 + q ** (j + 1)) * (1 + D)
-                / ((q ** j + q ** n) * (q ** (j + 1) + q ** n)))
-    t1 = (q ** (2 * j) * (q ** n - 1) * (q ** n - D * q ** (j + 1))
-          / ((q ** j + q ** n) * (q ** (2 * j + 1) - q ** (2 * n))))
-    t2 = (q ** n * (q ** (2 * j) - q ** n) * (q ** j - D * q ** (n + 1))
-          / ((q ** j + q ** n) * (q ** (2 * j) - q ** (2 * n + 1))))
+            return (D - w * (1 - pw[j + 1]) * (D - 1) / (1 - q)
+                    + q * (1 - pw[j]) * (D * q - 1) / (1 - q * q))
+        return (pw[n + j] * (1 + pw[j + 1]) * (1 + D)
+                / ((pw[j] + pw[n]) * (pw[j + 1] + pw[n])))
+    t1 = (pw[2 * j] * (pw[n] - 1) * (pw[n] - D * pw[j + 1])
+          / ((pw[j] + pw[n]) * (pw[2 * j + 1] - pw[2 * n])))
+    t2 = (pw[n] * (pw[2 * j] - pw[n]) * (pw[j] - D * pw[n + 1])
+          / ((pw[j] + pw[n]) * (pw[2 * j] - pw[2 * n + 1])))
     return D - t1 + t2
 
 
@@ -74,28 +75,30 @@ def u_coefficient(fam: ParaKrawtchoukFamily, n: int):
     if not 1 <= n <= fam.N + 1:
         raise ValueError("u_n requires 1 <= n <= N+1")
     D, al, q, j = fam.Delta, fam.alpha, fam.q, fam.j
+    pw = fam.powers()
     if fam.odd:
         if n == j + 1:
-            return al * (1 - al) * (D - 1) ** 2 * (1 - q ** (j + 1)) ** 2 / (1 - q) ** 2
-        return (q ** (2 * j + 1 + n) * (1 - q ** n) * (q ** (2 * j + 2) - q ** n)
-                * (q ** n - D * q ** (j + 1)) * (q ** (j + 1) - D * q ** n)
-                / ((q ** (j + 1) + q ** n) ** 2
-                   * (q ** (2 * j + 1) - q ** (2 * n)) * (q ** (2 * j + 3) - q ** (2 * n))))
+            return al * (1 - al) * (D - 1) ** 2 * (1 - pw[j + 1]) ** 2 / (1 - q) ** 2
+        return (pw[2 * j + 1 + n] * (1 - pw[n]) * (pw[2 * j + 2] - pw[n])
+                * (pw[n] - D * pw[j + 1]) * (pw[j + 1] - D * pw[n])
+                / ((pw[j + 1] + pw[n]) ** 2
+                   * (pw[2 * j + 1] - pw[2 * n]) * (pw[2 * j + 3] - pw[2 * n])))
     if n == j or n == j + 1:
         w = (1 - al) if n == j else al
-        return (w * (1 - q ** j) * (1 - q ** (j + 1)) * (D - 1) * (1 - q * D)
+        return (w * (1 - pw[j]) * (1 - pw[j + 1]) * (D - 1) * (1 - q * D)
                 / ((1 - q) ** 2 * (1 + q)))
-    return (q ** (2 * j + n) * (q ** n - 1) * (q ** (2 * j + 1) - q ** n)
-            * (q ** n - D * q ** (j + 1)) * (D * q ** n - q ** j)
-            / ((q ** j + q ** n) * (q ** (j + 1) + q ** n)
-               * (q ** (2 * j + 1) - q ** (2 * n)) ** 2))
+    return (pw[2 * j + n] * (pw[n] - 1) * (pw[2 * j + 1] - pw[n])
+            * (pw[n] - D * pw[j + 1]) * (D * pw[n] - pw[j])
+            / ((pw[j] + pw[n]) * (pw[j + 1] + pw[n])
+               * (pw[2 * j + 1] - pw[2 * n]) ** 2))
 
 
 def lattice_points(fam: ParaKrawtchoukFamily) -> tuple:
     """Interleaved exponential bi-lattice: Delta q^s on even indices, q^s on odd."""
-    D, q, j = fam.Delta, fam.q, fam.j
-    return interleave([D * q ** s for s in range(j + 1)],
-                      [q ** s for s in range(fam.N - j)])
+    D, j = fam.Delta, fam.j
+    pw = fam.powers()
+    return interleave([D * pw[s] for s in range(j + 1)],
+                      [pw[s] for s in range(fam.N - j)])
 
 
 def eval_recurrence(tri: TridiagonalSystem, n: int, y):
@@ -108,41 +111,43 @@ def eval_recurrence(tri: TridiagonalSystem, n: int, y):
 
 def _k_norm(fam: ParaKrawtchoukFamily):
     D, q, j = fam.Delta, fam.q, fam.j
-    qp = qpochhammer
+    pw = fam.powers()
+    qp = pw.pochhammer
     q2 = q * q
     if fam.odd:
-        return ((-1) ** j * q ** (j * (j - 1)) * (1 - q ** (2 * j + 1))
-                / ((1 - q) * qp(-q, q, j) * qp(q ** (-2 * j - 1), q2, j)))
-    return ((-1) ** j * q ** (3 * j * (j - 1) // 2) * (q ** j + 1) * (1 - q ** (j + 1))
-            * (1 - q ** (2 * j + 1)) * qp(q ** (-2 * j - 1), q, j) * (1 - D * q)
-            * qp(q ** (-j - 1) / D, q, j) * qp(D * q ** -j, q, j)
-            / ((1 - D * q ** (j + 1)) * (1 - q) ** 2
-               * qp(q ** (-2 * j - 1), q2, j) ** 2 * qp(-q, q, j) ** 2))
+        return ((-1) ** j * pw[j * (j - 1)] * (1 - pw[2 * j + 1])
+                / ((1 - q) * qp(-q, j) * qpochhammer(pw[-2 * j - 1], q2, j)))
+    return ((-1) ** j * pw[3 * j * (j - 1) // 2] * (pw[j] + 1) * (1 - pw[j + 1])
+            * (1 - pw[2 * j + 1]) * qp(pw[-2 * j - 1], j) * (1 - D * q)
+            * qp(pw[-j - 1] / D, j) * qp(D * pw[-j], j)
+            / ((1 - D * pw[j + 1]) * (1 - q) ** 2
+               * qpochhammer(pw[-2 * j - 1], q2, j) ** 2 * qp(-q, j) ** 2))
 
 
 def _weight_at(fam: ParaKrawtchoukFamily, s: int, on_unit_strand: bool, k_norm):
     """The closed-form weight at point s of the Delta-strand or the unit strand."""
     D, al, q, j = fam.Delta, fam.alpha, fam.q, fam.j
-    qp = qpochhammer
+    pw = fam.powers()
+    qp = pw.pochhammer
     if fam.odd:
         if not on_unit_strand:
-            num = (k_norm * (1 - al) * (1 - 1 / D) * q ** s
-                   * qp(D * q ** -j, q, j) * qp(q ** -j / D, q, j)
-                   * qp(q ** -j, q, s) * qp(D * q ** -j, q, s))
-            den = qp(q, q, s) * qp(1 / D, q, j + 1) * D ** j * qp(D * q, q, s)
+            num = (k_norm * (1 - al) * (1 - 1 / D) * pw[s]
+                   * qp(D * pw[-j], j) * qp(pw[-j] / D, j)
+                   * qp(pw[-j], s) * qp(D * pw[-j], s))
+            den = qp(q, s) * qp(1 / D, j + 1) * D ** j * qp(D * q, s)
             return num / den
-        num = (k_norm * al * (1 - D) * D ** j * q ** s
-               * qp(q ** -j / D, q, j) * qp(D * q ** -j, q, j)
-               * qp(q ** -j, q, s) * qp(q ** -j / D, q, s))
-        den = qp(q, q, s) * qp(D, q, j + 1) * qp(q / D, q, s)
+        num = (k_norm * al * (1 - D) * D ** j * pw[s]
+               * qp(pw[-j] / D, j) * qp(D * pw[-j], j)
+               * qp(pw[-j], s) * qp(pw[-j] / D, s))
+        den = qp(q, s) * qp(D, j + 1) * qp(q / D, s)
         return num / den
     if not on_unit_strand:
-        num = k_norm * (1 - al) * q ** s * qp(q ** -j, q, s) * qp(D * q ** (1 - j), q, s)
-        den = D ** j * qp(q, q, s) * qp(q / D, q, j) * qp(D * q, q, s)
+        num = k_norm * (1 - al) * pw[s] * qp(pw[-j], s) * qp(D * pw[1 - j], s)
+        den = D ** j * qp(q, s) * qp(q / D, j) * qp(D * q, s)
         return num / den
-    num = (k_norm * al * D ** (j - 1) * (1 - q ** j) * q ** s
-           * qp(q ** (1 - j), q, s) * qp(q ** -j / D, q, s))
-    den = (1 - q ** j / D) * qp(q, q, s) * qp(D * q, q, j) * qp(q / D, q, s)
+    num = (k_norm * al * D ** (j - 1) * (1 - pw[j]) * pw[s]
+           * qp(pw[1 - j], s) * qp(pw[-j] / D, s))
+    den = (1 - pw[j] / D) * qp(q, s) * qp(D * q, j) * qp(q / D, s)
     return num / den
 
 

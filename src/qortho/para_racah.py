@@ -100,20 +100,21 @@ def b_coefficient(fam: ParaRacahFamily, n: int):
     if not 0 <= n <= fam.N:
         raise ValueError("b_n requires 0 <= n <= N")
     a, c, al, q, j = _unpack(fam)
+    pw = fam.powers()
     if fam.odd:
         if n == j or n == j + 1:
             w = al if n == j else 1 - al
-            mid = (w * (c - a) * (q ** (j + 1) - 1) * q ** -j * (a * c * q ** j - 1)
+            mid = (w * (c - a) * (pw[j + 1] - 1) * pw[-j] * (a * c * pw[j] - 1)
                    / (2 * a * c * (q - 1)))
-            tail = ((q ** j - 1) * q ** -j * (c - a * q) * (a * c * q ** (j + 1) - 1)
+            tail = ((pw[j] - 1) * pw[-j] * (c - a * q) * (a * c * pw[j + 1] - 1)
                     / (2 * a * c * (q * q - 1)))
             return (a + 1 / a) / 2 + mid - tail
-        return ((a + c) * (q ** (j + 1) + 1) * q ** n * (a * c * q ** j + 1)
-                / (2 * a * c * (q ** j + q ** n) * (q ** (j + 1) + q ** n)))
-    t1 = ((q ** n - 1) * (a * c * q ** (2 * j) - q ** n) * (a * q ** (j + 1) - c * q ** n)
-          / (2 * a * c * (q ** j + q ** n) * (q ** (2 * j + 1) - q ** (2 * n))))
-    t2 = ((q ** (2 * j) - q ** n) * (a * c * q ** n - 1) * (c * q ** j - a * q ** (n + 1))
-          / (2 * a * c * (q ** j + q ** n) * (q ** (2 * j) - q ** (2 * n + 1))))
+        return ((a + c) * (pw[j + 1] + 1) * pw[n] * (a * c * pw[j] + 1)
+                / (2 * a * c * (pw[j] + pw[n]) * (pw[j + 1] + pw[n])))
+    t1 = ((pw[n] - 1) * (a * c * pw[2 * j] - pw[n]) * (a * pw[j + 1] - c * pw[n])
+          / (2 * a * c * (pw[j] + pw[n]) * (pw[2 * j + 1] - pw[2 * n])))
+    t2 = ((pw[2 * j] - pw[n]) * (a * c * pw[n] - 1) * (c * pw[j] - a * pw[n + 1])
+          / (2 * a * c * (pw[j] + pw[n]) * (pw[2 * j] - pw[2 * n + 1])))
     return (a + 1 / a) / 2 + t1 + t2
 
 
@@ -126,26 +127,27 @@ def u_coefficient(fam: ParaRacahFamily, n: int):
     if not 1 <= n <= fam.N + 1:
         raise ValueError("u_n requires 1 <= n <= N+1")
     a, c, al, q, j = _unpack(fam)
+    pw = fam.powers()
     if fam.odd:
         if n == j + 1:
-            return ((1 - al) * al * (c - a) ** 2 * q ** (-2 * j)
-                    * (q ** (j + 1) - 1) ** 2 * (a * c * q ** j - 1) ** 2
+            return ((1 - al) * al * (c - a) ** 2 * pw[-2 * j]
+                    * (pw[j + 1] - 1) ** 2 * (a * c * pw[j] - 1) ** 2
                     / (4 * a * a * c * c * (q - 1) ** 2))
-        return ((q ** n - 1) * (q ** n - q ** (2 * j + 2))
-                * (a * c * q ** n - q) * (q ** n - a * c * q ** (2 * j + 1))
-                * (a * q ** n - c * q ** (j + 1)) * (c * q ** n - a * q ** (j + 1))
-                / (4 * a * a * c * c * (q ** (j + 1) + q ** n) ** 2
-                   * (q ** (2 * n) - q ** (2 * j + 1)) * (q ** (2 * n) - q ** (2 * j + 3))))
+        return ((pw[n] - 1) * (pw[n] - pw[2 * j + 2])
+                * (a * c * pw[n] - q) * (pw[n] - a * c * pw[2 * j + 1])
+                * (a * pw[n] - c * pw[j + 1]) * (c * pw[n] - a * pw[j + 1])
+                / (4 * a * a * c * c * (pw[j + 1] + pw[n]) ** 2
+                   * (pw[2 * n] - pw[2 * j + 1]) * (pw[2 * n] - pw[2 * j + 3])))
     if n == j or n == j + 1:
         w = (1 - al) if n == j else al
-        return (w * (c - a) * q ** (-2 * j) * (q ** j - 1) * (q ** (j + 1) - 1)
-                * (a * q - c) * (a * c * q ** j - 1) * (a * c * q ** j - q)
+        return (w * (c - a) * pw[-2 * j] * (pw[j] - 1) * (pw[j + 1] - 1)
+                * (a * q - c) * (a * c * pw[j] - 1) * (a * c * pw[j] - q)
                 / (4 * a * a * c * c * (q - 1) ** 2 * (q + 1)))
-    return ((q ** n - 1) * (q ** n - q ** (2 * j + 1))
-            * (a * c * q ** n - q) * (q ** n - a * c * q ** (2 * j))
-            * (a * q ** n - c * q ** j) * (c * q ** n - a * q ** (j + 1))
-            / (4 * a * a * c * c * (q ** j + q ** n) * (q ** (j + 1) + q ** n)
-               * (q ** (2 * j + 1) - q ** (2 * n)) ** 2))
+    return ((pw[n] - 1) * (pw[n] - pw[2 * j + 1])
+            * (a * c * pw[n] - q) * (pw[n] - a * c * pw[2 * j])
+            * (a * pw[n] - c * pw[j]) * (c * pw[n] - a * pw[j + 1])
+            / (4 * a * a * c * c * (pw[j] + pw[n]) * (pw[j + 1] + pw[n])
+               * (pw[2 * j + 1] - pw[2 * n]) ** 2))
 
 
 def limit_recurrence_ac(fam: ParaRacahFamily, n: int):
@@ -159,31 +161,32 @@ def limit_recurrence_ac(fam: ParaRacahFamily, n: int):
     if not 0 <= n <= fam.N + 1:
         raise ValueError("limit coefficients require 0 <= n <= N+1")
     a, c, al, q, j = _unpack(fam)
+    pw = fam.powers()
     if fam.odd:
         if n == j:
-            A = (al * (1 - a * c * q ** j) * (c - a) * (1 - q ** (-j - 1))
+            A = (al * (1 - a * c * pw[j]) * (c - a) * (1 - pw[-j - 1])
                  / (a * c * (1 - 1 / q)))
         else:
-            A = ((1 - a * c * q ** n) * (c - a * q ** (n - j)) * (1 - q ** (n - 2 * j - 1))
-                 / (a * c * (1 - q ** (2 * n - 2 * j - 1)) * (1 + q ** (n - j))))
+            A = ((1 - a * c * pw[n]) * (c - a * pw[n - j]) * (1 - pw[n - 2 * j - 1])
+                 / (a * c * (1 - pw[2 * n - 2 * j - 1]) * (1 + pw[n - j])))
         if n == j + 1:
-            C = ((1 - al) * (1 - q ** (j + 1)) * (a - c) * (a * c - q ** -j)
+            C = ((1 - al) * (1 - pw[j + 1]) * (a - c) * (a * c - pw[-j])
                  / (a * c * (1 - q)))
         else:
-            C = ((1 - q ** n) * (a - c * q ** (n - j - 1)) * (a * c - q ** (n - 2 * j - 1))
-                 / (a * c * (1 + q ** (n - j - 1)) * (1 - q ** (2 * n - 2 * j - 1))))
+            C = ((1 - pw[n]) * (a - c * pw[n - j - 1]) * (a * c - pw[n - 2 * j - 1])
+                 / (a * c * (1 + pw[n - j - 1]) * (1 - pw[2 * n - 2 * j - 1])))
         return A, C
     if n == j:
-        A = al * (1 - a * c * q ** j) * (1 - (a / c) * q) * (1 - q ** -j) / (a * (1 - q))
-        C = ((1 - al) * a * (1 - q ** j) * (1 - (c / a) / q) * (1 - q ** -j / (a * c))
+        A = al * (1 - a * c * pw[j]) * (1 - (a / c) * q) * (1 - pw[-j]) / (a * (1 - q))
+        C = ((1 - al) * a * (1 - pw[j]) * (1 - (c / a) / q) * (1 - pw[-j] / (a * c))
              / (1 - 1 / q))
         return A, C
-    A = ((1 - q ** (n - j)) * (1 - a * c * q ** n) * (1 - (a / c) * q ** (n - j + 1))
-         * (1 - q ** (n - 2 * j))
-         / (a * (1 - q ** (2 * n - 2 * j)) * (1 - q ** (2 * n - 2 * j + 1))))
-    C = (a * (1 - q ** n) * (1 - (c / a) * q ** (n - j - 1)) * (1 - q ** (n - 2 * j) / (a * c))
-         * (1 - q ** (n - j))
-         / ((1 - q ** (2 * n - 2 * j - 1)) * (1 - q ** (2 * n - 2 * j))))
+    A = ((1 - pw[n - j]) * (1 - a * c * pw[n]) * (1 - (a / c) * pw[n - j + 1])
+         * (1 - pw[n - 2 * j])
+         / (a * (1 - pw[2 * n - 2 * j]) * (1 - pw[2 * n - 2 * j + 1])))
+    C = (a * (1 - pw[n]) * (1 - (c / a) * pw[n - j - 1]) * (1 - pw[n - 2 * j] / (a * c))
+         * (1 - pw[n - j])
+         / ((1 - pw[2 * n - 2 * j - 1]) * (1 - pw[2 * n - 2 * j])))
     return A, C
 
 
@@ -218,17 +221,18 @@ def _eta(fam: ParaRacahFamily, n: int):
     """Monic normalization of the explicit expansion."""
     a, c, al, q, j = _unpack(fam)
     N = fam.N
-    qp = qpochhammer
-    r = (a / c) * q ** (j + 1 - N)
-    sign_pow = (-2 * a) ** n * q ** (n * (n + 1) // 2)
+    pw = fam.powers()
+    qp = pw.pochhammer
+    r = (a / c) * pw[j + 1 - N]
+    sign_pow = (-2 * a) ** n * pw[n * (n + 1) // 2]
     if n <= j:
-        num = qp(q, q, n) * qp(q ** -j, q, n) * qp(r, q, n) * qp(a * c, q, n)
-        den = qp(q ** (n - N), q, n) * qp(q ** -n, q, n) * sign_pow
+        num = qp(q, n) * qp(pw[-j], n) * qp(r, n) * qp(a * c, n)
+        den = qp(pw[n - N], n) * qp(pw[-n], n) * sign_pow
         return num / den
-    num = (al * qp(q ** -j, q, j) * qp(q, q, n - j - 1)
-           * qp(r, q, n) * qp(a * c, q, n) * qp(q, q, n))
-    den = (qp(q ** (n - N), q, N - n) * qp(q, q, 2 * n - N - 1)
-           * qp(q ** -n, q, n) * sign_pow)
+    num = (al * qp(pw[-j], j) * qp(q, n - j - 1)
+           * qp(r, n) * qp(a * c, n) * qp(q, n))
+    den = (qp(pw[n - N], N - n) * qp(q, 2 * n - N - 1)
+           * qp(pw[-n], n) * sign_pow)
     return num / den
 
 
@@ -246,30 +250,32 @@ def _explicit_plan(fam: ParaRacahFamily, n: int):
     """
     a, c, al, q, j = _unpack(fam)
     N = fam.N
-    qp = qpochhammer
+    pw = fam.powers()
+    qp = pw.pochhammer
     eta = _eta(fam, n)
     if fam.odd and n in (j, j + 1):
         # sum_{k<=j} (q^{-j-1}, az, a/z; q)_k q^k / (q, ac, (a/c)q^{-j}; q)_k
-        middle = SeriesPlan((q ** (-j - 1),), (q, a * c, (a / c) * q ** -j), q, q, j)
+        middle = SeriesPlan((pw[-j - 1],), (q, a * c, (a / c) * pw[-j]), q, q, j)
         if n == j:
             def value(z):
                 body, mag = middle.sum((a * z, a / z))
                 return eta * body, abs(eta) * mag
             return value
-        extra_head = qp(q ** (-j - 1), q, j + 1)
-        extra_den = (al * qp(q, q, j + 1) * qp(a * c, q, j + 1)
-                     * qp((a / c) * q ** -j, q, j + 1))
-        qj1 = q ** (j + 1)
+        extra_head = qp(pw[-j - 1], j + 1)
+        extra_den = (al * qp(q, j + 1) * qp(a * c, j + 1)
+                     * qp((a / c) * pw[-j], j + 1))
+        qj1 = pw[j + 1]
 
         def value(z):
             az, a_z = a * z, a / z
             body, mag = middle.sum((az, a_z))
-            extra = extra_head * qp(az, q, j + 1) * qp(a_z, q, j + 1) * qj1 / extra_den
+            extra = (extra_head * qpochhammer(az, q, j + 1) * qpochhammer(a_z, q, j + 1)
+                     * qj1 / extra_den)
             return eta * (body + extra), abs(eta) * (mag + abs(extra))
         return value
-    r = (a / c) * q ** (j + 1 - N)
-    head_num = (q ** -n, q ** (n - N))
-    head_den = (q ** -j, a * c, r, q)
+    r = (a / c) * pw[j + 1 - N]
+    head_num = (pw[-n], pw[n - N])
+    head_den = (pw[-j], a * c, r, q)
     if n <= j:
         head = SeriesPlan(head_num, head_den, q, q, n)
 
@@ -278,21 +284,22 @@ def _explicit_plan(fam: ParaRacahFamily, n: int):
             return eta * body, abs(eta) * mag
         return value
     head = SeriesPlan(head_num, head_den, q, q, N - n)
-    pref_head = qp(q ** (n - N), q, N - n) * qp(q ** -n, q, j + 1)
-    pref_tail = qp(q, q, n + j - N)
-    qj1 = q ** (j + 1)
-    pref_den = (al * qp(q ** -j, q, j) * qp(q, q, j + 1)
-                * qp(a * c, q, j + 1) * qp(r, q, j + 1))
+    pref_head = qp(pw[n - N], N - n) * qp(pw[-n], j + 1)
+    pref_tail = qp(q, n + j - N)
+    qj1 = pw[j + 1]
+    pref_den = (al * qp(pw[-j], j) * qp(q, j + 1)
+                * qp(a * c, j + 1) * qp(r, j + 1))
     aq = a * qj1
     # (a/c) q^(2j+2-N), multiplied left to right: (a/c) q q for even N.
-    tail = SeriesPlan((q ** (j + 1 - n), q ** (n + j + 1 - N)),
-                      (q ** (j + 2), a * c * qj1, (a / c) * q * q ** (2 * j + 1 - N), q),
+    tail = SeriesPlan((pw[j + 1 - n], pw[n + j + 1 - N]),
+                      (pw[j + 2], a * c * qj1, (a / c) * q * pw[2 * j + 1 - N], q),
                       q, q, n - j - 1)
 
     def value(z):
         az, a_z = a * z, a / z
         body, body_mag = head.sum((az, a_z))
-        pref_num = pref_head * qp(az, q, j + 1) * qp(a_z, q, j + 1) * pref_tail * qj1
+        pref_num = (pref_head * qpochhammer(az, q, j + 1) * qpochhammer(a_z, q, j + 1)
+                    * pref_tail * qj1)
         tail_sum, tail_mag = tail.sum((aq * z, aq / z))
         pref = pref_num / pref_den
         return (eta * (body + pref * tail_sum),
@@ -364,8 +371,9 @@ def lattice(fam: ParaRacahFamily) -> LatticeWeights:
     weight tables are index-keyed.
     """
     a, c, _, q, j = _unpack(fam)
-    zs = interleave([a * q ** s for s in range(j + 1)],
-                    [c * q ** s for s in range(fam.N - j)])
+    pw = fam.powers()
+    zs = interleave([a * pw[s] for s in range(j + 1)],
+                    [c * pw[s] for s in range(fam.N - j)])
     return LatticeWeights(points=tuple((1 / z + z) / 2 for z in zs), z_points=zs)
 
 
@@ -400,28 +408,29 @@ def _k_norm(fam: ParaRacahFamily):
     that makes the printed weight tables positive.
     """
     a, c, _, q, j = _unpack(fam)
-    qp = qpochhammer
+    pw = fam.powers()
+    qp = pw.pochhammer
     q2 = q * q
     if fam.odd:
-        num = ((a - c) * q ** -j * (q ** (j + 1) - 1) * (a * c * q ** j - 1)
-               * qp(q ** -j, q, j) ** 2 * qp(q ** (-2 * j - 1), q, j)
-               * qp(q, q, j) * qp(a * c, q, j)
-               * qp((a / c) * q ** -j, q, j) * qp((c / a) * q ** -j, q, j)
-               * qp(q ** (-2 * j) / (a * c), q, j))
+        num = ((a - c) * pw[-j] * (pw[j + 1] - 1) * (a * c * pw[j] - 1)
+               * qp(pw[-j], j) ** 2 * qp(pw[-2 * j - 1], j)
+               * qp(q, j) * qp(a * c, j)
+               * qp((a / c) * pw[-j], j) * qp((c / a) * pw[-j], j)
+               * qp(pw[-2 * j] / (a * c), j))
         den = (a * c * (q - 1) * 2 ** (2 * j + 2)
-               * qp(q ** (-2 * j - 1), q2, j) * qp(q ** (-2 * j), q2, j) ** 2
-               * qp(q ** (1 - 2 * j), q2, j))
+               * qpochhammer(pw[-2 * j - 1], q2, j) * qpochhammer(pw[-2 * j], q2, j) ** 2
+               * qpochhammer(pw[1 - 2 * j], q2, j))
         return num / den
     # The printed even-case constant carries (ac/q; q)_{j+2} over (ac - q);
     # the shared root at ac = q is cancelled analytically here, leaving
     # -(ac; q)_{j+1}/q folded into the prefactor.
-    num = (q ** (2 * j * j) * (c - a) * (1 + q ** j) * (1 - q ** (j + 1))
-           * (1 - q ** (2 * j + 1)) * (c - a * q)
-           * qp(q, q, j) * qp(q ** (-2 * j - 1), q, j) * qp(a * c, q, j + 1)
-           * qp((c / a) * q ** (-j - 1), q, j)
-           * qp(q ** (-2 * j) / (a * c), q, j) * qp((a / c) * q ** -j, q, j))
-    den = ((1 - q) ** 2 * qp(q ** (-2 * j - 1), q2, j) ** 2 * qp(-q, q, j) ** 2
-           * (a - c * q ** j) * (1 - a * c * q ** (2 * j)) * (c - a * q ** (j + 1)))
+    num = (pw[2 * j * j] * (c - a) * (1 + pw[j]) * (1 - pw[j + 1])
+           * (1 - pw[2 * j + 1]) * (c - a * q)
+           * qp(q, j) * qp(pw[-2 * j - 1], j) * qp(a * c, j + 1)
+           * qp((c / a) * pw[-j - 1], j)
+           * qp(pw[-2 * j] / (a * c), j) * qp((a / c) * pw[-j], j))
+    den = ((1 - q) ** 2 * qpochhammer(pw[-2 * j - 1], q2, j) ** 2 * qp(-q, j) ** 2
+           * (a - c * pw[j]) * (1 - a * c * pw[2 * j]) * (c - a * pw[j + 1]))
     return -num / den
 
 
@@ -434,38 +443,41 @@ def _weight_strands(fam: ParaRacahFamily, k_norm):
     s-free factors ``head`` and the list of (row, den) over its points.
     """
     a, c, _, q, j = _unpack(fam)
-    qp = qpochhammer
+    pw = fam.powers()
+    qp = pw.pochhammer
+    # q^(2s) is read as pw[s + s]: the product form, 2 times s in brackets, is
+    # how an index into a strand is written, and only recurrence writes one.
     if fam.odd:
         def strand(x, y):
-            den0 = (qp(q, q, j) * qp(x * x * q, q, j)
-                    * qp(y / x, q, j + 1) * qp(a * c, q, j + 1) * (1 - x * x))
+            den0 = (qp(q, j) * qp(x * x * q, j)
+                    * qp(y / x, j + 1) * qp(a * c, j + 1) * (1 - x * x))
             return ((k_norm, 2 ** (2 * j + 1), x ** j, y ** (j + 1)),
-                    [((q ** ((2 * j + 1) * s + (j + 1) * j), 1 - x * x * q ** (2 * s),
-                       qp(x * x, q, s), qp(q ** -j, q, s),
-                       qp(a * c, q, s), qp((x / y) * q ** -j, q, s)),
-                      den0 * qp(q, q, s) * qp((x / y) * q, q, s)
-                      * qp(x * x * q ** (j + 1), q, s) * qp(a * c * q ** (j + 1), q, s))
+                    [((pw[(2 * j + 1) * s + (j + 1) * j], 1 - x * x * pw[s + s],
+                       qp(x * x, s), qp(pw[-j], s),
+                       qp(a * c, s), qp((x / y) * pw[-j], s)),
+                      den0 * qp(q, s) * qp((x / y) * q, s)
+                      * qp(x * x * pw[j + 1], s) * qp(a * c * pw[j + 1], s))
                      for s in range(j + 1)])
         return strand(a, c), strand(c, a)
     # (c/a; q)_j on the a-strand, one factor shorter than on the c-strand: the
     # length is fixed by the Christoffel route and the strand-sum 1-alpha.
-    a_den0 = (qp(q, q, j) * qp(a * a * q, q, j)
-              * qp(c / a, q, j) * qp(a * c, q, j) * (1 - a * a))
-    c_den0 = (qp(q, q, j - 1) * qp(c * c * q, q, j - 1)
-              * qp(a / c, q, j + 1) * qp(a * c, q, j + 1) * (1 - c * c))
+    a_den0 = (qp(q, j) * qp(a * a * q, j)
+              * qp(c / a, j) * qp(a * c, j) * (1 - a * a))
+    c_den0 = (qp(q, j - 1) * qp(c * c * q, j - 1)
+              * qp(a / c, j + 1) * qp(a * c, j + 1) * (1 - c * c))
     return (((k_norm, a ** j, c ** j),
-             [((q ** (2 * j * s), 1 - a * a * q ** (2 * s),
-                qp(a * a, q, s), qp(q ** -j, q, s),
-                qp(a * c, q, s), qp((a / c) * q ** (-j + 1), q, s)),
-               a_den0 * qp(q, q, s) * qp((a / c) * q, q, s)
-               * qp(a * a * q ** (j + 1), q, s) * qp(a * c * q ** j, q, s))
+             [((pw[2 * j * s], 1 - a * a * pw[s + s],
+                qp(a * a, s), qp(pw[-j], s),
+                qp(a * c, s), qp((a / c) * pw[-j + 1], s)),
+               a_den0 * qp(q, s) * qp((a / c) * q, s)
+               * qp(a * a * pw[j + 1], s) * qp(a * c * pw[j], s))
               for s in range(j + 1)]),
             ((k_norm, a ** (j + 1), c ** (j - 1)),
-             [((q ** (2 * j * s), 1 - c * c * q ** (2 * s),
-                qp(c * c, q, s), qp(q ** (-j + 1), q, s),
-                qp(a * c, q, s), qp((c / a) * q ** -j, q, s)),
-               c_den0 * qp(q, q, s) * qp((c / a) * q, q, s)
-               * qp(c * c * q ** j, q, s) * qp(a * c * q ** (j + 1), q, s))
+             [((pw[2 * j * s], 1 - c * c * pw[s + s],
+                qp(c * c, s), qp(pw[-j + 1], s),
+                qp(a * c, s), qp((c / a) * pw[-j], s)),
+               c_den0 * qp(q, s) * qp((c / a) * q, s)
+               * qp(c * c * pw[j], s) * qp(a * c * pw[j + 1], s))
               for s in range(j)]))
 
 
@@ -515,12 +527,8 @@ def _char_poly_derivative(points, s):
     R_{N+1} is monic with the lattice as its zero set, so the derivative is
     the exact product over the remaining linear factors.
     """
-    out = 1.0
     xs = points[s]
-    for k, xk in enumerate(points):
-        if k != s:
-            out = out * (xs - xk)
-    return out
+    return reduce(mul, (xs - xk for k, xk in enumerate(points) if k != s))
 
 
 def weights_from_christoffel(tri: TridiagonalSystem) -> LatticeWeights:
@@ -552,8 +560,8 @@ def weights_from_christoffel(tri: TridiagonalSystem) -> LatticeWeights:
 
 def qdiff_eigenvalue(fam: ParaRacahFamily, n: int):
     """lambda_n = q^-n (1 - q^n)(1 - q^{n-N}); degenerate under n -> N-n."""
-    q = fam.q
-    return q ** -n * (1 - q ** n) * (1 - q ** (n - fam.N))
+    pw = fam.powers()
+    return pw[-n] * (1 - pw[n]) * (1 - pw[n - fam.N])
 
 
 def qdiff_residual(tri: TridiagonalSystem, n: int, zs) -> list:
@@ -568,7 +576,8 @@ def qdiff_residual(tri: TridiagonalSystem, n: int, zs) -> list:
     if not 0 <= n <= fam.N:
         raise ValueError("q-difference residual requires 0 <= n <= N")
     a, c, _, q, j = _unpack(fam)
-    q_j, q_jN = q ** -j, q ** (j + 1 - fam.N)
+    pw = fam.powers()
+    q_j, q_jN = pw[-j], pw[j + 1 - fam.N]
     lam = qdiff_eigenvalue(fam, n)
 
     def numerator(z):
@@ -599,7 +608,7 @@ def positivity_check(tri: TridiagonalSystem) -> PositivityReport:
     ratio = a / c
     if not q < ratio < 1 / q:
         failed.append("q < a/c < 1/q")
-    if not (a * c < 1 or a * c > q ** (1 - fam.N)):
+    if not (a * c < 1 or a * c > fam.powers()[1 - fam.N]):
         failed.append("ac < 1 or ac > q^(1-N)")
     min_u = min(tri.u)
     return PositivityReport(

@@ -25,6 +25,7 @@ __all__ = [
     "SeriesSpec",
     "SeriesPlan",
     "qpochhammer",
+    "PowerTable",
     "phi_basis",
     "terminating_series_eval",
 ]
@@ -63,15 +64,54 @@ def _check_length(k) -> int:
 
 
 def qpochhammer(a, q, k):
-    """(a;q)_k = prod_{i=0}^{k-1} (1 - a q^i); the empty product 1 for k = 0."""
+    """(a;q)_k = prod_{i=0}^{k-1} (1 - a q^i); the empty product q^0 for k = 0."""
     _check_nome(q)
     k = _check_length(k)
-    out = 1.0
-    qpow = q ** 0
+    out = qpow = q ** 0
     for _ in range(k):
         out = out * (1 - a * qpow)
         qpow = qpow * q
     return out
+
+
+class PowerTable(dict):
+    """``table[k]`` is ``q ** k`` itself, computed on first read (a power
+    that raises is not stored), and :meth:`pochhammer` extends each base's
+    prefixes (base; q)_0..k in :func:`qpochhammer`'s operation order: both
+    are the direct values bit for bit, at the precision that filled them."""
+
+    __slots__ = ("q", "_running", "_rows")
+
+    def __init__(self, q):
+        self.q = q
+        # q^0, q^0 q, q^0 q q, ...: the running powers of qpochhammer.
+        self._running = [q ** 0]
+        self._rows = {}
+
+    def __missing__(self, k):
+        value = self[k] = self.q ** k
+        return value
+
+    def pochhammer(self, base, k):
+        """(base; q)_k, bit for bit ``qpochhammer(base, q, k)``."""
+        # Hashing an mpf costs a multiplication; its _mpf_ tuple is cheap.
+        key = getattr(base, "_mpf_", base)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = [self._running[0]]
+        n = len(row)
+        if k < n:
+            if k < 0:
+                raise ValueError("q-Pochhammer length must be non-negative")
+            return row[k]
+        running = self._running
+        while len(running) < k:
+            running.append(running[-1] * self.q)
+        out = row[-1]
+        for i in range(n - 1, k):
+            out = out * (1 - base * running[i])
+            row.append(out)
+        return out
 
 
 def phi_basis(a, z, q, k):
@@ -157,7 +197,7 @@ class SeriesPlan:
         self.degree = degree
         self.argument = argument
         self.plain = any(is_mp(v) for v in (q, argument) + numerator + denominator)
-        self.first = 1.0 * argument ** 0
+        self.first = argument ** 0
         self.qpows = []
         qpow = q ** 0
         for _ in range(degree):
@@ -181,21 +221,11 @@ class SeriesPlan:
         plain = self.plain or any(is_mp(v) for v in varying)
         degree, argument = self.degree, self.argument
         num, den, qpows = self.num, self.den, self.qpows
-        term = self.first
-        total = 0.0
-        comp = 0.0
-        magnitude = 0.0
-        for k in range(degree + 1):
-            magnitude = magnitude + abs(term)
-            if plain:
-                total = total + term
-            else:
-                y = term - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
-            if k == degree:
-                break
+        # The first term is exactly 1, so it starts the sums as they are.
+        term = total = self.first
+        comp = term - term
+        magnitude = abs(term)
+        for k in range(degree):
             for f in num[k]:
                 term = term * f
             qpow = qpows[k]
@@ -204,4 +234,12 @@ class SeriesPlan:
             for f in den[k]:
                 term = term / f
             term = term * argument
+            magnitude = magnitude + abs(term)
+            if plain:
+                total = total + term
+            else:
+                y = term - comp
+                t = total + y
+                comp = (t - total) - y
+                total = t
         return total, magnitude

@@ -26,13 +26,17 @@ A table belongs to one verify run or one command, which fills it once and
 hands it to every function that reads the family's coefficients; it is never
 cached beyond that: a table of mpmath values built at one working precision
 must not be read at another, nor deformed by ``at_alpha`` at another.
+A family keeps the powers of its q and the (base; q)_k of its z-free bases
+for as long as it lives, one table per working precision
+(:meth:`BiLatticeFamily.powers`).
 """
 from __future__ import annotations
 
 import sys
 from operator import attrgetter
 
-from .scalars import max_keep_nan
+from .qseries import PowerTable
+from .scalars import max_keep_nan, working_precision
 
 __all__ = [
     "Record",
@@ -115,6 +119,22 @@ class BiLatticeFamily(Record):
     def __hash__(self):
         return hash(self._values())
 
+    _powers = None  # {working precision: PowerTable}, made by powers()
+
+    def powers(self) -> PowerTable:
+        """The family's :class:`~qortho.qseries.PowerTable` at the working
+        precision in force; kept outside ``_fields``, so ``==``, hash, repr
+        and ``replace`` never see it.  Fetch it once per formula call."""
+        q = self.q
+        key = None if type(q) is float else working_precision(q)
+        tables = self._powers
+        if tables is None:
+            tables = self.__dict__["_powers"] = {}
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = PowerTable(q)
+        return table
+
     @property
     def odd(self) -> bool:
         return self.N % 2 == 1
@@ -125,15 +145,25 @@ class BiLatticeFamily(Record):
 
 
 def monic_values(b, u, x) -> list:
-    """[P_0(x), ..., P_n(x)] with n = len(b).
+    """[P_0(x), ..., P_n(x)] with n = min(len(b), len(u)).
 
-    ``u[m]`` multiplies P_{m-1}; callers pass u_0 as the float 0.0.
+    ``u[m]`` multiplies P_{m-1}; u_0 is never read (callers pass 0.0).
+    P_1 = x - b_0 and P_2 = (x - b_1) P_1 - u_1 are written out: the general
+    step's products by P_0 = 1 and P_{-1} = 0 are exact.
     """
-    prev, cur = 0.0, 1.0
-    out = [cur]
-    for bm, um in zip(b, u):
-        cur, prev = (x - bm) * cur - um * prev, cur
+    out = [1.0]
+    # One iterator: each inner loop takes every later step, so the outer
+    # loops run at most once.
+    steps = zip(b, u)
+    for b0, _ in steps:
+        prev = cur = x - b0
         out.append(cur)
+        for b1, u1 in steps:
+            cur = (x - b1) * cur - u1
+            out.append(cur)
+            for bm, um in steps:
+                cur, prev = (x - bm) * cur - um * prev, cur
+                out.append(cur)
     return out
 
 

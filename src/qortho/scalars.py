@@ -32,6 +32,11 @@ def is_mp(x) -> bool:
     return mpmath is not None and isinstance(x, (mpmath.mpf, mpmath.mpc))
 
 
+def working_precision(x):
+    """mpmath's working precision for an mpmath scalar, None otherwise."""
+    return sys.modules["mpmath"].mp.prec if is_mp(x) else None
+
+
 def as_scalar(value, extended: bool = False):
     """Coerce a number or decimal string to the working scalar type.
 

@@ -49,7 +49,6 @@ def test_coeffs_invalid_alpha_exits_2(capsys):
 
 @pytest.mark.parametrize("argv,err_text", [
     (["coeffs", "--kind", "qpr", "--a", "0.9", "--alpha", "0.5", "--q", "0.5", "--N", "5"],
-     "note: parameters outside the double-precision box; promoting to extended precision\n"
      "invalid parameters: kind 'qpr' requires --a and --c\n"),
     (["coeffs", "--kind", "qpk", "--alpha", "0.5", "--q", "0.5", "--N", "5"],
      "invalid parameters: kind 'qpk' requires --Delta\n"),
@@ -235,14 +234,24 @@ def test_json_output_is_strict_with_non_finite_values(capsys, argv, field):
     assert all(isinstance(v, float) or v in ("nan", "inf", "-inf") for v in values)
 
 
+_OVERFLOW_TEXT = ("numeric overflow at double precision: a value exceeds the "
+                  "binary64 range; rerun with --precision extended or extended:P\n")
+
+
 @pytest.mark.parametrize("command", ["verify", "lattice-weights"])
 def test_overflow_is_not_invalid_parameters(capsys, command):
     argv = [command, "--kind", "qpr", "--a", "0.9", "--c", "0.7", "--alpha", "0.5",
             "--q", "0.5", "--N", "60", "--precision", "double"]
-    code, _, err = run_cli(capsys, argv)
-    assert code == 2
-    assert "invalid parameters" not in err
-    assert "overflow at double precision" in err
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", _OVERFLOW_TEXT)
+
+
+@pytest.mark.parametrize("command", ["verify", "lattice-weights"])
+def test_qpk_overflow_names_the_precision_and_the_remedy(capsys, command):
+    argv = [command, "--kind", "qpk", "--Delta", "1.3", "--alpha", "0.5",
+            "--q", "0.5", "--N", "60", "--precision", "double"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", _OVERFLOW_TEXT)
 
 
 @pytest.mark.parametrize("command", ["coeffs", "lattice-weights", "verify"])
