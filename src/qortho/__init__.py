@@ -10,9 +10,9 @@ load.
 """
 
 from .para_krawtchouk import ParaKrawtchoukFamily
-from .para_racah import DegenerateFamilyError, ParaRacahFamily
+from .para_racah import ParaRacahFamily
 from .qseries import SeriesSpec, SingularSeriesError
-from .recurrence import LatticeWeights, TridiagonalSystem
+from .recurrence import DegenerateFamilyError, LatticeWeights, TridiagonalSystem
 
 __version__ = "0.1.0"
 

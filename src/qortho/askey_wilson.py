@@ -121,7 +121,7 @@ def qdiff_residual(p: AskeyWilsonParams, n: int, z):
     lam = q ** -n * (1 - q ** n) * (1 - p.abcd * q ** (n - 1))
     return qdifference_residual(
         lambda x: (1 - p.a * x) * (1 - p.b * x) * (1 - p.c * x) * (1 - p.d * x),
-        lambda x: monic_eval(p, n, x), lam, q, z)
+        lambda x: monic_eval(p, n, x), lam, q, [z])[0]
 
 
 def truncation_check(p: AskeyWilsonParams, N: int, tol: float = _TRUNCATION_TOL) -> str:

@@ -23,9 +23,8 @@ import os
 import sys
 
 from . import para_krawtchouk, para_racah, verify
-from .para_racah import DegenerateFamilyError
 from .qseries import SingularSeriesError
-from .recurrence import family_module, tridiagonal
+from .recurrence import DegenerateFamilyError, family_module, tridiagonal
 from .scalars import (DEFAULT_EXTENDED_DIGITS, as_scalar, extended_precision,
                       format_scalar, max_keep_nan)
 

@@ -123,6 +123,7 @@ def verify_qracah_identity(a, q, N: int, zs) -> float:
     tri = tridiagonal(single_lattice_family(a, q, N))
     qr_coefficients = _qracah_monic_coefficients(single_lattice_qracah_params(a, q, N), N)
     rhs_scales = [(2 * a) ** -n for n in range(N + 1)]
+    one = q ** 0  # typed by q, so an mpf scale is not compared with a float
     worst = 0.0
     for z in zs:
         x = (z + 1 / z) / 2
@@ -130,7 +131,7 @@ def verify_qracah_identity(a, q, N: int, zs) -> float:
         rhs_values = monic_values(*qr_coefficients, 2 * a * x)
         for lhs, rhs_scale, p_n in zip(lhs_values, rhs_scales, rhs_values):
             rhs = rhs_scale * p_n
-            scale = max(abs(lhs), abs(rhs), 1.0)
+            scale = max(abs(lhs), abs(rhs), one)
             worst = max_keep_nan(worst, abs(lhs - rhs) / scale)
     return float(worst)
 

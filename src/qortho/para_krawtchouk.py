@@ -3,23 +3,24 @@
 Obtained from the biexponential family by sending the product a*c to
 infinity with the ratio Delta = a/c held fixed, after rescaling the variable
 by theta/(2a).  The polynomials are defined here by their own closed-form
-recurrence coefficients; the limit itself is exercised only by tests.
+recurrence coefficients; the limit itself is only checked (``qpk-limit``).
+The interface is q-para-Racah's: ``lattice`` and ``weights`` (through
+:func:`~qortho.recurrence.weight_table`) return a ``LatticeWeights``.
 """
 
 from __future__ import annotations
 
 import math
 
-from .para_racah import DegenerateFamilyError
 from .qseries import qpochhammer
 from .recurrence import (_DEGENERATE_TOL, BiLatticeFamily, LatticeWeights,
-                         TridiagonalSystem, interleave)
+                         TridiagonalSystem, interleave, weight_table)
 
 __all__ = [
     "ParaKrawtchoukFamily",
     "b_coefficient",
     "u_coefficient",
-    "lattice_points",
+    "lattice",
     "eval_recurrence",
     "weights",
 ]
@@ -34,6 +35,7 @@ class ParaKrawtchoukFamily(BiLatticeFamily):
     """
 
     _fields = ("Delta", "alpha", "q", "N")
+    _coincident_strands = "Delta = 1 collapses the two strands"
 
     def __init__(self, Delta, alpha, q, N: int):
         self._check_shared(alpha, q, N)
@@ -93,12 +95,13 @@ def u_coefficient(fam: ParaKrawtchoukFamily, n: int):
                * (pw[2 * j + 1] - pw[2 * n]) ** 2))
 
 
-def lattice_points(fam: ParaKrawtchoukFamily) -> tuple:
-    """Interleaved exponential bi-lattice: Delta q^s on even indices, q^s on odd."""
+def lattice(fam: ParaKrawtchoukFamily) -> LatticeWeights:
+    """The interleaved exponential bi-lattice (points only): Delta q^s on even
+    indices, q^s on odd."""
     D, j = fam.Delta, fam.j
     pw = fam.powers()
-    return interleave([D * pw[s] for s in range(j + 1)],
-                      [pw[s] for s in range(fam.N - j)])
+    points = interleave([D * pw[s] for s in range(j + 1)], [pw[s] for s in range(fam.N - j)])
+    return LatticeWeights(points=points, z_points=None)
 
 
 def eval_recurrence(tri: TridiagonalSystem, n: int, y):
@@ -124,31 +127,28 @@ def _k_norm(fam: ParaKrawtchoukFamily):
                * qpochhammer(pw[-2 * j - 1], q2, j) ** 2 * qp(-q, j) ** 2))
 
 
-def _weight_at(fam: ParaKrawtchoukFamily, s: int, on_unit_strand: bool, k_norm):
-    """The closed-form weight at point s of the Delta-strand or the unit strand."""
-    D, al, q, j = fam.Delta, fam.alpha, fam.q, fam.j
+def _weight_strands(fam: ParaKrawtchoukFamily, k_norm):
+    """The alpha-free parts of the closed-form weights, Delta-strand first, in
+    the (head, rows) form of :func:`~qortho.recurrence.weight_table`."""
+    D, q, j = fam.Delta, fam.q, fam.j
     pw = fam.powers()
     qp = pw.pochhammer
+    Dj = D ** j
     if fam.odd:
-        if not on_unit_strand:
-            num = (k_norm * (1 - al) * (1 - 1 / D) * pw[s]
-                   * qp(D * pw[-j], j) * qp(pw[-j] / D, j)
-                   * qp(pw[-j], s) * qp(D * pw[-j], s))
-            den = qp(q, s) * qp(1 / D, j + 1) * D ** j * qp(D * q, s)
-            return num / den
-        num = (k_norm * al * (1 - D) * D ** j * pw[s]
-               * qp(pw[-j] / D, j) * qp(D * pw[-j], j)
-               * qp(pw[-j], s) * qp(pw[-j] / D, s))
-        den = qp(q, s) * qp(D, j + 1) * qp(q / D, s)
-        return num / den
-    if not on_unit_strand:
-        num = k_norm * (1 - al) * pw[s] * qp(pw[-j], s) * qp(D * pw[1 - j], s)
-        den = D ** j * qp(q, s) * qp(q / D, j) * qp(D * q, s)
-        return num / den
-    num = (k_norm * al * D ** (j - 1) * (1 - pw[j]) * pw[s]
-           * qp(pw[1 - j], s) * qp(pw[-j] / D, s))
-    den = (1 - pw[j] / D) * qp(q, s) * qp(D * q, j) * qp(q / D, s)
-    return num / den
+        dq_j, q_dj = qp(D * pw[-j], j), qp(pw[-j] / D, j)
+        return (((k_norm, 1 - 1 / D),
+                 [((pw[s], dq_j, q_dj, qp(pw[-j], s), qp(D * pw[-j], s)),
+                   qp(q, s) * qp(1 / D, j + 1) * Dj * qp(D * q, s)) for s in range(j + 1)]),
+                ((k_norm, 1 - D, Dj),
+                 [((pw[s], q_dj, dq_j, qp(pw[-j], s), qp(pw[-j] / D, s)),
+                   qp(q, s) * qp(D, j + 1) * qp(q / D, s)) for s in range(j + 1)]))
+    qd_j, dq_j, unit_den0 = qp(q / D, j), qp(D * q, j), 1 - pw[j] / D
+    return (((k_norm,),
+             [((pw[s], qp(pw[-j], s), qp(D * pw[1 - j], s)),
+               Dj * qp(q, s) * qd_j * qp(D * q, s)) for s in range(j + 1)]),
+            ((k_norm, D ** (j - 1), 1 - pw[j]),
+             [((pw[s], qp(pw[1 - j], s), qp(pw[-j] / D, s)),
+               unit_den0 * qp(q, s) * dq_j * qp(q / D, s)) for s in range(j)]))
 
 
 def weights(tri: TridiagonalSystem) -> LatticeWeights:
@@ -159,12 +159,8 @@ def weights(tri: TridiagonalSystem) -> LatticeWeights:
     (even indices) and alpha (odd indices).
     """
     fam = tri.family
-    if fam.degenerate:
-        raise DegenerateFamilyError(
-            "Delta = 1 collapses the two strands; weights are undefined"
-        )
-    lw = LatticeWeights(points=lattice_points(fam), z_points=None)
+    fam.require_distinct_strands()
+    lw = lattice(fam)
     k_norm = _k_norm(fam)
-    w = interleave([_weight_at(fam, s, False, k_norm) for s in range(fam.j + 1)],
-                   [_weight_at(fam, s, True, k_norm) for s in range(fam.N - fam.j)])
+    w = weight_table(_weight_strands(fam, k_norm), (1 - fam.alpha, fam.alpha))
     return lw.weighted(w, tri.h, k_norm=k_norm)

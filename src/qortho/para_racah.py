@@ -19,8 +19,9 @@ from functools import reduce
 from operator import mul
 
 from .qseries import SeriesPlan, qpochhammer
-from .recurrence import (_DEGENERATE_TOL, BiLatticeFamily, LatticeWeights,
-                         TridiagonalSystem, interleave, qdifference_residual)
+from .recurrence import (_DEGENERATE_TOL, BiLatticeFamily, DegenerateFamilyError,
+                         LatticeWeights, TridiagonalSystem, interleave,
+                         qdifference_residual, weight_table)
 from .scalars import is_mp
 
 __all__ = [
@@ -42,10 +43,6 @@ __all__ = [
     "positivity_check",
 ]
 
-class DegenerateFamilyError(ArithmeticError):
-    """The spectrum is doubly degenerate (c = a): weights are undefined."""
-
-
 class ParaRacahFamily(BiLatticeFamily):
     """Parameter set {a, c, alpha, q, N} with derived parity and j.
 
@@ -57,6 +54,7 @@ class ParaRacahFamily(BiLatticeFamily):
     """
 
     _fields = ("a", "c", "alpha", "q", "N")
+    _coincident_strands = "c = a makes the spectrum doubly degenerate"
 
     def __init__(self, a, c, alpha, q, N: int):
         self._check_shared(alpha, q, N)
@@ -330,11 +328,8 @@ def eval_explicit(fam: ParaRacahFamily, n: int, zs) -> list:
         raise ValueError("explicit evaluation requires 0 <= n <= N")
     if any(z == 0 for z in zs):
         raise ValueError("z must be nonzero")
-    if fam.degenerate:
-        # c = a puts an exact zero in a denominator of the expansion.
-        raise DegenerateFamilyError(
-            "c = a makes the spectrum doubly degenerate; "
-            "the explicit expansion is undefined")
+    # c = a puts an exact zero in a denominator of the expansion.
+    fam.require_distinct_strands("the explicit expansion is undefined")
     route = _explicit_plan(fam, n)
     hi_route = None
     out = []
@@ -435,13 +430,8 @@ def _k_norm(fam: ParaRacahFamily):
 
 
 def _weight_strands(fam: ParaRacahFamily, k_norm):
-    """The alpha-free parts of the closed-form weights, a-strand first.
-
-    On each strand the weight at point s is, multiplied left to right,
-    lead * head[0] * head[1] * ... * row[0] * row[1] * ... / den with lead the
-    strand's factor of alpha (:func:`_weight_leads`).  Returns per strand the
-    s-free factors ``head`` and the list of (row, den) over its points.
-    """
+    """The alpha-free parts of the closed-form weights, a-strand first, in
+    the (head, rows) form of :func:`~qortho.recurrence.weight_table`."""
     a, c, _, q, j = _unpack(fam)
     pw = fam.powers()
     qp = pw.pochhammer
@@ -486,23 +476,6 @@ def _weight_leads(fam: ParaRacahFamily, al):
     return (-2 * (1 - al), 2 * al) if fam.odd else (1 - al, -al)
 
 
-def _weight_table(strands, leads) -> tuple:
-    """The weights of :func:`_weight_strands` for one alpha, in interleaved
-    index order (a-strand at even indices, c-strand at odd)."""
-    tables = []
-    for lead, (head, rows) in zip(leads, strands):
-        prefix = reduce(mul, head, lead)
-        tables.append([reduce(mul, row, prefix) / den for row, den in rows])
-    return interleave(*tables)
-
-
-def _require_simple_spectrum(fam):
-    if fam.degenerate:
-        raise DegenerateFamilyError(
-            "c = a makes the spectrum doubly degenerate; weights are undefined"
-        )
-
-
 def weights(tri: TridiagonalSystem) -> LatticeWeights:
     """Orthogonality weights of the table's family from the closed-form tables.
 
@@ -512,12 +485,12 @@ def weights(tri: TridiagonalSystem) -> LatticeWeights:
     region still gets weights, flagged as a signed measure.
     """
     fam = tri.family
-    _require_simple_spectrum(fam)
+    fam.require_distinct_strands()
     lw = lattice(fam)
     k_norm = _k_norm(fam)
     strands = _weight_strands(fam, k_norm)
-    w = _weight_table(strands, _weight_leads(fam, fam.alpha))
-    w_half = _weight_table(strands, _weight_leads(fam, 0.5))
+    w = weight_table(strands, _weight_leads(fam, fam.alpha))
+    w_half = weight_table(strands, _weight_leads(fam, 0.5))
     return lw.weighted(w, tri.h, w_half, k_norm)
 
 
@@ -539,7 +512,7 @@ def weights_from_christoffel(tri: TridiagonalSystem) -> LatticeWeights:
     Agrees with :func:`weights` point by point.
     """
     fam = tri.family
-    _require_simple_spectrum(fam)
+    fam.require_distinct_strands()
     lw = lattice(fam)
     hN = tri.h[-1]
     w = []
@@ -585,7 +558,7 @@ def qdiff_residual(tri: TridiagonalSystem, n: int, zs) -> list:
 
     def value(z):
         return eval_recurrence(tri, n, z)
-    return [qdifference_residual(numerator, value, lam, q, z) for z in zs]
+    return qdifference_residual(numerator, value, lam, q, zs)
 
 
 # ---------------------------------------------------------------------------

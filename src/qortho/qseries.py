@@ -199,7 +199,8 @@ class SeriesPlan:
         self.plain = any(is_mp(v) for v in (q, argument) + numerator + denominator)
         self.first = argument ** 0
         self.qpows = []
-        qpow = q ** 0
+        one = qpow = q ** 0  # the guard's terms, typed by q
+        guard = _SINGULAR_GUARD * one
         for _ in range(degree):
             self.qpows.append(qpow)
             qpow = qpow * q
@@ -210,7 +211,7 @@ class SeriesPlan:
             row = []
             for p in denominator:
                 f = 1 - p * qpow
-                if abs(f) <= _SINGULAR_GUARD * max(1.0, abs(p * qpow)):
+                if abs(f) <= guard * max(one, abs(p * qpow)):
                     raise SingularSeriesError(p, k)
                 row.append(f)
             self.den.append(tuple(row))

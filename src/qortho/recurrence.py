@@ -14,9 +14,12 @@ recurrences map their parent coefficients (A_n, C_n) to monic ones with
 This module owns the other conventions the families share, each written
 once: the bi-lattice order (:func:`interleave` puts one strand at the even
 indices and the other at the odd ones, :meth:`LatticeWeights.strand_sums`
-reads them back), the q-difference equation on x = (z + 1/z)/2 with its
-shift-operator pole guard (:func:`qdifference_residual`), and the palindrome
-residual behind both persymmetry checks (:func:`palindrome_residual`).
+reads them back), the closed-form weights from their strand factors
+(:func:`weight_table`), the refusal of coincident strands
+(:meth:`BiLatticeFamily.require_distinct_strands`), the q-difference
+equation on x = (z + 1/z)/2 with its shift-operator pole guard
+(:func:`qdifference_residual`), and the palindrome residual behind both
+persymmetry checks (:func:`palindrome_residual`).
 
 The deformation alpha enters b_n and u_n only at the splice n = j, j+1, so
 :meth:`TridiagonalSystem.at_alpha` gives the same family's table at another
@@ -33,19 +36,22 @@ for as long as it lives, one table per working precision
 from __future__ import annotations
 
 import sys
-from operator import attrgetter
+from functools import reduce
+from operator import attrgetter, mul
 
 from .qseries import PowerTable
 from .scalars import max_keep_nan, working_precision
 
 __all__ = [
     "Record",
+    "DegenerateFamilyError",
     "BiLatticeFamily",
     "TridiagonalSystem",
     "LatticeWeights",
     "monic_values",
     "monic_coefficients",
     "interleave",
+    "weight_table",
     "family_module",
     "tridiagonal",
     "qdifference_residual",
@@ -87,6 +93,10 @@ class Record:
             "%s=%r" % (name, getattr(self, name)) for name in self._fields))
 
 
+class DegenerateFamilyError(ArithmeticError):
+    """The two strands coincide (c = a, Delta = 1): weights are undefined."""
+
+
 class BiLatticeFamily(Record):
     """Checks and derived indices shared by the truncated families.
 
@@ -97,7 +107,8 @@ class BiLatticeFamily(Record):
     value.  N = 2j+1 when ``odd``, N = 2j otherwise.  alpha enters the
     recurrence coefficients b_n and u_n only at n = j, j+1, which is what
     :meth:`TridiagonalSystem.at_alpha` relies on; it must run at the working
-    precision that built the table it deforms.
+    precision that built the table it deforms.  A subclass says when its
+    strands coincide (``degenerate``) and how (``_coincident_strands``).
     """
 
     @staticmethod
@@ -118,6 +129,11 @@ class BiLatticeFamily(Record):
 
     def __hash__(self):
         return hash(self._values())
+
+    def require_distinct_strands(self, undefined="weights are undefined"):
+        """Raise :class:`DegenerateFamilyError` if the strands coincide."""
+        if self.degenerate:
+            raise DegenerateFamilyError("%s; %s" % (self._coincident_strands, undefined))
 
     _powers = None  # {working precision: PowerTable}, made by powers()
 
@@ -192,6 +208,18 @@ def interleave(even, odd) -> tuple:
     out = [None] * (len(even) + len(odd))
     out[0::2], out[1::2] = even, odd
     return tuple(out)
+
+
+def weight_table(strands, leads) -> tuple:
+    """Closed-form weights in :func:`interleave` order.  Per strand, (head,
+    rows) holds its point-free factors and a (row, den) per point s, and the
+    weight at s is lead * head[0] * ... * row[0] * ... / den, left to right,
+    with lead the strand's factor of alpha."""
+    tables = []
+    for lead, (head, rows) in zip(leads, strands):
+        prefix = reduce(mul, head, lead)
+        tables.append([reduce(mul, row, prefix) / den for row, den in rows])
+    return interleave(*tables)
 
 
 class LatticeWeights(Record):
@@ -303,30 +331,35 @@ def tridiagonal(fam) -> TridiagonalSystem:
     return TridiagonalSystem(family=fam, b=b, u=u, positive=all(v > 0 for v in u))
 
 
-def _shift_coefficient(numerator, q, z):
+def _shift_coefficient(numerator, q, z, guard):
     z2 = z * z
     den = (1 - z2) * (1 - q * z2)
-    if abs(den) < 1e-12:
+    if abs(den) < guard:
         raise ValueError("evaluation point too close to a shift-operator pole")
     return numerator(z) / den
 
 
-def qdifference_residual(numerator, value, lam, q, z) -> tuple:
-    """(LHS - RHS, scale) of the q-difference equation at one point z,
+def qdifference_residual(numerator, value, lam, q, zs) -> list:
+    """[(LHS - RHS, scale) for z in zs] of the q-difference equation
 
         lam P(z) = c(z) P(qz) - (c(z) + c(1/z)) P(z) + c(1/z) P(z/q),
 
     with c(z) = numerator(z) / ((1 - z^2)(1 - q z^2)), ``value(z)`` the
     polynomial at x = (z + 1/z)/2, and the scale the largest term magnitude.
     """
-    coef_up = _shift_coefficient(numerator, q, z)
-    coef_dn = _shift_coefficient(numerator, q, 1 / z)
-    p_up, p_mid, p_dn = value(q * z), value(z), value(z / q)
-    lhs = lam * p_mid
-    t_up = coef_up * p_up
-    t_mid = (coef_up + coef_dn) * p_mid
-    t_dn = coef_dn * p_dn
-    return lhs - (t_up - t_mid + t_dn), max(abs(lhs), abs(t_up), abs(t_mid), abs(t_dn))
+    guard = 1e-12 * q ** 0  # typed by q once: an mpf point meets no float
+    out = []
+    for z in zs:
+        coef_up = _shift_coefficient(numerator, q, z, guard)
+        coef_dn = _shift_coefficient(numerator, q, 1 / z, guard)
+        p_up, p_mid, p_dn = value(q * z), value(z), value(z / q)
+        lhs = lam * p_mid
+        t_up = coef_up * p_up
+        t_mid = (coef_up + coef_dn) * p_mid
+        t_dn = coef_dn * p_dn
+        out.append((lhs - (t_up - t_mid + t_dn),
+                    max(abs(lhs), abs(t_up), abs(t_mid), abs(t_dn))))
+    return out
 
 
 def palindrome_residual(*rows) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-from .para_racah import lattice
 from .recurrence import TridiagonalSystem, palindrome_residual
 from .scalars import max_keep_nan
 
@@ -124,8 +123,7 @@ def isospectrality_check(ref: list, tables) -> float:
                     for x, y in zip(spectrum(build_jacobi(t)), ref))
 
 
-def spectrum_vs_lattice(eig: list, fam) -> float:
-    """Max gap between an ascending Jacobi spectrum of the family and its
-    sorted bi-lattice."""
-    pts = sorted(float(x) for x in lattice(fam).points)
-    return _max_abs(x - y for x, y in zip(eig, pts))
+def spectrum_vs_lattice(eig: list, points) -> float:
+    """Max gap between an ascending Jacobi spectrum of a family and its
+    bi-lattice ``points``, sorted."""
+    return _max_abs(x - y for x, y in zip(eig, sorted(float(p) for p in points)))

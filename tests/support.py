@@ -11,6 +11,7 @@ at the end are the exact-equality references of the library routes.
 import mpmath
 
 from qortho import askey_wilson, para_krawtchouk, para_racah, qseries
+from qortho.recurrence import DegenerateFamilyError, interleave
 from qortho.scalars import is_mp, max_keep_nan
 
 # Tiny but nonzero limit parameter; the weights e1, e2 are scaled down so the
@@ -347,3 +348,55 @@ def qpk_theta_limit_reference(fam):
                     worst, abs(u_ext - para_krawtchouk.u_coefficient(qfam, n))
                     / max(mpmath.mpf(1) / 10 ** 6, abs(u_ext)))
     return float(worst)
+
+
+# ---------------------------------------------------------------------------
+# Per-point reference for the q-para-Krawtchouk weights
+# ---------------------------------------------------------------------------
+#
+# The closed-form weights as they were computed before both kinds shared
+# recurrence.weight_table: one whole product per point, every factor fetched
+# at that point.  para_krawtchouk.weights must return these values exactly
+# and raise what this raises.
+
+
+def _qpk_weight_at_reference(fam, s, on_unit_strand, k_norm):
+    D, al, q, j = fam.Delta, fam.alpha, fam.q, fam.j
+    pw = fam.powers()
+    qp = pw.pochhammer
+    if fam.odd:
+        if not on_unit_strand:
+            num = (k_norm * (1 - al) * (1 - 1 / D) * pw[s]
+                   * qp(D * pw[-j], j) * qp(pw[-j] / D, j)
+                   * qp(pw[-j], s) * qp(D * pw[-j], s))
+            den = qp(q, s) * qp(1 / D, j + 1) * D ** j * qp(D * q, s)
+            return num / den
+        num = (k_norm * al * (1 - D) * D ** j * pw[s]
+               * qp(pw[-j] / D, j) * qp(D * pw[-j], j)
+               * qp(pw[-j], s) * qp(pw[-j] / D, s))
+        den = qp(q, s) * qp(D, j + 1) * qp(q / D, s)
+        return num / den
+    if not on_unit_strand:
+        num = k_norm * (1 - al) * pw[s] * qp(pw[-j], s) * qp(D * pw[1 - j], s)
+        den = D ** j * qp(q, s) * qp(q / D, j) * qp(D * q, s)
+        return num / den
+    num = (k_norm * al * D ** (j - 1) * (1 - pw[j]) * pw[s]
+           * qp(pw[1 - j], s) * qp(pw[-j] / D, s))
+    den = (1 - pw[j] / D) * qp(q, s) * qp(D * q, j) * qp(q / D, s)
+    return num / den
+
+
+def qpk_weights_reference(tri):
+    """(points, weights, h, k_norm) of para_krawtchouk.weights, point by point."""
+    fam = tri.family
+    if fam.degenerate:
+        raise DegenerateFamilyError(
+            "Delta = 1 collapses the two strands; weights are undefined"
+        )
+    points = para_krawtchouk.lattice(fam).points
+    k_norm = para_krawtchouk._k_norm(fam)
+    w = interleave([_qpk_weight_at_reference(fam, s, False, k_norm)
+                    for s in range(fam.j + 1)],
+                   [_qpk_weight_at_reference(fam, s, True, k_norm)
+                    for s in range(fam.N - fam.j)])
+    return points, w, tri.h, k_norm

@@ -79,6 +79,24 @@ def test_lattice_weights_degenerate_exits_3(capsys):
     assert "degenerate" in err
 
 
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("family,text", [
+    ("--kind qpr --a 0.7 --c 0.7", "c = a makes the spectrum doubly degenerate"),
+    ("--kind qpk --Delta 1", "Delta = 1 collapses the two strands"),
+], ids=["qpr-c=a", "qpk-Delta=1"])
+def test_lattice_weights_refuses_coincident_strands(capsys, family, text, precision):
+    code, out, err = run_cli(capsys, ["lattice-weights", *family.split(), "--alpha", "0.5",
+                                      "--q", "0.5", "--N", "5", "--precision", precision])
+    assert (code, out) == (3, "")
+    assert err == "degenerate configuration: %s; weights are undefined\n" % text
+
+
+def test_degenerate_family_error_is_one_class():
+    import qortho
+    assert (qortho.DegenerateFamilyError is qortho.para_racah.DegenerateFamilyError
+            is qortho.recurrence.DegenerateFamilyError)
+
+
 def test_json_round_trip(capsys):
     argv = ["lattice-weights"] + QPR + ["--format", "json"]
     code, out, _ = run_cli(capsys, argv)
@@ -289,6 +307,18 @@ def test_verify_degenerate_exits_3(capsys, suite, precision):
     assert out == ""
     assert err == ("degenerate configuration: c = a makes the spectrum doubly "
                    "degenerate; the explicit expansion is undefined\n")
+
+
+def test_persymmetry_violation_beyond_binary64_does_not_pass(capsys):
+    # a = 1e-240 puts b_0 near 1e240: the residual is an mpf beyond the binary64
+    # range, printed as inf, and a check with a residual it cannot print fails.
+    code, out, err = run_cli(capsys, [
+        "verify", "--kind", "qpr", "--a", "1e-240", "--c", "0.5", "--alpha", "0.75",
+        "--q", "0.03125", "--N", "2", "--suite", "persymmetry", "--precision", "extended:30"])
+    assert code == 4
+    assert out.splitlines()[1:] == ["persymmetry/persymmetry-violation,fail,inf,1.000000e-06,"
+                                    "expected residual above tolerance"]
+    assert err == "verification failed: 1 of 1 checks\n"
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -1,6 +1,7 @@
-"""Edge property of the table commands: whatever the parameters, `coeffs`
-and `lattice-weights` exit with a documented code, and exit 0 only with
-finite numbers on stdout."""
+"""Edge properties of the commands: whatever the parameters, `coeffs` and
+`lattice-weights` exit with a documented code, and exit 0 only with finite
+numbers on stdout; `verify` exits 0 only with every check passed at a finite
+residual, and 4 only with a failed check in its report."""
 
 import contextlib
 import io
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from qortho.cli import main
 from qortho.recurrence import _DEGENERATE_TOL
+from qortho.verify import _QPK_SUITES, _QPR_SUITES
 
 EDGE = ("0", "-0.7", "nan", "inf", "-inf", "1e150", "1e-150")
 
@@ -61,16 +63,75 @@ def _printed_numbers(out: str, fmt: str) -> list:
         line.split("=")[1].strip() for line in lines if line.startswith("#")]
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(table_commands())
-def test_table_commands_exit_with_a_documented_code(argv):
+def _run(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(stderr):
         os.environ.pop("QORTHO_PRECISION", None)
         code = main(argv)
-    assert code in (0, 2, 3, 4), (argv, stderr.getvalue())
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(table_commands())
+def test_table_commands_exit_with_a_documented_code(argv):
+    code, out, err = _run(argv)
+    assert code in (0, 2, 3, 4), (argv, err)
     if code == 0:
-        numbers = _printed_numbers(stdout.getvalue(), argv[argv.index("--format") + 1])
+        numbers = _printed_numbers(out, argv[argv.index("--format") + 1])
         assert numbers
         assert all(Decimal(text).is_finite() for text in numbers), argv
+
+
+# q next to 0 and to 1, or anywhere in between.
+nome = st.one_of(st.floats(0.001, 0.05), st.floats(0.95, 0.999), st.floats(0.01, 0.99))
+
+
+@st.composite
+def verify_commands(draw):
+    kind = draw(st.sampled_from(("qpr", "qpk")))
+    N = draw(st.integers(1, 24))
+    q = draw(nome)
+    params = {"--alpha": draw(unit), "--q": q}
+    if kind == "qpr":
+        a = draw(unit)
+        c = draw(st.one_of(
+            unit,
+            st.sampled_from(NEAR).map(lambda f: a * (1 + f)),
+            # a c next to q^(1-N), where the positivity conditions change.
+            st.floats(-1e-6, 1e-6).map(lambda f: q ** (1 - N) / a * (1 + f))))
+        params.update({"--a": a, "--c": c})
+    else:
+        params["--Delta"] = draw(st.one_of(st.floats(0.05, 20.0),
+                                           st.sampled_from(NEAR).map(lambda f: 1 + f)))
+    suites = _QPR_SUITES if kind == "qpr" else _QPK_SUITES
+    return (["verify", "--kind", kind, "--N", str(N),
+             "--suite", draw(st.sampled_from((*suites, "all"))),
+             "--format", draw(st.sampled_from(("csv", "json"))),
+             "--precision", draw(st.sampled_from(("double", "extended:30")))]
+            + ["%s=%r" % item for item in params.items()])
+
+
+def _report(out: str, fmt: str) -> list:
+    """(status, residual text) of every check the report lists."""
+    if fmt == "json":
+        return [(chk["status"], str(chk["residual"])) for chk in json.loads(out)["checks"]]
+    # The note, last, may hold a comma.
+    return [tuple(line.split(",", 4)[1:3]) for line in out.splitlines()[1:]]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(verify_commands())
+def test_verify_exit_code_agrees_with_its_report(argv):
+    code, out, err = _run(argv)
+    assert code in (0, 2, 3, 4), (argv, err)
+    if code in (2, 3):
+        assert out == "", argv
+        return
+    report = _report(out, argv[argv.index("--format") + 1])
+    assert report, argv
+    if code == 0:
+        assert all(status == "pass" and Decimal(residual).is_finite()
+                   for status, residual in report), argv
+    else:
+        assert any(status == "fail" for status, _ in report), argv

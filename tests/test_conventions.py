@@ -79,7 +79,7 @@ def _qpk_rows(num, N):
     fam = ParaKrawtchoukFamily(Delta=num("1.3"), alpha=num("0.35"), q=num("0.5"), N=N)
     tri = tridiagonal(fam)
     lw = para_krawtchouk.weights(tri)
-    return [_bits(para_krawtchouk.lattice_points(fam)),
+    return [_bits(para_krawtchouk.lattice(fam).points),
             [[name, _bits(getattr(lw, name))] for name in _WEIGHT_FIELDS],
             _bits(lw.strand_sums()),
             _persymmetry_rows(tri)]

@@ -4,7 +4,8 @@ it, every run that needs extended precision or a limit check does, and
 process does not load the Askey-Wilson parent family; no process loads
 ``dataclasses`` (or the ``inspect`` it pulls in), and only a JSON-writing one
 loads ``json``.  No module imports mpmath, ``dataclasses`` or ``typing`` at
-import time."""
+import time, and neither ``para_krawtchouk`` nor ``spectral`` imports
+``para_racah``."""
 
 import ast
 import json
@@ -117,6 +118,16 @@ def _module_level_imports(tree):
         elif isinstance(node, ast.ImportFrom) and node.module:
             yield node.module
         stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("module", ["para_krawtchouk", "spectral"])
+def test_module_imports_nothing_from_para_racah(module):
+    tree = ast.parse((SRC / (module + ".py")).read_text())
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert imported
+    assert not [name for name in imported if name and "para_racah" in name]
 
 
 # Loaded inside the functions that need them (mpmath), or not at all.

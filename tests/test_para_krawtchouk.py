@@ -1,14 +1,16 @@
 import math
+import random
 
 import mpmath
 import pytest
+import support
 
 from qortho import para_racah
 from qortho.para_krawtchouk import (
     ParaKrawtchoukFamily,
     b_coefficient,
     eval_recurrence,
-    lattice_points,
+    lattice,
     u_coefficient,
     weights,
 )
@@ -39,11 +41,11 @@ def test_persymmetry_violated_away_from_half():
 
 
 def test_lattice_unit_strand_starts_at_one():
-    assert lattice_points(ODD)[1] == 1.0
+    assert lattice(ODD).points[1] == 1.0
 
 
 def test_lattice_interleaving_and_sizes():
-    pts = lattice_points(EVEN)
+    pts = lattice(EVEN).points
     assert len(pts) == EVEN.N + 1
     assert pts[0] == pytest.approx(1.3)
     assert pts[2] == pytest.approx(1.3 * 0.5)
@@ -51,7 +53,7 @@ def test_lattice_interleaving_and_sizes():
 
 def test_degenerate_delta_collapses_strands():
     fam = ParaKrawtchoukFamily(Delta=1.0, alpha=0.5, q=0.5, N=5)
-    pts = lattice_points(fam)
+    pts = lattice(fam).points
     for s in range(fam.j + 1):
         assert pts[2 * s] == pytest.approx(pts[2 * s + 1])
     with pytest.raises(DegenerateFamilyError):
@@ -65,7 +67,7 @@ def test_eval_trivial_degree():
 @pytest.mark.parametrize("fam", [ODD, EVEN], ids=["odd", "even"])
 def test_characteristic_roots_on_lattice(fam):
     tri = tridiagonal(fam)
-    for y in lattice_points(fam):
+    for y in lattice(fam).points:
         val = eval_recurrence(tri, fam.N + 1, y)
         assert abs(val) <= 1e-10
 
@@ -98,7 +100,7 @@ def test_persymmetric_weights_reflect_through_gram_structure():
                 EVEN.replace(alpha=0.5)):
         tri = tridiagonal(fam)
         hN = tri.h[-1]
-        pts = lattice_points(fam)
+        pts = lattice(fam).points
         vals = {y: eval_recurrence(tri, fam.N, y) for y in pts}
         for y, v in vals.items():
             assert abs(v) == pytest.approx(math.sqrt(hN), rel=1e-9)
@@ -141,7 +143,7 @@ def test_lattice_is_scaled_limit_of_biexponential_grid():
         D = mpmath.mpf("1.3")
         q = mpmath.mpf("0.5")
         fam = ParaKrawtchoukFamily(Delta=D, alpha=mpmath.mpf("0.5"), q=q, N=5)
-        target = lattice_points(fam)
+        target = lattice(fam).points
         vals = []
         for k in (3, 4, 5):
             theta = mpmath.mpf(10) ** k
@@ -196,3 +198,51 @@ def test_coefficient_validation():
         u_coefficient(ODD, 0)
     with pytest.raises(ValueError):
         b_coefficient(ODD, ODD.N + 1)
+
+
+def _bits(v):
+    if isinstance(v, (tuple, list)):
+        return [_bits(x) for x in v]
+    if isinstance(v, float):
+        return ("float", v.hex())
+    if isinstance(v, mpmath.mpf):
+        return ("mpf", v._mpf_)
+    return (type(v).__name__, repr(v))
+
+
+def _outcome(compute, fam):
+    """The bits of what ``compute`` returns for a fresh copy of the family,
+    or the type and text of what it raises."""
+    try:
+        return _bits(compute(tridiagonal(fam.replace())))
+    except ArithmeticError as exc:
+        return (type(exc), str(exc))
+
+
+def _library(tri):
+    lw = weights(tri)
+    return lw.points, lw.weights, lw.h, lw.k_norm
+
+
+def _random_families(rng, count):
+    """Families from N 1-24, q 0.15-0.9 and Delta 0.05-3, with Delta also at
+    1 and next to it, and at q^k, where a denominator of the weights vanishes."""
+    for _ in range(count):
+        q = rng.uniform(0.15, 0.9)
+        special = rng.choice((1.0, 1 + 1e-13, 1 - 1e-13, q, q * q, 1 / q, 1 / (q * q)))
+        D = rng.uniform(0.05, 3.0) if rng.random() < 0.7 else special
+        yield D, rng.uniform(0.01, 0.99), q, rng.randint(1, 24)
+
+
+@pytest.mark.parametrize("num,digits", [(float, 15), (mpmath.mpf, 50)],
+                         ids=["double", "mpf50"])
+def test_weights_match_the_per_point_reference_bit_for_bit(num, digits):
+    rng = random.Random(20261018)
+    refused = 0
+    with mpmath.workdps(digits):
+        for D, al, q, N in _random_families(rng, 150):
+            fam = ParaKrawtchoukFamily(Delta=num(D), alpha=num(al), q=num(q), N=N)
+            got = _outcome(_library, fam)
+            assert got == _outcome(support.qpk_weights_reference, fam), fam
+            refused += isinstance(got[0], type)
+    assert 0 < refused < 150
