@@ -223,7 +223,10 @@ def cmd_verify(args, prec: _Precision) -> int:
     return EXIT_VERIFY
 
 
-def _add_family_arguments(p: argparse.ArgumentParser):
+def _family_options() -> argparse.ArgumentParser:
+    """The options of every subcommand, each added once.  The subcommands share
+    these actions, so a set_defaults on one of their dests would reach all three."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--kind", choices=tuple(_KINDS), default="qpr",
                    help="family kind: biexponential (qpr) or exponential (qpk)")
     p.add_argument("--a", help="a parameter (qpr)")
@@ -237,33 +240,30 @@ def _add_family_arguments(p: argparse.ArgumentParser):
                    help="double | extended | extended:P (env QORTHO_PRECISION wins)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for random evaluation points (default 0)")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qortho",
-        description="Bi-lattice orthogonal polynomial tables and verification.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_coeffs = sub.add_parser("coeffs", help="emit the recurrence table (n, b_n, u_n)")
-    _add_family_arguments(p_coeffs)
-    p_coeffs.set_defaults(func=cmd_coeffs)
-
-    p_lw = sub.add_parser("lattice-weights",
-                          help="emit lattice points and orthogonality weights")
-    _add_family_arguments(p_lw)
-    p_lw.set_defaults(func=cmd_lattice_weights)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    _add_family_arguments(p_verify)
+    parser = argparse.ArgumentParser(prog="qortho", description=(
+        "Bi-lattice orthogonal polynomial tables and verification."))
+    # Given prog, argparse need not format a usage line to learn the prefix.
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    family = [_family_options()]
+    sub.add_parser("coeffs", parents=family, help="emit the recurrence table (n, b_n, u_n)"
+                   ).set_defaults(func=cmd_coeffs)
+    sub.add_parser("lattice-weights", parents=family,
+                   help="emit lattice points and orthogonality weights"
+                   ).set_defaults(func=cmd_lattice_weights)
+    p_verify = sub.add_parser("verify", parents=family, help="run a verification suite")
     p_verify.add_argument("--suite", choices=verify.SUITES, default="all")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; a usage error raises argparse's
+    ``SystemExit(2)``.  The parser is built on each call and no state outlives it."""
+    args = build_parser().parse_args(argv)
     try:
         # Before the precision, whose box test reads the lattice options.
         _require_lattice_options(args)

@@ -5,7 +5,7 @@ process does not load the Askey-Wilson parent family; no process loads
 ``dataclasses`` (or the ``inspect`` it pulls in), and only a JSON-writing one
 loads ``json``.  No module imports mpmath, ``dataclasses`` or ``typing`` at
 import time, and neither ``para_krawtchouk`` nor ``spectral`` imports
-``para_racah``."""
+``para_racah``.  The benchmark's tracer finds every function it wraps."""
 
 import ast
 import json
@@ -78,6 +78,41 @@ def test_coeffs_process_does_not_load_askey_wilson():
     assert "qortho.askey_wilson" not in loaded
     # The benchmark tracer (perfbench/tracer.py) looks these up in sys.modules.
     assert {"qortho.verify", "qortho.spectral", "qortho.connections"} <= loaded
+
+
+# Installs the benchmark's tracer (perfbench/tracer.py, loaded from its file)
+# around qortho.cli.main, runs each argv, uninstalls it and prints the exit
+# codes, whether main is the original function again, and the tracer totals.
+_TRACED = """
+import contextlib, importlib.util, io, json, sys
+import qortho.cli
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+main = qortho.cli.main
+tracer = tracer_module.Tracer()
+tracer.install()
+codes = []
+for op, argv in enumerate(json.loads(sys.argv[2])):
+    tracer.begin_op(op)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(qortho.cli.main(argv))
+    tracer.end_op(codes[-1])
+tracer.uninstall()
+print(json.dumps([codes, qortho.cli.main is main, tracer.totals()]))
+"""
+
+
+def test_benchmark_tracer_installs_around_the_cli():
+    argvs = [[command, *BOX[kind], "--N", "5", "--precision", "double", *rest]
+             for command, kind, rest in (("coeffs", "qpr", []),
+                                         ("lattice-weights", "qpk", []),
+                                         ("verify", "qpr", ["--suite", "all"]))]
+    codes, restored, totals = _fresh_process(
+        _TRACED, str(ROOT / "perfbench" / "tracer.py"), json.dumps(argvs))
+    assert codes == [0, 0, 0] and restored
+    assert totals["cli.calls"] == 3 and totals["cli.self_s"] > 0
+    assert totals["verify.run_suite.calls"] == 1 and totals["verify.checks"] > 0
 
 
 @pytest.mark.parametrize("argv", [
