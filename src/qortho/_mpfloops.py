@@ -1,0 +1,142 @@
+"""The hottest mpf loops of the package, run on mpmath's raw ``_mpf_`` tuples.
+
+Each function here is one operator loop of the package written with the
+:mod:`mpmath.libmp` call that the mpf operator itself makes, with the same
+(prec, rounding) pair the operator reads from its left operand's context:
+``a * b`` is ``mpf_mul(a, b)``, ``a - b`` is ``mpf_sub(a, b)``, ``a / b`` is
+``mpf_div(a, b)``, ``a + b`` is ``mpf_add(a, b)``, ``abs(a)`` is
+``mpf_abs(a)``, and ``1 - a`` is ``mpf_sub(fone, a)``, which is what
+``__rsub__`` does with an int.  So every result is the operator loop's bit
+for bit; what goes is the operator's type dispatch and the ``mpf`` it builds
+around every intermediate.  A result is wrapped into an ``mpf`` once, where
+the caller reads it.
+
+Each caller takes this path only when :func:`~qortho.scalars.all_mpf` holds
+for every operand its loop reads, and keeps its operator loop for float,
+complex, mpc and mixed inputs.  It imports this module only then, so a
+binary64 run never loads it.  mpmath is imported inside the functions, as
+everywhere in the package; the libmp functions are bound to locals once per
+call.
+"""
+
+from __future__ import annotations
+
+__all__ = ["monic_values", "qpochhammer", "series_sum", "richardson", "dot"]
+
+
+def monic_values(b, u, x) -> list:
+    """:func:`qortho.recurrence.monic_values` for mpf ``x``, ``b`` and ``u[1:]``;
+    P_0 stays the float 1.0 that heads that function's list."""
+    import mpmath
+    lib = mpmath.libmp
+    mpf_mul, mpf_sub = lib.mpf_mul, lib.mpf_sub
+    mpf, new, (prec, rnd) = x._ctxdata
+    xv = x._mpf_
+    raw = []
+    steps = zip(b, u)
+    for b0, _ in steps:
+        prev = cur = mpf_sub(xv, b0._mpf_, prec, rnd)
+        raw.append(cur)
+        for b1, u1 in steps:
+            cur = mpf_sub(mpf_mul(mpf_sub(xv, b1._mpf_, prec, rnd), cur, prec, rnd),
+                          u1._mpf_, prec, rnd)
+            raw.append(cur)
+            for bm, um in steps:
+                cur, prev = mpf_sub(
+                    mpf_mul(mpf_sub(xv, bm._mpf_, prec, rnd), cur, prec, rnd),
+                    mpf_mul(um._mpf_, prev, prec, rnd), prec, rnd), cur
+                raw.append(cur)
+    out = [1.0]
+    for v in raw:
+        value = new(mpf)
+        value._mpf_ = v
+        out.append(value)
+    return out
+
+
+def qpochhammer(a, q, k: int):
+    """:func:`qortho.qseries.qpochhammer` for mpf ``a`` and ``q``."""
+    one = q ** 0
+    if not k:
+        return one
+    import mpmath
+    lib = mpmath.libmp
+    fone, mpf_mul, mpf_sub = lib.fone, lib.mpf_mul, lib.mpf_sub
+    mpf, new, (prec, rnd) = one._ctxdata
+    av, qv = a._mpf_, q._mpf_
+    out = qpow = one._mpf_
+    for _ in range(k):
+        out = mpf_mul(out, mpf_sub(fone, mpf_mul(av, qpow, prec, rnd), prec, rnd),
+                      prec, rnd)
+        qpow = mpf_mul(qpow, qv, prec, rnd)
+    value = new(mpf)
+    value._mpf_ = out
+    return value
+
+
+def series_sum(plan, varying) -> tuple:
+    """:meth:`qortho.qseries.SeriesPlan.sum` of an all-mpf plan at mpf
+    ``varying``: the plain sum, as the operator loop takes it for mpmath
+    inputs."""
+    import mpmath
+    lib = mpmath.libmp
+    fone, mpf_abs, mpf_add = lib.fone, lib.mpf_abs, lib.mpf_add
+    mpf_div, mpf_mul, mpf_sub = lib.mpf_div, lib.mpf_mul, lib.mpf_sub
+    first = plan.first
+    mpf, new, (prec, rnd) = first._ctxdata
+    argument = plan.argument._mpf_
+    varying = [p._mpf_ for p in varying]
+    term = total = first._mpf_
+    magnitude = mpf_abs(term, prec, rnd)
+    for num, qpow, den in zip(plan.num, plan.qpows, plan.den):
+        for f in num:
+            term = mpf_mul(term, f._mpf_, prec, rnd)
+        qpow = qpow._mpf_
+        for p in varying:
+            term = mpf_mul(term, mpf_sub(fone, mpf_mul(p, qpow, prec, rnd), prec, rnd),
+                           prec, rnd)
+        for f in den:
+            term = mpf_div(term, f._mpf_, prec, rnd)
+        term = mpf_mul(term, argument, prec, rnd)
+        magnitude = mpf_add(magnitude, mpf_abs(term, prec, rnd), prec, rnd)
+        total = mpf_add(total, term, prec, rnd)
+    value, scale = new(mpf), new(mpf)
+    value._mpf_, scale._mpf_ = total, magnitude
+    return value, scale
+
+
+def richardson(values, ratio) -> list:
+    """:func:`qortho.connections.richardson` of a non-empty mpf list."""
+    import mpmath
+    lib = mpmath.libmp
+    mpf_div, mpf_mul, mpf_sub = lib.mpf_div, lib.mpf_mul, lib.mpf_sub
+    mpf, new, (prec, rnd) = values[-1]._ctxdata
+    table = [v._mpf_ for v in values]
+    estimates = [values[-1]]
+    for level in range(1, len(table)):
+        f = mpmath.mpf(ratio) ** level
+        d = (f - 1)._mpf_
+        f = f._mpf_
+        table = [mpf_div(mpf_sub(mpf_mul(f, hi, prec, rnd), lo, prec, rnd), d, prec, rnd)
+                 for lo, hi in zip(table, table[1:])]
+        value = new(mpf)
+        value._mpf_ = table[-1]
+        estimates.append(value)
+    return estimates
+
+
+def dot(xs, ys):
+    """``sum(map(operator.mul, xs, ys))`` of two mpf sequences of one
+    non-zero length.  The builtin starts from the int 0, and
+    ``0 + first`` is the first product's ``__radd__``: mpf_add(first, 0)."""
+    import mpmath
+    lib = mpmath.libmp
+    fzero, mpf_add, mpf_mul = lib.fzero, lib.mpf_add, lib.mpf_mul
+    mpf, new, (prec, rnd) = xs[0]._ctxdata
+    products = [mpf_mul(x._mpf_, y._mpf_, prec, rnd) for x, y in zip(xs, ys)]
+    total = mpf_add(products[0], fzero, prec, rnd)
+    for p in products[1:]:
+        total = mpf_add(total, p, prec, rnd)
+    value = new(mpf)
+    value._mpf_ = total
+    return value

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .para_racah import ParaRacahFamily, limit_recurrence_ac
 from .recurrence import monic_coefficients, monic_values, tridiagonal
-from .scalars import max_keep_nan, sqrt
+from .scalars import all_mpf, max_keep_nan, sqrt
 
 __all__ = [
     "QRacahParams",
@@ -53,7 +53,8 @@ def qracah_recurrence_ac(p: QRacahParams, n: int):
     ab = al * be
     den_a = (1 - ab * q ** (2 * n + 1)) * (1 - ab * q ** (2 * n + 2))
     den_c = (1 - ab * q ** (2 * n)) * (1 - ab * q ** (2 * n + 1))
-    if abs(den_a) < 1e-13 or abs(den_c) < 1e-13:
+    guard = 1e-13 * q ** 0  # typed by q once: an mpf denominator meets no float
+    if abs(den_a) < guard or abs(den_c) < guard:
         raise ArithmeticError("q-Racah recurrence denominator vanishes at n = %d" % n)
     A = ((1 - al * q ** (n + 1)) * (1 - ab * q ** (n + 1))
          * (1 - be * de * q ** (n + 1)) * (1 - ga * q ** (n + 1)) / den_a)
@@ -124,7 +125,7 @@ def verify_qracah_identity(a, q, N: int, zs) -> float:
     qr_coefficients = _qracah_monic_coefficients(single_lattice_qracah_params(a, q, N), N)
     rhs_scales = [(2 * a) ** -n for n in range(N + 1)]
     one = q ** 0  # typed by q, so an mpf scale is not compared with a float
-    worst = 0.0
+    worst = one - one
     for z in zs:
         x = (z + 1 / z) / 2
         lhs_values = tri.values(x, N)
@@ -139,9 +140,13 @@ def verify_qracah_identity(a, q, N: int, zs) -> float:
 def richardson(values, ratio):
     """The last entry of every level of the Richardson table of
     v_k = L + c1 h_k + c2 h_k^2 + ..., h_k shrinking by ``ratio`` each step:
-    from v_last itself to the fully accelerated estimate of L."""
-    import mpmath
+    from v_last itself to the fully accelerated estimate of L.  mpf values
+    run on raw tuples (:mod:`qortho._mpfloops`), bit for bit."""
     table = list(values)
+    if table and all_mpf(table):
+        from . import _mpfloops
+        return _mpfloops.richardson(table, ratio)
+    import mpmath
     estimates = [table[-1]]
     for level in range(1, len(table)):
         f = mpmath.mpf(ratio) ** level

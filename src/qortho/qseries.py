@@ -11,14 +11,20 @@ taken at many evaluation points recomputes only the point-dependent ones.
 
 In binary64 mode terms are accumulated in increasing k with compensated
 (Kahan) summation; mpmath inputs are summed plainly since the working
-precision already dominates the roundoff budget.
+precision already dominates the roundoff budget.  When every operand is an
+mpmath mpf, :func:`qpochhammer` and :meth:`SeriesPlan.sum` run on mpmath's
+raw tuples (:mod:`qortho._mpfloops`): each step is the ``mpmath.libmp`` call
+the mpf operator makes, at the (prec, rounding) the operator reads, so the
+result is the operator loop's bit for bit, without the operator's type
+dispatch and the mpf it builds per step.  Any other operand keeps the
+operator loop.
 """
 
 from __future__ import annotations
 
 import math
 
-from .scalars import is_mp
+from .scalars import all_mpf, is_mp
 
 __all__ = [
     "SingularSeriesError",
@@ -67,6 +73,9 @@ def qpochhammer(a, q, k):
     """(a;q)_k = prod_{i=0}^{k-1} (1 - a q^i); the empty product q^0 for k = 0."""
     _check_nome(q)
     k = _check_length(k)
+    if all_mpf((a, q)):
+        from . import _mpfloops
+        return _mpfloops.qpochhammer(a, q, k)
     out = qpow = q ** 0
     for _ in range(k):
         out = out * (1 - a * qpow)
@@ -215,10 +224,15 @@ class SeriesPlan:
                     raise SingularSeriesError(p, k)
                 row.append(f)
             self.den.append(tuple(row))
+        # Then sum() may run on raw tuples (qortho._mpfloops), bit for bit.
+        self.all_mpf = all_mpf((self.first, argument), self.qpows, *self.num, *self.den)
 
     def sum(self, varying=()):
         """(value, sum of |term|) with the numerator parameters ``varying``
         appended after the fixed ones."""
+        if self.all_mpf and all_mpf(varying):
+            from . import _mpfloops
+            return _mpfloops.series_sum(self, varying)
         plain = self.plain or any(is_mp(v) for v in varying)
         degree, argument = self.degree, self.argument
         num, den, qpows = self.num, self.den, self.qpows

@@ -4,12 +4,17 @@ Every family here is a sequence of monic polynomials
 
     P_{n+1}(x) = (x - b_n) P_n(x) - u_n P_{n-1}(x),   P_{-1} = 0,  P_0 = 1,
 
-and :func:`monic_values` is the one loop that evaluates it.  The truncated
-families (q-para-Racah and q-para-Krawtchouk) fill a :class:`TridiagonalSystem`
-once with :func:`tridiagonal` and read every degree, the normalization
-products and the persymmetry residual from it.  The Askey-Wilson and q-Racah
-recurrences map their parent coefficients (A_n, C_n) to monic ones with
-:func:`monic_coefficients` and feed them to the same loop.
+and :func:`monic_values` is the one loop that evaluates it.  At an mpf point
+of an mpf table that loop runs on mpmath's raw tuples (:mod:`qortho._mpfloops`):
+each step is the ``mpmath.libmp`` call the mpf operator makes, at the
+(prec, rounding) the operator reads, so every value is the operator loop's
+bit for bit, without the operator's type dispatch and the mpf it builds per
+step.  The truncated families (q-para-Racah and q-para-Krawtchouk) fill a
+:class:`TridiagonalSystem` once with :func:`tridiagonal` and read every
+degree, the normalization products and the persymmetry residual from it.
+The Askey-Wilson and q-Racah recurrences map their parent coefficients
+(A_n, C_n) to monic ones with :func:`monic_coefficients` and feed them to
+the same loop.
 
 This module owns the other conventions the families share, each written
 once: the bi-lattice order (:func:`interleave` puts one strand at the even
@@ -40,7 +45,7 @@ from functools import reduce
 from operator import attrgetter, mul
 
 from .qseries import PowerTable
-from .scalars import max_keep_nan, working_precision
+from .scalars import all_mpf, max_keep_nan, working_precision
 
 __all__ = [
     "Record",
@@ -165,8 +170,13 @@ def monic_values(b, u, x) -> list:
 
     ``u[m]`` multiplies P_{m-1}; u_0 is never read (callers pass 0.0).
     P_1 = x - b_0 and P_2 = (x - b_1) P_1 - u_1 are written out: the general
-    step's products by P_0 = 1 and P_{-1} = 0 are exact.
+    step's products by P_0 = 1 and P_{-1} = 0 are exact.  With an mpf ``x``,
+    ``b`` and ``u[1:]`` the same loop runs on raw tuples
+    (:mod:`qortho._mpfloops`), bit for bit.
     """
+    if all_mpf((x,), b, u[1:]):
+        from . import _mpfloops
+        return _mpfloops.monic_values(b, u, x)
     out = [1.0]
     # One iterator: each inner loop takes every later step, so the outer
     # loops run at most once.

@@ -32,6 +32,17 @@ def is_mp(x) -> bool:
     return mpmath is not None and isinstance(x, (mpmath.mpf, mpmath.mpc))
 
 
+def all_mpf(*groups) -> bool:
+    """True when every value in the iterables ``groups`` is an mpmath mpf:
+    that type itself, not an mpc, a constant such as ``mpmath.pi`` or a
+    float.  Answers False without loading mpmath, as :func:`is_mp` does."""
+    mpmath = sys.modules.get("mpmath")
+    if mpmath is None:
+        return False
+    mpf = mpmath.mpf
+    return all(type(v) is mpf for group in groups for v in group)
+
+
 def working_precision(x):
     """mpmath's working precision for an mpmath scalar, None otherwise."""
     return sys.modules["mpmath"].mp.prec if is_mp(x) else None

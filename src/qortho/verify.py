@@ -20,7 +20,7 @@ from operator import mul
 
 from . import connections, para_krawtchouk, para_racah, spectral
 from .recurrence import family_module, persymmetry_residual, tridiagonal
-from .scalars import is_mp, max_keep_nan, sqrt
+from .scalars import all_mpf, is_mp, max_keep_nan, sqrt
 
 __all__ = ["Check", "RunTables", "SUITES", "run_suite", "sample_family"]
 
@@ -128,17 +128,26 @@ def gram_errors(tri, lw):
 
     The Gram matrix sum_s w_s P_n(x_s) P_m(x_s) of the table's family is
     compared with diag(h_n) at the lattice points ``lw.points``, for either
-    family kind.  A NaN entry makes its error NaN.
+    family kind.  A NaN entry makes its error NaN.  With mpf values the dot
+    products with m >= 1 run on raw tuples (:mod:`qortho._mpfloops`), bit
+    for bit; column 0 holds the float P_0 = 1.0.
     """
     N = tri.family.N
     # Column n holds P_n at every lattice point; w_s P_n(x_s) is formed once
     # per (s, n) and then multiplied by P_m(x_s).
     cols = list(zip(*(tri.values(x, N) for x in lw.points)))
     weighted = [list(map(mul, lw.weights, col)) for col in cols]
-    worst_diag = worst_off = 0.0
+    raw = all_mpf(*weighted, *cols[1:])
+    if raw:
+        from . import _mpfloops
+    # Folded from a zero of the table's type: an mpf error meets no float.
+    worst_diag = worst_off = type(tri.b[0])(0)
     for n in range(N + 1):
         for m in range(n + 1):
-            g = sum(map(mul, weighted[n], cols[m]))
+            if raw and m:
+                g = _mpfloops.dot(weighted[n], cols[m])
+            else:
+                g = sum(map(mul, weighted[n], cols[m]))
             if n == m:
                 worst_diag = max_keep_nan(worst_diag, abs(g - lw.h[n]) / abs(lw.h[n]))
             else:
@@ -190,7 +199,7 @@ def suite_orthogonality(run, rng):
 
 def suite_explicit(run, rng):
     fam, tri = run.fam, run.tri
-    worst = 0.0
+    worst = fam.q * 0
     for n in range(fam.N + 1):
         zs = [_random_z(rng, fam) for _ in range(10)]
         for z, e in zip(zs, para_racah.eval_explicit(fam, n, zs)):
@@ -201,13 +210,13 @@ def suite_explicit(run, rng):
 
 def suite_bispectral(run, rng):
     fam, tri = run.fam, run.tri
-    worst = 0.0
+    zero = worst = fam.q * 0
     for n in range(fam.N + 1):
         zs = [_random_z(rng, fam, 2.0, 3.0) for _ in range(10)]
         for res, scale in para_racah.qdiff_residual(tri, n, zs):
             worst = max_keep_nan(worst, abs(res) / scale)
     lam = [para_racah.qdiff_eigenvalue(fam, n) for n in range(fam.N + 1)]
-    degen = max_keep_nan(0.0, *(abs(lam[n] - lam[fam.N - n]) / abs(lam[n])
+    degen = max_keep_nan(zero, *(abs(lam[n] - lam[fam.N - n]) / abs(lam[n])
                                 for n in range(1, fam.N)))
     return [
         _check("qdiff-residual", worst, TOL_BISPECTRAL),
@@ -281,7 +290,7 @@ def suite_qpk_limit(run, rng):
     else:
         qpk, delta = None, fam.a / fam.c
     import mpmath
-    worst = 0.0
+    worst = mpmath.mpf(0)  # every residual below is an mpf
     with mpmath.workdps(connections.LIMIT_DIGITS):
         if qpk is None:
             qpk = tridiagonal(para_krawtchouk.ParaKrawtchoukFamily(

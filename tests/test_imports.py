@@ -1,6 +1,8 @@
 """What a process loads.  mpmath: a binary64 table command never imports
 it, every run that needs extended precision or a limit check does, and
-``is_mp`` stays right when a caller imports mpmath after qortho.  A ``coeffs``
+``is_mp`` stays right when a caller imports mpmath after qortho.  A binary64
+table process never loads the raw-tuple mpf loops (``qortho._mpfloops``),
+which an extended one does.  A ``coeffs``
 process does not load the Askey-Wilson parent family; no process loads
 ``dataclasses`` (or the ``inspect`` it pulls in), and only a JSON-writing one
 loads ``json``.  No module imports mpmath, ``dataclasses`` or ``typing`` at
@@ -70,6 +72,23 @@ def _modules_loaded_by(*argv):
                           env=env, capture_output=True, text=True, timeout=120, check=True)
     return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
             if line.startswith("import time:") and "|" in line}
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    ("coeffs --precision double", False),
+    ("lattice-weights --precision double", False),
+    ("coeffs", False),
+    ("lattice-weights", False),
+    # The Gram check of an extended run sums on raw tuples: the name checked
+    # here is the module's live one.
+    ("lattice-weights --precision extended", True),
+])
+@pytest.mark.parametrize("kind", ["qpr", "qpk"])
+def test_binary64_table_processes_never_load_the_mpf_loops(kind, argv, loaded):
+    command, *rest = argv.split()
+    modules = _modules_loaded_by(command, *BOX[kind], "--N", "6", *rest)
+    assert ("qortho._mpfloops" in modules) is loaded
+    assert ("mpmath" in modules) is loaded
 
 
 def test_coeffs_process_does_not_load_askey_wilson():

@@ -2,26 +2,36 @@
 a z-free base is computed once per family and working precision, and every
 value read from a table is the one the direct computation gives, bit for
 bit.  The recurrence loop with its first two steps written out is the plain
-loop's, bit for bit, at every kind of point."""
+loop's, bit for bit, at every kind of point.  Each loop that runs on mpmath's
+raw tuples (qortho._mpfloops) is its plain operator loop's, bit for bit, at
+20, 50 and 120 digits; NaN, infinite, mpc and float operands, and mixed ones,
+take the operator loop itself."""
 
 import ast
 import math
 import random
+from operator import mul
 from pathlib import Path
 
 import mpmath
 import pytest
 
-from qortho import para_krawtchouk, para_racah
+from qortho import _mpfloops, connections, para_krawtchouk, para_racah, verify
 from qortho.para_krawtchouk import ParaKrawtchoukFamily
 from qortho.para_racah import ParaRacahFamily
 from qortho.qseries import PowerTable, SeriesPlan, qpochhammer
 from qortho.recurrence import monic_values, tridiagonal
+from qortho.scalars import max_keep_nan, sqrt
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qortho"
 
 QPR = dict(a="0.9", c="0.7", alpha="0.3", q="0.5")
 QPK = dict(Delta="1.3", alpha="0.35", q="0.5")
+
+# (scalar type, working digits): binary64, and mpf at three precisions, so a
+# raw-tuple loop that read the precision anywhere but the context would show.
+PRECISIONS = [pytest.param(float, 50, id="double"), pytest.param(mpmath.mpf, 20, id="mpf20"),
+              pytest.param(mpmath.mpf, 50, id="mpf"), pytest.param(mpmath.mpf, 120, id="mpf120")]
 
 
 def _family(kind, N, num):
@@ -91,6 +101,31 @@ def reference_series_sum(plan, varying):
     return total, magnitude
 
 
+def reference_richardson(values, ratio):
+    table = list(values)
+    estimates = [table[-1]]
+    for level in range(1, len(table)):
+        f = mpmath.mpf(ratio) ** level
+        d = f - 1
+        table = [(f * hi - lo) / d for lo, hi in zip(table, table[1:])]
+        estimates.append(table[-1])
+    return estimates
+
+
+def reference_gram_errors(tri, lw):
+    N = tri.family.N
+    cols = list(zip(*(reference_monic_values(tri.b[:N], (0.0,) + tri.u, x) for x in lw.points)))
+    worst_diag = worst_off = 0.0
+    for n in range(N + 1):
+        for m in range(n + 1):
+            g = sum(w * pn * pm for w, pn, pm in zip(lw.weights, cols[n], cols[m]))
+            if n == m:
+                worst_diag = max_keep_nan(worst_diag, abs(g - lw.h[n]) / abs(lw.h[n]))
+            else:
+                worst_off = max_keep_nan(worst_off, abs(g) / sqrt(abs(lw.h[n] * lw.h[m])))
+    return float(worst_diag), float(worst_off)
+
+
 def reference_char_poly_derivative(points, s):
     out = 1.0
     for k, xk in enumerate(points):
@@ -104,15 +139,16 @@ def _points(num):
     if num is float:
         pts += [-0.0, math.inf, -math.inf, math.nan, complex(0.4, -1.3), complex(-0.0, 2.0)]
     else:
-        pts += [mpmath.inf, -mpmath.inf, mpmath.nan, mpmath.mpc("0.4", "-1.3")]
+        # The float point meets an mpf table: a mixed loop.
+        pts += [mpmath.inf, -mpmath.inf, mpmath.nan, mpmath.mpc("0.4", "-1.3"), 0.37]
     return pts
 
 
-@pytest.mark.parametrize("num", [float, mpmath.mpf], ids=["double", "mpf"])
+@pytest.mark.parametrize("num,dps", PRECISIONS)
 @pytest.mark.parametrize("kind", ["qpr", "qpk"])
 @pytest.mark.parametrize("N", [1, 2, 5, 8])
-def test_monic_values_is_the_plain_loop_bit_for_bit(kind, N, num):
-    with mpmath.workdps(50):
+def test_monic_values_is_the_plain_loop_bit_for_bit(kind, N, num, dps):
+    with mpmath.workdps(dps):
         tri = tridiagonal(_family(kind, N, num))
         u = (0.0,) + tri.u
         for x in _points(num):
@@ -127,12 +163,12 @@ def _bases(num):
     bases = [num("0.3"), num("-2.5"), num("1.0"), num("0.0"), num("1e300")]
     if num is float:
         return bases + [-0.0, math.inf, -math.inf, math.nan, complex(0.5, 0.25)]
-    return bases + [mpmath.inf, -mpmath.inf, mpmath.nan, mpmath.mpc("0.5", "0.25")]
+    return bases + [mpmath.inf, -mpmath.inf, mpmath.nan, mpmath.mpc("0.5", "0.25"), 0.3]
 
 
-@pytest.mark.parametrize("num", [float, mpmath.mpf], ids=["double", "mpf"])
-def test_qpochhammer_is_the_plain_loop_bit_for_bit(num):
-    with mpmath.workdps(50):
+@pytest.mark.parametrize("num,dps", PRECISIONS)
+def test_qpochhammer_is_the_plain_loop_bit_for_bit(num, dps):
+    with mpmath.workdps(dps):
         for q in (num("0.5"), num("0.83")):
             for base in _bases(num):
                 for k in range(1, 12):
@@ -142,10 +178,10 @@ def test_qpochhammer_is_the_plain_loop_bit_for_bit(num):
                 assert _bits(qpochhammer(base, q, 0)) == _bits(q ** 0)
 
 
-@pytest.mark.parametrize("num", [float, mpmath.mpf], ids=["double", "mpf"])
-def test_table_entries_are_the_direct_values(num):
+@pytest.mark.parametrize("num,dps", PRECISIONS)
+def test_table_entries_are_the_direct_values(num, dps):
     rng = random.Random(5)
-    with mpmath.workdps(50):
+    with mpmath.workdps(dps):
         q = num("0.61")
         table = PowerTable(q)
         exponents = [rng.randint(-40, 90) for _ in range(200)]
@@ -214,10 +250,10 @@ def test_a_filled_table_leaves_the_record_unchanged(kind, num):
         assert fam.replace(alpha=num("0.5")) == fresh.replace(alpha=num("0.5"))
 
 
-@pytest.mark.parametrize("num", [float, mpmath.mpf], ids=["double", "mpf"])
+@pytest.mark.parametrize("num,dps", PRECISIONS)
 @pytest.mark.parametrize("N", [3, 6, 9])
-def test_series_sums_and_christoffel_derivatives_are_the_plain_loops(N, num):
-    with mpmath.workdps(50):
+def test_series_sums_and_christoffel_derivatives_are_the_plain_loops(N, num, dps):
+    with mpmath.workdps(dps):
         fam = _family("qpr", N, num)
         q, a, c, j = fam.q, fam.a, fam.c, fam.j
         plan = SeriesPlan((q ** -j, q ** (j - N)), (q ** -j, a * c, (a / c) * q ** (j + 1 - N), q),
@@ -254,3 +290,78 @@ def test_family_formulas_read_powers_and_prefixes_from_the_table(module):
     aliases = [node.lineno for node in ast.walk(tree)
                if isinstance(node, ast.Assign) and _names(node.value) == {"qpochhammer"}]
     assert not aliases
+
+
+@pytest.mark.parametrize("num,dps", PRECISIONS)
+def test_series_sums_at_special_and_mixed_points_are_the_plain_loop(num, dps):
+    with mpmath.workdps(dps):
+        fam = _family("qpr", 6, num)
+        q, a, c = fam.q, fam.a, fam.c
+        plans = [SeriesPlan((q ** -3,), (a * c, q), q, q, 3)]
+        if num is not float:
+            # A float parameter makes the whole plan a mixed one.
+            plans.append(SeriesPlan((q ** -3,), (a * c, 0.25, q), q, q, 3))
+        for plan in plans:
+            for p in _points(num):
+                for varying in ((p,), (a, p), ()):
+                    assert _bits(plan.sum(varying)) == _bits(
+                        reference_series_sum(plan, varying)), (p, varying)
+
+
+@pytest.mark.parametrize("dps", [20, 50, 120])
+def test_richardson_is_the_plain_table(dps):
+    rng = random.Random(dps)
+    with mpmath.workdps(dps):
+        tables = [[mpmath.mpf(2) + mpmath.mpf(3) / 2 ** k for k in range(11)],
+                  [mpmath.mpf(rng.uniform(-5, 5)) for _ in range(7)],
+                  [mpmath.mpf("0.5")],
+                  [mpmath.mpf(1), mpmath.nan, mpmath.mpf(3)],
+                  [mpmath.inf, mpmath.mpf(1), -mpmath.inf],
+                  # The operator loop itself: floats, mixed and mpc values.
+                  [0.5, 0.25, 0.125],
+                  [mpmath.mpf(1), 0.5, mpmath.mpf("0.25")],
+                  [mpmath.mpc(1, 2), mpmath.mpf(1), mpmath.mpf(3)]]
+        for values in tables:
+            for ratio in (2, 10):
+                assert _bits(connections.richardson(values, ratio)) == _bits(
+                    reference_richardson(values, ratio)), (values, ratio)
+                assert _bits(connections.richardson(iter(values), ratio)) == _bits(
+                    reference_richardson(values, ratio))
+
+
+def _columns(tri, lw):
+    cols = list(zip(*(tri.values(x, tri.family.N) for x in lw.points)))
+    return [list(map(mul, lw.weights, col)) for col in cols], cols
+
+
+@pytest.mark.parametrize("num,dps", PRECISIONS)
+@pytest.mark.parametrize("kind", ["qpr", "qpk"])
+@pytest.mark.parametrize("N", [2, 5, 8])
+def test_gram_dot_products_and_errors_are_the_plain_loops(kind, N, num, dps):
+    module = para_racah if kind == "qpr" else para_krawtchouk
+    with mpmath.workdps(dps):
+        tri = tridiagonal(_family(kind, N, num))
+        lw = module.weights(tri)
+        assert _bits(verify.gram_errors(tri, lw)) == _bits(reference_gram_errors(tri, lw))
+        weighted, cols = _columns(tri, lw)
+        if num is float:
+            return
+        # Every dot product gram_errors takes on raw tuples: columns m >= 1.
+        for n in range(N + 1):
+            for m in range(1, n + 1):
+                assert _bits(_mpfloops.dot(weighted[n], cols[m])) == _bits(
+                    sum(map(mul, weighted[n], cols[m])))
+        # A special value at one lattice point, and a float weight (mixed).
+        for poison in (mpmath.nan, mpmath.inf, -mpmath.inf, mpmath.mpf(0), 0.5):
+            for s in (0, N):
+                weights = list(lw.weights)
+                weights[s] = poison
+                bad = lw.replace(weights=tuple(weights))
+                assert _bits(verify.gram_errors(tri, bad)) == _bits(
+                    reference_gram_errors(tri, bad)), (poison, s)
+                if poison == 0.5:
+                    continue
+                weighted, cols = _columns(tri, bad)
+                for m in range(1, N + 1):
+                    assert _bits(_mpfloops.dot(weighted[N], cols[m])) == _bits(
+                        sum(map(mul, weighted[N], cols[m])))
