@@ -5,8 +5,8 @@ evaluations, orthogonality lattices and weights for the q-para-Racah family
 obtained by singular truncation of the Askey-Wilson polynomials, together
 with the q-para-Krawtchouk specialization, q-Racah and dual-Hahn reductions,
 and the spectral verification tooling around them.  The Askey-Wilson parent
-family is in ``qortho.askey_wilson``, which importing the package does not
-load.
+family, whose truncation the tests check, is a test oracle
+(``tests/oracles/askey_wilson.py``), not part of the package.
 """
 
 from .para_krawtchouk import ParaKrawtchoukFamily

@@ -1,4 +1,6 @@
-"""The hottest mpf loops of the package, run on mpmath's raw ``_mpf_`` tuples.
+"""Four of the hottest mpf loops of the package, run on mpmath's raw ``_mpf_``
+tuples.  (The fifth, the Richardson table, whose callers pass only mpf
+values, is written this way in :func:`qortho.connections.richardson`.)
 
 Each function here is one operator loop of the package written with the
 :mod:`mpmath.libmp` call that the mpf operator itself makes, with the same
@@ -21,7 +23,7 @@ call.
 
 from __future__ import annotations
 
-__all__ = ["monic_values", "qpochhammer", "series_sum", "richardson", "dot"]
+__all__ = ["monic_values", "qpochhammer", "series_sum", "dot"]
 
 
 def monic_values(b, u, x) -> list:
@@ -103,26 +105,6 @@ def series_sum(plan, varying) -> tuple:
     value, scale = new(mpf), new(mpf)
     value._mpf_, scale._mpf_ = total, magnitude
     return value, scale
-
-
-def richardson(values, ratio) -> list:
-    """:func:`qortho.connections.richardson` of a non-empty mpf list."""
-    import mpmath
-    lib = mpmath.libmp
-    mpf_div, mpf_mul, mpf_sub = lib.mpf_div, lib.mpf_mul, lib.mpf_sub
-    mpf, new, (prec, rnd) = values[-1]._ctxdata
-    table = [v._mpf_ for v in values]
-    estimates = [values[-1]]
-    for level in range(1, len(table)):
-        f = mpmath.mpf(ratio) ** level
-        d = (f - 1)._mpf_
-        f = f._mpf_
-        table = [mpf_div(mpf_sub(mpf_mul(f, hi, prec, rnd), lo, prec, rnd), d, prec, rnd)
-                 for lo, hi in zip(table, table[1:])]
-        value = new(mpf)
-        value._mpf_ = table[-1]
-        estimates.append(value)
-    return estimates
 
 
 def dot(xs, ys):

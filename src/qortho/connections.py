@@ -11,16 +11,14 @@ from __future__ import annotations
 
 from .para_racah import ParaRacahFamily, limit_recurrence_ac
 from .recurrence import monic_coefficients, monic_values, tridiagonal
-from .scalars import all_mpf, max_keep_nan, sqrt
+from .scalars import max_keep_nan, sqrt
 
 __all__ = [
     "QRacahParams",
     "ExtrapolationError",
     "qracah_recurrence_ac",
-    "qracah_monic_eval",
     "single_lattice_family",
     "single_lattice_qracah_params",
-    "single_lattice_points",
     "verify_qracah_identity",
     "richardson",
     "dual_hahn_limit",
@@ -70,13 +68,6 @@ def _qracah_monic_coefficients(p: QRacahParams, n: int):
                               1 + p.gamma * p.delta * p.q, 1)
 
 
-def qracah_monic_eval(p: QRacahParams, n: int, y):
-    """Monic q-Racah value by forward recurrence from p_{-1} = 0, p_0 = 1."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return monic_values(*_qracah_monic_coefficients(p, n), y)[-1]
-
-
 def single_lattice_family(a, q, N: int) -> ParaRacahFamily:
     """The persymmetric bi-lattice family whose grid collapses to one lattice."""
     return ParaRacahFamily(a=a, c=a * sqrt(q), alpha=0.5, q=q, N=N)
@@ -103,12 +94,6 @@ def single_lattice_qracah_params(a, q, N: int) -> QRacahParams:
         delta=-a / sp,
         q=p,
     )
-
-
-def single_lattice_points(a, q, N: int) -> tuple:
-    """x_s = (a^{-1} q^{-s/2} + a q^{s/2})/2 for s = 0..N."""
-    p = sqrt(q)
-    return tuple((1 / (a * p ** s) + a * p ** s) / 2 for s in range(N + 1))
 
 
 def verify_qracah_identity(a, q, N: int, zs) -> float:
@@ -138,21 +123,33 @@ def verify_qracah_identity(a, q, N: int, zs) -> float:
 
 
 def richardson(values, ratio):
-    """The last entry of every level of the Richardson table of
-    v_k = L + c1 h_k + c2 h_k^2 + ..., h_k shrinking by ``ratio`` each step:
-    from v_last itself to the fully accelerated estimate of L.  mpf values
-    run on raw tuples (:mod:`qortho._mpfloops`), bit for bit."""
-    table = list(values)
-    if table and all_mpf(table):
-        from . import _mpfloops
-        return _mpfloops.richardson(table, ratio)
+    """The last entry of every level of the Richardson table of the mpf
+    values v_k = L + c1 h_k + c2 h_k^2 + ..., h_k shrinking by the integer
+    ``ratio`` each step: from v_last itself to the fully accelerated estimate
+    of L.
+
+    Each entry is (f * hi - lo) / (f - 1) with f = ratio**level, taken on
+    mpmath's raw tuples with the ``mpmath.libmp`` call each mpf operator
+    makes, at the (prec, rounding) it reads.  f and f - 1 are made once per
+    level from exact integers, so while ratio**level fits the working
+    precision (ratio 2 or 10, at most ten levels, for both callers) every
+    estimate is the mpf operator table's bit for bit.
+    """
     import mpmath
-    estimates = [table[-1]]
+    lib = mpmath.libmp
+    from_int, mpf_div, mpf_mul, mpf_sub = lib.from_int, lib.mpf_div, lib.mpf_mul, lib.mpf_sub
+    values = list(values)
+    mpf, new, (prec, rnd) = values[-1]._ctxdata
+    table = [v._mpf_ for v in values]
+    estimates = [values[-1]]
     for level in range(1, len(table)):
-        f = mpmath.mpf(ratio) ** level
-        d = f - 1
-        table = [(f * hi - lo) / d for lo, hi in zip(table, table[1:])]
-        estimates.append(table[-1])
+        power = ratio ** level
+        f, d = from_int(power, prec, rnd), from_int(power - 1, prec, rnd)
+        table = [mpf_div(mpf_sub(mpf_mul(f, hi, prec, rnd), lo, prec, rnd), d, prec, rnd)
+                 for lo, hi in zip(table, table[1:])]
+        value = new(mpf)
+        value._mpf_ = table[-1]
+        estimates.append(value)
     return estimates
 
 

@@ -26,7 +26,6 @@ from .scalars import is_mp
 
 __all__ = [
     "ParaRacahFamily",
-    "PositivityReport",
     "DegenerateFamilyError",
     "b_coefficient",
     "u_coefficient",
@@ -34,23 +33,20 @@ __all__ = [
     "eval_explicit",
     "limit_recurrence_ac",
     "lattice",
-    "char_poly_eval",
-    "char_poly_scale",
     "weights",
     "weights_from_christoffel",
     "qdiff_eigenvalue",
     "qdiff_residual",
-    "positivity_check",
 ]
 
 class ParaRacahFamily(BiLatticeFamily):
     """Parameter set {a, c, alpha, q, N} with derived parity and j.
 
     Construction enforces only the structural constraints (finite positive
-    a, c, nome and deformation in (0,1), integer N >= 1).  The positivity
-    region that guarantees an orthogonality measure is reported separately by
-    :func:`positivity_check`, and c = a is rejected only where it matters
-    (weights).
+    a, c, nome and deformation in (0,1), integer N >= 1).  Whether the
+    family has an orthogonality measure is read from its recurrence table
+    (``TridiagonalSystem.positive``: every u_n > 0), and c = a is rejected
+    only where it matters (weights).
     """
 
     _fields = ("a", "c", "alpha", "q", "N")
@@ -72,21 +68,6 @@ class ParaRacahFamily(BiLatticeFamily):
     @property
     def degenerate(self) -> bool:
         return abs(self.a - self.c) <= _DEGENERATE_TOL * max(self.a, self.c)
-
-
-class PositivityReport:
-    """Two verdicts: the printed parameter inequalities and the direct u-scan.
-
-    The two can disagree (the inequalities are necessary for the odd case but
-    not sharp for the even one), which is why both are reported.
-    """
-
-    def __init__(self, conditions_ok: bool, failed_conditions: tuple, u_positive: bool,
-                 min_u: float):
-        self.conditions_ok = conditions_ok
-        self.failed_conditions = failed_conditions
-        self.u_positive = u_positive
-        self.min_u = min_u
 
 
 def _unpack(fam):
@@ -372,30 +353,6 @@ def lattice(fam: ParaRacahFamily) -> LatticeWeights:
     return LatticeWeights(points=tuple((1 / z + z) / 2 for z in zs), z_points=zs)
 
 
-def char_poly_eval(fam: ParaRacahFamily, z):
-    """The factorized characteristic polynomial, up to an overall constant.
-
-    Proportional to R_{N+1}(x(z)); the constant is fitted once per family by
-    :func:`char_poly_scale`.
-    """
-    if z == 0:
-        raise ValueError("z must be nonzero")
-    a, c, _, q, j = _unpack(fam)
-    return (qpochhammer(a * z, q, j + 1) * qpochhammer(a / z, q, j + 1)
-            * qpochhammer(c * z, q, fam.N - j) * qpochhammer(c / z, q, fam.N - j))
-
-
-# Fixed fitting point for the characteristic-polynomial scale: negative, so
-# it can never collide with the (positive) z representatives of the lattice.
-_SCALE_Z = -1.25
-
-
-def char_poly_scale(tri: TridiagonalSystem):
-    """Constant kappa with R_{N+1}(x(z)) = kappa * char_poly_eval(z)."""
-    fam = tri.family
-    return eval_recurrence(tri, fam.N + 1, _SCALE_Z) / char_poly_eval(fam, _SCALE_Z)
-
-
 def _k_norm(fam: ParaRacahFamily):
     """Closed-form normalization constant of the weight tables.
 
@@ -559,34 +516,3 @@ def qdiff_residual(tri: TridiagonalSystem, n: int, zs) -> list:
     def value(z):
         return eval_recurrence(tri, n, z)
     return qdifference_residual(numerator, value, lam, q, zs)
-
-
-# ---------------------------------------------------------------------------
-# Positivity
-# ---------------------------------------------------------------------------
-
-
-def positivity_check(tri: TridiagonalSystem) -> PositivityReport:
-    """Evaluate the printed parameter inequalities of the table's family and
-    scan its u_1..u_N > 0."""
-    fam = tri.family
-    a, c, al, q, _ = _unpack(fam)
-    failed = []
-    if not 0 < q < 1:
-        failed.append("0 < q < 1")
-    if not 0 < al < 1:
-        failed.append("0 < alpha < 1")
-    if fam.degenerate:
-        failed.append("c != a")
-    ratio = a / c
-    if not q < ratio < 1 / q:
-        failed.append("q < a/c < 1/q")
-    if not (a * c < 1 or a * c > fam.powers()[1 - fam.N]):
-        failed.append("ac < 1 or ac > q^(1-N)")
-    min_u = min(tri.u)
-    return PositivityReport(
-        conditions_ok=not failed,
-        failed_conditions=tuple(failed),
-        u_positive=tri.positive,
-        min_u=float(min_u),
-    )

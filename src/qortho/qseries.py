@@ -32,7 +32,6 @@ __all__ = [
     "SeriesPlan",
     "qpochhammer",
     "PowerTable",
-    "phi_basis",
     "terminating_series_eval",
 ]
 
@@ -121,13 +120,6 @@ class PowerTable(dict):
             out = out * (1 - base * running[i])
             row.append(out)
         return out
-
-
-def phi_basis(a, z, q, k):
-    """The degree-k basis factor (a z; q)_k (a/z; q)_k at x = (z + 1/z)/2."""
-    if z == 0:
-        raise ValueError("z must be nonzero")
-    return qpochhammer(a * z, q, k) * qpochhammer(a / z, q, k)
 
 
 class SeriesSpec:

@@ -12,9 +12,9 @@ bit for bit, without the operator's type dispatch and the mpf it builds per
 step.  The truncated families (q-para-Racah and q-para-Krawtchouk) fill a
 :class:`TridiagonalSystem` once with :func:`tridiagonal` and read every
 degree, the normalization products and the persymmetry residual from it.
-The Askey-Wilson and q-Racah recurrences map their parent coefficients
-(A_n, C_n) to monic ones with :func:`monic_coefficients` and feed them to
-the same loop.
+The q-Racah recurrence (and the tests' Askey-Wilson oracle) maps its
+parent coefficients (A_n, C_n) to monic ones with :func:`monic_coefficients`
+and feeds them to the same loop.
 
 This module owns the other conventions the families share, each written
 once: the bi-lattice order (:func:`interleave` puts one strand at the even

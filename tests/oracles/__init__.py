@@ -1,0 +1,11 @@
+"""Reference code the tests check qortho against, reached by no command.
+
+``askey_wilson`` is the parent family the q-para-Racah polynomials are
+truncated from: its explicit series, recurrence and q-difference operator
+are the oracles of the truncation and tiny-t substitution tests.  The other
+modules hold, under the name of the qortho module they exercise, the
+positivity-inequality report and the factorised characteristic polynomial
+of a q-para-Racah family (``para_racah``), the monic q-Racah evaluation and
+the single lattice of the collapsed family (``connections``), and the
+(a z, a/z; q)_k basis factor (``qseries``).
+"""

@@ -1,14 +1,14 @@
 """Askey-Wilson polynomials: explicit series, recurrence, q-difference operator.
 
-The four-parameter parent family that the bi-lattice families in this package
-are obtained from by truncation.  Only real parameters and real nome
+The four-parameter parent family that the bi-lattice families of qortho are
+obtained from by truncation.  Only real parameters and real nome
 0 < q < 1 are supported.
 """
 
 from __future__ import annotations
 
-from .qseries import SeriesSpec, terminating_series_eval
-from .recurrence import monic_coefficients, monic_values, qdifference_residual
+from qortho.qseries import SeriesSpec, terminating_series_eval
+from qortho.recurrence import monic_coefficients, monic_values, qdifference_residual
 
 __all__ = [
     "AskeyWilsonParams",

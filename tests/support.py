@@ -10,7 +10,8 @@ at the end are the exact-equality references of the library routes.
 
 import mpmath
 
-from qortho import askey_wilson, para_krawtchouk, para_racah, qseries
+from oracles import askey_wilson
+from qortho import para_krawtchouk, para_racah, qseries
 from qortho.recurrence import DegenerateFamilyError, interleave
 from qortho.scalars import is_mp, max_keep_nan
 

@@ -4,7 +4,7 @@ import random
 import mpmath
 import pytest
 
-from qortho.askey_wilson import (
+from oracles.askey_wilson import (
     AskeyWilsonParams,
     RecurrenceSingularityError,
     explicit_eval,

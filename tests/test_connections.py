@@ -4,13 +4,12 @@ import mpmath
 import pytest
 
 import support
+from oracles.connections import qracah_monic_eval, single_lattice_points
 from qortho import connections, para_racah
 from qortho.connections import (
     dual_hahn_limit,
-    qracah_monic_eval,
     qracah_recurrence_ac,
     single_lattice_family,
-    single_lattice_points,
     single_lattice_qracah_params,
     verify_qracah_identity,
 )

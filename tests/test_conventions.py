@@ -12,8 +12,10 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from qortho import askey_wilson, connections, para_krawtchouk, para_racah, recurrence, spectral
-from qortho.askey_wilson import AskeyWilsonParams
+from oracles import askey_wilson
+from oracles.askey_wilson import AskeyWilsonParams
+from oracles.connections import qracah_monic_eval
+from qortho import connections, para_krawtchouk, para_racah, recurrence, spectral
 from qortho.para_krawtchouk import ParaKrawtchoukFamily
 from qortho.para_racah import ParaRacahFamily
 from qortho.recurrence import tridiagonal
@@ -49,7 +51,7 @@ def _qracah_rows(num, N):
     p = connections.single_lattice_qracah_params(a, q, N)
     ys = (num("1.3"), num("2.7"))
     zs = (num("1.4"), num("2.2"))
-    return [[_bits(connections.qracah_monic_eval(p, n, y)) for n in range(N + 1) for y in ys],
+    return [[_bits(qracah_monic_eval(p, n, y)) for n in range(N + 1) for y in ys],
             _bits(connections.verify_qracah_identity(a, q, N, zs))]
 
 

@@ -1,13 +1,15 @@
-"""Every name a qortho module exports in ``__all__`` exists."""
+"""Every name a qortho module or a test oracle exports in ``__all__`` exists."""
 
 import importlib
 import pkgutil
 
 import pytest
 
+import oracles
 import qortho
 
-MODULES = ["qortho"] + ["qortho." + m.name for m in pkgutil.iter_modules(qortho.__path__)]
+MODULES = (["qortho"] + ["qortho." + m.name for m in pkgutil.iter_modules(qortho.__path__)]
+           + ["oracles." + m.name for m in pkgutil.iter_modules(oracles.__path__)])
 
 
 @pytest.mark.parametrize("name", MODULES)

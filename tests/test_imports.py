@@ -2,14 +2,16 @@
 it, every run that needs extended precision or a limit check does, and
 ``is_mp`` stays right when a caller imports mpmath after qortho.  A binary64
 table process never loads the raw-tuple mpf loops (``qortho._mpfloops``),
-which an extended one does.  A ``coeffs``
-process does not load the Askey-Wilson parent family; no process loads
+which an extended one does.  The Askey-Wilson parent family is a test
+oracle: the package has no such module, and a ``coeffs`` process does not
+load one; no process loads
 ``dataclasses`` (or the ``inspect`` it pulls in), and only a JSON-writing one
 loads ``json``.  No module imports mpmath, ``dataclasses`` or ``typing`` at
 import time, and neither ``para_krawtchouk`` nor ``spectral`` imports
 ``para_racah``.  The benchmark's tracer finds every function it wraps."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -95,6 +97,7 @@ def test_coeffs_process_does_not_load_askey_wilson():
     loaded = _modules_loaded_by("coeffs", *BOX["qpr"], "--N", "5")
     assert "qortho.para_racah" in loaded
     assert "qortho.askey_wilson" not in loaded
+    assert importlib.util.find_spec("qortho.askey_wilson") is None
     # The benchmark tracer (perfbench/tracer.py) looks these up in sys.modules.
     assert {"qortho.verify", "qortho.spectral", "qortho.connections"} <= loaded
 

@@ -5,18 +5,16 @@ import mpmath
 import pytest
 
 import support
+from oracles.para_racah import char_poly_eval, char_poly_scale, positivity_check
 from qortho import para_racah
 from qortho.para_racah import (
     DegenerateFamilyError,
     ParaRacahFamily,
     b_coefficient,
-    char_poly_eval,
-    char_poly_scale,
     eval_explicit,
     eval_recurrence,
     lattice,
     limit_recurrence_ac,
-    positivity_check,
     qdiff_eigenvalue,
     qdiff_residual,
     u_coefficient,

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.qseries import phi_basis
 from qortho.qseries import (
     SeriesSpec,
     SingularSeriesError,
-    phi_basis,
     qpochhammer,
     terminating_series_eval,
 )

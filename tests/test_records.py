@@ -10,8 +10,8 @@ import hashlib
 import mpmath
 import pytest
 
+from oracles.askey_wilson import AskeyWilsonParams
 from qortho import para_krawtchouk, para_racah
-from qortho.askey_wilson import AskeyWilsonParams
 from qortho.connections import QRacahParams
 from qortho.para_krawtchouk import ParaKrawtchoukFamily
 from qortho.para_racah import LatticeWeights, ParaRacahFamily

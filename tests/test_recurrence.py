@@ -11,7 +11,9 @@ import mpmath
 import pytest
 
 import support
-from qortho import askey_wilson, connections, para_krawtchouk, para_racah
+from oracles import askey_wilson
+from oracles.connections import qracah_monic_eval
+from qortho import connections, para_krawtchouk, para_racah
 from qortho.recurrence import monic_values, tridiagonal
 
 N_VALUES = list(range(1, 10)) + [16]
@@ -133,4 +135,4 @@ def test_qracah_monic_matches_reference_loop():
 
     for n in range(7):
         ref, _ = support.eval_recurrence_with_peak(b_coefficient, u_coefficient, p, n, 1.9)
-        assert connections.qracah_monic_eval(p, n, 1.9) == ref
+        assert qracah_monic_eval(p, n, 1.9) == ref
