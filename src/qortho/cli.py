@@ -24,9 +24,9 @@ import sys
 
 from . import para_krawtchouk, para_racah, verify
 from .qseries import SingularSeriesError
-from .recurrence import DegenerateFamilyError, family_module, tridiagonal
+from .recurrence import DegenerateFamilyError, family_module, gram_errors, tridiagonal
 from .scalars import (DEFAULT_EXTENDED_DIGITS, as_scalar, extended_precision,
-                      format_scalar, max_keep_nan)
+                      format_scalar, is_finite, max_keep_nan)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -139,8 +139,7 @@ def _json_number(x, prec: _Precision):
 def _refuse_non_finite(printed) -> int:
     """EXIT_VERIFY, with a count on stderr, when a printed value is nan or
     inf; EXIT_OK otherwise."""
-    # abs(v) < inf also holds for mpf values beyond the double range.
-    bad = sum(not abs(v) < math.inf for v in printed)
+    bad = sum(not is_finite(v) for v in printed)
     if not bad:
         return EXIT_OK
     print("non-finite output: %d of %d printed values are nan or inf"
@@ -169,7 +168,7 @@ def cmd_lattice_weights(args, prec: _Precision) -> int:
         tri = tridiagonal(fam)
         lw = family_module(fam).weights(tri)
         pts = lw.points
-        gram_max = max_keep_nan(*verify.gram_errors(tri, lw))
+        gram_max = max_keep_nan(*gram_errors(tri, lw))
         point_key = _KINDS[args.kind][2]
         sum_even, sum_odd = lw.strand_sums()
         if args.format == "csv":

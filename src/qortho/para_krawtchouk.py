@@ -10,11 +10,10 @@ The interface is q-para-Racah's: ``lattice`` and ``weights`` (through
 
 from __future__ import annotations
 
-import math
-
 from .qseries import qpochhammer
 from .recurrence import (_DEGENERATE_TOL, BiLatticeFamily, LatticeWeights,
                          TridiagonalSystem, interleave, weight_table)
+from .scalars import is_finite
 
 __all__ = [
     "ParaKrawtchoukFamily",
@@ -41,7 +40,7 @@ class ParaKrawtchoukFamily(BiLatticeFamily):
         self._check_shared(alpha, q, N)
         if not Delta > 0:
             raise ValueError("Delta must be a positive real")
-        if not Delta < math.inf:
+        if not is_finite(Delta):
             raise ValueError("Delta must be finite")
         fields = self.__dict__
         fields["Delta"] = Delta

@@ -14,15 +14,12 @@ x = (z + 1/z)/2.  Lattice points carry their own z representatives
 
 from __future__ import annotations
 
-import math
-from functools import reduce
-from operator import mul
-
 from .qseries import SeriesPlan, qpochhammer
+# weights_from_christoffel (both kinds' route) is bound for verify's calls.
 from .recurrence import (_DEGENERATE_TOL, BiLatticeFamily, DegenerateFamilyError,
                          LatticeWeights, TridiagonalSystem, interleave,
-                         qdifference_residual, weight_table)
-from .scalars import is_mp
+                         qdifference_residual, weight_table, weights_from_christoffel)
+from .scalars import is_finite, is_mp
 
 __all__ = [
     "ParaRacahFamily",
@@ -56,7 +53,7 @@ class ParaRacahFamily(BiLatticeFamily):
         self._check_shared(alpha, q, N)
         if not a > 0 or not c > 0:
             raise ValueError("parameters a and c must be positive reals")
-        if not a < math.inf or not c < math.inf:
+        if not is_finite(a) or not is_finite(c):
             raise ValueError("parameters a and c must be finite")
         fields = self.__dict__
         fields["a"] = a
@@ -334,7 +331,7 @@ def eval_explicit(fam: ParaRacahFamily, n: int, zs) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Lattice, characteristic polynomial, weights
+# Lattice and weights
 # ---------------------------------------------------------------------------
 
 
@@ -449,38 +446,6 @@ def weights(tri: TridiagonalSystem) -> LatticeWeights:
     w = weight_table(strands, _weight_leads(fam, fam.alpha))
     w_half = weight_table(strands, _weight_leads(fam, 0.5))
     return lw.weighted(w, tri.h, w_half, k_norm)
-
-
-def _char_poly_derivative(points, s):
-    """d/dx of the monic characteristic polynomial at its root points[s].
-
-    R_{N+1} is monic with the lattice as its zero set, so the derivative is
-    the exact product over the remaining linear factors.
-    """
-    xs = points[s]
-    return reduce(mul, (xs - xk for k, xk in enumerate(points) if k != s))
-
-
-def weights_from_christoffel(tri: TridiagonalSystem) -> LatticeWeights:
-    """Independent weight route: w_s = h_N / (R_N(x_s) R'_{N+1}(x_s)).
-
-    R_N is evaluated from the table at the stored z representatives and the
-    derivative comes from the monic characteristic polynomial's roots.
-    Agrees with :func:`weights` point by point.
-    """
-    fam = tri.family
-    fam.require_distinct_strands()
-    lw = lattice(fam)
-    hN = tri.h[-1]
-    w = []
-    for s, z in enumerate(lw.z_points):
-        rN = eval_recurrence(tri, fam.N, z)
-        if abs(rN) == 0:
-            raise DegenerateFamilyError(
-                "R_N vanishes at a lattice point; configuration is degenerate"
-            )
-        w.append(hN / (rN * _char_poly_derivative(lw.points, s)))
-    return lw.weighted(tuple(w), tri.h)
 
 
 # ---------------------------------------------------------------------------

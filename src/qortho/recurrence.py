@@ -8,19 +8,20 @@ and :func:`monic_values` is the one loop that evaluates it.  At an mpf point
 of an mpf table that loop runs on mpmath's raw tuples (:mod:`qortho._mpfloops`):
 each step is the ``mpmath.libmp`` call the mpf operator makes, at the
 (prec, rounding) the operator reads, so every value is the operator loop's
-bit for bit, without the operator's type dispatch and the mpf it builds per
-step.  The truncated families (q-para-Racah and q-para-Krawtchouk) fill a
+bit for bit, without its type dispatch and the mpf it builds per step.  The
+truncated families (q-para-Racah and q-para-Krawtchouk) fill a
 :class:`TridiagonalSystem` once with :func:`tridiagonal` and read every
 degree, the normalization products and the persymmetry residual from it.
-The q-Racah recurrence (and the tests' Askey-Wilson oracle) maps its
-parent coefficients (A_n, C_n) to monic ones with :func:`monic_coefficients`
-and feeds them to the same loop.
+The q-Racah recurrence maps its parent coefficients (A_n, C_n) to monic ones
+with :func:`monic_coefficients` and feeds them to the same loop.
 
 This module owns the other conventions the families share, each written
 once: the bi-lattice order (:func:`interleave` puts one strand at the even
 indices and the other at the odd ones, :meth:`LatticeWeights.strand_sums`
 reads them back), the closed-form weights from their strand factors
-(:func:`weight_table`), the refusal of coincident strands
+(:func:`weight_table`), the two checks that evaluate a table at its kind's
+lattice points (:func:`gram_errors` and :func:`weights_from_christoffel`),
+the refusal of coincident strands
 (:meth:`BiLatticeFamily.require_distinct_strands`), the q-difference
 equation on x = (z + 1/z)/2 with its shift-operator pole guard
 (:func:`qdifference_residual`), and the palindrome residual behind both
@@ -30,13 +31,11 @@ The deformation alpha enters b_n and u_n only at the splice n = j, j+1, so
 :meth:`TridiagonalSystem.at_alpha` gives the same family's table at another
 alpha by recomputing those entries and sharing every other one.
 
-A table belongs to one verify run or one command, which fills it once and
-hands it to every function that reads the family's coefficients; it is never
-cached beyond that: a table of mpmath values built at one working precision
-must not be read at another, nor deformed by ``at_alpha`` at another.
-A family keeps the powers of its q and the (base; q)_k of its z-free bases
-for as long as it lives, one table per working precision
-(:meth:`BiLatticeFamily.powers`).
+A table belongs to one verify run or one command and is never cached beyond
+it: a table of mpmath values built at one working precision must not be
+read at another, nor deformed by ``at_alpha`` at another.  A family keeps
+the powers of its q and the (base; q)_k of its z-free bases for as long as
+it lives, one table per working precision (:meth:`BiLatticeFamily.powers`).
 """
 from __future__ import annotations
 
@@ -45,7 +44,7 @@ from functools import reduce
 from operator import attrgetter, mul
 
 from .qseries import PowerTable
-from .scalars import all_mpf, max_keep_nan, working_precision
+from .scalars import all_mpf, max_keep_nan, sqrt, working_precision
 
 __all__ = [
     "Record",
@@ -57,6 +56,8 @@ __all__ = [
     "monic_coefficients",
     "interleave",
     "weight_table",
+    "gram_errors",
+    "weights_from_christoffel",
     "family_module",
     "tridiagonal",
     "qdifference_residual",
@@ -232,6 +233,64 @@ def weight_table(strands, leads) -> tuple:
     return interleave(*tables)
 
 
+def gram_errors(tri, lw):
+    """(max diagonal relative error, max scaled off-diagonal entry) of the
+    Gram matrix sum_s w_s P_n(x_s) P_m(x_s) against diag(h_n), at the points
+    ``lw.points`` of either kind; an error is NaN when an entry is.  With mpf
+    values the dot products with m >= 1 run on raw tuples
+    (:mod:`qortho._mpfloops`), bit for bit; column 0 holds the float P_0 = 1.0."""
+    N = tri.family.N
+    # Column n holds P_n at every lattice point; w_s P_n(x_s) is formed once
+    # per (s, n) and then multiplied by P_m(x_s).
+    cols = list(zip(*(tri.values(x, N) for x in lw.points)))
+    weighted = [list(map(mul, lw.weights, col)) for col in cols]
+    raw = all_mpf(*weighted, *cols[1:])
+    if raw:
+        from . import _mpfloops
+    # Folded from a zero of the table's type: an mpf error meets no float.
+    worst_diag = worst_off = type(tri.b[0])(0)
+    for n in range(N + 1):
+        for m in range(n + 1):
+            if raw and m:
+                g = _mpfloops.dot(weighted[n], cols[m])
+            else:
+                g = sum(map(mul, weighted[n], cols[m]))
+            if n == m:
+                worst_diag = max_keep_nan(worst_diag, abs(g - lw.h[n]) / abs(lw.h[n]))
+            else:
+                worst_off = max_keep_nan(
+                    worst_off, abs(g) / sqrt(abs(lw.h[n] * lw.h[m])))
+    return float(worst_diag), float(worst_off)
+
+
+def _char_poly_derivative(points, s):
+    """d/dx of the monic characteristic polynomial at its root points[s].
+
+    R_{N+1} is monic with the lattice as its zero set, so the derivative is
+    the exact product over the remaining linear factors.
+    """
+    xs = points[s]
+    return reduce(mul, (xs - xk for k, xk in enumerate(points) if k != s))
+
+
+def weights_from_christoffel(tri: TridiagonalSystem) -> LatticeWeights:
+    """Independent weight route, w_s = h_N / (R_N(x_s) R'_{N+1}(x_s)), for
+    either kind: R_N from the table and R'_{N+1} from its roots, both at the
+    points x_s of the kind's ``lattice``.  Agrees with its ``weights``."""
+    fam = tri.family
+    fam.require_distinct_strands()
+    lw = family_module(fam).lattice(fam)
+    hN = tri.h[-1]
+    w = []
+    for s, x in enumerate(lw.points):
+        rN = tri.values(x, fam.N)[-1]
+        if abs(rN) == 0:
+            raise DegenerateFamilyError(
+                "R_N vanishes at a lattice point; configuration is degenerate")
+        w.append(hN / (rN * _char_poly_derivative(lw.points, s)))
+    return lw.weighted(tuple(w), tri.h)
+
+
 class LatticeWeights(Record):
     """Bi-lattice points with (optionally) their orthogonality weights.
 
@@ -373,9 +432,10 @@ def qdifference_residual(numerator, value, lam, q, zs) -> list:
 
 
 def palindrome_residual(*rows) -> float:
-    """max |r_k - r_{len-1-k}| over the rows, as a float; NaN if any is NaN."""
+    """max |r_k - r_{len-1-k}| over nonempty rows, as a float; NaN if any is
+    NaN.  A row's fold starts at its first difference: an mpf meets no float."""
     return max_keep_nan(*(
-        float(max_keep_nan(0.0, *(abs(x - y) for x, y in zip(row, reversed(row)))))
+        float(max_keep_nan(*(abs(x - y) for x, y in zip(row, reversed(row)))))
         for row in rows))
 
 

@@ -43,6 +43,12 @@ def all_mpf(*groups) -> bool:
     return all(type(v) is mpf for group in groups for v in group)
 
 
+def is_finite(x) -> bool:
+    """Neither infinite nor NaN; an mpf is read without converting a float, and
+    one beyond the double range is finite."""
+    return sys.modules["mpmath"].isfinite(x) if is_mp(x) else -math.inf < x < math.inf
+
+
 def working_precision(x):
     """mpmath's working precision for an mpmath scalar, None otherwise."""
     return sys.modules["mpmath"].mp.prec if is_mp(x) else None

@@ -9,6 +9,10 @@ reproduces byte-identical reports.
 One run computes each quantity that depends only on the family's parameters
 once, in a :class:`RunTables` that every suite of the run reads and that is
 dropped when the run ends.
+
+The Gram errors and the Christoffel weights are :mod:`qortho.recurrence`'s,
+one code for both kinds, called here as ``gram_errors`` and
+``para_racah.weights_from_christoffel``.
 """
 
 from __future__ import annotations
@@ -16,11 +20,10 @@ from __future__ import annotations
 import math
 import random
 from functools import cached_property
-from operator import mul
 
 from . import connections, para_krawtchouk, para_racah, spectral
-from .recurrence import family_module, persymmetry_residual, tridiagonal
-from .scalars import all_mpf, is_mp, max_keep_nan, sqrt
+from .recurrence import family_module, gram_errors, persymmetry_residual, tridiagonal
+from .scalars import is_mp, max_keep_nan
 
 __all__ = ["Check", "RunTables", "SUITES", "run_suite", "sample_family"]
 
@@ -123,40 +126,7 @@ def sample_family(rng, N, alpha=None, q=None):
             return fam
 
 
-def gram_errors(tri, lw):
-    """(max diagonal relative error, max scaled off-diagonal entry).
-
-    The Gram matrix sum_s w_s P_n(x_s) P_m(x_s) of the table's family is
-    compared with diag(h_n) at the lattice points ``lw.points``, for either
-    family kind.  A NaN entry makes its error NaN.  With mpf values the dot
-    products with m >= 1 run on raw tuples (:mod:`qortho._mpfloops`), bit
-    for bit; column 0 holds the float P_0 = 1.0.
-    """
-    N = tri.family.N
-    # Column n holds P_n at every lattice point; w_s P_n(x_s) is formed once
-    # per (s, n) and then multiplied by P_m(x_s).
-    cols = list(zip(*(tri.values(x, N) for x in lw.points)))
-    weighted = [list(map(mul, lw.weights, col)) for col in cols]
-    raw = all_mpf(*weighted, *cols[1:])
-    if raw:
-        from . import _mpfloops
-    # Folded from a zero of the table's type: an mpf error meets no float.
-    worst_diag = worst_off = type(tri.b[0])(0)
-    for n in range(N + 1):
-        for m in range(n + 1):
-            if raw and m:
-                g = _mpfloops.dot(weighted[n], cols[m])
-            else:
-                g = sum(map(mul, weighted[n], cols[m]))
-            if n == m:
-                worst_diag = max_keep_nan(worst_diag, abs(g - lw.h[n]) / abs(lw.h[n]))
-            else:
-                worst_off = max_keep_nan(
-                    worst_off, abs(g) / sqrt(abs(lw.h[n] * lw.h[m])))
-    return float(worst_diag), float(worst_off)
-
-
-# The benchmark tracer (perfbench/tracer.py) wraps this name as well.
+# The benchmark tracer (perfbench/tracer.py) wraps both names.
 gram_errors_qpk = gram_errors
 
 
@@ -171,7 +141,10 @@ def _is_qpk(fam) -> bool:
 
 def suite_orthogonality(run, rng):
     """Favard positivity, strand sums and Gram errors; for qpr also the
-    Christoffel cross-check and the beta factor."""
+    Christoffel cross-check and the beta factor.  The Christoffel route
+    serves qpk too, but R_N by forward recurrence at a small-q lattice loses
+    digits, and some in-box qpk families would fail it, in double and at 50
+    digits.  qpk has no alpha = 1/2 weights, so no beta factor."""
     fam, tri = run.fam, run.tri
     note = "" if _is_qpk(fam) else "min u_n = %.3e" % float(min(tri.u))
     checks = [_check("favard-positivity", 0.0 if tri.positive else 1.0, 0.5, note=note)]
@@ -225,21 +198,18 @@ def suite_bispectral(run, rng):
 
 
 def suite_persymmetry(run, rng):
-    fam, tri = run.fam, run.tri
+    tri = run.tri
     coeff_res = persymmetry_residual(tri)
-    checks = []
-    if fam.alpha == 0.5:
-        checks.append(_check("coefficient-persymmetry", coeff_res, TOL_PERSYM))
-        if tri.positive and not _is_qpk(fam):
-            mat = spectral.build_jacobi(tri)
-            checks.append(_check("matrix-persymmetry",
-                                 spectral.persymmetry_residual(mat), TOL_PERSYM))
-    else:
+    if run.fam.alpha != 0.5:
         # Away from alpha = 1/2 the suite asserts a violation it can print.
-        checks.append(Check("persymmetry-violation",
-                            TOL_PERSYM_VIOLATION < coeff_res < math.inf,
-                            coeff_res, TOL_PERSYM_VIOLATION,
-                            note="expected residual above tolerance"))
+        return [Check("persymmetry-violation", TOL_PERSYM_VIOLATION < coeff_res < math.inf,
+                      coeff_res, TOL_PERSYM_VIOLATION,
+                      note="expected residual above tolerance")]
+    checks = [_check("coefficient-persymmetry", coeff_res, TOL_PERSYM)]
+    if tri.positive:
+        mat = spectral.build_jacobi(tri)
+        checks.append(_check("matrix-persymmetry", spectral.persymmetry_residual(mat),
+                             TOL_PERSYM))
     return checks
 
 

@@ -156,6 +156,7 @@ def test_qpk_kind_suites(capsys):
         "--alpha", "0.5", "--q", "0.5", "--N", "4", "--format", "csv"])
     assert code == 0
     assert "orthogonality/gram-diagonal,pass" in out
+    assert "persymmetry/matrix-persymmetry,pass" in out
 
 
 @pytest.mark.parametrize("suite", ["bispectral", "explicit", "isospectral", "qracah",
@@ -343,6 +344,10 @@ def test_persymmetry_violation_beyond_binary64_does_not_pass(capsys):
      "parameters a and c must be positive reals"),
     ("coeffs --kind qpk --Delta=-inf --alpha 0.5 --q 0.5 --N 5 --precision double",
      "Delta must be a positive real"),
+    ("coeffs --kind qpr --a 0.9 --c nan --alpha 0.5 --q 0.5 --N 5 --precision extended",
+     "parameters a and c must be positive reals"),
+    ("coeffs --kind qpk --Delta nan --alpha 0.5 --q 0.5 --N 5 --precision extended",
+     "Delta must be a positive real"),
 ])
 def test_infinite_lattice_parameters_are_invalid(capsys, monkeypatch, argv, message):
     monkeypatch.delenv("QORTHO_PRECISION", raising=False)
@@ -350,6 +355,18 @@ def test_infinite_lattice_parameters_are_invalid(capsys, monkeypatch, argv, mess
     assert code == 2
     assert out == ""
     assert err.splitlines()[-1] == "invalid parameters: " + message
+
+
+@pytest.mark.parametrize("lattice", ["--kind qpr --a 1e400 --c 0.7", "--kind qpk --Delta 1e400"])
+def test_finite_lattice_parameters_beyond_the_double_range_are_accepted(capsys, monkeypatch,
+                                                                       lattice):
+    monkeypatch.delenv("QORTHO_PRECISION", raising=False)
+    code, out, err = run_cli(capsys, (
+        "coeffs %s --alpha 0.5 --q 0.5 --N 3 --precision extended" % lattice).split())
+    assert (code, err) == (0, "")
+    rows = out.splitlines()
+    assert rows[0] == "n,b,u" and len(rows) == 5
+    assert rows[1].split(",")[1].endswith("e+399")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -15,7 +15,7 @@ from qortho.para_krawtchouk import (
     weights,
 )
 from qortho.para_racah import DegenerateFamilyError
-from qortho.recurrence import persymmetry_residual, tridiagonal
+from qortho.recurrence import persymmetry_residual, tridiagonal, weights_from_christoffel
 
 ODD = ParaKrawtchoukFamily(Delta=1.3, alpha=0.35, q=0.5, N=5)
 EVEN = ParaKrawtchoukFamily(Delta=1.3, alpha=0.35, q=0.5, N=6)
@@ -183,6 +183,20 @@ def test_eval_is_scaled_limit_of_biexponential_polynomials():
             r = [(10 * hi - lo) / 9 for lo, hi in zip(vals, vals[1:])]
             ext = (100 * r[1] - r[0]) / 99
             assert abs(ext - target) <= 1e-6 * max(1, abs(target))
+
+
+@pytest.mark.parametrize("num,dps,tol", [(float, 15, 1e-13), (mpmath.mpf, 50, 1e-45)],
+                         ids=["double", "50"])
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_christoffel_route_matches_closed_forms(N, num, dps, tol):
+    # qpr's route, at qpk's lattice: it reads only the table and the points.
+    with mpmath.workdps(dps):
+        fam = ParaKrawtchoukFamily(Delta=num("1.3"), alpha=num("0.35"), q=num("0.5"), N=N)
+        tri = tridiagonal(fam)
+        lw, cw = weights(tri), weights_from_christoffel(tri)
+        assert cw.points == lw.points and cw.positive_measure
+        for w_closed, w_chr in zip(lw.weights, cw.weights):
+            assert abs(w_closed - w_chr) <= tol * abs(w_closed)
 
 
 @pytest.mark.parametrize("scalar", [float, mpmath.mpf], ids=["float", "mpf"])

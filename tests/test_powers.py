@@ -16,7 +16,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from qortho import _mpfloops, connections, para_krawtchouk, para_racah, verify
+from qortho import _mpfloops, connections, para_krawtchouk, para_racah, recurrence, verify
 from qortho.para_krawtchouk import ParaKrawtchoukFamily
 from qortho.para_racah import ParaRacahFamily
 from qortho.qseries import PowerTable, SeriesPlan, qpochhammer
@@ -263,7 +263,7 @@ def test_series_sums_and_christoffel_derivatives_are_the_plain_loops(N, num, dps
             assert _bits(plan.sum(varying)) == _bits(reference_series_sum(plan, varying))
         points = para_racah.lattice(fam).points
         for s in range(N + 1):
-            assert _bits(para_racah._char_poly_derivative(points, s)) == _bits(
+            assert _bits(recurrence._char_poly_derivative(points, s)) == _bits(
                 reference_char_poly_derivative(points, s))
 
 

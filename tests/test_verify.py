@@ -19,7 +19,7 @@ import pytest
 import support
 from qortho import (cli, connections, para_krawtchouk, para_racah, scalars, spectral,
                     verify)
-from qortho.recurrence import TridiagonalSystem
+from qortho.recurrence import TridiagonalSystem, persymmetry_residual, tridiagonal
 
 FAM = para_racah.ParaRacahFamily(a=0.9, c=0.7, alpha=0.5, q=0.5, N=5)
 NAN = float("nan")
@@ -165,6 +165,38 @@ def test_isospectral_suite_spectrum_count(monkeypatch, alpha, spectra):
     assert len(calls) == spectra
 
 
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("N", range(1, 17))
+def test_isospectral_suite_reads_nothing_kind_specific(N, alpha):
+    # qpk does not register the suite; it passes on qpk tables all the same.
+    checks = verify.suite_isospectral(verify.RunTables(_qpk(1.3, alpha, 0.5, N)), None)
+    assert [c.name for c in checks] == ["isospectrality", "spectrum-vs-lattice"]
+    assert all(c.passed for c in checks), [(c.name, c.residual) for c in checks]
+
+
+def test_family_checks_and_persymmetry_folds_convert_no_float(monkeypatch):
+    # Finiteness is read off the mpf itself, and each palindrome fold starts
+    # from a difference of its row's type, so neither meets a float.
+    floats = []
+    for name in ("mpf_convert_rhs", "mpf_convert_arg"):
+        def counted(x, *rest, _original=getattr(mpmath.mpf, name)):
+            if type(x) is float:
+                floats.append(x)
+            return _original(x, *rest)
+        monkeypatch.setattr(mpmath.mpf, name, staticmethod(counted))
+    num = mpmath.mpf
+    with mpmath.workdps(50):
+        tables = [tridiagonal(fam) for fam in (
+            para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.5"),
+                                       q=num("0.5"), N=6),
+            _qpk("1.3", "0.5", "0.5", 6, num))]
+        floats.clear()
+        for tri in tables:
+            tri.family.replace()
+            assert persymmetry_residual(tri) <= 1e-40
+    assert floats == []
+
+
 def test_gram_off_diagonal_beyond_the_double_range():
     # b_n = 0, u_n = U on four symmetric points with equal weights: the
     # scaled off-diagonal entries are 1.5 (n, m = 2, 0) and 3.5 (3, 1), where
@@ -227,15 +259,34 @@ NAN_CASES = [
 ]
 
 
+# The same for a qpk family at alpha = 1/2.
+QPK_NAN_CASES = [
+    ("persymmetry", "matrix-persymmetry", spectral, "build_jacobi", lambda k, args: True,
+     lambda m: spectral.SymmetricTridiagonal(tuple(_nan_at_1(m.diagonal)), m.offdiag)),
+]
+
+
+def _assert_nan_fails(monkeypatch, fam, suite, check, module, name, when, poison):
+    _poison_calls(monkeypatch, module, name, when, poison)
+    checks = {c.name: c for c in verify.run_suite(suite, fam)}
+    chk = checks["%s/%s" % (suite, check)]
+    assert not chk.passed
+    assert math.isnan(chk.residual)
+
+
 @pytest.mark.parametrize("suite,check,module,name,when,poison", NAN_CASES,
                          ids=["%s/%s" % case[:2] for case in NAN_CASES])
 def test_nan_evaluation_fails_its_check(monkeypatch, suite, check, module, name, when,
                                         poison):
-    _poison_calls(monkeypatch, module, name, when, poison)
-    checks = {c.name: c for c in verify.run_suite(suite, FAM)}
-    chk = checks["%s/%s" % (suite, check)]
-    assert not chk.passed
-    assert math.isnan(chk.residual)
+    _assert_nan_fails(monkeypatch, FAM, suite, check, module, name, when, poison)
+
+
+@pytest.mark.parametrize("suite,check,module,name,when,poison", QPK_NAN_CASES,
+                         ids=["%s/%s" % case[:2] for case in QPK_NAN_CASES])
+def test_nan_evaluation_fails_its_qpk_check(monkeypatch, suite, check, module, name, when,
+                                            poison):
+    _assert_nan_fails(monkeypatch, _qpk(1.3, 0.5, 0.5, 5), suite, check, module, name,
+                      when, poison)
 
 
 @pytest.mark.parametrize("suite", ["bispectral", "explicit", "isospectral", "qracah",
