@@ -198,6 +198,14 @@ def cmd_lattice_weights(args, prec: _Precision) -> int:
     return EXIT_OK
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, its quotes doubled, when it holds a
+    comma, a quote or a line break, as the csv module's minimal quoting does."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"%s"' % text.replace('"', '""')
+    return text
+
+
 def cmd_verify(args, prec: _Precision) -> int:
     with prec.context():
         checks = verify.run_suite(args.suite, _build_family(args, prec), seed=args.seed)
@@ -206,7 +214,7 @@ def cmd_verify(args, prec: _Precision) -> int:
         for chk in checks:
             print("%s,%s,%.6e,%.6e,%s" % (
                 chk.name, "pass" if chk.passed else "fail",
-                chk.residual, chk.tolerance, chk.note))
+                chk.residual, chk.tolerance, _csv_field(chk.note)))
     else:
         _emit_json(args, prec, suite=args.suite, checks=[{
             "name": chk.name,

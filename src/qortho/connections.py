@@ -174,12 +174,15 @@ def dual_hahn_limit(a_exponent, N: int, degrees) -> list:
     g = (4 * a_exponent - 1) / 2
     out = []
     with mpmath.workdps(LIMIT_DIGITS):
+        # The float exponent is converted once, and alpha is typed by q: a
+        # float would be converted again at every read.
+        exponent = mpmath.mpf(a_exponent)
         fams, scales = [], []
         for k in range(6, 17):
             p = 1 - mpmath.mpf(2) ** -k
             q = p * p
-            a = q ** mpmath.mpf(a_exponent)
-            fams.append(ParaRacahFamily(a=a, c=a * p, alpha=0.5, q=q, N=N))
+            a = q ** exponent
+            fams.append(ParaRacahFamily(a=a, c=a * p, alpha=q ** 0 / 2, q=q, N=N))
             scales.append((1 - p) ** 2)
         for n in degrees:
             limits = []

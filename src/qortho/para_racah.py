@@ -459,25 +459,25 @@ def qdiff_eigenvalue(fam: ParaRacahFamily, n: int):
     return pw[-n] * (1 - pw[n]) * (1 - pw[n - fam.N])
 
 
-def qdiff_residual(tri: TridiagonalSystem, n: int, zs) -> list:
+def qdiff_residual(tri: TridiagonalSystem, zs) -> list:
     """[(LHS - RHS, operator scale) for z in zs] of the q-difference
-    equation of the table's family at degree n.
+    equation of the table's family, one such row per degree n = 0..N.
 
     The shift coefficient's numerator is the Askey-Wilson one at the
     truncation b = q^-j / a, d = q^(j+1-N) / c; its z-free powers of q and
-    lambda_n are computed once for the degree.
+    every lambda_n are computed once.  Each point costs one pass of the
+    recurrence at each of qz, z and z/q, shared by every degree.
     """
     fam = tri.family
-    if not 0 <= n <= fam.N:
-        raise ValueError("q-difference residual requires 0 <= n <= N")
     a, c, _, q, j = _unpack(fam)
+    N = fam.N
     pw = fam.powers()
-    q_j, q_jN = pw[-j], pw[j + 1 - fam.N]
-    lam = qdiff_eigenvalue(fam, n)
+    q_j, q_jN = pw[-j], pw[j + 1 - N]
+    lams = [qdiff_eigenvalue(fam, n) for n in range(N + 1)]
 
     def numerator(z):
         return (1 - a * z) * (1 - q_j * z / a) * (1 - c * z) * (1 - q_jN * z / c)
 
-    def value(z):
-        return eval_recurrence(tri, n, z)
-    return qdifference_residual(numerator, value, lam, q, zs)
+    def values(z):
+        return tri.values((z + 1 / z) / 2, N)
+    return qdifference_residual(numerator, values, lams, q, zs)

@@ -20,12 +20,13 @@ once: the bi-lattice order (:func:`interleave` puts one strand at the even
 indices and the other at the odd ones, :meth:`LatticeWeights.strand_sums`
 reads them back), the closed-form weights from their strand factors
 (:func:`weight_table`), the two checks that evaluate a table at its kind's
-lattice points (:func:`gram_errors` and :func:`weights_from_christoffel`),
-the refusal of coincident strands
-(:meth:`BiLatticeFamily.require_distinct_strands`), the q-difference
-equation on x = (z + 1/z)/2 with its shift-operator pole guard
-(:func:`qdifference_residual`), and the palindrome residual behind both
-persymmetry checks (:func:`palindrome_residual`).
+lattice points (:func:`gram_errors`, by forward recurrence, and
+:func:`weights_from_christoffel`, by the twisted factorisation), the
+refusal of coincident strands (:meth:`BiLatticeFamily.require_distinct_strands`),
+the q-difference equation of every degree on x = (z + 1/z)/2 at shared
+points, with its shift-operator pole guard (:func:`qdifference_residual`),
+and the palindrome residual behind both persymmetry checks
+(:func:`palindrome_residual`).
 
 The deformation alpha enters b_n and u_n only at the splice n = j, j+1, so
 :meth:`TridiagonalSystem.at_alpha` gives the same family's table at another
@@ -273,22 +274,62 @@ def _char_poly_derivative(points, s):
     return reduce(mul, (xs - xk for k, xk in enumerate(points) if k != s))
 
 
-def weights_from_christoffel(tri: TridiagonalSystem) -> LatticeWeights:
+def _twisted_last_value(tri, x):
+    """(R_N(x), smallest twist) at a zero x of R_{N+1}, by the twisted
+    factorisation of the Jacobi matrix at x (Fernando, SIAM J. Matrix Anal.
+    Appl. 18, 1997; Dhillon-Parlett, ibid. 25, 2004).
+
+    P_0..P_{N+1} run forward from P_0 = 1, and Q_{N+1}..Q_0 backward from
+    Q_{N+1} = 0, Q_N = 1 with Q_{k-1} = ((x - b_k) Q_k - Q_{k+1}) / u_k.  At
+    a zero of R_{N+1} the two solutions are proportional, and R_N = P_k / Q_k
+    is read at the k of the smallest twist
+
+        gamma_k = P_{k+1}/P_k - Q_{k+1}/Q_k
+                = (x - b_k) - u_k P_{k-1}/P_k - Q_{k+1}/Q_k,
+
+    skipping a k where P_k or Q_k is 0; a NaN twist, from a side that
+    overflowed, gives way to any other.  Forward recurrence alone follows
+    the dominant solution past n ~ N/2.  The twist grows with the distance
+    of x from a zero; R_N is None when every k is skipped.
+    """
+    p = tri.values(x)
+    one = p[0] = x ** 0  # typed by x: an mpf ratio meets no float
+    qs = [0 * one, one]
+    for bk, uk in zip(reversed(tri.b[1:]), reversed(tri.u)):
+        qs.append(((x - bk) * qs[-1] - qs[-2]) / uk)
+    qs.reverse()
+    best = value = None
+    for pk, p_next, qk, q_next in zip(p, p[1:], qs, qs[1:]):
+        if pk == 0 or qk == 0:
+            continue
+        twist = abs(p_next / pk - q_next / qk)
+        if best is None or twist < best or best != best:
+            best, value = twist, pk / qk
+    return value, best
+
+
+def weights_from_christoffel(tri: TridiagonalSystem) -> tuple:
     """Independent weight route, w_s = h_N / (R_N(x_s) R'_{N+1}(x_s)), for
-    either kind: R_N from the table and R'_{N+1} from its roots, both at the
-    points x_s of the kind's ``lattice``.  Agrees with its ``weights``."""
+    either kind: R_N from the table by :func:`_twisted_last_value` and
+    R'_{N+1} from its roots, both at the points x_s of the kind's
+    ``lattice``.  Returns the weights, which agree with its ``weights``, and
+    the largest smallest twist over the points scaled by max |x_s|: the
+    twisted R_N hides a point that is not a zero of R_{N+1}, the twist
+    shows it."""
     fam = tri.family
     fam.require_distinct_strands()
     lw = family_module(fam).lattice(fam)
     hN = tri.h[-1]
-    w = []
+    w, twists = [], []
     for s, x in enumerate(lw.points):
-        rN = tri.values(x, fam.N)[-1]
-        if abs(rN) == 0:
+        rN, twist = _twisted_last_value(tri, x)
+        if rN is None or abs(rN) == 0:
             raise DegenerateFamilyError(
                 "R_N vanishes at a lattice point; configuration is degenerate")
         w.append(hN / (rN * _char_poly_derivative(lw.points, s)))
-    return lw.weighted(tuple(w), tri.h)
+        twists.append(twist)
+    scale = max(abs(x) for x in lw.points)
+    return lw.weighted(tuple(w), tri.h), max_keep_nan(*twists) / scale
 
 
 class LatticeWeights(Record):
@@ -408,27 +449,32 @@ def _shift_coefficient(numerator, q, z, guard):
     return numerator(z) / den
 
 
-def qdifference_residual(numerator, value, lam, q, zs) -> list:
-    """[(LHS - RHS, scale) for z in zs] of the q-difference equation
+def qdifference_residual(numerator, values, lams, q, zs) -> list:
+    """One row per entry of ``lams``, each [(LHS - RHS, scale) for z in zs],
+    of the q-difference equation
 
-        lam P(z) = c(z) P(qz) - (c(z) + c(1/z)) P(z) + c(1/z) P(z/q),
+        lam_n P_n(z) = c(z) P_n(qz) - (c(z) + c(1/z)) P_n(z) + c(1/z) P_n(z/q),
 
-    with c(z) = numerator(z) / ((1 - z^2)(1 - q z^2)), ``value(z)`` the
-    polynomial at x = (z + 1/z)/2, and the scale the largest term magnitude.
+    with c(z) = numerator(z) / ((1 - z^2)(1 - q z^2)), ``values(z)`` the
+    polynomials at x = (z + 1/z)/2, one per entry of ``lams``, and the scale
+    the largest term magnitude.  Each point's shift coefficients and its
+    three value lists are computed once and serve every degree.
     """
     guard = 1e-12 * q ** 0  # typed by q once: an mpf point meets no float
-    out = []
+    rows = [[] for _ in lams]
     for z in zs:
         coef_up = _shift_coefficient(numerator, q, z, guard)
         coef_dn = _shift_coefficient(numerator, q, 1 / z, guard)
-        p_up, p_mid, p_dn = value(q * z), value(z), value(z / q)
-        lhs = lam * p_mid
-        t_up = coef_up * p_up
-        t_mid = (coef_up + coef_dn) * p_mid
-        t_dn = coef_dn * p_dn
-        out.append((lhs - (t_up - t_mid + t_dn),
-                    max(abs(lhs), abs(t_up), abs(t_mid), abs(t_dn))))
-    return out
+        coef_mid = coef_up + coef_dn
+        for row, lam, p_up, p_mid, p_dn in zip(
+                rows, lams, values(q * z), values(z), values(z / q)):
+            lhs = lam * p_mid
+            t_up = coef_up * p_up
+            t_mid = coef_mid * p_mid
+            t_dn = coef_dn * p_dn
+            row.append((lhs - (t_up - t_mid + t_dn),
+                        max(abs(lhs), abs(t_up), abs(t_mid), abs(t_dn))))
+    return rows
 
 
 def palindrome_residual(*rows) -> float:

@@ -12,7 +12,9 @@ dropped when the run ends.
 
 The Gram errors and the Christoffel weights are :mod:`qortho.recurrence`'s,
 one code for both kinds, called here as ``gram_errors`` and
-``para_racah.weights_from_christoffel``.
+``para_racah.weights_from_christoffel``.  The bispectral suite draws its ten
+points once and checks every degree at them, one recurrence pass per point
+and shift.
 """
 
 from __future__ import annotations
@@ -141,10 +143,11 @@ def _is_qpk(fam) -> bool:
 
 def suite_orthogonality(run, rng):
     """Favard positivity, strand sums and Gram errors; for qpr also the
-    Christoffel cross-check and the beta factor.  The Christoffel route
-    serves qpk too, but R_N by forward recurrence at a small-q lattice loses
-    digits, and some in-box qpk families would fail it, in double and at 50
-    digits.  qpk has no alpha = 1/2 weights, so no beta factor."""
+    Christoffel cross-check and the beta factor.  The cross-check fails when
+    the two weight routes disagree or when a lattice point's twist, the
+    eigenvalue residual of the twisted R_N, is above its tolerance.  The
+    route serves qpk too, but qpk's report does not carry the check.  qpk
+    has no alpha = 1/2 weights, so no beta factor."""
     fam, tri = run.fam, run.tri
     note = "" if _is_qpk(fam) else "min u_n = %.3e" % float(min(tri.u))
     checks = [_check("favard-positivity", 0.0 if tri.positive else 1.0, 0.5, note=note)]
@@ -161,8 +164,8 @@ def suite_orthogonality(run, rng):
     checks.append(_check("gram-off-diagonal", o, TOL_GRAM))
     if _is_qpk(fam):
         return checks
-    cw = para_racah.weights_from_christoffel(tri)
-    worst = max_keep_nan(*(abs(x - y) / abs(x) for x, y in zip(lw.weights, cw.weights)))
+    cw, twist = para_racah.weights_from_christoffel(tri)
+    worst = max_keep_nan(twist, *(abs(x - y) / abs(x) for x, y in zip(lw.weights, cw.weights)))
     checks.append(_check("christoffel-cross-check", worst, TOL_CHRISTOFFEL))
     ratios = [w / wh for w, wh in zip(lw.weights, lw.weights_half)]
     beta_fit = (ratios[0] - ratios[1]) / (ratios[0] + ratios[1])
@@ -182,11 +185,13 @@ def suite_explicit(run, rng):
 
 
 def suite_bispectral(run, rng):
+    """The q-difference equation at ten points shared by every degree, and
+    the degeneracy lambda_n = lambda_{N-n} of its eigenvalues."""
     fam, tri = run.fam, run.tri
     zero = worst = fam.q * 0
-    for n in range(fam.N + 1):
-        zs = [_random_z(rng, fam, 2.0, 3.0) for _ in range(10)]
-        for res, scale in para_racah.qdiff_residual(tri, n, zs):
+    zs = [_random_z(rng, fam, 2.0, 3.0) for _ in range(10)]
+    for row in para_racah.qdiff_residual(tri, zs):
+        for res, scale in row:
             worst = max_keep_nan(worst, abs(res) / scale)
     lam = [para_racah.qdiff_eigenvalue(fam, n) for n in range(fam.N + 1)]
     degen = max_keep_nan(zero, *(abs(lam[n] - lam[fam.N - n]) / abs(lam[n])

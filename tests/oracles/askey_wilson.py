@@ -119,9 +119,10 @@ def qdiff_residual(p: AskeyWilsonParams, n: int, z):
         raise ValueError("n must be non-negative")
     q = p.q
     lam = q ** -n * (1 - q ** n) * (1 - p.abcd * q ** (n - 1))
-    return qdifference_residual(
+    [[out]] = qdifference_residual(
         lambda x: (1 - p.a * x) * (1 - p.b * x) * (1 - p.c * x) * (1 - p.d * x),
-        lambda x: monic_eval(p, n, x), lam, q, [z])[0]
+        lambda x: [monic_eval(p, n, x)], [lam], q, [z])
+    return out
 
 
 def truncation_check(p: AskeyWilsonParams, N: int, tol: float = _TRUNCATION_TOL) -> str:

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -123,6 +125,29 @@ def test_verify_all_passes_in_region(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "check,status,residual,tolerance,note"
     assert all(",pass," in line for line in lines[1:])
+
+
+def test_in_box_default_verify_passes(capsys):
+    # The Christoffel route reads R_N off the twisted factorisation: the
+    # forward recurrence alone missed the pinned tolerance here.
+    code, out, _ = run_cli(capsys, "verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.3 "
+                                   "--N 9 --suite all".split())
+    assert code == 0
+    assert "orthogonality/christoffel-cross-check,pass," in out
+
+
+@pytest.mark.parametrize("family", [
+    "--a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5",
+    "--a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6",
+    "--a 0.9 --c 0.7 --alpha 0.75 --q 0.3 --N 9 --precision extended"])
+def test_verify_csv_rows_parse_to_five_fields(capsys, family):
+    code, out, _ = run_cli(capsys, ("verify --kind qpr --suite all --format csv " + family).split())
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["check", "status", "residual", "tolerance", "note"]
+    assert all(len(row) == 5 for row in rows)
+    assert ["qracah/qracah-identity", "at c = a sqrt(q), alpha = 1/2"] in [
+        [row[0], row[4]] for row in rows]
 
 
 def test_verify_unknown_suite_exits_2(capsys):
@@ -428,15 +453,15 @@ GOLDEN = [
     ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format json",
      "8789755b4ef0d6117848b5788d023f3ea78785ac2e1859721666d1740985a316"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5 --format csv --precision double",
-     "771d51e39fd639fd98d119e9920fc28070d6f8a391d546365b7dae3702b44319"),
+     "1d17985bc5c51a59d1a88391f10f221e88a1183b018cd0356e51f2c1932d75db"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --format json --precision double --seed 3",
-     "5bbdcd044869188b3a692c85fed5d79e6a4491e8536c6af43d47bc73a1e2bdd0"),
+     "84d12ae1829e7da709ca306ff15bdfd6bfc2cc8b9e479b20233ff00e5c5587fe"),
     ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
      "13125aac4a7c8d6fab3a5bf6a5afd67421b3fae4edc94ea22257ed5e2b1a5646"),
     ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format csv --precision extended",
      "ad47161bf513e75cffee97aaa44bedfe16a2af5b18a10a7b0ecce9adc7e235c4"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --suite orthogonality --format json --precision extended",
-     "909e472e84106a08add3dc0ed17e7f8a00aa70326a7c804189fb531a51290d8a"),
+     "6469f82ccf8984ee91bee015c63d522ddf3a1cbf1b47e43147c7d164161550ce"),
     # The explicit expansion of both parities, in double where the 40-digit
     # rerun fires (q = 0.3) and at 60 digits.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.3 --N 8 --suite explicit --format csv --precision double",
@@ -451,13 +476,13 @@ GOLDEN = [
     # verify-ext benchmark: odd N, even N, and odd N with the middle-degree
     # branch at n = j and j+1; and the q-difference check at 60 digits.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 9 --format json --precision extended",
-     "d5f1a2fe6ecb6e41f0aaedafabc43b2bd13ce5609ec00c31f49672e6f66a4ea1"),
+     "db1d91321343398fca7b686c90911fa1b6396953ce7fd33ab9065d42c42f9d16"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 12 --format json --precision extended",
-     "0d38e4d4a9eda616a1a54a693289bb635537e852d9d19b9a9d89528b97773858"),
+     "ab33c9fdae5fe4cf954b7889331819574abd8b30d6fd1633cc9df84e26b9951a"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --format json --precision extended",
-     "f65513336363eed2f89ecde7adb574fadfba28f0186a7744793eba0d526dcc3b"),
+     "e00cc82e346ff8808823c024e9d766ae413bab86880731bd718e41b2341c922e"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite bispectral --format json --precision extended:60",
-     "de40b70d6ee8f88ac2efadb6eb1ef2b384547c0bd6a0d6b03d1e373f8743dac8"),
+     "dbb4f19b7bd38643eccb833816c5c6f491ed0d618e15ec8beefedc3fd9874e7f"),
     # The two limit oracles, which extrapolate at a fixed 50 digits whatever
     # the run's precision, and a qpk run that reads its own table in the
     # theta limit.

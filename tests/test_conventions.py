@@ -73,7 +73,7 @@ def _qpr_rows(num, N):
     return [_bits(lat.points), _bits(lat.z_points),
             [[name, _bits(getattr(lw, name))] for name in _WEIGHT_FIELDS],
             _bits(lw.strand_sums()),
-            [_bits(para_racah.qdiff_residual(tri, n, zs)) for n in range(N + 1)],
+            [_bits(row) for row in para_racah.qdiff_residual(tri, zs)],
             _persymmetry_rows(tri)]
 
 

@@ -157,7 +157,7 @@ def _weighted_and_deformed_digest():
                     kind = para_racah if type(fam) is ParaRacahFamily else para_krawtchouk
                     tables = [kind.weights(tri)]
                     if kind is para_racah:
-                        tables.append(para_racah.weights_from_christoffel(tri))
+                        tables.append(para_racah.weights_from_christoffel(tri)[0])
                     out.extend(_fields(lw, _WEIGHT_FIELDS) for lw in tables)
                     for al in (0.1, 0.3, 0.5, 0.7, 0.9):
                         moved = tri.at_alpha(al)
@@ -168,4 +168,4 @@ def _weighted_and_deformed_digest():
 
 def test_weighted_and_deformed_tables_are_unchanged_bit_for_bit():
     assert _weighted_and_deformed_digest() == (
-        "b117bbec9d78e83c9fdbc94a9e865216ff0f93ab08481c7218cc5f9644c97797")
+        "6e0d6b5c0fcd2470b6998222f25aa3d5b426caef5ac3051c97594038215b1414")

@@ -17,8 +17,8 @@ import mpmath
 import pytest
 
 import support
-from qortho import (cli, connections, para_krawtchouk, para_racah, scalars, spectral,
-                    verify)
+from qortho import (cli, connections, para_krawtchouk, para_racah, recurrence, scalars,
+                    spectral, verify)
 from qortho.recurrence import TridiagonalSystem, persymmetry_residual, tridiagonal
 
 FAM = para_racah.ParaRacahFamily(a=0.9, c=0.7, alpha=0.5, q=0.5, N=5)
@@ -213,6 +213,49 @@ def test_gram_off_diagonal_beyond_the_double_range():
     assert off == pytest.approx(3.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("N", [1, 6, 9, 16])
+def test_bispectral_suite_makes_three_passes_per_point_at_any_N(monkeypatch, N):
+    # Ten points shared by every degree, each evaluated at qz, z and z/q.
+    fam = para_racah.ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=N)
+    passes = []
+    original = recurrence.monic_values
+
+    def counted(b, u, x):
+        passes.append(len(b))
+        return original(b, u, x)
+    monkeypatch.setattr(recurrence, "monic_values", counted)
+    checks = verify.run_suite("bispectral", fam)
+    assert passes == [N] * 30
+    assert all(chk.passed for chk in checks)
+
+
+@pytest.mark.parametrize("s", range(FAM.N + 1))
+def test_a_moved_lattice_point_fails_the_christoffel_check(monkeypatch, s):
+    _, twist = para_racah.weights_from_christoffel(tridiagonal(FAM))
+    assert twist <= 1e-15
+    lattice = para_racah.lattice
+
+    def moved(fam):
+        lw = lattice(fam)
+        points = list(lw.points)
+        points[s] *= 1 + 1e-6
+        return lw.replace(points=tuple(points))
+    monkeypatch.setattr(para_racah, "lattice", moved)
+    _, twist = para_racah.weights_from_christoffel(tridiagonal(FAM))
+    assert twist > verify.TOL_CHRISTOFFEL
+    checks = {c.name: c for c in verify.run_suite("orthogonality", FAM)}
+    assert not checks["orthogonality/christoffel-cross-check"].passed
+
+
+def test_the_twist_alone_fails_the_christoffel_check(monkeypatch):
+    # Weights that agree do not pass a lattice whose twist is too large.
+    _poison_calls(monkeypatch, para_racah, "weights_from_christoffel", lambda k, args: True,
+                  lambda r: (r[0], 2 * verify.TOL_CHRISTOFFEL))
+    checks = {c.name: c for c in verify.run_suite("orthogonality", FAM)}
+    chk = checks["orthogonality/christoffel-cross-check"]
+    assert (chk.passed, chk.residual) == (False, 2 * verify.TOL_CHRISTOFFEL)
+
+
 def _poison_calls(monkeypatch, module, name, when, poison):
     """Make module.name return poison(its result) on each call for which
     when(call number, args) holds."""
@@ -240,13 +283,13 @@ def _second(k, args):
 NAN_CASES = [
     ("explicit", "explicit-vs-recurrence", para_racah, "eval_recurrence", _second,
      lambda r: NAN),
-    ("bispectral", "qdiff-residual", para_racah, "qdiff_residual", _second,
-     lambda r: [(NAN, r[0][1]), *r[1:]]),
+    ("bispectral", "qdiff-residual", para_racah, "qdiff_residual", lambda k, args: True,
+     lambda r: [r[0], [r[1][0], (NAN, r[1][1][1]), *r[1][2:]], *r[2:]]),
     ("bispectral", "eigenvalue-degeneracy", para_racah, "qdiff_eigenvalue",
      lambda k, args: args[1] == 2, lambda r: NAN),
     ("orthogonality", "christoffel-cross-check", para_racah, "weights_from_christoffel",
      lambda k, args: True,
-     lambda lw: lw.replace(weights=tuple(_nan_at_1(lw.weights)))),
+     lambda r: (r[0].replace(weights=tuple(_nan_at_1(r[0].weights))), r[1])),
     ("persymmetry", "coefficient-persymmetry", para_racah, "b_coefficient",
      lambda k, args: args[1] == 2, lambda r: NAN),
     ("isospectral", "isospectrality", spectral, "spectrum", lambda k, args: k == 3,
