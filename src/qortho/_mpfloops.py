@@ -76,27 +76,23 @@ def qpochhammer(a, q, k: int):
     return value
 
 
-def series_sum(plan, varying) -> tuple:
-    """:meth:`qortho.qseries.SeriesPlan.sum` of an all-mpf plan at mpf
-    ``varying``: the plain sum, as the operator loop takes it for mpmath
+def series_sum(plan, rows) -> tuple:
+    """:meth:`qortho.qseries.SeriesPlan.sum` of an all-mpf plan at mpf factor
+    ``rows``: the plain sum, as the operator loop takes it for mpmath
     inputs."""
     import mpmath
     lib = mpmath.libmp
-    fone, mpf_abs, mpf_add = lib.fone, lib.mpf_abs, lib.mpf_add
-    mpf_div, mpf_mul, mpf_sub = lib.mpf_div, lib.mpf_mul, lib.mpf_sub
+    mpf_abs, mpf_add, mpf_div, mpf_mul = lib.mpf_abs, lib.mpf_add, lib.mpf_div, lib.mpf_mul
     first = plan.first
     mpf, new, (prec, rnd) = first._ctxdata
     argument = plan.argument._mpf_
-    varying = [p._mpf_ for p in varying]
     term = total = first._mpf_
     magnitude = mpf_abs(term, prec, rnd)
-    for num, qpow, den in zip(plan.num, plan.qpows, plan.den):
+    for k, (num, den) in enumerate(zip(plan.num, plan.den)):
         for f in num:
             term = mpf_mul(term, f._mpf_, prec, rnd)
-        qpow = qpow._mpf_
-        for p in varying:
-            term = mpf_mul(term, mpf_sub(fone, mpf_mul(p, qpow, prec, rnd), prec, rnd),
-                           prec, rnd)
+        for row in rows:
+            term = mpf_mul(term, row[k]._mpf_, prec, rnd)
         for f in den:
             term = mpf_div(term, f._mpf_, prec, rnd)
         term = mpf_mul(term, argument, prec, rnd)

@@ -19,7 +19,7 @@ from .qseries import SeriesPlan, qpochhammer
 from .recurrence import (_DEGENERATE_TOL, BiLatticeFamily, DegenerateFamilyError,
                          LatticeWeights, TridiagonalSystem, interleave,
                          qdifference_residual, weight_table, weights_from_christoffel)
-from .scalars import is_finite, is_mp
+from .scalars import is_finite, is_mp, typed_float
 
 __all__ = [
     "ParaRacahFamily",
@@ -64,7 +64,8 @@ class ParaRacahFamily(BiLatticeFamily):
 
     @property
     def degenerate(self) -> bool:
-        return abs(self.a - self.c) <= _DEGENERATE_TOL * max(self.a, self.c)
+        a, c = self.a, self.c
+        return abs(a - c) <= typed_float(_DEGENERATE_TOL, a) * max(a, c)
 
 
 def _unpack(fam):
@@ -212,75 +213,92 @@ def _eta(fam: ParaRacahFamily, n: int):
     return num / den
 
 
-def _explicit_plan(fam: ParaRacahFamily, n: int):
-    """The branch-appropriate explicit expression of degree n, as a function
-    z -> (value, cancellation scale).
+def _explicit_plan(fam: ParaRacahFamily, n: int) -> tuple:
+    """The z-free parts of the explicit expression of degree n, as
+    (eta, head, extra).
 
-    Everything free of z (the normalization :func:`_eta`, the series plans
-    and the prefactor products) is computed here, once per degree; the
-    returned function multiplies in the z-dependent factors at the places a
-    per-point evaluation of the whole expression would, so each value is that
-    evaluation's bit for bit.  The scale is |eta| times the sum of absolute
-    series terms; roundoff in a binary64 evaluation is a small multiple of
-    eps times this scale.
+    ``head`` is the series summed at the point's (az, a/z) factor rows;
+    ``extra`` is None, or for the degrees with a second term
+    (numerator head, numerator tail, denominator, tail series or None): the
+    term is head (az; q)_{j+1} (a/z; q)_{j+1} tail / denominator, times the
+    tail series at the point's (a q^(j+1) z, a q^(j+1)/z) rows when there is
+    one.  The normalization eta is :func:`_eta`.
     """
     a, c, al, q, j = _unpack(fam)
     N = fam.N
     pw = fam.powers()
     qp = pw.pochhammer
+    qj1 = pw[j + 1]
     eta = _eta(fam, n)
     if fam.odd and n in (j, j + 1):
         # sum_{k<=j} (q^{-j-1}, az, a/z; q)_k q^k / (q, ac, (a/c)q^{-j}; q)_k
         middle = SeriesPlan((pw[-j - 1],), (q, a * c, (a / c) * pw[-j]), q, q, j)
         if n == j:
-            def value(z):
-                body, mag = middle.sum((a * z, a / z))
-                return eta * body, abs(eta) * mag
-            return value
-        extra_head = qp(pw[-j - 1], j + 1)
+            return eta, middle, None
         extra_den = (al * qp(q, j + 1) * qp(a * c, j + 1)
                      * qp((a / c) * pw[-j], j + 1))
-        qj1 = pw[j + 1]
-
-        def value(z):
-            az, a_z = a * z, a / z
-            body, mag = middle.sum((az, a_z))
-            extra = (extra_head * qpochhammer(az, q, j + 1) * qpochhammer(a_z, q, j + 1)
-                     * qj1 / extra_den)
-            return eta * (body + extra), abs(eta) * (mag + abs(extra))
-        return value
+        return eta, middle, (qp(pw[-j - 1], j + 1), (qj1,), extra_den, None)
     r = (a / c) * pw[j + 1 - N]
     head_num = (pw[-n], pw[n - N])
     head_den = (pw[-j], a * c, r, q)
     if n <= j:
-        head = SeriesPlan(head_num, head_den, q, q, n)
-
-        def value(z):
-            body, mag = head.sum((a * z, a / z))
-            return eta * body, abs(eta) * mag
-        return value
+        return eta, SeriesPlan(head_num, head_den, q, q, n), None
     head = SeriesPlan(head_num, head_den, q, q, N - n)
     pref_head = qp(pw[n - N], N - n) * qp(pw[-n], j + 1)
-    pref_tail = qp(q, n + j - N)
-    qj1 = pw[j + 1]
     pref_den = (al * qp(pw[-j], j) * qp(q, j + 1)
                 * qp(a * c, j + 1) * qp(r, j + 1))
-    aq = a * qj1
     # (a/c) q^(2j+2-N), multiplied left to right: (a/c) q q for even N.
     tail = SeriesPlan((pw[j + 1 - n], pw[n + j + 1 - N]),
                       (pw[j + 2], a * c * qj1, (a / c) * q * pw[2 * j + 1 - N], q),
                       q, q, n - j - 1)
+    return eta, head, (pref_head, (qp(q, n + j - N), qj1), pref_den, tail)
 
-    def value(z):
-        az, a_z = a * z, a / z
-        body, body_mag = head.sum((az, a_z))
-        pref_num = (pref_head * qpochhammer(az, q, j + 1) * qpochhammer(a_z, q, j + 1)
-                    * pref_tail * qj1)
-        tail_sum, tail_mag = tail.sum((aq * z, aq / z))
-        pref = pref_num / pref_den
-        return (eta * (body + pref * tail_sum),
-                abs(eta) * (body_mag + abs(pref) * tail_mag))
-    return value
+
+def _point_factors(fam: ParaRacahFamily, z) -> tuple:
+    """One point's z-dependent factors, read by every degree:
+    ([1 - az q^k], [1 - (a/z) q^k]) for k <= j, the same of
+    a q^(j+1) z and a q^(j+1)/z for k < N-j-1, and the prefixes
+    ((az; q)_{j+1}, (a/z; q)_{j+1}).
+
+    The powers of q are the table's running powers, which are
+    :func:`~qortho.qseries.qpochhammer`'s and every
+    :class:`~qortho.qseries.SeriesPlan`'s ``qpows``; so each factor and
+    prefix is the one those compute, bit for bit.
+    """
+    a, j = fam.a, fam.j
+    pw = fam.powers()
+    qpows = pw.running(j + 1)
+    aq = a * pw[j + 1]
+    head = tuple([1 - p * qpow for qpow in qpows] for p in (a * z, a / z))
+    tail_qpows = qpows[:fam.N - j - 1]
+    tail = tuple([1 - p * qpow for qpow in tail_qpows] for p in (aq * z, aq / z))
+    prefixes = []
+    for row in head:
+        out = qpows[0]
+        for f in row:
+            out = out * f
+        prefixes.append(out)
+    return head, tail, prefixes
+
+
+def _explicit_value(plan, point) -> tuple:
+    """(value, cancellation scale) of a degree's :func:`_explicit_plan` at a
+    point's :func:`_point_factors`, multiplied in the order of the
+    expression written out at that point."""
+    eta, head, extra = plan
+    head_rows, tail_rows, (pre_az, pre_a_z) = point
+    body, mag = head.sum(head_rows)
+    if extra is None:
+        return eta * body, abs(eta) * mag
+    num_head, num_tail, den, tail = extra
+    pref = num_head * pre_az * pre_a_z
+    for f in num_tail:
+        pref = pref * f
+    pref = pref / den
+    if tail is None:
+        return eta * (body + pref), abs(eta) * (mag + abs(pref))
+    tail_sum, tail_mag = tail.sum(tail_rows)
+    return eta * (body + pref * tail_sum), abs(eta) * (mag + abs(pref) * tail_mag)
 
 
 # Promote a binary64 explicit evaluation once its cancellation scale says the
@@ -289,45 +307,59 @@ _PROMOTION_RATIO = 1e6
 _PROMOTION_DPS = 40
 
 
-def eval_explicit(fam: ParaRacahFamily, n: int, zs) -> list:
-    """[R_n(x(z)) for z in zs], x = (z + 1/z)/2, from the branch-appropriate
-    explicit expression; its z-free factors are computed once for the degree
-    (:func:`_explicit_plan`).
+def eval_explicit(fam: ParaRacahFamily, zs) -> list:
+    """One row per degree n = 0..N, each [R_n(x(z)) for z in zs] with
+    x = (z + 1/z)/2, from the branch-appropriate explicit expression.
 
-    Agrees with :func:`eval_recurrence`; the two routes together cross-check
+    Each degree's z-free factors are computed once (:func:`_explicit_plan`),
+    and each point's factors 1 - p q^k and prefixes (az; q)_{j+1},
+    (a/z; q)_{j+1} once (:func:`_point_factors`): every degree's series and
+    prefactor read them, so each value is a per-point evaluation's bit for
+    bit.  Degrees are evaluated in order, so a singular denominator raises
+    what the lowest degree that has one raises.
+
+    Agrees with the forward recurrence; the two routes together cross-check
     the coefficient tables and the series normalizations.  The terminating
     sums cancel badly for small q and large N (term scale grows like
     q**(-j^2)); when the tracked term magnitude shows binary64 cannot hold
-    ~1e-9 relative accuracy at a point, that point transparently reruns at
+    ~1e-9 relative accuracy at a point, that value transparently reruns at
     extended precision and is rounded back.  A degenerate family (c = a)
     raises :class:`DegenerateFamilyError`.
     """
-    if not 0 <= n <= fam.N:
-        raise ValueError("explicit evaluation requires 0 <= n <= N")
     if any(z == 0 for z in zs):
         raise ValueError("z must be nonzero")
     # c = a puts an exact zero in a denominator of the expansion.
     fam.require_distinct_strands("the explicit expansion is undefined")
-    route = _explicit_plan(fam, n)
-    hi_route = None
-    out = []
-    for z in zs:
-        value, magnitude = route(z)
-        if is_mp(value) or magnitude <= _PROMOTION_RATIO * abs(value):
-            out.append(value)
-            continue
-        import mpmath
-        with mpmath.workdps(_PROMOTION_DPS):
-            if hi_route is None:
-                hi_route = _explicit_plan(fam.replace(
-                    a=mpmath.mpf(fam.a), c=mpmath.mpf(fam.c),
-                    alpha=mpmath.mpf(fam.alpha), q=mpmath.mpf(fam.q)), n)
-            hi = hi_route(mpmath.mpmathify(z))[0]
-            if isinstance(z, complex):
-                out.append(complex(hi))
-            else:
-                out.append(float(hi.real if hasattr(hi, "real") else hi))
-    return out
+    points = [_point_factors(fam, z) for z in zs]
+    hi_fam = None
+    hi_points = [None] * len(zs)
+    rows = []
+    for n in range(fam.N + 1):
+        plan = _explicit_plan(fam, n)
+        hi_plan = None
+        row = []
+        for i, (z, point) in enumerate(zip(zs, points)):
+            value, magnitude = _explicit_value(plan, point)
+            if is_mp(value) or magnitude <= _PROMOTION_RATIO * abs(value):
+                row.append(value)
+                continue
+            import mpmath
+            with mpmath.workdps(_PROMOTION_DPS):
+                if hi_fam is None:
+                    hi_fam = fam.replace(
+                        a=mpmath.mpf(fam.a), c=mpmath.mpf(fam.c),
+                        alpha=mpmath.mpf(fam.alpha), q=mpmath.mpf(fam.q))
+                if hi_plan is None:
+                    hi_plan = _explicit_plan(hi_fam, n)
+                if hi_points[i] is None:
+                    hi_points[i] = _point_factors(hi_fam, mpmath.mpmathify(z))
+                hi = _explicit_value(hi_plan, hi_points[i])[0]
+                if isinstance(z, complex):
+                    row.append(complex(hi))
+                else:
+                    row.append(float(hi.real if hasattr(hi, "real") else hi))
+        rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------

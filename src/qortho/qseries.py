@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .scalars import all_mpf, is_mp
+from .scalars import all_mpf, is_mp, typed_float
 
 __all__ = [
     "SingularSeriesError",
@@ -100,6 +100,17 @@ class PowerTable(dict):
         value = self[k] = self.q ** k
         return value
 
+    def _extend(self, k) -> list:
+        running = self._running
+        while len(running) < k:
+            running.append(running[-1] * self.q)
+        return running
+
+    def running(self, k) -> list:
+        """The first k running powers q^0, q^0 q, q^0 q q, ... (a new list):
+        :func:`qpochhammer`'s, and every :class:`SeriesPlan`'s ``qpows``."""
+        return self._extend(k)[:k]
+
     def pochhammer(self, base, k):
         """(base; q)_k, bit for bit ``qpochhammer(base, q, k)``."""
         # Hashing an mpf costs a multiplication; its _mpf_ tuple is cheap.
@@ -112,9 +123,7 @@ class PowerTable(dict):
             if k < 0:
                 raise ValueError("q-Pochhammer length must be non-negative")
             return row[k]
-        running = self._running
-        while len(running) < k:
-            running.append(running[-1] * self.q)
+        running = self._extend(k)
         out = row[-1]
         for i in range(n - 1, k):
             out = out * (1 - base * running[i])
@@ -182,12 +191,14 @@ def _series_eval_with_magnitude(spec: SeriesSpec):
 class SeriesPlan:
     """The parameter-only work of a terminating sum, done once for many sums.
 
-    For each k below the truncation degree the plan holds the factors
+    For each k below the truncation degree the plan holds q^k (``qpows``, the
+    running powers q^0, q^0 q, ... of :func:`qpochhammer`) and the factors
     1 - p q^k of the fixed numerator and of the denominator parameters, the
-    latter already checked against the singular guard.  :meth:`sum` then adds
-    the numerator parameters that vary from sum to sum (an evaluation point)
-    and multiplies every factor into the term in the same order as a sum
-    written with the varying parameters listed after the fixed ones, so its
+    latter already checked against the singular guard.  :meth:`sum` then
+    takes the factors of the numerator parameters that vary from sum to sum
+    (an evaluation point), which the caller builds once and may share between
+    plans.  Every factor goes into the term in the same order as in a sum
+    written with the varying parameters listed after the fixed ones, so the
     result is that sum's bit for bit.  A plan holds values at the working
     precision that built it and belongs to one computation.
     """
@@ -201,7 +212,7 @@ class SeriesPlan:
         self.first = argument ** 0
         self.qpows = []
         one = qpow = q ** 0  # the guard's terms, typed by q
-        guard = _SINGULAR_GUARD * one
+        guard = typed_float(_SINGULAR_GUARD, one)
         for _ in range(degree):
             self.qpows.append(qpow)
             qpow = qpow * q
@@ -211,23 +222,26 @@ class SeriesPlan:
             self.num.append(tuple(1 - p * qpow for p in numerator))
             row = []
             for p in denominator:
-                f = 1 - p * qpow
-                if abs(f) <= guard * max(one, abs(p * qpow)):
+                pq = p * qpow
+                f = 1 - pq
+                if abs(f) <= guard * max(one, abs(pq)):
                     raise SingularSeriesError(p, k)
                 row.append(f)
             self.den.append(tuple(row))
         # Then sum() may run on raw tuples (qortho._mpfloops), bit for bit.
         self.all_mpf = all_mpf((self.first, argument), self.qpows, *self.num, *self.den)
 
-    def sum(self, varying=()):
-        """(value, sum of |term|) with the numerator parameters ``varying``
-        appended after the fixed ones."""
-        if self.all_mpf and all_mpf(varying):
+    def sum(self, rows=()):
+        """(value, sum of |term|) with one varying numerator parameter p per
+        row of ``rows``, each given by its factors: ``row[k]`` is
+        1 - p * ``qpows[k]`` for every k below the degree (a longer row is
+        read only that far)."""
+        if self.all_mpf and all_mpf(*rows):
             from . import _mpfloops
-            return _mpfloops.series_sum(self, varying)
-        plain = self.plain or any(is_mp(v) for v in varying)
+            return _mpfloops.series_sum(self, rows)
         degree, argument = self.degree, self.argument
-        num, den, qpows = self.num, self.den, self.qpows
+        plain = self.plain or any(is_mp(f) for row in rows for f in row[:degree])
+        num, den = self.num, self.den
         # The first term is exactly 1, so it starts the sums as they are.
         term = total = self.first
         comp = term - term
@@ -235,9 +249,8 @@ class SeriesPlan:
         for k in range(degree):
             for f in num[k]:
                 term = term * f
-            qpow = qpows[k]
-            for p in varying:
-                term = term * (1 - p * qpow)
+            for row in rows:
+                term = term * row[k]
             for f in den[k]:
                 term = term / f
             term = term * argument

@@ -68,6 +68,15 @@ def as_scalar(value, extended: bool = False):
     return float(value)
 
 
+def typed_float(value: float, like):
+    """The binary64 constant ``value`` in the scalar type of the real ``like``:
+    the value of ``value * like ** 0``, bit for bit, but built from the
+    constant's integer ratio (a power-of-two denominator, so the division is
+    exact), so an mpf meets no float."""
+    num, den = value.as_integer_ratio()
+    return like ** 0 * num / den
+
+
 def max_keep_nan(first, *rest):
     """max(first, *rest), but NaN when any value is NaN.
 

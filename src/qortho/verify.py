@@ -12,9 +12,12 @@ dropped when the run ends.
 
 The Gram errors and the Christoffel weights are :mod:`qortho.recurrence`'s,
 one code for both kinds, called here as ``gram_errors`` and
-``para_racah.weights_from_christoffel``.  The bispectral suite draws its ten
-points once and checks every degree at them, one recurrence pass per point
-and shift.
+``para_racah.weights_from_christoffel``.  The bispectral and explicit suites
+each draw their ten points once and check every degree at them: the
+bispectral one with one recurrence pass per point and shift, the explicit
+one with one ``para_racah.eval_explicit`` call and one recurrence pass per
+point.  The isospectral grid is typed by q, so an extended run deforms its
+table at its own precision.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import cached_property
 
 from . import connections, para_krawtchouk, para_racah, spectral
 from .recurrence import family_module, gram_errors, persymmetry_residual, tridiagonal
-from .scalars import is_mp, max_keep_nan
+from .scalars import is_mp, max_keep_nan, typed_float
 
 __all__ = ["Check", "RunTables", "SUITES", "run_suite", "sample_family"]
 
@@ -101,8 +104,10 @@ class RunTables:
 
     @cached_property
     def grid(self):
-        """The tables at the deformations in ISOSPECTRAL_ALPHAS."""
-        return [self.tri.at_alpha(al) for al in ISOSPECTRAL_ALPHAS]
+        """The tables at the deformations in ISOSPECTRAL_ALPHAS, each alpha
+        typed by q, so an extended run deforms at its own precision."""
+        q = self.fam.q
+        return [self.tri.at_alpha(typed_float(al, q)) for al in ISOSPECTRAL_ALPHAS]
 
 
 def sample_family(rng, N, alpha=None, q=None):
@@ -174,12 +179,19 @@ def suite_orthogonality(run, rng):
 
 
 def suite_explicit(run, rng):
+    """The explicit expansion against the forward recurrence at ten points
+    shared by every degree: one explicit evaluation of all degrees and one
+    recurrence pass per point."""
     fam, tri = run.fam, run.tri
     worst = fam.q * 0
-    for n in range(fam.N + 1):
-        zs = [_random_z(rng, fam) for _ in range(10)]
-        for z, e in zip(zs, para_racah.eval_explicit(fam, n, zs)):
-            r = para_racah.eval_recurrence(tri, n, z)
+    zs = [_random_z(rng, fam) for _ in range(10)]
+    rows = para_racah.eval_explicit(fam, zs)
+    one = fam.q ** 0
+    for z, column in zip(zs, zip(*rows)):
+        values = tri.values((z + 1 / z) / 2, fam.N)
+        # P_0 is the float 1.0; read as q ** 0, an mpf comparison meets no float.
+        values[0] = one
+        for e, r in zip(column, values):
             worst = max_keep_nan(worst, abs(e - r) / max(abs(r), abs(e)))
     return [_check("explicit-vs-recurrence", worst, TOL_EXPLICIT)]
 

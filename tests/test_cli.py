@@ -453,9 +453,9 @@ GOLDEN = [
     ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format json",
      "8789755b4ef0d6117848b5788d023f3ea78785ac2e1859721666d1740985a316"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5 --format csv --precision double",
-     "1d17985bc5c51a59d1a88391f10f221e88a1183b018cd0356e51f2c1932d75db"),
+     "16e521900c239bc677ce7161b9e6fd04eb0299c53e8378cab70f9e6ad652a3cd"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --format json --precision double --seed 3",
-     "84d12ae1829e7da709ca306ff15bdfd6bfc2cc8b9e479b20233ff00e5c5587fe"),
+     "6f7c74e10820bb4b48dde9a92c33d9869f29a795028ecb62e0318716d626fe5a"),
     ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
      "13125aac4a7c8d6fab3a5bf6a5afd67421b3fae4edc94ea22257ed5e2b1a5646"),
     ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format csv --precision extended",
@@ -465,22 +465,22 @@ GOLDEN = [
     # The explicit expansion of both parities, in double where the 40-digit
     # rerun fires (q = 0.3) and at 60 digits.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.3 --N 8 --suite explicit --format csv --precision double",
-     "ab9912474df32e43210120e3c5455d8b23a56bb705629367ff25b8f53f024fdf"),
+     "f210d592c77f8b16725c0aa622acdf3aad7ed4f022f7b2884a72e818de61f67f"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.3 --N 9 --suite explicit --format csv --precision double",
-     "05a0a08401e3d370681a7aa0f454a2ecc84c14aa54f3eee1472317d9e6653419"),
+     "7e4f6d5db2c3407519d2559f71209f65687859c7f7db66cea86b121d9fd8546c"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 12 --suite explicit --format csv --precision extended:60",
-     "df177fa13c628cabd2dee4efe007d05aeb557f28263caaabbf217e357de17cfc"),
+     "7b627dc2eeba73cee9b854102374395aecff4c4d6f77725a365d0090644830bb"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite explicit --format csv --precision extended:60",
-     "a1104d2f9634d98a8f917720c605893704f14e6f51a8b0f50848310223cf5a86"),
+     "f611b1187dc8863a31205ec5aba0ce0dedf693c48a1f843d8990ad116584f765"),
     # Every suite at the default extended precision, the setting of the
     # verify-ext benchmark: odd N, even N, and odd N with the middle-degree
     # branch at n = j and j+1; and the q-difference check at 60 digits.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 9 --format json --precision extended",
-     "db1d91321343398fca7b686c90911fa1b6396953ce7fd33ab9065d42c42f9d16"),
+     "baf9855cfbb1724af7b9a22efafebbcc47613cba6bff860f51b29c923a0f1f04"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 12 --format json --precision extended",
-     "ab33c9fdae5fe4cf954b7889331819574abd8b30d6fd1633cc9df84e26b9951a"),
+     "3f8fdf942796478c2951833232ac0020a3c1eff0925de9a236162d4985de6a88"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --format json --precision extended",
-     "e00cc82e346ff8808823c024e9d766ae413bab86880731bd718e41b2341c922e"),
+     "b82fe1e19bb2504aa4d17ef619b88ae87eba9db4039548a99d75468113a6e634"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite bispectral --format json --precision extended:60",
      "dbb4f19b7bd38643eccb833816c5c6f491ed0d618e15ec8beefedc3fd9874e7f"),
     # The two limit oracles, which extrapolate at a fixed 50 digits whatever
@@ -520,7 +520,7 @@ GOLDEN = [
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.7 --q 0.5 --N 4 --suite isospectral --format json --precision double",
      "ad43926a9b403f4311bab689b95b97a9613ae62c000e25c9b9082c4fb66bf322"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.7 --q 0.5 --N 4 --suite isospectral --format json --precision extended",
-     "eb9392c02b8c27a9e2297bdd6298866d4d3e4e2acf418ef6419f7c12fbe4c87f"),
+     "73acacce2471c0d5233f0813eea0379b62e3ee6322d889739c4abac3cae9e779"),
 ]
 
 

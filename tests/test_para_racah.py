@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -180,20 +181,22 @@ def test_explicit_matches_recurrence_every_branch(N, n):
     for alpha in (0.25, 0.5, 0.75):
         fam = ParaRacahFamily(a=0.9, c=0.7, alpha=alpha, q=0.5, N=N)
         tri = tridiagonal(fam)
-        for _ in range(8):
-            z = rng.uniform(1.1, 2.5)
+        zs = [rng.uniform(1.1, 2.5) for _ in range(8)]
+        for z, e in zip(zs, eval_explicit(fam, zs)[n]):
             r = eval_recurrence(tri, n, z)
-            e = eval_explicit(fam, n, [z])[0]
             assert abs(e - r) <= 1e-8 * max(abs(r), abs(e))
 
 
 def test_explicit_degree_zero():
-    assert eval_explicit(ODD, 0, [1.7]) == [pytest.approx(1.0, rel=1e-14)]
+    assert eval_explicit(ODD, [1.7])[0] == [pytest.approx(1.0, rel=1e-14)]
 
 
-def test_explicit_range_ends_at_top_degree():
-    with pytest.raises(ValueError):
-        eval_explicit(ODD, ODD.N + 1, [1.7])
+def test_explicit_rows_run_from_degree_zero_to_the_top_degree():
+    rows = eval_explicit(ODD, [1.7, 2.1])
+    assert len(rows) == ODD.N + 1
+    assert all(len(row) == 2 for row in rows)
+    with pytest.raises(ValueError, match="nonzero"):
+        eval_explicit(ODD, [1.7, 0.0])
 
 
 @pytest.mark.parametrize("N", range(1, 15))
@@ -206,9 +209,9 @@ def test_explicit_matches_recurrence_at_60_digits(N):
             fam = ParaRacahFamily(a=mpmath.mpf("0.9"), c=mpmath.mpf("0.7"),
                                   alpha=mpmath.mpf("0.3"), q=mpmath.mpf(q), N=N)
             tri = tridiagonal(fam)
-            for n in range(N + 1):
-                zs = [mpmath.mpf(rng.uniform(1.1, 2.5)) for _ in range(3)]
-                for z, e in zip(zs, eval_explicit(fam, n, zs)):
+            zs = [mpmath.mpf(rng.uniform(1.1, 2.5)) for _ in range(3)]
+            for n, row in enumerate(eval_explicit(fam, zs)):
+                for z, e in zip(zs, row):
                     r = eval_recurrence(tri, n, z)
                     assert abs(e - r) <= mpmath.mpf("1e-30") * max(abs(r), abs(e)), (q, n)
 
@@ -330,9 +333,8 @@ def test_explicit_refuses_degenerate_family(scalar, dps):
         for N in (5, 6):
             fam = ParaRacahFamily(a=scalar(0.7), c=scalar(0.7), alpha=scalar(0.5),
                                   q=scalar(0.5), N=N)
-            for n in range(N + 1):
-                with pytest.raises(DegenerateFamilyError, match="explicit expansion"):
-                    eval_explicit(fam, n, [scalar(1.7)])
+            with pytest.raises(DegenerateFamilyError, match="explicit expansion"):
+                eval_explicit(fam, [scalar(1.7)])
 
 
 def test_signed_measure_is_flagged_not_raised():
@@ -479,14 +481,17 @@ def _draw_points(rng, scalar=float):
     return real + recip + cplx
 
 
+def _reference_rows(fam, zs):
+    return [support.eval_explicit_reference(fam, n, zs) for n in range(fam.N + 1)]
+
+
 @pytest.mark.parametrize("N", range(1, 21))
 def test_explicit_equals_per_point_reference_in_double(N):
     rng = random.Random(1000 + N)
     for _ in range(3):
         fam = _draw_family(rng, N)
-        for n in range(N + 1):
-            zs = _draw_points(rng)
-            assert eval_explicit(fam, n, zs) == support.eval_explicit_reference(fam, n, zs)
+        zs = _draw_points(rng)
+        assert eval_explicit(fam, zs) == _reference_rows(fam, zs)
 
 
 @pytest.mark.parametrize("N", [8, 9])
@@ -496,12 +501,10 @@ def test_explicit_equals_reference_where_the_rerun_fires(monkeypatch, N):
     monkeypatch.setattr(para_racah, "_explicit_plan",
                         lambda fam, n: plans.append(n) or original(fam, n))
     fam = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.3, N=N)
-    rng = random.Random(N)
-    for n in range(N + 1):
-        zs = _draw_points(rng)
-        assert eval_explicit(fam, n, zs) == support.eval_explicit_reference(fam, n, zs)
-    # A second plan per degree is the 40-digit one.
-    assert len(plans) > N + 1
+    zs = _draw_points(random.Random(N))
+    assert eval_explicit(fam, zs) == _reference_rows(fam, zs)
+    # One plan per degree, and a second for a degree that reruns at 40 digits.
+    assert plans[:N + 1] == list(range(N + 1)) and len(plans) > N + 1
 
 
 @pytest.mark.parametrize("N", range(1, 21))
@@ -509,9 +512,8 @@ def test_explicit_equals_per_point_reference_at_60_digits(N):
     rng = random.Random(2000 + N)
     with mpmath.workdps(60):
         fam = _draw_family(rng, N, mpmath.mpf)
-        for n in range(N + 1):
-            zs = _draw_points(rng, mpmath.mpf)
-            assert eval_explicit(fam, n, zs) == support.eval_explicit_reference(fam, n, zs)
+        zs = _draw_points(rng, mpmath.mpf)
+        assert eval_explicit(fam, zs) == _reference_rows(fam, zs)
 
 
 def _outcome(route, *args):
@@ -523,21 +525,29 @@ def _outcome(route, *args):
 
 def test_explicit_singular_denominators_raise_as_the_reference():
     # a c = q^-m or a / c = q^m with exact binary powers of q = 1/2 make a
-    # denominator factor of the head, middle or tail series vanish.
+    # denominator factor of the head, middle or tail series vanish.  All
+    # degrees are evaluated together, so the outcome is the reference's at
+    # the lowest degree that raises.
     singular = 0
     zs = [1.7, 2.2]
     for N in range(1, 13):
         for m in range(-3, 4):
             for a, c in ((2.0 ** m, 2.0 ** -m / 4), (2.0 ** -m, 0.5), (0.5, 2.0 ** m)):
                 fam = ParaRacahFamily(a=a, c=c, alpha=0.3, q=0.5, N=N)
+                got = _outcome(eval_explicit, fam, zs)
+                if fam.degenerate:
+                    # c = a is refused before any sum.
+                    assert got == (DegenerateFamilyError, None, None)
+                    continue
+                expected = []
                 for n in range(N + 1):
-                    got = _outcome(eval_explicit, fam, n, zs)
-                    if fam.degenerate:
-                        # c = a is refused at every degree, before any sum.
-                        assert got == (DegenerateFamilyError, None, None)
-                        continue
-                    assert got == _outcome(support.eval_explicit_reference, fam, n, zs)
-                    singular += isinstance(got, tuple) and got[0] is SingularSeriesError
+                    row = _outcome(support.eval_explicit_reference, fam, n, zs)
+                    if isinstance(row, tuple):
+                        expected = row
+                        break
+                    expected.append(row)
+                assert got == expected, (N, m, a, c)
+                singular += isinstance(got, tuple) and got[0] is SingularSeriesError
     assert singular > 0
 
 
@@ -570,20 +580,18 @@ def test_weights_equal_per_point_reference(scalar, dps):
 
 
 @pytest.mark.parametrize("N", range(1, 13))
-def test_explicit_qpochhammer_calls_per_point(monkeypatch, N):
-    # Only the prefactor's (az; q)_{j+1} and (a/z; q)_{j+1}, for n > j, are
-    # computed per point; everything else is computed once per degree.
-    calls = []
-    original = para_racah.qpochhammer
-    monkeypatch.setattr(para_racah, "qpochhammer",
-                        lambda *args: calls.append(1) or original(*args))
+def test_explicit_builds_each_point_and_each_degree_once(monkeypatch, N):
+    # Each point's factors and prefixes are built once for every degree, each
+    # degree's z-free plan once for every point, and no q-Pochhammer symbol
+    # is taken per point.
+    calls = collections.Counter()
+    for name in ("qpochhammer", "_point_factors", "_explicit_plan"):
+        original = getattr(para_racah, name)
+        monkeypatch.setattr(para_racah, name, lambda *args, _name=name, _f=original:
+                            calls.update([_name]) or _f(*args))
     with mpmath.workdps(30):
         fam = _draw_family(random.Random(N), N, mpmath.mpf)
-        for n in range(N + 1):
-            counts = []
-            for size in (1, 2, 3):
-                del calls[:]
-                eval_explicit(fam, n, [mpmath.mpf(1.5 + k / 7) for k in range(size)])
-                counts.append(len(calls))
-            per_point = 2 if n > fam.j else 0
-            assert counts[1] - counts[0] == counts[2] - counts[1] == per_point, (n, counts)
+        for size in (1, 2, 3):
+            calls.clear()
+            eval_explicit(fam, [mpmath.mpf(1.5 + k / 7) for k in range(size)])
+            assert calls == {"_point_factors": size, "_explicit_plan": N + 1}, size

@@ -21,7 +21,7 @@ from qortho.para_krawtchouk import ParaKrawtchoukFamily
 from qortho.para_racah import ParaRacahFamily
 from qortho.qseries import PowerTable, SeriesPlan, qpochhammer
 from qortho.recurrence import monic_values, tridiagonal
-from qortho.scalars import max_keep_nan, sqrt
+from qortho.scalars import max_keep_nan, sqrt, typed_float
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qortho"
 
@@ -74,6 +74,11 @@ def reference_qpochhammer(a, q, k):
         out = out * (1 - a * qpow)
         qpow = qpow * q
     return out
+
+
+def _factor_rows(plan, varying):
+    """SeriesPlan.sum's factor rows of the varying parameters: 1 - p q^k."""
+    return [[1 - p * qpow for qpow in plan.qpows] for p in varying]
 
 
 def reference_series_sum(plan, varying):
@@ -197,6 +202,30 @@ def test_table_entries_are_the_direct_values(num, dps):
             table.pochhammer(num("0.3"), -1)
 
 
+@pytest.mark.parametrize("num,dps", PRECISIONS)
+def test_running_powers_are_qpochhammers_and_every_plans(num, dps):
+    with mpmath.workdps(dps):
+        q = num("0.61")
+        table = PowerTable(q)
+        table.pochhammer(num("0.3"), 5)
+        running = [q ** 0]
+        for _ in range(20):
+            running.append(running[-1] * q)
+        for k in (0, 3, 21, 9):
+            assert _bits(table.running(k)) == _bits(running[:k])
+            assert _bits(SeriesPlan((), (), q, q, k).qpows) == _bits(running[:k])
+
+
+@pytest.mark.parametrize("num,dps", PRECISIONS)
+def test_typed_float_is_the_product_bit_for_bit(num, dps):
+    # The constant times 1 in the scalar type of like, without a float
+    # conversion: the singular guard, the c = a tolerance, the grid alphas.
+    with mpmath.workdps(dps):
+        for like in (num("0.5"), num("2.75")):
+            for value in (1e-13, 1e-12, 0.1, 0.3, 0.7, 0.9, 1e6, 0.5):
+                assert _bits(typed_float(value, like)) == _bits(value * like ** 0)
+
+
 def test_a_power_that_overflows_raises_at_every_read():
     table = PowerTable(0.5)
     for _ in range(2):
@@ -219,7 +248,7 @@ def test_one_family_read_at_two_precisions_matches_fresh_families(kind, N):
         out = [tri.b, tri.u, lw.weights, lw.points, lw.k_norm]
         if kind == "qpr":
             zs = [mpmath.mpf("1.7"), mpmath.mpf("2.3")]
-            out += [para_racah.eval_explicit(fam, n, zs) for n in range(N + 1)]
+            out += para_racah.eval_explicit(fam, zs)
             out += para_racah.qdiff_residual(tri, zs)
             out.append(lw.weights_half)
         return _bits(out)
@@ -260,7 +289,8 @@ def test_series_sums_and_christoffel_derivatives_are_the_plain_loops(N, num, dps
                           q, q, j)
         for z in (num("1.3"), num("2.9")):
             varying = (a * z, a / z)
-            assert _bits(plan.sum(varying)) == _bits(reference_series_sum(plan, varying))
+            assert _bits(plan.sum(_factor_rows(plan, varying))) == _bits(
+                reference_series_sum(plan, varying))
         points = para_racah.lattice(fam).points
         for s in range(N + 1):
             assert _bits(recurrence._char_poly_derivative(points, s)) == _bits(
@@ -304,7 +334,7 @@ def test_series_sums_at_special_and_mixed_points_are_the_plain_loop(num, dps):
         for plan in plans:
             for p in _points(num):
                 for varying in ((p,), (a, p), ()):
-                    assert _bits(plan.sum(varying)) == _bits(
+                    assert _bits(plan.sum(_factor_rows(plan, varying))) == _bits(
                         reference_series_sum(plan, varying)), (p, varying)
 
 

@@ -197,6 +197,21 @@ def test_family_checks_and_persymmetry_folds_convert_no_float(monkeypatch):
     assert floats == []
 
 
+def test_isospectral_grid_is_typed_by_q():
+    # A double run deforms at the float alphas themselves; an extended run
+    # at its own precision, so every deformed entry is an mpf.
+    assert [t.family.alpha for t in verify.RunTables(FAM).grid] == list(
+        verify.ISOSPECTRAL_ALPHAS)
+    num = mpmath.mpf
+    with mpmath.workdps(50):
+        fam = para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"),
+                                         q=num("0.5"), N=9)
+        grid = verify.RunTables(fam).grid
+        assert [t.family.alpha for t in grid] == [num(al) for al in verify.ISOSPECTRAL_ALPHAS]
+        assert all(type(t.family.alpha) is num for t in grid)
+        assert all(type(v) is num for t in grid for v in t.b + t.u)
+
+
 def test_gram_off_diagonal_beyond_the_double_range():
     # b_n = 0, u_n = U on four symmetric points with equal weights: the
     # scaled off-diagonal entries are 1.5 (n, m = 2, 0) and 3.5 (3, 1), where
@@ -226,6 +241,50 @@ def test_bispectral_suite_makes_three_passes_per_point_at_any_N(monkeypatch, N):
     monkeypatch.setattr(recurrence, "monic_values", counted)
     checks = verify.run_suite("bispectral", fam)
     assert passes == [N] * 30
+    assert all(chk.passed for chk in checks)
+
+
+@pytest.mark.parametrize("N", [1, 6, 9, 16])
+def test_explicit_suite_makes_one_pass_and_one_factor_build_per_point_at_any_N(monkeypatch, N):
+    # Ten points shared by every degree: one recurrence pass up to P_N and
+    # one build of the z-dependent factors at each.
+    num = mpmath.mpf
+    passes, builds = [], []
+    original_values = recurrence.monic_values
+    original_factors = para_racah._point_factors
+    monkeypatch.setattr(recurrence, "monic_values",
+                        lambda b, u, x: passes.append(len(b)) or original_values(b, u, x))
+    monkeypatch.setattr(para_racah, "_point_factors",
+                        lambda fam, z: builds.append(z) or original_factors(fam, z))
+    with mpmath.workdps(50):
+        fam = para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"),
+                                         q=num("0.5"), N=N)
+        checks = verify.run_suite("explicit", fam)
+    assert passes == [N] * 10
+    assert len(builds) == 10
+    assert all(chk.passed for chk in checks)
+
+
+@pytest.mark.parametrize("N", [9, 16])
+def test_extended_explicit_suite_converts_only_its_points(monkeypatch, N):
+    # Every float an mpf operator or constructor meets goes through
+    # from_float.  At 50 digits the suite converts its ten drawn points and
+    # nothing else: P_0, the singular guard and the c = a tolerance are typed
+    # by the family's scalars.
+    import mpmath.ctx_mp_python
+    floats = []
+    original = mpmath.ctx_mp_python.from_float
+
+    def counted(x, *rest):
+        floats.append(x)
+        return original(x, *rest)
+    num = mpmath.mpf
+    with mpmath.workdps(50):
+        fam = para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"),
+                                         q=num("0.5"), N=N)
+        monkeypatch.setattr(mpmath.ctx_mp_python, "from_float", counted)
+        checks = verify.run_suite("explicit", fam, seed=3)
+    assert len(floats) == 10 and all(1.15 <= x <= 2.5 for x in floats), floats
     assert all(chk.passed for chk in checks)
 
 
@@ -281,8 +340,8 @@ def _second(k, args):
 # poisoned): each poisoned value is a later one in its check's fold, never
 # the first.
 NAN_CASES = [
-    ("explicit", "explicit-vs-recurrence", para_racah, "eval_recurrence", _second,
-     lambda r: NAN),
+    ("explicit", "explicit-vs-recurrence", para_racah, "eval_explicit", lambda k, args: True,
+     lambda r: [r[0], _nan_at_1(r[1]), *r[2:]]),
     ("bispectral", "qdiff-residual", para_racah, "qdiff_residual", lambda k, args: True,
      lambda r: [r[0], [r[1][0], (NAN, r[1][1][1]), *r[1][2:]], *r[2:]]),
     ("bispectral", "eigenvalue-degeneracy", para_racah, "qdiff_eigenvalue",
@@ -370,8 +429,11 @@ def test_traced_verify_counts_every_layer_it_calls(capsys):
     capsys.readouterr()
     assert code == 0
     calls = tracer.totals()
-    for layer in ("para_racah.coef", "para_racah.eval_recurrence",
-                  "para_racah.eval_explicit", "para_racah.qdiff_residual",
+    # The explicit suite evaluates every degree in one call and reads the
+    # recurrence from one pass per point, not through eval_recurrence.
+    assert calls["para_racah.eval_explicit.calls"] == 1
+    assert calls.get("para_racah.eval_recurrence.calls", 0) == 0
+    for layer in ("para_racah.coef", "para_racah.qdiff_residual",
                   "para_racah.christoffel", "para_racah.weights",
                   "verify.gram_errors", "spectral.spectrum",
                   "connections.qracah_identity", "connections.dual_hahn"):
