@@ -1,5 +1,5 @@
-"""Four of the hottest mpf loops of the package, run on mpmath's raw ``_mpf_``
-tuples.  (The fifth, the Richardson table, whose callers pass only mpf
+"""Three of the hottest mpf loops of the package, run on mpmath's raw ``_mpf_``
+tuples.  (The fourth, the Richardson table, whose callers pass only mpf
 values, is written this way in :func:`qortho.connections.richardson`.)
 
 Each function here is one operator loop of the package written with the
@@ -23,12 +23,12 @@ call.
 
 from __future__ import annotations
 
-__all__ = ["monic_values", "qpochhammer", "series_sum", "dot"]
+__all__ = ["monic_values", "series_sum", "dot"]
 
 
-def monic_values(b, u, x) -> list:
-    """:func:`qortho.recurrence.monic_values` for mpf ``x``, ``b`` and ``u[1:]``;
-    P_0 stays the float 1.0 that heads that function's list."""
+def monic_values(b, u, x, one) -> list:
+    """:func:`qortho.recurrence.monic_values` for mpf ``x``, ``b`` and ``u[1:]``,
+    headed by the P_0 = ``one`` that function chose."""
     import mpmath
     lib = mpmath.libmp
     mpf_mul, mpf_sub = lib.mpf_mul, lib.mpf_sub
@@ -48,32 +48,12 @@ def monic_values(b, u, x) -> list:
                     mpf_mul(mpf_sub(xv, bm._mpf_, prec, rnd), cur, prec, rnd),
                     mpf_mul(um._mpf_, prev, prec, rnd), prec, rnd), cur
                 raw.append(cur)
-    out = [1.0]
+    out = [one]
     for v in raw:
         value = new(mpf)
         value._mpf_ = v
         out.append(value)
     return out
-
-
-def qpochhammer(a, q, k: int):
-    """:func:`qortho.qseries.qpochhammer` for mpf ``a`` and ``q``."""
-    one = q ** 0
-    if not k:
-        return one
-    import mpmath
-    lib = mpmath.libmp
-    fone, mpf_mul, mpf_sub = lib.fone, lib.mpf_mul, lib.mpf_sub
-    mpf, new, (prec, rnd) = one._ctxdata
-    av, qv = a._mpf_, q._mpf_
-    out = qpow = one._mpf_
-    for _ in range(k):
-        out = mpf_mul(out, mpf_sub(fone, mpf_mul(av, qpow, prec, rnd), prec, rnd),
-                      prec, rnd)
-        qpow = mpf_mul(qpow, qv, prec, rnd)
-    value = new(mpf)
-    value._mpf_ = out
-    return value
 
 
 def series_sum(plan, rows) -> tuple:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .para_racah import ParaRacahFamily, limit_recurrence_ac
 from .recurrence import monic_coefficients, monic_values, tridiagonal
-from .scalars import max_keep_nan, sqrt
+from .scalars import max_keep_nan, sqrt, typed_float
 
 __all__ = [
     "QRacahParams",
@@ -51,7 +51,7 @@ def qracah_recurrence_ac(p: QRacahParams, n: int):
     ab = al * be
     den_a = (1 - ab * q ** (2 * n + 1)) * (1 - ab * q ** (2 * n + 2))
     den_c = (1 - ab * q ** (2 * n)) * (1 - ab * q ** (2 * n + 1))
-    guard = 1e-13 * q ** 0  # typed by q once: an mpf denominator meets no float
+    guard = typed_float(1e-13, q)
     if abs(den_a) < guard or abs(den_c) < guard:
         raise ArithmeticError("q-Racah recurrence denominator vanishes at n = %d" % n)
     A = ((1 - al * q ** (n + 1)) * (1 - ab * q ** (n + 1))
@@ -70,7 +70,7 @@ def _qracah_monic_coefficients(p: QRacahParams, n: int):
 
 def single_lattice_family(a, q, N: int) -> ParaRacahFamily:
     """The persymmetric bi-lattice family whose grid collapses to one lattice."""
-    return ParaRacahFamily(a=a, c=a * sqrt(q), alpha=0.5, q=q, N=N)
+    return ParaRacahFamily(a=a, c=a * sqrt(q), alpha=typed_float(0.5, q), q=q, N=N)
 
 
 def single_lattice_qracah_params(a, q, N: int) -> QRacahParams:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .qseries import qpochhammer
 from .recurrence import (_DEGENERATE_TOL, BiLatticeFamily, LatticeWeights,
                          TridiagonalSystem, interleave, weight_table)
-from .scalars import is_finite
+from .scalars import is_finite, typed_float
 
 __all__ = [
     "ParaKrawtchoukFamily",
@@ -50,7 +50,7 @@ class ParaKrawtchoukFamily(BiLatticeFamily):
 
     @property
     def degenerate(self) -> bool:
-        return abs(self.Delta - 1) <= _DEGENERATE_TOL
+        return abs(self.Delta - 1) <= typed_float(_DEGENERATE_TOL, self.q)
 
 
 def b_coefficient(fam: ParaKrawtchoukFamily, n: int):
@@ -100,7 +100,7 @@ def lattice(fam: ParaKrawtchoukFamily) -> LatticeWeights:
     D, j = fam.Delta, fam.j
     pw = fam.powers()
     points = interleave([D * pw[s] for s in range(j + 1)], [pw[s] for s in range(fam.N - j)])
-    return LatticeWeights(points=points, z_points=None)
+    return LatticeWeights(points=points)
 
 
 def eval_recurrence(tri: TridiagonalSystem, n: int, y):

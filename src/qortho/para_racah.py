@@ -8,8 +8,8 @@ of recurrence coefficients around the middle of the band without moving the
 spectrum; alpha = 1/2 is the persymmetric point.
 
 Polynomials are evaluated in the exponential variable z with
-x = (z + 1/z)/2.  Lattice points carry their own z representatives
-(a q^s and c q^s), so no x -> z inversion is ever needed on the grid.
+x = (z + 1/z)/2.  Each lattice point is computed from its z (a q^s or
+c q^s) in one expression, so no x -> z inversion is ever needed on the grid.
 """
 
 from __future__ import annotations
@@ -368,18 +368,17 @@ def eval_explicit(fam: ParaRacahFamily, zs) -> list:
 
 
 def lattice(fam: ParaRacahFamily) -> LatticeWeights:
-    """The interleaved bi-lattice (points and z representatives only).
-
-    The a-strand z = a q^s (j+1 points) and the c-strand z = c q^s (N-j
-    points, one fewer when N is even) in :func:`~qortho.recurrence.interleave`
-    order.  Points are kept in this index order (not sorted) because the
-    weight tables are index-keyed.
+    """The interleaved bi-lattice (points only): x = (1/z + z)/2 at the
+    a-strand z = a q^s (j+1 points) and the c-strand z = c q^s (N-j
+    points, one fewer when N is even), in
+    :func:`~qortho.recurrence.interleave` order.  Points are kept in this
+    index order (not sorted) because the weight tables are index-keyed.
     """
     a, c, _, q, j = _unpack(fam)
     pw = fam.powers()
     zs = interleave([a * pw[s] for s in range(j + 1)],
                     [c * pw[s] for s in range(fam.N - j)])
-    return LatticeWeights(points=tuple((1 / z + z) / 2 for z in zs), z_points=zs)
+    return LatticeWeights(points=tuple((1 / z + z) / 2 for z in zs))
 
 
 def _k_norm(fam: ParaRacahFamily):
@@ -476,7 +475,7 @@ def weights(tri: TridiagonalSystem) -> LatticeWeights:
     k_norm = _k_norm(fam)
     strands = _weight_strands(fam, k_norm)
     w = weight_table(strands, _weight_leads(fam, fam.alpha))
-    w_half = weight_table(strands, _weight_leads(fam, 0.5))
+    w_half = weight_table(strands, _weight_leads(fam, typed_float(0.5, fam.q)))
     return lw.weighted(w, tri.h, w_half, k_norm)
 
 

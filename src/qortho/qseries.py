@@ -12,12 +12,12 @@ taken at many evaluation points recomputes only the point-dependent ones.
 In binary64 mode terms are accumulated in increasing k with compensated
 (Kahan) summation; mpmath inputs are summed plainly since the working
 precision already dominates the roundoff budget.  When every operand is an
-mpmath mpf, :func:`qpochhammer` and :meth:`SeriesPlan.sum` run on mpmath's
-raw tuples (:mod:`qortho._mpfloops`): each step is the ``mpmath.libmp`` call
-the mpf operator makes, at the (prec, rounding) the operator reads, so the
-result is the operator loop's bit for bit, without the operator's type
-dispatch and the mpf it builds per step.  Any other operand keeps the
-operator loop.
+mpmath mpf, :meth:`SeriesPlan.sum` runs on mpmath's raw tuples
+(:mod:`qortho._mpfloops`): each step is the ``mpmath.libmp`` call the mpf
+operator makes, at the (prec, rounding) the operator reads, so the result is
+the operator loop's bit for bit, without the operator's type dispatch and
+the mpf it builds per step.  Any other operand keeps the operator loop;
+:func:`qpochhammer` is always the operator loop.
 """
 
 from __future__ import annotations
@@ -72,9 +72,6 @@ def qpochhammer(a, q, k):
     """(a;q)_k = prod_{i=0}^{k-1} (1 - a q^i); the empty product q^0 for k = 0."""
     _check_nome(q)
     k = _check_length(k)
-    if all_mpf((a, q)):
-        from . import _mpfloops
-        return _mpfloops.qpochhammer(a, q, k)
     out = qpow = q ** 0
     for _ in range(k):
         out = out * (1 - a * qpow)

@@ -4,14 +4,17 @@ Every family here is a sequence of monic polynomials
 
     P_{n+1}(x) = (x - b_n) P_n(x) - u_n P_{n-1}(x),   P_{-1} = 0,  P_0 = 1,
 
-and :func:`monic_values` is the one loop that evaluates it.  At an mpf point
-of an mpf table that loop runs on mpmath's raw tuples (:mod:`qortho._mpfloops`):
-each step is the ``mpmath.libmp`` call the mpf operator makes, at the
-(prec, rounding) the operator reads, so every value is the operator loop's
-bit for bit, without its type dispatch and the mpf it builds per step.  The
-truncated families (q-para-Racah and q-para-Krawtchouk) fill a
-:class:`TridiagonalSystem` once with :func:`tridiagonal` and read every
-degree, the normalization products and the persymmetry residual from it.
+and :func:`monic_values` is the one loop that evaluates it.  P_0 = 1, like
+h_0 = 1 in :attr:`TridiagonalSystem.h`, is the table's own one, b_0 ** 0:
+1.0 in binary64 and an mpf 1 in an mpf table, so no caller meets a float
+unit it must replace.  At an mpf point of an mpf table that loop runs on
+mpmath's raw tuples (:mod:`qortho._mpfloops`): each step is the
+``mpmath.libmp`` call the mpf operator makes, at the (prec, rounding) the
+operator reads, so every value is the operator loop's bit for bit, without
+its type dispatch and the mpf it builds per step.  The truncated families
+(q-para-Racah and q-para-Krawtchouk) fill a :class:`TridiagonalSystem` once
+with :func:`tridiagonal` and read every degree, the normalization products
+and the persymmetry residual from it.
 The q-Racah recurrence maps its parent coefficients (A_n, C_n) to monic ones
 with :func:`monic_coefficients` and feeds them to the same loop.
 
@@ -45,7 +48,7 @@ from functools import reduce
 from operator import attrgetter, mul
 
 from .qseries import PowerTable
-from .scalars import all_mpf, max_keep_nan, sqrt, working_precision
+from .scalars import all_mpf, max_keep_nan, sqrt, typed_float, working_precision
 
 __all__ = [
     "Record",
@@ -171,15 +174,19 @@ def monic_values(b, u, x) -> list:
     """[P_0(x), ..., P_n(x)] with n = min(len(b), len(u)).
 
     ``u[m]`` multiplies P_{m-1}; u_0 is never read (callers pass 0.0).
-    P_1 = x - b_0 and P_2 = (x - b_1) P_1 - u_1 are written out: the general
-    step's products by P_0 = 1 and P_{-1} = 0 are exact.  With an mpf ``x``,
-    ``b`` and ``u[1:]`` the same loop runs on raw tuples
-    (:mod:`qortho._mpfloops`), bit for bit.
+    P_0 is the table's own one, ``b[0] ** 0`` (1.0 in binary64, an mpf 1 in
+    an mpf table), and ``x ** 0`` when ``b`` is empty; so a caller may pass
+    the whole of ``b`` and set n by the length of ``u``.  P_1 = x - b_0 and
+    P_2 = (x - b_1) P_1 - u_1 are written out: the general step's products
+    by P_0 = 1 and P_{-1} = 0 are exact.  With an mpf ``x``, ``b`` and
+    ``u[1:]`` the same loop runs on raw tuples (:mod:`qortho._mpfloops`),
+    bit for bit.
     """
+    one = (b[0] if b else x) ** 0
     if all_mpf((x,), b, u[1:]):
         from . import _mpfloops
-        return _mpfloops.monic_values(b, u, x)
-    out = [1.0]
+        return _mpfloops.monic_values(b, u, x, one)
+    out = [one]
     # One iterator: each inner loop takes every later step, so the outer
     # loops run at most once.
     steps = zip(b, u)
@@ -238,24 +245,23 @@ def gram_errors(tri, lw):
     """(max diagonal relative error, max scaled off-diagonal entry) of the
     Gram matrix sum_s w_s P_n(x_s) P_m(x_s) against diag(h_n), at the points
     ``lw.points`` of either kind; an error is NaN when an entry is.  With mpf
-    values the dot products with m >= 1 run on raw tuples
-    (:mod:`qortho._mpfloops`), bit for bit; column 0 holds the float P_0 = 1.0."""
+    values every dot product runs on raw tuples (:mod:`qortho._mpfloops`),
+    bit for bit."""
     N = tri.family.N
     # Column n holds P_n at every lattice point; w_s P_n(x_s) is formed once
     # per (s, n) and then multiplied by P_m(x_s).
     cols = list(zip(*(tri.values(x, N) for x in lw.points)))
     weighted = [list(map(mul, lw.weights, col)) for col in cols]
-    raw = all_mpf(*weighted, *cols[1:])
-    if raw:
-        from . import _mpfloops
+    if all_mpf(*weighted, *cols):
+        from ._mpfloops import dot
+    else:
+        def dot(xs, ys):
+            return sum(map(mul, xs, ys))
     # Folded from a zero of the table's type: an mpf error meets no float.
     worst_diag = worst_off = type(tri.b[0])(0)
     for n in range(N + 1):
         for m in range(n + 1):
-            if raw and m:
-                g = _mpfloops.dot(weighted[n], cols[m])
-            else:
-                g = sum(map(mul, weighted[n], cols[m]))
+            g = dot(weighted[n], cols[m])
             if n == m:
                 worst_diag = max_keep_nan(worst_diag, abs(g - lw.h[n]) / abs(lw.h[n]))
             else:
@@ -293,7 +299,7 @@ def _twisted_last_value(tri, x):
     of x from a zero; R_N is None when every k is skipped.
     """
     p = tri.values(x)
-    one = p[0] = x ** 0  # typed by x: an mpf ratio meets no float
+    one = p[0]
     qs = [0 * one, one]
     for bk, uk in zip(reversed(tri.b[1:]), reversed(tri.u)):
         qs.append(((x - bk) * qs[-1] - qs[-2]) / uk)
@@ -333,24 +339,22 @@ def weights_from_christoffel(tri: TridiagonalSystem) -> tuple:
 
 
 class LatticeWeights(Record):
-    """Bi-lattice points with (optionally) their orthogonality weights.
+    """Bi-lattice points with (optionally) their orthogonality weights; one
+    record shape for both kinds.
 
     Points are stored in :func:`interleave` order: even indices on the
     a-strand (Delta-strand for q-para-Krawtchouk), odd indices on the
-    c-strand (unit strand).  ``z_points`` holds the exponential
-    representatives.  ``weights_half`` are the persymmetric (alpha = 1/2)
-    weights, filled only by the q-para-Racah closed forms, ``h`` the
-    normalization products u_1...u_n, and ``k_norm`` the closed-form
-    normalization constant of the weight tables.
+    c-strand (unit strand).  ``weights_half`` are the persymmetric
+    (alpha = 1/2) weights, filled only by the q-para-Racah closed forms,
+    ``h`` the normalization products u_1...u_n, and ``k_norm`` the
+    closed-form normalization constant of the weight tables.
     """
 
-    _fields = ("points", "z_points", "weights", "weights_half", "h", "k_norm",
-               "positive_measure")
+    _fields = ("points", "weights", "weights_half", "h", "k_norm", "positive_measure")
 
-    def __init__(self, points: tuple, z_points: tuple, weights=None, weights_half=None,
+    def __init__(self, points: tuple, weights=None, weights_half=None,
                  h=None, k_norm=None, positive_measure=None):
         self.points = points
-        self.z_points = z_points
         self.weights = weights
         self.weights_half = weights_half
         self.h = h
@@ -388,13 +392,15 @@ class TridiagonalSystem(Record):
         self.positive = positive
 
     def values(self, x, n=None) -> list:
-        """[P_0(x), ..., P_n(x)] for n <= N+1 (default N+1)."""
-        return monic_values(self.b[:n], (0.0,) + self.u, x)
+        """[P_0(x), ..., P_n(x)] for n <= N+1 (default N+1); P_0 is the
+        table's one at every n."""
+        return monic_values(self.b, ((0.0,) + self.u)[:n], x)
 
     @property
     def h(self) -> tuple:
-        """Normalization products h_n = u_1 u_2 ... u_n for n = 0..N (h_0 = 1)."""
-        h = [1.0]
+        """Normalization products h_n = u_1 u_2 ... u_n for n = 0..N, from
+        the table's one h_0 = b_0 ** 0, as P_0."""
+        h = [self.b[0] ** 0]
         for v in self.u:
             h.append(h[-1] * v)
         return tuple(h)
@@ -408,10 +414,8 @@ class TridiagonalSystem(Record):
         at the precision that built this table.
         """
         fam = self.family
-        # Equal alphas give the same coefficients bit for bit when they have
-        # the same type, and at 1/2, where 1 - alpha and alpha (1 - alpha)
-        # are exact in binary64 as well.
-        if alpha == fam.alpha and (alpha == 0.5 or type(alpha) is type(fam.alpha)):
+        # Equal alphas of one type give the same coefficients bit for bit.
+        if alpha == fam.alpha and type(alpha) is type(fam.alpha):
             return self
         fam = fam.replace(alpha=alpha)
         kind = family_module(fam)
@@ -460,7 +464,7 @@ def qdifference_residual(numerator, values, lams, q, zs) -> list:
     the largest term magnitude.  Each point's shift coefficients and its
     three value lists are computed once and serve every degree.
     """
-    guard = 1e-12 * q ** 0  # typed by q once: an mpf point meets no float
+    guard = typed_float(1e-12, q)
     rows = [[] for _ in lams]
     for z in zs:
         coef_up = _shift_coefficient(numerator, q, z, guard)

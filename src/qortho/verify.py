@@ -99,8 +99,8 @@ class RunTables:
     @cached_property
     def half(self):
         """The table of the same family at alpha = 1/2, the isospectral
-        reference."""
-        return self.tri.at_alpha(0.5)
+        reference, typed by q."""
+        return self.tri.at_alpha(typed_float(0.5, self.fam.q))
 
     @cached_property
     def grid(self):
@@ -186,12 +186,8 @@ def suite_explicit(run, rng):
     worst = fam.q * 0
     zs = [_random_z(rng, fam) for _ in range(10)]
     rows = para_racah.eval_explicit(fam, zs)
-    one = fam.q ** 0
     for z, column in zip(zs, zip(*rows)):
-        values = tri.values((z + 1 / z) / 2, fam.N)
-        # P_0 is the float 1.0; read as q ** 0, an mpf comparison meets no float.
-        values[0] = one
-        for e, r in zip(column, values):
+        for e, r in zip(column, tri.values((z + 1 / z) / 2, fam.N)):
             worst = max_keep_nan(worst, abs(e - r) / max(abs(r), abs(e)))
     return [_check("explicit-vs-recurrence", worst, TOL_EXPLICIT)]
 
@@ -217,7 +213,7 @@ def suite_bispectral(run, rng):
 def suite_persymmetry(run, rng):
     tri = run.tri
     coeff_res = persymmetry_residual(tri)
-    if run.fam.alpha != 0.5:
+    if run.fam.alpha != typed_float(0.5, run.fam.q):
         # Away from alpha = 1/2 the suite asserts a violation it can print.
         return [Check("persymmetry-violation", TOL_PERSYM_VIOLATION < coeff_res < math.inf,
                       coeff_res, TOL_PERSYM_VIOLATION,

@@ -7,8 +7,11 @@ coefficient tables are checked against.  The per-point and limit references
 at the end are the exact-equality references of the library routes.
 """
 
+import contextlib
+import sys
 
 import mpmath
+import mpmath.ctx_mp_python
 
 from oracles import askey_wilson
 from qortho import para_krawtchouk, para_racah, qseries
@@ -50,6 +53,46 @@ def oracle_recurrence_coefficients(fam, n):
         return b, mpmath.mpf(0)
     A_prev, _ = askey_wilson.recurrence_ac(p, n - 1, singular_tol=0.0)
     return b, A_prev * C_n / 4
+
+
+def _qortho_source(frame):
+    """"module.function" of the innermost qortho frame from ``frame`` out,
+    or None when no qortho code is on the stack."""
+    while frame is not None:
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith("qortho."):
+            return "%s.%s" % (module[len("qortho."):], frame.f_code.co_name)
+        frame = frame.f_back
+    return None
+
+
+@contextlib.contextmanager
+def float_conversions():
+    """Collect every float that an mpf operator, comparison or constructor
+    converts inside the block, as (value, source) pairs, the source given by
+    :func:`_qortho_source`.  Each such conversion goes through
+    ``mpmath.ctx_mp_python.from_float``, which is wrapped for the block."""
+    original = mpmath.ctx_mp_python.from_float
+    found = []
+
+    def counted(x, *rest):
+        found.append((x, _qortho_source(sys._getframe(1))))
+        return original(x, *rest)
+    mpmath.ctx_mp_python.from_float = counted
+    try:
+        yield found
+    finally:
+        mpmath.ctx_mp_python.from_float = original
+
+
+def lattice_z(fam):
+    """The z representatives of a q-para-Racah family's lattice points in
+    interleave order: a q^s on the a-strand, c q^s on the c-strand.  Each
+    point of ``para_racah.lattice`` is (1/z + z)/2 of its z here, bit for
+    bit."""
+    pw = fam.powers()
+    return interleave([fam.a * pw[s] for s in range(fam.j + 1)],
+                      [fam.c * pw[s] for s in range(fam.N - fam.j)])
 
 
 def eval_recurrence_with_peak(b_coefficient, u_coefficient, fam, n, x):

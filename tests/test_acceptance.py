@@ -127,7 +127,7 @@ def test_criterion_06_christoffel_cross_check():
         for w_closed, w_chr in zip(lw.weights, cw.weights):
             assert abs(w_closed - w_chr) <= 1e-7 * abs(w_closed), fam
         root = math.sqrt(half_tri.h[-1])
-        for s, z in enumerate(para_racah.lattice(half).z_points):
+        for s, z in enumerate(support.lattice_z(half)):
             val = para_racah.eval_recurrence(half_tri, half.N, z)
             target = (-1) ** (half.N + s) * root
             assert abs(val - target) <= 1e-8 * abs(target), (fam, s)

@@ -113,17 +113,9 @@ def test_truncation_of_matched_qracah_parameters():
 
 
 @pytest.mark.parametrize("N", [5, 6])
-def test_dual_hahn_limit_converts_only_its_float_exponent(monkeypatch, N):
-    # Every float an mpf operator or constructor meets goes through
-    # from_float: the step families' alpha is typed by q, and the float
-    # exponent is converted once, not once per family.
-    import mpmath.ctx_mp_python
-    floats = []
-    original = mpmath.ctx_mp_python.from_float
-
-    def counted(x, *rest):
-        floats.append(x)
-        return original(x, *rest)
-    monkeypatch.setattr(mpmath.ctx_mp_python, "from_float", counted)
-    dual_hahn_limit(0.3, N, range(1, N))
-    assert floats == [0.3]
+def test_dual_hahn_limit_converts_only_its_float_exponent(N):
+    # The step families' alpha is typed by q, and the float exponent is
+    # converted once, not once per family.
+    with support.float_conversions() as floats:
+        dual_hahn_limit(0.3, N, range(1, N))
+    assert floats == [(0.3, "connections.dual_hahn_limit")]

@@ -224,7 +224,7 @@ def test_explicit_matches_recurrence_at_60_digits(N):
 def test_lattice_first_point():
     lw = lattice(ODD)
     assert lw.points[0] == pytest.approx((1 / 0.9 + 0.9) / 2, rel=1e-15)
-    assert lw.z_points[0] == pytest.approx(0.9)
+    assert support.lattice_z(ODD)[0] == pytest.approx(0.9)
 
 
 def test_lattice_sizes_by_parity():
@@ -232,7 +232,7 @@ def test_lattice_sizes_by_parity():
     even_lw = lattice(EVEN)
     assert len(even_lw.points) == EVEN.N + 1
     # even case: c-strand is one shorter, top entry belongs to the a-strand
-    assert even_lw.z_points[-1] == pytest.approx(0.9 * 0.5 ** EVEN.j)
+    assert support.lattice_z(EVEN)[-1] == pytest.approx(0.9 * 0.5 ** EVEN.j)
 
 
 def test_degenerate_strands_coincide():
@@ -244,8 +244,7 @@ def test_degenerate_strands_coincide():
 
 @pytest.mark.parametrize("fam", [ODD, EVEN], ids=["odd", "even"])
 def test_lattice_points_are_characteristic_roots(fam):
-    lw = lattice(fam)
-    for z in lw.z_points:
+    for z in support.lattice_z(fam):
         val, peak = support.eval_recurrence_with_peak(
             b_coefficient, u_coefficient, fam, fam.N + 1, (z + 1 / z) / 2)
         assert abs(val) <= 1e-9 * peak
@@ -268,8 +267,7 @@ def test_degenerate_double_roots():
     # c = a doubles every root: the factored form has vanishing derivative
     # at the lattice, probed with a central difference in z.
     fam = ParaRacahFamily(a=0.8, c=0.8, alpha=0.5, q=0.5, N=5)
-    lw = lattice(fam)
-    for z in lw.z_points[::2]:
+    for z in support.lattice_z(fam)[::2]:
         h = 1e-6 * z
         deriv = (char_poly_eval(fam, z + h) - char_poly_eval(fam, z - h)) / (2 * h)
         second = (char_poly_eval(fam, z + h) - 2 * char_poly_eval(fam, z)
@@ -298,7 +296,7 @@ def test_weight_strand_sums(N, alpha):
 def test_gram_orthogonality(fam):
     tri = tridiagonal(fam)
     lw = weights(tri)
-    vals = [[eval_recurrence(tri, n, z) for z in lw.z_points]
+    vals = [[eval_recurrence(tri, n, z) for z in support.lattice_z(fam)]
             for n in range(fam.N + 1)]
     for n in range(fam.N + 1):
         for m in range(n + 1):
@@ -362,10 +360,9 @@ def test_signed_square_root_evaluation_at_half():
     # a < c in the odd case.
     for a, c, sigma in ((0.9, 0.7, 1.0), (0.7, 0.9, -1.0)):
         fam = ParaRacahFamily(a=a, c=c, alpha=0.5, q=0.5, N=5)
-        lw = lattice(fam)
         tri = tridiagonal(fam)
         root = math.sqrt(tri.h[-1])
-        for s, z in enumerate(lw.z_points):
+        for s, z in enumerate(support.lattice_z(fam)):
             expected = sigma * (-1) ** (fam.N + s) * root
             assert eval_recurrence(tri, fam.N, z) == pytest.approx(expected, rel=1e-8)
 
@@ -384,7 +381,7 @@ def test_analytic_derivative_matches_finite_differences():
         lw = lattice(fam)
         tri = tridiagonal(fam)
         pts = lw.points
-        for s, z in enumerate(lw.z_points):
+        for s, z in enumerate(support.lattice_z(fam)):
             analytic = 1.0
             for k, xk in enumerate(pts):
                 if k != s:

@@ -59,7 +59,8 @@ def _bits(v):
 
 
 def reference_monic_values(b, u, x):
-    prev, cur = 0.0, 1.0
+    # P_0 is the table's one, as in the library: b_0 ** 0.
+    prev, cur = 0.0, b[0] ** 0
     out = [cur]
     for bm, um in zip(b, u):
         cur, prev = (x - bm) * cur - um * prev, cur
@@ -158,10 +159,10 @@ def test_monic_values_is_the_plain_loop_bit_for_bit(kind, N, num, dps):
         u = (0.0,) + tri.u
         for x in _points(num):
             for n in range(N + 2):
-                assert _bits(monic_values(tri.b[:n], u, x)) == _bits(
-                    reference_monic_values(tri.b[:n], u, x)), (x, n)
-                assert _bits(tri.values(x, n)) == _bits(
-                    reference_monic_values(tri.b[:n], u, x)), (x, n)
+                # The whole table with n steps set by u, as tri.values passes it.
+                reference = _bits(reference_monic_values(tri.b, u[:n], x))
+                assert _bits(monic_values(tri.b, u[:n], x)) == reference, (x, n)
+                assert _bits(tri.values(x, n)) == reference, (x, n)
 
 
 def _bases(num):

@@ -99,6 +99,22 @@ def test_table_rows_and_normalization_products():
     assert tri.h[0] == 1.0
 
 
+@pytest.mark.parametrize("num,digits", [(float, 15), (mpmath.mpf, 50)])
+@pytest.mark.parametrize("kind", ["qpr", "qpk"])
+def test_p0_and_h0_are_the_tables_own_one(kind, num, digits):
+    # P_0 at every degree and at any point, and h_0, are the table's one,
+    # b_0 ** 0: 1.0 in binary64, an mpf 1 at 50 digits.
+    with mpmath.workdps(digits):
+        fam, _ = (_qpr if kind == "qpr" else _qpk)(5, num)
+        tri = tridiagonal(fam)
+        one = type(tri.b[0])
+        for x in (num("0.37"), tri.b[1], 0.37):
+            for n in (0, 1, 5, None):
+                p0 = tri.values(x, n)[0]
+                assert type(p0) is one and p0 == 1, (x, n)
+        assert type(tri.h[0]) is one and tri.h[0] == 1
+
+
 def test_monic_values_first_step_is_exact():
     assert monic_values([], [], 0.3) == [1.0]
     assert monic_values([0.25], [0.0], 0.3) == [1.0, 0.3 - 0.25]

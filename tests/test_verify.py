@@ -174,26 +174,21 @@ def test_isospectral_suite_reads_nothing_kind_specific(N, alpha):
     assert all(c.passed for c in checks), [(c.name, c.residual) for c in checks]
 
 
-def test_family_checks_and_persymmetry_folds_convert_no_float(monkeypatch):
-    # Finiteness is read off the mpf itself, and each palindrome fold starts
-    # from a difference of its row's type, so neither meets a float.
-    floats = []
-    for name in ("mpf_convert_rhs", "mpf_convert_arg"):
-        def counted(x, *rest, _original=getattr(mpmath.mpf, name)):
-            if type(x) is float:
-                floats.append(x)
-            return _original(x, *rest)
-        monkeypatch.setattr(mpmath.mpf, name, staticmethod(counted))
+def test_family_checks_and_persymmetry_folds_convert_no_float():
+    # Finiteness and degeneracy are read off the mpf itself, and each
+    # palindrome fold starts from a difference of its row's type, so none
+    # meets a float.
     num = mpmath.mpf
     with mpmath.workdps(50):
         tables = [tridiagonal(fam) for fam in (
             para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.5"),
                                        q=num("0.5"), N=6),
             _qpk("1.3", "0.5", "0.5", 6, num))]
-        floats.clear()
-        for tri in tables:
-            tri.family.replace()
-            assert persymmetry_residual(tri) <= 1e-40
+        with support.float_conversions() as floats:
+            for tri in tables:
+                tri.family.replace()
+                assert not tri.family.degenerate
+                assert persymmetry_residual(tri) <= 1e-40
     assert floats == []
 
 
@@ -222,7 +217,7 @@ def test_gram_off_diagonal_beyond_the_double_range():
                                 u=(U,) * 3, positive=True)
         root = mpmath.sqrt(U)
         lw = para_racah.LatticeWeights(
-            points=tuple(k * root for k in (-2, -1, 1, 2)), z_points=None,
+            points=tuple(k * root for k in (-2, -1, 1, 2)),
             weights=(mpmath.mpf(1) / 4,) * 4, h=tri.h)
         _, off = verify.gram_errors(tri, lw)
     assert off == pytest.approx(3.5, rel=1e-12)
@@ -236,7 +231,7 @@ def test_bispectral_suite_makes_three_passes_per_point_at_any_N(monkeypatch, N):
     original = recurrence.monic_values
 
     def counted(b, u, x):
-        passes.append(len(b))
+        passes.append(min(len(b), len(u)))
         return original(b, u, x)
     monkeypatch.setattr(recurrence, "monic_values", counted)
     checks = verify.run_suite("bispectral", fam)
@@ -253,7 +248,8 @@ def test_explicit_suite_makes_one_pass_and_one_factor_build_per_point_at_any_N(m
     original_values = recurrence.monic_values
     original_factors = para_racah._point_factors
     monkeypatch.setattr(recurrence, "monic_values",
-                        lambda b, u, x: passes.append(len(b)) or original_values(b, u, x))
+                        lambda b, u, x: passes.append(min(len(b), len(u)))
+                        or original_values(b, u, x))
     monkeypatch.setattr(para_racah, "_point_factors",
                         lambda fam, z: builds.append(z) or original_factors(fam, z))
     with mpmath.workdps(50):
@@ -266,26 +262,41 @@ def test_explicit_suite_makes_one_pass_and_one_factor_build_per_point_at_any_N(m
 
 
 @pytest.mark.parametrize("N", [9, 16])
-def test_extended_explicit_suite_converts_only_its_points(monkeypatch, N):
-    # Every float an mpf operator or constructor meets goes through
-    # from_float.  At 50 digits the suite converts its ten drawn points and
-    # nothing else: P_0, the singular guard and the c = a tolerance are typed
-    # by the family's scalars.
-    import mpmath.ctx_mp_python
-    floats = []
-    original = mpmath.ctx_mp_python.from_float
-
-    def counted(x, *rest):
-        floats.append(x)
-        return original(x, *rest)
+def test_extended_explicit_suite_converts_only_its_points(N):
+    # At 50 digits the suite converts its ten drawn points and nothing else:
+    # P_0, the singular guard and the c = a tolerance are typed by the
+    # family's scalars.
     num = mpmath.mpf
     with mpmath.workdps(50):
         fam = para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"),
                                          q=num("0.5"), N=N)
-        monkeypatch.setattr(mpmath.ctx_mp_python, "from_float", counted)
-        checks = verify.run_suite("explicit", fam, seed=3)
-    assert len(floats) == 10 and all(1.15 <= x <= 2.5 for x in floats), floats
+        with support.float_conversions() as floats:
+            checks = verify.run_suite("explicit", fam, seed=3)
+    assert len(floats) == 10, floats
+    assert all(1.15 <= x <= 2.5 and source == "verify._random_z" for x, source in floats)
     assert all(chk.passed for chk in checks)
+
+
+@pytest.mark.parametrize("N", [5, 9, 16])
+@pytest.mark.parametrize("kind,alpha", [("qpr", "0.3"), ("qpr", "0.5"),
+                                        ("qpk", "0.35"), ("qpk", "0.5")])
+def test_extended_verify_converts_only_its_points_and_the_dual_hahn_exponent(
+        capsys, kind, alpha, N):
+    # One precision policy: every scalar of a 50-digit run is an mpf.  The
+    # only floats converted are the 30 points the bispectral, explicit and
+    # qracah suites draw, and the dual-Hahn exponent, a float log ratio,
+    # once; a qpk run draws no point and converts nothing.  At alpha = 1/2
+    # the isospectral reference is the run's own table.
+    family = ["--a", "0.9", "--c", "0.7"] if kind == "qpr" else ["--Delta", "1.3"]
+    with support.float_conversions() as floats:
+        cli.main(["verify", "--kind", kind, *family, "--alpha", alpha, "--q", "0.5",
+                  "--N", str(N), "--suite", "all", "--precision", "extended"])
+    capsys.readouterr()
+    sources = Counter(source for _, source in floats)
+    if kind == "qpk":
+        assert floats == []
+    else:
+        assert sources == {"verify._random_z": 30, "connections.dual_hahn_limit": 1}
 
 
 @pytest.mark.parametrize("s", range(FAM.N + 1))
