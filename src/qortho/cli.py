@@ -3,8 +3,9 @@ verification suites, with CSV or JSON output.
 
 Exit codes: 0 success, 2 invalid parameters, usage, numeric overflow or a
 division by zero (a denominator that underflows or vanishes at the working
-precision), 3 degenerate configuration (coincident strands), 4 verification
-failure, non-finite output or a lattice-weights Gram error above tolerance.
+precision), 3 degenerate configuration (coincident strands, or a = c q^j at
+even N, where the weights are undefined), 4 verification failure, non-finite
+output or a lattice-weights Gram error above tolerance.
 Data goes to stdout, diagnostics to stderr.  A fixed configuration (including
 --seed and the precision mode) produces byte-identical output.
 

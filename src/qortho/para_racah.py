@@ -385,7 +385,9 @@ def _k_norm(fam: ParaRacahFamily):
     """Closed-form normalization constant of the weight tables.
 
     Equals +/- sqrt(u_1...u_N) evaluated at alpha = 1/2; the sign is the one
-    that makes the printed weight tables positive.
+    that makes the printed weight tables positive.  At even N it divides by
+    a - c q^j, so a = c q^j, compared exactly, raises
+    :class:`DegenerateFamilyError`.
     """
     a, c, _, q, j = _unpack(fam)
     pw = fam.powers()
@@ -401,6 +403,9 @@ def _k_norm(fam: ParaRacahFamily):
                * qpochhammer(pw[-2 * j - 1], q2, j) * qpochhammer(pw[-2 * j], q2, j) ** 2
                * qpochhammer(pw[1 - 2 * j], q2, j))
         return num / den
+    if a == c * pw[j]:
+        raise DegenerateFamilyError("a = c q^j at even N makes the weights' normalization "
+                                    "singular; weights are undefined")
     # The printed even-case constant carries (ac/q; q)_{j+2} over (ac - q);
     # the shared root at ac = q is cancelled analytically here, leaving
     # -(ac; q)_{j+1}/q folded into the prefactor.

@@ -104,7 +104,8 @@ class Record:
 
 
 class DegenerateFamilyError(ArithmeticError):
-    """The two strands coincide (c = a, Delta = 1): weights are undefined."""
+    """The two strands coincide (c = a, Delta = 1), or a q-para-Racah family
+    at even N has a = c q^j: weights are undefined."""
 
 
 class BiLatticeFamily(Record):
@@ -304,14 +305,21 @@ def _twisted_last_value(tri, x):
     for bk, uk in zip(reversed(tri.b[1:]), reversed(tri.u)):
         qs.append(((x - bk) * qs[-1] - qs[-2]) / uk)
     qs.reverse()
-    best = value = None
-    for pk, p_next, qk, q_next in zip(p, p[1:], qs, qs[1:]):
-        if pk == 0 or qk == 0:
-            continue
-        twist = abs(p_next / pk - q_next / qk)
+    glue, twist = _smallest_twist(
+        (k, abs(p[k + 1] / p[k] - qs[k + 1] / qs[k]))
+        for k in range(len(p) - 1) if p[k] != 0 and qs[k] != 0)
+    return (None if glue is None else p[glue] / qs[glue]), twist
+
+
+def _smallest_twist(twists) -> tuple:
+    """(k, |gamma_k|) of the smallest twist among (k, |gamma_k|) pairs, the
+    glue point of a twisted factorisation; a NaN twist, from a run that
+    overflowed, gives way to any other.  (None, None) for no pairs."""
+    glue = best = None
+    for k, twist in twists:
         if best is None or twist < best or best != best:
-            best, value = twist, pk / qk
-    return value, best
+            glue, best = k, twist
+    return glue, best
 
 
 def weights_from_christoffel(tri: TridiagonalSystem) -> tuple:

@@ -1,16 +1,20 @@
-"""Jacobi-matrix view: symmetrize the recurrence, compute spectra, and verify
-that the deformation parameter moves matrix entries without moving eigenvalues.
+"""Jacobi-matrix view: symmetrize the recurrence, certify that its spectrum
+is the family's lattice, and measure persymmetry.
 
-Spectra are taken in double precision by the eigenvalue-only implicit QL
-algorithm with Wilkinson shifts (Bowdler, Martin, Reinsch and Wilkinson,
-Numer. Math. 11, 1968; EISPACK ``tql1``).
+A bi-lattice family's lattice is the spectrum of its Jacobi matrix J, and
+the deformation alpha moves entries of J without moving that spectrum.  So
+nothing here computes an eigenvalue: :func:`spectrum` bounds, at each
+lattice point x_s, the distance to the nearest eigenvalue by the residual
+of a vector from the twisted factorisation of J - x_s (Parlett, *The
+Symmetric Eigenvalue Problem*, ch. 4; Dhillon-Parlett, SIAM J. Matrix Anal.
+Appl. 25, 2004).  The matrix is taken in double precision.
 """
 
 from __future__ import annotations
 
 import math
 
-from .recurrence import TridiagonalSystem, palindrome_residual
+from .recurrence import TridiagonalSystem, _smallest_twist, palindrome_residual
 from .scalars import max_keep_nan
 
 __all__ = [
@@ -19,12 +23,7 @@ __all__ = [
     "spectrum",
     "matrix_norm",
     "persymmetry_residual",
-    "isospectrality_check",
-    "spectrum_vs_lattice",
 ]
-
-# QL sweeps allowed per eigenvalue; two or three are typical.
-_MAX_SWEEPS = 30
 
 
 class SymmetricTridiagonal:
@@ -42,58 +41,54 @@ def build_jacobi(tri: TridiagonalSystem) -> SymmetricTridiagonal:
                                 offdiag=tuple(math.sqrt(v) for v in u))
 
 
-def spectrum(m: SymmetricTridiagonal) -> list:
-    """All eigenvalues, ascending, by implicit QL; deterministic."""
-    d = list(m.diagonal)
-    e = list(m.offdiag) + [0.0]
-    if not all(math.isfinite(v) for v in d + e):
-        raise ValueError("the Jacobi matrix must have finite entries")
+def _residual_radius(d, e, x) -> float:
+    """||(J - x) v|| / ||v|| for the twisted vector v of J at x.
+
+    With e padded by a zero at each end, the forward run s_0 = 1,
+    s_{n+1} = ((x - d_n) s_n - e_{n-1} s_{n-1}) / e_n and the backward run
+    t_N = 1, t_{N+1} = 0 are glued at the k of the smallest twist
+
+        |gamma_k| = |(d_k - x) + e_{k-1} s_{k-1}/s_k + e_k t_{k+1}/t_k|,
+
+    skipping a k where s_k or t_k is 0 (:func:`recurrence._smallest_twist`).
+    v is s_0..s_k followed by (s_k/t_k) t_{k+1}..t_N, and the residual is
+    taken over every row.  inf when every k is skipped.
+    """
     n = len(d)
-    for l in range(n):
-        sweeps = 0
-        while True:
-            # The first negligible off-diagonal entry at or below row l
-            # splits off the block d[l..end].
-            end = l
-            while end < n - 1:
-                dd = abs(d[end]) + abs(d[end + 1])
-                if abs(e[end]) + dd == dd:
-                    break
-                end += 1
-            if end == l:
-                break
-            if sweeps == _MAX_SWEEPS:
-                raise ArithmeticError("QL iteration did not converge")
-            sweeps += 1
-            # Wilkinson shift from the leading 2x2 block, then one implicit
-            # QL sweep of plane rotations from the bottom of the block up.
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[end] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(end - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # Exact underflow: the block splits at i + 1.
-                    d[i + 1] -= p
-                    e[end] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            else:
-                d[l] -= p
-                e[l] = g
-                e[end] = 0.0
-    return sorted(d)
+    ee = (0.0, *e, 0.0)  # ee[k] = e_{k-1}
+    s = [0.0, 1.0]  # s_{-1}, s_0, ...
+    for k in range(n - 1):
+        s.append(((x - d[k]) * s[-1] - ee[k] * s[-2]) / ee[k + 1])
+    t = [0.0, 1.0]  # t_{N+1}, t_N, ...
+    for k in range(n - 1, 0, -1):
+        t.append(((x - d[k]) * t[-1] - ee[k + 1] * t[-2]) / ee[k])
+    t.reverse()  # t_0 .. t_{N+1}
+    glue, _ = _smallest_twist(
+        (k, abs(d[k] - x + ee[k] * s[k] / s[k + 1] + ee[k + 1] * t[k + 1] / t[k]))
+        for k in range(n) if s[k + 1] != 0 and t[k] != 0)
+    if glue is None:
+        return math.inf
+    ratio = s[glue + 1] / t[glue]
+    v = [0.0, *s[1:glue + 2], *(ratio * tk for tk in t[glue + 1:n]), 0.0]
+    rows = (ee[k] * v[k] + (d[k] - x) * v[k + 1] + ee[k + 1] * v[k + 2] for k in range(n))
+    return math.hypot(*rows) / math.hypot(*v)
+
+
+def spectrum(m: SymmetricTridiagonal, points) -> list:
+    """Certified radii r_s, one per lattice point x_s in ``points`` order.
+
+    Some eigenvalue of ``m`` lies within r_s of x_s, up to the rounding of
+    the residual (:func:`_residual_radius`).  When the N+1 intervals
+    [x_s - r_s, x_s + r_s] are pairwise disjoint each holds exactly one
+    eigenvalue, and the radii are returned; when two of them overlap, every
+    radius is inf.  A NaN radius is returned as it is.
+    """
+    xs = [float(p) for p in points]
+    radii = [_residual_radius(m.diagonal, m.offdiag, x) for x in xs]
+    spans = sorted((x - r, x + r) for x, r in zip(xs, radii))
+    if any(lo <= prev_hi for (_, prev_hi), (lo, _) in zip(spans, spans[1:])):
+        return [math.inf] * len(radii)
+    return radii
 
 
 def _max_abs(values) -> float:
@@ -109,21 +104,3 @@ def matrix_norm(m: SymmetricTridiagonal) -> float:
 def persymmetry_residual(m: SymmetricTridiagonal) -> float:
     """Max entry deviation of J M J - M with J the exchange matrix."""
     return palindrome_residual(m.diagonal, m.offdiag)
-
-
-def isospectrality_check(ref: list, tables) -> float:
-    """Max spectral deviation of the tables against the reference spectrum.
-
-    The reference is the :func:`spectrum` of a family's alpha = 1/2 table
-    and the tables are the same family at other deformations.  Spectra are
-    sorted ascending and compared pairwise; the result is the worst absolute
-    eigenvalue gap over all tables, NaN if any gap is NaN.
-    """
-    return _max_abs(x - y for t in tables
-                    for x, y in zip(spectrum(build_jacobi(t)), ref))
-
-
-def spectrum_vs_lattice(eig: list, points) -> float:
-    """Max gap between an ascending Jacobi spectrum of a family and its
-    bi-lattice ``points``, sorted."""
-    return _max_abs(x - y for x, y in zip(eig, sorted(float(p) for p in points)))

@@ -147,11 +147,10 @@ def _is_qpk(fam) -> bool:
 
 
 def suite_orthogonality(run, rng):
-    """Favard positivity, strand sums and Gram errors; for qpr also the
-    Christoffel cross-check and the beta factor.  The cross-check fails when
+    """Favard positivity, strand sums, Gram errors and the Christoffel
+    cross-check; for qpr also the beta factor.  The cross-check fails when
     the two weight routes disagree or when a lattice point's twist, the
-    eigenvalue residual of the twisted R_N, is above its tolerance.  The
-    route serves qpk too, but qpk's report does not carry the check.  qpk
+    eigenvalue residual of the twisted R_N, is above its tolerance.  qpk
     has no alpha = 1/2 weights, so no beta factor."""
     fam, tri = run.fam, run.tri
     note = "" if _is_qpk(fam) else "min u_n = %.3e" % float(min(tri.u))
@@ -167,11 +166,11 @@ def suite_orthogonality(run, rng):
     d, o = gram_errors(tri, lw)
     checks.append(_check("gram-diagonal", d, TOL_GRAM))
     checks.append(_check("gram-off-diagonal", o, TOL_GRAM))
-    if _is_qpk(fam):
-        return checks
     cw, twist = para_racah.weights_from_christoffel(tri)
     worst = max_keep_nan(twist, *(abs(x - y) / abs(x) for x, y in zip(lw.weights, cw.weights)))
     checks.append(_check("christoffel-cross-check", worst, TOL_CHRISTOFFEL))
+    if _is_qpk(fam):
+        return checks
     ratios = [w / wh for w, wh in zip(lw.weights, lw.weights_half)]
     beta_fit = (ratios[0] - ratios[1]) / (ratios[0] + ratios[1])
     checks.append(_check("beta-factor", abs(beta_fit - (1 - 2 * fam.alpha)), TOL_BETA))
@@ -227,15 +226,20 @@ def suite_persymmetry(run, rng):
 
 
 def suite_isospectral(run, rng):
+    """Certified radii of :func:`spectral.spectrum` over ||J||:
+    ``spectrum-vs-lattice`` the family's own, and ``isospectrality`` the
+    largest sum of a grid table's and the alpha = 1/2 table's radii at one
+    point, which bounds how far apart their eigenvalues there lie."""
     fam, tri = run.fam, run.tri
     if not tri.positive:
         return [_failed("isospectrality", TOL_ISOSPECTRAL,
                         "skipped: Jacobi matrix is not symmetrizable")]
+    points = family_module(fam).lattice(fam).points
     jacobi = spectral.build_jacobi(tri)
-    ref = spectral.spectrum(spectral.build_jacobi(run.half))
-    dev = spectral.isospectrality_check(ref, run.grid)
-    eig = ref if tri is run.half else spectral.spectrum(jacobi)
-    gap = spectral.spectrum_vs_lattice(eig, family_module(fam).lattice(fam).points)
+    ref = spectral.spectrum(spectral.build_jacobi(run.half), points)
+    dev = max_keep_nan(*(r + h for t in run.grid for r, h in zip(
+        spectral.spectrum(spectral.build_jacobi(t), points), ref)))
+    gap = max_keep_nan(*(ref if tri is run.half else spectral.spectrum(jacobi, points)))
     norm = spectral.matrix_norm(jacobi)
     return [
         _check("isospectrality", dev / norm, TOL_ISOSPECTRAL),

@@ -6,6 +6,7 @@ are the oracles of the truncation and tiny-t substitution tests.  The other
 modules hold, under the name of the qortho module they exercise, the
 positivity-inequality report and the factorised characteristic polynomial
 of a q-para-Racah family (``para_racah``), the monic q-Racah evaluation and
-the single lattice of the collapsed family (``connections``), and the
-(a z, a/z; q)_k basis factor (``qseries``).
+the single lattice of the collapsed family (``connections``), the
+(a z, a/z; q)_k basis factor (``qseries``), and the implicit QL eigenvalues
+of a Jacobi matrix (``spectral``).
 """

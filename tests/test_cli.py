@@ -311,15 +311,51 @@ def test_underflow_is_not_invalid_parameters(capsys, command):
 
 
 def test_zero_denominator_without_a_message_names_the_precision(capsys):
-    # a = c q^j (a / c = q at N = 2, the edge of the positivity region) is an
-    # exact zero of the factor a - c q^j in the denominator of the closed-form
-    # weights' normalization; mpmath raises ZeroDivisionError with no text.
-    argv = ["lattice-weights", "--kind", "qpr", "--a", "0.125", "--c", "0.25",
+    # c = a q^(j+1) (c / a = q^2 at N = 2, outside the positivity region) is
+    # an exact zero of the denominator of the closed-form weights'
+    # normalization; mpmath raises ZeroDivisionError with no text.
+    argv = ["lattice-weights", "--kind", "qpr", "--a", "1", "--c", "0.25",
             "--alpha", "0.5", "--q", "0.5", "--N", "2", "--precision", "extended"]
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert err == ("numeric underflow or zero denominator at extended:50 precision: "
                    "division by zero\n")
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_a_equal_to_c_q_to_the_j_at_even_n_is_refused_by_name(capsys, precision):
+    # a / c = q at N = 2, the edge of the positivity region, is an exact zero
+    # of the factor a - c q^j in the denominator of the weights' normalization.
+    argv = ["lattice-weights", "--kind", "qpr", "--a", "0.125", "--c", "0.25",
+            "--alpha", "0.5", "--q", "0.5", "--N", "2", "--precision", precision]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == ("degenerate configuration: a = c q^j at even N makes the weights' "
+                   "normalization singular; weights are undefined\n")
+
+
+LARGE_N_ISOSPECTRAL = ["verify", "--kind", "qpr", "--a", "0.9", "--c", "0.7",
+                       "--alpha", "0.75", "--N", "60", "--suite", "isospectral"]
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_large_n_isospectral_is_certified_or_fails_its_lines(capsys, precision):
+    # At N = 60 the entries of J span twenty decades.  At q = 0.3 every
+    # lattice point is certified; at q = 0.2 the forward run overflows at the
+    # largest points, and the suite fails both lines with a NaN residual.
+    options = ["--precision", precision, "--q"]
+    code, out, err = run_cli(capsys, LARGE_N_ISOSPECTRAL + options + ["0.3"])
+    assert (code, err) == (0, "")
+    assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["pass", "pass"]
+    code, out, err = run_cli(capsys, LARGE_N_ISOSPECTRAL + options + ["0.2"])
+    assert (code, err) == (4, "verification failed: 2 of 2 checks\n")
+    assert out.splitlines()[1:] == ["isospectral/isospectrality,fail,nan,1.000000e-09,",
+                                    "isospectral/spectrum-vs-lattice,fail,nan,1.000000e-09,"]
+
+
+def test_no_eigenvalue_iteration_is_left_to_fail():
+    src = Path(__file__).resolve().parents[1] / "src" / "qortho"
+    assert not [path.name for path in src.glob("*.py") if "did not converge" in path.read_text()]
 
 
 @pytest.mark.parametrize("suite", ["explicit", "all"])
@@ -453,13 +489,13 @@ GOLDEN = [
     ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format json",
      "8789755b4ef0d6117848b5788d023f3ea78785ac2e1859721666d1740985a316"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5 --format csv --precision double",
-     "16e521900c239bc677ce7161b9e6fd04eb0299c53e8378cab70f9e6ad652a3cd"),
+     "70c701d91c6b8a3413e269bd7ea4a1bd4eee567292abfaf699a98b5dff720f83"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --format json --precision double --seed 3",
-     "6f7c74e10820bb4b48dde9a92c33d9869f29a795028ecb62e0318716d626fe5a"),
+     "41127a6db0aeb15209ca2d9722da0eb44a9bfc73b2b3355caf5cd9493d05f29c"),
     ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
-     "13125aac4a7c8d6fab3a5bf6a5afd67421b3fae4edc94ea22257ed5e2b1a5646"),
+     "ba2a24acb0d63c0645b5e4348324526269956928c8c3cda96bf8e468468202bf"),
     ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format csv --precision extended",
-     "ad47161bf513e75cffee97aaa44bedfe16a2af5b18a10a7b0ecce9adc7e235c4"),
+     "b7c2a9d243675ff6f744c9fba2f5bf9cf7a99e04872558a3f7508a38dddbae5c"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --suite orthogonality --format json --precision extended",
      "6469f82ccf8984ee91bee015c63d522ddf3a1cbf1b47e43147c7d164161550ce"),
     # The explicit expansion of both parities, in double where the 40-digit
@@ -476,11 +512,11 @@ GOLDEN = [
     # verify-ext benchmark: odd N, even N, and odd N with the middle-degree
     # branch at n = j and j+1; and the q-difference check at 60 digits.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 9 --format json --precision extended",
-     "baf9855cfbb1724af7b9a22efafebbcc47613cba6bff860f51b29c923a0f1f04"),
+     "7cdb86e26c74d747c98ad22787251fac2e80ad9108865841a794fd0ab02e2ca0"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 12 --format json --precision extended",
-     "3f8fdf942796478c2951833232ac0020a3c1eff0925de9a236162d4985de6a88"),
+     "e8aae10d2d2d7dcecb3f38484433cae57244ea3f747d6e4c0f554c0f1d12fd63"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --format json --precision extended",
-     "b82fe1e19bb2504aa4d17ef619b88ae87eba9db4039548a99d75468113a6e634"),
+     "9b1c9ba3729dc3ad22b36fe4bc2ee1926e15b34709de48df8b5877a6d75fdc18"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite bispectral --format json --precision extended:60",
      "dbb4f19b7bd38643eccb833816c5c6f491ed0d618e15ec8beefedc3fd9874e7f"),
     # The two limit oracles, which extrapolate at a fixed 50 digits whatever
@@ -491,36 +527,36 @@ GOLDEN = [
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 8 --suite qpk-limit --format csv --precision extended:80",
      "a41a5d52c5051fba59e1a2d802321c168a34dec7d019ca4a746e846913b50768"),
     ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 7 --suite all --format csv --precision double",
-     "9e4c4694979563183b1bf9672063df16f1b1a1f19bfcf3e2f9b1ad792a15a899"),
+     "d1467e3b6a17727e6777348e41826b3ad68170132976d30184de1b397bd536fe"),
     ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 8 --suite all --format json --precision extended",
-     "262703b113b92b2ea5e943fb27554de48864690930fadb9eaf26a6622ee49a27"),
+     "99054a2e09613c9255052f8989e252fe083fc43d176df0fd97539fe2275e700a"),
     # The isospectral suite's deformed tables: N = 1, 2, 3, where the splice
     # n = j, j+1 reaches both ends of the table, families at alpha = 1/2 of
     # both parities, and one at a grid alpha, each in double and extended.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 1 --suite isospectral --format json --precision double",
-     "ad252ab62a3781b1d67dd9dbcafb316c16ae9b5d36b260f53e6269956888c112"),
+     "56374cdcd43a0d442dcfd62c0b6e676f7a3fea35e4838102655c31c2fa674d77"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 1 --suite isospectral --format json --precision extended",
-     "4b7b05642c510814b4801a5d230e59595321ca9568a6f5c9043ba574f46382f7"),
+     "eb4fb1468903f4e808e12dcfefd7c79ff1c1e6b730eb8dacd3240cbdc949de08"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 2 --suite isospectral --format json --precision double",
-     "cf9c4aea8e070870cf73f6411321daa0369cf7b5ca8e07c46e83fe8156fffbd3"),
+     "96e3288f86ba004b2738be34ea406ea19b02d3c3d0f2fece1dda2057013952cb"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 2 --suite isospectral --format json --precision extended",
-     "d454d2b1c671d5f6795948390d572a72b78924c9ba7fbbf31b156982a31b10c7"),
+     "16192111ba44f06b178be841f690ceeef71c886413589b93772148c02fb60ed2"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 3 --suite isospectral --format json --precision double",
-     "48baf3f77b623c03d9eb91b4ce91104537e9c8597fb6c6f13f08e619dca7f936"),
+     "850abb20fd25e34300a426c2230e7c9441926006b7810204177ba5ee09dc6caf"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 3 --suite isospectral --format json --precision extended",
-     "617155709acdc5766a6a398a120ae919c4cbc8da675d754e54ea79196df7eeb6"),
+     "d89235aa790e23980c3ff2e7ba21b8110e912c2b437fcda006474958a7ce3ffe"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 7 --suite isospectral --format json --precision double",
-     "c5987d2c30cc5b4cc058d20d2412e48b34b572b9624f695e54dfae9e25914f5b"),
+     "626e7a7c0a36e135810f6af351cc888e84ee61fc3aa64f9c885427003ccf1458"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 7 --suite isospectral --format json --precision extended",
-     "88c45e74c2e417bf17477f8d9ad76d89eefe9d7a40c2d08a0c03fce44ffda143"),
+     "41791c43a820b94015176f31178a5f3dcd3f4ce2db806a00676f4bd8a54b9868"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --suite isospectral --format json --precision double",
-     "e058683329fa2a01282ba7a22f0535c0b915eb0a4690a839e814f9a99fb17f92"),
+     "10be5a11af3140b6affc8b9a7cae37698b3b9d1188ca413865fae25666503f34"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --suite isospectral --format json --precision extended",
-     "bdf744dadca9673782f96dc1183a45bec2d5783a6a57b6f1bae99a6eb9e37bc4"),
+     "cc434054808813a09af8ab1ac37de5d07bb42910dce7f385e87f413605a6f166"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.7 --q 0.5 --N 4 --suite isospectral --format json --precision double",
-     "ad43926a9b403f4311bab689b95b97a9613ae62c000e25c9b9082c4fb66bf322"),
+     "0ae7a30b7142123cf2fd38f66be45414717ceaf72602cd0ad105c28e293c8e84"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.7 --q 0.5 --N 4 --suite isospectral --format json --precision extended",
-     "73acacce2471c0d5233f0813eea0379b62e3ee6322d889739c4abac3cae9e779"),
+     "eab269be8fc41a3c6ea425c59a2976b92567cdd37b62514f728fe1b7397952bd"),
 ]
 
 

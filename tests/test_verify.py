@@ -150,14 +150,15 @@ def test_qpk_theta_limit_reads_the_runs_own_table():
 
 @pytest.mark.parametrize("alpha,spectra", [(0.5, 5), (0.3, 6)])
 def test_isospectral_suite_spectrum_count(monkeypatch, alpha, spectra):
-    # The alpha = 1/2 reference, the four grid tables and, away from
-    # alpha = 1/2, the family's own table: at 1/2 the reference is reused.
+    # One certificate per table: the alpha = 1/2 reference, the four grid
+    # tables and, away from alpha = 1/2, the family's own table; at 1/2 the
+    # reference is reused.
     calls = []
     original = spectral.spectrum
 
-    def counted(m):
+    def counted(m, points):
         calls.append(m)
-        return original(m)
+        return original(m, points)
 
     monkeypatch.setattr(spectral, "spectrum", counted)
     checks = verify.run_suite("isospectral", FAM.replace(alpha=alpha))
@@ -172,6 +173,16 @@ def test_isospectral_suite_reads_nothing_kind_specific(N, alpha):
     checks = verify.suite_isospectral(verify.RunTables(_qpk(1.3, alpha, 0.5, N)), None)
     assert [c.name for c in checks] == ["isospectrality", "spectrum-vs-lattice"]
     assert all(c.passed for c in checks), [(c.name, c.residual) for c in checks]
+
+
+@pytest.mark.parametrize("N", range(1, 17))
+def test_qpk_orthogonality_carries_the_christoffel_cross_check(N):
+    # qpk's orthogonality ends with the cross-check: it has no alpha = 1/2
+    # weights, so no beta factor.
+    for alpha in (0.25, 0.5, 0.75):
+        checks = verify.suite_orthogonality(verify.RunTables(_qpk(1.3, alpha, 0.5, N)), None)
+        assert [c.name for c in checks][-2:] == ["gram-off-diagonal", "christoffel-cross-check"]
+        assert checks[-1].passed, (alpha, checks[-1].residual)
 
 
 def test_family_checks_and_persymmetry_folds_convert_no_float():
@@ -374,6 +385,9 @@ NAN_CASES = [
 
 # The same for a qpk family at alpha = 1/2.
 QPK_NAN_CASES = [
+    ("orthogonality", "christoffel-cross-check", para_racah, "weights_from_christoffel",
+     lambda k, args: True,
+     lambda r: (r[0].replace(weights=tuple(_nan_at_1(r[0].weights))), r[1])),
     ("persymmetry", "matrix-persymmetry", spectral, "build_jacobi", lambda k, args: True,
      lambda m: spectral.SymmetricTridiagonal(tuple(_nan_at_1(m.diagonal)), m.offdiag)),
 ]
