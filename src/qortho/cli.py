@@ -3,9 +3,12 @@ verification suites, with CSV or JSON output.
 
 Exit codes: 0 success, 2 invalid parameters, usage, numeric overflow or a
 division by zero (a denominator that underflows or vanishes at the working
-precision), 3 degenerate configuration (coincident strands, or a = c q^j at
-even N, where the weights are undefined), 4 verification failure, non-finite
-output or a lattice-weights Gram error above tolerance.
+precision), 3 degenerate configuration (coincident strands, or a qpr family
+at even N with a = c q^j, a c q^(2j) = 1 or c = a q^(j+1), where the weights
+are undefined), 4 verification failure, non-finite output or a
+lattice-weights ``gram_max_error`` above tolerance: the largest of the two
+Gram errors and the lattice's twist, read from one evaluation of the table
+at its lattice.
 Data goes to stdout, diagnostics to stderr.  A fixed configuration (including
 --seed and the precision mode) produces byte-identical output.
 
@@ -25,7 +28,8 @@ import sys
 
 from . import para_krawtchouk, para_racah, verify
 from .qseries import SingularSeriesError
-from .recurrence import DegenerateFamilyError, family_module, gram_errors, tridiagonal
+from .recurrence import (DegenerateFamilyError, family_module, gram_errors, lattice_values,
+                         tridiagonal)
 from .scalars import (DEFAULT_EXTENDED_DIGITS, as_scalar, extended_precision,
                       format_scalar, is_finite, max_keep_nan)
 
@@ -169,7 +173,10 @@ def cmd_lattice_weights(args, prec: _Precision) -> int:
         tri = tridiagonal(fam)
         lw = family_module(fam).weights(tri)
         pts = lw.points
-        gram_max = max_keep_nan(*gram_errors(tri, lw))
+        rows, twist = lattice_values(tri, pts)
+        # The twist shows a point that is not a zero of R_{N+1}; the glued
+        # rows would hide it from the Gram errors.
+        gram_max = max_keep_nan(*gram_errors(rows, lw), float(twist))
         point_key = _KINDS[args.kind][2]
         sum_even, sum_odd = lw.strand_sums()
         if args.format == "csv":

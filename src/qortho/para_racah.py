@@ -386,8 +386,8 @@ def _k_norm(fam: ParaRacahFamily):
 
     Equals +/- sqrt(u_1...u_N) evaluated at alpha = 1/2; the sign is the one
     that makes the printed weight tables positive.  At even N it divides by
-    a - c q^j, so a = c q^j, compared exactly, raises
-    :class:`DegenerateFamilyError`.
+    (a - c q^j)(1 - a c q^(2j))(c - a q^(j+1)), so a = c q^j, a c q^(2j) = 1
+    or c = a q^(j+1), compared exactly, raises :class:`DegenerateFamilyError`.
     """
     a, c, _, q, j = _unpack(fam)
     pw = fam.powers()
@@ -403,9 +403,10 @@ def _k_norm(fam: ParaRacahFamily):
                * qpochhammer(pw[-2 * j - 1], q2, j) * qpochhammer(pw[-2 * j], q2, j) ** 2
                * qpochhammer(pw[1 - 2 * j], q2, j))
         return num / den
-    if a == c * pw[j]:
-        raise DegenerateFamilyError("a = c q^j at even N makes the weights' normalization "
-                                    "singular; weights are undefined")
+    if 0 in (a - c * pw[j], 1 - a * c * pw[2 * j], c - a * pw[j + 1]):
+        raise DegenerateFamilyError("a = c q^j, a c q^(2j) = 1 or c = a q^(j+1) at even N "
+                                    "makes the weights' normalization singular; "
+                                    "weights are undefined")
     # The printed even-case constant carries (ac/q; q)_{j+2} over (ac - q);
     # the shared root at ac = q is cancelled analytically here, leaving
     # -(ac; q)_{j+1}/q folded into the prefactor.

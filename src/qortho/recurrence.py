@@ -22,14 +22,14 @@ This module owns the other conventions the families share, each written
 once: the bi-lattice order (:func:`interleave` puts one strand at the even
 indices and the other at the odd ones, :meth:`LatticeWeights.strand_sums`
 reads them back), the closed-form weights from their strand factors
-(:func:`weight_table`), the two checks that evaluate a table at its kind's
-lattice points (:func:`gram_errors`, by forward recurrence, and
-:func:`weights_from_christoffel`, by the twisted factorisation), the
-refusal of coincident strands (:meth:`BiLatticeFamily.require_distinct_strands`),
-the q-difference equation of every degree on x = (z + 1/z)/2 at shared
-points, with its shift-operator pole guard (:func:`qdifference_residual`),
-and the palindrome residual behind both persymmetry checks
-(:func:`palindrome_residual`).
+(:func:`weight_table`), the one evaluation of a table at its kind's lattice
+points (:func:`lattice_values`, by the twisted factorisation) and the two
+checks that read it (:func:`gram_errors` and the Christoffel weights
+:func:`weights_from_christoffel`), the refusal of coincident strands
+(:meth:`BiLatticeFamily.require_distinct_strands`), the q-difference
+equation of every degree on x = (z + 1/z)/2 at shared points, with its
+shift-operator pole guard (:func:`qdifference_residual`), and the palindrome
+residual behind both persymmetry checks (:func:`palindrome_residual`).
 
 The deformation alpha enters b_n and u_n only at the splice n = j, j+1, so
 :meth:`TridiagonalSystem.at_alpha` gives the same family's table at another
@@ -60,6 +60,7 @@ __all__ = [
     "monic_coefficients",
     "interleave",
     "weight_table",
+    "lattice_values",
     "gram_errors",
     "weights_from_christoffel",
     "family_module",
@@ -105,7 +106,8 @@ class Record:
 
 class DegenerateFamilyError(ArithmeticError):
     """The two strands coincide (c = a, Delta = 1), or a q-para-Racah family
-    at even N has a = c q^j: weights are undefined."""
+    at even N has a = c q^j, a c q^(2j) = 1 or c = a q^(j+1): weights are
+    undefined."""
 
 
 class BiLatticeFamily(Record):
@@ -242,73 +244,48 @@ def weight_table(strands, leads) -> tuple:
     return interleave(*tables)
 
 
-def gram_errors(tri, lw):
-    """(max diagonal relative error, max scaled off-diagonal entry) of the
-    Gram matrix sum_s w_s P_n(x_s) P_m(x_s) against diag(h_n), at the points
-    ``lw.points`` of either kind; an error is NaN when an entry is.  With mpf
-    values every dot product runs on raw tuples (:mod:`qortho._mpfloops`),
-    bit for bit."""
-    N = tri.family.N
-    # Column n holds P_n at every lattice point; w_s P_n(x_s) is formed once
-    # per (s, n) and then multiplied by P_m(x_s).
-    cols = list(zip(*(tri.values(x, N) for x in lw.points)))
-    weighted = [list(map(mul, lw.weights, col)) for col in cols]
-    if all_mpf(*weighted, *cols):
-        from ._mpfloops import dot
-    else:
-        def dot(xs, ys):
-            return sum(map(mul, xs, ys))
-    # Folded from a zero of the table's type: an mpf error meets no float.
-    worst_diag = worst_off = type(tri.b[0])(0)
-    for n in range(N + 1):
-        for m in range(n + 1):
-            g = dot(weighted[n], cols[m])
-            if n == m:
-                worst_diag = max_keep_nan(worst_diag, abs(g - lw.h[n]) / abs(lw.h[n]))
-            else:
-                worst_off = max_keep_nan(
-                    worst_off, abs(g) / sqrt(abs(lw.h[n] * lw.h[m])))
-    return float(worst_diag), float(worst_off)
-
-
-def _char_poly_derivative(points, s):
-    """d/dx of the monic characteristic polynomial at its root points[s].
-
-    R_{N+1} is monic with the lattice as its zero set, so the derivative is
-    the exact product over the remaining linear factors.
-    """
-    xs = points[s]
-    return reduce(mul, (xs - xk for k, xk in enumerate(points) if k != s))
-
-
-def _twisted_last_value(tri, x):
-    """(R_N(x), smallest twist) at a zero x of R_{N+1}, by the twisted
-    factorisation of the Jacobi matrix at x (Fernando, SIAM J. Matrix Anal.
-    Appl. 18, 1997; Dhillon-Parlett, ibid. 25, 2004).
+def lattice_values(tri: TridiagonalSystem, points) -> tuple:
+    """(rows, twist): rows[s] = [P_0(x_s), ..., P_N(x_s)] at each of
+    ``points``, zeros of R_{N+1}, by the twisted factorisation of the Jacobi
+    matrix at x_s (Fernando, SIAM J. Matrix Anal. Appl. 18, 1997;
+    Dhillon-Parlett, ibid. 25, 2004), and the largest smallest twist over
+    the points, scaled by max |x_s|.  This is the one evaluation of a table
+    at its lattice: the Gram errors and the Christoffel weights read it.
 
     P_0..P_{N+1} run forward from P_0 = 1, and Q_{N+1}..Q_0 backward from
     Q_{N+1} = 0, Q_N = 1 with Q_{k-1} = ((x - b_k) Q_k - Q_{k+1}) / u_k.  At
-    a zero of R_{N+1} the two solutions are proportional, and R_N = P_k / Q_k
-    is read at the k of the smallest twist
+    a zero of R_{N+1} the two solutions are proportional; the row keeps
+    P_0..P_k and scales Q_{k+1}..Q_N by P_k / Q_k, at the k of the smallest
+    twist
 
         gamma_k = P_{k+1}/P_k - Q_{k+1}/Q_k
                 = (x - b_k) - u_k P_{k-1}/P_k - Q_{k+1}/Q_k,
 
-    skipping a k where P_k or Q_k is 0; a NaN twist, from a side that
-    overflowed, gives way to any other.  Forward recurrence alone follows
-    the dominant solution past n ~ N/2.  The twist grows with the distance
-    of x from a zero; R_N is None when every k is skipped.
+    skipping a k where P_k or Q_k is 0 (:func:`_smallest_twist`).  Forward
+    recurrence alone follows the dominant solution past n ~ N/2.  The twist
+    grows with the distance of x from a zero, so it shows a point that is
+    not one, which the glued row hides.  A point where every k is skipped
+    raises :class:`DegenerateFamilyError`.
     """
-    p = tri.values(x)
-    one = p[0]
-    qs = [0 * one, one]
-    for bk, uk in zip(reversed(tri.b[1:]), reversed(tri.u)):
-        qs.append(((x - bk) * qs[-1] - qs[-2]) / uk)
-    qs.reverse()
-    glue, twist = _smallest_twist(
-        (k, abs(p[k + 1] / p[k] - qs[k + 1] / qs[k]))
-        for k in range(len(p) - 1) if p[k] != 0 and qs[k] != 0)
-    return (None if glue is None else p[glue] / qs[glue]), twist
+    N = len(tri.u)
+    rows, twists = [], []
+    for x in points:
+        p = tri.values(x)
+        qs = [0 * p[0], p[0]]
+        for bk, uk in zip(reversed(tri.b[1:]), reversed(tri.u)):
+            qs.append(((x - bk) * qs[-1] - qs[-2]) / uk)
+        qs.reverse()
+        glue, twist = _smallest_twist([
+            (k, abs(p[k + 1] / p[k] - qs[k + 1] / qs[k]))
+            for k in range(N + 1) if p[k] != 0 and qs[k] != 0])
+        if glue is None:
+            raise DegenerateFamilyError(
+                "no index glues the twisted factorisation at a lattice point; "
+                "configuration is degenerate")
+        ratio = p[glue] / qs[glue]
+        rows.append(p[:glue + 1] + [ratio * v for v in qs[glue + 1:N + 1]])
+        twists.append(twist)
+    return rows, max_keep_nan(*twists) / max(abs(x) for x in points)
 
 
 def _smallest_twist(twists) -> tuple:
@@ -322,28 +299,47 @@ def _smallest_twist(twists) -> tuple:
     return glue, best
 
 
-def weights_from_christoffel(tri: TridiagonalSystem) -> tuple:
-    """Independent weight route, w_s = h_N / (R_N(x_s) R'_{N+1}(x_s)), for
-    either kind: R_N from the table by :func:`_twisted_last_value` and
-    R'_{N+1} from its roots, both at the points x_s of the kind's
-    ``lattice``.  Returns the weights, which agree with its ``weights``, and
-    the largest smallest twist over the points scaled by max |x_s|: the
-    twisted R_N hides a point that is not a zero of R_{N+1}, the twist
-    shows it."""
-    fam = tri.family
-    fam.require_distinct_strands()
-    lw = family_module(fam).lattice(fam)
-    hN = tri.h[-1]
-    w, twists = [], []
-    for s, x in enumerate(lw.points):
-        rN, twist = _twisted_last_value(tri, x)
-        if rN is None or abs(rN) == 0:
-            raise DegenerateFamilyError(
-                "R_N vanishes at a lattice point; configuration is degenerate")
-        w.append(hN / (rN * _char_poly_derivative(lw.points, s)))
-        twists.append(twist)
-    scale = max(abs(x) for x in lw.points)
-    return lw.weighted(tuple(w), tri.h), max_keep_nan(*twists) / scale
+def gram_errors(rows, lw):
+    """(max diagonal relative error, max scaled off-diagonal entry) of the
+    Gram matrix sum_s w_s P_n(x_s) P_m(x_s) against diag(h_n), with rows[s]
+    the values P_0..P_N at the point x_s of ``lw`` (:func:`lattice_values`);
+    an error is NaN when an entry is.  With mpf values every dot product
+    runs on raw tuples (:mod:`qortho._mpfloops`), bit for bit."""
+    # Column n holds P_n at every lattice point; w_s P_n(x_s) is formed once
+    # per (s, n) and then multiplied by P_m(x_s).
+    cols = list(zip(*rows))
+    weighted = [list(map(mul, lw.weights, col)) for col in cols]
+    if all_mpf(*weighted, *cols):
+        from ._mpfloops import dot
+    else:
+        def dot(xs, ys):
+            return sum(map(mul, xs, ys))
+    # Folded from a zero of the table's type (h_0 is its one): an mpf error
+    # meets no float.
+    worst_diag = worst_off = 0 * lw.h[0]
+    for n in range(len(cols)):
+        for m in range(n + 1):
+            g = dot(weighted[n], cols[m])
+            if n == m:
+                worst_diag = max_keep_nan(worst_diag, abs(g - lw.h[n]) / abs(lw.h[n]))
+            else:
+                worst_off = max_keep_nan(
+                    worst_off, abs(g) / sqrt(abs(lw.h[n] * lw.h[m])))
+    return float(worst_diag), float(worst_off)
+
+
+def weights_from_christoffel(tri: TridiagonalSystem, lw, rows) -> LatticeWeights:
+    """Independent weight route for either kind: the Christoffel function
+    w_s = 1 / sum_n P_n(x_s)^2 / h_n at the points of ``lw``, with rows[s]
+    the values P_0..P_N there (:func:`lattice_values`) and h_n the table's.
+    At a zero x_s of R_{N+1} it equals h_N / (R_N(x_s) R'_{N+1}(x_s)) by
+    Christoffel-Darboux (Golub-Welsch, Math. Comp. 23, 1969), so it agrees
+    with the kind's ``weights``.  Returns ``lw``'s points with these
+    weights."""
+    tri.family.require_distinct_strands()
+    h = tri.h
+    w = tuple(1 / sum(p * p / hn for p, hn in zip(row, h)) for row in rows)
+    return lw.weighted(w, h)
 
 
 class LatticeWeights(Record):

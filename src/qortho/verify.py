@@ -10,8 +10,10 @@ One run computes each quantity that depends only on the family's parameters
 once, in a :class:`RunTables` that every suite of the run reads and that is
 dropped when the run ends.
 
-The Gram errors and the Christoffel weights are :mod:`qortho.recurrence`'s,
-one code for both kinds, called here as ``gram_errors`` and
+The orthogonality suite evaluates the table at its lattice once, with
+:func:`~qortho.recurrence.lattice_values`, and the Gram errors and the
+Christoffel weights both read those values: :mod:`qortho.recurrence`'s code
+for both kinds, called here as ``gram_errors`` and
 ``para_racah.weights_from_christoffel``.  The bispectral and explicit suites
 each draw their ten points once and check every degree at them: the
 bispectral one with one recurrence pass per point and shift, the explicit
@@ -27,10 +29,11 @@ import random
 from functools import cached_property
 
 from . import connections, para_krawtchouk, para_racah, spectral
-from .recurrence import family_module, gram_errors, persymmetry_residual, tridiagonal
+from .recurrence import (family_module, gram_errors, lattice_values, persymmetry_residual,
+                         tridiagonal)
 from .scalars import is_mp, max_keep_nan, typed_float
 
-__all__ = ["Check", "RunTables", "SUITES", "run_suite", "sample_family"]
+__all__ = ["Check", "RunTables", "SUITES", "run_suite"]
 
 # Pinned tolerances: relative 1e-8 scale for binary64 families in the
 # moderate parameter box, tighter where the quantity is exact algebra.
@@ -110,29 +113,6 @@ class RunTables:
         return [self.tri.at_alpha(typed_float(al, q)) for al in ISOSPECTRAL_ALPHAS]
 
 
-def sample_family(rng, N, alpha=None, q=None):
-    """Draw a bi-lattice family from the positivity box.
-
-    a, c in [0.2, 0.95] and q in [0.3, 0.8], redrawn until the direct u-scan
-    passes.  Even N additionally needs a q < c < a, which the printed
-    symmetric inequalities do not capture.
-    """
-    while True:
-        a = rng.uniform(0.2, 0.95)
-        c = rng.uniform(0.2, 0.95)
-        qq = q if q is not None else rng.uniform(0.3, 0.8)
-        al = alpha if alpha is not None else rng.choice([0.25, 0.5, 0.75])
-        if abs(a - c) < 1e-3:
-            continue
-        if N % 2 == 0 and not a * qq < c < a:
-            continue
-        if not qq < a / c < 1 / qq:
-            continue
-        fam = para_racah.ParaRacahFamily(a=a, c=c, alpha=al, q=qq, N=N)
-        if tridiagonal(fam).positive:
-            return fam
-
-
 # The benchmark tracer (perfbench/tracer.py) wraps both names.
 gram_errors_qpk = gram_errors
 
@@ -148,10 +128,11 @@ def _is_qpk(fam) -> bool:
 
 def suite_orthogonality(run, rng):
     """Favard positivity, strand sums, Gram errors and the Christoffel
-    cross-check; for qpr also the beta factor.  The cross-check fails when
-    the two weight routes disagree or when a lattice point's twist, the
-    eigenvalue residual of the twisted R_N, is above its tolerance.  qpk
-    has no alpha = 1/2 weights, so no beta factor."""
+    cross-check; for qpr also the beta factor.  The Gram errors and the
+    Christoffel weights read one :func:`lattice_values` evaluation.  The
+    cross-check fails when the two weight routes disagree or when a lattice
+    point's twist, the eigenvalue residual of the twisted values, is above
+    its tolerance.  qpk has no alpha = 1/2 weights, so no beta factor."""
     fam, tri = run.fam, run.tri
     note = "" if _is_qpk(fam) else "min u_n = %.3e" % float(min(tri.u))
     checks = [_check("favard-positivity", 0.0 if tri.positive else 1.0, 0.5, note=note)]
@@ -163,10 +144,11 @@ def suite_orthogonality(run, rng):
     se, so = lw.strand_sums()
     checks.append(_check("weight-sum-even", abs(se - (1 - fam.alpha)), TOL_WEIGHT_SUM))
     checks.append(_check("weight-sum-odd", abs(so - fam.alpha), TOL_WEIGHT_SUM))
-    d, o = gram_errors(tri, lw)
+    rows, twist = lattice_values(tri, lw.points)
+    d, o = gram_errors(rows, lw)
     checks.append(_check("gram-diagonal", d, TOL_GRAM))
     checks.append(_check("gram-off-diagonal", o, TOL_GRAM))
-    cw, twist = para_racah.weights_from_christoffel(tri)
+    cw = para_racah.weights_from_christoffel(tri, lw, rows)
     worst = max_keep_nan(twist, *(abs(x - y) / abs(x) for x, y in zip(lw.weights, cw.weights)))
     checks.append(_check("christoffel-cross-check", worst, TOL_CHRISTOFFEL))
     if _is_qpk(fam):

@@ -15,7 +15,7 @@ import mpmath.ctx_mp_python
 
 from oracles import askey_wilson
 from qortho import para_krawtchouk, para_racah, qseries
-from qortho.recurrence import DegenerateFamilyError, interleave
+from qortho.recurrence import DegenerateFamilyError, interleave, tridiagonal
 from qortho.scalars import is_mp, max_keep_nan
 
 # Tiny but nonzero limit parameter; the weights e1, e2 are scaled down so the
@@ -53,6 +53,29 @@ def oracle_recurrence_coefficients(fam, n):
         return b, mpmath.mpf(0)
     A_prev, _ = askey_wilson.recurrence_ac(p, n - 1, singular_tol=0.0)
     return b, A_prev * C_n / 4
+
+
+def sample_family(rng, N, alpha=None, q=None):
+    """Draw a q-para-Racah family from the positivity box.
+
+    a, c in [0.2, 0.95] and q in [0.3, 0.8], redrawn until the direct u-scan
+    passes.  Even N additionally needs a q < c < a, which the printed
+    symmetric inequalities do not capture.
+    """
+    while True:
+        a = rng.uniform(0.2, 0.95)
+        c = rng.uniform(0.2, 0.95)
+        qq = q if q is not None else rng.uniform(0.3, 0.8)
+        al = alpha if alpha is not None else rng.choice([0.25, 0.5, 0.75])
+        if abs(a - c) < 1e-3:
+            continue
+        if N % 2 == 0 and not a * qq < c < a:
+            continue
+        if not qq < a / c < 1 / qq:
+            continue
+        fam = para_racah.ParaRacahFamily(a=a, c=c, alpha=al, q=qq, N=N)
+        if tridiagonal(fam).positive:
+            return fam
 
 
 def _qortho_source(frame):

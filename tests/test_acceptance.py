@@ -28,7 +28,7 @@ def _families(seed, n_range, per_n, alphas=BOX_ALPHAS, orientation=None):
         for rep in range(per_n):
             alpha = alphas[rep % len(alphas)]
             while True:
-                fam = verify.sample_family(rng, N, alpha=alpha)
+                fam = support.sample_family(rng, N, alpha=alpha)
                 if orientation == "a>c" and not fam.a > fam.c:
                     continue
                 break
@@ -63,7 +63,11 @@ def test_criterion_02_orthogonality():
     for fam in fams:
         tri = recurrence.tridiagonal(fam)
         lw = para_racah.weights(tri)
-        d, o = verify.gram_errors(tri, lw)
+        # The twist certifies the points as zeros of R_{N+1}, which the glued
+        # values themselves would hide.
+        rows, twist = recurrence.lattice_values(tri, lw.points)
+        d, o = verify.gram_errors(rows, lw)
+        assert twist <= 1e-8, (fam, twist)
         assert d <= 1e-8, (fam, d)
         assert o <= 1e-8, (fam, o)
         se = sum(lw.weights[i] for i in range(0, fam.N + 1, 2))
@@ -126,8 +130,11 @@ def test_criterion_06_christoffel_cross_check():
     for fam in fams:
         half = fam.replace(alpha=0.5)
         half_tri = recurrence.tridiagonal(half)
-        lw = para_racah.weights(recurrence.tridiagonal(fam))
-        cw, _ = para_racah.weights_from_christoffel(recurrence.tridiagonal(fam))
+        tri = recurrence.tridiagonal(fam)
+        lw = para_racah.weights(tri)
+        rows, twist = recurrence.lattice_values(tri, lw.points)
+        cw = para_racah.weights_from_christoffel(tri, lw, rows)
+        assert twist <= 1e-7, (fam, twist)
         for w_closed, w_chr in zip(lw.weights, cw.weights):
             assert abs(w_closed - w_chr) <= 1e-7 * abs(w_closed), fam
         root = math.sqrt(half_tri.h[-1])

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qortho import verify
+from qortho import cli, verify
 from qortho.cli import main
 
 QPR = ["--kind", "qpr", "--a", "0.9", "--c", "0.7",
@@ -250,13 +250,41 @@ def test_nan_weights_gram_trailer_is_not_zero(capsys):
 
 
 def test_uncertified_gram_trailer_exits_4(capsys):
+    # A positive family whose closed-form weights, at 15 digits, are finite
+    # but good to about six: the Gram diagonal is above TOL_GRAM, so the
+    # table is printed and refused.
     code, out, err = run_cli(capsys, [
-        "lattice-weights", "--kind", "qpr", "--a", "0.9", "--c", "0.7", "--alpha", "0.5",
-        "--q", "0.5", "--N", "30", "--precision", "double"])
-    # Finite but far above TOL_GRAM: the table is printed and refused.
+        "lattice-weights", "--kind", "qpr", "--a", "0.95", "--c", "0.2", "--alpha", "0.5",
+        "--q", "0.2", "--N", "30", "--precision", "extended:15"])
     assert code == 4
     assert "orthogonality not certified" in err
-    assert out.strip().splitlines()[-1] == "# gram_max_error = 2.154e+36"
+    assert out.strip().splitlines()[-1] == "# gram_max_error = 1.398e-06"
+
+
+def test_the_twist_alone_makes_lattice_weights_exit_4(capsys, monkeypatch):
+    # The twisted values hide a point that is not a zero of R_{N+1} from the
+    # Gram errors, so the twist enters gram_max_error by itself.
+    original = cli.lattice_values
+    monkeypatch.setattr(cli, "lattice_values",
+                        lambda tri, points: (original(tri, points)[0], 2 * verify.TOL_GRAM))
+    code, out, err = run_cli(capsys, ["lattice-weights"] + QPR)
+    assert code == 4
+    assert "orthogonality not certified: gram_max_error = 2.000e-08" in err
+    assert out.strip().splitlines()[-1] == "# gram_max_error = 2.000e-08"
+
+
+@pytest.mark.parametrize("argv", [
+    "lattice-weights --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 30 --precision double",
+    "verify --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 40 --precision double "
+    "--suite orthogonality",
+    "verify --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 60 --precision extended:20 "
+    "--suite orthogonality",
+], ids=["lattice-weights-30-double", "verify-40-double", "verify-60-extended20"])
+def test_large_n_orthogonality_is_certified(capsys, argv):
+    # Forward recurrence at these lattices follows the dominant solution past
+    # n ~ N/2; the twisted values do not.
+    code, out, err = run_cli(capsys, argv.split())
+    assert (code, err) == (0, "")
 
 
 def _reject_constant(name):
@@ -311,10 +339,10 @@ def test_underflow_is_not_invalid_parameters(capsys, command):
 
 
 def test_zero_denominator_without_a_message_names_the_precision(capsys):
-    # c = a q^(j+1) (c / a = q^2 at N = 2, outside the positivity region) is
-    # an exact zero of the denominator of the closed-form weights'
-    # normalization; mpmath raises ZeroDivisionError with no text.
-    argv = ["lattice-weights", "--kind", "qpr", "--a", "1", "--c", "0.25",
+    # Delta q^(j+1) = 1 (Delta = 4 at q = 1/2, N = 2, outside the positivity
+    # region) is an exact zero of the denominator of qpk's closed-form
+    # weights' normalization; mpmath raises ZeroDivisionError with no text.
+    argv = ["lattice-weights", "--kind", "qpk", "--Delta", "4",
             "--alpha", "0.5", "--q", "0.5", "--N", "2", "--precision", "extended"]
     code, _, err = run_cli(capsys, argv)
     assert code == 2
@@ -323,15 +351,20 @@ def test_zero_denominator_without_a_message_names_the_precision(capsys):
 
 
 @pytest.mark.parametrize("precision", ["double", "extended"])
-def test_a_equal_to_c_q_to_the_j_at_even_n_is_refused_by_name(capsys, precision):
-    # a / c = q at N = 2, the edge of the positivity region, is an exact zero
-    # of the factor a - c q^j in the denominator of the weights' normalization.
-    argv = ["lattice-weights", "--kind", "qpr", "--a", "0.125", "--c", "0.25",
+@pytest.mark.parametrize("a,c", [("0.125", "0.25"), ("1", "0.25"), ("8", "0.5")],
+                         ids=["a=cq^j", "c=aq^(j+1)", "acq^(2j)=1"])
+def test_even_n_normalization_zeros_are_refused_by_name(capsys, a, c, precision):
+    # At N = 2, q = 1/2: a / c = q, the edge of the positivity region, and
+    # c = a q^2 and a c q^2 = 1, both outside it, are the three exact zeros of
+    # the denominator (a - c q^j)(1 - a c q^(2j))(c - a q^(j+1)) of the
+    # weights' normalization.
+    argv = ["lattice-weights", "--kind", "qpr", "--a", a, "--c", c,
             "--alpha", "0.5", "--q", "0.5", "--N", "2", "--precision", precision]
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (3, "")
-    assert err == ("degenerate configuration: a = c q^j at even N makes the weights' "
-                   "normalization singular; weights are undefined\n")
+    assert err == ("degenerate configuration: a = c q^j, a c q^(2j) = 1 or c = a q^(j+1) "
+                   "at even N makes the weights' normalization singular; "
+                   "weights are undefined\n")
 
 
 LARGE_N_ISOSPECTRAL = ["verify", "--kind", "qpr", "--a", "0.9", "--c", "0.7",
@@ -473,31 +506,31 @@ GOLDEN = [
     ("coeffs --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
      "1e923937fcc248028a0c6ec3970e1be19a6e6352935bf4f35a78c7da5a062138"),
     ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5 --format csv",
-     "53f2152940b174716750f6aedef74c20eca700b805dae7983513e4be8fb5eaad"),
+     "2ed260fdb3679be4c7ab7cac151d43e5b65184d731d597abe8400ddc8047f409"),
     ("lattice-weights --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --format json --precision extended",
-     "716ec9e26d97414f4481e0c34004f68a03fc5800f600e924fd544e8db7d3674e"),
+     "694ffb4989def818d2648c87cda8b5901e44dd6f36984ff34bcb0290291374ae"),
     ("lattice-weights --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format csv --precision extended:30",
      "dfca46aecc6bbb8dccf9cb4a10ff04408a71f919a70545c496cd82b86369da23"),
     ("lattice-weights --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format json",
-     "e8cc3b0d84b3568c1d023279c7f7c025350b32e3e548a3e7553a05ba21912414"),
+     "71b6d6d14e5f775a85489ca6dfa27f1ff151e642af8dc6bc1727c5bf94e42879"),
     ("lattice-weights --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --format csv --precision extended:40",
-     "8d570ab63855ce1df1b82324165406214d3557c804953466b7796a2b26f432cf"),
+     "d6c3da6feed25de7bd684dd148de66cd6315c968a44028d10fc49d0fa081b79d"),
     ("lattice-weights --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
-     "ea0a203fd90f03651d8dd9fb0516953d8fc54411116c9140eb6a00f651cb0b51"),
+     "3b3cb537527088c0d5a4ca61aa2da87a05933b5ceb28885f38d02f10677c7752"),
     ("coeffs --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format csv",
      "1bd54ff8d1139511527c197b15b5ac163eaf16e219f7da8ddabaea15905a9056"),
     ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format json",
-     "8789755b4ef0d6117848b5788d023f3ea78785ac2e1859721666d1740985a316"),
+     "ee17628f235bf60904fb287b33fba920fc1741abf6cfdc9c4117ef2ffc1a5dd8"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5 --format csv --precision double",
-     "70c701d91c6b8a3413e269bd7ea4a1bd4eee567292abfaf699a98b5dff720f83"),
+     "7ed6b6d66c772973795de57b2141f8fafe6b8fc8c439ae93277b1c84556af58c"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --format json --precision double --seed 3",
-     "41127a6db0aeb15209ca2d9722da0eb44a9bfc73b2b3355caf5cd9493d05f29c"),
+     "62861f55df9592b41ebf0197d74c56cb1a17e1edefad33001b76397acad3df64"),
     ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
-     "ba2a24acb0d63c0645b5e4348324526269956928c8c3cda96bf8e468468202bf"),
+     "48c5fa5b010bd1154cdd08d3983ed54c19664447981a6092eb54a7500f1a9699"),
     ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format csv --precision extended",
-     "b7c2a9d243675ff6f744c9fba2f5bf9cf7a99e04872558a3f7508a38dddbae5c"),
+     "9e3fc0bb4b4c4adac9ce7cc9aee3250b2073a4f802c265c65866028cc8be765e"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --suite orthogonality --format json --precision extended",
-     "6469f82ccf8984ee91bee015c63d522ddf3a1cbf1b47e43147c7d164161550ce"),
+     "101a8b252208e1f490beadf4c793a3770d0766ee1fd66b7de6680bd6426050c9"),
     # The explicit expansion of both parities, in double where the 40-digit
     # rerun fires (q = 0.3) and at 60 digits.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.3 --N 8 --suite explicit --format csv --precision double",
@@ -512,11 +545,11 @@ GOLDEN = [
     # verify-ext benchmark: odd N, even N, and odd N with the middle-degree
     # branch at n = j and j+1; and the q-difference check at 60 digits.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 9 --format json --precision extended",
-     "7cdb86e26c74d747c98ad22787251fac2e80ad9108865841a794fd0ab02e2ca0"),
+     "aee4417783e2eede97d28da9923dba428f19a2a556732e7dc969b9810678e7b9"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 12 --format json --precision extended",
-     "e8aae10d2d2d7dcecb3f38484433cae57244ea3f747d6e4c0f554c0f1d12fd63"),
+     "1aaa5453e51281f3186cf81a9d40ec1985b57e93836c6cc7518c8efb93b31b1d"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --format json --precision extended",
-     "9b1c9ba3729dc3ad22b36fe4bc2ee1926e15b34709de48df8b5877a6d75fdc18"),
+     "b5c7ed729fcda90df73fcfdce7469fd5d1895c4701aabc156a7aeb30fbcbb510"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite bispectral --format json --precision extended:60",
      "dbb4f19b7bd38643eccb833816c5c6f491ed0d618e15ec8beefedc3fd9874e7f"),
     # The two limit oracles, which extrapolate at a fixed 50 digits whatever
@@ -527,9 +560,9 @@ GOLDEN = [
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 8 --suite qpk-limit --format csv --precision extended:80",
      "a41a5d52c5051fba59e1a2d802321c168a34dec7d019ca4a746e846913b50768"),
     ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 7 --suite all --format csv --precision double",
-     "d1467e3b6a17727e6777348e41826b3ad68170132976d30184de1b397bd536fe"),
+     "d5ea91860f1c1d38a44ff76a69c68db8e1cf54b78f280a6a3d5322d37e2eb1da"),
     ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 8 --suite all --format json --precision extended",
-     "99054a2e09613c9255052f8989e252fe083fc43d176df0fd97539fe2275e700a"),
+     "85df9c306e1ff0c319652357b1df8df9edcf2ecfa6f71683ae13cf3d83861919"),
     # The isospectral suite's deformed tables: N = 1, 2, 3, where the splice
     # n = j, j+1 reaches both ends of the table, families at alpha = 1/2 of
     # both parities, and one at a grid alpha, each in double and extended.

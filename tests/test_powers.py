@@ -118,11 +118,10 @@ def reference_richardson(values, ratio):
     return estimates
 
 
-def reference_gram_errors(tri, lw):
-    N = tri.family.N
-    cols = list(zip(*(reference_monic_values(tri.b[:N], (0.0,) + tri.u, x) for x in lw.points)))
+def reference_gram_errors(rows, lw):
+    cols = list(zip(*rows))
     worst_diag = worst_off = 0.0
-    for n in range(N + 1):
+    for n in range(len(cols)):
         for m in range(n + 1):
             g = sum(w * pn * pm for w, pn, pm in zip(lw.weights, cols[n], cols[m]))
             if n == m:
@@ -130,14 +129,6 @@ def reference_gram_errors(tri, lw):
             else:
                 worst_off = max_keep_nan(worst_off, abs(g) / sqrt(abs(lw.h[n] * lw.h[m])))
     return float(worst_diag), float(worst_off)
-
-
-def reference_char_poly_derivative(points, s):
-    out = 1.0
-    for k, xk in enumerate(points):
-        if k != s:
-            out = out * (points[s] - xk)
-    return out
 
 
 def _points(num):
@@ -282,7 +273,7 @@ def test_a_filled_table_leaves_the_record_unchanged(kind, num):
 
 @pytest.mark.parametrize("num,dps", PRECISIONS)
 @pytest.mark.parametrize("N", [3, 6, 9])
-def test_series_sums_and_christoffel_derivatives_are_the_plain_loops(N, num, dps):
+def test_series_sums_are_the_plain_loop(N, num, dps):
     with mpmath.workdps(dps):
         fam = _family("qpr", N, num)
         q, a, c, j = fam.q, fam.a, fam.c, fam.j
@@ -292,10 +283,6 @@ def test_series_sums_and_christoffel_derivatives_are_the_plain_loops(N, num, dps
             varying = (a * z, a / z)
             assert _bits(plan.sum(_factor_rows(plan, varying))) == _bits(
                 reference_series_sum(plan, varying))
-        points = para_racah.lattice(fam).points
-        for s in range(N + 1):
-            assert _bits(recurrence._char_poly_derivative(points, s)) == _bits(
-                reference_char_poly_derivative(points, s))
 
 
 def _names(node):
@@ -356,8 +343,8 @@ def test_richardson_is_the_plain_table(dps):
                     reference_richardson(values, ratio))
 
 
-def _columns(tri, lw):
-    cols = list(zip(*(tri.values(x, tri.family.N) for x in lw.points)))
+def _columns(rows, lw):
+    cols = list(zip(*rows))
     return [list(map(mul, lw.weights, col)) for col in cols], cols
 
 
@@ -369,8 +356,9 @@ def test_gram_dot_products_and_errors_are_the_plain_loops(kind, N, num, dps):
     with mpmath.workdps(dps):
         tri = tridiagonal(_family(kind, N, num))
         lw = module.weights(tri)
-        assert _bits(verify.gram_errors(tri, lw)) == _bits(reference_gram_errors(tri, lw))
-        weighted, cols = _columns(tri, lw)
+        rows, _ = recurrence.lattice_values(tri, lw.points)
+        assert _bits(verify.gram_errors(rows, lw)) == _bits(reference_gram_errors(rows, lw))
+        weighted, cols = _columns(rows, lw)
         if num is float:
             return
         # Every dot product gram_errors takes on raw tuples: columns m >= 1.
@@ -384,11 +372,11 @@ def test_gram_dot_products_and_errors_are_the_plain_loops(kind, N, num, dps):
                 weights = list(lw.weights)
                 weights[s] = poison
                 bad = lw.replace(weights=tuple(weights))
-                assert _bits(verify.gram_errors(tri, bad)) == _bits(
-                    reference_gram_errors(tri, bad)), (poison, s)
+                assert _bits(verify.gram_errors(rows, bad)) == _bits(
+                    reference_gram_errors(rows, bad)), (poison, s)
                 if poison == 0.5:
                     continue
-                weighted, cols = _columns(tri, bad)
+                weighted, cols = _columns(rows, bad)
                 for m in range(1, N + 1):
                     assert _bits(_mpfloops.dot(weighted[N], cols[m])) == _bits(
                         sum(map(mul, weighted[N], cols[m])))

@@ -108,7 +108,7 @@ def test_theta_limit_matches_the_per_degree_reference(kind, N):
     for num, digits in ((float, 15), (mpmath.mpf, 50)):
         with mpmath.workdps(digits):
             if kind == "qpr":
-                fam = verify.sample_family(rng, N, alpha=rng.choice([0.25, 0.5, 0.75]))
+                fam = support.sample_family(rng, N, alpha=rng.choice([0.25, 0.5, 0.75]))
                 fam = fam.replace(a=num(fam.a), c=num(fam.c),
                                   alpha=num(fam.alpha), q=num(fam.q))
             else:
@@ -230,8 +230,12 @@ def test_gram_off_diagonal_beyond_the_double_range():
         lw = para_racah.LatticeWeights(
             points=tuple(k * root for k in (-2, -1, 1, 2)),
             weights=(mpmath.mpf(1) / 4,) * 4, h=tri.h)
-        _, off = verify.gram_errors(tri, lw)
+        # Forward rows: the twisted ones hide that these points are not
+        # zeros of R_4, and their twist shows it.
+        _, off = verify.gram_errors([tri.values(x, 3) for x in lw.points], lw)
+        _, twist = recurrence.lattice_values(tri, lw.points)
     assert off == pytest.approx(3.5, rel=1e-12)
+    assert twist == pytest.approx(0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("N", [1, 6, 9, 16])
@@ -312,7 +316,8 @@ def test_extended_verify_converts_only_its_points_and_the_dual_hahn_exponent(
 
 @pytest.mark.parametrize("s", range(FAM.N + 1))
 def test_a_moved_lattice_point_fails_the_christoffel_check(monkeypatch, s):
-    _, twist = para_racah.weights_from_christoffel(tridiagonal(FAM))
+    tri = tridiagonal(FAM)
+    _, twist = recurrence.lattice_values(tri, para_racah.lattice(FAM).points)
     assert twist <= 1e-15
     lattice = para_racah.lattice
 
@@ -322,7 +327,7 @@ def test_a_moved_lattice_point_fails_the_christoffel_check(monkeypatch, s):
         points[s] *= 1 + 1e-6
         return lw.replace(points=tuple(points))
     monkeypatch.setattr(para_racah, "lattice", moved)
-    _, twist = para_racah.weights_from_christoffel(tridiagonal(FAM))
+    _, twist = recurrence.lattice_values(tri, para_racah.lattice(FAM).points)
     assert twist > verify.TOL_CHRISTOFFEL
     checks = {c.name: c for c in verify.run_suite("orthogonality", FAM)}
     assert not checks["orthogonality/christoffel-cross-check"].passed
@@ -330,7 +335,7 @@ def test_a_moved_lattice_point_fails_the_christoffel_check(monkeypatch, s):
 
 def test_the_twist_alone_fails_the_christoffel_check(monkeypatch):
     # Weights that agree do not pass a lattice whose twist is too large.
-    _poison_calls(monkeypatch, para_racah, "weights_from_christoffel", lambda k, args: True,
+    _poison_calls(monkeypatch, verify, "lattice_values", lambda k, args: True,
                   lambda r: (r[0], 2 * verify.TOL_CHRISTOFFEL))
     checks = {c.name: c for c in verify.run_suite("orthogonality", FAM)}
     chk = checks["orthogonality/christoffel-cross-check"]
@@ -362,6 +367,8 @@ def _second(k, args):
 # poisoned): each poisoned value is a later one in its check's fold, never
 # the first.
 NAN_CASES = [
+    ("orthogonality", "gram-diagonal", verify, "lattice_values", lambda k, args: True,
+     lambda r: ([r[0][0], _nan_at_1(r[0][1]), *r[0][2:]], r[1])),
     ("explicit", "explicit-vs-recurrence", para_racah, "eval_explicit", lambda k, args: True,
      lambda r: [r[0], _nan_at_1(r[1]), *r[2:]]),
     ("bispectral", "qdiff-residual", para_racah, "qdiff_residual", lambda k, args: True,
@@ -370,7 +377,7 @@ NAN_CASES = [
      lambda k, args: args[1] == 2, lambda r: NAN),
     ("orthogonality", "christoffel-cross-check", para_racah, "weights_from_christoffel",
      lambda k, args: True,
-     lambda r: (r[0].replace(weights=tuple(_nan_at_1(r[0].weights))), r[1])),
+     lambda r: r.replace(weights=tuple(_nan_at_1(r.weights)))),
     ("persymmetry", "coefficient-persymmetry", para_racah, "b_coefficient",
      lambda k, args: args[1] == 2, lambda r: NAN),
     ("isospectral", "isospectrality", spectral, "spectrum", lambda k, args: k == 3,
@@ -385,9 +392,11 @@ NAN_CASES = [
 
 # The same for a qpk family at alpha = 1/2.
 QPK_NAN_CASES = [
+    ("orthogonality", "gram-diagonal", verify, "lattice_values", lambda k, args: True,
+     lambda r: ([r[0][0], _nan_at_1(r[0][1]), *r[0][2:]], r[1])),
     ("orthogonality", "christoffel-cross-check", para_racah, "weights_from_christoffel",
      lambda k, args: True,
-     lambda r: (r[0].replace(weights=tuple(_nan_at_1(r[0].weights))), r[1])),
+     lambda r: r.replace(weights=tuple(_nan_at_1(r.weights)))),
     ("persymmetry", "matrix-persymmetry", spectral, "build_jacobi", lambda k, args: True,
      lambda m: spectral.SymmetricTridiagonal(tuple(_nan_at_1(m.diagonal)), m.offdiag)),
 ]
