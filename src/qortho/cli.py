@@ -28,7 +28,7 @@ import sys
 
 from . import para_krawtchouk, para_racah, verify
 from .qseries import SingularSeriesError
-from .recurrence import (DegenerateFamilyError, family_module, gram_errors, lattice_values,
+from .recurrence import (DegenerateFamilyError, family_module, gram_errors, lattice_vectors,
                          tridiagonal)
 from .scalars import (DEFAULT_EXTENDED_DIGITS, as_scalar, extended_precision,
                       format_scalar, is_finite, max_keep_nan)
@@ -173,10 +173,10 @@ def cmd_lattice_weights(args, prec: _Precision) -> int:
         tri = tridiagonal(fam)
         lw = family_module(fam).weights(tri)
         pts = lw.points
-        rows, twist = lattice_values(tri, pts)
+        vectors, twist = lattice_vectors(tri.b, tri.u, pts)
         # The twist shows a point that is not a zero of R_{N+1}; the glued
-        # rows would hide it from the Gram errors.
-        gram_max = max_keep_nan(*gram_errors(rows, lw), float(twist))
+        # vectors would hide it from the Gram errors.
+        gram_max = max_keep_nan(*gram_errors(vectors, lw), float(twist))
         point_key = _KINDS[args.kind][2]
         sum_even, sum_odd = lw.strand_sums()
         if args.format == "csv":

@@ -22,10 +22,11 @@ This module owns the other conventions the families share, each written
 once: the bi-lattice order (:func:`interleave` puts one strand at the even
 indices and the other at the odd ones, :meth:`LatticeWeights.strand_sums`
 reads them back), the closed-form weights from their strand factors
-(:func:`weight_table`), the one evaluation of a table at its kind's lattice
-points (:func:`lattice_values`, by the twisted factorisation) and the two
-checks that read it (:func:`gram_errors` and the Christoffel weights
-:func:`weights_from_christoffel`), the refusal of coincident strands
+(:func:`weight_table`), the one twisted factorisation, which gives each
+lattice point its scaled vector y_n ~ P_n / sqrt|h_n| from pivot ratios
+alone (:func:`lattice_vectors`; the spectral radii read it too), and the
+two checks that read those vectors (:func:`gram_errors` and the Christoffel
+weights :func:`weights_from_christoffel`), the refusal of coincident strands
 (:meth:`BiLatticeFamily.require_distinct_strands`), the q-difference
 equation of every degree on x = (z + 1/z)/2 at shared points, with its
 shift-operator pole guard (:func:`qdifference_residual`), and the palindrome
@@ -60,7 +61,7 @@ __all__ = [
     "monic_coefficients",
     "interleave",
     "weight_table",
-    "lattice_values",
+    "lattice_vectors",
     "gram_errors",
     "weights_from_christoffel",
     "family_module",
@@ -244,101 +245,116 @@ def weight_table(strands, leads) -> tuple:
     return interleave(*tables)
 
 
-def lattice_values(tri: TridiagonalSystem, points) -> tuple:
-    """(rows, twist): rows[s] = [P_0(x_s), ..., P_N(x_s)] at each of
-    ``points``, zeros of R_{N+1}, by the twisted factorisation of the Jacobi
-    matrix at x_s (Fernando, SIAM J. Matrix Anal. Appl. 18, 1997;
-    Dhillon-Parlett, ibid. 25, 2004), and the largest smallest twist over
-    the points, scaled by max |x_s|.  This is the one evaluation of a table
-    at its lattice: the Gram errors and the Christoffel weights read it.
+def lattice_vectors(b, u, points) -> tuple:
+    """(vectors, twist): vectors[s] = [y_0, ..., y_N] at each of ``points``,
+    zeros of R_{N+1} of the table b_0..b_N, ``u[k]`` = u_{k+1}, with y_n
+    proportional to P_n(x_s) / sqrt|h_n| (an eigenvector of the symmetric
+    Jacobi matrix when every u_n > 0); and the largest smallest twist over
+    the points, scaled by max |x_s|, which shows a point that is not a zero.
+    This is the one evaluation of a table at its lattice: Gram, the
+    Christoffel weights and the spectral radii read it.
 
-    P_0..P_{N+1} run forward from P_0 = 1, and Q_{N+1}..Q_0 backward from
-    Q_{N+1} = 0, Q_N = 1 with Q_{k-1} = ((x - b_k) Q_k - Q_{k+1}) / u_k.  At
-    a zero of R_{N+1} the two solutions are proportional; the row keeps
-    P_0..P_k and scales Q_{k+1}..Q_N by P_k / Q_k, at the k of the smallest
-    twist
-
-        gamma_k = P_{k+1}/P_k - Q_{k+1}/Q_k
-                = (x - b_k) - u_k P_{k-1}/P_k - Q_{k+1}/Q_k,
-
-    skipping a k where P_k or Q_k is 0 (:func:`_smallest_twist`).  Forward
-    recurrence alone follows the dominant solution past n ~ N/2.  The twist
-    grows with the distance of x from a zero, so it shows a point that is
-    not one, which the glued row hides.  A point where every k is skipped
-    raises :class:`DegenerateFamilyError`.
+    At each point the pivots D+_k = (x - b_k) - u_k / D+_{k-1} and
+    D-_k = (x - b_k) - u_{k+1} / D-_{k+1} are the ratios P_{k+1}/P_k and
+    u_k Q_{k-1}/Q_k, so no P_n or Q_n is formed.  At the first k of the
+    smallest twist |gamma_k| = |D+_k + D-_k - (x - b_k)|, y_k = 1, and with
+    r_n = sqrt|u_n| (once per call) and sigma_n = sign(u_n),
+    y_i = r_{i+1} y_{i+1} / D+_i below k and y_i = sigma_i r_i y_{i-1} / D-_i
+    above it: the eigenvector step of MRRR (Dhillon-Parlett, SIAM J. Matrix
+    Anal. Appl. 25, 2004).  A zero pivot makes the next one infinite (None),
+    a k with an infinite pivot is never the glue, and across a zero pivot
+    y_i is read from the row beyond it, where y_{i+1} (or y_{i-1}) is 0.  A
+    point where no k glues raises :class:`DegenerateFamilyError`.
     """
-    N = len(tri.u)
-    rows, twists = [], []
+    roots = [sqrt(abs(v)) for v in u]
+    signed = [-r if v < 0 else r for v, r in zip(u, roots)]
+    one = b[0] ** 0
+    zero = 0 * one
+    vectors, twists = [], []
     for x in points:
-        p = tri.values(x)
-        qs = [0 * p[0], p[0]]
-        for bk, uk in zip(reversed(tri.b[1:]), reversed(tri.u)):
-            qs.append(((x - bk) * qs[-1] - qs[-2]) / uk)
-        qs.reverse()
-        glue, twist = _smallest_twist([
-            (k, abs(p[k + 1] / p[k] - qs[k + 1] / qs[k]))
-            for k in range(N + 1) if p[k] != 0 and qs[k] != 0])
+        shifts = [x - bk for bk in b]
+        lower, pivot = [], None  # the pivot above row 0 is infinite
+        for t, uk in zip(shifts, (zero, *u)):
+            pivot = t if pivot is None else None if pivot == 0 else t - uk / pivot
+            lower.append(pivot)
+        upper, pivot = [], None  # and so is the one below row N
+        for t, uk in zip(reversed(shifts), reversed((*u, zero))):
+            pivot = t if pivot is None else None if pivot == 0 else t - uk / pivot
+            upper.append(pivot)
+        upper.reverse()
+        glue = best = None
+        for k, (lo, up, t) in enumerate(zip(lower, upper, shifts)):
+            if lo is not None and up is not None:
+                twist = abs(lo + up - t)
+                if best is None or twist < best:
+                    glue, best = k, twist
         if glue is None:
-            raise DegenerateFamilyError(
-                "no index glues the twisted factorisation at a lattice point; "
-                "configuration is degenerate")
-        ratio = p[glue] / qs[glue]
-        rows.append(p[:glue + 1] + [ratio * v for v in qs[glue + 1:N + 1]])
-        twists.append(twist)
-    return rows, max_keep_nan(*twists) / max(abs(x) for x in points)
+            raise DegenerateFamilyError("no index glues the twisted factorisation at "
+                                        "a lattice point; configuration is degenerate")
+        y = [zero] * len(b)
+        y[glue] = one
+        for i in range(glue - 1, -1, -1):  # y_i = 0 at an infinite pivot
+            pivot = lower[i]
+            if pivot is not None:
+                y[i] = (-roots[i + 1] * y[i + 2] / signed[i] if pivot == 0
+                        else roots[i] * y[i + 1] / pivot)
+        for i in range(glue + 1, len(b)):
+            pivot = upper[i]
+            if pivot is not None:
+                y[i] = (-signed[i - 2] * y[i - 2] / roots[i - 1] if pivot == 0
+                        else signed[i - 1] * y[i - 1] / pivot)
+        vectors.append(y)
+        twists.append(best)
+    return vectors, max_keep_nan(*twists) / max(abs(x) for x in points)
 
 
-def _smallest_twist(twists) -> tuple:
-    """(k, |gamma_k|) of the smallest twist among (k, |gamma_k|) pairs, the
-    glue point of a twisted factorisation; a NaN twist, from a run that
-    overflowed, gives way to any other.  (None, None) for no pairs."""
-    glue = best = None
-    for k, twist in twists:
-        if best is None or twist < best or best != best:
-            glue, best = k, twist
-    return glue, best
+def _h_signs(h) -> list:
+    """sign(h_n) for each h_n, in the type of the table's one h_0."""
+    one = h[0]
+    return [-one if v < 0 else one for v in h]
 
 
-def gram_errors(rows, lw):
-    """(max diagonal relative error, max scaled off-diagonal entry) of the
-    Gram matrix sum_s w_s P_n(x_s) P_m(x_s) against diag(h_n), with rows[s]
-    the values P_0..P_N at the point x_s of ``lw`` (:func:`lattice_values`);
-    an error is NaN when an entry is.  With mpf values every dot product
-    runs on raw tuples (:mod:`qortho._mpfloops`), bit for bit."""
-    # Column n holds P_n at every lattice point; w_s P_n(x_s) is formed once
-    # per (s, n) and then multiplied by P_m(x_s).
-    cols = list(zip(*rows))
-    weighted = [list(map(mul, lw.weights, col)) for col in cols]
+def gram_errors(vectors, lw):
+    """(max diagonal error, max off-diagonal entry) of the scaled Gram matrix
+    sum_s w_s y_n(x_s) y_m(x_s) / y_0(x_s)^2 against sign(h_n) delta_nm, with
+    vectors[s] the y_0..y_N at the point x_s of ``lw``
+    (:func:`lattice_vectors`); no h_n is read but for its sign.  An error is
+    NaN when an entry is; a y_0^2 that underflows to 0 raises
+    ZeroDivisionError.  With mpf values every dot product runs on raw tuples
+    (:mod:`qortho._mpfloops`), bit for bit."""
+    # Column n holds y_n at every point; c_s y_n(x_s), c_s = w_s / y_0(x_s)^2,
+    # is formed once per (s, n) and then multiplied by y_m(x_s).
+    cols = list(zip(*vectors))
+    scale = [w / (y[0] * y[0]) for w, y in zip(lw.weights, vectors)]
+    weighted = [list(map(mul, scale, col)) for col in cols]
     if all_mpf(*weighted, *cols):
         from ._mpfloops import dot
     else:
         def dot(xs, ys):
             return sum(map(mul, xs, ys))
-    # Folded from a zero of the table's type (h_0 is its one): an mpf error
-    # meets no float.
-    worst_diag = worst_off = 0 * lw.h[0]
+    signs = _h_signs(lw.h)
+    # Folded from a zero of the table's type: an mpf error meets no float.
+    worst_diag = worst_off = 0 * signs[0]
     for n in range(len(cols)):
-        for m in range(n + 1):
-            g = dot(weighted[n], cols[m])
-            if n == m:
-                worst_diag = max_keep_nan(worst_diag, abs(g - lw.h[n]) / abs(lw.h[n]))
-            else:
-                worst_off = max_keep_nan(
-                    worst_off, abs(g) / sqrt(abs(lw.h[n] * lw.h[m])))
+        for m in range(n):
+            worst_off = max_keep_nan(worst_off, abs(dot(weighted[n], cols[m])))
+        worst_diag = max_keep_nan(worst_diag, abs(dot(weighted[n], cols[n]) - signs[n]))
     return float(worst_diag), float(worst_off)
 
 
-def weights_from_christoffel(tri: TridiagonalSystem, lw, rows) -> LatticeWeights:
+def weights_from_christoffel(tri: TridiagonalSystem, lw, vectors) -> LatticeWeights:
     """Independent weight route for either kind: the Christoffel function
-    w_s = 1 / sum_n P_n(x_s)^2 / h_n at the points of ``lw``, with rows[s]
-    the values P_0..P_N there (:func:`lattice_values`) and h_n the table's.
-    At a zero x_s of R_{N+1} it equals h_N / (R_N(x_s) R'_{N+1}(x_s)) by
-    Christoffel-Darboux (Golub-Welsch, Math. Comp. 23, 1969), so it agrees
-    with the kind's ``weights``.  Returns ``lw``'s points with these
-    weights."""
+    w_s = 1 / sum_n P_n(x_s)^2 / h_n = y_0^2 / sum_n sign(h_n) y_n^2 at the
+    points of ``lw``, with vectors[s] the y_0..y_N there
+    (:func:`lattice_vectors`) and h_n the table's.  At a zero x_s of
+    R_{N+1} it equals h_N / (R_N(x_s) R'_{N+1}(x_s)) by Christoffel-Darboux,
+    and for u_n > 0 it is the squared first component of the unit
+    eigenvector (Golub-Welsch, Math. Comp. 23, 1969), so it agrees with the
+    kind's ``weights``.  Returns ``lw``'s points with these weights."""
     tri.family.require_distinct_strands()
     h = tri.h
-    w = tuple(1 / sum(p * p / hn for p, hn in zip(row, h)) for row in rows)
+    signs = _h_signs(h)
+    w = tuple(y[0] * y[0] / sum(s * v * v for s, v in zip(signs, y)) for y in vectors)
     return lw.weighted(w, h)
 
 

@@ -5,7 +5,8 @@ A bi-lattice family's lattice is the spectrum of its Jacobi matrix J, and
 the deformation alpha moves entries of J without moving that spectrum.  So
 nothing here computes an eigenvalue: :func:`spectrum` bounds, at each
 lattice point x_s, the distance to the nearest eigenvalue by the residual
-of a vector from the twisted factorisation of J - x_s (Parlett, *The
+of the vector that :func:`~qortho.recurrence.lattice_vectors`, the
+package's one twisted factorisation, gives for J - x_s (Parlett, *The
 Symmetric Eigenvalue Problem*, ch. 4; Dhillon-Parlett, SIAM J. Matrix Anal.
 Appl. 25, 2004).  The matrix is taken in double precision.
 """
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 import math
 
-from .recurrence import TridiagonalSystem, _smallest_twist, palindrome_residual
+from .recurrence import (DegenerateFamilyError, TridiagonalSystem, lattice_vectors,
+                         palindrome_residual)
 from .scalars import max_keep_nan
 
 __all__ = [
@@ -41,50 +43,31 @@ def build_jacobi(tri: TridiagonalSystem) -> SymmetricTridiagonal:
                                 offdiag=tuple(math.sqrt(v) for v in u))
 
 
-def _residual_radius(d, e, x) -> float:
-    """||(J - x) v|| / ||v|| for the twisted vector v of J at x.
-
-    With e padded by a zero at each end, the forward run s_0 = 1,
-    s_{n+1} = ((x - d_n) s_n - e_{n-1} s_{n-1}) / e_n and the backward run
-    t_N = 1, t_{N+1} = 0 are glued at the k of the smallest twist
-
-        |gamma_k| = |(d_k - x) + e_{k-1} s_{k-1}/s_k + e_k t_{k+1}/t_k|,
-
-    skipping a k where s_k or t_k is 0 (:func:`recurrence._smallest_twist`).
-    v is s_0..s_k followed by (s_k/t_k) t_{k+1}..t_N, and the residual is
-    taken over every row.  inf when every k is skipped.
-    """
-    n = len(d)
-    ee = (0.0, *e, 0.0)  # ee[k] = e_{k-1}
-    s = [0.0, 1.0]  # s_{-1}, s_0, ...
-    for k in range(n - 1):
-        s.append(((x - d[k]) * s[-1] - ee[k] * s[-2]) / ee[k + 1])
-    t = [0.0, 1.0]  # t_{N+1}, t_N, ...
-    for k in range(n - 1, 0, -1):
-        t.append(((x - d[k]) * t[-1] - ee[k + 1] * t[-2]) / ee[k])
-    t.reverse()  # t_0 .. t_{N+1}
-    glue, _ = _smallest_twist(
-        (k, abs(d[k] - x + ee[k] * s[k] / s[k + 1] + ee[k + 1] * t[k + 1] / t[k]))
-        for k in range(n) if s[k + 1] != 0 and t[k] != 0)
-    if glue is None:
-        return math.inf
-    ratio = s[glue + 1] / t[glue]
-    v = [0.0, *s[1:glue + 2], *(ratio * tk for tk in t[glue + 1:n]), 0.0]
-    rows = (ee[k] * v[k] + (d[k] - x) * v[k + 1] + ee[k + 1] * v[k + 2] for k in range(n))
-    return math.hypot(*rows) / math.hypot(*v)
-
-
 def spectrum(m: SymmetricTridiagonal, points) -> list:
     """Certified radii r_s, one per lattice point x_s in ``points`` order.
 
-    Some eigenvalue of ``m`` lies within r_s of x_s, up to the rounding of
-    the residual (:func:`_residual_radius`).  When the N+1 intervals
+    r_s = ||(J - x_s) v|| / ||v||, over every row of ``m``, for the vector v
+    of :func:`~qortho.recurrence.lattice_vectors` on the diagonal and the
+    squared off-diagonal of ``m``, so some eigenvalue of ``m`` lies within
+    r_s of x_s, up to the rounding of the residual.  When the N+1 intervals
     [x_s - r_s, x_s + r_s] are pairwise disjoint each holds exactly one
-    eigenvalue, and the radii are returned; when two of them overlap, every
-    radius is inf.  A NaN radius is returned as it is.
+    eigenvalue, and the radii are returned; when two of them overlap, or a
+    point has no glue index (it is no eigenvalue), every radius is inf.  A
+    NaN radius is returned as it is.
     """
+    d, e = m.diagonal, m.offdiag
     xs = [float(p) for p in points]
-    radii = [_residual_radius(m.diagonal, m.offdiag, x) for x in xs]
+    try:
+        vectors, _ = lattice_vectors(d, [v * v for v in e], xs)
+    except DegenerateFamilyError:
+        return [math.inf] * len(xs)
+    ee = (0.0, *e, 0.0)  # ee[k] = e_{k-1}
+    radii = []
+    for x, y in zip(xs, vectors):
+        v = (0.0, *y, 0.0)
+        rows = (ee[k] * v[k] + (dk - x) * v[k + 1] + ee[k + 1] * v[k + 2]
+                for k, dk in enumerate(d))
+        radii.append(math.hypot(*rows) / math.hypot(*v))
     spans = sorted((x - r, x + r) for x, r in zip(xs, radii))
     if any(lo <= prev_hi for (_, prev_hi), (lo, _) in zip(spans, spans[1:])):
         return [math.inf] * len(radii)

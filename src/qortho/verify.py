@@ -11,15 +11,15 @@ once, in a :class:`RunTables` that every suite of the run reads and that is
 dropped when the run ends.
 
 The orthogonality suite evaluates the table at its lattice once, with
-:func:`~qortho.recurrence.lattice_values`, and the Gram errors and the
-Christoffel weights both read those values: :mod:`qortho.recurrence`'s code
-for both kinds, called here as ``gram_errors`` and
-``para_racah.weights_from_christoffel``.  The bispectral and explicit suites
-each draw their ten points once and check every degree at them: the
-bispectral one with one recurrence pass per point and shift, the explicit
-one with one ``para_racah.eval_explicit`` call and one recurrence pass per
-point.  The isospectral grid is typed by q, so an extended run deforms its
-table at its own precision.
+:func:`~qortho.recurrence.lattice_vectors`, and its Gram errors and
+Christoffel weights (``gram_errors`` and ``para_racah.weights_from_christoffel``,
+:mod:`qortho.recurrence`'s code for both kinds) read those vectors.  The
+isospectral radii come from the same factorisation of each Jacobi matrix in
+double, on a grid typed by q, so an extended run deforms at its precision.
+The bispectral and explicit suites each draw their ten points once and check
+every degree at them: the bispectral one with one recurrence pass per point
+and shift, the explicit one with one ``para_racah.eval_explicit`` call and
+one recurrence pass per point.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import random
 from functools import cached_property
 
 from . import connections, para_krawtchouk, para_racah, spectral
-from .recurrence import (family_module, gram_errors, lattice_values, persymmetry_residual,
+from .recurrence import (family_module, gram_errors, lattice_vectors, persymmetry_residual,
                          tridiagonal)
 from .scalars import is_mp, max_keep_nan, typed_float
 
@@ -129,9 +129,9 @@ def _is_qpk(fam) -> bool:
 def suite_orthogonality(run, rng):
     """Favard positivity, strand sums, Gram errors and the Christoffel
     cross-check; for qpr also the beta factor.  The Gram errors and the
-    Christoffel weights read one :func:`lattice_values` evaluation.  The
+    Christoffel weights read one :func:`lattice_vectors` evaluation.  The
     cross-check fails when the two weight routes disagree or when a lattice
-    point's twist, the eigenvalue residual of the twisted values, is above
+    point's twist, the eigenvalue residual of the twisted vectors, is above
     its tolerance.  qpk has no alpha = 1/2 weights, so no beta factor."""
     fam, tri = run.fam, run.tri
     note = "" if _is_qpk(fam) else "min u_n = %.3e" % float(min(tri.u))
@@ -144,11 +144,11 @@ def suite_orthogonality(run, rng):
     se, so = lw.strand_sums()
     checks.append(_check("weight-sum-even", abs(se - (1 - fam.alpha)), TOL_WEIGHT_SUM))
     checks.append(_check("weight-sum-odd", abs(so - fam.alpha), TOL_WEIGHT_SUM))
-    rows, twist = lattice_values(tri, lw.points)
-    d, o = gram_errors(rows, lw)
+    vectors, twist = lattice_vectors(tri.b, tri.u, lw.points)
+    d, o = gram_errors(vectors, lw)
     checks.append(_check("gram-diagonal", d, TOL_GRAM))
     checks.append(_check("gram-off-diagonal", o, TOL_GRAM))
-    cw = para_racah.weights_from_christoffel(tri, lw, rows)
+    cw = para_racah.weights_from_christoffel(tri, lw, vectors)
     worst = max_keep_nan(twist, *(abs(x - y) / abs(x) for x, y in zip(lw.weights, cw.weights)))
     checks.append(_check("christoffel-cross-check", worst, TOL_CHRISTOFFEL))
     if _is_qpk(fam):

@@ -64,9 +64,9 @@ def test_criterion_02_orthogonality():
         tri = recurrence.tridiagonal(fam)
         lw = para_racah.weights(tri)
         # The twist certifies the points as zeros of R_{N+1}, which the glued
-        # values themselves would hide.
-        rows, twist = recurrence.lattice_values(tri, lw.points)
-        d, o = verify.gram_errors(rows, lw)
+        # vectors themselves would hide.
+        vectors, twist = recurrence.lattice_vectors(tri.b, tri.u, lw.points)
+        d, o = verify.gram_errors(vectors, lw)
         assert twist <= 1e-8, (fam, twist)
         assert d <= 1e-8, (fam, d)
         assert o <= 1e-8, (fam, o)
@@ -132,8 +132,8 @@ def test_criterion_06_christoffel_cross_check():
         half_tri = recurrence.tridiagonal(half)
         tri = recurrence.tridiagonal(fam)
         lw = para_racah.weights(tri)
-        rows, twist = recurrence.lattice_values(tri, lw.points)
-        cw = para_racah.weights_from_christoffel(tri, lw, rows)
+        vectors, twist = recurrence.lattice_vectors(tri.b, tri.u, lw.points)
+        cw = para_racah.weights_from_christoffel(tri, lw, vectors)
         assert twist <= 1e-7, (fam, twist)
         for w_closed, w_chr in zip(lw.weights, cw.weights):
             assert abs(w_closed - w_chr) <= 1e-7 * abs(w_closed), fam

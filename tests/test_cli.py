@@ -221,7 +221,7 @@ def test_explicit_precision_suppresses_promotion(capsys):
 
 # At this parameter set the double-precision weights are all NaN.
 NAN_WEIGHTS = ["--kind", "qpr", "--a", "0.9", "--c", "0.7", "--alpha", "0.5",
-               "--q", "0.5", "--N", "70", "--precision", "double", "--format", "csv"]
+               "--q", "0.5", "--N", "64", "--precision", "double", "--format", "csv"]
 
 
 def test_max_keep_nan():
@@ -258,15 +258,15 @@ def test_uncertified_gram_trailer_exits_4(capsys):
         "--q", "0.2", "--N", "30", "--precision", "extended:15"])
     assert code == 4
     assert "orthogonality not certified" in err
-    assert out.strip().splitlines()[-1] == "# gram_max_error = 1.398e-06"
+    assert out.strip().splitlines()[-1] == "# gram_max_error = 1.365e-06"
 
 
 def test_the_twist_alone_makes_lattice_weights_exit_4(capsys, monkeypatch):
-    # The twisted values hide a point that is not a zero of R_{N+1} from the
+    # The twisted vectors hide a point that is not a zero of R_{N+1} from the
     # Gram errors, so the twist enters gram_max_error by itself.
-    original = cli.lattice_values
-    monkeypatch.setattr(cli, "lattice_values",
-                        lambda tri, points: (original(tri, points)[0], 2 * verify.TOL_GRAM))
+    original = cli.lattice_vectors
+    monkeypatch.setattr(cli, "lattice_vectors",
+                        lambda b, u, points: (original(b, u, points)[0], 2 * verify.TOL_GRAM))
     code, out, err = run_cli(capsys, ["lattice-weights"] + QPR)
     assert code == 4
     assert "orthogonality not certified: gram_max_error = 2.000e-08" in err
@@ -287,6 +287,72 @@ def test_large_n_orthogonality_is_certified(capsys, argv):
     assert (code, err) == (0, "")
 
 
+QPK_DOUBLE = ["--kind", "qpk", "--Delta", "1.3", "--alpha", "0.5", "--precision", "double"]
+
+
+@pytest.mark.parametrize("command", [["lattice-weights"], ["verify", "--suite", "orthogonality"]],
+                         ids=["lattice-weights", "verify"])
+def test_gram_forms_no_normalization_product(capsys, command):
+    # h_n h_m underflows in double at these families although each h_n is a
+    # normal double; Gram reads the scaled vectors and only the sign of h_n.
+    code, _, err = run_cli(capsys, command + QPK_DOUBLE + ["--q", "0.5", "--N", "40"])
+    assert (code, err) == (0, "")
+    # At q = 0.3, N = 30 the double weights are good to about 3e-8, so a
+    # named Gram line fails.
+    code, out, err = run_cli(capsys, command + QPK_DOUBLE + ["--q", "0.3", "--N", "30"])
+    assert code == 4
+    if command[0] == "verify":
+        failed = [row.split(",")[0] for row in out.splitlines()[1:] if ",fail," in row]
+        assert failed and all(name.startswith("orthogonality/gram-") for name in failed)
+    else:
+        assert err.startswith("orthogonality not certified: gram_max_error = ")
+
+
+@pytest.mark.parametrize("N", ["8", "9"])
+@pytest.mark.parametrize("family", [["--kind", "qpr", "--a", "0.9", "--c", "0.7"],
+                                    ["--kind", "qpk", "--Delta", "1.3"]], ids=["qpr", "qpk"])
+def test_signed_measures_keep_their_gram_certificate(capsys, family, N):
+    # Outside the positivity region some h_n < 0, and Gram is read against
+    # sign(h_n).
+    argv = family + ["--alpha", "0.5", "--q", "0.8", "--N", N]
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "orthogonality"] + argv)
+    assert code == 4
+    assert out.splitlines()[1].startswith("orthogonality/favard-positivity,fail,")
+    code, out, err = run_cli(capsys, ["lattice-weights"] + argv)
+    assert (code, err) == (0, "")
+    assert float(out.splitlines()[-1].split(" = ")[1]) <= verify.TOL_GRAM
+
+
+# Exit codes in double at alpha 1/2 (a 0.9, c 0.7 and Delta 1.3), one string
+# per q in 0.2, 0.3 and 0.5: lattice-weights, verify --suite orthogonality
+# and, for qpr, verify --suite isospectral.  2 is a double overflow or a y_0^2
+# that underflows, and 4 the qpk Gram at q = 0.3, N = 30 (about 3e-8).
+LARGE_N_EXIT_CODES = {
+    ("qpr", 20): ("000", "000", "000"),
+    ("qpr", 30): ("220", "000", "000"),
+    ("qpr", 40): ("220", "220", "000"),
+    ("qpr", 60): ("220", "220", "220"),
+    ("qpk", 20): ("00", "00", "00"),
+    ("qpk", 30): ("22", "44", "00"),
+    ("qpk", 40): ("22", "22", "00"),
+    ("qpk", 60): ("22", "22", "22"),
+}
+
+
+@pytest.mark.parametrize("kind,N", LARGE_N_EXIT_CODES, ids=lambda v: str(v))
+def test_large_n_exit_codes_in_double(capsys, kind, N):
+    family = (["--kind", "qpr", "--a", "0.9", "--c", "0.7"] if kind == "qpr"
+              else ["--kind", "qpk", "--Delta", "1.3"])
+    commands = [["lattice-weights"], ["verify", "--suite", "orthogonality"]]
+    if kind == "qpr":
+        commands.append(["verify", "--suite", "isospectral"])
+    codes = tuple("".join(
+        str(run_cli(capsys, command + family + ["--alpha", "0.5", "--q", q, "--N", str(N),
+                                                "--precision", "double"])[0])
+        for command in commands) for q in ("0.2", "0.3", "0.5"))
+    assert codes == LARGE_N_EXIT_CODES[kind, N]
+
+
 def _reject_constant(name):
     raise ValueError("not strict JSON: %s" % name)
 
@@ -294,7 +360,7 @@ def _reject_constant(name):
 @pytest.mark.parametrize("argv,field", [
     ("verify --a 0.9 --c 0.2 --alpha 0.5 --q 0.5 --N 4 --suite orthogonality --format json",
      lambda doc: [c["residual"] for c in doc["checks"]]),
-    ("lattice-weights --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 70 --precision double "
+    ("lattice-weights --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 64 --precision double "
      "--format json", lambda doc: [r["w"] for r in doc["rows"]]),
 ], ids=["verify", "lattice-weights"])
 def test_json_output_is_strict_with_non_finite_values(capsys, argv, field):
@@ -338,6 +404,19 @@ def test_underflow_is_not_invalid_parameters(capsys, command):
                    "float division by zero\n")
 
 
+@pytest.mark.parametrize("command", [["lattice-weights"], ["verify", "--suite", "orthogonality"]],
+                         ids=["lattice-weights", "verify"])
+def test_an_underflowed_first_component_is_refused(capsys, command):
+    # At N = 70 some lattice point's y_0 is about 4e-184, so y_0^2 underflows
+    # to 0 in double: Gram would divide by it, and the run refuses.
+    code, out, err = run_cli(capsys, command + [
+        "--kind", "qpr", "--a", "0.9", "--c", "0.7", "--alpha", "0.5", "--q", "0.5",
+        "--N", "70", "--precision", "double"])
+    assert (code, out) == (2, "")
+    assert err == ("numeric underflow or zero denominator at double precision: "
+                   "float division by zero\n")
+
+
 def test_zero_denominator_without_a_message_names_the_precision(capsys):
     # Delta q^(j+1) = 1 (Delta = 4 at q = 1/2, N = 2, outside the positivity
     # region) is an exact zero of the denominator of qpk's closed-form
@@ -373,17 +452,14 @@ LARGE_N_ISOSPECTRAL = ["verify", "--kind", "qpr", "--a", "0.9", "--c", "0.7",
 
 @pytest.mark.parametrize("precision", ["double", "extended"])
 def test_large_n_isospectral_is_certified_or_fails_its_lines(capsys, precision):
-    # At N = 60 the entries of J span twenty decades.  At q = 0.3 every
-    # lattice point is certified; at q = 0.2 the forward run overflows at the
-    # largest points, and the suite fails both lines with a NaN residual.
+    # At N = 60 the entries of J span twenty decades.  The pivots of the
+    # twisted factorisation are ratios, so no run overflows: at q = 0.3 and
+    # at q = 0.2 every lattice point is certified.
     options = ["--precision", precision, "--q"]
-    code, out, err = run_cli(capsys, LARGE_N_ISOSPECTRAL + options + ["0.3"])
-    assert (code, err) == (0, "")
-    assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["pass", "pass"]
-    code, out, err = run_cli(capsys, LARGE_N_ISOSPECTRAL + options + ["0.2"])
-    assert (code, err) == (4, "verification failed: 2 of 2 checks\n")
-    assert out.splitlines()[1:] == ["isospectral/isospectrality,fail,nan,1.000000e-09,",
-                                    "isospectral/spectrum-vs-lattice,fail,nan,1.000000e-09,"]
+    for q in ("0.3", "0.2"):
+        code, out, err = run_cli(capsys, LARGE_N_ISOSPECTRAL + options + [q])
+        assert (code, err) == (0, ""), q
+        assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["pass", "pass"], q
 
 
 def test_no_eigenvalue_iteration_is_left_to_fail():
@@ -506,31 +582,31 @@ GOLDEN = [
     ("coeffs --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
      "1e923937fcc248028a0c6ec3970e1be19a6e6352935bf4f35a78c7da5a062138"),
     ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5 --format csv",
-     "2ed260fdb3679be4c7ab7cac151d43e5b65184d731d597abe8400ddc8047f409"),
+     "0784897e7d0668e12b9a509fbac96f5a5ebea120caed133bfa1d1eab05312dab"),
     ("lattice-weights --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --format json --precision extended",
-     "694ffb4989def818d2648c87cda8b5901e44dd6f36984ff34bcb0290291374ae"),
+     "b620e78bb62df115799657dc160c0662b281b2de6a0e1bc3604268f5ed6dcb1c"),
     ("lattice-weights --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format csv --precision extended:30",
-     "dfca46aecc6bbb8dccf9cb4a10ff04408a71f919a70545c496cd82b86369da23"),
+     "5ffc99f5e41e6705dcb9f58cf5054ff3504daad386d21189fafbc862fa57da0f"),
     ("lattice-weights --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format json",
-     "71b6d6d14e5f775a85489ca6dfa27f1ff151e642af8dc6bc1727c5bf94e42879"),
+     "01038ec315abda4a69bae6f22f582f30f28050314b36664f7bef4c2ada2b6594"),
     ("lattice-weights --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --format csv --precision extended:40",
-     "d6c3da6feed25de7bd684dd148de66cd6315c968a44028d10fc49d0fa081b79d"),
+     "135eb7931cf3d840caf1416e11b0306525ed1a68038290c0ad49ad71329e5903"),
     ("lattice-weights --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
-     "3b3cb537527088c0d5a4ca61aa2da87a05933b5ceb28885f38d02f10677c7752"),
+     "6f98faaa99978eb4bfec25ce625ad6ff2dbda2a38705bc9f2c293d645eceb49b"),
     ("coeffs --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format csv",
      "1bd54ff8d1139511527c197b15b5ac163eaf16e219f7da8ddabaea15905a9056"),
     ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format json",
-     "ee17628f235bf60904fb287b33fba920fc1741abf6cfdc9c4117ef2ffc1a5dd8"),
+     "a46bb4720e65a974990fcf2502d9a8a91aa7dbba411c4ace48521278f5c99761"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5 --format csv --precision double",
-     "7ed6b6d66c772973795de57b2141f8fafe6b8fc8c439ae93277b1c84556af58c"),
+     "db91bbe2a353054babb75cabd2428ff197c8bef0b4b5734d712718ea4831ca19"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --format json --precision double --seed 3",
-     "62861f55df9592b41ebf0197d74c56cb1a17e1edefad33001b76397acad3df64"),
+     "9cbdff3a5b8828744143db7ab3b3502b7a9409d3b0b9f810c9848375b9477d82"),
     ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
-     "48c5fa5b010bd1154cdd08d3983ed54c19664447981a6092eb54a7500f1a9699"),
+     "df14261354ca68e03cca1515251fa4d7be07257824c7ea48ae5f722a6915cecb"),
     ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format csv --precision extended",
-     "9e3fc0bb4b4c4adac9ce7cc9aee3250b2073a4f802c265c65866028cc8be765e"),
+     "f5b9fa457add7153fddd5dad1e65d2ca11b305cdb197598f02d962e1a41743b9"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --suite orthogonality --format json --precision extended",
-     "101a8b252208e1f490beadf4c793a3770d0766ee1fd66b7de6680bd6426050c9"),
+     "48624a550ca1ea96a5112cfc21b978d51c2a463bc4947c0c06970ecbec0bb504"),
     # The explicit expansion of both parities, in double where the 40-digit
     # rerun fires (q = 0.3) and at 60 digits.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.3 --N 8 --suite explicit --format csv --precision double",
@@ -545,11 +621,11 @@ GOLDEN = [
     # verify-ext benchmark: odd N, even N, and odd N with the middle-degree
     # branch at n = j and j+1; and the q-difference check at 60 digits.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 9 --format json --precision extended",
-     "aee4417783e2eede97d28da9923dba428f19a2a556732e7dc969b9810678e7b9"),
+     "beeeec04ddefc73a2ce4d21b5dbaea6ae0da040e6936f5040ddc0e7c3668e747"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 12 --format json --precision extended",
-     "1aaa5453e51281f3186cf81a9d40ec1985b57e93836c6cc7518c8efb93b31b1d"),
+     "b66d558a63932c1838e44025cee8cc9cff49433622a5232b43b7401c70c78e20"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --format json --precision extended",
-     "b5c7ed729fcda90df73fcfdce7469fd5d1895c4701aabc156a7aeb30fbcbb510"),
+     "4dc349488856929d589d4926d5878ac3c8f17d48c1d704ff545e2f30994a1e8f"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite bispectral --format json --precision extended:60",
      "dbb4f19b7bd38643eccb833816c5c6f491ed0d618e15ec8beefedc3fd9874e7f"),
     # The two limit oracles, which extrapolate at a fixed 50 digits whatever
@@ -560,36 +636,36 @@ GOLDEN = [
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 8 --suite qpk-limit --format csv --precision extended:80",
      "a41a5d52c5051fba59e1a2d802321c168a34dec7d019ca4a746e846913b50768"),
     ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 7 --suite all --format csv --precision double",
-     "d5ea91860f1c1d38a44ff76a69c68db8e1cf54b78f280a6a3d5322d37e2eb1da"),
+     "79668b8cfcbbc9773f514a32ed02cdc68b9aecf0ac11020e0dc70f736a2b872e"),
     ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 8 --suite all --format json --precision extended",
-     "85df9c306e1ff0c319652357b1df8df9edcf2ecfa6f71683ae13cf3d83861919"),
+     "3837bc799372f98e87ceea1405defa51d64d12d131320c99ff4ddc68108ee2d1"),
     # The isospectral suite's deformed tables: N = 1, 2, 3, where the splice
     # n = j, j+1 reaches both ends of the table, families at alpha = 1/2 of
     # both parities, and one at a grid alpha, each in double and extended.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 1 --suite isospectral --format json --precision double",
-     "56374cdcd43a0d442dcfd62c0b6e676f7a3fea35e4838102655c31c2fa674d77"),
+     "9708b1243b1b8b6962dd20eb8390f97ae95bdc8be59924c0662e3ddf201fea66"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 1 --suite isospectral --format json --precision extended",
-     "eb4fb1468903f4e808e12dcfefd7c79ff1c1e6b730eb8dacd3240cbdc949de08"),
+     "9a907680a2639710e580fe66dbb85030c9ddb588600a3535e2a92b5bcfeafaad"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 2 --suite isospectral --format json --precision double",
-     "96e3288f86ba004b2738be34ea406ea19b02d3c3d0f2fece1dda2057013952cb"),
+     "db79053b4c4461f1b8275c1193ec68b51b6718a160eefbf5939d2ebea0dd2427"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 2 --suite isospectral --format json --precision extended",
-     "16192111ba44f06b178be841f690ceeef71c886413589b93772148c02fb60ed2"),
+     "f90f538ea26751ee26c2c05864e73e8b58907232c07fa80161ab24a7fa6c6048"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 3 --suite isospectral --format json --precision double",
-     "850abb20fd25e34300a426c2230e7c9441926006b7810204177ba5ee09dc6caf"),
+     "25773b1e891e7273f356258559f33a1151664c611e4f9717a10b22775973ab5d"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 3 --suite isospectral --format json --precision extended",
-     "d89235aa790e23980c3ff2e7ba21b8110e912c2b437fcda006474958a7ce3ffe"),
+     "7db1c1d079ebc4de1f6f6fe593ac7a30fb1014373135f2cef15b6a93b8f21019"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 7 --suite isospectral --format json --precision double",
-     "626e7a7c0a36e135810f6af351cc888e84ee61fc3aa64f9c885427003ccf1458"),
+     "9b499adc725dcb9e75ca1e1fcd8a01cbb724182d70f813921828576f5852fd4b"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 7 --suite isospectral --format json --precision extended",
-     "41791c43a820b94015176f31178a5f3dcd3f4ce2db806a00676f4bd8a54b9868"),
+     "18636c3d5db9e2ce234c112597c3e6fa61da1aabd3aa1acfa0cc06169ddc0c54"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --suite isospectral --format json --precision double",
-     "10be5a11af3140b6affc8b9a7cae37698b3b9d1188ca413865fae25666503f34"),
+     "89115cf51295c3270e611b9ec8e6749132746e373b0df6955c8b6ad5d0157a59"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --suite isospectral --format json --precision extended",
-     "cc434054808813a09af8ab1ac37de5d07bb42910dce7f385e87f413605a6f166"),
+     "24f757da5718cc1c344986058ab5ff480fc4aed467b91f43dd5295d397c360f8"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.7 --q 0.5 --N 4 --suite isospectral --format json --precision double",
-     "0ae7a30b7142123cf2fd38f66be45414717ceaf72602cd0ad105c28e293c8e84"),
+     "f6bf1e6a287d24387e2d4eba541cbed60dd04af1af21a78b732df510288e20a4"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.7 --q 0.5 --N 4 --suite isospectral --format json --precision extended",
-     "eab269be8fc41a3c6ea425c59a2976b92567cdd37b62514f728fe1b7397952bd"),
+     "c28c1e95f6aa870683be85f174882489cf5e877aa76580937ef038d8355b26bc"),
 ]
 
 

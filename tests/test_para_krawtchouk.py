@@ -15,7 +15,7 @@ from qortho.para_krawtchouk import (
     weights,
 )
 from qortho.para_racah import DegenerateFamilyError
-from qortho.recurrence import (lattice_values, persymmetry_residual, tridiagonal,
+from qortho.recurrence import (lattice_vectors, persymmetry_residual, tridiagonal,
                                weights_from_christoffel)
 
 ODD = ParaKrawtchoukFamily(Delta=1.3, alpha=0.35, q=0.5, N=5)
@@ -195,8 +195,8 @@ def test_christoffel_route_matches_closed_forms(N, num, dps, tol):
         fam = ParaKrawtchoukFamily(Delta=num("1.3"), alpha=num("0.35"), q=num("0.5"), N=N)
         tri = tridiagonal(fam)
         lw = weights(tri)
-        rows, twist = lattice_values(tri, lw.points)
-        cw = weights_from_christoffel(tri, lw, rows)
+        vectors, twist = lattice_vectors(tri.b, tri.u, lw.points)
+        cw = weights_from_christoffel(tri, lw, vectors)
         assert cw.points == lw.points and cw.positive_measure and twist <= tol
         for w_closed, w_chr in zip(lw.weights, cw.weights):
             assert abs(w_closed - w_chr) <= tol * abs(w_closed)

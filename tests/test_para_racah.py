@@ -7,7 +7,7 @@ import pytest
 
 import support
 from oracles.para_racah import char_poly_eval, char_poly_scale, positivity_check
-from qortho import para_racah
+from qortho import para_krawtchouk, para_racah
 from qortho.para_racah import (
     DegenerateFamilyError,
     ParaRacahFamily,
@@ -23,7 +23,7 @@ from qortho.para_racah import (
     weights_from_christoffel,
 )
 from qortho.qseries import SingularSeriesError
-from qortho.recurrence import lattice_values, persymmetry_residual, tridiagonal
+from qortho.recurrence import family_module, lattice_vectors, persymmetry_residual, tridiagonal
 
 ODD = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=5)
 EVEN = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=6)
@@ -311,21 +311,36 @@ def test_gram_orthogonality(fam):
 def test_christoffel_route_matches_closed_forms(fam):
     tri = tridiagonal(fam)
     lw = weights(tri)
-    rows, twist = lattice_values(tri, lw.points)
-    cw = weights_from_christoffel(tri, lw, rows)
+    vectors, twist = lattice_vectors(tri.b, tri.u, lw.points)
+    cw = weights_from_christoffel(tri, lw, vectors)
     for w_closed, w_chr in zip(lw.weights, cw.weights):
         assert abs(w_closed - w_chr) <= 1e-7 * abs(w_closed)
     assert cw.positive_measure
     assert twist <= 1e-14
 
 
+@pytest.mark.parametrize("N", [8, 9])
+@pytest.mark.parametrize("kind", ["qpr", "qpk"])
+def test_christoffel_route_matches_closed_forms_of_a_signed_measure(kind, N):
+    # At q = 0.8 some u_n and h_n are negative: w_s = y_0^2 / sum_n
+    # sign(h_n) y_n^2 still gives the closed-form weights, negative ones too.
+    fam = (ParaRacahFamily(a=0.9, c=0.7, alpha=0.5, q=0.8, N=N) if kind == "qpr"
+           else para_krawtchouk.ParaKrawtchoukFamily(Delta=1.3, alpha=0.5, q=0.8, N=N))
+    tri = tridiagonal(fam)
+    lw = family_module(fam).weights(tri)
+    vectors, twist = lattice_vectors(tri.b, tri.u, lw.points)
+    cw = weights_from_christoffel(tri, lw, vectors)
+    assert not tri.positive and not cw.positive_measure and twist <= 1e-14
+    for w_closed, w_chr in zip(lw.weights, cw.weights):
+        assert abs(w_closed - w_chr) <= 1e-7 * abs(w_closed)
+
+
 def test_weights_refuse_degenerate_spectrum():
     fam = ParaRacahFamily(a=0.8, c=0.8, alpha=0.5, q=0.5, N=5)
     with pytest.raises(DegenerateFamilyError):
         weights(tridiagonal(fam))
-    # At c = a a mid-band u_n vanishes, and the backward run of
-    # lattice_values would divide by it: the Christoffel route refuses the
-    # family before it reads a row.
+    # At c = a a mid-band u_n vanishes and the weights are undefined: the
+    # Christoffel route refuses the family before it reads a vector.
     with pytest.raises(DegenerateFamilyError):
         weights_from_christoffel(tridiagonal(fam), lattice(fam), [])
 

@@ -118,16 +118,18 @@ def reference_richardson(values, ratio):
     return estimates
 
 
-def reference_gram_errors(rows, lw):
-    cols = list(zip(*rows))
+def reference_gram_errors(vectors, lw):
+    cols = list(zip(*vectors))
+    scale = [w / (y[0] * y[0]) for w, y in zip(lw.weights, vectors)]
     worst_diag = worst_off = 0.0
     for n in range(len(cols)):
+        sign = -1 if lw.h[n] < 0 else 1
         for m in range(n + 1):
-            g = sum(w * pn * pm for w, pn, pm in zip(lw.weights, cols[n], cols[m]))
+            g = sum(c * yn * ym for c, yn, ym in zip(scale, cols[n], cols[m]))
             if n == m:
-                worst_diag = max_keep_nan(worst_diag, abs(g - lw.h[n]) / abs(lw.h[n]))
+                worst_diag = max_keep_nan(worst_diag, abs(g - sign))
             else:
-                worst_off = max_keep_nan(worst_off, abs(g) / sqrt(abs(lw.h[n] * lw.h[m])))
+                worst_off = max_keep_nan(worst_off, abs(g))
     return float(worst_diag), float(worst_off)
 
 
@@ -343,9 +345,10 @@ def test_richardson_is_the_plain_table(dps):
                     reference_richardson(values, ratio))
 
 
-def _columns(rows, lw):
-    cols = list(zip(*rows))
-    return [list(map(mul, lw.weights, col)) for col in cols], cols
+def _columns(vectors, lw):
+    cols = list(zip(*vectors))
+    scale = [w / (y[0] * y[0]) for w, y in zip(lw.weights, vectors)]
+    return [list(map(mul, scale, col)) for col in cols], cols
 
 
 @pytest.mark.parametrize("num,dps", PRECISIONS)
@@ -356,14 +359,14 @@ def test_gram_dot_products_and_errors_are_the_plain_loops(kind, N, num, dps):
     with mpmath.workdps(dps):
         tri = tridiagonal(_family(kind, N, num))
         lw = module.weights(tri)
-        rows, _ = recurrence.lattice_values(tri, lw.points)
-        assert _bits(verify.gram_errors(rows, lw)) == _bits(reference_gram_errors(rows, lw))
-        weighted, cols = _columns(rows, lw)
+        vectors, _ = recurrence.lattice_vectors(tri.b, tri.u, lw.points)
+        assert _bits(verify.gram_errors(vectors, lw)) == _bits(reference_gram_errors(vectors, lw))
+        weighted, cols = _columns(vectors, lw)
         if num is float:
             return
-        # Every dot product gram_errors takes on raw tuples: columns m >= 1.
+        # Every dot product gram_errors takes on raw tuples.
         for n in range(N + 1):
-            for m in range(1, n + 1):
+            for m in range(n + 1):
                 assert _bits(_mpfloops.dot(weighted[n], cols[m])) == _bits(
                     sum(map(mul, weighted[n], cols[m])))
         # A special value at one lattice point, and a float weight (mixed).
@@ -372,11 +375,11 @@ def test_gram_dot_products_and_errors_are_the_plain_loops(kind, N, num, dps):
                 weights = list(lw.weights)
                 weights[s] = poison
                 bad = lw.replace(weights=tuple(weights))
-                assert _bits(verify.gram_errors(rows, bad)) == _bits(
-                    reference_gram_errors(rows, bad)), (poison, s)
+                assert _bits(verify.gram_errors(vectors, bad)) == _bits(
+                    reference_gram_errors(vectors, bad)), (poison, s)
                 if poison == 0.5:
                     continue
-                weighted, cols = _columns(rows, bad)
-                for m in range(1, N + 1):
+                weighted, cols = _columns(vectors, bad)
+                for m in range(N + 1):
                     assert _bits(_mpfloops.dot(weighted[N], cols[m])) == _bits(
                         sum(map(mul, weighted[N], cols[m])))

@@ -18,7 +18,7 @@ from qortho.connections import QRacahParams
 from qortho.para_krawtchouk import ParaKrawtchoukFamily
 from qortho.para_racah import LatticeWeights, ParaRacahFamily
 from qortho.qseries import SeriesSpec
-from qortho.recurrence import TridiagonalSystem, lattice_values, tridiagonal
+from qortho.recurrence import TridiagonalSystem, lattice_vectors, tridiagonal
 from qortho.spectral import SymmetricTridiagonal
 from qortho.verify import Check
 
@@ -158,8 +158,8 @@ def _weighted_and_deformed_digest():
                     kind = para_racah if type(fam) is ParaRacahFamily else para_krawtchouk
                     tables = [kind.weights(tri)]
                     if kind is para_racah:
-                        rows, _ = lattice_values(tri, tables[0].points)
-                        tables.append(para_racah.weights_from_christoffel(tri, tables[0], rows))
+                        vectors, _ = lattice_vectors(tri.b, tri.u, tables[0].points)
+                        tables.append(para_racah.weights_from_christoffel(tri, tables[0], vectors))
                     out.extend(_fields(lw, _WEIGHT_FIELDS) for lw in tables)
                     for al in (0.1, 0.3, 0.5, 0.7, 0.9):
                         moved = tri.at_alpha(al)
@@ -170,4 +170,4 @@ def _weighted_and_deformed_digest():
 
 def test_weighted_and_deformed_tables_are_unchanged_bit_for_bit():
     assert _weighted_and_deformed_digest() == (
-        "2e6162255c99fca942b409993d12ae0b31f2a05d5de0961929bb3ee5a4363c1b")
+        "cc12fc3c4baaaccbadfe9879141d078b737e419987334e11a4a4a4405679ffb1")

@@ -1,11 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from oracles.spectral import spectrum as ql_spectrum
 from qortho import para_krawtchouk
 from qortho.para_racah import ParaRacahFamily, lattice
-from qortho.recurrence import family_module, tridiagonal
+from qortho.recurrence import (LatticeWeights, TridiagonalSystem, family_module, gram_errors,
+                               lattice_vectors, tridiagonal, weights_from_christoffel)
 from qortho.spectral import (
     SymmetricTridiagonal,
     build_jacobi,
@@ -151,3 +153,70 @@ def test_every_oracle_eigenvalue_lies_within_its_radius(kind, q):
         paired = zip(ql_spectrum(m), sorted(zip(points, spectrum(m, points))))
         for eig, (x, r) in paired:
             assert abs(eig - x) <= r + slack, (fam, x, eig, r)
+
+
+def _residual(m, x, y):
+    """||(J - x) y|| / ||y|| over every row of ``m``."""
+    ee = (0.0, *m.offdiag, 0.0)
+    v = (0.0, *y, 0.0)
+    rows = (ee[k] * v[k] + (d - x) * v[k + 1] + ee[k + 1] * v[k + 2]
+            for k, d in enumerate(m.diagonal))
+    return math.hypot(*rows) / math.hypot(*v)
+
+
+@pytest.mark.parametrize("fam", [
+    ParaRacahFamily(a=0.9, c=0.7, alpha=0.75, q=0.2, N=60),
+    para_krawtchouk.ParaKrawtchoukFamily(Delta=1.3, alpha=0.3, q=0.2, N=60),
+], ids=["qpr", "qpk"])
+def test_large_n_vectors_have_residuals_within_eight_eps(fam):
+    # The entries of J span many decades; the pivots are ratios, so nothing
+    # overflows and every vector's residual is a few ulps of ||J||.
+    m = build_jacobi(tridiagonal(fam))
+    points = [float(x) for x in family_module(fam).lattice(fam).points]
+    vectors, _ = lattice_vectors(m.diagonal, [e * e for e in m.offdiag], points)
+    bound = 8 * EPS * matrix_norm(m)
+    assert all(_residual(m, x, y) <= bound for x, y in zip(points, vectors))
+    radii = spectrum(m, points)
+    if isinstance(fam, ParaRacahFamily):
+        assert all(r <= bound for r in radii)
+    else:
+        # qpk's lattice points near 0 lie about 1e-21 apart, closer than
+        # their radii: the intervals overlap, so none is certified alone.
+        assert radii == [math.inf] * len(points)
+
+
+# The zero-pivot rule of recurrence.lattice_vectors.
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e100])
+def test_zero_pivots_of_the_free_jacobi_matrix(scale):
+    # b = 0 and u = scale^2 on three rows.  At x = 0 the pivots from the top
+    # are 0, inf and 0, and so are those from the bottom: the vector is read
+    # across the zero pivots.  At scale 1e100, h_2 = 1e400 overflows, and
+    # only its sign is read.
+    m = SymmetricTridiagonal(diagonal=(0.0,) * 3, offdiag=(scale,) * 2)
+    points = (-math.sqrt(2) * scale, 0.0, math.sqrt(2) * scale)
+    assert all(r <= 8 * EPS * matrix_norm(m) for r in spectrum(m, points))
+    u = (scale * scale,) * 2
+    vectors, _ = lattice_vectors(m.diagonal, u, points)
+    tri = TridiagonalSystem(family=SimpleNamespace(require_distinct_strands=lambda: None),
+                            b=m.diagonal, u=u, positive=True)
+    lw = LatticeWeights(points).weighted((0.25, 0.5, 0.25), tri.h)
+    assert weights_from_christoffel(tri, lw, vectors).weights == pytest.approx(
+        lw.weights, rel=4 * EPS, abs=0)
+    assert all(err <= 4 * EPS for err in gram_errors(vectors, lw))
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_zero_pivot_at_a_lattice_point(alpha):
+    # At the lattice point s = 13 the pivot from the top at k = 7 is exactly
+    # 0 in double, at every alpha.
+    fam = ParaRacahFamily(a=0.9, c=0.7, alpha=alpha, q=0.2, N=16)
+    m = build_jacobi(tridiagonal(fam))
+    points = lattice(fam).points
+    x = float(points[13])
+    pivot = x - m.diagonal[0]
+    for d, e in zip(m.diagonal[1:8], m.offdiag):
+        pivot = (x - d) - e * e / pivot
+    assert pivot == 0
+    assert spectrum(m, points)[13] <= 8 * EPS * matrix_norm(m)

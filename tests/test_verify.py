@@ -221,7 +221,7 @@ def test_isospectral_grid_is_typed_by_q():
 def test_gram_off_diagonal_beyond_the_double_range():
     # b_n = 0, u_n = U on four symmetric points with equal weights: the
     # scaled off-diagonal entries are 1.5 (n, m = 2, 0) and 3.5 (3, 1), where
-    # h_n h_m is U^2 and U^4, far above the largest double.
+    # h_n = U^n is far above the largest double.
     with mpmath.workdps(30):
         U = mpmath.mpf(10) ** 200
         tri = TridiagonalSystem(family=SimpleNamespace(N=3), b=(mpmath.mpf(0),) * 4,
@@ -230,10 +230,12 @@ def test_gram_off_diagonal_beyond_the_double_range():
         lw = para_racah.LatticeWeights(
             points=tuple(k * root for k in (-2, -1, 1, 2)),
             weights=(mpmath.mpf(1) / 4,) * 4, h=tri.h)
-        # Forward rows: the twisted ones hide that these points are not
-        # zeros of R_4, and their twist shows it.
-        _, off = verify.gram_errors([tri.values(x, 3) for x in lw.points], lw)
-        _, twist = recurrence.lattice_values(tri, lw.points)
+        # Forward vectors P_n / sqrt(h_n): the twisted ones hide that these
+        # points are not zeros of R_4, and their twist shows it.
+        forward = [[p / mpmath.sqrt(h) for p, h in zip(tri.values(x, 3), tri.h)]
+                   for x in lw.points]
+        _, off = verify.gram_errors(forward, lw)
+        _, twist = recurrence.lattice_vectors(tri.b, tri.u, lw.points)
     assert off == pytest.approx(3.5, rel=1e-12)
     assert twist == pytest.approx(0.5, rel=1e-12)
 
@@ -317,7 +319,7 @@ def test_extended_verify_converts_only_its_points_and_the_dual_hahn_exponent(
 @pytest.mark.parametrize("s", range(FAM.N + 1))
 def test_a_moved_lattice_point_fails_the_christoffel_check(monkeypatch, s):
     tri = tridiagonal(FAM)
-    _, twist = recurrence.lattice_values(tri, para_racah.lattice(FAM).points)
+    _, twist = recurrence.lattice_vectors(tri.b, tri.u, para_racah.lattice(FAM).points)
     assert twist <= 1e-15
     lattice = para_racah.lattice
 
@@ -327,7 +329,7 @@ def test_a_moved_lattice_point_fails_the_christoffel_check(monkeypatch, s):
         points[s] *= 1 + 1e-6
         return lw.replace(points=tuple(points))
     monkeypatch.setattr(para_racah, "lattice", moved)
-    _, twist = recurrence.lattice_values(tri, para_racah.lattice(FAM).points)
+    _, twist = recurrence.lattice_vectors(tri.b, tri.u, para_racah.lattice(FAM).points)
     assert twist > verify.TOL_CHRISTOFFEL
     checks = {c.name: c for c in verify.run_suite("orthogonality", FAM)}
     assert not checks["orthogonality/christoffel-cross-check"].passed
@@ -335,7 +337,7 @@ def test_a_moved_lattice_point_fails_the_christoffel_check(monkeypatch, s):
 
 def test_the_twist_alone_fails_the_christoffel_check(monkeypatch):
     # Weights that agree do not pass a lattice whose twist is too large.
-    _poison_calls(monkeypatch, verify, "lattice_values", lambda k, args: True,
+    _poison_calls(monkeypatch, verify, "lattice_vectors", lambda k, args: True,
                   lambda r: (r[0], 2 * verify.TOL_CHRISTOFFEL))
     checks = {c.name: c for c in verify.run_suite("orthogonality", FAM)}
     chk = checks["orthogonality/christoffel-cross-check"]
@@ -367,7 +369,7 @@ def _second(k, args):
 # poisoned): each poisoned value is a later one in its check's fold, never
 # the first.
 NAN_CASES = [
-    ("orthogonality", "gram-diagonal", verify, "lattice_values", lambda k, args: True,
+    ("orthogonality", "gram-diagonal", verify, "lattice_vectors", lambda k, args: True,
      lambda r: ([r[0][0], _nan_at_1(r[0][1]), *r[0][2:]], r[1])),
     ("explicit", "explicit-vs-recurrence", para_racah, "eval_explicit", lambda k, args: True,
      lambda r: [r[0], _nan_at_1(r[1]), *r[2:]]),
@@ -392,7 +394,7 @@ NAN_CASES = [
 
 # The same for a qpk family at alpha = 1/2.
 QPK_NAN_CASES = [
-    ("orthogonality", "gram-diagonal", verify, "lattice_values", lambda k, args: True,
+    ("orthogonality", "gram-diagonal", verify, "lattice_vectors", lambda k, args: True,
      lambda r: ([r[0][0], _nan_at_1(r[0][1]), *r[0][2:]], r[1])),
     ("orthogonality", "christoffel-cross-check", para_racah, "weights_from_christoffel",
      lambda k, args: True,
