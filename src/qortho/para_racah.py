@@ -10,16 +10,22 @@ spectrum; alpha = 1/2 is the persymmetric point.
 Polynomials are evaluated in the exponential variable z with
 x = (z + 1/z)/2.  Each lattice point is computed from its z (a q^s or
 c q^s) in one expression, so no x -> z inversion is ever needed on the grid.
+
+The explicit expansion cancels like q^(-j^2); ``eval_explicit`` reads the
+digits each value loses off the recurrence and reruns the values that lose
+too many, by one rule for binary64 and mpf runs alike.
 """
 
 from __future__ import annotations
+
+import math
 
 from .qseries import SeriesPlan, qpochhammer
 # weights_from_christoffel (both kinds' route) is bound for verify's calls.
 from .recurrence import (_DEGENERATE_TOL, BiLatticeFamily, DegenerateFamilyError,
                          LatticeWeights, TridiagonalSystem, interleave,
                          qdifference_residual, weight_table, weights_from_christoffel)
-from .scalars import is_finite, is_mp, typed_float
+from .scalars import is_finite, typed_float, working_precision
 
 __all__ = [
     "ParaRacahFamily",
@@ -301,15 +307,18 @@ def _explicit_value(plan, point) -> tuple:
     return eta * (body + pref * tail_sum), abs(eta) * (mag + abs(pref) * tail_mag)
 
 
-# Promote a binary64 explicit evaluation once its cancellation scale says the
-# result cannot be certified to ~1e-9 relative accuracy.
-_PROMOTION_RATIO = 1e6
-_PROMOTION_DPS = 40
+# The relative accuracy every explicit value keeps.  The rounding error of a
+# sum is at most its term magnitude times the unit roundoff u, up to the term
+# count (Higham, Accuracy and Stability of Numerical Algorithms, 4.2), so a
+# value whose magnitude times u exceeds this times |R_n(x)| is summed again.
+# In double that is a magnitude above 1e6 |R_n(x)|.
+_EXPLICIT_ACCURACY = 1e6 * 2.0 ** -53
 
 
-def eval_explicit(fam: ParaRacahFamily, zs) -> list:
+def eval_explicit(tri: TridiagonalSystem, zs) -> list:
     """One row per degree n = 0..N, each [R_n(x(z)) for z in zs] with
-    x = (z + 1/z)/2, from the branch-appropriate explicit expression.
+    x = (z + 1/z)/2, from the branch-appropriate explicit expression of the
+    table's family.
 
     Each degree's z-free factors are computed once (:func:`_explicit_plan`),
     and each point's factors 1 - p q^k and prefixes (az; q)_{j+1},
@@ -321,45 +330,62 @@ def eval_explicit(fam: ParaRacahFamily, zs) -> list:
     Agrees with the forward recurrence; the two routes together cross-check
     the coefficient tables and the series normalizations.  The terminating
     sums cancel badly for small q and large N (term scale grows like
-    q**(-j^2)); when the tracked term magnitude shows binary64 cannot hold
-    ~1e-9 relative accuracy at a point, that value transparently reruns at
-    extended precision and is rounded back.  A degenerate family (c = a)
-    raises :class:`DegenerateFamilyError`.
+    q**(-j^2)).  One rule serves every precision: with u the working unit
+    roundoff and r = R_n(x) read from one recurrence pass per point, a value
+    whose term magnitude times u exceeds ``_EXPLICIT_ACCURACY`` |r| is summed
+    again (:func:`_rerun`) and rounded back to the working type.  A value or
+    an r that is not finite raises ``OverflowError``.  A degenerate family
+    (c = a) raises :class:`DegenerateFamilyError`.
     """
+    fam = tri.family
     if any(z == 0 for z in zs):
         raise ValueError("z must be nonzero")
     # c = a puts an exact zero in a denominator of the expansion.
     fam.require_distinct_strands("the explicit expansion is undefined")
     points = [_point_factors(fam, z) for z in zs]
-    hi_fam = None
-    hi_points = [None] * len(zs)
-    rows = []
+    recurrence = [tri.values((z + 1 / z) / 2, fam.N) for z in zs]
+    prec = working_precision(fam.q) or 53
+    # magnitude u > ACC |r| with both sides scaled by 1/u = 2^prec, exactly.
+    trigger = typed_float(_EXPLICIT_ACCURACY, fam.q) * 2 ** prec
+    rows, flagged = [], []
     for n in range(fam.N + 1):
         plan = _explicit_plan(fam, n)
-        hi_plan = None
         row = []
-        for i, (z, point) in enumerate(zip(zs, points)):
+        for i, point in enumerate(points):
             value, magnitude = _explicit_value(plan, point)
-            if is_mp(value) or magnitude <= _PROMOTION_RATIO * abs(value):
-                row.append(value)
-                continue
-            import mpmath
-            with mpmath.workdps(_PROMOTION_DPS):
-                if hi_fam is None:
-                    hi_fam = fam.replace(
-                        a=mpmath.mpf(fam.a), c=mpmath.mpf(fam.c),
-                        alpha=mpmath.mpf(fam.alpha), q=mpmath.mpf(fam.q))
-                if hi_plan is None:
-                    hi_plan = _explicit_plan(hi_fam, n)
-                if hi_points[i] is None:
-                    hi_points[i] = _point_factors(hi_fam, mpmath.mpmathify(z))
-                hi = _explicit_value(hi_plan, hi_points[i])[0]
-                if isinstance(z, complex):
-                    row.append(complex(hi))
-                else:
-                    row.append(float(hi.real if hasattr(hi, "real") else hi))
+            r = abs(recurrence[i][n])
+            if not (is_finite(magnitude) and is_finite(r)):
+                raise OverflowError("the explicit expansion of degree %d or its recurrence "
+                                    "value is not finite" % n)
+            # An exact zero of R_n has no relative accuracy to keep.
+            if magnitude > trigger * r > 0:
+                flagged.append((n, i, magnitude / r))
+            row.append(value)
         rows.append(row)
+    if flagged:
+        _rerun(fam, zs, rows, flagged, prec)
     return rows
+
+
+def _rerun(fam: ParaRacahFamily, zs, rows, flagged, prec: int) -> None:
+    """Sum again, in place in ``rows``, the flagged (n, point index,
+    magnitude / |R_n|) values of one :func:`eval_explicit` call, all at one
+    precision: the most digits any of them lost, ceil(log10(magnitude /
+    |R_n|)), plus the run's own, ceil(prec log10 2).  Plans and point factors
+    are built for the flagged degrees and points only, and each value is
+    rounded back to its working type."""
+    import mpmath
+    lost = int(mpmath.ceil(mpmath.log10(max(ratio for _, _, ratio in flagged))))
+    with mpmath.workdps(lost + math.ceil(prec * math.log10(2))):
+        hi_fam = fam.replace(a=mpmath.mpf(fam.a), c=mpmath.mpf(fam.c),
+                             alpha=mpmath.mpf(fam.alpha), q=mpmath.mpf(fam.q))
+        plans = {n: _explicit_plan(hi_fam, n) for n in sorted({n for n, _, _ in flagged})}
+        points = {i: _point_factors(hi_fam, mpmath.mpmathify(zs[i]))
+                  for i in sorted({i for _, i, _ in flagged})}
+        values = [_explicit_value(plans[n], points[i])[0] for n, i, _ in flagged]
+    # float, complex, mpf and mpc each round to the working precision.
+    for (n, i, _), value in zip(flagged, values):
+        rows[n][i] = type(rows[n][i])(value)
 
 
 # ---------------------------------------------------------------------------

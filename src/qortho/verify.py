@@ -18,8 +18,9 @@ isospectral radii come from the same factorisation of each Jacobi matrix in
 double, on a grid typed by q, so an extended run deforms at its precision.
 The bispectral and explicit suites each draw their ten points once and check
 every degree at them: the bispectral one with one recurrence pass per point
-and shift, the explicit one with one ``para_racah.eval_explicit`` call and
-one recurrence pass per point.
+and shift, the explicit one with one ``para_racah.eval_explicit`` call on the
+run's table and one recurrence pass per point.  ``eval_explicit`` makes its
+own pass per point, to rerun each value at the digits its cancellation cost.
 """
 
 from __future__ import annotations
@@ -161,12 +162,13 @@ def suite_orthogonality(run, rng):
 
 def suite_explicit(run, rng):
     """The explicit expansion against the forward recurrence at ten points
-    shared by every degree: one explicit evaluation of all degrees and one
-    recurrence pass per point."""
+    shared by every degree: one explicit evaluation of all degrees, which
+    reruns a value at the digits its cancellation cost, and one recurrence
+    pass per point."""
     fam, tri = run.fam, run.tri
     worst = fam.q * 0
     zs = [_random_z(rng, fam) for _ in range(10)]
-    rows = para_racah.eval_explicit(fam, zs)
+    rows = para_racah.eval_explicit(tri, zs)
     for z, column in zip(zs, zip(*rows)):
         for e, r in zip(column, tri.values((z + 1 / z) / 2, fam.N)):
             worst = max_keep_nan(worst, abs(e - r) / max(abs(r), abs(e)))

@@ -8,6 +8,7 @@ at the end are the exact-equality references of the library routes.
 """
 
 import contextlib
+import math
 import sys
 
 import mpmath
@@ -16,7 +17,7 @@ import mpmath.ctx_mp_python
 from oracles import askey_wilson
 from qortho import para_krawtchouk, para_racah, qseries
 from qortho.recurrence import DegenerateFamilyError, interleave, tridiagonal
-from qortho.scalars import is_mp, max_keep_nan
+from qortho.scalars import is_finite, is_mp, max_keep_nan, working_precision
 
 # Tiny but nonzero limit parameter; the weights e1, e2 are scaled down so the
 # first-order limit error e*t*log(q) sits far below the 40-digit comparison.
@@ -214,28 +215,41 @@ def explicit_value_reference(fam, n, z, eta):
             abs(eta) * (head_mag + abs(pref) * tail_mag))
 
 
-def eval_explicit_reference(fam, n, zs):
-    """para_racah.eval_explicit, one point at a time, with its 40-digit rerun."""
-    eta = para_racah._eta(fam, n)
-    hi_fam = hi_eta = None
-    out = []
-    for z in zs:
-        value, magnitude = explicit_value_reference(fam, n, z, eta)
-        if is_mp(value) or magnitude <= para_racah._PROMOTION_RATIO * abs(value):
-            out.append(value)
-            continue
-        with mpmath.workdps(para_racah._PROMOTION_DPS):
-            if hi_fam is None:
-                hi_fam = fam.replace(
-                    a=mpmath.mpf(fam.a), c=mpmath.mpf(fam.c),
-                    alpha=mpmath.mpf(fam.alpha), q=mpmath.mpf(fam.q))
-                hi_eta = para_racah._eta(hi_fam, n)
-            hi = explicit_value_reference(hi_fam, n, mpmath.mpmathify(z), hi_eta)[0]
-            if isinstance(z, complex):
-                out.append(complex(hi))
-            else:
-                out.append(float(hi.real if hasattr(hi, "real") else hi))
-    return out
+def eval_explicit_reference(tri, zs):
+    """para_racah.eval_explicit, one value at a time: each value summed at
+    its point alone, with r = R_n(x) from one recurrence pass per point, and
+    each value whose term magnitude exceeds the accuracy constant times
+    2^prec |r| summed again at the digits the call's worst one lost plus
+    ceil(prec log10 2), then rounded back to its working type."""
+    fam = tri.family
+    prec = working_precision(fam.q) or 53
+    trigger = para_racah._EXPLICIT_ACCURACY * 2 ** prec
+    rows, flagged = [], []
+    for n in range(fam.N + 1):
+        eta = para_racah._eta(fam, n)
+        row = []
+        for i, z in enumerate(zs):
+            value, magnitude = explicit_value_reference(fam, n, z, eta)
+            r = abs(tri.values((z + 1 / z) / 2, fam.N)[n])
+            if not (is_finite(magnitude) and is_finite(r)):
+                raise OverflowError("degree %d" % n)
+            if r != 0 and magnitude > trigger * r:
+                flagged.append((n, i, magnitude / r))
+            row.append(value)
+        rows.append(row)
+    if not flagged:
+        return rows
+    lost = max(mpmath.log10(ratio) for _, _, ratio in flagged)
+    with mpmath.workdps(int(mpmath.ceil(lost)) + math.ceil(prec * math.log10(2))):
+        hi_fam = fam.replace(a=mpmath.mpf(fam.a), c=mpmath.mpf(fam.c),
+                             alpha=mpmath.mpf(fam.alpha), q=mpmath.mpf(fam.q))
+        values = [explicit_value_reference(hi_fam, n, mpmath.mpmathify(zs[i]),
+                                           para_racah._eta(hi_fam, n))[0]
+                  for n, i, _ in flagged]
+    for (n, i, _), value in zip(flagged, values):
+        rows[n][i] = (+value if is_mp(rows[n][i])
+                      else complex(value) if isinstance(zs[i], complex) else float(value))
+    return rows
 
 
 def _shift_coefficient_reference(fam, z):

@@ -48,7 +48,7 @@ def test_criterion_01_explicit_recurrence_equivalence():
         tri = recurrence.tridiagonal(fam)
         # Twenty points per family, shared by every degree.
         zs = [rng.uniform(1.15, 2.5) for _ in range(20)]
-        for n, row in enumerate(para_racah.eval_explicit(fam, zs)):
+        for n, row in enumerate(para_racah.eval_explicit(tri, zs)):
             for z, e in zip(zs, row):
                 r = para_racah.eval_recurrence(tri, n, z)
                 worst = max(worst, abs(e - r) / max(abs(r), abs(e)))

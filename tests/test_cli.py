@@ -273,18 +273,30 @@ def test_the_twist_alone_makes_lattice_weights_exit_4(capsys, monkeypatch):
     assert out.strip().splitlines()[-1] == "# gram_max_error = 2.000e-08"
 
 
+PROMOTION_NOTE = ("note: parameters outside the double-precision box; "
+                  "promoting to extended precision\n")
+LARGE_N_EXPLICIT = [(N, q) for N in (20, 30, 40, 60) for q in ("0.2", "0.3", "0.5")]
+
+
 @pytest.mark.parametrize("argv", [
     "lattice-weights --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 30 --precision double",
     "verify --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 40 --precision double "
     "--suite orthogonality",
     "verify --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 60 --precision extended:20 "
     "--suite orthogonality",
-], ids=["lattice-weights-30-double", "verify-40-double", "verify-60-extended20"])
-def test_large_n_orthogonality_is_certified(capsys, argv):
+    *("verify --a 0.9 --c 0.7 --alpha 0.3 --q %s --N %d --suite explicit" % (q, N)
+      for N, q in LARGE_N_EXPLICIT),
+    "verify --a 0.9 --c 0.7 --alpha 0.3 --q 0.2 --N 60 --suite all",
+], ids=["lattice-weights-30-double", "verify-40-double", "verify-60-extended20",
+        *("explicit-%d-%s" % case for case in LARGE_N_EXPLICIT), "all-60-0.2"])
+def test_large_n_runs_are_certified(capsys, argv):
     # Forward recurrence at these lattices follows the dominant solution past
-    # n ~ N/2; the twisted values do not.
+    # n ~ N/2; the twisted values do not.  With no precision flag a run is
+    # promoted to 50 digits, and the explicit expansion cancels past them
+    # from N = 20 on: each value reruns at the digits its cancellation cost,
+    # about 660 at N = 60, q = 0.2.
     code, out, err = run_cli(capsys, argv.split())
-    assert (code, err) == (0, "")
+    assert (code, err) == (0, "" if "--precision" in argv else PROMOTION_NOTE)
 
 
 QPK_DOUBLE = ["--kind", "qpk", "--Delta", "1.3", "--alpha", "0.5", "--precision", "double"]
@@ -325,13 +337,15 @@ def test_signed_measures_keep_their_gram_certificate(capsys, family, N):
 
 # Exit codes in double at alpha 1/2 (a 0.9, c 0.7 and Delta 1.3), one string
 # per q in 0.2, 0.3 and 0.5: lattice-weights, verify --suite orthogonality
-# and, for qpr, verify --suite isospectral.  2 is a double overflow or a y_0^2
-# that underflows, and 4 the qpk Gram at q = 0.3, N = 30 (about 3e-8).
+# and, for qpr, verify --suite isospectral and verify --suite explicit.  2 is
+# a double overflow (in the explicit suite a term magnitude or recurrence
+# value beyond the binary64 range) or a y_0^2 that underflows, and 4 the qpk
+# Gram at q = 0.3, N = 30 (about 3e-8).
 LARGE_N_EXIT_CODES = {
-    ("qpr", 20): ("000", "000", "000"),
-    ("qpr", 30): ("220", "000", "000"),
-    ("qpr", 40): ("220", "220", "000"),
-    ("qpr", 60): ("220", "220", "220"),
+    ("qpr", 20): ("0000", "0000", "0000"),
+    ("qpr", 30): ("2202", "0000", "0000"),
+    ("qpr", 40): ("2202", "2202", "0000"),
+    ("qpr", 60): ("2202", "2202", "2202"),
     ("qpk", 20): ("00", "00", "00"),
     ("qpk", 30): ("22", "44", "00"),
     ("qpk", 40): ("22", "22", "00"),
@@ -345,7 +359,7 @@ def test_large_n_exit_codes_in_double(capsys, kind, N):
               else ["--kind", "qpk", "--Delta", "1.3"])
     commands = [["lattice-weights"], ["verify", "--suite", "orthogonality"]]
     if kind == "qpr":
-        commands.append(["verify", "--suite", "isospectral"])
+        commands += [["verify", "--suite", "isospectral"], ["verify", "--suite", "explicit"]]
     codes = tuple("".join(
         str(run_cli(capsys, command + family + ["--alpha", "0.5", "--q", q, "--N", str(N),
                                                 "--precision", "double"])[0])
@@ -607,8 +621,8 @@ GOLDEN = [
      "f5b9fa457add7153fddd5dad1e65d2ca11b305cdb197598f02d962e1a41743b9"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --suite orthogonality --format json --precision extended",
      "48624a550ca1ea96a5112cfc21b978d51c2a463bc4947c0c06970ecbec0bb504"),
-    # The explicit expansion of both parities, in double where the 40-digit
-    # rerun fires (q = 0.3) and at 60 digits.
+    # The explicit expansion of both parities, in double where the rerun
+    # fires (q = 0.3) and at 60 digits.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.3 --N 8 --suite explicit --format csv --precision double",
      "f210d592c77f8b16725c0aa622acdf3aad7ed4f022f7b2884a72e818de61f67f"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.3 --N 9 --suite explicit --format csv --precision double",

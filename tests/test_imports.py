@@ -154,7 +154,7 @@ def test_no_process_loads_dataclasses_and_only_json_output_loads_json(argv):
     ("verify --suite all --N 6 --precision double", 0),
     ("coeffs --N 6 --precision extended", 0),
     ("coeffs --N 12", 0),
-    # q = 0.3 overrides the box family's q: the 40-digit rerun fires.
+    # q = 0.3 overrides the box family's q: the explicit rerun fires.
     ("verify --suite explicit --q 0.3 --N 8 --precision double", 0),
 ], ids=["verify-double", "coeffs-extended", "auto-promoted", "explicit-rerun"])
 def test_extended_values_and_limit_checks_load_mpmath(argv, code):

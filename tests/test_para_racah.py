@@ -1,13 +1,14 @@
 import collections
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
 
 import support
 from oracles.para_racah import char_poly_eval, char_poly_scale, positivity_check
-from qortho import para_krawtchouk, para_racah
+from qortho import para_krawtchouk, para_racah, verify
 from qortho.para_racah import (
     DegenerateFamilyError,
     ParaRacahFamily,
@@ -182,21 +183,21 @@ def test_explicit_matches_recurrence_every_branch(N, n):
         fam = ParaRacahFamily(a=0.9, c=0.7, alpha=alpha, q=0.5, N=N)
         tri = tridiagonal(fam)
         zs = [rng.uniform(1.1, 2.5) for _ in range(8)]
-        for z, e in zip(zs, eval_explicit(fam, zs)[n]):
+        for z, e in zip(zs, eval_explicit(tri, zs)[n]):
             r = eval_recurrence(tri, n, z)
             assert abs(e - r) <= 1e-8 * max(abs(r), abs(e))
 
 
 def test_explicit_degree_zero():
-    assert eval_explicit(ODD, [1.7])[0] == [pytest.approx(1.0, rel=1e-14)]
+    assert eval_explicit(tridiagonal(ODD), [1.7])[0] == [pytest.approx(1.0, rel=1e-14)]
 
 
 def test_explicit_rows_run_from_degree_zero_to_the_top_degree():
-    rows = eval_explicit(ODD, [1.7, 2.1])
+    rows = eval_explicit(tridiagonal(ODD), [1.7, 2.1])
     assert len(rows) == ODD.N + 1
     assert all(len(row) == 2 for row in rows)
     with pytest.raises(ValueError, match="nonzero"):
-        eval_explicit(ODD, [1.7, 0.0])
+        eval_explicit(tridiagonal(ODD), [1.7, 0.0])
 
 
 @pytest.mark.parametrize("N", range(1, 15))
@@ -210,7 +211,7 @@ def test_explicit_matches_recurrence_at_60_digits(N):
                                   alpha=mpmath.mpf("0.3"), q=mpmath.mpf(q), N=N)
             tri = tridiagonal(fam)
             zs = [mpmath.mpf(rng.uniform(1.1, 2.5)) for _ in range(3)]
-            for n, row in enumerate(eval_explicit(fam, zs)):
+            for n, row in enumerate(eval_explicit(tri, zs)):
                 for z, e in zip(zs, row):
                     r = eval_recurrence(tri, n, z)
                     assert abs(e - r) <= mpmath.mpf("1e-30") * max(abs(r), abs(e)), (q, n)
@@ -352,7 +353,7 @@ def test_explicit_refuses_degenerate_family(scalar, dps):
             fam = ParaRacahFamily(a=scalar(0.7), c=scalar(0.7), alpha=scalar(0.5),
                                   q=scalar(0.5), N=N)
             with pytest.raises(DegenerateFamilyError, match="explicit expansion"):
-                eval_explicit(fam, [scalar(1.7)])
+                eval_explicit(tridiagonal(fam), [scalar(1.7)])
 
 
 def test_signed_measure_is_flagged_not_raised():
@@ -498,29 +499,29 @@ def _draw_points(rng, scalar=float):
     return real + recip + cplx
 
 
-def _reference_rows(fam, zs):
-    return [support.eval_explicit_reference(fam, n, zs) for n in range(fam.N + 1)]
-
-
 @pytest.mark.parametrize("N", range(1, 21))
 def test_explicit_equals_per_point_reference_in_double(N):
     rng = random.Random(1000 + N)
     for _ in range(3):
-        fam = _draw_family(rng, N)
+        tri = tridiagonal(_draw_family(rng, N))
         zs = _draw_points(rng)
-        assert eval_explicit(fam, zs) == _reference_rows(fam, zs)
+        assert eval_explicit(tri, zs) == support.eval_explicit_reference(tri, zs)
 
 
-@pytest.mark.parametrize("N", [8, 9])
-def test_explicit_equals_reference_where_the_rerun_fires(monkeypatch, N):
+@pytest.mark.parametrize("N,scalar,dps", [(8, float, 15), (9, float, 15), (20, mpmath.mpf, 50)],
+                         ids=["8", "9", "20-50"])
+def test_explicit_equals_reference_where_the_rerun_fires(monkeypatch, N, scalar, dps):
     plans = []
     original = para_racah._explicit_plan
     monkeypatch.setattr(para_racah, "_explicit_plan",
                         lambda fam, n: plans.append(n) or original(fam, n))
-    fam = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.3, N=N)
-    zs = _draw_points(random.Random(N))
-    assert eval_explicit(fam, zs) == _reference_rows(fam, zs)
-    # One plan per degree, and a second for a degree that reruns at 40 digits.
+    with mpmath.workdps(dps):
+        fam = ParaRacahFamily(a=scalar("0.9"), c=scalar("0.7"), alpha=scalar("0.3"),
+                              q=scalar("0.3"), N=N)
+        tri = tridiagonal(fam)
+        zs = _draw_points(random.Random(N), scalar)
+        assert eval_explicit(tri, zs) == support.eval_explicit_reference(tri, zs)
+    # One plan per degree, and a second for a degree that reruns.
     assert plans[:N + 1] == list(range(N + 1)) and len(plans) > N + 1
 
 
@@ -528,9 +529,53 @@ def test_explicit_equals_reference_where_the_rerun_fires(monkeypatch, N):
 def test_explicit_equals_per_point_reference_at_60_digits(N):
     rng = random.Random(2000 + N)
     with mpmath.workdps(60):
-        fam = _draw_family(rng, N, mpmath.mpf)
+        tri = tridiagonal(_draw_family(rng, N, mpmath.mpf))
         zs = _draw_points(rng, mpmath.mpf)
-        assert eval_explicit(fam, zs) == _reference_rows(fam, zs)
+        assert eval_explicit(tri, zs) == support.eval_explicit_reference(tri, zs)
+
+
+def _fraction(x):
+    """The exact rational value of a float or an mpf."""
+    if isinstance(x, float):
+        return Fraction(x)
+    sign, man, exp, _ = x._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_explicit_is_within_a_tenth_of_its_tolerance_of_the_exact_value(monkeypatch, N):
+    # A Fraction family runs the same plans, point factors and sums with no
+    # rounding: its values are R_n exactly, the recurrence's in Fractions, at
+    # the binary parameters and dyadic points that double and 50 digits
+    # hold exactly.  So the digits each value loses are known exactly, and
+    # every value that loses more than the rule allows must have been rerun.
+    reran = []
+    original = para_racah._rerun
+    monkeypatch.setattr(para_racah, "_rerun", lambda fam, zs, rows, flagged, prec: (
+        reran.extend((n, i) for n, i, _ in flagged), original(fam, zs, rows, flagged, prec)))
+    zs = [1.25, 1.625, 2.375, 0.75]
+    accuracy = Fraction(para_racah._EXPLICIT_ACCURACY)
+    tolerance = Fraction(verify.TOL_EXPLICIT) / 10
+    for q in (0.2, 0.3, 0.4, 0.5):
+        params = dict(a=0.9, c=0.7, alpha=0.3, q=q)
+        exact_fam = ParaRacahFamily(N=N, **{k: Fraction(v) for k, v in params.items()})
+        exact_tri = tridiagonal(exact_fam)
+        points = [para_racah._point_factors(exact_fam, Fraction(z)) for z in zs]
+        exact = [[para_racah._explicit_value(para_racah._explicit_plan(exact_fam, n), point)
+                  for point in points] for n in range(N + 1)]
+        for i, z in enumerate(map(Fraction, zs)):
+            assert [row[i][0] for row in exact] == exact_tri.values((z + 1 / z) / 2, N)
+        for scalar, dps in ((float, 15), (mpmath.mpf, 50)):
+            with mpmath.workdps(dps):
+                prec = mpmath.mp.prec if scalar is mpmath.mpf else 53
+                fam = ParaRacahFamily(N=N, **{k: scalar(v) for k, v in params.items()})
+                reran.clear()
+                rows = eval_explicit(tridiagonal(fam), [scalar(z) for z in zs])
+            for n, (row, exact_row) in enumerate(zip(rows, exact)):
+                for i, (got, (value, magnitude)) in enumerate(zip(row, exact_row)):
+                    assert abs(_fraction(got) - value) <= tolerance * abs(value), (q, dps, n, i)
+                    if magnitude > accuracy * 2 ** prec * abs(value):
+                        assert (n, i) in reran, (q, dps, n, i)
 
 
 def _outcome(route, *args):
@@ -551,19 +596,13 @@ def test_explicit_singular_denominators_raise_as_the_reference():
         for m in range(-3, 4):
             for a, c in ((2.0 ** m, 2.0 ** -m / 4), (2.0 ** -m, 0.5), (0.5, 2.0 ** m)):
                 fam = ParaRacahFamily(a=a, c=c, alpha=0.3, q=0.5, N=N)
-                got = _outcome(eval_explicit, fam, zs)
+                tri = tridiagonal(fam)
+                got = _outcome(eval_explicit, tri, zs)
                 if fam.degenerate:
                     # c = a is refused before any sum.
                     assert got == (DegenerateFamilyError, None, None)
                     continue
-                expected = []
-                for n in range(N + 1):
-                    row = _outcome(support.eval_explicit_reference, fam, n, zs)
-                    if isinstance(row, tuple):
-                        expected = row
-                        break
-                    expected.append(row)
-                assert got == expected, (N, m, a, c)
+                assert got == _outcome(support.eval_explicit_reference, tri, zs), (N, m, a, c)
                 singular += isinstance(got, tuple) and got[0] is SingularSeriesError
     assert singular > 0
 
@@ -600,15 +639,22 @@ def test_weights_equal_per_point_reference(scalar, dps):
 def test_explicit_builds_each_point_and_each_degree_once(monkeypatch, N):
     # Each point's factors and prefixes are built once for every degree, each
     # degree's z-free plan once for every point, and no q-Pochhammer symbol
-    # is taken per point.
+    # is taken per point.  A rerun (N = 12 cancels past 30 digits) builds
+    # the plans of its degrees and the factors of its points once more, at
+    # one higher precision.
     calls = collections.Counter()
     for name in ("qpochhammer", "_point_factors", "_explicit_plan"):
         original = getattr(para_racah, name)
         monkeypatch.setattr(para_racah, name, lambda *args, _name=name, _f=original:
-                            calls.update([_name]) or _f(*args))
+                            calls.update([(_name, mpmath.mp.prec)]) or _f(*args))
     with mpmath.workdps(30):
-        fam = _draw_family(random.Random(N), N, mpmath.mpf)
+        work = mpmath.mp.prec
+        tri = tridiagonal(_draw_family(random.Random(N), N, mpmath.mpf))
         for size in (1, 2, 3):
             calls.clear()
-            eval_explicit(fam, [mpmath.mpf(1.5 + k / 7) for k in range(size)])
-            assert calls == {"_point_factors": size, "_explicit_plan": N + 1}, size
+            eval_explicit(tri, [mpmath.mpf(1.5 + k / 7) for k in range(size)])
+            once = {"_point_factors": size, "_explicit_plan": N + 1}
+            assert {name: k for (name, prec), k in calls.items() if prec == work} == once, size
+            rerun = [(name, prec, k) for (name, prec), k in calls.items() if prec != work]
+            assert len({prec for _, prec, _ in rerun}) <= 1, size
+            assert all(k <= once[name] for name, _, k in rerun), size

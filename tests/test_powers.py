@@ -242,7 +242,7 @@ def test_one_family_read_at_two_precisions_matches_fresh_families(kind, N):
         out = [tri.b, tri.u, lw.weights, lw.points, lw.k_norm]
         if kind == "qpr":
             zs = [mpmath.mpf("1.7"), mpmath.mpf("2.3")]
-            out += para_racah.eval_explicit(fam, zs)
+            out += para_racah.eval_explicit(tri, zs)
             out += para_racah.qdiff_residual(tri, zs)
             out.append(lw.weights_half)
         return _bits(out)

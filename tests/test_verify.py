@@ -257,9 +257,10 @@ def test_bispectral_suite_makes_three_passes_per_point_at_any_N(monkeypatch, N):
 
 
 @pytest.mark.parametrize("N", [1, 6, 9, 16])
-def test_explicit_suite_makes_one_pass_and_one_factor_build_per_point_at_any_N(monkeypatch, N):
-    # Ten points shared by every degree: one recurrence pass up to P_N and
-    # one build of the z-dependent factors at each.
+def test_explicit_suite_makes_two_passes_and_one_factor_build_per_point_at_any_N(monkeypatch, N):
+    # Ten points shared by every degree: at each, one build of the
+    # z-dependent factors and two recurrence passes up to P_N, one read by
+    # eval_explicit's rerun rule and one by the check.
     num = mpmath.mpf
     passes, builds = [], []
     original_values = recurrence.monic_values
@@ -273,7 +274,7 @@ def test_explicit_suite_makes_one_pass_and_one_factor_build_per_point_at_any_N(m
         fam = para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"),
                                          q=num("0.5"), N=N)
         checks = verify.run_suite("explicit", fam)
-    assert passes == [N] * 10
+    assert passes == [N] * 20
     assert len(builds) == 10
     assert all(chk.passed for chk in checks)
 
@@ -480,7 +481,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "qortho"
 
 
 def test_every_fixed_precision_is_named():
-    # A fixed working precision is one of three named constants, never a
+    # A fixed working precision is one of two named constants, never a
     # literal at its point of use, so a precision planner has one list to
     # replace.
     literal = re.compile(r"workdps\(\s*\d|digits\s*:\s*int\s*=\s*\d")
@@ -489,5 +490,4 @@ def test_every_fixed_precision_is_named():
              for number, line in enumerate(path.read_text().splitlines(), 1)
              if literal.search(line)]
     assert not found
-    assert (scalars.DEFAULT_EXTENDED_DIGITS, para_racah._PROMOTION_DPS,
-            connections.LIMIT_DIGITS) == (50, 40, 50)
+    assert (scalars.DEFAULT_EXTENDED_DIGITS, connections.LIMIT_DIGITS) == (50, 50)
