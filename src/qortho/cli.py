@@ -13,15 +13,19 @@ Data goes to stdout, diagnostics to stderr.  A fixed configuration (including
 --seed and the precision mode) produces byte-identical output.
 
 The environment variable QORTHO_PRECISION ("double", "extended" or
-"extended:P") overrides the --precision flag.  When neither is given,
-families outside the moderate parameter box (a, c in [0.2, 0.95],
-q in [0.3, 0.8], N <= 9) are promoted to extended precision automatically.
+"extended:P") overrides the --precision flag.  When neither is given, a
+command runs in double with its output held back.  If it is refused for a
+reason that a higher precision might lift (any exit 4 but a failed
+favard-positivity, or exit 2 from an overflow or a vanishing denominator),
+one stderr note names the refusal and the command reruns at extended
+precision; otherwise the double run's output is printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import math
 import os
 import sys
@@ -70,31 +74,6 @@ def _parse_precision(text: str) -> _Precision:
     raise ValueError("precision must be 'double', 'extended' or 'extended:P'")
 
 
-def _inside_box(args) -> bool:
-    try:
-        q = float(args.q)
-        n_ok = args.N <= 9 and 0.3 <= q <= 0.8
-        if args.kind == "qpr":
-            return (n_ok and 0.2 <= float(args.a) <= 0.95
-                    and 0.2 <= float(args.c) <= 0.95)
-        return n_ok
-    except (TypeError, ValueError):
-        return False
-
-
-def _resolve_precision(args) -> _Precision:
-    env = os.environ.get("QORTHO_PRECISION")
-    if env:
-        return _parse_precision(env)
-    if args.precision is not None:
-        return _parse_precision(args.precision)
-    if not _inside_box(args):
-        print("note: parameters outside the double-precision box; "
-              "promoting to extended precision", file=sys.stderr)
-        return _Precision(True, DEFAULT_EXTENDED_DIGITS)
-    return _Precision(False, 0)
-
-
 # Per family kind: its class, its lattice parameters (the options that only
 # this kind takes) and the name of the lattice variable in lattice-weights
 # output.
@@ -141,18 +120,21 @@ def _json_number(x, prec: _Precision):
     return prec.fmt(x) if prec.extended else _json_float(x)
 
 
-def _refuse_non_finite(printed) -> int:
-    """EXIT_VERIFY, with a count on stderr, when a printed value is nan or
-    inf; EXIT_OK otherwise."""
+def _refuse(reason: str, precision_bound: bool = True):
+    """EXIT_VERIFY with ``reason`` on stderr.  Each command returns its exit
+    code and the name of a refusal that a higher precision might lift, or None."""
+    print(reason, file=sys.stderr)
+    return EXIT_VERIFY, reason if precision_bound else None
+
+
+def _non_finite(printed) -> str:
+    """The refusal of output with a nan or inf among ``printed``, or ''."""
     bad = sum(not is_finite(v) for v in printed)
-    if not bad:
-        return EXIT_OK
-    print("non-finite output: %d of %d printed values are nan or inf"
-          % (bad, len(printed)), file=sys.stderr)
-    return EXIT_VERIFY
+    return ("non-finite output: %d of %d printed values are nan or inf"
+            % (bad, len(printed)) if bad else "")
 
 
-def cmd_coeffs(args, prec: _Precision) -> int:
+def cmd_coeffs(args, prec: _Precision):
     with prec.context():
         tri = tridiagonal(_build_family(args, prec))
         rows = [(n, b, u) for n, (b, u) in enumerate(zip(tri.b, (0.0,) + tri.u))]
@@ -163,11 +145,11 @@ def cmd_coeffs(args, prec: _Precision) -> int:
         else:
             _emit_json(args, prec, rows=[{"n": n, "b": _json_number(b, prec),
                                           "u": _json_number(u, prec)} for n, b, u in rows])
-        printed = [v for _, b, u in rows for v in (b, u)]
-    return _refuse_non_finite(printed)
+        bad = _non_finite([v for _, b, u in rows for v in (b, u)])
+    return _refuse(bad) if bad else (EXIT_OK, None)
 
 
-def cmd_lattice_weights(args, prec: _Precision) -> int:
+def cmd_lattice_weights(args, prec: _Precision):
     with prec.context():
         fam = _build_family(args, prec)
         tri = tridiagonal(fam)
@@ -196,14 +178,13 @@ def cmd_lattice_weights(args, prec: _Precision) -> int:
                            "sum_odd": _json_number(sum_odd, prec),
                            "gram_max_error": _json_float(gram_max),
                        })
-        printed = (*pts, *lw.weights, sum_even, sum_odd, gram_max)
-    if _refuse_non_finite(printed):
-        return EXIT_VERIFY
+        bad = _non_finite((*pts, *lw.weights, sum_even, sum_odd, gram_max))
+    if bad:
+        return _refuse(bad)
     if gram_max > verify.TOL_GRAM:
-        print("orthogonality not certified: gram_max_error = %.3e exceeds %.0e"
-              % (gram_max, verify.TOL_GRAM), file=sys.stderr)
-        return EXIT_VERIFY
-    return EXIT_OK
+        return _refuse("orthogonality not certified: gram_max_error = %.3e exceeds %.0e"
+                       % (gram_max, verify.TOL_GRAM))
+    return EXIT_OK, None
 
 
 def _csv_field(text: str) -> str:
@@ -214,7 +195,7 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def cmd_verify(args, prec: _Precision) -> int:
+def cmd_verify(args, prec: _Precision):
     with prec.context():
         checks = verify.run_suite(args.suite, _build_family(args, prec), seed=args.seed)
     if args.format == "csv":
@@ -231,11 +212,13 @@ def cmd_verify(args, prec: _Precision) -> int:
             "tolerance": _json_float(chk.tolerance),
             "note": chk.note,
         } for chk in checks])
-    if all(chk.passed for chk in checks):
-        return EXIT_OK
-    print("verification failed: %d of %d checks"
-          % (sum(not c.passed for c in checks), len(checks)), file=sys.stderr)
-    return EXIT_VERIFY
+    failed = [chk for chk in checks if not chk.passed]
+    if not failed:
+        return EXIT_OK, None
+    # A failed favard-positivity, and every check it makes skip, is a fact of
+    # the parameters at any precision.
+    return _refuse("verification failed: %d of %d checks" % (len(failed), len(checks)),
+                   not any(chk.note.startswith("skipped") for chk in failed))
 
 
 def _family_options() -> argparse.ArgumentParser:
@@ -275,33 +258,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args, precision: str):
+    """One command at ``precision``: its exit code and its precision-bound
+    refusal's name, or None."""
+    try:
+        _require_lattice_options(args)
+        prec = _parse_precision(precision)
+        return args.func(args, prec)
+    except DegenerateFamilyError as exc:
+        print("degenerate configuration: %s" % exc, file=sys.stderr)
+        return EXIT_DEGENERATE, None
+    except OverflowError as exc:
+        reason = "numeric overflow at %s precision" % prec.label
+        # A binary64 overflow's own text is an errno tuple.
+        detail = (exc if prec.extended else "a value exceeds the binary64 range; "
+                  "rerun with --precision extended or extended:P")
+        print("%s: %s" % (reason, detail), file=sys.stderr)
+        return EXIT_USAGE, reason
+    except ZeroDivisionError as exc:
+        # Caught before ArithmeticError: a valid a = 1e-160 underflows a
+        # binary64 denominator to zero.  mpmath raises it without a message.
+        reason = "numeric underflow or zero denominator at %s precision" % prec.label
+        print("%s: %s" % (reason, str(exc) or "division by zero"), file=sys.stderr)
+        return EXIT_USAGE, reason
+    except (ValueError, SingularSeriesError, ArithmeticError) as exc:
+        print("invalid parameters: %s" % exc, file=sys.stderr)
+        return EXIT_USAGE, None
+
+
 def main(argv=None) -> int:
     """Run one command and return its exit code; a usage error raises argparse's
     ``SystemExit(2)``.  The parser is built on each call and no state outlives it."""
     args = build_parser().parse_args(argv)
-    try:
-        # Before the precision, whose box test reads the lattice options.
-        _require_lattice_options(args)
-        prec = _resolve_precision(args)
-        return args.func(args, prec)
-    except DegenerateFamilyError as exc:
-        print("degenerate configuration: %s" % exc, file=sys.stderr)
-        return EXIT_DEGENERATE
-    except OverflowError as exc:
-        # A binary64 overflow's own text is an errno tuple.
-        detail = (exc if prec.extended else "a value exceeds the binary64 range; "
-                  "rerun with --precision extended or extended:P")
-        print("numeric overflow at %s precision: %s" % (prec.label, detail), file=sys.stderr)
-        return EXIT_USAGE
-    except ZeroDivisionError as exc:
-        # Caught before ArithmeticError: a valid a = 1e-160 underflows a
-        # binary64 denominator to zero.  mpmath raises it without a message.
-        print("numeric underflow or zero denominator at %s precision: %s"
-              % (prec.label, str(exc) or "division by zero"), file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, SingularSeriesError, ArithmeticError) as exc:
-        print("invalid parameters: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
+    given = os.environ.get("QORTHO_PRECISION") or args.precision
+    if given is not None:
+        return _run(args, given)[0]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code, refusal = _run(args, "double")
+    if refusal is None:
+        sys.stdout.write(out.getvalue())
+        sys.stderr.write(err.getvalue())
+        return code
+    print("note: %s; rerunning at extended:%d" % (refusal, DEFAULT_EXTENDED_DIGITS),
+          file=sys.stderr)
+    return _run(args, "extended")[0]
 
 
 if __name__ == "__main__":

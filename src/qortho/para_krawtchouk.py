@@ -65,11 +65,13 @@ def b_coefficient(fam: ParaKrawtchoukFamily, n: int):
                     + q * (1 - pw[j]) * (D * q - 1) / (1 - q * q))
         return (pw[n + j] * (1 + pw[j + 1]) * (1 + D)
                 / ((pw[j] + pw[n]) * (pw[j + 1] + pw[n])))
-    t1 = (pw[2 * j] * (pw[n] - 1) * (pw[n] - D * pw[j + 1])
-          / ((pw[j] + pw[n]) * (pw[2 * j + 1] - pw[2 * n])))
-    t2 = (pw[n] * (pw[2 * j] - pw[n]) * (pw[j] - D * pw[n + 1])
-          / ((pw[j] + pw[n]) * (pw[2 * j] - pw[2 * n + 1])))
-    return D - t1 + t2
+    # The closed form D - t1 + t2 cancels to about q^(j-1) (1 + D q), a loss
+    # of j log10(1/q) digits; over one denominator the same rational function
+    # reads J Q (A - B) / (...), with A >= 2B for 1 < D < 1/q.
+    J, Q = pw[j], pw[n]
+    A = (J - Q) ** 2 * (1 + pw[j + 1] + D * q * (1 + J))
+    B = J * Q * (1 - q) * (D - 1 + J * (1 - D * q))
+    return J * Q * (A - B) / ((pw[2 * j] - pw[2 * n + 1]) * (pw[2 * j + 1] - pw[2 * n]))
 
 
 def u_coefficient(fam: ParaKrawtchoukFamily, n: int):
@@ -77,21 +79,22 @@ def u_coefficient(fam: ParaKrawtchoukFamily, n: int):
         raise ValueError("u_n requires 1 <= n <= N+1")
     D, al, q, j = fam.Delta, fam.alpha, fam.q, fam.j
     pw = fam.powers()
+    # Off the middle, each difference of powers is divided by its larger
+    # term, so no product leaves the range of the result (the paper's reach
+    # q^(4N)); k is the distance from the middle, one form for both sides.
     if fam.odd:
         if n == j + 1:
             return al * (1 - al) * (D - 1) ** 2 * (1 - pw[j + 1]) ** 2 / (1 - q) ** 2
-        return (pw[2 * j + 1 + n] * (1 - pw[n]) * (pw[2 * j + 2] - pw[n])
-                * (pw[n] - D * pw[j + 1]) * (pw[j + 1] - D * pw[n])
-                / ((pw[j + 1] + pw[n]) ** 2
-                   * (pw[2 * j + 1] - pw[2 * n]) * (pw[2 * j + 3] - pw[2 * n])))
+        k = abs(n - j - 1)
+        return (pw[2 * k - 1] * (1 - pw[n]) * (pw[2 * j + 2 - n] - 1) * (pw[k] - D)
+                * (1 - D * pw[k]) / ((1 + pw[k]) ** 2 * (1 - pw[2 * k - 1]) * (1 - pw[2 * k + 1])))
     if n == j or n == j + 1:
         w = (1 - al) if n == j else al
         return (w * (1 - pw[j]) * (1 - pw[j + 1]) * (D - 1) * (1 - q * D)
                 / ((1 - q) ** 2 * (1 + q)))
-    return (pw[2 * j + n] * (pw[n] - 1) * (pw[2 * j + 1] - pw[n])
-            * (pw[n] - D * pw[j + 1]) * (D * pw[n] - pw[j])
-            / ((pw[j] + pw[n]) * (pw[j + 1] + pw[n])
-               * (pw[2 * j + 1] - pw[2 * n]) ** 2))
+    k = max(j - n, n - j - 1)
+    return (pw[2 * k] * (pw[n] - 1) * (pw[2 * j + 1 - n] - 1) * (D - pw[k])
+            * (1 - D * pw[k + 1]) / ((1 + pw[k]) * (1 + pw[k + 1]) * (1 - pw[2 * k + 1]) ** 2))
 
 
 def lattice(fam: ParaKrawtchoukFamily) -> LatticeWeights:

@@ -315,7 +315,7 @@ def _explicit_value(plan, point) -> tuple:
 _EXPLICIT_ACCURACY = 1e6 * 2.0 ** -53
 
 
-def eval_explicit(tri: TridiagonalSystem, zs) -> list:
+def eval_explicit(tri: TridiagonalSystem, zs, recurrence=None) -> list:
     """One row per degree n = 0..N, each [R_n(x(z)) for z in zs] with
     x = (z + 1/z)/2, from the branch-appropriate explicit expression of the
     table's family.
@@ -331,11 +331,12 @@ def eval_explicit(tri: TridiagonalSystem, zs) -> list:
     the coefficient tables and the series normalizations.  The terminating
     sums cancel badly for small q and large N (term scale grows like
     q**(-j^2)).  One rule serves every precision: with u the working unit
-    roundoff and r = R_n(x) read from one recurrence pass per point, a value
-    whose term magnitude times u exceeds ``_EXPLICIT_ACCURACY`` |r| is summed
-    again (:func:`_rerun`) and rounded back to the working type.  A value or
-    an r that is not finite raises ``OverflowError``.  A degenerate family
-    (c = a) raises :class:`DegenerateFamilyError`.
+    roundoff and r = R_n(x) read from one recurrence pass per point (the
+    caller's ``recurrence`` rows ``tri.values(x, N)``, when it has them), a
+    value whose term magnitude times u exceeds ``_EXPLICIT_ACCURACY`` |r| is
+    summed again (:func:`_rerun`) and rounded back to the working type.  A
+    value or an r that is not finite raises ``OverflowError``.  A degenerate
+    family (c = a) raises :class:`DegenerateFamilyError`.
     """
     fam = tri.family
     if any(z == 0 for z in zs):
@@ -343,7 +344,7 @@ def eval_explicit(tri: TridiagonalSystem, zs) -> list:
     # c = a puts an exact zero in a denominator of the expansion.
     fam.require_distinct_strands("the explicit expansion is undefined")
     points = [_point_factors(fam, z) for z in zs]
-    recurrence = [tri.values((z + 1 / z) / 2, fam.N) for z in zs]
+    recurrence = recurrence or [tri.values((z + 1 / z) / 2, fam.N) for z in zs]
     prec = working_precision(fam.q) or 53
     # magnitude u > ACC |r| with both sides scaled by 1/u = 2^prec, exactly.
     trigger = typed_float(_EXPLICIT_ACCURACY, fam.q) * 2 ** prec

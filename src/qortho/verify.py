@@ -18,9 +18,8 @@ isospectral radii come from the same factorisation of each Jacobi matrix in
 double, on a grid typed by q, so an extended run deforms at its precision.
 The bispectral and explicit suites each draw their ten points once and check
 every degree at them: the bispectral one with one recurrence pass per point
-and shift, the explicit one with one ``para_racah.eval_explicit`` call on the
-run's table and one recurrence pass per point.  ``eval_explicit`` makes its
-own pass per point, to rerun each value at the digits its cancellation cost.
+and shift, the explicit one with one recurrence pass per point, which both
+its comparison and the rerun rule of ``para_racah.eval_explicit`` read.
 """
 
 from __future__ import annotations
@@ -36,8 +35,9 @@ from .scalars import is_mp, max_keep_nan, typed_float
 
 __all__ = ["Check", "RunTables", "SUITES", "run_suite"]
 
-# Pinned tolerances: relative 1e-8 scale for binary64 families in the
-# moderate parameter box, tighter where the quantity is exact algebra.
+# Pinned tolerances: relative 1e-8 scale for binary64 families, tighter
+# where the quantity is exact algebra.  A default run that misses one in
+# double reruns at extended precision (qortho.cli).
 TOL_EXPLICIT = 1e-8
 TOL_GRAM = 1e-8
 TOL_WEIGHT_SUM = 1e-9
@@ -162,15 +162,16 @@ def suite_orthogonality(run, rng):
 
 def suite_explicit(run, rng):
     """The explicit expansion against the forward recurrence at ten points
-    shared by every degree: one explicit evaluation of all degrees, which
-    reruns a value at the digits its cancellation cost, and one recurrence
-    pass per point."""
+    shared by every degree: one recurrence pass per point, and one explicit
+    evaluation of all degrees, which reruns a value at the digits its
+    cancellation cost, read off that pass."""
     fam, tri = run.fam, run.tri
     worst = fam.q * 0
     zs = [_random_z(rng, fam) for _ in range(10)]
-    rows = para_racah.eval_explicit(tri, zs)
-    for z, column in zip(zs, zip(*rows)):
-        for e, r in zip(column, tri.values((z + 1 / z) / 2, fam.N)):
+    recurrence = [tri.values((z + 1 / z) / 2, fam.N) for z in zs]
+    rows = para_racah.eval_explicit(tri, zs, recurrence)
+    for column, values in zip(zip(*rows), recurrence):
+        for e, r in zip(column, values):
             worst = max_keep_nan(worst, abs(e - r) / max(abs(r), abs(e)))
     return [_check("explicit-vs-recurrence", worst, TOL_EXPLICIT)]
 

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -202,21 +203,86 @@ def test_env_precision_override(capsys, monkeypatch):
     assert len(value) > 20
 
 
-def test_auto_promotion_outside_box(capsys):
-    code, out, err = run_cli(capsys, [
-        "coeffs", "--kind", "qpr", "--a", "0.9", "--c", "0.7",
-        "--alpha", "0.5", "--q", "0.5", "--N", "12", "--format", "csv"])
-    assert code == 0
-    assert "promoting to extended precision" in err
+# With no precision given, a command runs in double and reruns once at 50
+# digits when double is refused for a reason a higher precision might lift.
+RERUN = "; rerunning at extended:50\n"
+# The N = 9 command of perfbench's KNOWN_DEFECT: in double its
+# coefficient-persymmetry residual is 1.59e-12, above the absolute 1e-12.
+PERSYM_DEFECT = "verify --a 0.2137 --c 0.4430 --q 0.3232 --N 9 --alpha 0.5 --suite all".split()
 
 
-def test_explicit_precision_suppresses_promotion(capsys):
-    code, out, err = run_cli(capsys, [
-        "coeffs", "--kind", "qpr", "--a", "0.9", "--c", "0.7",
-        "--alpha", "0.5", "--q", "0.5", "--N", "12",
-        "--precision", "double", "--format", "csv"])
-    assert code == 0
-    assert "promoting" not in err
+def test_default_prints_a_certified_double_run_as_it_is(capsys):
+    argv = "coeffs --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12".split()
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, argv + ["--precision", "double"])
+
+
+def test_default_reruns_a_refused_double_run_at_50_digits(capsys):
+    code, out, err = run_cli(capsys, PERSYM_DEFECT + ["--format", "json"])
+    assert (code, err) == (0, "note: verification failed: 1 of 17 checks" + RERUN)
+    assert json.loads(out)["precision"] == "extended:50"
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    ("lattice-weights --a 0.9 --c 0.7 --alpha 0.3 --q 0.2 --N 60",
+     "numeric underflow or zero denominator at double precision"),
+    ("verify --a 0.9 --c 0.7 --alpha 0.3 --q 0.2 --N 30 --suite explicit",
+     "numeric overflow at double precision"),
+    ("lattice-weights --a 1.1522 --c 2.6228 --alpha 0.5 --q 0.0844 --N 17",
+     "non-finite output: 21 of 39 printed values are nan or inf"),
+    ("lattice-weights --a 0.0550 --c 1.6651 --alpha 0.5 --q 0.4404 --N 23",
+     "orthogonality not certified: gram_max_error = 2.234e-02 exceeds 1e-08"),
+], ids=["underflow", "overflow", "non-finite", "gram"])
+def test_a_rerun_prints_the_extended_output_after_one_note(capsys, argv, refusal):
+    code, out, err = run_cli(capsys, argv.split())
+    assert (code, err) == (0, "note: " + refusal + RERUN)
+    assert (code, out, "") == run_cli(capsys, argv.split() + ["--precision", "extended"])
+
+
+@pytest.mark.parametrize("suite,failed", [("all", "3 of 10"), ("isospectral", "1 of 1")])
+def test_a_family_outside_the_positivity_region_is_not_rerun(capsys, suite, failed):
+    # favard-positivity fails, and the checks that need a positive family
+    # are skipped: a fact of the parameters at any precision.
+    argv = "verify --a 2.3135 --c 1.626 --alpha 0.75 --q 0.2465 --N 8 --suite".split() + [suite]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (4, "verification failed: %s checks\n" % failed)
+    assert ",fail,nan," in out
+
+
+@pytest.mark.parametrize("flag,env", [(["--precision", "double"], None), ([], "double")],
+                         ids=["flag", "env"])
+def test_a_given_precision_never_reruns(capsys, monkeypatch, flag, env):
+    if env:
+        monkeypatch.setenv("QORTHO_PRECISION", env)
+    code, out, err = run_cli(capsys, PERSYM_DEFECT + flag)
+    assert (code, err) == (4, "verification failed: 1 of 17 checks\n")
+    assert "persymmetry/coefficient-persymmetry,fail," in out
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_no_benchmark_table_or_process_op_reruns(capsys, monkeypatch):
+    # A rerun adds a 50-digit run to the double one, which the in-box
+    # benchmark workloads would read as a slowdown: the first blocks of
+    # cli-proc and tables-box at seeds 1-4 (336 operations) each run once,
+    # in double.
+    workloads = _load_workloads()
+    runs = []
+    original = cli._run
+    monkeypatch.setattr(cli, "_run", lambda args, precision: runs.append(precision)
+                        or original(args, precision))
+    ops = [op for name in ("cli-proc", "tables-box") for seed in (1, 2, 3, 4)
+           for op in next(workloads.blocks(name, seed))]
+    assert len(ops) == 336
+    assert [run_cli(capsys, op)[::2] for op in ops] == [(0, "")] * len(ops)
+    assert runs == ["double"] * len(ops)
 
 
 # At this parameter set the double-precision weights are all NaN.
@@ -273,30 +339,32 @@ def test_the_twist_alone_makes_lattice_weights_exit_4(capsys, monkeypatch):
     assert out.strip().splitlines()[-1] == "# gram_max_error = 2.000e-08"
 
 
-PROMOTION_NOTE = ("note: parameters outside the double-precision box; "
-                  "promoting to extended precision\n")
 LARGE_N_EXPLICIT = [(N, q) for N in (20, 30, 40, 60) for q in ("0.2", "0.3", "0.5")]
+# Default explicit runs in which a double term magnitude overflows.
+EXPLICIT_OVERFLOWS = {(30, "0.2"), (40, "0.2"), (40, "0.3"), (60, "0.2"), (60, "0.3"), (60, "0.5")}
+OVERFLOW_NOTE = "note: numeric overflow at double precision" + RERUN
 
 
-@pytest.mark.parametrize("argv", [
-    "lattice-weights --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 30 --precision double",
-    "verify --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 40 --precision double "
-    "--suite orthogonality",
-    "verify --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 60 --precision extended:20 "
-    "--suite orthogonality",
-    *("verify --a 0.9 --c 0.7 --alpha 0.3 --q %s --N %d --suite explicit" % (q, N)
-      for N, q in LARGE_N_EXPLICIT),
-    "verify --a 0.9 --c 0.7 --alpha 0.3 --q 0.2 --N 60 --suite all",
+@pytest.mark.parametrize("argv,err", [
+    ("lattice-weights --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 30 --precision double", ""),
+    ("verify --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 40 --precision double "
+     "--suite orthogonality", ""),
+    ("verify --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 60 --precision extended:20 "
+     "--suite orthogonality", ""),
+    *(("verify --a 0.9 --c 0.7 --alpha 0.3 --q %s --N %d --suite explicit" % (q, N),
+       OVERFLOW_NOTE if (N, q) in EXPLICIT_OVERFLOWS else "") for N, q in LARGE_N_EXPLICIT),
+    # y_0^2 underflows in double.
+    ("verify --a 0.9 --c 0.7 --alpha 0.3 --q 0.2 --N 60 --suite all",
+     "note: numeric underflow or zero denominator at double precision" + RERUN),
 ], ids=["lattice-weights-30-double", "verify-40-double", "verify-60-extended20",
         *("explicit-%d-%s" % case for case in LARGE_N_EXPLICIT), "all-60-0.2"])
-def test_large_n_runs_are_certified(capsys, argv):
+def test_large_n_runs_are_certified(capsys, argv, err):
     # Forward recurrence at these lattices follows the dominant solution past
-    # n ~ N/2; the twisted values do not.  With no precision flag a run is
-    # promoted to 50 digits, and the explicit expansion cancels past them
+    # n ~ N/2; the twisted values do not.  The explicit expansion cancels
     # from N = 20 on: each value reruns at the digits its cancellation cost,
-    # about 660 at N = 60, q = 0.2.
-    code, out, err = run_cli(capsys, argv.split())
-    assert (code, err) == (0, "" if "--precision" in argv else PROMOTION_NOTE)
+    # about 660 at N = 60, q = 0.2.  With no precision flag a run is certified
+    # in double, or refused there and rerun at 50 digits after one note.
+    assert run_cli(capsys, argv.split())[::2] == (0, err)
 
 
 QPK_DOUBLE = ["--kind", "qpk", "--Delta", "1.3", "--alpha", "0.5", "--precision", "double"]
@@ -307,17 +375,10 @@ QPK_DOUBLE = ["--kind", "qpk", "--Delta", "1.3", "--alpha", "0.5", "--precision"
 def test_gram_forms_no_normalization_product(capsys, command):
     # h_n h_m underflows in double at these families although each h_n is a
     # normal double; Gram reads the scaled vectors and only the sign of h_n.
-    code, _, err = run_cli(capsys, command + QPK_DOUBLE + ["--q", "0.5", "--N", "40"])
-    assert (code, err) == (0, "")
-    # At q = 0.3, N = 30 the double weights are good to about 3e-8, so a
-    # named Gram line fails.
-    code, out, err = run_cli(capsys, command + QPK_DOUBLE + ["--q", "0.3", "--N", "30"])
-    assert code == 4
-    if command[0] == "verify":
-        failed = [row.split(",")[0] for row in out.splitlines()[1:] if ",fail," in row]
-        assert failed and all(name.startswith("orthogonality/gram-") for name in failed)
-    else:
-        assert err.startswith("orthogonality not certified: gram_max_error = ")
+    # At q = 0.3, N = 30 the Gram errors read about 3e-8 while b_n and u_n
+    # were summed in the paper's form, which cancels or underflows there.
+    for q, N in (("0.5", "40"), ("0.3", "30")):
+        assert run_cli(capsys, command + QPK_DOUBLE + ["--q", q, "--N", N])[::2] == (0, "")
 
 
 @pytest.mark.parametrize("N", ["8", "9"])
@@ -339,15 +400,14 @@ def test_signed_measures_keep_their_gram_certificate(capsys, family, N):
 # per q in 0.2, 0.3 and 0.5: lattice-weights, verify --suite orthogonality
 # and, for qpr, verify --suite isospectral and verify --suite explicit.  2 is
 # a double overflow (in the explicit suite a term magnitude or recurrence
-# value beyond the binary64 range) or a y_0^2 that underflows, and 4 the qpk
-# Gram at q = 0.3, N = 30 (about 3e-8).
+# value beyond the binary64 range) or a y_0^2 that underflows.
 LARGE_N_EXIT_CODES = {
     ("qpr", 20): ("0000", "0000", "0000"),
     ("qpr", 30): ("2202", "0000", "0000"),
     ("qpr", 40): ("2202", "2202", "0000"),
     ("qpr", 60): ("2202", "2202", "2202"),
     ("qpk", 20): ("00", "00", "00"),
-    ("qpk", 30): ("22", "44", "00"),
+    ("qpk", 30): ("22", "00", "00"),
     ("qpk", 40): ("22", "22", "00"),
     ("qpk", 60): ("22", "22", "22"),
 }
@@ -590,7 +650,7 @@ GOLDEN = [
     ("coeffs --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format csv --precision extended:30",
      "03101d3fe8395b18e8629e25d1d9da1d9d58496ac87c23a6916e47d800fc1157"),
     ("coeffs --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format json",
-     "69c06130119f91160d92cf79e3b271b9fcc0e4b71397d1fd3d8b9cc3169786a1"),
+     "18d05f54db55c0581c86de1b65e1ec6e54405a26df5a7e6b421c074dde62a789"),
     ("coeffs --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --format csv --precision extended:40",
      "410d26e534e685a687130f93eca0f94729456bf17a11d089c280fbca3191028f"),
     ("coeffs --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
@@ -602,23 +662,28 @@ GOLDEN = [
     ("lattice-weights --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format csv --precision extended:30",
      "5ffc99f5e41e6705dcb9f58cf5054ff3504daad386d21189fafbc862fa57da0f"),
     ("lattice-weights --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format json",
-     "01038ec315abda4a69bae6f22f582f30f28050314b36664f7bef4c2ada2b6594"),
+     "1b857ea1bc7d0cf66f3753612823114857a493a6d0edbf48f2c786beae766b40"),
     ("lattice-weights --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --format csv --precision extended:40",
      "135eb7931cf3d840caf1416e11b0306525ed1a68038290c0ad49ad71329e5903"),
     ("lattice-weights --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
      "6f98faaa99978eb4bfec25ce625ad6ff2dbda2a38705bc9f2c293d645eceb49b"),
-    ("coeffs --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format csv",
+    ("coeffs --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format csv --precision extended",
      "1bd54ff8d1139511527c197b15b5ac163eaf16e219f7da8ddabaea15905a9056"),
-    ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format json",
+    ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format json --precision extended",
      "a46bb4720e65a974990fcf2502d9a8a91aa7dbba411c4ace48521278f5c99761"),
+    # The same two at the default precision: certified in double.
+    ("coeffs --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format csv",
+     "a1953a19fa9c3d3732a2af3f9b7447bc233093574e26e6bc51290a85d6bcfce3"),
+    ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format json",
+     "9201818dba8973beaf973d4d4e0169ad794f45f32456f72405527410854dbd93"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5 --format csv --precision double",
-     "db91bbe2a353054babb75cabd2428ff197c8bef0b4b5734d712718ea4831ca19"),
+     "b15f181751d6eecf2d29b2693a9712bc5ceae5c58e5ca05db240fc85abf2e17b"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --format json --precision double --seed 3",
-     "9cbdff3a5b8828744143db7ab3b3502b7a9409d3b0b9f810c9848375b9477d82"),
+     "b85b983096006eb6636ae7617869f618e8fb085c3f87a9fe04a9f8c0c80443da"),
     ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
      "df14261354ca68e03cca1515251fa4d7be07257824c7ea48ae5f722a6915cecb"),
     ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format csv --precision extended",
-     "f5b9fa457add7153fddd5dad1e65d2ca11b305cdb197598f02d962e1a41743b9"),
+     "cdbe3353dbb2bb908ac956dbc2f1017b83715810c117046d6726d246ba9ab0b3"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --suite orthogonality --format json --precision extended",
      "48624a550ca1ea96a5112cfc21b978d51c2a463bc4947c0c06970ecbec0bb504"),
     # The explicit expansion of both parities, in double where the rerun
@@ -637,7 +702,7 @@ GOLDEN = [
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 9 --format json --precision extended",
      "beeeec04ddefc73a2ce4d21b5dbaea6ae0da040e6936f5040ddc0e7c3668e747"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 12 --format json --precision extended",
-     "b66d558a63932c1838e44025cee8cc9cff49433622a5232b43b7401c70c78e20"),
+     "aa8b1238275f0b941836006a50242e4bfa6ffad89a454030a45e2f37f7523b4a"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --format json --precision extended",
      "4dc349488856929d589d4926d5878ac3c8f17d48c1d704ff545e2f30994a1e8f"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite bispectral --format json --precision extended:60",
@@ -648,11 +713,11 @@ GOLDEN = [
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 9 --suite dualhahn --format csv --precision extended:80",
      "55ae200d8239ef067b86b3ffb3d4308fca30e4ff16a870360dded366fd9bed47"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 8 --suite qpk-limit --format csv --precision extended:80",
-     "a41a5d52c5051fba59e1a2d802321c168a34dec7d019ca4a746e846913b50768"),
+     "471038cad7db7585e8fd6a5b7b4a5ad834ea38dacf810ced406599e573cfafd1"),
     ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 7 --suite all --format csv --precision double",
-     "79668b8cfcbbc9773f514a32ed02cdc68b9aecf0ac11020e0dc70f736a2b872e"),
+     "6fa35da6007a9adb330bfede7a7d4d689e83fcac77e2d3dde1b6d78afc2185ae"),
     ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 8 --suite all --format json --precision extended",
-     "3837bc799372f98e87ceea1405defa51d64d12d131320c99ff4ddc68108ee2d1"),
+     "7882732751b6dc65aa529301e09e0b5fdcfef0ddd93ce85ee1ae75d2b71e8b06"),
     # The isospectral suite's deformed tables: N = 1, 2, 3, where the splice
     # n = j, j+1 reaches both ends of the table, families at alpha = 1/2 of
     # both parities, and one at a grid alpha, each in double and extended.

@@ -105,7 +105,7 @@ def _shared_conventions_digest():
 
 def test_shared_conventions_are_unchanged_bit_for_bit():
     assert _shared_conventions_digest() == (
-        "e5adb34e59a7bdd708608b3d5854ca342c12195b1288a6c073abd5ec85afda0e")
+        "7e9d0c69e89be50c34d81c4087fa75f51abbb9b30e8146716ab712dadcbed571")
 
 
 @pytest.mark.parametrize("row", ["b", "u"])

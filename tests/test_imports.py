@@ -61,7 +61,7 @@ def test_binary64_table_commands_never_load_mpmath():
              for command in ("coeffs", "lattice-weights")
              for kind in ("qpr", "qpk")
              for fmt in ("csv", "json")
-             for N in (5, 6)]
+             for N in (5, 6, 12)]
     assert _run_fresh(*argvs) == [[None, False]] + [[0, False]] * len(argvs)
 
 
@@ -153,10 +153,11 @@ def test_no_process_loads_dataclasses_and_only_json_output_loads_json(argv):
 @pytest.mark.parametrize("argv,code", [
     ("verify --suite all --N 6 --precision double", 0),
     ("coeffs --N 6 --precision extended", 0),
-    ("coeffs --N 12", 0),
+    # In double coefficient-persymmetry reads 1.59e-12 > 1e-12: a rerun.
+    ("verify --suite persymmetry --a 0.2137 --c 0.4430 --q 0.3232 --N 9 --alpha 0.5", 0),
     # q = 0.3 overrides the box family's q: the explicit rerun fires.
     ("verify --suite explicit --q 0.3 --N 8 --precision double", 0),
-], ids=["verify-double", "coeffs-extended", "auto-promoted", "explicit-rerun"])
+], ids=["verify-double", "coeffs-extended", "precision-rerun", "explicit-rerun"])
 def test_extended_values_and_limit_checks_load_mpmath(argv, code):
     assert _run_fresh(argv.split()[:1] + BOX["qpr"] + argv.split()[1:]) == [
         [None, False], [code, True]]

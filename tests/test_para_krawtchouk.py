@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -206,6 +207,60 @@ def test_christoffel_route_matches_closed_forms(N, num, dps, tol):
 def test_infinite_delta_is_refused(scalar):
     with pytest.raises(ValueError, match="^Delta must be finite$"):
         ParaKrawtchoukFamily(Delta=scalar("inf"), alpha=scalar(0.5), q=scalar(0.5), N=5)
+
+
+def _paper_b(fam, n):
+    """The paper's b_n at even N, D - t1 + t2."""
+    D, j, pw = fam.Delta, fam.j, fam.q.__pow__
+    t1 = (pw(2 * j) * (pw(n) - 1) * (pw(n) - D * pw(j + 1))
+          / ((pw(j) + pw(n)) * (pw(2 * j + 1) - pw(2 * n))))
+    t2 = (pw(n) * (pw(2 * j) - pw(n)) * (pw(j) - D * pw(n + 1))
+          / ((pw(j) + pw(n)) * (pw(2 * j) - pw(2 * n + 1))))
+    return D - t1 + t2
+
+
+def _paper_u(fam, n):
+    """The paper's u_n away from the middle degrees."""
+    D, j, pw = fam.Delta, fam.j, fam.q.__pow__
+    if fam.odd:
+        return (pw(2 * j + 1 + n) * (1 - pw(n)) * (pw(2 * j + 2) - pw(n))
+                * (pw(n) - D * pw(j + 1)) * (pw(j + 1) - D * pw(n))
+                / ((pw(j + 1) + pw(n)) ** 2
+                   * (pw(2 * j + 1) - pw(2 * n)) * (pw(2 * j + 3) - pw(2 * n))))
+    return (pw(2 * j + n) * (pw(n) - 1) * (pw(2 * j + 1) - pw(n))
+            * (pw(n) - D * pw(j + 1)) * (D * pw(n) - pw(j))
+            / ((pw(j) + pw(n)) * (pw(j + 1) + pw(n)) * (pw(2 * j + 1) - pw(2 * n)) ** 2))
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_coefficients_are_the_papers_rational_functions(N):
+    # b_n at even N and u_n away from the middle are summed in forms that
+    # neither cancel nor underflow; in exact arithmetic they are the paper's.
+    F = Fraction
+    for q in (F(1, 5), F(1, 2), F(9, 10)):
+        for D in (F(13, 10), F(7, 10), F(3)):
+            fam = ParaKrawtchoukFamily(Delta=D, alpha=F(7, 20), q=q, N=N)
+            middle = (fam.j + 1,) if fam.odd else (fam.j, fam.j + 1)
+            for n in range(1, N + 2):
+                if n not in middle:
+                    assert u_coefficient(fam, n) == _paper_u(fam, n), (q, D, n)
+            if not fam.odd:
+                for n in range(N + 1):
+                    assert b_coefficient(fam, n) == _paper_b(fam, n), (q, D, n)
+
+
+@pytest.mark.parametrize("q", [0.02, 0.05, 0.2, 0.5, 0.9])
+@pytest.mark.parametrize("N", [29, 30, 60, 61])
+def test_double_coefficients_are_within_1e_13_of_150_digits(N, q):
+    # The paper's forms lose j log10(1/q) digits in b_n at even N (1e22 at
+    # N = 60, q = 0.05) and underflow in u_n (every digit at q = 0.02).
+    D = 1.3 if q < 0.7 else 1.05
+    tri = tridiagonal(ParaKrawtchoukFamily(Delta=D, alpha=0.3, q=q, N=N))
+    with mpmath.workdps(150):
+        ref = tridiagonal(ParaKrawtchoukFamily(Delta=mpmath.mpf(D), alpha=mpmath.mpf(0.3),
+                                               q=mpmath.mpf(q), N=N))
+        worst = max(abs(x - y) / abs(y) for x, y in zip(tri.b + tri.u, ref.b + ref.u))
+    assert worst <= 1e-13
 
 
 def test_coefficient_validation():

@@ -170,4 +170,4 @@ def _weighted_and_deformed_digest():
 
 def test_weighted_and_deformed_tables_are_unchanged_bit_for_bit():
     assert _weighted_and_deformed_digest() == (
-        "cc12fc3c4baaaccbadfe9879141d078b737e419987334e11a4a4a4405679ffb1")
+        "1d23a29a3a59c8a47d9045119b81d113770b0c4649ca7db0579ca08ff8de2cbb")

@@ -257,10 +257,10 @@ def test_bispectral_suite_makes_three_passes_per_point_at_any_N(monkeypatch, N):
 
 
 @pytest.mark.parametrize("N", [1, 6, 9, 16])
-def test_explicit_suite_makes_two_passes_and_one_factor_build_per_point_at_any_N(monkeypatch, N):
+def test_explicit_suite_makes_one_pass_and_one_factor_build_per_point_at_any_N(monkeypatch, N):
     # Ten points shared by every degree: at each, one build of the
-    # z-dependent factors and two recurrence passes up to P_N, one read by
-    # eval_explicit's rerun rule and one by the check.
+    # z-dependent factors and one recurrence pass up to P_N, which both
+    # eval_explicit's rerun rule and the check read.
     num = mpmath.mpf
     passes, builds = [], []
     original_values = recurrence.monic_values
@@ -274,7 +274,7 @@ def test_explicit_suite_makes_two_passes_and_one_factor_build_per_point_at_any_N
         fam = para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"),
                                          q=num("0.5"), N=N)
         checks = verify.run_suite("explicit", fam)
-    assert passes == [N] * 20
+    assert passes == [N] * 10
     assert len(builds) == 10
     assert all(chk.passed for chk in checks)
 
