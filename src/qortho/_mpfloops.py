@@ -68,13 +68,13 @@ def series_sum(plan, rows) -> tuple:
     argument = plan.argument._mpf_
     term = total = first._mpf_
     magnitude = mpf_abs(term, prec, rnd)
-    for k, (num, den) in enumerate(zip(plan.num, plan.den)):
-        for f in num:
-            term = mpf_mul(term, f._mpf_, prec, rnd)
+    for k in range(plan.degree):
+        for row in plan.num:
+            term = mpf_mul(term, row[k]._mpf_, prec, rnd)
         for row in rows:
             term = mpf_mul(term, row[k]._mpf_, prec, rnd)
-        for f in den:
-            term = mpf_div(term, f._mpf_, prec, rnd)
+        for row in plan.den:
+            term = mpf_div(term, row[k]._mpf_, prec, rnd)
         term = mpf_mul(term, argument, prec, rnd)
         magnitude = mpf_add(magnitude, mpf_abs(term, prec, rnd), prec, rnd)
         total = mpf_add(total, term, prec, rnd)

@@ -31,7 +31,6 @@ import os
 import sys
 
 from . import para_krawtchouk, para_racah, verify
-from .qseries import SingularSeriesError
 from .recurrence import (DegenerateFamilyError, family_module, gram_errors, lattice_vectors,
                          tridiagonal)
 from .scalars import (DEFAULT_EXTENDED_DIGITS, as_scalar, extended_precision,
@@ -281,7 +280,7 @@ def _run(args, precision: str):
         reason = "numeric underflow or zero denominator at %s precision" % prec.label
         print("%s: %s" % (reason, str(exc) or "division by zero"), file=sys.stderr)
         return EXIT_USAGE, reason
-    except (ValueError, SingularSeriesError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print("invalid parameters: %s" % exc, file=sys.stderr)
         return EXIT_USAGE, None
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .qseries import SeriesPlan, qpochhammer
+from .qseries import PowerTable, SeriesPlan, qpochhammer
 # weights_from_christoffel (both kinds' route) is bound for verify's calls.
 from .recurrence import (_DEGENERATE_TOL, BiLatticeFamily, DegenerateFamilyError,
                          LatticeWeights, TridiagonalSystem, interleave,
@@ -228,7 +228,9 @@ def _explicit_plan(fam: ParaRacahFamily, n: int) -> tuple:
     (numerator head, numerator tail, denominator, tail series or None): the
     term is head (az; q)_{j+1} (a/z; q)_{j+1} tail / denominator, times the
     tail series at the point's (a q^(j+1) z, a q^(j+1)/z) rows when there is
-    one.  The normalization eta is :func:`_eta`.
+    one.  The normalization eta is :func:`_eta`.  Every series reads its
+    rows and guard checks from the family's table, once per family and
+    precision for all degrees.
     """
     a, c, al, q, j = _unpack(fam)
     N = fam.N
@@ -238,7 +240,7 @@ def _explicit_plan(fam: ParaRacahFamily, n: int) -> tuple:
     eta = _eta(fam, n)
     if fam.odd and n in (j, j + 1):
         # sum_{k<=j} (q^{-j-1}, az, a/z; q)_k q^k / (q, ac, (a/c)q^{-j}; q)_k
-        middle = SeriesPlan((pw[-j - 1],), (q, a * c, (a / c) * pw[-j]), q, q, j)
+        middle = SeriesPlan((pw[-j - 1],), (q, a * c, (a / c) * pw[-j]), pw, q, j)
         if n == j:
             return eta, middle, None
         extra_den = (al * qp(q, j + 1) * qp(a * c, j + 1)
@@ -248,15 +250,15 @@ def _explicit_plan(fam: ParaRacahFamily, n: int) -> tuple:
     head_num = (pw[-n], pw[n - N])
     head_den = (pw[-j], a * c, r, q)
     if n <= j:
-        return eta, SeriesPlan(head_num, head_den, q, q, n), None
-    head = SeriesPlan(head_num, head_den, q, q, N - n)
+        return eta, SeriesPlan(head_num, head_den, pw, q, n), None
+    head = SeriesPlan(head_num, head_den, pw, q, N - n)
     pref_head = qp(pw[n - N], N - n) * qp(pw[-n], j + 1)
     pref_den = (al * qp(pw[-j], j) * qp(q, j + 1)
                 * qp(a * c, j + 1) * qp(r, j + 1))
     # (a/c) q^(2j+2-N), multiplied left to right: (a/c) q q for even N.
     tail = SeriesPlan((pw[j + 1 - n], pw[n + j + 1 - N]),
                       (pw[j + 2], a * c * qj1, (a / c) * q * pw[2 * j + 1 - N], q),
-                      q, q, n - j - 1)
+                      pw, q, n - j - 1)
     return eta, head, (pref_head, (qp(q, n + j - N), qj1), pref_den, tail)
 
 
@@ -264,27 +266,18 @@ def _point_factors(fam: ParaRacahFamily, z) -> tuple:
     """One point's z-dependent factors, read by every degree:
     ([1 - az q^k], [1 - (a/z) q^k]) for k <= j, the same of
     a q^(j+1) z and a q^(j+1)/z for k < N-j-1, and the prefixes
-    ((az; q)_{j+1}, (a/z; q)_{j+1}).
-
-    The powers of q are the table's running powers, which are
-    :func:`~qortho.qseries.qpochhammer`'s and every
-    :class:`~qortho.qseries.SeriesPlan`'s ``qpows``; so each factor and
-    prefix is the one those compute, bit for bit.
+    ((az; q)_{j+1}, (a/z; q)_{j+1}).  They come from a
+    :class:`~qortho.qseries.PowerTable` of the point's own, dropped with it,
+    so no z-dependent row stays on the family, and each is the value a plan
+    or :func:`~qortho.qseries.qpochhammer` forms, bit for bit.
     """
     a, j = fam.a, fam.j
-    pw = fam.powers()
-    qpows = pw.running(j + 1)
-    aq = a * pw[j + 1]
-    head = tuple([1 - p * qpow for qpow in qpows] for p in (a * z, a / z))
-    tail_qpows = qpows[:fam.N - j - 1]
-    tail = tuple([1 - p * qpow for qpow in tail_qpows] for p in (aq * z, aq / z))
-    prefixes = []
-    for row in head:
-        out = qpows[0]
-        for f in row:
-            out = out * f
-        prefixes.append(out)
-    return head, tail, prefixes
+    aq = a * fam.powers()[j + 1]
+    pw = PowerTable(fam.q)
+    bases = (a * z, a / z)
+    head = tuple(pw.factors(p, j + 1) for p in bases)
+    tail = tuple(pw.factors(p, fam.N - j - 1) for p in (aq * z, aq / z))
+    return head, tail, [pw.pochhammer(p, j + 1) for p in bases]
 
 
 def _explicit_value(plan, point) -> tuple:

@@ -7,7 +7,8 @@ parameters, which contributes the usual (q;q)_k factor.  Every sum
 terminates, either at an explicitly supplied truncation degree or at the
 degree implied by a numerator parameter of the form q**(-n).  A
 :class:`SeriesPlan` computes the parameter-only factors once, so that a sum
-taken at many evaluation points recomputes only the point-dependent ones.
+taken at many evaluation points recomputes only the point-dependent ones;
+every factor 1 - p q^k comes from one loop, :meth:`PowerTable.factors`.
 
 In binary64 mode terms are accumulated in increasing k with compensated
 (Kahan) summation; mpmath inputs are summed plainly since the working
@@ -46,9 +47,7 @@ class SingularSeriesError(ArithmeticError):
     def __init__(self, parameter, index):
         self.parameter = parameter
         self.index = index
-        super().__init__(
-            "denominator factor 1 - (%s) * q^%d vanishes" % (parameter, index)
-        )
+        super().__init__("denominator factor 1 - (%s) * q^%d vanishes" % (parameter, index))
 
 
 def _check_nome(q):
@@ -60,72 +59,77 @@ def _check_length(k) -> int:
     try:
         ki = int(k)
     except (OverflowError, ValueError, TypeError):
-        raise ValueError("only finite integer q-Pochhammer lengths are supported")
+        ki = None
     if ki != k:
         raise ValueError("only finite integer q-Pochhammer lengths are supported")
-    if ki < 0:
-        raise ValueError("q-Pochhammer length must be non-negative")
     return ki
 
 
 def qpochhammer(a, q, k):
     """(a;q)_k = prod_{i=0}^{k-1} (1 - a q^i); the empty product q^0 for k = 0."""
     _check_nome(q)
-    k = _check_length(k)
-    out = qpow = q ** 0
-    for _ in range(k):
-        out = out * (1 - a * qpow)
-        qpow = qpow * q
-    return out
+    return PowerTable(q).pochhammer(a, _check_length(k))
 
 
 class PowerTable(dict):
     """``table[k]`` is ``q ** k`` itself, computed on first read (a power
-    that raises is not stored), and :meth:`pochhammer` extends each base's
-    prefixes (base; q)_0..k in :func:`qpochhammer`'s operation order: both
-    are the direct values bit for bit, at the precision that filled them."""
+    that raises is not stored).  From the running powers q^0, q^0 q, ... the
+    table forms, once per base and index, the factors 1 - base q^i
+    (:meth:`factors`, the package's one such loop), their prefixes
+    (:meth:`pochhammer`) and their singular-guard check (:meth:`vanishing`):
+    each is the direct loop's value bit for bit, at the precision that
+    filled it."""
 
-    __slots__ = ("q", "_running", "_rows")
+    __slots__ = ("q", "_running", "_rows", "_prefixes", "_clear")
 
     def __init__(self, q):
         self.q = q
-        # q^0, q^0 q, q^0 q q, ...: the running powers of qpochhammer.
         self._running = [q ** 0]
+        # Per base: its factors, its prefixes, how many factors passed the guard.
         self._rows = {}
+        self._prefixes = {}
+        self._clear = {}
 
     def __missing__(self, k):
         value = self[k] = self.q ** k
         return value
 
-    def _extend(self, k) -> list:
-        running = self._running
-        while len(running) < k:
-            running.append(running[-1] * self.q)
-        return running
-
-    def running(self, k) -> list:
-        """The first k running powers q^0, q^0 q, q^0 q q, ... (a new list):
-        :func:`qpochhammer`'s, and every :class:`SeriesPlan`'s ``qpows``."""
-        return self._extend(k)[:k]
+    def factors(self, base, k) -> list:
+        """The factors 1 - base q^i for i < k: the table's own row, at least k
+        long, shared by every reader and extended in place."""
+        # Hashing an mpf costs a multiplication; its _mpf_ tuple is cheap.
+        row = self._rows.setdefault(getattr(base, "_mpf_", base), [])
+        if len(row) < k:
+            running = self._running
+            while len(running) < k:
+                running.append(running[-1] * self.q)
+            row.extend([1 - base * qpow for qpow in running[len(row):k]])
+        return row
 
     def pochhammer(self, base, k):
-        """(base; q)_k, bit for bit ``qpochhammer(base, q, k)``."""
-        # Hashing an mpf costs a multiplication; its _mpf_ tuple is cheap.
+        """(base; q)_k, the product of the base's first k factors in order."""
+        if k < 0:
+            raise ValueError("q-Pochhammer length must be non-negative")
         key = getattr(base, "_mpf_", base)
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = [self._running[0]]
-        n = len(row)
-        if k < n:
-            if k < 0:
-                raise ValueError("q-Pochhammer length must be non-negative")
-            return row[k]
-        running = self._extend(k)
-        out = row[-1]
-        for i in range(n - 1, k):
-            out = out * (1 - base * running[i])
-            row.append(out)
-        return out
+        prefixes = self._prefixes.get(key) or self._prefixes.setdefault(key, [self._running[0]])
+        if k >= len(prefixes):
+            for f in self.factors(base, k)[len(prefixes) - 1:k]:
+                prefixes.append(prefixes[-1] * f)
+        return prefixes[k]
+
+    def vanishing(self, base, k) -> int:
+        """The lowest i < k at which the factor 1 - base q^i lies within the
+        singular guard of zero, relative to max(1, |base q^i|), or k."""
+        key = getattr(base, "_mpf_", base)
+        clear = self._clear.get(key, 0)
+        if clear < k:
+            row, running = self.factors(base, k), self._running
+            one = running[0]  # the guard's terms, typed by q
+            guard = typed_float(_SINGULAR_GUARD, one)
+            while clear < k and not abs(row[clear]) <= guard * max(one, abs(base * running[clear])):
+                clear += 1
+            self._clear[key] = clear
+        return min(clear, k)
 
 
 class SeriesSpec:
@@ -182,57 +186,44 @@ def _series_eval_with_magnitude(spec: SeriesSpec):
     degree = spec.truncation
     if degree is None:
         degree = _terminating_degree(num, q)
-    return SeriesPlan(num, tuple(spec.denominator), q, spec.argument, degree).sum()
+    return SeriesPlan(num, tuple(spec.denominator), PowerTable(q), spec.argument,
+                      degree).sum()
 
 
 class SeriesPlan:
     """The parameter-only work of a terminating sum, done once for many sums.
 
-    For each k below the truncation degree the plan holds q^k (``qpows``, the
-    running powers q^0, q^0 q, ... of :func:`qpochhammer`) and the factors
-    1 - p q^k of the fixed numerator and of the denominator parameters, the
-    latter already checked against the singular guard.  :meth:`sum` then
-    takes the factors of the numerator parameters that vary from sum to sum
-    (an evaluation point), which the caller builds once and may share between
-    plans.  Every factor goes into the term in the same order as in a sum
-    written with the varying parameters listed after the fixed ones, so the
-    result is that sum's bit for bit.  A plan holds values at the working
-    precision that built it and belongs to one computation.
+    The plan holds the row of factors 1 - p q^k, k below the degree, of each
+    fixed numerator and each denominator parameter p, read from ``table``:
+    the plans of one family share its rows and guard checks.  A vanishing
+    denominator raises :class:`SingularSeriesError` at the lowest such k and
+    the first parameter there.  :meth:`sum` takes the rows of the numerator
+    parameters that vary from sum to sum (an evaluation point).  Every
+    factor goes into the term in the order of a sum written with the
+    varying parameters after the fixed ones, so the result is that sum's bit
+    for bit.  A plan holds values at the working precision that built it.
     """
 
-    def __init__(self, numerator, denominator, q, argument, degree: int):
+    def __init__(self, numerator, denominator, table, argument, degree: int):
         if degree < 0:
             raise ValueError("truncation degree must be non-negative")
         self.degree = degree
         self.argument = argument
-        self.plain = any(is_mp(v) for v in (q, argument) + numerator + denominator)
+        self.plain = any(is_mp(v) for v in (table.q, argument) + numerator + denominator)
         self.first = argument ** 0
-        self.qpows = []
-        one = qpow = q ** 0  # the guard's terms, typed by q
-        guard = typed_float(_SINGULAR_GUARD, one)
-        for _ in range(degree):
-            self.qpows.append(qpow)
-            qpow = qpow * q
-        self.num = []
-        self.den = []
-        for k, qpow in enumerate(self.qpows):
-            self.num.append(tuple(1 - p * qpow for p in numerator))
-            row = []
-            for p in denominator:
-                pq = p * qpow
-                f = 1 - pq
-                if abs(f) <= guard * max(one, abs(pq)):
-                    raise SingularSeriesError(p, k)
-                row.append(f)
-            self.den.append(tuple(row))
+        vanishing = [table.vanishing(p, degree) for p in denominator]
+        k = min(vanishing, default=degree)
+        if k < degree:
+            raise SingularSeriesError(denominator[vanishing.index(k)], k)
+        self.num = [table.factors(p, degree) for p in numerator]
+        self.den = [table.factors(p, degree) for p in denominator]
         # Then sum() may run on raw tuples (qortho._mpfloops), bit for bit.
-        self.all_mpf = all_mpf((self.first, argument), self.qpows, *self.num, *self.den)
+        self.all_mpf = all_mpf((self.first, argument), *self.num, *self.den)
 
     def sum(self, rows=()):
         """(value, sum of |term|) with one varying numerator parameter p per
-        row of ``rows``, each given by its factors: ``row[k]`` is
-        1 - p * ``qpows[k]`` for every k below the degree (a longer row is
-        read only that far)."""
+        row of ``rows``, each given by its factors: ``row[k]`` is 1 - p q^k
+        for every k below the degree (a longer row is read only that far)."""
         if self.all_mpf and all_mpf(*rows):
             from . import _mpfloops
             return _mpfloops.series_sum(self, rows)
@@ -244,12 +235,12 @@ class SeriesPlan:
         comp = term - term
         magnitude = abs(term)
         for k in range(degree):
-            for f in num[k]:
-                term = term * f
+            for row in num:
+                term = term * row[k]
             for row in rows:
                 term = term * row[k]
-            for f in den[k]:
-                term = term / f
+            for row in den:
+                term = term / row[k]
             term = term * argument
             magnitude = magnitude + abs(term)
             if plain:

@@ -39,7 +39,7 @@ alpha by recomputing those entries and sharing every other one.
 A table belongs to one verify run or one command and is never cached beyond
 it: a table of mpmath values built at one working precision must not be
 read at another, nor deformed by ``at_alpha`` at another.  A family keeps
-the powers of its q and the (base; q)_k of its z-free bases for as long as
+the powers of its q and the factor rows of its z-free bases for as long as
 it lives, one table per working precision (:meth:`BiLatticeFamily.powers`).
 """
 from __future__ import annotations

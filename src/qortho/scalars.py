@@ -65,7 +65,11 @@ def as_scalar(value, extended: bool = False):
             return value
         import mpmath
         return mpmath.mpf(value)
-    return float(value)
+    x = float(value)
+    # A nonzero decimal beyond binary64 over- or underflows; inf and nan hold no digit.
+    if (x == 0 or math.isinf(x)) and set(str(value).lower().partition("e")[0]) & set("123456789"):
+        raise (OverflowError if x else ZeroDivisionError)("%s is outside the binary64 range" % value)
+    return x
 
 
 def typed_float(value: float, like):

@@ -36,9 +36,11 @@ class SymmetricTridiagonal:
 
 def build_jacobi(tri: TridiagonalSystem) -> SymmetricTridiagonal:
     """Symmetrized Jacobi matrix: diagonal b_n, off-diagonal sqrt(u_n)."""
-    u = [float(v) for v in tri.u]
-    if any(v <= 0 for v in u):
+    if any(v <= 0 for v in tri.u):
         raise ValueError("all u_n must be positive to symmetrize the recurrence")
+    u = [float(v) for v in tri.u]
+    if not all(u):
+        raise ZeroDivisionError("a positive u_n underflows the binary64 Jacobi matrix")
     return SymmetricTridiagonal(diagonal=tuple(float(v) for v in tri.b),
                                 offdiag=tuple(math.sqrt(v) for v in u))
 

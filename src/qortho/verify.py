@@ -31,7 +31,7 @@ from functools import cached_property
 from . import connections, para_krawtchouk, para_racah, spectral
 from .recurrence import (family_module, gram_errors, lattice_vectors, persymmetry_residual,
                          tridiagonal)
-from .scalars import is_mp, max_keep_nan, typed_float
+from .scalars import is_finite, is_mp, max_keep_nan, typed_float
 
 __all__ = ["Check", "RunTables", "SUITES", "run_suite"]
 
@@ -242,8 +242,14 @@ def suite_qracah(run, rng):
 
 def suite_dualhahn(run, rng):
     fam = run.fam
-    a_exp = math.log(fam.a) / math.log(fam.q)
-    limits = connections.dual_hahn_limit(a_exp, fam.N, range(1, fam.N))
+    log = fam.q.context.log if is_mp(fam.q) else math.log
+    a_exp = log(fam.a) / log(fam.q)  # in the family's scalar type
+    try:
+        limits = connections.dual_hahn_limit(a_exp, fam.N, range(1, fam.N))
+    except connections.ExtrapolationError as exc:
+        # The limit runs at LIMIT_DIGITS at any precision: no rerun changes it.
+        return [_failed("dual-hahn-limit", TOL_DUALHAHN,
+                        "skipped: %s at a-exponent %.6g" % (exc, a_exp))]
     worst = 0.0
     for lim_a, lim_c, t_a, t_c in limits:
         worst = max_keep_nan(worst, abs(lim_a - t_a) / max(1.0, abs(t_a)),
@@ -261,6 +267,10 @@ def suite_qpk_limit(run, rng):
         qpk, delta = run.tri, fam.Delta
     else:
         qpk, delta = None, fam.a / fam.c
+        # Refused by its range, a binary64 a / c reruns at extended precision.
+        if not (is_finite(delta) and delta):
+            raise (ZeroDivisionError if delta == 0 else OverflowError)(
+                "a / c is outside the binary64 range")
     import mpmath
     worst = mpmath.mpf(0)  # every residual below is an mpf
     with mpmath.workdps(connections.LIMIT_DIGITS):

@@ -260,6 +260,66 @@ def test_a_given_precision_never_reruns(capsys, monkeypatch, flag, env):
     assert "persymmetry/coefficient-persymmetry,fail," in out
 
 
+OVERFLOW = "numeric overflow at double precision"
+UNDERFLOW = "numeric underflow or zero denominator at double precision"
+
+
+@pytest.mark.parametrize("argv,refusal,detail", [
+    ("verify --a 1e200 --c 1e-200 --alpha 0.3 --q 0.5 --N 5 --suite qpk-limit", OVERFLOW,
+     "a value exceeds the binary64 range; rerun with --precision extended or extended:P"),
+    ("verify --a 1e-200 --c 1e200 --alpha 0.3 --q 0.5 --N 5 --suite qpk-limit", UNDERFLOW,
+     "a / c is outside the binary64 range"),
+    ("coeffs --a 1e400 --c 0.7 --alpha 0.5 --q 0.5 --N 3", OVERFLOW,
+     "a value exceeds the binary64 range; rerun with --precision extended or extended:P"),
+    ("coeffs --a 1e-400 --c 0.7 --alpha 0.5 --q 0.5 --N 3", UNDERFLOW,
+     "1e-400 is outside the binary64 range"),
+], ids=["qpk-limit-overflow", "qpk-limit-underflow", "decimal-overflow", "decimal-underflow"])
+def test_a_value_beyond_binary64_is_refused_by_its_range(capsys, argv, refusal, detail):
+    # Not invalid parameters: a default run reruns at 50 digits after one
+    # note, and a binary64 run names the range.
+    code, out, err = run_cli(capsys, argv.split())
+    assert (code, err) == (0, "note: " + refusal + RERUN)
+    assert (code, out, "") == run_cli(capsys, argv.split() + ["--precision", "extended"])
+    assert run_cli(capsys, argv.split() + ["--precision", "double"]) == (
+        2, "", "%s: %s\n" % (refusal, detail))
+
+
+# At q = 0.999 the dual-Hahn step families (sqrt(q) = 1 - 2^-k, k = 6..16)
+# are too coarse for the a-exponent 1608.63: the estimates do not contract.
+NO_CONTRACTION = "verify --a 0.2 --c 0.19995 --alpha 0.5 --q 0.999 --N 5".split()
+SKIPPED_DUALHAHN = ("dualhahn/dual-hahn-limit,fail,nan,1.000000e-04,"
+                    "skipped: extrapolation estimates are not contracting at a-exponent %s")
+
+
+@pytest.mark.parametrize("suite,failed", [([], "2 of 17"), (["--suite", "all"], "2 of 17"),
+                                          (["--suite", "dualhahn"], "1 of 1")],
+                         ids=["default", "all", "dualhahn"])
+def test_a_dual_hahn_limit_that_does_not_contract_fails_its_line(capsys, suite, failed):
+    # A positive family: every other suite is printed, and the skipped line
+    # is never rerun, since the limit runs at 50 digits at any precision.
+    code, out, err = run_cli(capsys, NO_CONTRACTION + suite)
+    assert (code, err) == (4, "verification failed: %s checks\n" % failed)
+    lines = out.splitlines()
+    assert SKIPPED_DUALHAHN % "1608.63" in lines
+    assert len(lines) == 1 + int(failed.split()[-1])
+    if len(lines) > 2:
+        assert lines[1].startswith("orthogonality/favard-positivity,pass,")
+
+
+@pytest.mark.parametrize("a,c,exponent,note", [
+    ("1e400", "0.9e400", "-1328.77", ""), ("1e-400", "0.9e-400", "1328.77", ""),
+    ("1e-400", "0.9e-400", "1328.77", "note: " + UNDERFLOW + RERUN)],
+    ids=["1e400", "1e-400", "1e-400-default"])
+def test_the_dual_hahn_exponent_is_taken_in_the_family_scalars(capsys, a, c, exponent, note):
+    # Finite at 50 digits, these are not invalid parameters: the exponent is
+    # read at the family's precision, and the limit fails its line.
+    argv = ("verify --a %s --c %s --alpha 0.5 --q 0.5 --N 5 --suite dualhahn" % (a, c)).split()
+    given = [] if note else ["--precision", "extended"]
+    code, out, err = run_cli(capsys, argv + given)
+    assert (code, err) == (4, note + "verification failed: 1 of 1 checks\n")
+    assert out.splitlines()[1:] == [SKIPPED_DUALHAHN % exponent]
+
+
 def _load_workloads():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -700,18 +760,18 @@ GOLDEN = [
     # verify-ext benchmark: odd N, even N, and odd N with the middle-degree
     # branch at n = j and j+1; and the q-difference check at 60 digits.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 9 --format json --precision extended",
-     "beeeec04ddefc73a2ce4d21b5dbaea6ae0da040e6936f5040ddc0e7c3668e747"),
+     "5c7d60c937879a8f8a3fb53cc0984799d0dac0c9085b4a2077d2fa306e855c2e"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 12 --format json --precision extended",
-     "aa8b1238275f0b941836006a50242e4bfa6ffad89a454030a45e2f37f7523b4a"),
+     "1a5e4aa797fa008e410dbb47225820364f26533364130798d7d724cca0cc347e"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --format json --precision extended",
-     "4dc349488856929d589d4926d5878ac3c8f17d48c1d704ff545e2f30994a1e8f"),
+     "cc242e8d5b22491f5e37894e36d5b082dda8bbf62673ec33ef1d5387503c5c48"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite bispectral --format json --precision extended:60",
      "dbb4f19b7bd38643eccb833816c5c6f491ed0d618e15ec8beefedc3fd9874e7f"),
     # The two limit oracles, which extrapolate at a fixed 50 digits whatever
     # the run's precision, and a qpk run that reads its own table in the
     # theta limit.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 9 --suite dualhahn --format csv --precision extended:80",
-     "55ae200d8239ef067b86b3ffb3d4308fca30e4ff16a870360dded366fd9bed47"),
+     "8f09a8b75a17bc922b0c360ae042584464739c45c19beaf039bd597cd3b25433"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 8 --suite qpk-limit --format csv --precision extended:80",
      "471038cad7db7585e8fd6a5b7b4a5ad834ea38dacf810ced406599e573cfafd1"),
     ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 7 --suite all --format csv --precision double",

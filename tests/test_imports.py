@@ -207,11 +207,11 @@ from qortho import scalars
 assert "mpmath" not in sys.modules
 import mpmath
 from qortho.para_racah import ParaRacahFamily
-from qortho.qseries import SeriesPlan
+from qortho.qseries import PowerTable, SeriesPlan
 from qortho.recurrence import tridiagonal
 mp = [scalars.is_mp(v) for v in (mpmath.mpf(1), mpmath.mpc(1, 2))]
 plain = [scalars.is_mp(v) for v in (1.0, 1, 1j, Fraction(1, 3))]
-plan = SeriesPlan((mpmath.mpf("0.25"),), (mpmath.mpf("0.5"),), mpmath.mpf("0.5"),
+plan = SeriesPlan((mpmath.mpf("0.25"),), (mpmath.mpf("0.5"),), PowerTable(mpmath.mpf("0.5")),
                   mpmath.mpf("0.5"), 3)
 with mpmath.workdps(50):
     fam = ParaRacahFamily(a=mpmath.mpf("0.9"), c=mpmath.mpf("0.7"),

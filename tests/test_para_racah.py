@@ -23,7 +23,7 @@ from qortho.para_racah import (
     weights,
     weights_from_christoffel,
 )
-from qortho.qseries import SingularSeriesError
+from qortho.qseries import PowerTable, SingularSeriesError
 from qortho.recurrence import family_module, lattice_vectors, persymmetry_residual, tridiagonal
 
 ODD = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=5)
@@ -658,3 +658,50 @@ def test_explicit_builds_each_point_and_each_degree_once(monkeypatch, N):
             rerun = [(name, prec, k) for (name, prec), k in calls.items() if prec != work]
             assert len({prec for _, prec, _ in rerun}) <= 1, size
             assert all(k <= once[name] for name, _, k in rerun), size
+
+
+def _key(base):
+    return getattr(base, "_mpf_", base)
+
+
+@pytest.mark.parametrize("N", range(1, 17))
+def test_explicit_forms_and_checks_each_z_free_factor_once(monkeypatch, N):
+    # Counted over every table at every precision: a z-free factor 1 - p q^i
+    # is formed once, and a denominator's once guard-checked, for all degrees;
+    # the head plans share the family's row of each denominator parameter.
+    formed, checked, plans = collections.Counter(), collections.Counter(), []
+    factors, vanishing = PowerTable.factors, PowerTable.vanishing
+
+    def counted_factors(table, base, k):
+        before = len(table._rows.get(_key(base), ()))
+        row = factors(table, base, k)
+        formed.update((mpmath.mp.prec, _key(base), i) for i in range(before, len(row)))
+        return row
+
+    def counted_vanishing(table, base, k):
+        before = table._clear.get(_key(base), 0)
+        first = vanishing(table, base, k)
+        checked.update((mpmath.mp.prec, _key(base), i) for i in range(before, min(first + 1, k)))
+        return first
+
+    monkeypatch.setattr(PowerTable, "factors", counted_factors)
+    monkeypatch.setattr(PowerTable, "vanishing", counted_vanishing)
+    original = para_racah._explicit_plan
+    monkeypatch.setattr(para_racah, "_explicit_plan",
+                        lambda fam, n: plans.append(original(fam, n)) or plans[-1])
+    with mpmath.workdps(50):
+        num = mpmath.mpf
+        fam = ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"), q=num("0.5"), N=N)
+        zs = [num(1.15 + k / 8) for k in range(10)]
+        aq = fam.a * fam.q ** (fam.j + 1)
+        point_keys = {_key(p) for z in zs for p in (fam.a * z, fam.a / z, aq * z, aq / z)}
+        eval_explicit(tridiagonal(fam), zs)
+        table = fam.powers()
+    z_free = {key: k for key, k in formed.items() if key[1] not in point_keys}
+    assert z_free and set(z_free.values()) == {1}
+    # At N = 1 every series has degree 0: there is nothing to check.
+    assert set(checked.values()) == ({1} if N > 1 else set())
+    assert not point_keys & (set(table._rows) | set(table._prefixes) | set(table._clear))
+    heads = [plan for n, (_, plan, _) in enumerate(plans)
+             if not (fam.odd and n in (fam.j, fam.j + 1))]
+    assert all(rows is first for plan in heads for rows, first in zip(plan.den, heads[0].den))

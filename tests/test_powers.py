@@ -77,16 +77,26 @@ def reference_qpochhammer(a, q, k):
     return out
 
 
-def _factor_rows(plan, varying):
+def reference_running(q, k):
+    """The first k running powers q^0, q^0 q, q^0 q q, ..."""
+    running = [q ** 0]
+    while len(running) < k:
+        running.append(running[-1] * q)
+    return running[:k]
+
+
+def _factor_rows(q, degree, varying):
     """SeriesPlan.sum's factor rows of the varying parameters: 1 - p q^k."""
-    return [[1 - p * qpow for qpow in plan.qpows] for p in varying]
+    return [[1 - p * qpow for qpow in reference_running(q, degree)] for p in varying]
 
 
-def reference_series_sum(plan, varying):
-    plain = plan.plain or any(isinstance(v, (mpmath.mpf, mpmath.mpc)) for v in varying)
-    term = 1.0 * plan.argument ** 0
+def reference_series_sum(numerator, denominator, q, argument, degree, varying):
+    plain = any(isinstance(v, (mpmath.mpf, mpmath.mpc))
+                for v in (q, argument) + numerator + denominator + varying)
+    qpows = reference_running(q, degree)
+    term = 1.0 * argument ** 0
     total = comp = magnitude = 0.0
-    for k in range(plan.degree + 1):
+    for k in range(degree + 1):
         magnitude = magnitude + abs(term)
         if plain:
             total = total + term
@@ -95,15 +105,13 @@ def reference_series_sum(plan, varying):
             t = total + y
             comp = (t - total) - y
             total = t
-        if k == plan.degree:
+        if k == degree:
             break
-        for f in plan.num[k]:
-            term = term * f
-        for p in varying:
-            term = term * (1 - p * plan.qpows[k])
-        for f in plan.den[k]:
-            term = term / f
-        term = term * plan.argument
+        for p in numerator + varying:
+            term = term * (1 - p * qpows[k])
+        for p in denominator:
+            term = term / (1 - p * qpows[k])
+        term = term * argument
     return total, magnitude
 
 
@@ -197,17 +205,27 @@ def test_table_entries_are_the_direct_values(num, dps):
 
 
 @pytest.mark.parametrize("num,dps", PRECISIONS)
-def test_running_powers_are_qpochhammers_and_every_plans(num, dps):
+def test_factor_rows_and_prefixes_are_the_running_power_loop(num, dps):
+    # Each row is 1 - p q^i on the running powers, each prefix the product
+    # of its row in order, read in any order and at any length; a plan holds
+    # the table's own rows.
     with mpmath.workdps(dps):
         q = num("0.61")
         table = PowerTable(q)
         table.pochhammer(num("0.3"), 5)
-        running = [q ** 0]
-        for _ in range(20):
-            running.append(running[-1] * q)
-        for k in (0, 3, 21, 9):
-            assert _bits(table.running(k)) == _bits(running[:k])
-            assert _bits(SeriesPlan((), (), q, q, k).qpows) == _bits(running[:k])
+        running = reference_running(q, 21)
+        for base in _bases(num):
+            for k in (0, 3, 21, 9):
+                row = table.factors(base, k)
+                assert _bits(row[:k]) == _bits([1 - base * qpow for qpow in running[:k]])
+                prefix = running[0]
+                for f in row[:k]:
+                    prefix = prefix * f
+                assert _bits(table.pochhammer(base, k)) == _bits(prefix), (base, k)
+        params = ((num("0.3"), num("-2.5")), (num("0.2"), q))
+        plan = SeriesPlan(*params, table, q, 9)
+        assert all(row is table.factors(p, 0)
+                   for row, p in zip(plan.num + plan.den, params[0] + params[1]))
 
 
 @pytest.mark.parametrize("num,dps", PRECISIONS)
@@ -279,12 +297,12 @@ def test_series_sums_are_the_plain_loop(N, num, dps):
     with mpmath.workdps(dps):
         fam = _family("qpr", N, num)
         q, a, c, j = fam.q, fam.a, fam.c, fam.j
-        plan = SeriesPlan((q ** -j, q ** (j - N)), (q ** -j, a * c, (a / c) * q ** (j + 1 - N), q),
-                          q, q, j)
+        params = ((q ** -j, q ** (j - N)), (q ** -j, a * c, (a / c) * q ** (j + 1 - N), q))
+        plan = SeriesPlan(*params, PowerTable(q), q, j)
         for z in (num("1.3"), num("2.9")):
             varying = (a * z, a / z)
-            assert _bits(plan.sum(_factor_rows(plan, varying))) == _bits(
-                reference_series_sum(plan, varying))
+            assert _bits(plan.sum(_factor_rows(q, j, varying))) == _bits(
+                reference_series_sum(*params, q, q, j, varying))
 
 
 def _names(node):
@@ -317,15 +335,16 @@ def test_series_sums_at_special_and_mixed_points_are_the_plain_loop(num, dps):
     with mpmath.workdps(dps):
         fam = _family("qpr", 6, num)
         q, a, c = fam.q, fam.a, fam.c
-        plans = [SeriesPlan((q ** -3,), (a * c, q), q, q, 3)]
+        plans = [((q ** -3,), (a * c, q))]
         if num is not float:
             # A float parameter makes the whole plan a mixed one.
-            plans.append(SeriesPlan((q ** -3,), (a * c, 0.25, q), q, q, 3))
-        for plan in plans:
+            plans.append(((q ** -3,), (a * c, 0.25, q)))
+        for params in plans:
+            plan = SeriesPlan(*params, PowerTable(q), q, 3)
             for p in _points(num):
                 for varying in ((p,), (a, p), ()):
-                    assert _bits(plan.sum(_factor_rows(plan, varying))) == _bits(
-                        reference_series_sum(plan, varying)), (p, varying)
+                    assert _bits(plan.sum(_factor_rows(q, 3, varying))) == _bits(
+                        reference_series_sum(*params, q, q, 3, varying)), (p, varying)
 
 
 @pytest.mark.parametrize("dps", [20, 50, 120])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import support
 from oracles.qseries import phi_basis
 from qortho.qseries import (
     SeriesSpec,
@@ -156,6 +157,19 @@ def test_series_singular_denominator_is_reported():
     with pytest.raises(SingularSeriesError) as err:
         terminating_series_eval(spec)
     assert err.value.index == 2
+
+
+def test_series_raises_at_the_lowest_vanishing_index_as_the_reference():
+    # q^-3 vanishes at index 3 and q^-2 at index 2: the lowest index wins,
+    # although q^-3 comes first, as in the term-by-term reference.
+    q = 0.5
+    num, den = (q ** -5,), (q ** -3, q ** -2)
+    with pytest.raises(SingularSeriesError) as err:
+        terminating_series_eval(SeriesSpec(num, den, 0.5, 0.5, truncation=5))
+    with pytest.raises(SingularSeriesError) as ref:
+        support.series_reference(num, den, q, 0.5, 5)
+    assert (err.value.index, err.value.parameter) == (ref.value.index, ref.value.parameter)
+    assert (err.value.index, err.value.parameter) == (2, q ** -2)
 
 
 def test_double_vs_extended_ten_digits():

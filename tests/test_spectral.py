@@ -1,6 +1,7 @@
 import math
 from types import SimpleNamespace
 
+import mpmath
 import pytest
 
 from oracles.spectral import spectrum as ql_spectrum
@@ -32,6 +33,17 @@ def test_build_rejects_nonpositive_u():
     tri = tridiagonal(ParaRacahFamily(a=0.9, c=0.2, alpha=0.5, q=0.5, N=4))
     assert not tri.positive
     with pytest.raises(ValueError):
+        build_jacobi(tri)
+
+
+def test_build_refuses_a_positive_u_below_binary64_as_an_underflow():
+    # u_1 = (1 - alpha) alpha (c - a)^2 ... is about 4e-344 at 30 digits.
+    with mpmath.workdps(30):
+        fam = ParaRacahFamily(a=mpmath.mpf("0.9"), c=mpmath.mpf("0.8"),
+                              alpha=mpmath.mpf("1e-340"), q=mpmath.mpf("0.5"), N=1)
+        tri = tridiagonal(fam)
+    assert tri.positive and float(tri.u[0]) == 0
+    with pytest.raises(ZeroDivisionError, match="underflows"):
         build_jacobi(tri)
 
 

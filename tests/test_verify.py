@@ -298,13 +298,12 @@ def test_extended_explicit_suite_converts_only_its_points(N):
 @pytest.mark.parametrize("N", [5, 9, 16])
 @pytest.mark.parametrize("kind,alpha", [("qpr", "0.3"), ("qpr", "0.5"),
                                         ("qpk", "0.35"), ("qpk", "0.5")])
-def test_extended_verify_converts_only_its_points_and_the_dual_hahn_exponent(
-        capsys, kind, alpha, N):
+def test_extended_verify_converts_only_its_points(capsys, kind, alpha, N):
     # One precision policy: every scalar of a 50-digit run is an mpf.  The
     # only floats converted are the 30 points the bispectral, explicit and
-    # qracah suites draw, and the dual-Hahn exponent, a float log ratio,
-    # once; a qpk run draws no point and converts nothing.  At alpha = 1/2
-    # the isospectral reference is the run's own table.
+    # qracah suites draw; the dual-Hahn exponent is an mpf log ratio, and a
+    # qpk run draws no point and converts nothing.  At alpha = 1/2 the
+    # isospectral reference is the run's own table.
     family = ["--a", "0.9", "--c", "0.7"] if kind == "qpr" else ["--Delta", "1.3"]
     with support.float_conversions() as floats:
         cli.main(["verify", "--kind", kind, *family, "--alpha", alpha, "--q", "0.5",
@@ -314,7 +313,7 @@ def test_extended_verify_converts_only_its_points_and_the_dual_hahn_exponent(
     if kind == "qpk":
         assert floats == []
     else:
-        assert sources == {"verify._random_z": 30, "connections.dual_hahn_limit": 1}
+        assert sources == {"verify._random_z": 30}
 
 
 @pytest.mark.parametrize("s", range(FAM.N + 1))
