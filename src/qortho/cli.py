@@ -15,8 +15,9 @@ Data goes to stdout, diagnostics to stderr.  A fixed configuration (including
 The environment variable QORTHO_PRECISION ("double", "extended" or
 "extended:P") overrides the --precision flag.  When neither is given, a
 command runs in double with its output held back.  If it is refused for a
-reason that a higher precision might lift (any exit 4 but a failed
-favard-positivity, or exit 2 from an overflow or a vanishing denominator),
+reason that a higher precision might lift (an exit 4 with a failed check
+that is not skipped, unless favard-positivity failed with a u_n below zero,
+or exit 2 from an overflow or a vanishing denominator),
 one stderr note names the refusal and the command reruns at extended
 precision; otherwise the double run's output is printed.
 """
@@ -214,10 +215,12 @@ def cmd_verify(args, prec: _Precision):
     failed = [chk for chk in checks if not chk.passed]
     if not failed:
         return EXIT_OK, None
-    # A failed favard-positivity, and every check it makes skip, is a fact of
-    # the parameters at any precision.
+    # A failed favard-positivity with a u_n below zero is a fact of the
+    # parameters at any precision, and so is a skipped line; any other
+    # failure may be lifted by a higher one.
     return _refuse("verification failed: %d of %d checks" % (len(failed), len(checks)),
-                   not any(chk.note.startswith("skipped") for chk in failed))
+                   not any(chk.parameter_bound for chk in failed)
+                   and not all(chk.note.startswith("skipped") for chk in failed))
 
 
 def _family_options() -> argparse.ArgumentParser:

@@ -9,7 +9,7 @@ the independently built bi-lattice side.
 
 from __future__ import annotations
 
-from .para_racah import ParaRacahFamily, limit_recurrence_ac
+from .para_racah import ParaRacahFamily, limit_rows
 from .recurrence import monic_coefficients, monic_values, tridiagonal
 from .scalars import max_keep_nan, sqrt, typed_float
 
@@ -44,20 +44,20 @@ class QRacahParams:
 
 
 def qracah_recurrence_ac(p: QRacahParams, n: int):
-    """A_n and C_n of the q-Racah three-term recurrence."""
+    """A_n and C_n of the q-Racah three-term recurrence; q^n, q^(n+1) and
+    q^(2n+1) are each formed once."""
     if n < 0:
         raise ValueError("n must be non-negative")
     al, be, ga, de, q = p.alpha, p.beta, p.gamma, p.delta, p.q
     ab = al * be
-    den_a = (1 - ab * q ** (2 * n + 1)) * (1 - ab * q ** (2 * n + 2))
-    den_c = (1 - ab * q ** (2 * n)) * (1 - ab * q ** (2 * n + 1))
+    qn, qn1, q2n1 = q ** n, q ** (n + 1), q ** (2 * n + 1)
+    den_a = (1 - ab * q2n1) * (1 - ab * q ** (2 * n + 2))
+    den_c = (1 - ab * q ** (2 * n)) * (1 - ab * q2n1)
     guard = typed_float(1e-13, q)
     if abs(den_a) < guard or abs(den_c) < guard:
         raise ArithmeticError("q-Racah recurrence denominator vanishes at n = %d" % n)
-    A = ((1 - al * q ** (n + 1)) * (1 - ab * q ** (n + 1))
-         * (1 - be * de * q ** (n + 1)) * (1 - ga * q ** (n + 1)) / den_a)
-    C = (q * (1 - q ** n) * (1 - be * q ** n)
-         * (ga - ab * q ** n) * (de - al * q ** n) / den_c)
+    A = ((1 - al * qn1) * (1 - ab * qn1) * (1 - be * de * qn1) * (1 - ga * qn1) / den_a)
+    C = (q * (1 - qn) * (1 - be * qn) * (ga - ab * qn) * (de - al * qn) / den_c)
     return A, C
 
 
@@ -158,9 +158,11 @@ def dual_hahn_limit(a_exponent, N: int, degrees) -> list:
     collapsed-lattice configuration c = a sqrt(q), alpha = 1/2, a = q^a_exponent.
 
     Richardson-extrapolates eleven families along sqrt(q) = 1 - 2^-k, k = 6..16,
-    built once at LIMIT_DIGITS digits.  Returns one ``(lim_a, lim_c, target_a,
-    target_c)`` per degree n in ``degrees``; the targets are the dual-Hahn
-    recurrence coefficients with both lattice parameters (4*a_exponent - 1)/2:
+    built once at LIMIT_DIGITS digits, with one limit pass
+    (:func:`~qortho.para_racah.limit_rows`) each for all degrees.  Returns
+    one ``(lim_a, lim_c, target_a, target_c)`` per degree n in ``degrees``;
+    the targets are the dual-Hahn recurrence coefficients with both lattice
+    parameters (4*a_exponent - 1)/2:
 
         target_a = (n + (4a-1)/2 + 1)(n - N),
         target_c = n (n - (4a-1)/2 - N - 1).
@@ -184,9 +186,10 @@ def dual_hahn_limit(a_exponent, N: int, degrees) -> list:
             a = q ** exponent
             fams.append(ParaRacahFamily(a=a, c=a * p, alpha=q ** 0 / 2, q=q, N=N))
             scales.append((1 - p) ** 2)
-        for n in degrees:
+        rows = [limit_rows(fam, degrees) for fam in fams]
+        for i, n in enumerate(degrees):
             limits = []
-            for steps in zip(*(limit_recurrence_ac(fam, n) for fam in fams)):
+            for steps in zip(*(row[i] for row in rows)):
                 *_, prev, last = richardson([v / s for v, s in zip(steps, scales)], 2)
                 if abs(last - prev) > max(abs(last), mpmath.mpf(1)) * mpmath.mpf("1e-3"):
                     raise ExtrapolationError("extrapolation estimates are not contracting")

@@ -17,6 +17,7 @@ from .scalars import is_finite, typed_float
 
 __all__ = [
     "ParaKrawtchoukFamily",
+    "coefficient_rows",
     "b_coefficient",
     "u_coefficient",
     "lattice",
@@ -53,48 +54,80 @@ class ParaKrawtchoukFamily(BiLatticeFamily):
         return abs(self.Delta - 1) <= typed_float(_DEGENERATE_TOL, self.q)
 
 
-def b_coefficient(fam: ParaKrawtchoukFamily, n: int):
-    if not 0 <= n <= fam.N:
-        raise ValueError("b_n requires 0 <= n <= N")
+def coefficient_rows(fam: ParaKrawtchoukFamily, b_degrees, u_degrees) -> tuple:
+    """([b_n for n in b_degrees], [u_n for n in u_degrees]) in one pass, as
+    :func:`qortho.para_racah.coefficient_rows`: the family's constants are
+    formed once per pass, each by the operations, in the order, its formula
+    writes, and the b row is filled first.  b_n, 0 <= n <= N, and u_n,
+    1 <= n <= N+1; u_{N+1} vanishes identically.
+    """
     D, al, q, j = fam.Delta, fam.alpha, fam.q, fam.j
     pw = fam.powers()
+    qj, qj1 = pw[j], pw[j + 1]
+    D_1, omq = D - 1, 1 - q
+    # Off the middle, each difference of powers in u_n is divided by its
+    # larger term, so no product leaves the range of the result (the paper's
+    # reach q^(4N)); k is the distance from the middle, one form for both
+    # sides.
+    b, u = [], []
     if fam.odd:
-        if n == j or n == j + 1:
-            w = al if n == j else 1 - al
-            return (D - w * (1 - pw[j + 1]) * (D - 1) / (1 - q)
-                    + q * (1 - pw[j]) * (D * q - 1) / (1 - q * q))
-        return (pw[n + j] * (1 + pw[j + 1]) * (1 + D)
-                / ((pw[j] + pw[n]) * (pw[j + 1] + pw[n])))
+        qj1p, Dp = 1 + qj1, 1 + D
+        tail = None  # the alpha-free term of b_j and b_{j+1}
+        for n in b_degrees:
+            if n == j or n == j + 1:
+                w = al if n == j else 1 - al
+                head = D - w * (1 - qj1) * D_1 / omq
+                if tail is None:
+                    tail = q * (1 - qj) * (D * q - 1) / (1 - q * q)
+                b.append(head + tail)
+                continue
+            Q = pw[n]
+            b.append(pw[n + j] * qj1p * Dp / ((qj + Q) * (qj1 + Q)))
+        for n in u_degrees:
+            if n == j + 1:
+                u.append(al * (1 - al) * D_1 ** 2 * (1 - qj1) ** 2 / omq ** 2)
+                continue
+            k = abs(n - j - 1)
+            u.append(pw[2 * k - 1] * (1 - pw[n]) * (pw[2 * j + 2 - n] - 1) * (pw[k] - D)
+                     * (1 - D * pw[k]) / ((1 + pw[k]) ** 2 * (1 - pw[2 * k - 1])
+                                          * (1 - pw[2 * k + 1])))
+        return b, u
     # The closed form D - t1 + t2 cancels to about q^(j-1) (1 + D q), a loss
     # of j log10(1/q) digits; over one denominator the same rational function
     # reads J Q (A - B) / (...), with A >= 2B for 1 < D < 1/q.
-    J, Q = pw[j], pw[n]
-    A = (J - Q) ** 2 * (1 + pw[j + 1] + D * q * (1 + J))
-    B = J * Q * (1 - q) * (D - 1 + J * (1 - D * q))
-    return J * Q * (A - B) / ((pw[2 * j] - pw[2 * n + 1]) * (pw[2 * j + 1] - pw[2 * n]))
+    J, q2j, q2j1, Dq = qj, pw[2 * j], pw[2 * j + 1], D * q
+    KA = 1 + qj1 + Dq * (1 + J)
+    KB = D_1 + J * (1 - Dq)
+    for n in b_degrees:
+        Q = pw[n]
+        JQ = J * Q
+        A = (J - Q) ** 2 * KA
+        B = JQ * omq * KB
+        b.append(JQ * (A - B) / ((q2j - pw[2 * n + 1]) * (q2j1 - pw[2 * n])))
+    splice_den = omq ** 2 * (1 + q)  # the denominator of u_j and u_{j+1}
+    for n in u_degrees:
+        if n == j or n == j + 1:
+            w = (1 - al) if n == j else al
+            u.append(w * (1 - qj) * (1 - qj1) * D_1 * (1 - q * D) / splice_den)
+            continue
+        k = max(j - n, n - j - 1)
+        u.append(pw[2 * k] * (pw[n] - 1) * (pw[2 * j + 1 - n] - 1) * (D - pw[k])
+                 * (1 - D * pw[k + 1]) / ((1 + pw[k]) * (1 + pw[k + 1]) * (1 - pw[2 * k + 1]) ** 2))
+    return b, u
+
+
+def b_coefficient(fam: ParaKrawtchoukFamily, n: int):
+    """b_n, 0 <= n <= N: one entry of :func:`coefficient_rows`."""
+    if not 0 <= n <= fam.N:
+        raise ValueError("b_n requires 0 <= n <= N")
+    return coefficient_rows(fam, (n,), ())[0][0]
 
 
 def u_coefficient(fam: ParaKrawtchoukFamily, n: int):
+    """u_n, 1 <= n <= N+1: one entry of :func:`coefficient_rows`."""
     if not 1 <= n <= fam.N + 1:
         raise ValueError("u_n requires 1 <= n <= N+1")
-    D, al, q, j = fam.Delta, fam.alpha, fam.q, fam.j
-    pw = fam.powers()
-    # Off the middle, each difference of powers is divided by its larger
-    # term, so no product leaves the range of the result (the paper's reach
-    # q^(4N)); k is the distance from the middle, one form for both sides.
-    if fam.odd:
-        if n == j + 1:
-            return al * (1 - al) * (D - 1) ** 2 * (1 - pw[j + 1]) ** 2 / (1 - q) ** 2
-        k = abs(n - j - 1)
-        return (pw[2 * k - 1] * (1 - pw[n]) * (pw[2 * j + 2 - n] - 1) * (pw[k] - D)
-                * (1 - D * pw[k]) / ((1 + pw[k]) ** 2 * (1 - pw[2 * k - 1]) * (1 - pw[2 * k + 1])))
-    if n == j or n == j + 1:
-        w = (1 - al) if n == j else al
-        return (w * (1 - pw[j]) * (1 - pw[j + 1]) * (D - 1) * (1 - q * D)
-                / ((1 - q) ** 2 * (1 + q)))
-    k = max(j - n, n - j - 1)
-    return (pw[2 * k] * (pw[n] - 1) * (pw[2 * j + 1 - n] - 1) * (D - pw[k])
-            * (1 - D * pw[k + 1]) / ((1 + pw[k]) * (1 + pw[k + 1]) * (1 - pw[2 * k + 1]) ** 2))
+    return coefficient_rows(fam, (), (n,))[1][0]
 
 
 def lattice(fam: ParaKrawtchoukFamily) -> LatticeWeights:

@@ -30,6 +30,8 @@ from .scalars import is_finite, typed_float, working_precision
 __all__ = [
     "ParaRacahFamily",
     "DegenerateFamilyError",
+    "coefficient_rows",
+    "limit_rows",
     "b_coefficient",
     "u_coefficient",
     "eval_recurrence",
@@ -78,99 +80,157 @@ def _unpack(fam):
     return fam.a, fam.c, fam.alpha, fam.q, fam.j
 
 
-def b_coefficient(fam: ParaRacahFamily, n: int):
-    """Diagonal recurrence coefficient b_n, 0 <= n <= N."""
-    if not 0 <= n <= fam.N:
-        raise ValueError("b_n requires 0 <= n <= N")
+def coefficient_rows(fam: ParaRacahFamily, b_degrees, u_degrees) -> tuple:
+    """([b_n for n in b_degrees], [u_n for n in u_degrees]) in one pass.
+
+    b_n, 0 <= n <= N, is the diagonal recurrence coefficient and u_n,
+    1 <= n <= N+1, the sub-diagonal one; u_{N+1} vanishes identically.  The
+    family's constants (2ac, 4a^2c^2, (a + 1/a)/2, ...) are formed once per
+    pass and each factor b_n and u_n share (q^j + q^n, q^{2j+1} - q^{2n},
+    ...) once per n, each by the operations, in the order, its formula
+    writes, so every entry is the per-entry formula's bit for bit.  The b
+    row is filled before the u row, in the order the degrees come, and only
+    a read of a negative power of q, a power ** 2 or a division can raise: so
+    a pass raises what the entries, taken in that order, raise.  The entries
+    at n = j, j+1 carry alpha; their alpha-free parts are formed when the
+    pass first reaches one.
+    """
     a, c, al, q, j = _unpack(fam)
     pw = fam.powers()
+    ac, ac2, acac4 = a * c, 2 * a * c, 4 * a * a * c * c
+    shift = (a + 1 / a) / 2
+    qj, qj1, q2j1 = pw[j], pw[j + 1], pw[2 * j + 1]
+    c_a, qj1_1, acqj = c - a, qj1 - 1, ac * qj
+    acqj_1 = acqj - 1
+    shared = {}  # n -> the factors b_n and u_n share, formed by the first reader
+    b, u = [], []
     if fam.odd:
+        lead, acqj1 = (a + c) * (qj1 + 1), acqj + 1
+        tail = None  # the alpha-free term of b_j and b_{j+1}
+        for n in b_degrees:
+            if n == j or n == j + 1:
+                w = al if n == j else 1 - al
+                mid = w * c_a * qj1_1 * pw[-j] * acqj_1 / (ac2 * (q - 1))
+                if tail is None:
+                    tail = ((qj - 1) * pw[-j] * (c - a * q) * (ac * qj1 - 1)
+                            / (ac2 * (q * q - 1)))
+                b.append(shift + mid - tail)
+                continue
+            Q = pw[n]
+            S = shared[n] = qj1 + Q
+            b.append(lead * Q * acqj1 / (ac2 * (qj + Q) * S))
+        q2j2, q2j3, acq2j1, cqj1, aqj1 = pw[2 * j + 2], pw[2 * j + 3], ac * q2j1, c * qj1, a * qj1
+        for n in u_degrees:
+            if n == j + 1:
+                u.append((1 - al) * al * c_a ** 2 * pw[-2 * j] * qj1_1 ** 2 * acqj_1 ** 2
+                         / (acac4 * (q - 1) ** 2))
+                continue
+            Q = pw[n]
+            S = shared.get(n) or qj1 + Q
+            u.append((Q - 1) * (Q - q2j2) * (ac * Q - q) * (Q - acq2j1) * (a * Q - cqj1)
+                     * (c * Q - aqj1) / (acac4 * S ** 2 * (pw[2 * n] - q2j1)
+                                         * (pw[2 * n] - q2j3)))
+        return b, u
+    q2j, aqj1, cqj = pw[2 * j], a * qj1, c * qj
+    acq2j = ac * q2j
+    for n in b_degrees:
+        Q = pw[n]
+        Q_1, acQ, cQ, S, D = shared[n] = (Q - 1, ac * Q, c * Q, qj + Q, q2j1 - pw[2 * n])
+        S2 = ac2 * S  # the head of both denominators
+        t1 = Q_1 * (acq2j - Q) * (aqj1 - cQ) / (S2 * D)
+        t2 = (q2j - Q) * (acQ - 1) * (cqj - a * pw[n + 1]) / (S2 * (q2j - pw[2 * n + 1]))
+        b.append(shift + t1 + t2)
+    splice_den = None  # the denominator of u_j and u_{j+1}
+    for n in u_degrees:
         if n == j or n == j + 1:
-            w = al if n == j else 1 - al
-            mid = (w * (c - a) * (pw[j + 1] - 1) * pw[-j] * (a * c * pw[j] - 1)
-                   / (2 * a * c * (q - 1)))
-            tail = ((pw[j] - 1) * pw[-j] * (c - a * q) * (a * c * pw[j + 1] - 1)
-                    / (2 * a * c * (q * q - 1)))
-            return (a + 1 / a) / 2 + mid - tail
-        return ((a + c) * (pw[j + 1] + 1) * pw[n] * (a * c * pw[j] + 1)
-                / (2 * a * c * (pw[j] + pw[n]) * (pw[j + 1] + pw[n])))
-    t1 = ((pw[n] - 1) * (a * c * pw[2 * j] - pw[n]) * (a * pw[j + 1] - c * pw[n])
-          / (2 * a * c * (pw[j] + pw[n]) * (pw[2 * j + 1] - pw[2 * n])))
-    t2 = ((pw[2 * j] - pw[n]) * (a * c * pw[n] - 1) * (c * pw[j] - a * pw[n + 1])
-          / (2 * a * c * (pw[j] + pw[n]) * (pw[2 * j] - pw[2 * n + 1])))
-    return (a + 1 / a) / 2 + t1 + t2
+            w = (1 - al) if n == j else al
+            if splice_den is None:
+                splice_den = acac4 * (q - 1) ** 2 * (q + 1)
+            u.append(w * c_a * pw[-2 * j] * (qj - 1) * qj1_1 * (a * q - c) * acqj_1 * (acqj - q)
+                     / splice_den)
+            continue
+        Q = pw[n]
+        Q_1, acQ, cQ, S, D = shared.get(n) or (Q - 1, ac * Q, c * Q, qj + Q, q2j1 - pw[2 * n])
+        u.append(Q_1 * (Q - q2j1) * (acQ - q) * (Q - acq2j) * (a * Q - cqj) * (cQ - aqj1)
+                 / (acac4 * S * (qj1 + Q) * D ** 2))
+    return b, u
+
+
+def limit_rows(fam: ParaRacahFamily, degrees) -> list:
+    """[(A_n, C_n) for n in degrees], 0 <= n <= N+1: the resolved truncation
+    limits of the parent coefficients, in one pass.
+
+    These are the closed-form values the Askey-Wilson A_n and C_n approach
+    under the truncating parametrization; the special indices around N/2
+    carry the deformation alpha.  b_n and u_n are algebraic combinations of
+    these, and the dual-Hahn limit consumes them directly.  ac, a/c and c/a
+    are formed once per pass and each factor A_n and C_n share (1 - q^(n-j),
+    1 - q^(2n-2j), ...) once per n, by the operations of the per-entry
+    formula, so every value is its bit for bit; as in
+    :func:`coefficient_rows`, a pass raises what its entries, taken in
+    order, raise.
+    """
+    a, c, al, q, j = _unpack(fam)
+    pw = fam.powers()
+    ac = a * c
+    rows = []
+    if fam.odd:
+        for n in degrees:
+            D = 1 - pw[2 * n - 2 * j - 1]
+            if n == j:
+                A = al * (1 - ac * pw[j]) * (c - a) * (1 - pw[-j - 1]) / (ac * (1 - 1 / q))
+            else:
+                A = ((1 - ac * pw[n]) * (c - a * pw[n - j]) * (1 - pw[n - 2 * j - 1])
+                     / (ac * D * (1 + pw[n - j])))
+            if n == j + 1:
+                C = (1 - al) * (1 - pw[j + 1]) * (a - c) * (ac - pw[-j]) / (ac * (1 - q))
+            else:
+                C = ((1 - pw[n]) * (a - c * pw[n - j - 1]) * (ac - pw[n - 2 * j - 1])
+                     / (ac * (1 + pw[n - j - 1]) * D))
+            rows.append((A, C))
+        return rows
+    a_c, c_a = a / c, c / a
+    for n in degrees:
+        if n == j:
+            rows.append((al * (1 - ac * pw[j]) * (1 - a_c * q) * (1 - pw[-j]) / (a * (1 - q)),
+                         (1 - al) * a * (1 - pw[j]) * (1 - c_a / q) * (1 - pw[-j] / ac)
+                         / (1 - 1 / q)))
+            continue
+        E = 1 - pw[n - j]
+        D = 1 - pw[2 * n - 2 * j]
+        A = (E * (1 - ac * pw[n]) * (1 - a_c * pw[n - j + 1]) * (1 - pw[n - 2 * j])
+             / (a * D * (1 - pw[2 * n - 2 * j + 1])))
+        C = (a * (1 - pw[n]) * (1 - c_a * pw[n - j - 1]) * (1 - pw[n - 2 * j] / ac) * E
+             / ((1 - pw[2 * n - 2 * j - 1]) * D))
+        rows.append((A, C))
+    return rows
+
+
+def b_coefficient(fam: ParaRacahFamily, n: int):
+    """Diagonal recurrence coefficient b_n, 0 <= n <= N: one entry of
+    :func:`coefficient_rows`."""
+    if not 0 <= n <= fam.N:
+        raise ValueError("b_n requires 0 <= n <= N")
+    return coefficient_rows(fam, (n,), ())[0][0]
 
 
 def u_coefficient(fam: ParaRacahFamily, n: int):
-    """Sub-diagonal recurrence coefficient u_n, 1 <= n <= N+1.
+    """Sub-diagonal recurrence coefficient u_n, 1 <= n <= N+1: one entry of
+    :func:`coefficient_rows`.
 
     u_{N+1} vanishes identically; it is exposed only so the truncation can be
     checked directly.
     """
     if not 1 <= n <= fam.N + 1:
         raise ValueError("u_n requires 1 <= n <= N+1")
-    a, c, al, q, j = _unpack(fam)
-    pw = fam.powers()
-    if fam.odd:
-        if n == j + 1:
-            return ((1 - al) * al * (c - a) ** 2 * pw[-2 * j]
-                    * (pw[j + 1] - 1) ** 2 * (a * c * pw[j] - 1) ** 2
-                    / (4 * a * a * c * c * (q - 1) ** 2))
-        return ((pw[n] - 1) * (pw[n] - pw[2 * j + 2])
-                * (a * c * pw[n] - q) * (pw[n] - a * c * pw[2 * j + 1])
-                * (a * pw[n] - c * pw[j + 1]) * (c * pw[n] - a * pw[j + 1])
-                / (4 * a * a * c * c * (pw[j + 1] + pw[n]) ** 2
-                   * (pw[2 * n] - pw[2 * j + 1]) * (pw[2 * n] - pw[2 * j + 3])))
-    if n == j or n == j + 1:
-        w = (1 - al) if n == j else al
-        return (w * (c - a) * pw[-2 * j] * (pw[j] - 1) * (pw[j + 1] - 1)
-                * (a * q - c) * (a * c * pw[j] - 1) * (a * c * pw[j] - q)
-                / (4 * a * a * c * c * (q - 1) ** 2 * (q + 1)))
-    return ((pw[n] - 1) * (pw[n] - pw[2 * j + 1])
-            * (a * c * pw[n] - q) * (pw[n] - a * c * pw[2 * j])
-            * (a * pw[n] - c * pw[j]) * (c * pw[n] - a * pw[j + 1])
-            / (4 * a * a * c * c * (pw[j] + pw[n]) * (pw[j + 1] + pw[n])
-               * (pw[2 * j + 1] - pw[2 * n]) ** 2))
+    return coefficient_rows(fam, (), (n,))[1][0]
 
 
 def limit_recurrence_ac(fam: ParaRacahFamily, n: int):
-    """Resolved truncation limits of the parent coefficients (A_n, C_n).
-
-    These are the closed-form values the Askey-Wilson A_n and C_n approach
-    under the truncating parametrization; the special indices around N/2
-    carry the deformation alpha.  b_n and u_n are algebraic combinations of
-    these, and the dual-Hahn limit consumes them directly.
-    """
+    """(A_n, C_n), 0 <= n <= N+1: one entry of :func:`limit_rows`."""
     if not 0 <= n <= fam.N + 1:
         raise ValueError("limit coefficients require 0 <= n <= N+1")
-    a, c, al, q, j = _unpack(fam)
-    pw = fam.powers()
-    if fam.odd:
-        if n == j:
-            A = (al * (1 - a * c * pw[j]) * (c - a) * (1 - pw[-j - 1])
-                 / (a * c * (1 - 1 / q)))
-        else:
-            A = ((1 - a * c * pw[n]) * (c - a * pw[n - j]) * (1 - pw[n - 2 * j - 1])
-                 / (a * c * (1 - pw[2 * n - 2 * j - 1]) * (1 + pw[n - j])))
-        if n == j + 1:
-            C = ((1 - al) * (1 - pw[j + 1]) * (a - c) * (a * c - pw[-j])
-                 / (a * c * (1 - q)))
-        else:
-            C = ((1 - pw[n]) * (a - c * pw[n - j - 1]) * (a * c - pw[n - 2 * j - 1])
-                 / (a * c * (1 + pw[n - j - 1]) * (1 - pw[2 * n - 2 * j - 1])))
-        return A, C
-    if n == j:
-        A = al * (1 - a * c * pw[j]) * (1 - (a / c) * q) * (1 - pw[-j]) / (a * (1 - q))
-        C = ((1 - al) * a * (1 - pw[j]) * (1 - (c / a) / q) * (1 - pw[-j] / (a * c))
-             / (1 - 1 / q))
-        return A, C
-    A = ((1 - pw[n - j]) * (1 - a * c * pw[n]) * (1 - (a / c) * pw[n - j + 1])
-         * (1 - pw[n - 2 * j])
-         / (a * (1 - pw[2 * n - 2 * j]) * (1 - pw[2 * n - 2 * j + 1])))
-    C = (a * (1 - pw[n]) * (1 - (c / a) * pw[n - j - 1]) * (1 - pw[n - 2 * j] / (a * c))
-         * (1 - pw[n - j])
-         / ((1 - pw[2 * n - 2 * j - 1]) * (1 - pw[2 * n - 2 * j])))
-    return A, C
+    return limit_rows(fam, (n,))[0]
 
 
 def eval_recurrence(tri: TridiagonalSystem, n: int, z):

@@ -13,8 +13,9 @@ mpmath's raw tuples (:mod:`qortho._mpfloops`): each step is the
 operator reads, so every value is the operator loop's bit for bit, without
 its type dispatch and the mpf it builds per step.  The truncated families
 (q-para-Racah and q-para-Krawtchouk) fill a :class:`TridiagonalSystem` once
-with :func:`tridiagonal` and read every degree, the normalization products
-and the persymmetry residual from it.
+with :func:`tridiagonal`, from one pass of their kind's ``coefficient_rows``,
+and read every degree, the normalization products and the persymmetry
+residual from it.
 The q-Racah recurrence maps its parent coefficients (A_n, C_n) to monic ones
 with :func:`monic_coefficients` and feeds them to the same loop.
 
@@ -34,7 +35,7 @@ residual behind both persymmetry checks (:func:`palindrome_residual`).
 
 The deformation alpha enters b_n and u_n only at the splice n = j, j+1, so
 :meth:`TridiagonalSystem.at_alpha` gives the same family's table at another
-alpha by recomputing those entries and sharing every other one.
+alpha by the same pass restricted to those entries, sharing every other one.
 
 A table belongs to one verify run or one command and is never cached beyond
 it: a table of mpmath values built at one working precision must not be
@@ -429,21 +430,21 @@ class TridiagonalSystem(Record):
         """The same family's table at deformation ``alpha``.
 
         Only b_n and u_n at n = j, j+1 carry alpha, so only they are
-        recomputed, each exactly as :func:`tridiagonal` would at the working
-        precision in force; every other entry is this table's own.  Call it
-        at the precision that built this table.
+        recomputed, by the kind's coefficient pass restricted to them, each
+        exactly as :func:`tridiagonal` would at the working precision in
+        force; every other entry is this table's own.  Call it at the
+        precision that built this table.
         """
         fam = self.family
         # Equal alphas of one type give the same coefficients bit for bit.
         if alpha == fam.alpha and type(alpha) is type(fam.alpha):
             return self
         fam = fam.replace(alpha=alpha)
-        kind = family_module(fam)
+        j = fam.j
+        lo = max(j, 1)  # there is no u_0 (N = 1)
         b, u = list(self.b), list(self.u)
-        for n in (fam.j, fam.j + 1):
-            b[n] = kind.b_coefficient(fam, n)
-            if n:  # there is no u_0 (N = 1)
-                u[n - 1] = kind.u_coefficient(fam, n)
+        b[j:j + 2], u[lo - 1:j + 1] = family_module(fam).coefficient_rows(
+            fam, (j, j + 1), range(lo, j + 2))
         return TridiagonalSystem(family=fam, b=tuple(b), u=tuple(u),
                                  positive=all(v > 0 for v in u))
 
@@ -454,15 +455,12 @@ def family_module(fam):
 
 
 def tridiagonal(fam) -> TridiagonalSystem:
-    """The family's table, one coefficient call per entry.
-
-    The coefficients are the ``b_coefficient`` and ``u_coefficient`` of
-    :func:`family_module`, looked up there at call time.
+    """The family's table from one coefficient pass: the
+    ``coefficient_rows`` of :func:`family_module`, looked up there at call
+    time, over b_0..b_N and u_1..u_N.
     """
-    kind = family_module(fam)
-    b = tuple(kind.b_coefficient(fam, n) for n in range(fam.N + 1))
-    u = tuple(kind.u_coefficient(fam, n) for n in range(1, fam.N + 1))
-    return TridiagonalSystem(family=fam, b=b, u=u, positive=all(v > 0 for v in u))
+    b, u = family_module(fam).coefficient_rows(fam, range(fam.N + 1), range(1, fam.N + 1))
+    return TridiagonalSystem(family=fam, b=tuple(b), u=tuple(u), positive=all(v > 0 for v in u))
 
 
 def _shift_coefficient(numerator, q, z, guard):

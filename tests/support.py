@@ -352,6 +352,32 @@ def count_family_builds(monkeypatch, module):
     return built
 
 
+def count_passes(monkeypatch) -> list:
+    """The list of coefficient passes made from now on, each (kind, family,
+    b degrees, u degrees) with kind "qpr" or "qpk", and of the dual-Hahn
+    limit passes, each ("limit", family, degrees)."""
+    from qortho import connections
+    passes = []
+    for kind, module in (("qpr", para_racah), ("qpk", para_krawtchouk)):
+        original = module.coefficient_rows
+
+        def counted(fam, b_degrees, u_degrees, _kind=kind, _original=original):
+            b_degrees, u_degrees = tuple(b_degrees), tuple(u_degrees)
+            passes.append((_kind, fam, b_degrees, u_degrees))
+            return _original(fam, b_degrees, u_degrees)
+
+        monkeypatch.setattr(module, "coefficient_rows", counted)
+    original_limit = connections.limit_rows
+
+    def counted_limit(fam, degrees):
+        degrees = tuple(degrees)
+        passes.append(("limit", fam, degrees))
+        return original_limit(fam, degrees)
+
+    monkeypatch.setattr(connections, "limit_rows", counted_limit)
+    return passes
+
+
 def _richardson_halving_reference(values):
     table = list(values)
     level = 0

@@ -291,19 +291,66 @@ SKIPPED_DUALHAHN = ("dualhahn/dual-hahn-limit,fail,nan,1.000000e-04,"
                     "skipped: extrapolation estimates are not contracting at a-exponent %s")
 
 
-@pytest.mark.parametrize("suite,failed", [([], "2 of 17"), (["--suite", "all"], "2 of 17"),
+@pytest.mark.parametrize("suite,failed", [([], "1 of 17"), (["--suite", "all"], "1 of 17"),
                                           (["--suite", "dualhahn"], "1 of 1")],
                          ids=["default", "all", "dualhahn"])
 def test_a_dual_hahn_limit_that_does_not_contract_fails_its_line(capsys, suite, failed):
-    # A positive family: every other suite is printed, and the skipped line
-    # is never rerun, since the limit runs at 50 digits at any precision.
+    # A positive family: every other suite is printed.  The skipped line is
+    # never rerun, since the limit runs at 50 digits at any precision; the
+    # full run reruns for its eigenvalue-degeneracy line, which fails in
+    # double only, and fails on the skipped line alone.
     code, out, err = run_cli(capsys, NO_CONTRACTION + suite)
-    assert (code, err) == (4, "verification failed: %s checks\n" % failed)
+    note = "" if suite[1:] == ["dualhahn"] else (
+        "note: verification failed: 2 of 17 checks" + RERUN)
+    assert (code, err) == (4, note + "verification failed: %s checks\n" % failed)
     lines = out.splitlines()
     assert SKIPPED_DUALHAHN % "1608.63" in lines
     assert len(lines) == 1 + int(failed.split()[-1])
     if len(lines) > 2:
         assert lines[1].startswith("orthogonality/favard-positivity,pass,")
+        assert [line for line in lines if ",fail," in line] == [SKIPPED_DUALHAHN % "1608.63"]
+
+
+def test_a_skipped_line_does_not_hide_a_precision_bound_failure(capsys):
+    # In double, eigenvalue-degeneracy fails beside the skipped dual-Hahn line.
+    argv = NO_CONTRACTION + ["--precision", "double"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (4, "verification failed: 2 of 17 checks\n")
+    assert "bispectral/eigenvalue-degeneracy,fail," in out
+
+
+# alpha = 5e-324 underflows u_1 = alpha (1 - alpha) (...) to 0 in binary64;
+# at 50 digits it is 1.890e-327 and the family is positive.
+UNDERFLOWED_U = "verify --a 0.9 --c 0.8 --alpha 5e-324 --q 0.5 --N 1 --suite".split()
+
+
+def test_an_underflowed_u_reruns_at_50_digits(capsys):
+    argv = UNDERFLOWED_U + ["orthogonality"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, "") == run_cli(capsys, argv + ["--precision", "extended"])
+    assert (code, err) == (0, "note: verification failed: 2 of 2 checks" + RERUN)
+    assert out.splitlines()[1] == ("orthogonality/favard-positivity,pass,0.000000e+00,"
+                                   "5.000000e-01,min u_n = 1.890e-327")
+    assert len(out.splitlines()) == 8
+
+
+def test_an_underflowed_u_is_refused_in_double(capsys):
+    code, out, err = run_cli(capsys, UNDERFLOWED_U + ["orthogonality", "--precision", "double"])
+    assert (code, err) == (4, "verification failed: 2 of 2 checks\n")
+    assert out.splitlines()[1] == ("orthogonality/favard-positivity,fail,1.000000e+00,"
+                                   "5.000000e-01,min u_n = 0.000e+00")
+
+
+@pytest.mark.parametrize("low,note", [
+    ("1.890e-327", "1.890e-327"), ("-1.2345e-400", "-1.234e-400"), ("0", "0.000e+00"),
+    ("2.5e-310", "2.500e-310"), ("3.14159e-300", "3.142e-300"), ("-0.5", "-5.000e-01")])
+def test_the_favard_note_keeps_the_digits_of_a_value_below_binary64(low, note):
+    # A value whose float is normal prints as "%.3e" % float, as before.
+    import mpmath
+    with mpmath.workdps(50):
+        assert verify._format_e3(mpmath.mpf(low)) == note
+    if float(low) == 0 or abs(float(low)) >= sys.float_info.min:
+        assert verify._format_e3(float(low)) == "%.3e" % float(low)
 
 
 @pytest.mark.parametrize("a,c,exponent,note", [

@@ -25,20 +25,11 @@ FAM = para_racah.ParaRacahFamily(a=0.9, c=0.7, alpha=0.5, q=0.5, N=5)
 NAN = float("nan")
 
 
-def _count_coefficient_calls(monkeypatch):
-    """Count b_coefficient and u_coefficient calls of both family kinds per
-    (module, function, family, n)."""
-    calls = Counter()
-    for module in (para_racah, para_krawtchouk):
-        for name in ("b_coefficient", "u_coefficient"):
-            original = getattr(module, name)
-
-            def counted(fam, n, _key=(module.__name__, name), _original=original):
-                calls[(*_key, fam, n)] += 1
-                return _original(fam, n)
-
-            monkeypatch.setattr(module, name, counted)
-    return calls
+def _entries(passes) -> Counter:
+    """How often the coefficient passes compute each (kind, function,
+    family, n)."""
+    return Counter((kind, which, fam, n) for kind, fam, *rows in passes if kind != "limit"
+                   for which, degrees in zip("bu", rows) for n in degrees)
 
 
 def _qpk(Delta, alpha, q, N, num=float):
@@ -56,7 +47,7 @@ def _qpk(Delta, alpha, q, N, num=float):
 def test_one_coefficient_call_per_family_and_degree(monkeypatch, kind, alpha, num, N):
     # A qpk run's own table is the one the theta limit compares with; a qpr
     # run fills the one qpk table of Delta = a/c.
-    calls = _count_coefficient_calls(monkeypatch)
+    passes = support.count_passes(monkeypatch)
     with mpmath.workdps(50):
         if kind == "qpr":
             fam = para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num(alpha),
@@ -64,8 +55,9 @@ def test_one_coefficient_call_per_family_and_degree(monkeypatch, kind, alpha, nu
         else:
             fam = _qpk("1.3", alpha, "0.5", N, num)
         verify.run_suite("all", fam)
+    calls = _entries(passes)
     assert max(calls.values()) == 1, calls.most_common(3)
-    qpk_keys = [key for key in calls if key[0] == para_krawtchouk.__name__]
+    qpk_keys = [key for key in calls if key[0] == "qpk"]
     assert len(qpk_keys) == 2 * N + 1
 
 
@@ -84,9 +76,9 @@ def test_deformed_tables_recompute_only_the_splice(monkeypatch, N, kind, num):
             fam = _qpk("1.3", "0.35", "0.5", N, num)
         run = verify.RunTables(fam)
         tri = run.tri
-        calls = _count_coefficient_calls(monkeypatch)
+        passes = support.count_passes(monkeypatch)
         tables = [run.half, *run.grid]
-    per_table = Counter(key[2] for key in calls.elements())
+    per_table = Counter(key[2] for key in _entries(passes).elements())
     assert set(per_table) == {t.family for t in tables if t is not tri}
     assert max(per_table.values()) <= 4
     outside = [n for n in range(N + 1) if n not in (N // 2, N // 2 + 1)]
@@ -380,15 +372,15 @@ NAN_CASES = [
     ("orthogonality", "christoffel-cross-check", para_racah, "weights_from_christoffel",
      lambda k, args: True,
      lambda r: r.replace(weights=tuple(_nan_at_1(r.weights)))),
-    ("persymmetry", "coefficient-persymmetry", para_racah, "b_coefficient",
-     lambda k, args: args[1] == 2, lambda r: NAN),
+    ("persymmetry", "coefficient-persymmetry", para_racah, "coefficient_rows",
+     lambda k, args: True, lambda r: (r[0][:2] + [NAN] + r[0][3:], r[1])),
     ("isospectral", "isospectrality", spectral, "spectrum", lambda k, args: k == 3,
      _nan_at_1),
     ("qracah", "qracah-identity", connections, "monic_values", _second, _nan_at_1),
     ("dualhahn", "dual-hahn-limit", connections, "dual_hahn_limit", lambda k, args: True,
      lambda r: [r[0], (NAN, *r[1][1:]), *r[2:]]),
-    ("qpk-limit", "qpk-theta-limit", para_krawtchouk, "b_coefficient", _second,
-     lambda r: NAN),
+    ("qpk-limit", "qpk-theta-limit", para_krawtchouk, "coefficient_rows",
+     lambda k, args: True, lambda r: (_nan_at_1(r[0]), r[1])),
 ]
 
 
@@ -469,7 +461,10 @@ def test_traced_verify_counts_every_layer_it_calls(capsys):
     # recurrence from one pass per point, not through eval_recurrence.
     assert calls["para_racah.eval_explicit.calls"] == 1
     assert calls.get("para_racah.eval_recurrence.calls", 0) == 0
-    for layer in ("para_racah.coef", "para_racah.qdiff_residual",
+    # Tables come from coefficient passes; b_coefficient and u_coefficient,
+    # the layer the tracer names, are one-entry reads no verify run makes.
+    assert calls.get("para_racah.coef.calls", 0) == 0
+    for layer in ("para_racah.qdiff_residual",
                   "para_racah.christoffel", "para_racah.weights",
                   "verify.gram_errors", "spectral.spectrum",
                   "connections.qracah_identity", "connections.dual_hahn"):
