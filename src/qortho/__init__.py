@@ -11,7 +11,7 @@ family, whose truncation the tests check, is a test oracle
 
 from .para_krawtchouk import ParaKrawtchoukFamily
 from .para_racah import ParaRacahFamily
-from .qseries import SeriesSpec, SingularSeriesError
+from .qseries import SingularSeriesError
 from .recurrence import DegenerateFamilyError, LatticeWeights, TridiagonalSystem
 
 __version__ = "0.1.0"
@@ -21,7 +21,6 @@ __all__ = [
     "ParaRacahFamily",
     "TridiagonalSystem",
     "LatticeWeights",
-    "SeriesSpec",
     "SingularSeriesError",
     "DegenerateFamilyError",
     "__version__",

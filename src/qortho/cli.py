@@ -158,7 +158,7 @@ def cmd_lattice_weights(args, prec: _Precision):
         vectors, twist = lattice_vectors(tri.b, tri.u, pts)
         # The twist shows a point that is not a zero of R_{N+1}; the glued
         # vectors would hide it from the Gram errors.
-        gram_max = max_keep_nan(*gram_errors(vectors, lw), float(twist))
+        gram_max = max_keep_nan(*gram_errors(vectors, lw.weights, tri.h), float(twist))
         point_key = _KINDS[args.kind][2]
         sum_even, sum_odd = lw.strand_sums()
         if args.format == "csv":

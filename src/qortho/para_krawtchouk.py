@@ -4,8 +4,8 @@ Obtained from the biexponential family by sending the product a*c to
 infinity with the ratio Delta = a/c held fixed, after rescaling the variable
 by theta/(2a).  The polynomials are defined here by their own closed-form
 recurrence coefficients; the limit itself is only checked (``qpk-limit``).
-The interface is q-para-Racah's: ``lattice`` and ``weights`` (through
-:func:`~qortho.recurrence.weight_table`) return a ``LatticeWeights``.
+The interface is q-para-Racah's: ``lattice`` gives the points, ``weights``
+(through :func:`~qortho.recurrence.weight_table`) a ``LatticeWeights``.
 """
 
 from __future__ import annotations
@@ -130,13 +130,12 @@ def u_coefficient(fam: ParaKrawtchoukFamily, n: int):
     return coefficient_rows(fam, (), (n,))[1][0]
 
 
-def lattice(fam: ParaKrawtchoukFamily) -> LatticeWeights:
-    """The interleaved exponential bi-lattice (points only): Delta q^s on even
+def lattice(fam: ParaKrawtchoukFamily) -> tuple:
+    """The interleaved exponential bi-lattice points: Delta q^s on even
     indices, q^s on odd."""
     D, j = fam.Delta, fam.j
     pw = fam.powers()
-    points = interleave([D * pw[s] for s in range(j + 1)], [pw[s] for s in range(fam.N - j)])
-    return LatticeWeights(points=points)
+    return interleave([D * pw[s] for s in range(j + 1)], [pw[s] for s in range(fam.N - j)])
 
 
 def eval_recurrence(tri: TridiagonalSystem, n: int, y):
@@ -189,13 +188,14 @@ def _weight_strands(fam: ParaKrawtchoukFamily, k_norm):
 def weights(tri: TridiagonalSystem) -> LatticeWeights:
     """Closed-form weights of the table's family on the exponential bi-lattice.
 
-    Satisfy sum_s w_s Q_n(y_s) Q_m(y_s) = delta_{nm} u_1...u_n, with the
-    products read from the table, together with the strand sums 1 - alpha
-    (even indices) and alpha (odd indices).
+    Satisfy sum_s w_s Q_n(y_s) Q_m(y_s) = delta_{nm} h_n, with h_n the
+    table's, together with the strand sums 1 - alpha (even indices) and
+    alpha (odd indices).  Returns the :func:`lattice` points with these
+    weights.
     """
     fam = tri.family
     fam.require_distinct_strands()
-    lw = lattice(fam)
+    points = lattice(fam)
     k_norm = _k_norm(fam)
     w = weight_table(_weight_strands(fam, k_norm), (1 - fam.alpha, fam.alpha))
-    return lw.weighted(w, tri.h, k_norm=k_norm)
+    return LatticeWeights(points, w)

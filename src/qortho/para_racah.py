@@ -36,7 +36,6 @@ __all__ = [
     "u_coefficient",
     "eval_recurrence",
     "eval_explicit",
-    "limit_recurrence_ac",
     "lattice",
     "weights",
     "weights_from_christoffel",
@@ -224,13 +223,6 @@ def u_coefficient(fam: ParaRacahFamily, n: int):
     if not 1 <= n <= fam.N + 1:
         raise ValueError("u_n requires 1 <= n <= N+1")
     return coefficient_rows(fam, (), (n,))[1][0]
-
-
-def limit_recurrence_ac(fam: ParaRacahFamily, n: int):
-    """(A_n, C_n), 0 <= n <= N+1: one entry of :func:`limit_rows`."""
-    if not 0 <= n <= fam.N + 1:
-        raise ValueError("limit coefficients require 0 <= n <= N+1")
-    return limit_rows(fam, (n,))[0]
 
 
 def eval_recurrence(tri: TridiagonalSystem, n: int, z):
@@ -447,8 +439,8 @@ def _rerun(fam: ParaRacahFamily, zs, rows, flagged, prec: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def lattice(fam: ParaRacahFamily) -> LatticeWeights:
-    """The interleaved bi-lattice (points only): x = (1/z + z)/2 at the
+def lattice(fam: ParaRacahFamily) -> tuple:
+    """The interleaved bi-lattice points: x = (1/z + z)/2 at the
     a-strand z = a q^s (j+1 points) and the c-strand z = c q^s (N-j
     points, one fewer when N is even), in
     :func:`~qortho.recurrence.interleave` order.  Points are kept in this
@@ -458,7 +450,7 @@ def lattice(fam: ParaRacahFamily) -> LatticeWeights:
     pw = fam.powers()
     zs = interleave([a * pw[s] for s in range(j + 1)],
                     [c * pw[s] for s in range(fam.N - j)])
-    return LatticeWeights(points=tuple((1 / z + z) / 2 for z in zs))
+    return tuple((1 / z + z) / 2 for z in zs)
 
 
 def _k_norm(fam: ParaRacahFamily):
@@ -551,18 +543,19 @@ def weights(tri: TridiagonalSystem) -> LatticeWeights:
     """Orthogonality weights of the table's family from the closed-form tables.
 
     The weights satisfy sum_s w_s R_n(x_s) R_m(x_s) = delta_{nm} h_n, with
-    h_n read from the table, and the strand sums are 1 - alpha (even
-    indices) and alpha (odd indices).  A family outside the positivity
-    region still gets weights, flagged as a signed measure.
+    h_n the table's, and the strand sums are 1 - alpha (even indices) and
+    alpha (odd indices).  A family outside the positivity region still gets
+    its weights, some of them negative: a signed measure.  Returns the
+    :func:`lattice` points with these weights and the alpha = 1/2 ones.
     """
     fam = tri.family
     fam.require_distinct_strands()
-    lw = lattice(fam)
+    points = lattice(fam)
     k_norm = _k_norm(fam)
     strands = _weight_strands(fam, k_norm)
     w = weight_table(strands, _weight_leads(fam, fam.alpha))
     w_half = weight_table(strands, _weight_leads(fam, typed_float(0.5, fam.q)))
-    return lw.weighted(w, tri.h, w_half, k_norm)
+    return LatticeWeights(points, w, w_half)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ __all__ = [
     "SeriesPlan",
     "qpochhammer",
     "PowerTable",
-    "terminating_series_eval",
 ]
 
 # Relative guard below which a denominator q-Pochhammer factor is treated as
@@ -171,11 +170,6 @@ def _terminating_degree(numerator, q) -> int:
             "q**(-n); supply an explicit truncation degree"
         )
     return best
-
-
-def terminating_series_eval(spec: SeriesSpec):
-    """Evaluate a terminating parameter-list series term by term."""
-    return _series_eval_with_magnitude(spec)[0]
 
 
 def _series_eval_with_magnitude(spec: SeriesSpec):

@@ -315,25 +315,25 @@ def _h_signs(h) -> list:
     return [-one if v < 0 else one for v in h]
 
 
-def gram_errors(vectors, lw):
+def gram_errors(vectors, weights, h):
     """(max diagonal error, max off-diagonal entry) of the scaled Gram matrix
     sum_s w_s y_n(x_s) y_m(x_s) / y_0(x_s)^2 against sign(h_n) delta_nm, with
-    vectors[s] the y_0..y_N at the point x_s of ``lw``
-    (:func:`lattice_vectors`); no h_n is read but for its sign.  An error is
-    NaN when an entry is; a y_0^2 that underflows to 0 raises
-    ZeroDivisionError.  With mpf values every dot product runs on raw tuples
-    (:mod:`qortho._mpfloops`), bit for bit."""
+    vectors[s] the y_0..y_N at the lattice point x_s (:func:`lattice_vectors`),
+    w_s = weights[s] and h the table's :attr:`TridiagonalSystem.h`; no h_n is
+    read but for its sign.  An error is NaN when an entry is; a y_0^2 that
+    underflows to 0 raises ZeroDivisionError.  With mpf values every dot
+    product runs on raw tuples (:mod:`qortho._mpfloops`), bit for bit."""
     # Column n holds y_n at every point; c_s y_n(x_s), c_s = w_s / y_0(x_s)^2,
     # is formed once per (s, n) and then multiplied by y_m(x_s).
     cols = list(zip(*vectors))
-    scale = [w / (y[0] * y[0]) for w, y in zip(lw.weights, vectors)]
+    scale = [w / (y[0] * y[0]) for w, y in zip(weights, vectors)]
     weighted = [list(map(mul, scale, col)) for col in cols]
     if all_mpf(*weighted, *cols):
         from ._mpfloops import dot
     else:
         def dot(xs, ys):
             return sum(map(mul, xs, ys))
-    signs = _h_signs(lw.h)
+    signs = _h_signs(h)
     # Folded from a zero of the table's type: an mpf error meets no float.
     worst_diag = worst_off = 0 * signs[0]
     for n in range(len(cols)):
@@ -343,50 +343,36 @@ def gram_errors(vectors, lw):
     return float(worst_diag), float(worst_off)
 
 
-def weights_from_christoffel(tri: TridiagonalSystem, lw, vectors) -> LatticeWeights:
+def weights_from_christoffel(tri: TridiagonalSystem, vectors) -> tuple:
     """Independent weight route for either kind: the Christoffel function
-    w_s = 1 / sum_n P_n(x_s)^2 / h_n = y_0^2 / sum_n sign(h_n) y_n^2 at the
-    points of ``lw``, with vectors[s] the y_0..y_N there
+    w_s = 1 / sum_n P_n(x_s)^2 / h_n = y_0^2 / sum_n sign(h_n) y_n^2, one
+    weight per lattice point x_s, with vectors[s] the y_0..y_N there
     (:func:`lattice_vectors`) and h_n the table's.  At a zero x_s of
     R_{N+1} it equals h_N / (R_N(x_s) R'_{N+1}(x_s)) by Christoffel-Darboux,
     and for u_n > 0 it is the squared first component of the unit
     eigenvector (Golub-Welsch, Math. Comp. 23, 1969), so it agrees with the
-    kind's ``weights``.  Returns ``lw``'s points with these weights."""
+    kind's ``weights``."""
     tri.family.require_distinct_strands()
-    h = tri.h
-    signs = _h_signs(h)
-    w = tuple(y[0] * y[0] / sum(s * v * v for s, v in zip(signs, y)) for y in vectors)
-    return lw.weighted(w, h)
+    signs = _h_signs(tri.h)
+    return tuple(y[0] * y[0] / sum(s * v * v for s, v in zip(signs, y)) for y in vectors)
 
 
 class LatticeWeights(Record):
-    """Bi-lattice points with (optionally) their orthogonality weights; one
-    record shape for both kinds.
+    """Bi-lattice points with their orthogonality weights, one record shape
+    for both kinds; h_n is the table's (:attr:`TridiagonalSystem.h`).
 
-    Points are stored in :func:`interleave` order: even indices on the
-    a-strand (Delta-strand for q-para-Krawtchouk), odd indices on the
+    Points and weights are stored in :func:`interleave` order: even indices
+    on the a-strand (Delta-strand for q-para-Krawtchouk), odd indices on the
     c-strand (unit strand).  ``weights_half`` are the persymmetric
-    (alpha = 1/2) weights, filled only by the q-para-Racah closed forms,
-    ``h`` the normalization products u_1...u_n, and ``k_norm`` the
-    closed-form normalization constant of the weight tables.
+    (alpha = 1/2) weights, filled only by the q-para-Racah closed forms.
     """
 
-    _fields = ("points", "weights", "weights_half", "h", "k_norm", "positive_measure")
+    _fields = ("points", "weights", "weights_half")
 
-    def __init__(self, points: tuple, weights=None, weights_half=None,
-                 h=None, k_norm=None, positive_measure=None):
+    def __init__(self, points: tuple, weights: tuple, weights_half=None):
         self.points = points
         self.weights = weights
         self.weights_half = weights_half
-        self.h = h
-        self.k_norm = k_norm
-        self.positive_measure = positive_measure
-
-    def weighted(self, w, h, w_half=None, k_norm=None) -> LatticeWeights:
-        """These points with weights attached and the measure's sign flagged."""
-        positive = all(v > 0 for v in w) and all(v > 0 for v in h[1:])
-        return self.replace(weights=w, weights_half=w_half, h=h, k_norm=k_norm,
-                            positive_measure=positive)
 
     def strand_sums(self) -> tuple:
         """(sum of the weights at even indices, at odd indices): 1 - alpha and
@@ -400,17 +386,21 @@ class TridiagonalSystem(Record):
     Built by :func:`tridiagonal` for either family kind; it evaluates P_0 up
     to P_{N+1}, the characteristic polynomial of the Jacobi matrix, whose
     zeros are the orthogonality lattice.  ``u[k]`` stores u_{k+1}, so
-    persymmetry reads as both tuples being palindromic.  ``positive`` flags
-    the Favard condition u_n > 0.
+    persymmetry reads as both tuples being palindromic.  It is the one
+    record of the recurrence: h_n and positivity are read from it.
     """
 
-    _fields = ("family", "b", "u", "positive")
+    _fields = ("family", "b", "u")
 
-    def __init__(self, family, b: tuple, u: tuple, positive: bool):
+    def __init__(self, family, b: tuple, u: tuple):
         self.family = family
         self.b = b
         self.u = u
-        self.positive = positive
+
+    @property
+    def positive(self) -> bool:
+        """The Favard condition: every u_n > 0."""
+        return all(v > 0 for v in self.u)
 
     def values(self, x, n=None) -> list:
         """[P_0(x), ..., P_n(x)] for n <= N+1 (default N+1); P_0 is the
@@ -445,8 +435,7 @@ class TridiagonalSystem(Record):
         b, u = list(self.b), list(self.u)
         b[j:j + 2], u[lo - 1:j + 1] = family_module(fam).coefficient_rows(
             fam, (j, j + 1), range(lo, j + 2))
-        return TridiagonalSystem(family=fam, b=tuple(b), u=tuple(u),
-                                 positive=all(v > 0 for v in u))
+        return TridiagonalSystem(family=fam, b=tuple(b), u=tuple(u))
 
 
 def family_module(fam):
@@ -460,7 +449,7 @@ def tridiagonal(fam) -> TridiagonalSystem:
     time, over b_0..b_N and u_1..u_N.
     """
     b, u = family_module(fam).coefficient_rows(fam, range(fam.N + 1), range(1, fam.N + 1))
-    return TridiagonalSystem(family=fam, b=tuple(b), u=tuple(u), positive=all(v > 0 for v in u))
+    return TridiagonalSystem(family=fam, b=tuple(b), u=tuple(u))
 
 
 def _shift_coefficient(numerator, q, z, guard):

@@ -1,5 +1,5 @@
-"""Jacobi-matrix view: symmetrize the recurrence, certify that its spectrum
-is the family's lattice, and measure persymmetry.
+"""Jacobi-matrix view of a recurrence table: certify that its spectrum is
+the family's lattice, and measure persymmetry.
 
 A bi-lattice family's lattice is the spectrum of its Jacobi matrix J, and
 the deformation alpha moves entries of J without moving that spectrum.  So
@@ -8,7 +8,8 @@ lattice point x_s, the distance to the nearest eigenvalue by the residual
 of the vector that :func:`~qortho.recurrence.lattice_vectors`, the
 package's one twisted factorisation, gives for J - x_s (Parlett, *The
 Symmetric Eigenvalue Problem*, ch. 4; Dhillon-Parlett, SIAM J. Matrix Anal.
-Appl. 25, 2004).  The matrix is taken in double precision.
+Appl. 25, 2004).  Each function reads the table itself and takes J in
+double precision: diagonal b_n, off-diagonal sqrt(u_n).
 """
 
 from __future__ import annotations
@@ -20,44 +21,36 @@ from .recurrence import (DegenerateFamilyError, TridiagonalSystem, lattice_vecto
 from .scalars import max_keep_nan
 
 __all__ = [
-    "SymmetricTridiagonal",
-    "build_jacobi",
     "spectrum",
     "matrix_norm",
     "persymmetry_residual",
 ]
 
 
-class SymmetricTridiagonal:
-    def __init__(self, diagonal: tuple, offdiag: tuple):
-        self.diagonal = diagonal
-        self.offdiag = offdiag
-
-
-def build_jacobi(tri: TridiagonalSystem) -> SymmetricTridiagonal:
-    """Symmetrized Jacobi matrix: diagonal b_n, off-diagonal sqrt(u_n)."""
+def _jacobi(tri: TridiagonalSystem) -> tuple:
+    """(diagonal, off-diagonal) of the table's symmetrized Jacobi matrix in
+    binary64: float(b_n) and sqrt(float(u_n))."""
     if any(v <= 0 for v in tri.u):
         raise ValueError("all u_n must be positive to symmetrize the recurrence")
     u = [float(v) for v in tri.u]
     if not all(u):
         raise ZeroDivisionError("a positive u_n underflows the binary64 Jacobi matrix")
-    return SymmetricTridiagonal(diagonal=tuple(float(v) for v in tri.b),
-                                offdiag=tuple(math.sqrt(v) for v in u))
+    return tuple(float(v) for v in tri.b), tuple(math.sqrt(v) for v in u)
 
 
-def spectrum(m: SymmetricTridiagonal, points) -> list:
+def spectrum(tri: TridiagonalSystem, points) -> list:
     """Certified radii r_s, one per lattice point x_s in ``points`` order.
 
-    r_s = ||(J - x_s) v|| / ||v||, over every row of ``m``, for the vector v
-    of :func:`~qortho.recurrence.lattice_vectors` on the diagonal and the
-    squared off-diagonal of ``m``, so some eigenvalue of ``m`` lies within
+    r_s = ||(J - x_s) v|| / ||v||, over every row of the table's J, for the
+    vector v of :func:`~qortho.recurrence.lattice_vectors` on the diagonal
+    and the squared off-diagonal of J, so some eigenvalue of J lies within
     r_s of x_s, up to the rounding of the residual.  When the N+1 intervals
     [x_s - r_s, x_s + r_s] are pairwise disjoint each holds exactly one
     eigenvalue, and the radii are returned; when two of them overlap, or a
     point has no glue index (it is no eigenvalue), every radius is inf.  A
     NaN radius is returned as it is.
     """
-    d, e = m.diagonal, m.offdiag
+    d, e = _jacobi(tri)
     xs = [float(p) for p in points]
     try:
         vectors, _ = lattice_vectors(d, [v * v for v in e], xs)
@@ -81,11 +74,14 @@ def _max_abs(values) -> float:
     return max_keep_nan(0.0, *(abs(v) for v in values))
 
 
-def matrix_norm(m: SymmetricTridiagonal) -> float:
-    """Cheap row-sum bound max|d| + 2 max|e|, used to scale spectral tolerances."""
-    return _max_abs(m.diagonal) + 2.0 * _max_abs(m.offdiag)
+def matrix_norm(tri: TridiagonalSystem) -> float:
+    """Cheap row-sum bound max|d| + 2 max|e| of the table's J, used to scale
+    spectral tolerances."""
+    d, e = _jacobi(tri)
+    return _max_abs(d) + 2.0 * _max_abs(e)
 
 
-def persymmetry_residual(m: SymmetricTridiagonal) -> float:
-    """Max entry deviation of J M J - M with J the exchange matrix."""
-    return palindrome_residual(m.diagonal, m.offdiag)
+def persymmetry_residual(tri: TridiagonalSystem) -> float:
+    """Max entry deviation of X J X - J of the table's J, with X the
+    exchange matrix."""
+    return palindrome_residual(*_jacobi(tri))

@@ -11,11 +11,12 @@ once, in a :class:`RunTables` that every suite of the run reads and that is
 dropped when the run ends.
 
 The orthogonality suite evaluates the table at its lattice once, with
-:func:`~qortho.recurrence.lattice_vectors`, and its Gram errors and
-Christoffel weights (``gram_errors`` and ``para_racah.weights_from_christoffel``,
-:mod:`qortho.recurrence`'s code for both kinds) read those vectors.  The
-isospectral radii come from the same factorisation of each Jacobi matrix in
-double, on a grid typed by q, so an extended run deforms at its precision.
+:func:`~qortho.recurrence.lattice_vectors`; its Gram errors and Christoffel
+weights (``gram_errors`` and ``para_racah.weights_from_christoffel``, both
+kinds' code in :mod:`qortho.recurrence`) read those vectors and the table's
+h_n.  The isospectral radii come from the same factorisation of each table's
+Jacobi matrix, which :mod:`qortho.spectral` forms in double, on a grid typed
+by q, so an extended run deforms at its precision.
 The bispectral and explicit suites each draw their ten points once and check
 every degree at them: the bispectral one with one recurrence pass per point
 and shift, the explicit one with one recurrence pass per point, which both
@@ -164,11 +165,11 @@ def suite_orthogonality(run, rng):
     checks.append(_check("weight-sum-even", abs(se - (1 - fam.alpha)), TOL_WEIGHT_SUM))
     checks.append(_check("weight-sum-odd", abs(so - fam.alpha), TOL_WEIGHT_SUM))
     vectors, twist = lattice_vectors(tri.b, tri.u, lw.points)
-    d, o = gram_errors(vectors, lw)
+    d, o = gram_errors(vectors, lw.weights, tri.h)
     checks.append(_check("gram-diagonal", d, TOL_GRAM))
     checks.append(_check("gram-off-diagonal", o, TOL_GRAM))
-    cw = para_racah.weights_from_christoffel(tri, lw, vectors)
-    worst = max_keep_nan(twist, *(abs(x - y) / abs(x) for x, y in zip(lw.weights, cw.weights)))
+    cw = para_racah.weights_from_christoffel(tri, vectors)
+    worst = max_keep_nan(twist, *(abs(x - y) / abs(x) for x, y in zip(lw.weights, cw)))
     checks.append(_check("christoffel-cross-check", worst, TOL_CHRISTOFFEL))
     if _is_qpk(fam):
         return checks
@@ -222,8 +223,7 @@ def suite_persymmetry(run, rng):
                       note="expected residual above tolerance")]
     checks = [_check("coefficient-persymmetry", coeff_res, TOL_PERSYM)]
     if tri.positive:
-        mat = spectral.build_jacobi(tri)
-        checks.append(_check("matrix-persymmetry", spectral.persymmetry_residual(mat),
+        checks.append(_check("matrix-persymmetry", spectral.persymmetry_residual(tri),
                              TOL_PERSYM))
     return checks
 
@@ -237,13 +237,13 @@ def suite_isospectral(run, rng):
     if not tri.positive:
         return [_failed("isospectrality", TOL_ISOSPECTRAL,
                         "skipped: Jacobi matrix is not symmetrizable")]
-    points = family_module(fam).lattice(fam).points
-    jacobi = spectral.build_jacobi(tri)
-    ref = spectral.spectrum(spectral.build_jacobi(run.half), points)
+    points = family_module(fam).lattice(fam)
+    # The family's own table is refused, if at all, before the others are built.
+    norm = spectral.matrix_norm(tri)
+    ref = spectral.spectrum(run.half, points)
     dev = max_keep_nan(*(r + h for t in run.grid for r, h in zip(
-        spectral.spectrum(spectral.build_jacobi(t), points), ref)))
-    gap = max_keep_nan(*(ref if tri is run.half else spectral.spectrum(jacobi, points)))
-    norm = spectral.matrix_norm(jacobi)
+        spectral.spectrum(t, points), ref)))
+    gap = max_keep_nan(*(ref if tri is run.half else spectral.spectrum(tri, points)))
     return [
         _check("isospectrality", dev / norm, TOL_ISOSPECTRAL),
         _check("spectrum-vs-lattice", gap / norm, TOL_ISOSPECTRAL),

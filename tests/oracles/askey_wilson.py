@@ -7,7 +7,8 @@ obtained from by truncation.  Only real parameters and real nome
 
 from __future__ import annotations
 
-from qortho.qseries import SeriesSpec, terminating_series_eval
+from oracles.qseries import terminating_series_eval
+from qortho.qseries import SeriesSpec
 from qortho.recurrence import monic_coefficients, monic_values, qdifference_residual
 
 __all__ = [

@@ -8,18 +8,18 @@ from __future__ import annotations
 
 import math
 
-from qortho.spectral import SymmetricTridiagonal
-
 __all__ = ["spectrum"]
 
 # QL sweeps allowed per eigenvalue; two or three are typical.
 _MAX_SWEEPS = 30
 
 
-def spectrum(m: SymmetricTridiagonal) -> list:
-    """All eigenvalues, ascending, by implicit QL; deterministic."""
-    d = list(m.diagonal)
-    e = list(m.offdiag) + [0.0]
+def spectrum(jacobi) -> list:
+    """All eigenvalues, ascending, by implicit QL, of the matrix given as its
+    (diagonal, off-diagonal) pair; deterministic."""
+    diagonal, offdiag = jacobi
+    d = list(diagonal)
+    e = list(offdiag) + [0.0]
     if not all(math.isfinite(v) for v in d + e):
         raise ValueError("the Jacobi matrix must have finite entries")
     n = len(d)

@@ -403,7 +403,7 @@ def dual_hahn_limit_reference(a_exponent, N, n):
             q = p * p
             a = q ** mpmath.mpf(a_exponent)
             fam = para_racah.ParaRacahFamily(a=a, c=a * p, alpha=0.5, q=q, N=N)
-            A, C = para_racah.limit_recurrence_ac(fam, n)
+            A, C = para_racah.limit_rows(fam, (n,))[0]
             s = (1 - p) ** 2
             vals_a.append(A / s)
             vals_c.append(C / s)
@@ -494,16 +494,16 @@ def _qpk_weight_at_reference(fam, s, on_unit_strand, k_norm):
 
 
 def qpk_weights_reference(tri):
-    """(points, weights, h, k_norm) of para_krawtchouk.weights, point by point."""
+    """(points, weights) of para_krawtchouk.weights, point by point."""
     fam = tri.family
     if fam.degenerate:
         raise DegenerateFamilyError(
             "Delta = 1 collapses the two strands; weights are undefined"
         )
-    points = para_krawtchouk.lattice(fam).points
+    points = para_krawtchouk.lattice(fam)
     k_norm = para_krawtchouk._k_norm(fam)
     w = interleave([_qpk_weight_at_reference(fam, s, False, k_norm)
                     for s in range(fam.j + 1)],
                    [_qpk_weight_at_reference(fam, s, True, k_norm)
                     for s in range(fam.N - fam.j)])
-    return points, w, tri.h, k_norm
+    return points, w

@@ -66,7 +66,7 @@ def test_criterion_02_orthogonality():
         # The twist certifies the points as zeros of R_{N+1}, which the glued
         # vectors themselves would hide.
         vectors, twist = recurrence.lattice_vectors(tri.b, tri.u, lw.points)
-        d, o = verify.gram_errors(vectors, lw)
+        d, o = verify.gram_errors(vectors, lw.weights, tri.h)
         assert twist <= 1e-8, (fam, twist)
         assert d <= 1e-8, (fam, d)
         assert o <= 1e-8, (fam, o)
@@ -99,14 +99,14 @@ def test_criterion_04_persymmetry_isospectrality():
     fams, _ = _families(104, range(2, 10), 3)
     for fam in fams:
         half = fam.replace(alpha=0.5)
-        mat = spectral.build_jacobi(recurrence.tridiagonal(half))
-        assert spectral.persymmetry_residual(mat) <= 1e-12
-        norm = spectral.matrix_norm(mat)
-        points = para_racah.lattice(fam).points
-        ref = spectral.spectrum(mat, points)
+        half_tri = recurrence.tridiagonal(half)
+        assert spectral.persymmetry_residual(half_tri) <= 1e-12
+        norm = spectral.matrix_norm(half_tri)
+        points = para_racah.lattice(fam)
+        ref = spectral.spectrum(half_tri, points)
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
             tri = recurrence.tridiagonal(fam.replace(alpha=alpha))
-            radii = spectral.spectrum(spectral.build_jacobi(tri), points)
+            radii = spectral.spectrum(tri, points)
             assert all(r <= 1e-9 * norm for r in radii), (fam, alpha, radii)
             dev = max_keep_nan(*(r + h for r, h in zip(radii, ref)))
             assert dev <= 1e-9 * norm, (fam, alpha, dev)
@@ -133,9 +133,9 @@ def test_criterion_06_christoffel_cross_check():
         tri = recurrence.tridiagonal(fam)
         lw = para_racah.weights(tri)
         vectors, twist = recurrence.lattice_vectors(tri.b, tri.u, lw.points)
-        cw = para_racah.weights_from_christoffel(tri, lw, vectors)
+        cw = para_racah.weights_from_christoffel(tri, vectors)
         assert twist <= 1e-7, (fam, twist)
-        for w_closed, w_chr in zip(lw.weights, cw.weights):
+        for w_closed, w_chr in zip(lw.weights, cw):
             assert abs(w_closed - w_chr) <= 1e-7 * abs(w_closed), fam
         root = math.sqrt(half_tri.h[-1])
         for s, z in enumerate(support.lattice_z(half)):
@@ -209,9 +209,9 @@ def test_criterion_09_para_krawtchouk():
                     g = sum(w * vals[n][s] * vals[m][s]
                             for s, w in enumerate(lw.weights))
                     if n == m:
-                        assert abs(g - lw.h[n]) <= 1e-8 * abs(lw.h[n]), (N, alpha)
+                        assert abs(g - tri.h[n]) <= 1e-8 * abs(tri.h[n]), (N, alpha)
                     else:
-                        assert abs(g) <= 1e-8 * math.sqrt(lw.h[n] * lw.h[m])
+                        assert abs(g) <= 1e-8 * math.sqrt(tri.h[n] * tri.h[m])
         half = para_krawtchouk.ParaKrawtchoukFamily(Delta=1.3, alpha=0.5, q=0.5, N=N)
         assert recurrence.persymmetry_residual(recurrence.tridiagonal(half)) <= 1e-12
     _report(9, "para-krawtchouk")

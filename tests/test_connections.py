@@ -46,7 +46,7 @@ def test_identity_residual(N, a):
 def test_lattice_collapses_to_single_grid():
     for N in (5, 6):
         fam = single_lattice_family(0.8, 0.49, N)
-        bi = para_racah.lattice(fam).points
+        bi = para_racah.lattice(fam)
         single = single_lattice_points(0.8, 0.49, N)
         for x_bi, x_single in zip(bi, single):
             assert x_bi == pytest.approx(x_single, rel=1e-14)

@@ -4,8 +4,11 @@ residual.  The values the shared routines return are the ones the per-module
 copies gave, bit for bit (digest recorded before the copies were merged;
 re-recorded when P_0 and h_0 became the table's own one and the lattice
 record dropped its z representatives, after a diff of the hashed data showed
-only the 51 mpf P_0 and h_0 entries moving from 1.0 to an mpf 1), and no
-module outside ``recurrence`` spells out the strand order again."""
+only the 51 mpf P_0 and h_0 entries moving from 1.0 to an mpf 1; and
+re-recorded over the kept fields, computed on the code before that change,
+when the weight record dropped its copies of h_n, k_norm and the measure's
+sign), and no module outside ``recurrence`` spells out the strand order
+again."""
 
 import hashlib
 import math
@@ -22,11 +25,10 @@ from qortho import connections, para_krawtchouk, para_racah, recurrence, spectra
 from qortho.para_krawtchouk import ParaKrawtchoukFamily
 from qortho.para_racah import ParaRacahFamily
 from qortho.recurrence import tridiagonal
-from qortho.spectral import SymmetricTridiagonal
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qortho"
 
-_WEIGHT_FIELDS = ("points", "weights", "weights_half", "h", "k_norm", "positive_measure")
+_WEIGHT_FIELDS = ("points", "weights", "weights_half")
 
 
 def _bits(v):
@@ -62,17 +64,16 @@ def _persymmetry_rows(tri):
     for table in (tri, tri.at_alpha(0.5)):
         rows.append(_bits(recurrence.persymmetry_residual(table)))
         if table.positive:
-            rows.append(_bits(spectral.persymmetry_residual(spectral.build_jacobi(table))))
+            rows.append(_bits(spectral.persymmetry_residual(table)))
     return rows
 
 
 def _qpr_rows(num, N):
     fam = ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"), q=num("0.5"), N=N)
     tri = tridiagonal(fam)
-    lat = para_racah.lattice(fam)
     lw = para_racah.weights(tri)
     zs = [num("2.0"), num("2.37"), num("2.9")]
-    return [_bits(lat.points),
+    return [_bits(para_racah.lattice(fam)),
             [[name, _bits(getattr(lw, name))] for name in _WEIGHT_FIELDS],
             _bits(lw.strand_sums()),
             [_bits(row) for row in para_racah.qdiff_residual(tri, zs)],
@@ -83,7 +84,7 @@ def _qpk_rows(num, N):
     fam = ParaKrawtchoukFamily(Delta=num("1.3"), alpha=num("0.35"), q=num("0.5"), N=N)
     tri = tridiagonal(fam)
     lw = para_krawtchouk.weights(tri)
-    return [_bits(para_krawtchouk.lattice(fam).points),
+    return [_bits(para_krawtchouk.lattice(fam)),
             [[name, _bits(getattr(lw, name))] for name in _WEIGHT_FIELDS],
             _bits(lw.strand_sums()),
             _persymmetry_rows(tri)]
@@ -105,7 +106,7 @@ def _shared_conventions_digest():
 
 def test_shared_conventions_are_unchanged_bit_for_bit():
     assert _shared_conventions_digest() == (
-        "7e9d0c69e89be50c34d81c4087fa75f51abbb9b30e8146716ab712dadcbed571")
+        "1c25ffbfa8d4285285e0c52880679f0c88d121299f847f7191e5f80f2dfca895")
 
 
 @pytest.mark.parametrize("row", ["b", "u"])
@@ -116,13 +117,12 @@ def test_coefficient_persymmetry_keeps_nan(row):
     assert math.isnan(recurrence.persymmetry_residual(tri.replace(**{row: tuple(poisoned)})))
 
 
-@pytest.mark.parametrize("row", ["diagonal", "offdiag"])
+@pytest.mark.parametrize("row", ["b", "u"])
 def test_matrix_persymmetry_keeps_nan(row):
-    m = spectral.build_jacobi(tridiagonal(ParaRacahFamily(a=0.9, c=0.7, alpha=0.5, q=0.5, N=5)))
-    poisoned = list(getattr(m, row))
+    tri = tridiagonal(ParaRacahFamily(a=0.9, c=0.7, alpha=0.5, q=0.5, N=5))
+    poisoned = list(getattr(tri, row))
     poisoned[1] = float("nan")
-    fields = {"diagonal": m.diagonal, "offdiag": m.offdiag, row: tuple(poisoned)}
-    assert math.isnan(spectral.persymmetry_residual(SymmetricTridiagonal(**fields)))
+    assert math.isnan(spectral.persymmetry_residual(tri.replace(**{row: tuple(poisoned)})))
 
 
 # Strand-index arithmetic: slicing a bi-lattice sequence by parity, splitting

@@ -4,13 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from oracles.qseries import phi_basis
-from qortho.qseries import (
-    SeriesSpec,
-    SingularSeriesError,
-    qpochhammer,
-    terminating_series_eval,
-)
+from oracles.qseries import phi_basis, terminating_series_eval
+from qortho.qseries import SeriesSpec, SingularSeriesError, qpochhammer
 
 
 def test_qpochhammer_empty_product():

@@ -5,7 +5,10 @@ through ``replace`` are the ones the dataclass-based records gave, bit for
 bit (digest recorded at the commit before the records became plain
 classes; re-recorded when h_0 became the table's own one and the lattice
 record dropped its z representatives, after a diff of the hashed data showed
-only the 24 h_0 entries of the mpf tables moving from 1.0 to an mpf 1)."""
+only the 24 h_0 entries of the mpf tables moving from 1.0 to an mpf 1; and
+re-recorded over the kept fields, computed on the code before that change,
+when the weight record dropped its copies of h_n, k_norm and the measure's
+sign and the table its positivity field)."""
 
 import hashlib
 
@@ -19,7 +22,6 @@ from qortho.para_krawtchouk import ParaKrawtchoukFamily
 from qortho.para_racah import LatticeWeights, ParaRacahFamily
 from qortho.qseries import SeriesSpec
 from qortho.recurrence import TridiagonalSystem, lattice_vectors, tridiagonal
-from qortho.spectral import SymmetricTridiagonal
 from qortho.verify import Check
 
 QPR = dict(a=0.9, c=0.7, alpha=0.3, q=0.5, N=5)
@@ -99,10 +101,12 @@ def test_records_take_their_fields_by_position_and_keyword():
     chk = Check("gram", True, 1e-12, 1e-8)
     assert (chk.name, chk.passed, chk.residual, chk.tolerance, chk.note) == (
         "gram", True, 1e-12, 1e-8, "")
-    lw = LatticeWeights(points=(1.0,))
-    assert (lw.weights, lw.weights_half, lw.h, lw.k_norm, lw.positive_measure) == (None,) * 5
-    m = SymmetricTridiagonal(diagonal=(1.0,), offdiag=())
-    assert (m.diagonal, m.offdiag) == ((1.0,), ())
+    lw = LatticeWeights((1.0,), (0.5,))
+    assert (lw.points, lw.weights, lw.weights_half) == ((1.0,), (0.5,), None)
+    assert LatticeWeights._fields == ("points", "weights", "weights_half")
+    tri = TridiagonalSystem(None, (1.0,), ())
+    assert (tri.family, tri.b, tri.u) == (None, (1.0,), ())
+    assert TridiagonalSystem._fields == ("family", "b", "u")
     p = QRacahParams(0.1, 0.2, 0.3, 0.4, 0.5)
     assert (p.alpha, p.beta, p.gamma, p.delta, p.q) == (0.1, 0.2, 0.3, 0.4, 0.5)
     with pytest.raises(ValueError, match="nome q"):
@@ -117,9 +121,16 @@ def test_tables_compare_by_value_and_replace_keeps_the_other_fields():
     bumped = tri.replace(b=(tri.b[0] + 1.0,) + tri.b[1:])
     assert type(bumped) is TridiagonalSystem and bumped != tri
     assert (bumped.family, bumped.u, bumped.positive) == (tri.family, tri.u, tri.positive)
-    lw = para_racah.lattice(fam)
-    assert lw.replace(k_norm=2.0).points is lw.points
+    lw = para_racah.weights(tri)
+    assert lw.replace(weights_half=None).points is lw.points
     assert repr(fam) == "ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=5)"
+
+
+def test_positivity_is_read_from_the_table_replace_builds():
+    # No copied flag survives a replace of u.
+    tri = tridiagonal(ParaRacahFamily(**QPR))
+    assert tri.positive is True
+    assert tri.replace(u=(-1.0,) + tri.u[1:]).positive is False
 
 
 def _bits(v):
@@ -138,7 +149,7 @@ def _fields(record, names):
 
 _FAMILY_FIELDS = {ParaRacahFamily: ("a", "c", "alpha", "q", "N"),
                   ParaKrawtchoukFamily: ("Delta", "alpha", "q", "N")}
-_WEIGHT_FIELDS = ("points", "weights", "weights_half", "h", "k_norm", "positive_measure")
+_WEIGHT_FIELDS = ("points", "weights", "weights_half")
 
 
 def _weighted_and_deformed_digest():
@@ -156,18 +167,18 @@ def _weighted_and_deformed_digest():
                 for fam in fams:
                     tri = tridiagonal(fam)
                     kind = para_racah if type(fam) is ParaRacahFamily else para_krawtchouk
-                    tables = [kind.weights(tri)]
+                    lw = kind.weights(tri)
+                    out.append(_fields(lw, _WEIGHT_FIELDS))
                     if kind is para_racah:
-                        vectors, _ = lattice_vectors(tri.b, tri.u, tables[0].points)
-                        tables.append(para_racah.weights_from_christoffel(tri, tables[0], vectors))
-                    out.extend(_fields(lw, _WEIGHT_FIELDS) for lw in tables)
+                        vectors, _ = lattice_vectors(tri.b, tri.u, lw.points)
+                        out.append(_bits(para_racah.weights_from_christoffel(tri, vectors)))
                     for al in (0.1, 0.3, 0.5, 0.7, 0.9):
                         moved = tri.at_alpha(al)
                         out.append(_fields(moved.family, _FAMILY_FIELDS[type(fam)]))
-                        out.append(_fields(moved, ("b", "u", "positive")))
+                        out.append(_fields(moved, ("b", "u")))
     return hashlib.sha256(repr(out).encode()).hexdigest()
 
 
 def test_weighted_and_deformed_tables_are_unchanged_bit_for_bit():
     assert _weighted_and_deformed_digest() == (
-        "1d23a29a3a59c8a47d9045119b81d113770b0c4649ca7db0579ca08ff8de2cbb")
+        "97ed0c747feca91caf25e915377af7bbc2fda9d5ab3cfd5211e8d3286ecba1b5")

@@ -7,36 +7,41 @@ import pytest
 from oracles.spectral import spectrum as ql_spectrum
 from qortho import para_krawtchouk
 from qortho.para_racah import ParaRacahFamily, lattice
-from qortho.recurrence import (LatticeWeights, TridiagonalSystem, family_module, gram_errors,
-                               lattice_vectors, tridiagonal, weights_from_christoffel)
-from qortho.spectral import (
-    SymmetricTridiagonal,
-    build_jacobi,
-    matrix_norm,
-    persymmetry_residual,
-    spectrum,
-)
+from qortho.recurrence import (TridiagonalSystem, family_module, gram_errors, lattice_vectors,
+                               tridiagonal, weights_from_christoffel)
+from qortho.spectral import matrix_norm, persymmetry_residual, spectrum
 
 FAM = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=7)
 EPS = 2.0 ** -52
 
 
-def test_build_two_by_two():
+def _matrix(tri):
+    """(diagonal, off-diagonal) of the table's Jacobi matrix in binary64."""
+    return [float(v) for v in tri.b], [math.sqrt(float(v)) for v in tri.u]
+
+
+def test_two_by_two_norm_reads_the_square_root_of_u():
     tri = tridiagonal(ParaRacahFamily(a=0.9, c=0.7, alpha=0.5, q=0.5, N=1))
-    m = build_jacobi(tri)
-    assert len(m.diagonal) == 2
-    assert len(m.offdiag) == 1
-    assert m.offdiag[0] == pytest.approx(math.sqrt(tri.u[0]))
+    assert (len(tri.b), len(tri.u)) == (2, 1)
+    assert matrix_norm(tri) == pytest.approx(
+        max(abs(v) for v in tri.b) + 2 * math.sqrt(tri.u[0]))
 
 
-def test_build_rejects_nonpositive_u():
+# Each reading of the table as a binary64 Jacobi matrix refuses it alike.
+READERS = [lambda tri: spectrum(tri, [0.0] * len(tri.b)), matrix_norm, persymmetry_residual]
+READER_IDS = ["spectrum", "matrix_norm", "persymmetry_residual"]
+
+
+@pytest.mark.parametrize("read", READERS, ids=READER_IDS)
+def test_nonpositive_u_is_refused(read):
     tri = tridiagonal(ParaRacahFamily(a=0.9, c=0.2, alpha=0.5, q=0.5, N=4))
     assert not tri.positive
-    with pytest.raises(ValueError):
-        build_jacobi(tri)
+    with pytest.raises(ValueError, match="positive to symmetrize"):
+        read(tri)
 
 
-def test_build_refuses_a_positive_u_below_binary64_as_an_underflow():
+@pytest.mark.parametrize("read", READERS, ids=READER_IDS)
+def test_a_positive_u_below_binary64_is_refused_as_an_underflow(read):
     # u_1 = (1 - alpha) alpha (c - a)^2 ... is about 4e-344 at 30 digits.
     with mpmath.workdps(30):
         fam = ParaRacahFamily(a=mpmath.mpf("0.9"), c=mpmath.mpf("0.8"),
@@ -44,39 +49,37 @@ def test_build_refuses_a_positive_u_below_binary64_as_an_underflow():
         tri = tridiagonal(fam)
     assert tri.positive and float(tri.u[0]) == 0
     with pytest.raises(ZeroDivisionError, match="underflows"):
-        build_jacobi(tri)
+        read(tri)
 
 
 # The QL oracle against matrices with known spectra.
 
 
 def test_spectrum_of_diagonal_matrix():
-    m = SymmetricTridiagonal(diagonal=(3.0, -1.0, 2.0), offdiag=(0.0, 0.0))
-    assert ql_spectrum(m) == pytest.approx([-1.0, 2.0, 3.0])
+    assert ql_spectrum(((3.0, -1.0, 2.0), (0.0, 0.0))) == pytest.approx([-1.0, 2.0, 3.0])
 
 
 def test_spectrum_two_by_two_analytic():
-    m = SymmetricTridiagonal(diagonal=(0.0, 0.0), offdiag=(1.0,))
-    assert ql_spectrum(m) == pytest.approx([-1.0, 1.0])
+    assert ql_spectrum(((0.0, 0.0), (1.0,))) == pytest.approx([-1.0, 1.0])
 
 
 def _free_jacobi(n):
     # Zero diagonal, unit off-diagonal: eigenvalues 2 cos(k pi / (n + 1)).
-    m = SymmetricTridiagonal(diagonal=(0.0,) * n, offdiag=(1.0,) * (n - 1))
-    return m, sorted(2 * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1))
+    tri = TridiagonalSystem(family=None, b=(0.0,) * n, u=(1.0,) * (n - 1))
+    return tri, sorted(2 * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 16, 30, 40])
 def test_spectrum_free_jacobi_analytic(n):
     m, exact = _free_jacobi(n)
-    eig = ql_spectrum(m)
+    eig = ql_spectrum(_matrix(m))
     assert len(eig) == n
     assert all(abs(x - y) <= 4 * math.ulp(matrix_norm(m)) for x, y in zip(eig, exact))
 
 
 def test_spectrum_rejects_non_finite_entries():
     with pytest.raises(ValueError):
-        ql_spectrum(SymmetricTridiagonal(diagonal=(0.0, math.nan), offdiag=(1.0,)))
+        ql_spectrum(((0.0, math.nan), (1.0,)))
 
 
 # The residual certificate.
@@ -117,29 +120,26 @@ def test_certificate_keeps_a_nan_point():
 
 def test_persymmetric_matrix_at_half():
     fam = FAM.replace(alpha=0.5)
-    m = build_jacobi(tridiagonal(fam))
-    assert persymmetry_residual(m) <= 1e-12
+    assert persymmetry_residual(tridiagonal(fam)) <= 1e-12
 
 
 def test_persymmetry_broken_away_from_half():
-    m = build_jacobi(tridiagonal(FAM))
-    assert persymmetry_residual(m) >= 1e-6
+    assert persymmetry_residual(tridiagonal(FAM)) >= 1e-6
 
 
 def test_spectrum_equals_bilattice():
     for N in (4, 5, 7, 9, 16, 30):
         tri = tridiagonal(FAM.replace(N=N))
-        m = build_jacobi(tri)
-        tol = 1e-9 * matrix_norm(m)
-        assert all(r <= tol for r in spectrum(m, lattice(tri.family).points)), N
+        tol = 1e-9 * matrix_norm(tri)
+        assert all(r <= tol for r in spectrum(tri, lattice(tri.family))), N
 
 
 def test_isospectrality_across_deformations():
-    points = lattice(FAM).points
-    half = spectrum(build_jacobi(tridiagonal(FAM.replace(alpha=0.5))), points)
-    norm = matrix_norm(build_jacobi(tridiagonal(FAM)))
+    points = lattice(FAM)
+    half = spectrum(tridiagonal(FAM.replace(alpha=0.5)), points)
+    norm = matrix_norm(tridiagonal(FAM))
     for al in (0.1, 0.3, 0.7, 0.9):
-        radii = spectrum(build_jacobi(tridiagonal(FAM.replace(alpha=al))), points)
+        radii = spectrum(tridiagonal(FAM.replace(alpha=al)), points)
         assert all(r + h <= 1e-9 * norm for r, h in zip(radii, half)), al
 
 
@@ -159,20 +159,21 @@ def test_every_oracle_eigenvalue_lies_within_its_radius(kind, q):
     # The intervals are disjoint, so the k-th eigenvalue belongs to the k-th
     # point in ascending order; 8 eps ||J|| allows for the QL's own rounding.
     for fam in _families(kind, q):
-        m = build_jacobi(tridiagonal(fam))
-        points = [float(x) for x in family_module(fam).lattice(fam).points]
-        slack = 8 * EPS * matrix_norm(m)
-        paired = zip(ql_spectrum(m), sorted(zip(points, spectrum(m, points))))
+        tri = tridiagonal(fam)
+        points = [float(x) for x in family_module(fam).lattice(fam)]
+        slack = 8 * EPS * matrix_norm(tri)
+        paired = zip(ql_spectrum(_matrix(tri)), sorted(zip(points, spectrum(tri, points))))
         for eig, (x, r) in paired:
             assert abs(eig - x) <= r + slack, (fam, x, eig, r)
 
 
-def _residual(m, x, y):
-    """||(J - x) y|| / ||y|| over every row of ``m``."""
-    ee = (0.0, *m.offdiag, 0.0)
+def _residual(matrix, x, y):
+    """||(J - x) y|| / ||y|| over every row of J = ``matrix``."""
+    diagonal, offdiag = matrix
+    ee = (0.0, *offdiag, 0.0)
     v = (0.0, *y, 0.0)
     rows = (ee[k] * v[k] + (d - x) * v[k + 1] + ee[k + 1] * v[k + 2]
-            for k, d in enumerate(m.diagonal))
+            for k, d in enumerate(diagonal))
     return math.hypot(*rows) / math.hypot(*v)
 
 
@@ -183,12 +184,13 @@ def _residual(m, x, y):
 def test_large_n_vectors_have_residuals_within_eight_eps(fam):
     # The entries of J span many decades; the pivots are ratios, so nothing
     # overflows and every vector's residual is a few ulps of ||J||.
-    m = build_jacobi(tridiagonal(fam))
-    points = [float(x) for x in family_module(fam).lattice(fam).points]
-    vectors, _ = lattice_vectors(m.diagonal, [e * e for e in m.offdiag], points)
-    bound = 8 * EPS * matrix_norm(m)
+    tri = tridiagonal(fam)
+    m = _matrix(tri)
+    points = [float(x) for x in family_module(fam).lattice(fam)]
+    vectors, _ = lattice_vectors(m[0], [e * e for e in m[1]], points)
+    bound = 8 * EPS * matrix_norm(tri)
     assert all(_residual(m, x, y) <= bound for x, y in zip(points, vectors))
-    radii = spectrum(m, points)
+    radii = spectrum(tri, points)
     if isinstance(fam, ParaRacahFamily):
         assert all(r <= bound for r in radii)
     else:
@@ -206,17 +208,14 @@ def test_zero_pivots_of_the_free_jacobi_matrix(scale):
     # are 0, inf and 0, and so are those from the bottom: the vector is read
     # across the zero pivots.  At scale 1e100, h_2 = 1e400 overflows, and
     # only its sign is read.
-    m = SymmetricTridiagonal(diagonal=(0.0,) * 3, offdiag=(scale,) * 2)
-    points = (-math.sqrt(2) * scale, 0.0, math.sqrt(2) * scale)
-    assert all(r <= 8 * EPS * matrix_norm(m) for r in spectrum(m, points))
-    u = (scale * scale,) * 2
-    vectors, _ = lattice_vectors(m.diagonal, u, points)
     tri = TridiagonalSystem(family=SimpleNamespace(require_distinct_strands=lambda: None),
-                            b=m.diagonal, u=u, positive=True)
-    lw = LatticeWeights(points).weighted((0.25, 0.5, 0.25), tri.h)
-    assert weights_from_christoffel(tri, lw, vectors).weights == pytest.approx(
-        lw.weights, rel=4 * EPS, abs=0)
-    assert all(err <= 4 * EPS for err in gram_errors(vectors, lw))
+                            b=(0.0,) * 3, u=(scale * scale,) * 2)
+    points = (-math.sqrt(2) * scale, 0.0, math.sqrt(2) * scale)
+    assert all(r <= 8 * EPS * matrix_norm(tri) for r in spectrum(tri, points))
+    vectors, _ = lattice_vectors(tri.b, tri.u, points)
+    weights = (0.25, 0.5, 0.25)
+    assert weights_from_christoffel(tri, vectors) == pytest.approx(weights, rel=4 * EPS, abs=0)
+    assert all(err <= 4 * EPS for err in gram_errors(vectors, weights, tri.h))
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
@@ -224,11 +223,12 @@ def test_zero_pivot_at_a_lattice_point(alpha):
     # At the lattice point s = 13 the pivot from the top at k = 7 is exactly
     # 0 in double, at every alpha.
     fam = ParaRacahFamily(a=0.9, c=0.7, alpha=alpha, q=0.2, N=16)
-    m = build_jacobi(tridiagonal(fam))
-    points = lattice(fam).points
+    tri = tridiagonal(fam)
+    diagonal, offdiag = _matrix(tri)
+    points = lattice(fam)
     x = float(points[13])
-    pivot = x - m.diagonal[0]
-    for d, e in zip(m.diagonal[1:8], m.offdiag):
+    pivot = x - diagonal[0]
+    for d, e in zip(diagonal[1:8], offdiag):
         pivot = (x - d) - e * e / pivot
     assert pivot == 0
-    assert spectrum(m, points)[13] <= 8 * EPS * matrix_norm(m)
+    assert spectrum(tri, points)[13] <= 8 * EPS * matrix_norm(tri)

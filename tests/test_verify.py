@@ -217,17 +217,15 @@ def test_gram_off_diagonal_beyond_the_double_range():
     with mpmath.workdps(30):
         U = mpmath.mpf(10) ** 200
         tri = TridiagonalSystem(family=SimpleNamespace(N=3), b=(mpmath.mpf(0),) * 4,
-                                u=(U,) * 3, positive=True)
+                                u=(U,) * 3)
         root = mpmath.sqrt(U)
-        lw = para_racah.LatticeWeights(
-            points=tuple(k * root for k in (-2, -1, 1, 2)),
-            weights=(mpmath.mpf(1) / 4,) * 4, h=tri.h)
+        points = tuple(k * root for k in (-2, -1, 1, 2))
         # Forward vectors P_n / sqrt(h_n): the twisted ones hide that these
         # points are not zeros of R_4, and their twist shows it.
         forward = [[p / mpmath.sqrt(h) for p, h in zip(tri.values(x, 3), tri.h)]
-                   for x in lw.points]
-        _, off = verify.gram_errors(forward, lw)
-        _, twist = recurrence.lattice_vectors(tri.b, tri.u, lw.points)
+                   for x in points]
+        _, off = verify.gram_errors(forward, (mpmath.mpf(1) / 4,) * 4, tri.h)
+        _, twist = recurrence.lattice_vectors(tri.b, tri.u, points)
     assert off == pytest.approx(3.5, rel=1e-12)
     assert twist == pytest.approx(0.5, rel=1e-12)
 
@@ -311,17 +309,16 @@ def test_extended_verify_converts_only_its_points(capsys, kind, alpha, N):
 @pytest.mark.parametrize("s", range(FAM.N + 1))
 def test_a_moved_lattice_point_fails_the_christoffel_check(monkeypatch, s):
     tri = tridiagonal(FAM)
-    _, twist = recurrence.lattice_vectors(tri.b, tri.u, para_racah.lattice(FAM).points)
+    _, twist = recurrence.lattice_vectors(tri.b, tri.u, para_racah.lattice(FAM))
     assert twist <= 1e-15
     lattice = para_racah.lattice
 
     def moved(fam):
-        lw = lattice(fam)
-        points = list(lw.points)
+        points = list(lattice(fam))
         points[s] *= 1 + 1e-6
-        return lw.replace(points=tuple(points))
+        return tuple(points)
     monkeypatch.setattr(para_racah, "lattice", moved)
-    _, twist = recurrence.lattice_vectors(tri.b, tri.u, para_racah.lattice(FAM).points)
+    _, twist = recurrence.lattice_vectors(tri.b, tri.u, para_racah.lattice(FAM))
     assert twist > verify.TOL_CHRISTOFFEL
     checks = {c.name: c for c in verify.run_suite("orthogonality", FAM)}
     assert not checks["orthogonality/christoffel-cross-check"].passed
@@ -370,8 +367,7 @@ NAN_CASES = [
     ("bispectral", "eigenvalue-degeneracy", para_racah, "qdiff_eigenvalue",
      lambda k, args: args[1] == 2, lambda r: NAN),
     ("orthogonality", "christoffel-cross-check", para_racah, "weights_from_christoffel",
-     lambda k, args: True,
-     lambda r: r.replace(weights=tuple(_nan_at_1(r.weights)))),
+     lambda k, args: True, _nan_at_1),
     ("persymmetry", "coefficient-persymmetry", para_racah, "coefficient_rows",
      lambda k, args: True, lambda r: (r[0][:2] + [NAN] + r[0][3:], r[1])),
     ("isospectral", "isospectrality", spectral, "spectrum", lambda k, args: k == 3,
@@ -389,10 +385,9 @@ QPK_NAN_CASES = [
     ("orthogonality", "gram-diagonal", verify, "lattice_vectors", lambda k, args: True,
      lambda r: ([r[0][0], _nan_at_1(r[0][1]), *r[0][2:]], r[1])),
     ("orthogonality", "christoffel-cross-check", para_racah, "weights_from_christoffel",
-     lambda k, args: True,
-     lambda r: r.replace(weights=tuple(_nan_at_1(r.weights)))),
-    ("persymmetry", "matrix-persymmetry", spectral, "build_jacobi", lambda k, args: True,
-     lambda m: spectral.SymmetricTridiagonal(tuple(_nan_at_1(m.diagonal)), m.offdiag)),
+     lambda k, args: True, _nan_at_1),
+    ("persymmetry", "matrix-persymmetry", para_krawtchouk, "coefficient_rows",
+     lambda k, args: True, lambda r: (_nan_at_1(r[0]), r[1])),
 ]
 
 
