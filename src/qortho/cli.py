@@ -88,6 +88,11 @@ def _require_lattice_options(args):
     if any(getattr(args, name) is None for name in lattice_params):
         raise ValueError("kind %r requires %s" % (
             args.kind, " and ".join("--" + name for name in lattice_params)))
+    # The other kind's options would be ignored: the output echoes only these.
+    foreign = [name for _, params, _ in _KINDS.values() for name in params
+               if name not in lattice_params and getattr(args, name) is not None]
+    if foreign:
+        raise ValueError("kind %r does not take --%s" % (args.kind, foreign[0]))
 
 
 def _build_family(args, prec: _Precision):
@@ -153,7 +158,7 @@ def cmd_lattice_weights(args, prec: _Precision):
     with prec.context():
         fam = _build_family(args, prec)
         tri = tridiagonal(fam)
-        lw = family_module(fam).weights(tri)
+        lw = family_module(fam).weights(fam)
         pts = lw.points
         vectors, twist = lattice_vectors(tri.b, tri.u, pts)
         # The twist shows a point that is not a zero of R_{N+1}; the glued

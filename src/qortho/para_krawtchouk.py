@@ -185,15 +185,14 @@ def _weight_strands(fam: ParaKrawtchoukFamily, k_norm):
                unit_den0 * qp(q, s) * dq_j * qp(q / D, s)) for s in range(j)]))
 
 
-def weights(tri: TridiagonalSystem) -> LatticeWeights:
-    """Closed-form weights of the table's family on the exponential bi-lattice.
+def weights(fam: ParaKrawtchoukFamily) -> LatticeWeights:
+    """Closed-form weights of the family on the exponential bi-lattice.
 
     Satisfy sum_s w_s Q_n(y_s) Q_m(y_s) = delta_{nm} h_n, with h_n the
-    table's, together with the strand sums 1 - alpha (even indices) and
-    alpha (odd indices).  Returns the :func:`lattice` points with these
-    weights.
+    family's recurrence table's, together with the strand sums 1 - alpha
+    (even indices) and alpha (odd indices).  Returns the :func:`lattice`
+    points with these weights.
     """
-    fam = tri.family
     fam.require_distinct_strands()
     points = lattice(fam)
     k_norm = _k_norm(fam)

@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 
 from .qseries import PowerTable, SeriesPlan, qpochhammer
-# weights_from_christoffel (both kinds' route) is bound for verify's calls.
+# weights_from_christoffel (both kinds' route, in recurrence) is bound here only
+# for the benchmark tracer's para_racah.christoffel layer.
 from .recurrence import (_DEGENERATE_TOL, BiLatticeFamily, DegenerateFamilyError,
                          LatticeWeights, TridiagonalSystem, interleave,
                          qdifference_residual, weight_table, weights_from_christoffel)
@@ -539,16 +540,16 @@ def _weight_leads(fam: ParaRacahFamily, al):
     return (-2 * (1 - al), 2 * al) if fam.odd else (1 - al, -al)
 
 
-def weights(tri: TridiagonalSystem) -> LatticeWeights:
-    """Orthogonality weights of the table's family from the closed-form tables.
+def weights(fam: ParaRacahFamily) -> LatticeWeights:
+    """Orthogonality weights of the family from the closed-form tables.
 
     The weights satisfy sum_s w_s R_n(x_s) R_m(x_s) = delta_{nm} h_n, with
-    h_n the table's, and the strand sums are 1 - alpha (even indices) and
-    alpha (odd indices).  A family outside the positivity region still gets
-    its weights, some of them negative: a signed measure.  Returns the
-    :func:`lattice` points with these weights and the alpha = 1/2 ones.
+    h_n the family's recurrence table's, and the strand sums are 1 - alpha
+    (even indices) and alpha (odd indices).  A family outside the positivity
+    region still gets its weights, some of them negative: a signed measure.
+    Returns the :func:`lattice` points with these weights and the
+    alpha = 1/2 ones.
     """
-    fam = tri.family
     fam.require_distinct_strands()
     points = lattice(fam)
     k_norm = _k_norm(fam)

@@ -12,9 +12,9 @@ dropped when the run ends.
 
 The orthogonality suite evaluates the table at its lattice once, with
 :func:`~qortho.recurrence.lattice_vectors`; its Gram errors and Christoffel
-weights (``gram_errors`` and ``para_racah.weights_from_christoffel``, both
-kinds' code in :mod:`qortho.recurrence`) read those vectors and the table's
-h_n.  The isospectral radii come from the same factorisation of each table's
+weights (``gram_errors`` and ``weights_from_christoffel``, both kinds' code
+in :mod:`qortho.recurrence`) read those vectors and the table's h_n.  The
+isospectral radii come from the same factorisation of each table's
 Jacobi matrix, which :mod:`qortho.spectral` forms in double, on a grid typed
 by q, so an extended run deforms at its precision.
 The bispectral and explicit suites each draw their ten points once and check
@@ -32,7 +32,7 @@ from functools import cached_property
 
 from . import connections, para_krawtchouk, para_racah, spectral
 from .recurrence import (family_module, gram_errors, lattice_vectors, persymmetry_residual,
-                         tridiagonal)
+                         tridiagonal, weights_from_christoffel)
 from .scalars import is_finite, is_mp, max_keep_nan, typed_float
 
 __all__ = ["Check", "RunTables", "SUITES", "run_suite"]
@@ -160,7 +160,7 @@ def suite_orthogonality(run, rng):
         checks.append(_failed("gram-orthogonality", TOL_GRAM,
                               "skipped: family is outside the positivity region"))
         return checks
-    lw = family_module(fam).weights(tri)
+    lw = family_module(fam).weights(fam)
     se, so = lw.strand_sums()
     checks.append(_check("weight-sum-even", abs(se - (1 - fam.alpha)), TOL_WEIGHT_SUM))
     checks.append(_check("weight-sum-odd", abs(so - fam.alpha), TOL_WEIGHT_SUM))
@@ -168,7 +168,7 @@ def suite_orthogonality(run, rng):
     d, o = gram_errors(vectors, lw.weights, tri.h)
     checks.append(_check("gram-diagonal", d, TOL_GRAM))
     checks.append(_check("gram-off-diagonal", o, TOL_GRAM))
-    cw = para_racah.weights_from_christoffel(tri, vectors)
+    cw = weights_from_christoffel(tri, vectors)
     worst = max_keep_nan(twist, *(abs(x - y) / abs(x) for x, y in zip(lw.weights, cw)))
     checks.append(_check("christoffel-cross-check", worst, TOL_CHRISTOFFEL))
     if _is_qpk(fam):

@@ -7,7 +7,8 @@ modules hold, under the name of the qortho module they exercise, the
 positivity-inequality report and the factorised characteristic polynomial
 of a q-para-Racah family (``para_racah``), the monic q-Racah evaluation and
 the single lattice of the collapsed family (``connections``), the
-(a z, a/z; q)_k basis factor (``qseries``), and the implicit QL eigenvalues
+(a z, a/z; q)_k basis factor and the record of a spelled-out terminating
+series at its stated degree (``qseries``), and the implicit QL eigenvalues
 of a Jacobi matrix (``spectral``).  ``coefficients`` holds the per-entry
 coefficient formulas the coefficient passes must equal bit for bit.
 """

@@ -7,8 +7,7 @@ obtained from by truncation.  Only real parameters and real nome
 
 from __future__ import annotations
 
-from oracles.qseries import terminating_series_eval
-from qortho.qseries import SeriesSpec
+from oracles.qseries import SeriesSpec, terminating_series_eval
 from qortho.recurrence import monic_coefficients, monic_values, qdifference_residual
 
 __all__ = [

@@ -62,7 +62,7 @@ def test_criterion_02_orthogonality():
     fams, _ = _families(102, range(2, 10), 5)
     for fam in fams:
         tri = recurrence.tridiagonal(fam)
-        lw = para_racah.weights(tri)
+        lw = para_racah.weights(fam)
         # The twist certifies the points as zeros of R_{N+1}, which the glued
         # vectors themselves would hide.
         vectors, twist = recurrence.lattice_vectors(tri.b, tri.u, lw.points)
@@ -116,7 +116,7 @@ def test_criterion_04_persymmetry_isospectrality():
 def test_criterion_05_beta_factor():
     fams, _ = _families(105, range(2, 10), 2, alphas=(0.25, 0.75))
     for fam in fams:
-        lw = para_racah.weights(recurrence.tridiagonal(fam))
+        lw = para_racah.weights(fam)
         ratios = [w / wh for w, wh in zip(lw.weights, lw.weights_half)]
         beta = (ratios[0] - ratios[1]) / (ratios[0] + ratios[1])
         assert abs(beta - (1 - 2 * fam.alpha)) <= 1e-8, fam
@@ -131,7 +131,7 @@ def test_criterion_06_christoffel_cross_check():
         half = fam.replace(alpha=0.5)
         half_tri = recurrence.tridiagonal(half)
         tri = recurrence.tridiagonal(fam)
-        lw = para_racah.weights(tri)
+        lw = para_racah.weights(fam)
         vectors, twist = recurrence.lattice_vectors(tri.b, tri.u, lw.points)
         cw = para_racah.weights_from_christoffel(tri, vectors)
         assert twist <= 1e-7, (fam, twist)
@@ -201,7 +201,7 @@ def test_criterion_09_para_krawtchouk():
             fam = para_krawtchouk.ParaKrawtchoukFamily(
                 Delta=1.3, alpha=alpha, q=0.5, N=N)
             tri = recurrence.tridiagonal(fam)
-            lw = para_krawtchouk.weights(tri)
+            lw = para_krawtchouk.weights(fam)
             vals = [[para_krawtchouk.eval_recurrence(tri, n, y) for y in lw.points]
                     for n in range(N + 1)]
             for n in range(N + 1):

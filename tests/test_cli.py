@@ -55,7 +55,15 @@ def test_coeffs_invalid_alpha_exits_2(capsys):
      "invalid parameters: kind 'qpr' requires --a and --c\n"),
     (["coeffs", "--kind", "qpk", "--alpha", "0.5", "--q", "0.5", "--N", "5"],
      "invalid parameters: kind 'qpk' requires --Delta\n"),
-], ids=["--c", "--Delta"])
+    # The output echoes only the kind's own options, so another kind's is
+    # refused, with no rerun, rather than ignored.
+    (["coeffs", "--kind", "qpk", "--Delta", "0.9", "--alpha", "0.5", "--q", "0.5", "--N", "3",
+      "--a", "0.3"],
+     "invalid parameters: kind 'qpk' does not take --a\n"),
+    (["coeffs", "--kind", "qpr", "--a", "0.9", "--c", "0.7", "--Delta", "1.3", "--alpha", "0.5",
+      "--q", "0.5", "--N", "3"],
+     "invalid parameters: kind 'qpr' does not take --Delta\n"),
+], ids=["--c", "--Delta", "qpk-takes-no---a", "qpr-takes-no---Delta"])
 def test_missing_kind_parameter_exits_2(capsys, argv, err_text):
     code, out, err = run_cli(capsys, argv)
     assert (code, out, err) == (2, "", err_text)

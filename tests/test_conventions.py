@@ -71,7 +71,7 @@ def _persymmetry_rows(tri):
 def _qpr_rows(num, N):
     fam = ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"), q=num("0.5"), N=N)
     tri = tridiagonal(fam)
-    lw = para_racah.weights(tri)
+    lw = para_racah.weights(fam)
     zs = [num("2.0"), num("2.37"), num("2.9")]
     return [_bits(para_racah.lattice(fam)),
             [[name, _bits(getattr(lw, name))] for name in _WEIGHT_FIELDS],
@@ -83,7 +83,7 @@ def _qpr_rows(num, N):
 def _qpk_rows(num, N):
     fam = ParaKrawtchoukFamily(Delta=num("1.3"), alpha=num("0.35"), q=num("0.5"), N=N)
     tri = tridiagonal(fam)
-    lw = para_krawtchouk.weights(tri)
+    lw = para_krawtchouk.weights(fam)
     return [_bits(para_krawtchouk.lattice(fam)),
             [[name, _bits(getattr(lw, name))] for name in _WEIGHT_FIELDS],
             _bits(lw.strand_sums()),

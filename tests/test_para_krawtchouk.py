@@ -59,7 +59,7 @@ def test_degenerate_delta_collapses_strands():
     for s in range(fam.j + 1):
         assert pts[2 * s] == pytest.approx(pts[2 * s + 1])
     with pytest.raises(DegenerateFamilyError):
-        weights(tridiagonal(fam))
+        weights(fam)
 
 
 def test_eval_trivial_degree():
@@ -80,7 +80,7 @@ def test_gram_orthogonality_and_sums(N, alpha):
     fam = ParaKrawtchoukFamily(Delta=1.3, alpha=alpha, q=0.5, N=N)
     tri = tridiagonal(fam)
     assert tri.positive
-    lw = weights(tri)
+    lw = weights(fam)
     se = sum(lw.weights[i] for i in range(0, N + 1, 2))
     so = sum(lw.weights[i] for i in range(1, N + 1, 2))
     assert abs(se - (1 - alpha)) <= 1e-9
@@ -195,7 +195,7 @@ def test_christoffel_route_matches_closed_forms(N, num, dps, tol):
     with mpmath.workdps(dps):
         fam = ParaKrawtchoukFamily(Delta=num("1.3"), alpha=num("0.35"), q=num("0.5"), N=N)
         tri = tridiagonal(fam)
-        lw = weights(tri)
+        lw = weights(fam)
         vectors, twist = lattice_vectors(tri.b, tri.u, lw.points)
         cw = weights_from_christoffel(tri, vectors)
         assert len(cw) == len(lw.points) and all(w > 0 for w in cw) and twist <= tol
@@ -292,7 +292,7 @@ def _outcome(compute, fam):
 
 
 def _library(tri):
-    lw = weights(tri)
+    lw = weights(tri.family)
     return lw.points, lw.weights
 
 

@@ -283,7 +283,7 @@ def test_degenerate_double_roots():
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
 def test_weight_strand_sums(N, alpha):
     fam = ParaRacahFamily(a=0.9, c=0.7, alpha=alpha, q=0.5, N=N)
-    lw = weights(tridiagonal(fam))
+    lw = weights(fam)
     se = sum(lw.weights[i] for i in range(0, N + 1, 2))
     so = sum(lw.weights[i] for i in range(1, N + 1, 2))
     assert abs(se - (1 - alpha)) <= 1e-9
@@ -294,7 +294,7 @@ def test_weight_strand_sums(N, alpha):
 @pytest.mark.parametrize("fam", [ODD, EVEN], ids=["odd", "even"])
 def test_gram_orthogonality(fam):
     tri = tridiagonal(fam)
-    lw = weights(tri)
+    lw = weights(fam)
     vals = [[eval_recurrence(tri, n, z) for z in support.lattice_z(fam)]
             for n in range(fam.N + 1)]
     for n in range(fam.N + 1):
@@ -309,7 +309,7 @@ def test_gram_orthogonality(fam):
 @pytest.mark.parametrize("fam", [ODD, EVEN], ids=["odd", "even"])
 def test_christoffel_route_matches_closed_forms(fam):
     tri = tridiagonal(fam)
-    lw = weights(tri)
+    lw = weights(fam)
     vectors, twist = lattice_vectors(tri.b, tri.u, lw.points)
     cw = weights_from_christoffel(tri, vectors)
     for w_closed, w_chr in zip(lw.weights, cw):
@@ -326,7 +326,7 @@ def test_christoffel_route_matches_closed_forms_of_a_signed_measure(kind, N):
     fam = (ParaRacahFamily(a=0.9, c=0.7, alpha=0.5, q=0.8, N=N) if kind == "qpr"
            else para_krawtchouk.ParaKrawtchoukFamily(Delta=1.3, alpha=0.5, q=0.8, N=N))
     tri = tridiagonal(fam)
-    lw = family_module(fam).weights(tri)
+    lw = family_module(fam).weights(fam)
     vectors, twist = lattice_vectors(tri.b, tri.u, lw.points)
     cw = weights_from_christoffel(tri, vectors)
     assert not tri.positive and not all(w > 0 for w in cw) and twist <= 1e-14
@@ -337,7 +337,7 @@ def test_christoffel_route_matches_closed_forms_of_a_signed_measure(kind, N):
 def test_weights_refuse_degenerate_spectrum():
     fam = ParaRacahFamily(a=0.8, c=0.8, alpha=0.5, q=0.5, N=5)
     with pytest.raises(DegenerateFamilyError):
-        weights(tridiagonal(fam))
+        weights(fam)
     # At c = a a mid-band u_n vanishes and the weights are undefined: the
     # Christoffel route refuses the family before it reads a vector.
     with pytest.raises(DegenerateFamilyError):
@@ -357,14 +357,14 @@ def test_explicit_refuses_degenerate_family(scalar, dps):
 def test_signed_measure_is_flagged_not_raised():
     fam = ParaRacahFamily(a=0.9, c=0.2, alpha=0.5, q=0.5, N=4)
     assert not positivity_check(tridiagonal(fam)).u_positive
-    lw = weights(tridiagonal(fam))
+    lw = weights(fam)
     assert not all(w > 0 for w in lw.weights)
 
 
 def test_beta_factor_profile():
     for alpha in (0.25, 0.75):
         fam = ODD.replace(alpha=alpha)
-        lw = weights(tridiagonal(fam))
+        lw = weights(fam)
         ratios = [w / wh for w, wh in zip(lw.weights, lw.weights_half)]
         beta = (ratios[0] - ratios[1]) / (ratios[0] + ratios[1])
         assert beta == pytest.approx(1 - 2 * alpha, abs=1e-9)
@@ -622,7 +622,7 @@ def test_weights_equal_per_point_reference(scalar, dps):
     with mpmath.workdps(dps):
         for N in range(1, 21):
             fam = _draw_family(rng, N, scalar)
-            lw = weights(tridiagonal(fam))
+            lw = weights(fam)
             half = fam.replace(alpha=0.5)
             k_norm = para_racah._k_norm(fam)
             assert lw.weights == tuple(support.weight_reference(fam, i, k_norm)

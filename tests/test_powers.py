@@ -256,7 +256,7 @@ def test_one_family_read_at_two_precisions_matches_fresh_families(kind, N):
 
     def results(fam):
         tri = tridiagonal(fam)
-        lw = module.weights(tri)
+        lw = module.weights(fam)
         out = [tri.b, tri.u, lw.weights, lw.points]
         if kind == "qpr":
             zs = [mpmath.mpf("1.7"), mpmath.mpf("2.3")]
@@ -282,7 +282,8 @@ def test_a_filled_table_leaves_the_record_unchanged(kind, num):
         fam = _family(kind, 5, num)
         before = (repr(fam), hash(fam))
         module = para_racah if kind == "qpr" else para_krawtchouk
-        module.weights(tridiagonal(fam))
+        tridiagonal(fam)
+        module.weights(fam)
         assert fam.powers()
         assert (repr(fam), hash(fam)) == before
         fresh = _family(kind, 5, num)
@@ -377,7 +378,7 @@ def test_gram_dot_products_and_errors_are_the_plain_loops(kind, N, num, dps):
     module = para_racah if kind == "qpr" else para_krawtchouk
     with mpmath.workdps(dps):
         tri = tridiagonal(_family(kind, N, num))
-        lw = module.weights(tri)
+        lw = module.weights(tri.family)
         vectors, _ = recurrence.lattice_vectors(tri.b, tri.u, lw.points)
         assert _bits(verify.gram_errors(vectors, lw.weights, tri.h)) == _bits(
             reference_gram_errors(vectors, lw.weights, tri.h))

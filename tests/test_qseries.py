@@ -4,8 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from oracles.qseries import phi_basis, terminating_series_eval
-from qortho.qseries import SeriesSpec, SingularSeriesError, qpochhammer
+from oracles.qseries import SeriesSpec, phi_basis, terminating_series_eval
+from qortho import qseries
+from qortho.qseries import SingularSeriesError, qpochhammer
+
+
+def test_the_package_exports_the_plan_its_factors_and_its_error():
+    # A sum runs from a SeriesPlan at a degree its caller states; the
+    # spelled-out SeriesSpec is the test oracle's record.
+    assert qseries.__all__ == ["SingularSeriesError", "SeriesPlan", "qpochhammer", "PowerTable"]
 
 
 def test_qpochhammer_empty_product():
@@ -129,20 +136,6 @@ def test_series_saalschutz_closed_form():
                / (qpochhammer(c, q, n) * qpochhammer(c / (a * b), q, n)))
         # the alternating sum carries a ~q^(-n(n+1)/2) condition number
         assert lhs == pytest.approx(rhs, rel=1e-8)
-
-
-def test_series_natural_truncation_detection():
-    q = 0.5
-    num = (q ** -3, 0.2)
-    den = (0.4, q)
-    auto = terminating_series_eval(SeriesSpec(num, den, q, q))
-    explicit = terminating_series_eval(SeriesSpec(num, den, q, q, truncation=3))
-    assert auto == explicit
-
-
-def test_series_requires_termination():
-    with pytest.raises(ValueError):
-        terminating_series_eval(SeriesSpec((0.3,), (0.4,), 0.5, 0.5))
 
 
 def test_series_singular_denominator_is_reported():

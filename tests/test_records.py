@@ -16,11 +16,11 @@ import mpmath
 import pytest
 
 from oracles.askey_wilson import AskeyWilsonParams
+from oracles.qseries import SeriesSpec
 from qortho import para_krawtchouk, para_racah
 from qortho.connections import QRacahParams
 from qortho.para_krawtchouk import ParaKrawtchoukFamily
 from qortho.para_racah import LatticeWeights, ParaRacahFamily
-from qortho.qseries import SeriesSpec
 from qortho.recurrence import TridiagonalSystem, lattice_vectors, tridiagonal
 from qortho.verify import Check
 
@@ -95,9 +95,10 @@ def test_lattice_parameters_are_checked_on_replace():
 def test_records_take_their_fields_by_position_and_keyword():
     assert ParaRacahFamily(0.9, 0.7, 0.3, 0.5, 5) == ParaRacahFamily(**QPR)
     assert ParaKrawtchoukFamily(1.3, 0.35, 0.5, 6) == ParaKrawtchoukFamily(**QPK)
-    spec = SeriesSpec((0.2,), (0.5,), 0.5, 0.7)
+    spec = SeriesSpec((0.2,), (0.5,), 0.5, 0.7, 3)
     assert (spec.numerator, spec.denominator, spec.q, spec.argument, spec.truncation) == (
-        (0.2,), (0.5,), 0.5, 0.7, None)
+        (0.2,), (0.5,), 0.5, 0.7, 3)
+    assert SeriesSpec((0.2,), (0.5,), 0.5, 0.7, truncation=3).truncation == 3
     chk = Check("gram", True, 1e-12, 1e-8)
     assert (chk.name, chk.passed, chk.residual, chk.tolerance, chk.note) == (
         "gram", True, 1e-12, 1e-8, "")
@@ -121,7 +122,7 @@ def test_tables_compare_by_value_and_replace_keeps_the_other_fields():
     bumped = tri.replace(b=(tri.b[0] + 1.0,) + tri.b[1:])
     assert type(bumped) is TridiagonalSystem and bumped != tri
     assert (bumped.family, bumped.u, bumped.positive) == (tri.family, tri.u, tri.positive)
-    lw = para_racah.weights(tri)
+    lw = para_racah.weights(fam)
     assert lw.replace(weights_half=None).points is lw.points
     assert repr(fam) == "ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=5)"
 
@@ -167,7 +168,7 @@ def _weighted_and_deformed_digest():
                 for fam in fams:
                     tri = tridiagonal(fam)
                     kind = para_racah if type(fam) is ParaRacahFamily else para_krawtchouk
-                    lw = kind.weights(tri)
+                    lw = kind.weights(fam)
                     out.append(_fields(lw, _WEIGHT_FIELDS))
                     if kind is para_racah:
                         vectors, _ = lattice_vectors(tri.b, tri.u, lw.points)

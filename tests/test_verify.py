@@ -17,6 +17,7 @@ import mpmath
 import pytest
 
 import support
+from oracles.qseries import SeriesSpec, terminating_series_eval
 from qortho import (cli, connections, para_krawtchouk, para_racah, recurrence, scalars,
                     spectral, verify)
 from qortho.recurrence import TridiagonalSystem, persymmetry_residual, tridiagonal
@@ -366,7 +367,7 @@ NAN_CASES = [
      lambda r: [r[0], [r[1][0], (NAN, r[1][1][1]), *r[1][2:]], *r[2:]]),
     ("bispectral", "eigenvalue-degeneracy", para_racah, "qdiff_eigenvalue",
      lambda k, args: args[1] == 2, lambda r: NAN),
-    ("orthogonality", "christoffel-cross-check", para_racah, "weights_from_christoffel",
+    ("orthogonality", "christoffel-cross-check", verify, "weights_from_christoffel",
      lambda k, args: True, _nan_at_1),
     ("persymmetry", "coefficient-persymmetry", para_racah, "coefficient_rows",
      lambda k, args: True, lambda r: (r[0][:2] + [NAN] + r[0][3:], r[1])),
@@ -384,7 +385,7 @@ NAN_CASES = [
 QPK_NAN_CASES = [
     ("orthogonality", "gram-diagonal", verify, "lattice_vectors", lambda k, args: True,
      lambda r: ([r[0][0], _nan_at_1(r[0][1]), *r[0][2:]], r[1])),
-    ("orthogonality", "christoffel-cross-check", para_racah, "weights_from_christoffel",
+    ("orthogonality", "christoffel-cross-check", verify, "weights_from_christoffel",
      lambda k, args: True, _nan_at_1),
     ("persymmetry", "matrix-persymmetry", para_krawtchouk, "coefficient_rows",
      lambda k, args: True, lambda r: (_nan_at_1(r[0]), r[1])),
@@ -464,6 +465,20 @@ def test_traced_verify_counts_every_layer_it_calls(capsys):
                   "verify.gram_errors", "spectral.spectrum",
                   "connections.qracah_identity", "connections.dual_hahn"):
         assert calls.get(layer + ".calls", 0) > 0, layer
+
+
+def test_traced_oracle_series_counts_one_call_and_its_terms():
+    # No command sums a spelled-out series; the Askey-Wilson oracle's route
+    # is the series layer the tracer reads, one term per degree 0..4.
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        terminating_series_eval(SeriesSpec((0.5 ** -4, 0.2), (0.4, 0.5), 0.5, 0.5, truncation=4))
+    finally:
+        tracer.uninstall()
+    totals = tracer.totals()
+    assert totals["qseries.series.calls"] == 1
+    assert totals["qseries.series.terms"] == 5
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qortho"
