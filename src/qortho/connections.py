@@ -27,6 +27,12 @@ __all__ = [
 # Working precision (decimal digits) of the dual-Hahn and theta limits.
 LIMIT_DIGITS = 50
 
+# The dual-Hahn limit's step families, and the decimal digits to which its
+# last two Richardson estimates must agree: 10^-4 is no looser than the
+# tolerance of verify's dual-hahn-limit line.
+DUAL_HAHN_STEPS = 6
+CONTRACTION_DIGITS = 4
+
 
 class ExtrapolationError(ArithmeticError):
     """Successive extrapolation estimates failed to contract."""
@@ -132,8 +138,9 @@ def richardson(values, ratio):
     mpmath's raw tuples with the ``mpmath.libmp`` call each mpf operator
     makes, at the (prec, rounding) it reads.  f and f - 1 are made once per
     level from exact integers, so while ratio**level fits the working
-    precision (ratio 2 or 10, at most ten levels, for both callers) every
-    estimate is the mpf operator table's bit for bit.
+    precision (ratio 2 at five levels for the dual-Hahn limit, ratio 10 at
+    two for the theta limit) every estimate is the mpf operator table's bit
+    for bit.
     """
     import mpmath
     lib = mpmath.libmp
@@ -157,10 +164,16 @@ def dual_hahn_limit(a_exponent, N: int, degrees) -> list:
     """q -> 1 limits of A_n/(1-sqrt(q))^2 and C_n/(1-sqrt(q))^2 at the
     collapsed-lattice configuration c = a sqrt(q), alpha = 1/2, a = q^a_exponent.
 
-    Richardson-extrapolates eleven families along sqrt(q) = 1 - 2^-k, k = 6..16,
-    built once at LIMIT_DIGITS digits, with one limit pass
-    (:func:`~qortho.para_racah.limit_rows`) each for all degrees.  Returns
-    one ``(lim_a, lim_c, target_a, target_c)`` per degree n in ``degrees``;
+    Richardson-extrapolates DUAL_HAHN_STEPS families along sqrt(q) = 1 - 2^-k,
+    k = k0, k0 + 1, ..., built once at LIMIT_DIGITS digits, with one limit
+    pass (:func:`~qortho.para_racah.limit_rows`) each for all degrees.  The
+    first step is read from the exponent e: k0 is the smallest k >= 8 with
+    2^k > 32 |e|, so a = q^e ~ exp(-2 e 2^-k) stays within exp(+-1/16) of 1
+    at every step, whatever e.  A limit whose last two estimates differ by
+    more than 10^-CONTRACTION_DIGITS relative to max(|limit|, 1), or whose
+    finest step leaves fewer than 53 bits of 1 - sqrt(q) at LIMIT_DIGITS,
+    raises :class:`ExtrapolationError`.  Returns one
+    ``(lim_a, lim_c, target_a, target_c)`` per degree n in ``degrees``;
     the targets are the dual-Hahn recurrence coefficients with both lattice
     parameters (4*a_exponent - 1)/2:
 
@@ -179,8 +192,15 @@ def dual_hahn_limit(a_exponent, N: int, degrees) -> list:
         # The float exponent is converted once, and alpha is typed by q: a
         # float would be converted again at every read.
         exponent = mpmath.mpf(a_exponent)
+        # 2^(bits-1) <= |e| < 2^bits, so k = bits + 5 is the smallest k with
+        # 2^k > 32 |e|; frexp reads an mpf of any size, and 0 as bits = 0.
+        bits = mpmath.frexp(exponent)[1]
+        first = max(8, bits + 5)
+        if first + DUAL_HAHN_STEPS - 1 + 53 > mpmath.mp.prec:
+            raise ExtrapolationError(
+                "step families are not resolved at %d digits" % LIMIT_DIGITS)
         fams, scales = [], []
-        for k in range(6, 17):
+        for k in range(first, first + DUAL_HAHN_STEPS):
             p = 1 - mpmath.mpf(2) ** -k
             q = p * p
             a = q ** exponent
@@ -191,7 +211,7 @@ def dual_hahn_limit(a_exponent, N: int, degrees) -> list:
             limits = []
             for steps in zip(*(row[i] for row in rows)):
                 *_, prev, last = richardson([v / s for v, s in zip(steps, scales)], 2)
-                if abs(last - prev) > max(abs(last), mpmath.mpf(1)) * mpmath.mpf("1e-3"):
+                if abs(last - prev) * 10 ** CONTRACTION_DIGITS > max(abs(last), 1):
                     raise ExtrapolationError("extrapolation estimates are not contracting")
                 limits.append(float(last))
             out.append((*limits, float((n + g + 1) * (n - N)), float(n * (n - g - N - 1))))

@@ -379,6 +379,9 @@ def count_passes(monkeypatch) -> list:
 
 
 def _richardson_halving_reference(values):
+    """The fully accelerated estimate of a halving Richardson table, or
+    ArithmeticError when its last two estimates differ by more than 1e-4
+    relative to max(|estimate|, 1)."""
     table = list(values)
     level = 0
     last = table[-1]
@@ -389,19 +392,28 @@ def _richardson_halving_reference(values):
         table = [(f * hi - lo) / (f - 1) for lo, hi in zip(table, table[1:])]
         deltas.append(abs(table[-1] - last))
         last = table[-1]
-    if deltas and deltas[-1] > max(abs(last), mpmath.mpf(1)) * mpmath.mpf("1e-3"):
+    if deltas and deltas[-1] > max(abs(last), mpmath.mpf(1)) * mpmath.mpf("1e-4"):
         raise ArithmeticError("extrapolation estimates are not contracting")
     return last
 
 
 def dual_hahn_limit_reference(a_exponent, N, n):
-    """(lim_a, lim_c, target_a, target_c) of one degree at 50 digits."""
+    """(lim_a, lim_c, target_a, target_c) of one degree at 50 digits, from
+    six steps sqrt(q) = 1 - 2^-k, the first the smallest k >= 8 with
+    2^k > 32 |a_exponent|; ArithmeticError when the finest step keeps fewer
+    than 53 bits of 1 - sqrt(q)."""
     with mpmath.workdps(50):
+        exponent = mpmath.mpf(a_exponent)
+        first = 8
+        while 2 ** first <= 32 * abs(exponent):
+            first += 1
+        if mpmath.mp.prec - (first + 5) < 53:
+            raise ArithmeticError("step families are not resolved at 50 digits")
         vals_a, vals_c = [], []
-        for k in range(6, 17):
+        for k in range(first, first + 6):
             p = 1 - mpmath.mpf(2) ** -k
             q = p * p
-            a = q ** mpmath.mpf(a_exponent)
+            a = q ** exponent
             fam = para_racah.ParaRacahFamily(a=a, c=a * p, alpha=0.5, q=q, N=N)
             A, C = para_racah.limit_rows(fam, (n,))[0]
             s = (1 - p) ** 2

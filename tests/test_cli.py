@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qortho import cli, verify
+from qortho import cli, connections, verify
 from qortho.cli import main
 
 QPR = ["--kind", "qpr", "--a", "0.9", "--c", "0.7",
@@ -292,39 +292,54 @@ def test_a_value_beyond_binary64_is_refused_by_its_range(capsys, argv, refusal, 
         2, "", "%s: %s\n" % (refusal, detail))
 
 
-# At q = 0.999 the dual-Hahn step families (sqrt(q) = 1 - 2^-k, k = 6..16)
-# are too coarse for the a-exponent 1608.63: the estimates do not contract.
-NO_CONTRACTION = "verify --a 0.2 --c 0.19995 --alpha 0.5 --q 0.999 --N 5".split()
+# At q = 0.999 the a-exponent is 1608.63.  The dual-Hahn steps start at
+# sqrt(q) = 1 - 2^-16, the first k >= 8 with 2^k > 32 |e|, and the limit
+# certifies; a fixed k = 6..16 schedule did not contract here.
+LARGE_EXPONENT = "verify --a 0.2 --c 0.19995 --alpha 0.5 --q 0.999 --N 5".split()
 SKIPPED_DUALHAHN = ("dualhahn/dual-hahn-limit,fail,nan,1.000000e-04,"
                     "skipped: extrapolation estimates are not contracting at a-exponent %s")
 
 
-@pytest.mark.parametrize("suite,failed", [([], "1 of 17"), (["--suite", "all"], "1 of 17"),
-                                          (["--suite", "dualhahn"], "1 of 1")],
-                         ids=["default", "all", "dualhahn"])
-def test_a_dual_hahn_limit_that_does_not_contract_fails_its_line(capsys, suite, failed):
-    # A positive family: every other suite is printed.  The skipped line is
-    # never rerun, since the limit runs at 50 digits at any precision; the
-    # full run reruns for its eigenvalue-degeneracy line, which fails in
-    # double only, and fails on the skipped line alone.
-    code, out, err = run_cli(capsys, NO_CONTRACTION + suite)
-    note = "" if suite[1:] == ["dualhahn"] else (
-        "note: verification failed: 2 of 17 checks" + RERUN)
-    assert (code, err) == (4, note + "verification failed: %s checks\n" % failed)
+def assert_dual_hahn_certified(out, exponent):
+    [line] = [line for line in out.splitlines() if line.startswith("dualhahn/")]
+    name, status, residual, *rest = line.split(",")
+    assert (name, status, rest) == (
+        "dualhahn/dual-hahn-limit", "pass", ["1.000000e-04", "a-exponent " + exponent])
+    assert float(residual) <= 1e-12
+
+
+@pytest.mark.parametrize("suite,note,checks", [
+    ([], "note: verification failed: 1 of 17 checks" + RERUN, 17),
+    (["--suite", "all"], "note: verification failed: 1 of 17 checks" + RERUN, 17),
+    (["--suite", "dualhahn"], "", 1)], ids=["default", "all", "dualhahn"])
+def test_a_dual_hahn_limit_at_a_large_exponent_passes_its_line(capsys, suite, note, checks):
+    # A positive family: every suite is printed.  The full run reruns for
+    # its eigenvalue-degeneracy line, which fails in double only.
+    code, out, err = run_cli(capsys, LARGE_EXPONENT + suite)
+    assert (code, err) == (0, note)
     lines = out.splitlines()
-    assert SKIPPED_DUALHAHN % "1608.63" in lines
-    assert len(lines) == 1 + int(failed.split()[-1])
-    if len(lines) > 2:
-        assert lines[1].startswith("orthogonality/favard-positivity,pass,")
-        assert [line for line in lines if ",fail," in line] == [SKIPPED_DUALHAHN % "1608.63"]
+    assert len(lines) == 1 + checks and ",fail," not in out
+    assert_dual_hahn_certified(out, "1608.63")
 
 
-def test_a_skipped_line_does_not_hide_a_precision_bound_failure(capsys):
-    # In double, eigenvalue-degeneracy fails beside the skipped dual-Hahn line.
-    argv = NO_CONTRACTION + ["--precision", "double"]
-    code, out, err = run_cli(capsys, argv)
+def test_a_skipped_line_does_not_hide_a_precision_bound_failure(capsys, monkeypatch):
+    # A limit that does not contract is skipped at any precision, so a
+    # skipped line alone is never rerun; beside eigenvalue-degeneracy, which
+    # fails in double only, the run reruns and fails on the skipped line.
+    def not_contracting(*args):
+        raise connections.ExtrapolationError("extrapolation estimates are not contracting")
+    monkeypatch.setattr(connections, "dual_hahn_limit", not_contracting)
+    skipped = SKIPPED_DUALHAHN % "1608.63"
+    code, out, err = run_cli(capsys, LARGE_EXPONENT + ["--precision", "double"])
     assert (code, err) == (4, "verification failed: 2 of 17 checks\n")
-    assert "bispectral/eigenvalue-degeneracy,fail," in out
+    assert "bispectral/eigenvalue-degeneracy,fail," in out and skipped in out.splitlines()
+    code, out, err = run_cli(capsys, LARGE_EXPONENT)
+    assert (code, err) == (4, "note: verification failed: 2 of 17 checks" + RERUN
+                           + "verification failed: 1 of 17 checks\n")
+    assert [line for line in out.splitlines() if ",fail," in line] == [skipped]
+    code, out, err = run_cli(capsys, LARGE_EXPONENT + ["--suite", "dualhahn"])
+    assert (code, out.splitlines()[1:], err) == (
+        4, [skipped], "verification failed: 1 of 1 checks\n")
 
 
 # alpha = 5e-324 underflows u_1 = alpha (1 - alpha) (...) to 0 in binary64;
@@ -367,12 +382,25 @@ def test_the_favard_note_keeps_the_digits_of_a_value_below_binary64(low, note):
     ids=["1e400", "1e-400", "1e-400-default"])
 def test_the_dual_hahn_exponent_is_taken_in_the_family_scalars(capsys, a, c, exponent, note):
     # Finite at 50 digits, these are not invalid parameters: the exponent is
-    # read at the family's precision, and the limit fails its line.
+    # read at the family's precision, and the limit certifies.
     argv = ("verify --a %s --c %s --alpha 0.5 --q 0.5 --N 5 --suite dualhahn" % (a, c)).split()
     given = [] if note else ["--precision", "extended"]
     code, out, err = run_cli(capsys, argv + given)
-    assert (code, err) == (4, note + "verification failed: 1 of 1 checks\n")
-    assert out.splitlines()[1:] == [SKIPPED_DUALHAHN % exponent]
+    assert (code, err) == (0, note)
+    assert len(out.splitlines()) == 2
+    assert_dual_hahn_certified(out, exponent)
+
+
+def test_a_dual_hahn_exponent_beyond_the_step_resolution_is_skipped(capsys):
+    # q = 1 - 1e-35 puts the exponent at 6.9e34 > 2^106: the finest step
+    # would keep fewer than 53 bits of 1 - sqrt(q) at 50 digits.
+    argv = ("verify --a 0.5 --c 0.4999 --alpha 0.5 --q 0.99999999999999999999999999999999999"
+            " --N 3 --suite dualhahn --precision extended").split()
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (4, "verification failed: 1 of 1 checks\n")
+    assert out.splitlines()[1:] == [
+        "dualhahn/dual-hahn-limit,fail,nan,1.000000e-04,skipped: step families are not"
+        " resolved at 50 digits at a-exponent 6.93147e+34"]
 
 
 def _load_workloads():
@@ -817,9 +845,9 @@ GOLDEN = [
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 9 --format json --precision extended",
      "5c7d60c937879a8f8a3fb53cc0984799d0dac0c9085b4a2077d2fa306e855c2e"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 12 --format json --precision extended",
-     "1a5e4aa797fa008e410dbb47225820364f26533364130798d7d724cca0cc347e"),
+     "da0fac8e968b75560ea755ce7715ed86529dbd6c09f660641b694c98aeb10a9f"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --format json --precision extended",
-     "cc242e8d5b22491f5e37894e36d5b082dda8bbf62673ec33ef1d5387503c5c48"),
+     "ad2778a941c9e43a6d596b9f1c35f6171587de93e5e19f4f01a6a16171587e72"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite bispectral --format json --precision extended:60",
      "dbb4f19b7bd38643eccb833816c5c6f491ed0d618e15ec8beefedc3fd9874e7f"),
     # The two limit oracles, which extrapolate at a fixed 50 digits whatever

@@ -141,7 +141,7 @@ def test_a_verify_run_makes_one_pass_per_table(monkeypatch):
     assert len({fam for _, fam, *_ in tables}) == 6
     assert len(deformed) == 5
     assert all(p[2:] == ((j, j + 1), (j, j + 1)) for p in deformed)
-    assert len(limits) == 11 and all(p[2] == tuple(range(1, N)) for p in limits)
+    assert len(limits) == 6 and all(p[2] == tuple(range(1, N)) for p in limits)
     assert len(passes) == len(tables) + len(deformed) + len(limits)
 
 
@@ -150,6 +150,6 @@ def test_dual_hahn_makes_one_limit_pass_per_step_family(monkeypatch, N):
     passes = support.count_passes(monkeypatch)
     limits = connections.dual_hahn_limit(0.75, N, range(N + 1))
     assert len(limits) == N + 1
-    assert len(passes) == 11
-    assert len({fam for _, fam, _ in passes}) == 11
+    assert len(passes) == 6
+    assert len({fam for _, fam, _ in passes}) == 6
     assert all(degrees == tuple(range(N + 1)) for *_, degrees in passes)

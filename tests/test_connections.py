@@ -5,7 +5,7 @@ import pytest
 
 import support
 from oracles.connections import qracah_monic_eval, single_lattice_points
-from qortho import connections, para_racah
+from qortho import connections, para_racah, verify
 from qortho.connections import (
     dual_hahn_limit,
     qracah_recurrence_ac,
@@ -81,7 +81,7 @@ def test_dual_hahn_rejects_out_of_range_degree():
 def test_dual_hahn_builds_its_step_families_once_per_call(monkeypatch, degrees):
     built = support.count_family_builds(monkeypatch, connections)
     assert len(dual_hahn_limit(0.4, 5, degrees)) == len(degrees)
-    assert len(built) == (11 if degrees else 0)
+    assert len(built) == (6 if degrees else 0)
 
 
 @pytest.mark.parametrize("N", range(1, 17))
@@ -92,6 +92,56 @@ def test_dual_hahn_matches_the_per_degree_reference(N):
     assert dual_hahn_limit(a_exp, N, range(N + 1)) == expected
     with mpmath.workdps(50):
         assert dual_hahn_limit(a_exp, N, range(N + 1)) == expected
+
+
+@pytest.mark.parametrize("a_exp", [-1328.77, -0.5, 0.0, 8.0, 15.3, 692.8, 1608.63])
+def test_dual_hahn_reads_its_first_step_off_the_exponent(a_exp):
+    # The reference finds the first k >= 8 with 2^k > 32 |e| by counting up.
+    N = 5
+    expected = [support.dual_hahn_limit_reference(a_exp, N, n) for n in range(N + 1)]
+    assert dual_hahn_limit(a_exp, N, range(N + 1)) == expected
+
+
+# Exponents on both sides of 0, across the verify-ext range (|e| <= 15.3),
+# and large ones that a fixed k = 6..16 schedule could not certify.
+SWEEP_EXPONENTS = [1e-4, -1e-4, 0.03, 1.0, 8.0, 15.3, 100.0, 692.8, 1608.63, -1328.77, 1e6]
+
+
+@pytest.mark.parametrize("a_exp", SWEEP_EXPONENTS)
+def test_dual_hahn_limit_certifies_every_exponent(a_exp):
+    for N in (2, 5, 16):
+        for lim_a, lim_c, t_a, t_c in dual_hahn_limit(a_exp, N, range(N + 1)):
+            assert abs(lim_a - t_a) <= 1e-12 * max(1.0, abs(t_a)), (N, lim_a, t_a)
+            assert abs(lim_c - t_c) <= 1e-12 * max(1.0, abs(t_c)), (N, lim_c, t_c)
+
+
+def test_dual_hahn_contraction_bound_is_no_looser_than_its_tolerance():
+    assert 10.0 ** -connections.CONTRACTION_DIGITS <= verify.TOL_DUALHAHN
+
+
+def test_limit_rows_that_do_not_contract_raise(monkeypatch):
+    # Each step's A_n alternates in sign: no Richardson level settles.
+    passes = []
+
+    def alternating(fam, degrees):
+        passes.append(fam)
+        return [(mpmath.mpf(-1) ** len(passes), mpmath.mpf(1))] * len(degrees)
+    monkeypatch.setattr(connections, "limit_rows", alternating)
+    with pytest.raises(connections.ExtrapolationError, match="not contracting"):
+        dual_hahn_limit(0.4, 5, [2])
+    assert len(passes) == connections.DUAL_HAHN_STEPS
+
+
+@pytest.mark.parametrize("a_exp", ["8.2e31", "-1e400", "1e400"])
+def test_dual_hahn_refuses_steps_finer_than_its_digits(monkeypatch, a_exp):
+    # From |e| = 2^106 (8.11e31) on, the finest step would keep fewer than
+    # 53 bits of 1 - sqrt(q) at 50 digits, and no family is built.
+    built = support.count_family_builds(monkeypatch, connections)
+    with mpmath.workdps(50):
+        exponent = mpmath.mpf(a_exp)
+    with pytest.raises(connections.ExtrapolationError, match="not resolved at 50 digits"):
+        dual_hahn_limit(exponent, 5, [2])
+    assert built == []
 
 
 def test_richardson_levels():
@@ -119,3 +169,20 @@ def test_dual_hahn_limit_converts_only_its_float_exponent(N):
     with support.float_conversions() as floats:
         dual_hahn_limit(0.3, N, range(1, N))
     assert floats == [(0.3, "connections.dual_hahn_limit")]
+
+
+@pytest.mark.parametrize("a_exp", [0.0, -0.3, -1328.77, 1608.63, "0", "-0.3", "1e400"])
+def test_dual_hahn_reads_its_first_step_without_converting_again(a_exp):
+    # A float exponent is converted once; an mpf one, beyond the binary64
+    # range too, is read as it is.
+    exponent = a_exp
+    if isinstance(a_exp, str):
+        with mpmath.workdps(50):
+            exponent = mpmath.mpf(a_exp)
+    with support.float_conversions() as floats:
+        try:
+            dual_hahn_limit(exponent, 5, range(1, 5))
+        except connections.ExtrapolationError:
+            assert a_exp == "1e400"
+    assert floats == ([] if isinstance(a_exp, str) else
+                      [(a_exp, "connections.dual_hahn_limit")])
