@@ -1,6 +1,8 @@
 """Three of the hottest mpf loops of the package, run on mpmath's raw ``_mpf_``
-tuples.  (The fourth, the Richardson table, whose callers pass only mpf
-values, is written this way in :func:`qortho.connections.richardson`.)
+tuples: the recurrence, the explicit expansion's dot product of a
+coefficient row with a basis row, and the Gram dot products.  (The fourth,
+the Richardson table, whose callers pass only mpf values, is written this
+way in :func:`qortho.connections.richardson`.)
 
 Each function here is one operator loop of the package written with the
 :mod:`mpmath.libmp` call that the mpf operator itself makes, with the same
@@ -56,28 +58,21 @@ def monic_values(b, u, x, one) -> list:
     return out
 
 
-def series_sum(plan, rows) -> tuple:
-    """:meth:`qortho.qseries.SeriesPlan.sum` of an all-mpf plan at mpf factor
-    ``rows``: the plain sum, as the operator loop takes it for mpmath
-    inputs."""
+def series_sum(row, basis) -> tuple:
+    """:func:`qortho.para_racah._explicit_value` of an mpf coefficient row
+    [(k, c_k)] at an mpf basis row: (sum c_k basis[k], sum |c_k basis[k]|),
+    each added in the row's order from its first product."""
     import mpmath
     lib = mpmath.libmp
-    mpf_abs, mpf_add, mpf_div, mpf_mul = lib.mpf_abs, lib.mpf_add, lib.mpf_div, lib.mpf_mul
-    first = plan.first
-    mpf, new, (prec, rnd) = first._ctxdata
-    argument = plan.argument._mpf_
-    term = total = first._mpf_
-    magnitude = mpf_abs(term, prec, rnd)
-    for k in range(plan.degree):
-        for row in plan.num:
-            term = mpf_mul(term, row[k]._mpf_, prec, rnd)
-        for row in rows:
-            term = mpf_mul(term, row[k]._mpf_, prec, rnd)
-        for row in plan.den:
-            term = mpf_div(term, row[k]._mpf_, prec, rnd)
-        term = mpf_mul(term, argument, prec, rnd)
-        magnitude = mpf_add(magnitude, mpf_abs(term, prec, rnd), prec, rnd)
+    mpf_abs, mpf_add, mpf_mul = lib.mpf_abs, lib.mpf_add, lib.mpf_mul
+    mpf, new, (prec, rnd) = basis[0]._ctxdata
+    (k, c), *rest = row
+    total = mpf_mul(c._mpf_, basis[k]._mpf_, prec, rnd)
+    magnitude = mpf_abs(total, prec, rnd)
+    for k, c in rest:
+        term = mpf_mul(c._mpf_, basis[k]._mpf_, prec, rnd)
         total = mpf_add(total, term, prec, rnd)
+        magnitude = mpf_add(magnitude, mpf_abs(term, prec, rnd), prec, rnd)
     value, scale = new(mpf), new(mpf)
     value._mpf_, scale._mpf_ = total, magnitude
     return value, scale

@@ -26,7 +26,7 @@ from .qseries import PowerTable, SeriesPlan, qpochhammer
 from .recurrence import (_DEGENERATE_TOL, BiLatticeFamily, DegenerateFamilyError,
                          LatticeWeights, TridiagonalSystem, interleave,
                          qdifference_residual, weight_table, weights_from_christoffel)
-from .scalars import is_finite, typed_float, working_precision
+from .scalars import all_mpf, is_finite, typed_float, working_precision
 
 __all__ = [
     "ParaRacahFamily",
@@ -249,8 +249,8 @@ def eval_recurrence(tri: TridiagonalSystem, n: int, z):
 # N.  For odd N the degrees n = j and n = j+1, where a head parameter
 # cancels against the denominator, are summed with that pair removed, as a
 # middle sum plus, for n = j+1, the alpha-weighted tail term.  Every series
-# below is summed with an explicit truncation degree: relying on
-# floating-point zeros of (q^-m; q)_k would be fragile.
+# below has an explicit truncation degree: relying on floating-point zeros
+# of (q^-m; q)_k would be fragile.
 
 
 def _eta(fam: ParaRacahFamily, n: int):
@@ -272,18 +272,18 @@ def _eta(fam: ParaRacahFamily, n: int):
     return num / den
 
 
-def _explicit_plan(fam: ParaRacahFamily, n: int) -> tuple:
-    """The z-free parts of the explicit expression of degree n, as
-    (eta, head, extra).
+def _explicit_plan(fam: ParaRacahFamily, n: int) -> list:
+    """Degree n's z-free coefficient row [(k, C_(n,k))]: R_n(x) is the sum
+    of C_(n,k) (az, a/z; q)_k, the Askey-Wilson basis at the point
+    (:func:`_point_factors`).
 
-    ``head`` is the series summed at the point's (az, a/z) factor rows;
-    ``extra`` is None, or for the degrees with a second term
-    (numerator head, numerator tail, denominator, tail series or None): the
-    term is head (az; q)_{j+1} (a/z; q)_{j+1} tail / denominator, times the
-    tail series at the point's (a q^(j+1) z, a q^(j+1)/z) rows when there is
-    one.  The normalization eta is :func:`_eta`.  Every series reads its
-    rows and guard checks from the family's table, once per family and
-    precision for all degrees.
+    C_(n,k) is eta (:func:`_eta`) times the head series' term t_k, for
+    k <= min(n, N-n).  The degrees n > j add a second term,
+    P (az, a/z; q)_(j+1) times a tail series in (a q^(j+1) z, a q^(j+1)/z),
+    and (az; q)_(j+1) (a q^(j+1) z; q)_m = (az; q)_(j+1+m), the same for a/z,
+    so its m-th tail term s_m gives C_(n,j+1+m) = (eta P) s_m.  Every series
+    reads its rows and guard checks from the family's table, once per family
+    and precision for all degrees.
     """
     a, c, al, q, j = _unpack(fam)
     N = fam.N
@@ -291,66 +291,60 @@ def _explicit_plan(fam: ParaRacahFamily, n: int) -> tuple:
     qp = pw.pochhammer
     qj1 = pw[j + 1]
     eta = _eta(fam, n)
+    tail = ()
     if fam.odd and n in (j, j + 1):
         # sum_{k<=j} (q^{-j-1}, az, a/z; q)_k q^k / (q, ac, (a/c)q^{-j}; q)_k
-        middle = SeriesPlan((pw[-j - 1],), (q, a * c, (a / c) * pw[-j]), pw, q, j)
-        if n == j:
-            return eta, middle, None
-        extra_den = (al * qp(q, j + 1) * qp(a * c, j + 1)
-                     * qp((a / c) * pw[-j], j + 1))
-        return eta, middle, (qp(pw[-j - 1], j + 1), (qj1,), extra_den, None)
-    r = (a / c) * pw[j + 1 - N]
-    head_num = (pw[-n], pw[n - N])
-    head_den = (pw[-j], a * c, r, q)
-    if n <= j:
-        return eta, SeriesPlan(head_num, head_den, pw, q, n), None
-    head = SeriesPlan(head_num, head_den, pw, q, N - n)
-    pref_head = qp(pw[n - N], N - n) * qp(pw[-n], j + 1)
-    pref_den = (al * qp(pw[-j], j) * qp(q, j + 1)
-                * qp(a * c, j + 1) * qp(r, j + 1))
-    # (a/c) q^(2j+2-N), multiplied left to right: (a/c) q q for even N.
-    tail = SeriesPlan((pw[j + 1 - n], pw[n + j + 1 - N]),
-                      (pw[j + 2], a * c * qj1, (a / c) * q * pw[2 * j + 1 - N], q),
-                      pw, q, n - j - 1)
-    return eta, head, (pref_head, (qp(q, n + j - N), qj1), pref_den, tail)
+        head = SeriesPlan((pw[-j - 1],), (q, a * c, (a / c) * pw[-j]), pw, q, j)
+        if n == j + 1:
+            # The alpha-weighted term (az, a/z; q)_(j+1) P: one tail term.
+            pref = qp(pw[-j - 1], j + 1) * qj1 / (
+                al * qp(q, j + 1) * qp(a * c, j + 1) * qp((a / c) * pw[-j], j + 1))
+            tail = [pw[0]]
+    else:
+        r = (a / c) * pw[j + 1 - N]
+        head = SeriesPlan((pw[-n], pw[n - N]), (pw[-j], a * c, r, q), pw, q, min(n, N - n))
+        if n > j:
+            pref = (qp(pw[n - N], N - n) * qp(pw[-n], j + 1) * qp(q, n + j - N) * qj1
+                    / (al * qp(pw[-j], j) * qp(q, j + 1) * qp(a * c, j + 1) * qp(r, j + 1)))
+            # (a/c) q^(2j+2-N), multiplied left to right: (a/c) q q for even N.
+            tail = SeriesPlan((pw[j + 1 - n], pw[n + j + 1 - N]),
+                              (pw[j + 2], a * c * qj1, (a / c) * q * pw[2 * j + 1 - N], q),
+                              pw, q, n - j - 1).terms()
+    row = [(k, eta * t) for k, t in enumerate(head.terms())]
+    if tail:
+        scale = eta * pref
+        row += [(j + 1 + m, scale * s) for m, s in enumerate(tail)]
+    return row
 
 
-def _point_factors(fam: ParaRacahFamily, z) -> tuple:
-    """One point's z-dependent factors, read by every degree:
-    ([1 - az q^k], [1 - (a/z) q^k]) for k <= j, the same of
-    a q^(j+1) z and a q^(j+1)/z for k < N-j-1, and the prefixes
-    ((az; q)_{j+1}, (a/z; q)_{j+1}).  They come from a
-    :class:`~qortho.qseries.PowerTable` of the point's own, dropped with it,
-    so no z-dependent row stays on the family, and each is the value a plan
-    or :func:`~qortho.qseries.qpochhammer` forms, bit for bit.
-    """
-    a, j = fam.a, fam.j
-    aq = a * fam.powers()[j + 1]
+def _point_factors(fam: ParaRacahFamily, z) -> list:
+    """One point's basis row, read by every degree: phi_k = (az, a/z; q)_k
+    for k = 0..N, each phi_(k+1) = phi_k (1 - az q^k) (1 - (a/z) q^k).  The
+    factors come from a :class:`~qortho.qseries.PowerTable` of the point's
+    own, dropped with it, so no z-dependent row stays on the family."""
     pw = PowerTable(fam.q)
-    bases = (a * z, a / z)
-    head = tuple(pw.factors(p, j + 1) for p in bases)
-    tail = tuple(pw.factors(p, fam.N - j - 1) for p in (aq * z, aq / z))
-    return head, tail, [pw.pochhammer(p, j + 1) for p in bases]
+    basis = [pw[0]]
+    for f, g in zip(pw.factors(fam.a * z, fam.N), pw.factors(fam.a / z, fam.N)):
+        basis.append(basis[-1] * f * g)
+    return basis
 
 
-def _explicit_value(plan, point) -> tuple:
-    """(value, cancellation scale) of a degree's :func:`_explicit_plan` at a
-    point's :func:`_point_factors`, multiplied in the order of the
-    expression written out at that point."""
-    eta, head, extra = plan
-    head_rows, tail_rows, (pre_az, pre_a_z) = point
-    body, mag = head.sum(head_rows)
-    if extra is None:
-        return eta * body, abs(eta) * mag
-    num_head, num_tail, den, tail = extra
-    pref = num_head * pre_az * pre_a_z
-    for f in num_tail:
-        pref = pref * f
-    pref = pref / den
-    if tail is None:
-        return eta * (body + pref), abs(eta) * (mag + abs(pref))
-    tail_sum, tail_mag = tail.sum(tail_rows)
-    return eta * (body + pref * tail_sum), abs(eta) * (mag + abs(pref) * tail_mag)
+def _explicit_value(row, basis) -> tuple:
+    """(value, cancellation scale) of a degree's coefficient row at a point's
+    basis row: the sum of C_k phi_k and the sum of |C_k phi_k|, each added in
+    increasing k from the first product.  With mpf operands throughout it
+    runs on raw tuples (:mod:`qortho._mpfloops`), bit for bit."""
+    if all_mpf(basis, (c for _, c in row)):
+        from . import _mpfloops
+        return _mpfloops.series_sum(row, basis)
+    (k, c), *rest = row
+    total = c * basis[k]
+    magnitude = abs(total)
+    for k, c in rest:
+        term = c * basis[k]
+        total = total + term
+        magnitude = magnitude + abs(term)
+    return total, magnitude
 
 
 # The relative accuracy every explicit value keeps.  The rounding error of a
@@ -366,12 +360,11 @@ def eval_explicit(tri: TridiagonalSystem, zs, recurrence=None) -> list:
     x = (z + 1/z)/2, from the branch-appropriate explicit expression of the
     table's family.
 
-    Each degree's z-free factors are computed once (:func:`_explicit_plan`),
-    and each point's factors 1 - p q^k and prefixes (az; q)_{j+1},
-    (a/z; q)_{j+1} once (:func:`_point_factors`): every degree's series and
-    prefactor read them, so each value is a per-point evaluation's bit for
-    bit.  Degrees are evaluated in order, so a singular denominator raises
-    what the lowest degree that has one raises.
+    Each degree's coefficient row is computed once (:func:`_explicit_plan`)
+    and each point's basis row (az, a/z; q)_k once (:func:`_point_factors`),
+    so each value is one dot product of the two (:func:`_explicit_value`).
+    Degrees are evaluated in order, so a singular denominator raises what
+    the lowest degree that has one raises.
 
     Agrees with the forward recurrence; the two routes together cross-check
     the coefficient tables and the series normalizations.  The terminating
@@ -418,9 +411,9 @@ def _rerun(fam: ParaRacahFamily, zs, rows, flagged, prec: int) -> None:
     """Sum again, in place in ``rows``, the flagged (n, point index,
     magnitude / |R_n|) values of one :func:`eval_explicit` call, all at one
     precision: the most digits any of them lost, ceil(log10(magnitude /
-    |R_n|)), plus the run's own, ceil(prec log10 2).  Plans and point factors
-    are built for the flagged degrees and points only, and each value is
-    rounded back to its working type."""
+    |R_n|)), plus the run's own, ceil(prec log10 2).  Coefficient rows and
+    basis rows are built for the flagged degrees and points only, and each
+    value is rounded back to its working type."""
     import mpmath
     lost = int(mpmath.ceil(mpmath.log10(max(ratio for _, _, ratio in flagged))))
     with mpmath.workdps(lost + math.ceil(prec * math.log10(2))):

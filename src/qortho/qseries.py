@@ -5,24 +5,21 @@ numerator and denominator parameter lists uniformly: the standard r-phi-s
 normalisation is obtained by listing the nome q itself among the denominator
 parameters, which contributes the usual (q;q)_k factor.  Every sum
 terminates at a truncation degree its caller states.  A
-:class:`SeriesPlan` computes the parameter-only factors once, so that a sum
-taken at many evaluation points recomputes only the point-dependent ones;
-every factor 1 - p q^k comes from one loop, :meth:`PowerTable.factors`.
+:class:`SeriesPlan` holds the parameter-only factors and yields the sum's
+coefficient row, its terms t_0..t_d.  A sum whose parameters also depend on
+an evaluation point is that row times a basis row of the point's own (the
+explicit expansion of :mod:`qortho.para_racah`), so a point costs one
+product per term.  Every factor 1 - p q^k comes from one loop,
+:meth:`PowerTable.factors`.
 
-In binary64 mode terms are accumulated in increasing k with compensated
-(Kahan) summation; mpmath inputs are summed plainly since the working
-precision already dominates the roundoff budget.  When every operand is an
-mpmath mpf, :meth:`SeriesPlan.sum` runs on mpmath's raw tuples
-(:mod:`qortho._mpfloops`): each step is the ``mpmath.libmp`` call the mpf
-operator makes, at the (prec, rounding) the operator reads, so the result is
-the operator loop's bit for bit, without the operator's type dispatch and
-the mpf it builds per step.  Any other operand keeps the operator loop;
-:func:`qpochhammer` is always the operator loop.
+In binary64 mode :meth:`SeriesPlan.sum` accumulates the terms in increasing
+k with compensated (Kahan) summation; mpmath inputs are summed plainly
+since the working precision already dominates the roundoff budget.
 """
 
 from __future__ import annotations
 
-from .scalars import all_mpf, is_mp, typed_float
+from .scalars import is_mp, typed_float
 
 __all__ = [
     "SingularSeriesError",
@@ -139,17 +136,16 @@ def _series_eval_with_magnitude(spec):
 
 
 class SeriesPlan:
-    """The parameter-only work of a terminating sum, done once for many sums.
+    """The parameter-only work of a terminating sum, done once.
 
     The plan holds the row of factors 1 - p q^k, k below the degree, of each
-    fixed numerator and each denominator parameter p, read from ``table``:
-    the plans of one family share its rows and guard checks.  A vanishing
+    numerator and each denominator parameter p, read from ``table``: the
+    plans of one family share its rows and guard checks.  A vanishing
     denominator raises :class:`SingularSeriesError` at the lowest such k and
-    the first parameter there.  :meth:`sum` takes the rows of the numerator
-    parameters that vary from sum to sum (an evaluation point).  Every
-    factor goes into the term in the order of a sum written with the
-    varying parameters after the fixed ones, so the result is that sum's bit
-    for bit.  A plan holds values at the working precision that built it.
+    the first parameter there.  :meth:`terms` is the coefficient row, which
+    a caller with point-dependent parameters multiplies into their basis
+    row; :meth:`sum` adds the terms up.  A plan holds values at the working
+    precision that built it.
     """
 
     def __init__(self, numerator, denominator, table, argument, degree: int):
@@ -165,33 +161,33 @@ class SeriesPlan:
             raise SingularSeriesError(denominator[vanishing.index(k)], k)
         self.num = [table.factors(p, degree) for p in numerator]
         self.den = [table.factors(p, degree) for p in denominator]
-        # Then sum() may run on raw tuples (qortho._mpfloops), bit for bit.
-        self.all_mpf = all_mpf((self.first, argument), *self.num, *self.den)
 
-    def sum(self, rows=()):
-        """(value, sum of |term|) with one varying numerator parameter p per
-        row of ``rows``, each given by its factors: ``row[k]`` is 1 - p q^k
-        for every k below the degree (a longer row is read only that far)."""
-        if self.all_mpf and all_mpf(*rows):
-            from . import _mpfloops
-            return _mpfloops.series_sum(self, rows)
-        degree, argument = self.degree, self.argument
-        plain = self.plain or any(is_mp(f) for row in rows for f in row[:degree])
-        num, den = self.num, self.den
-        # The first term is exactly 1, so it starts the sums as they are.
-        term = total = self.first
-        comp = term - term
-        magnitude = abs(term)
-        for k in range(degree):
+    def terms(self) -> list:
+        """The terms t_0..t_degree: t_0 = 1, and t_(k+1) is t_k times each
+        numerator factor 1 - p q^k, divided by each denominator factor and
+        times the argument, in that order."""
+        argument, num, den = self.argument, self.num, self.den
+        term = self.first
+        out = [term]
+        for k in range(self.degree):
             for row in num:
-                term = term * row[k]
-            for row in rows:
                 term = term * row[k]
             for row in den:
                 term = term / row[k]
             term = term * argument
+            out.append(term)
+        return out
+
+    def sum(self):
+        """(value, sum of |term|) of :meth:`terms`, added in increasing k."""
+        terms = self.terms()
+        # The first term is exactly 1, so it starts the sums as they are.
+        total = terms[0]
+        comp = total - total
+        magnitude = abs(total)
+        for term in terms[1:]:
             magnitude = magnitude + abs(term)
-            if plain:
+            if self.plain:
                 total = total + term
             else:
                 y = term - comp

@@ -1,13 +1,18 @@
-"""The printed positivity inequalities of a q-para-Racah family and its
-factorised characteristic polynomial."""
+"""The printed positivity inequalities of a q-para-Racah family, its
+factorised characteristic polynomial, and its explicit expansion in the
+per-point series form: each degree's head and tail series summed at the
+point, with the point's parameters a z and a / z among their numerators."""
 
 from __future__ import annotations
 
-from qortho.para_racah import ParaRacahFamily, _unpack, eval_recurrence
+from qortho.para_racah import ParaRacahFamily, _eta, _unpack, eval_recurrence
 from qortho.qseries import qpochhammer
 from qortho.recurrence import TridiagonalSystem
 
-__all__ = ["PositivityReport", "positivity_check", "char_poly_eval", "char_poly_scale"]
+from .qseries import series_value
+
+__all__ = ["PositivityReport", "positivity_check", "char_poly_eval", "char_poly_scale",
+           "explicit_series_value"]
 
 
 class PositivityReport:
@@ -73,3 +78,41 @@ def positivity_check(tri: TridiagonalSystem) -> PositivityReport:
         u_positive=tri.positive,
         min_u=float(min_u),
     )
+
+
+def explicit_series_value(fam: ParaRacahFamily, n: int, z):
+    """(R_n(x(z)), cancellation scale) of the explicit expression summed at
+    the point: eta times the head series in (q^-n, q^(n-N), az, a/z), plus
+    for n > j the alpha-weighted prefactor with (az; q)_(j+1) (a/z; q)_(j+1)
+    times the tail series in (a q^(j+1) z, a q^(j+1)/z); for odd N at
+    n = j, j+1 the middle series and its one tail term."""
+    a, c, al, q, j = _unpack(fam)
+    N = fam.N
+    eta = _eta(fam, n)
+    if fam.odd and n in (j, j + 1):
+        body, mag = series_value((q ** (-j - 1), a * z, a / z),
+                                 (q, a * c, (a / c) * q ** -j), q, q, j)
+        if n == j:
+            return eta * body, abs(eta) * mag
+        extra = (qpochhammer(q ** (-j - 1), q, j + 1) * qpochhammer(a * z, q, j + 1)
+                 * qpochhammer(a / z, q, j + 1) * q ** (j + 1)
+                 / (al * qpochhammer(q, q, j + 1) * qpochhammer(a * c, q, j + 1)
+                    * qpochhammer((a / c) * q ** -j, q, j + 1)))
+        return eta * (body + extra), abs(eta) * (mag + abs(extra))
+    r = (a / c) * q ** (j + 1 - N)
+    head_num = (q ** -n, q ** (n - N), a * z, a / z)
+    head_den = (q ** -j, a * c, r, q)
+    if n <= j:
+        body, mag = series_value(head_num, head_den, q, q, n)
+        return eta * body, abs(eta) * mag
+    head, head_mag = series_value(head_num, head_den, q, q, N - n)
+    pref = (qpochhammer(q ** (n - N), q, N - n) * qpochhammer(q ** -n, q, j + 1)
+            * qpochhammer(a * z, q, j + 1) * qpochhammer(a / z, q, j + 1)
+            * qpochhammer(q, q, n + j - N) * q ** (j + 1)
+            / (al * qpochhammer(q ** -j, q, j) * qpochhammer(q, q, j + 1)
+               * qpochhammer(a * c, q, j + 1) * qpochhammer(r, q, j + 1)))
+    tail, tail_mag = series_value(
+        (q ** (j + 1 - n), q ** (n + j + 1 - N), a * q ** (j + 1) * z, a * q ** (j + 1) / z),
+        (q ** (j + 2), a * c * q ** (j + 1), (a / c) * q * q ** (2 * j + 1 - N), q),
+        q, q, n - j - 1)
+    return eta * (head + pref * tail), abs(eta) * (head_mag + abs(pref) * tail_mag)

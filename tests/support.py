@@ -15,6 +15,7 @@ import mpmath
 import mpmath.ctx_mp_python
 
 from oracles import askey_wilson
+from oracles import qseries as oracle_qseries
 from qortho import para_krawtchouk, para_racah, qseries
 from qortho.recurrence import DegenerateFamilyError, interleave, tridiagonal
 from qortho.scalars import is_finite, is_mp, max_keep_nan, working_precision
@@ -143,76 +144,54 @@ def eval_recurrence_with_peak(b_coefficient, u_coefficient, fam, n, x):
 # ---------------------------------------------------------------------------
 #
 # The q-para-Racah explicit expansion, q-difference residual and closed-form
-# weights as they were computed before their parameter-only factors were
-# hoisted out of the point loops: every factor recomputed at every point and
-# every series summed by a self-contained loop.  The library routes must
-# return these values exactly.
-
-
-def series_reference(num, den, q, argument, degree):
-    """(value, sum of |term|) of sum_k prod (num; q)_k / prod (den; q)_k arg^k."""
-    plain = any(is_mp(v) for v in (q, argument) + num + den)
-    term = 1.0 * argument ** 0
-    total = comp = magnitude = 0.0
-    qpow = q ** 0
-    for k in range(degree + 1):
-        magnitude = magnitude + abs(term)
-        if plain:
-            total = total + term
-        else:
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        if k == degree:
-            break
-        for p in num:
-            term = term * (1 - p * qpow)
-        for p in den:
-            f = 1 - p * qpow
-            if abs(f) <= qseries._SINGULAR_GUARD * max(1.0, abs(p * qpow)):
-                raise qseries.SingularSeriesError(p, k)
-            term = term / f
-        term = term * argument
-        qpow = qpow * q
-    return total, magnitude
+# weights with every factor recomputed at every point: the explicit value as
+# the coefficient row of its degree times the Askey-Wilson basis at the
+# point, each written out term by term.  The library routes must return
+# these values exactly.
 
 
 def explicit_value_reference(fam, n, z, eta):
-    """Explicit value of degree n at z with its cancellation scale."""
+    """Explicit value of degree n at z with its cancellation scale:
+    sum_k C_k phi_k and sum_k |C_k phi_k|, phi_k = (az, a/z; q)_k, C_k = eta
+    t_k for the head series' terms t_k and, for n > j, C_(j+1+m) = (eta P) s_m
+    for the second term's z-free prefactor P and tail series' terms s_m."""
     a, c, al, q, j = fam.a, fam.c, fam.alpha, fam.q, fam.j
     N = fam.N
     qp = qseries.qpochhammer
+    tail = []
     if fam.odd and n in (j, j + 1):
-        body, mag = series_reference((q ** (-j - 1), a * z, a / z),
-                                     (q, a * c, (a / c) * q ** -j), q, q, j)
-        if n == j:
-            return eta * body, abs(eta) * mag
-        extra_num = (qp(q ** (-j - 1), q, j + 1) * qp(a * z, q, j + 1)
-                     * qp(a / z, q, j + 1) * q ** (j + 1))
-        extra_den = (al * qp(q, q, j + 1) * qp(a * c, q, j + 1)
-                     * qp((a / c) * q ** -j, q, j + 1))
-        extra = extra_num / extra_den
-        return eta * (body + extra), abs(eta) * (mag + abs(extra))
-    r = (a / c) * q ** (j + 1 - N)
-    head_num = (q ** -n, q ** (n - N), a * z, a / z)
-    head_den = (q ** -j, a * c, r, q)
-    if n <= j:
-        body, mag = series_reference(head_num, head_den, q, q, n)
-        return eta * body, abs(eta) * mag
-    head, head_mag = series_reference(head_num, head_den, q, q, N - n)
-    pref_num = (qp(q ** (n - N), q, N - n)
-                * qp(q ** -n, q, j + 1) * qp(a * z, q, j + 1) * qp(a / z, q, j + 1)
-                * qp(q, q, n + j - N) * q ** (j + 1))
-    pref_den = (al * qp(q ** -j, q, j) * qp(q, q, j + 1)
-                * qp(a * c, q, j + 1) * qp(r, q, j + 1))
-    tail_num = (q ** (j + 1 - n), q ** (n + j + 1 - N),
-                a * q ** (j + 1) * z, a * q ** (j + 1) / z)
-    tail_den = (q ** (j + 2), a * c * q ** (j + 1), (a / c) * q * q ** (2 * j + 1 - N), q)
-    tail, tail_mag = series_reference(tail_num, tail_den, q, q, n - j - 1)
-    pref = pref_num / pref_den
-    return (eta * (head + pref * tail),
-            abs(eta) * (head_mag + abs(pref) * tail_mag))
+        head = oracle_qseries.series_terms((q ** (-j - 1),), (q, a * c, (a / c) * q ** -j),
+                                           q, q, j)
+        if n == j + 1:
+            pref = qp(q ** (-j - 1), q, j + 1) * q ** (j + 1) / (
+                al * qp(q, q, j + 1) * qp(a * c, q, j + 1) * qp((a / c) * q ** -j, q, j + 1))
+            tail = [q ** 0]
+    else:
+        r = (a / c) * q ** (j + 1 - N)
+        head = oracle_qseries.series_terms((q ** -n, q ** (n - N)), (q ** -j, a * c, r, q),
+                                           q, q, n if n <= j else N - n)
+        if n > j:
+            pref = ((qp(q ** (n - N), q, N - n) * qp(q ** -n, q, j + 1)
+                     * qp(q, q, n + j - N) * q ** (j + 1))
+                    / (al * qp(q ** -j, q, j) * qp(q, q, j + 1)
+                       * qp(a * c, q, j + 1) * qp(r, q, j + 1)))
+            tail = oracle_qseries.series_terms(
+                (q ** (j + 1 - n), q ** (n + j + 1 - N)),
+                (q ** (j + 2), a * c * q ** (j + 1), (a / c) * q * q ** (2 * j + 1 - N), q),
+                q, q, n - j - 1)
+    coefficients = [eta * t for t in head] + [eta * pref * s for s in tail]
+    ks = list(range(len(head))) + [j + 1 + m for m in range(len(tail))]
+    basis = [q ** 0]
+    qpow = q ** 0
+    while len(basis) <= ks[-1]:
+        basis.append(basis[-1] * (1 - a * z * qpow) * (1 - a / z * qpow))
+        qpow = qpow * q
+    terms = [coef * basis[k] for coef, k in zip(coefficients, ks)]
+    total, magnitude = terms[0], abs(terms[0])
+    for term in terms[1:]:
+        total = total + term
+        magnitude = magnitude + abs(term)
+    return total, magnitude
 
 
 def eval_explicit_reference(tri, zs):

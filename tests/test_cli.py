@@ -820,9 +820,9 @@ GOLDEN = [
     ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format json",
      "9201818dba8973beaf973d4d4e0169ad794f45f32456f72405527410854dbd93"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5 --format csv --precision double",
-     "b15f181751d6eecf2d29b2693a9712bc5ceae5c58e5ca05db240fc85abf2e17b"),
+     "9803e6fb3da883e524f645aea1345ae0dfc1e2cdf962df632efd5d1156df1961"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --format json --precision double --seed 3",
-     "b85b983096006eb6636ae7617869f618e8fb085c3f87a9fe04a9f8c0c80443da"),
+     "1f4d6f344e41ad48f2180d5cab979a7b512e293d9bec6f8f33078665bdb74447"),
     ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
      "df14261354ca68e03cca1515251fa4d7be07257824c7ea48ae5f722a6915cecb"),
     ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format csv --precision extended",
@@ -832,22 +832,22 @@ GOLDEN = [
     # The explicit expansion of both parities, in double where the rerun
     # fires (q = 0.3) and at 60 digits.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.3 --N 8 --suite explicit --format csv --precision double",
-     "f210d592c77f8b16725c0aa622acdf3aad7ed4f022f7b2884a72e818de61f67f"),
+     "f4aa71679496d0214fbded38cb58ed2d37277f6f3b7d7d3ed8877c080ce04808"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.3 --N 9 --suite explicit --format csv --precision double",
-     "7e4f6d5db2c3407519d2559f71209f65687859c7f7db66cea86b121d9fd8546c"),
+     "9b47cd011c965f9e95c94b9bc457036fb7b1fab09f2075d3039005ed09953976"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 12 --suite explicit --format csv --precision extended:60",
-     "7b627dc2eeba73cee9b854102374395aecff4c4d6f77725a365d0090644830bb"),
+     "72361358edb3c2addf3b3f83a889472075d6fdc66575663b05f09ae4e8f5210b"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite explicit --format csv --precision extended:60",
-     "f611b1187dc8863a31205ec5aba0ce0dedf693c48a1f843d8990ad116584f765"),
+     "b9244662b5cb4e45709d28dae8ea9d182c1525eee23aade94bdcba483f6f79b2"),
     # Every suite at the default extended precision, the setting of the
     # verify-ext benchmark: odd N, even N, and odd N with the middle-degree
     # branch at n = j and j+1; and the q-difference check at 60 digits.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 9 --format json --precision extended",
-     "5c7d60c937879a8f8a3fb53cc0984799d0dac0c9085b4a2077d2fa306e855c2e"),
+     "2d9041ef09e5d05cff946a9f8135bbcb276d1f6d7cba8f70d1ffe80858fdcdcb"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 12 --format json --precision extended",
-     "da0fac8e968b75560ea755ce7715ed86529dbd6c09f660641b694c98aeb10a9f"),
+     "7a99f78e83429bacfa6c783d4c96dce829ebd8cf7dcd24ba6a79044fd90b419c"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --format json --precision extended",
-     "ad2778a941c9e43a6d596b9f1c35f6171587de93e5e19f4f01a6a16171587e72"),
+     "648085060b916bb1c527721c194d2d36cee6f52f5f19a8f88b062f2a14c687a8"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite bispectral --format json --precision extended:60",
      "dbb4f19b7bd38643eccb833816c5c6f491ed0d618e15ec8beefedc3fd9874e7f"),
     # The two limit oracles, which extrapolate at a fixed 50 digits whatever

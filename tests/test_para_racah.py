@@ -7,7 +7,8 @@ import mpmath
 import pytest
 
 import support
-from oracles.para_racah import char_poly_eval, char_poly_scale, positivity_check
+from oracles.para_racah import (char_poly_eval, char_poly_scale, explicit_series_value,
+                                positivity_check)
 from qortho import para_krawtchouk, para_racah, verify
 from qortho.para_racah import (
     DegenerateFamilyError,
@@ -530,6 +531,34 @@ def test_explicit_equals_per_point_reference_at_60_digits(N):
         assert eval_explicit(tri, zs) == support.eval_explicit_reference(tri, zs)
 
 
+@pytest.mark.parametrize("scalar,dps", [(float, 15), (mpmath.mpf, 50)], ids=["double", "50"])
+def test_explicit_agrees_with_the_per_point_series_form(scalar, dps):
+    # The coefficient rows regroup the per-point series of the expression.
+    # Where neither form's term magnitude asks for a rerun, each keeps
+    # _EXPLICIT_ACCURACY of R_n, so the two agree within twice that.
+    rng = random.Random(3000 + dps)
+    accuracy = para_racah._EXPLICIT_ACCURACY
+    compared = 0
+    with mpmath.workdps(dps):
+        prec = mpmath.mp.prec if scalar is mpmath.mpf else 53
+        trigger = accuracy * 2 ** prec
+        for N in range(1, 17):
+            tri = tridiagonal(_draw_family(rng, N, scalar))
+            fam = tri.family
+            zs = _draw_points(rng, scalar)
+            points = [para_racah._point_factors(fam, z) for z in zs]
+            for n in range(N + 1):
+                row = para_racah._explicit_plan(fam, n)
+                for z, basis in zip(zs, points):
+                    got, magnitude = para_racah._explicit_value(row, basis)
+                    want, series_magnitude = explicit_series_value(fam, n, z)
+                    if max(magnitude, series_magnitude) > trigger * abs(want):
+                        continue
+                    assert abs(got - want) <= 2 * accuracy * abs(want), (N, n, z)
+                    compared += 1
+    assert compared > 1000
+
+
 def _fraction(x):
     """The exact rational value of a float or an mpf."""
     if isinstance(x, float):
@@ -538,13 +567,14 @@ def _fraction(x):
     return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
-@pytest.mark.parametrize("N", range(1, 13))
+@pytest.mark.parametrize("N", range(1, 17))
 def test_explicit_is_within_a_tenth_of_its_tolerance_of_the_exact_value(monkeypatch, N):
-    # A Fraction family runs the same plans, point factors and sums with no
-    # rounding: its values are R_n exactly, the recurrence's in Fractions, at
-    # the binary parameters and dyadic points that double and 50 digits
-    # hold exactly.  So the digits each value loses are known exactly, and
-    # every value that loses more than the rule allows must have been rerun.
+    # A Fraction family builds the same coefficient and basis rows and dot
+    # products with no rounding: its values are R_n exactly, the
+    # recurrence's in Fractions, at the binary parameters and dyadic points
+    # that double and 50 digits hold exactly.  So the digits each value
+    # loses are known exactly, and every value that loses more than the rule
+    # allows must have been rerun.
     reran = []
     original = para_racah._rerun
     monkeypatch.setattr(para_racah, "_rerun", lambda fam, zs, rows, flagged, prec: (
@@ -633,11 +663,11 @@ def test_weights_equal_per_point_reference(scalar, dps):
 
 @pytest.mark.parametrize("N", range(1, 13))
 def test_explicit_builds_each_point_and_each_degree_once(monkeypatch, N):
-    # Each point's factors and prefixes are built once for every degree, each
-    # degree's z-free plan once for every point, and no q-Pochhammer symbol
-    # is taken per point.  A rerun (N = 12 cancels past 30 digits) builds
-    # the plans of its degrees and the factors of its points once more, at
-    # one higher precision.
+    # Each point's basis row is built once for every degree, each degree's
+    # coefficient row once for every point, and no q-Pochhammer symbol is
+    # taken per point.  A rerun (N = 12 cancels past 30 digits) builds the
+    # rows of its degrees and of its points once more, at one higher
+    # precision.
     calls = collections.Counter()
     for name in ("qpochhammer", "_point_factors", "_explicit_plan"):
         original = getattr(para_racah, name)
@@ -662,10 +692,13 @@ def _key(base):
 
 @pytest.mark.parametrize("N", range(1, 17))
 def test_explicit_forms_and_checks_each_z_free_factor_once(monkeypatch, N):
-    # Counted over every table at every precision: a z-free factor 1 - p q^i
-    # is formed once, and a denominator's once guard-checked, for all degrees;
-    # the head plans share the family's row of each denominator parameter.
-    formed, checked, plans = collections.Counter(), collections.Counter(), []
+    # Counted over every table at every precision: each factor 1 - p q^i is
+    # formed once, and a denominator's once guard-checked, for all degrees
+    # and points; every series plan reads the family's own rows.  Each
+    # degree's coefficient row and each point's basis row are built once,
+    # and no z-dependent row lands on the family's table.
+    formed, checked, built, plans = (collections.Counter(), collections.Counter(),
+                                     collections.Counter(), [])
     factors, vanishing = PowerTable.factors, PowerTable.vanishing
 
     def counted_factors(table, base, k):
@@ -680,24 +713,33 @@ def test_explicit_forms_and_checks_each_z_free_factor_once(monkeypatch, N):
         checked.update((mpmath.mp.prec, _key(base), i) for i in range(before, min(first + 1, k)))
         return first
 
+    class CountedPlan(para_racah.SeriesPlan):
+        def __init__(self, numerator, denominator, table, argument, degree):
+            super().__init__(numerator, denominator, table, argument, degree)
+            plans.append((table, numerator + denominator, self.num + self.den))
+
     monkeypatch.setattr(PowerTable, "factors", counted_factors)
     monkeypatch.setattr(PowerTable, "vanishing", counted_vanishing)
-    original = para_racah._explicit_plan
-    monkeypatch.setattr(para_racah, "_explicit_plan",
-                        lambda fam, n: plans.append(original(fam, n)) or plans[-1])
+    monkeypatch.setattr(para_racah, "SeriesPlan", CountedPlan)
+    for name in ("_explicit_plan", "_point_factors"):
+        original = getattr(para_racah, name)
+        monkeypatch.setattr(para_racah, name, lambda fam, arg, _name=name, _f=original: (
+            built.update([(_name, mpmath.mp.prec, _key(arg))]) or _f(fam, arg)))
     with mpmath.workdps(50):
         num = mpmath.mpf
         fam = ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"), q=num("0.5"), N=N)
         zs = [num(1.15 + k / 8) for k in range(10)]
-        aq = fam.a * fam.q ** (fam.j + 1)
-        point_keys = {_key(p) for z in zs for p in (fam.a * z, fam.a / z, aq * z, aq / z)}
+        point_keys = {_key(p) for z in zs for p in (fam.a * z, fam.a / z)}
         eval_explicit(tridiagonal(fam), zs)
-        table = fam.powers()
-    z_free = {key: k for key, k in formed.items() if key[1] not in point_keys}
-    assert z_free and set(z_free.values()) == {1}
+        table, prec = fam.powers(), mpmath.mp.prec
+    assert built == collections.Counter(
+        [("_explicit_plan", prec, n) for n in range(N + 1)]
+        + [("_point_factors", prec, _key(z)) for z in zs])
+    assert formed and set(formed.values()) == {1}
+    assert point_keys <= {key for _, key, _ in formed}
     # At N = 1 every series has degree 0: there is nothing to check.
     assert set(checked.values()) == ({1} if N > 1 else set())
     assert not point_keys & (set(table._rows) | set(table._prefixes) | set(table._clear))
-    heads = [plan for n, (_, plan, _) in enumerate(plans)
-             if not (fam.odd and n in (fam.j, fam.j + 1))]
-    assert all(rows is first for plan in heads for rows, first in zip(plan.den, heads[0].den))
+    assert plans and all(plan_table is table for plan_table, _, _ in plans)
+    assert all(row is table.factors(p, 0)
+               for _, params, rows in plans for p, row in zip(params, rows))

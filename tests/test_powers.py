@@ -85,18 +85,26 @@ def reference_running(q, k):
     return running[:k]
 
 
-def _factor_rows(q, degree, varying):
-    """SeriesPlan.sum's factor rows of the varying parameters: 1 - p q^k."""
-    return [[1 - p * qpow for qpow in reference_running(q, degree)] for p in varying]
-
-
-def reference_series_sum(numerator, denominator, q, argument, degree, varying):
-    plain = any(isinstance(v, (mpmath.mpf, mpmath.mpc))
-                for v in (q, argument) + numerator + denominator + varying)
+def reference_terms(numerator, denominator, q, argument, degree):
+    """The terms t_0..t_degree of sum_k prod (num; q)_k / prod (den; q)_k arg^k."""
     qpows = reference_running(q, degree)
-    term = 1.0 * argument ** 0
+    term = argument ** 0
+    terms = [term]
+    for k in range(degree):
+        for p in numerator:
+            term = term * (1 - p * qpows[k])
+        for p in denominator:
+            term = term / (1 - p * qpows[k])
+        term = term * argument
+        terms.append(term)
+    return terms
+
+
+def reference_series_sum(numerator, denominator, q, argument, degree):
+    plain = any(isinstance(v, (mpmath.mpf, mpmath.mpc))
+                for v in (q, argument) + numerator + denominator)
     total = comp = magnitude = 0.0
-    for k in range(degree + 1):
+    for term in reference_terms(numerator, denominator, q, argument, degree):
         magnitude = magnitude + abs(term)
         if plain:
             total = total + term
@@ -105,13 +113,29 @@ def reference_series_sum(numerator, denominator, q, argument, degree, varying):
             t = total + y
             comp = (t - total) - y
             total = t
-        if k == degree:
-            break
-        for p in numerator + varying:
-            term = term * (1 - p * qpows[k])
-        for p in denominator:
-            term = term / (1 - p * qpows[k])
-        term = term * argument
+    return total, magnitude
+
+
+def reference_basis(q, length, bases):
+    """phi_0..phi_(length-1), phi_k the product of (base; q)_k over the
+    bases: each step multiplies in each base's factor 1 - base q^k."""
+    basis = [q ** 0]
+    for qpow in reference_running(q, length - 1):
+        value = basis[-1]
+        for base in bases:
+            value = value * (1 - base * qpow)
+        basis.append(value)
+    return basis
+
+
+def reference_dot(row, basis):
+    """(sum c basis[k], sum |c basis[k]|) over the (k, c) of a coefficient
+    row, each added in order from the first product."""
+    products = [c * basis[k] for k, c in row]
+    total, magnitude = products[0], abs(products[0])
+    for product in products[1:]:
+        total = total + product
+        magnitude = magnitude + abs(product)
     return total, magnitude
 
 
@@ -295,15 +319,21 @@ def test_a_filled_table_leaves_the_record_unchanged(kind, num):
 @pytest.mark.parametrize("num,dps", PRECISIONS)
 @pytest.mark.parametrize("N", [3, 6, 9])
 def test_series_sums_are_the_plain_loop(N, num, dps):
+    # A plan's terms and their sum, a point's basis row and the explicit
+    # expansion's dot product of the two: each is its plain loop's.
     with mpmath.workdps(dps):
         fam = _family("qpr", N, num)
         q, a, c, j = fam.q, fam.a, fam.c, fam.j
         params = ((q ** -j, q ** (j - N)), (q ** -j, a * c, (a / c) * q ** (j + 1 - N), q))
         plan = SeriesPlan(*params, PowerTable(q), q, j)
+        assert _bits(plan.terms()) == _bits(reference_terms(*params, q, q, j))
+        assert _bits(plan.sum()) == _bits(reference_series_sum(*params, q, q, j))
+        row = list(enumerate(plan.terms()))
         for z in (num("1.3"), num("2.9")):
-            varying = (a * z, a / z)
-            assert _bits(plan.sum(_factor_rows(q, j, varying))) == _bits(
-                reference_series_sum(*params, q, q, j, varying))
+            basis = para_racah._point_factors(fam, z)
+            assert _bits(basis) == _bits(reference_basis(q, N + 1, (a * z, a / z)))
+            assert _bits(para_racah._explicit_value(row, basis)) == _bits(
+                reference_dot(row, basis))
 
 
 def _names(node):
@@ -342,10 +372,17 @@ def test_series_sums_at_special_and_mixed_points_are_the_plain_loop(num, dps):
             plans.append(((q ** -3,), (a * c, 0.25, q)))
         for params in plans:
             plan = SeriesPlan(*params, PowerTable(q), q, 3)
+            assert _bits(plan.terms()) == _bits(reference_terms(*params, q, q, 3))
+            assert _bits(plan.sum()) == _bits(reference_series_sum(*params, q, q, 3))
+            pairs = list(enumerate(plan.terms()))
+            # The whole row, one with a gap (k = 0 and 3), one led by a float.
+            rows = [pairs, pairs[::3], [(0, 0.25)] + pairs[1:]]
             for p in _points(num):
-                for varying in ((p,), (a, p), ()):
-                    assert _bits(plan.sum(_factor_rows(q, 3, varying))) == _bits(
-                        reference_series_sum(*params, q, q, 3, varying)), (p, varying)
+                for bases in ((p,), (a, p), ()):
+                    basis = reference_basis(q, 4, bases)
+                    for row in rows:
+                        assert _bits(para_racah._explicit_value(row, basis)) == _bits(
+                            reference_dot(row, basis)), (p, bases, row)
 
 
 @pytest.mark.parametrize("dps", [20, 50, 120])

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import support
-from oracles.qseries import SeriesSpec, phi_basis, terminating_series_eval
+from oracles.qseries import SeriesSpec, phi_basis, series_value, terminating_series_eval
 from qortho import qseries
 from qortho.qseries import SingularSeriesError, qpochhammer
 
@@ -155,7 +154,7 @@ def test_series_raises_at_the_lowest_vanishing_index_as_the_reference():
     with pytest.raises(SingularSeriesError) as err:
         terminating_series_eval(SeriesSpec(num, den, 0.5, 0.5, truncation=5))
     with pytest.raises(SingularSeriesError) as ref:
-        support.series_reference(num, den, q, 0.5, 5)
+        series_value(num, den, q, 0.5, 5)
     assert (err.value.index, err.value.parameter) == (ref.value.index, ref.value.parameter)
     assert (err.value.index, err.value.parameter) == (2, q ** -2)
 
