@@ -70,8 +70,8 @@ def qracah_recurrence_ac(p: QRacahParams, n: int):
 def _qracah_monic_coefficients(p: QRacahParams, n: int):
     """Monic coefficients b_0..b_{n-1} and u_0..u_{n-1} (u_0 = 0.0); the
     recurrence is in the variable y itself."""
-    return monic_coefficients(lambda m: qracah_recurrence_ac(p, m), n,
-                              1 + p.gamma * p.delta * p.q, 1)
+    rows = [qracah_recurrence_ac(p, m) for m in range(n)]
+    return monic_coefficients(rows, range(n), range(n), 1 + p.gamma * p.delta * p.q, 1)
 
 
 def single_lattice_family(a, q, N: int) -> ParaRacahFamily:

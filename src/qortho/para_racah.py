@@ -2,9 +2,10 @@
 biexponential bi-lattice, obtained from the Askey-Wilson family through the
 singular truncation abcd = q^(1-N).
 
-All truncation limits are encoded as closed-form case tables; no limits are
-taken at runtime.  The deformation parameter alpha in (0, 1) moves a handful
-of recurrence coefficients around the middle of the band without moving the
+All truncation limits are encoded as closed-form case tables, the recurrence
+as (A_n, C_n) only (:func:`limit_rows`); no limits are taken at runtime.
+The deformation parameter alpha in (0, 1) moves a handful of recurrence
+coefficients around the middle of the band without moving the
 spectrum; alpha = 1/2 is the persymmetric point.
 
 Polynomials are evaluated in the exponential variable z with
@@ -24,7 +25,7 @@ from .qseries import PowerTable, SeriesPlan, qpochhammer
 # weights_from_christoffel (both kinds' route, in recurrence) is bound here only
 # for the benchmark tracer's para_racah.christoffel layer.
 from .recurrence import (_DEGENERATE_TOL, BiLatticeFamily, DegenerateFamilyError,
-                         LatticeWeights, TridiagonalSystem, interleave,
+                         LatticeWeights, TridiagonalSystem, interleave, monic_coefficients,
                          qdifference_residual, weight_table, weights_from_christoffel)
 from .scalars import all_mpf, is_finite, typed_float, working_precision
 
@@ -81,79 +82,26 @@ def _unpack(fam):
 
 
 def coefficient_rows(fam: ParaRacahFamily, b_degrees, u_degrees) -> tuple:
-    """([b_n for n in b_degrees], [u_n for n in u_degrees]) in one pass.
+    """([b_n for n in b_degrees], [u_n for n in u_degrees]) from one
+    :func:`limit_rows` pass.
 
     b_n, 0 <= n <= N, is the diagonal recurrence coefficient and u_n,
-    1 <= n <= N+1, the sub-diagonal one; u_{N+1} vanishes identically.  The
-    family's constants (2ac, 4a^2c^2, (a + 1/a)/2, ...) are formed once per
-    pass and each factor b_n and u_n share (q^j + q^n, q^{2j+1} - q^{2n},
-    ...) once per n, each by the operations, in the order, its formula
-    writes, so every entry is the per-entry formula's bit for bit.  The b
-    row is filled before the u row, in the order the degrees come, and only
-    a read of a negative power of q, a power ** 2 or a division can raise: so
-    a pass raises what the entries, taken in that order, raise.  The entries
-    at n = j, j+1 carry alpha; their alpha-free parts are formed when the
-    pass first reaches one.
+    1 <= n <= N+1, the sub-diagonal one; u_{N+1} vanishes with A_N.  They
+    are the Askey-Wilson monic map in X = 2x, b_n = (a + 1/a - A_n - C_n) / 2
+    and u_n = A_{n-1} C_n / 4 (:func:`~qortho.recurrence.monic_coefficients`),
+    of the limits of the degrees they need, in increasing order: a table
+    raises what that pass raises.
     """
-    a, c, al, q, j = _unpack(fam)
-    pw = fam.powers()
-    ac, ac2, acac4 = a * c, 2 * a * c, 4 * a * a * c * c
-    shift = (a + 1 / a) / 2
-    qj, qj1, q2j1 = pw[j], pw[j + 1], pw[2 * j + 1]
-    c_a, qj1_1, acqj = c - a, qj1 - 1, ac * qj
-    acqj_1 = acqj - 1
-    shared = {}  # n -> the factors b_n and u_n share, formed by the first reader
-    b, u = [], []
-    if fam.odd:
-        lead, acqj1 = (a + c) * (qj1 + 1), acqj + 1
-        tail = None  # the alpha-free term of b_j and b_{j+1}
-        for n in b_degrees:
-            if n == j or n == j + 1:
-                w = al if n == j else 1 - al
-                mid = w * c_a * qj1_1 * pw[-j] * acqj_1 / (ac2 * (q - 1))
-                if tail is None:
-                    tail = ((qj - 1) * pw[-j] * (c - a * q) * (ac * qj1 - 1)
-                            / (ac2 * (q * q - 1)))
-                b.append(shift + mid - tail)
-                continue
-            Q = pw[n]
-            S = shared[n] = qj1 + Q
-            b.append(lead * Q * acqj1 / (ac2 * (qj + Q) * S))
-        q2j2, q2j3, acq2j1, cqj1, aqj1 = pw[2 * j + 2], pw[2 * j + 3], ac * q2j1, c * qj1, a * qj1
-        for n in u_degrees:
-            if n == j + 1:
-                u.append((1 - al) * al * c_a ** 2 * pw[-2 * j] * qj1_1 ** 2 * acqj_1 ** 2
-                         / (acac4 * (q - 1) ** 2))
-                continue
-            Q = pw[n]
-            S = shared.get(n) or qj1 + Q
-            u.append((Q - 1) * (Q - q2j2) * (ac * Q - q) * (Q - acq2j1) * (a * Q - cqj1)
-                     * (c * Q - aqj1) / (acac4 * S ** 2 * (pw[2 * n] - q2j1)
-                                         * (pw[2 * n] - q2j3)))
-        return b, u
-    q2j, aqj1, cqj = pw[2 * j], a * qj1, c * qj
-    acq2j = ac * q2j
-    for n in b_degrees:
-        Q = pw[n]
-        Q_1, acQ, cQ, S, D = shared[n] = (Q - 1, ac * Q, c * Q, qj + Q, q2j1 - pw[2 * n])
-        S2 = ac2 * S  # the head of both denominators
-        t1 = Q_1 * (acq2j - Q) * (aqj1 - cQ) / (S2 * D)
-        t2 = (q2j - Q) * (acQ - 1) * (cqj - a * pw[n + 1]) / (S2 * (q2j - pw[2 * n + 1]))
-        b.append(shift + t1 + t2)
-    splice_den = None  # the denominator of u_j and u_{j+1}
-    for n in u_degrees:
-        if n == j or n == j + 1:
-            w = (1 - al) if n == j else al
-            if splice_den is None:
-                splice_den = acac4 * (q - 1) ** 2 * (q + 1)
-            u.append(w * c_a * pw[-2 * j] * (qj - 1) * qj1_1 * (a * q - c) * acqj_1 * (acqj - q)
-                     / splice_den)
-            continue
-        Q = pw[n]
-        Q_1, acQ, cQ, S, D = shared.get(n) or (Q - 1, ac * Q, c * Q, qj + Q, q2j1 - pw[2 * n])
-        u.append(Q_1 * (Q - q2j1) * (acQ - q) * (Q - acq2j) * (a * Q - cqj) * (cQ - aqj1)
-                 / (acac4 * S * (qj1 + Q) * D ** 2))
-    return b, u
+    degrees = sorted({*b_degrees, *u_degrees, *(n - 1 for n in u_degrees)})
+    rows = dict(zip(degrees, limit_rows(fam, degrees)))
+    return monic_coefficients(rows, b_degrees, u_degrees, fam.a + 1 / fam.a, 2)
+
+
+def _one_minus(pw, k):
+    """1 - q^k from the family's powers; at k = -1 as (q - 1) / q, whose
+    numerator is exact, where 1 - 1/q would carry the rounding of 1/q into
+    a difference near 0 for q near 1."""
+    return (pw.q - 1) / pw.q if k == -1 else 1 - pw[k]
 
 
 def limit_rows(fam: ParaRacahFamily, degrees) -> list:
@@ -162,13 +110,14 @@ def limit_rows(fam: ParaRacahFamily, degrees) -> list:
 
     These are the closed-form values the Askey-Wilson A_n and C_n approach
     under the truncating parametrization; the special indices around N/2
-    carry the deformation alpha.  b_n and u_n are algebraic combinations of
-    these, and the dual-Hahn limit consumes them directly.  ac, a/c and c/a
-    are formed once per pass and each factor A_n and C_n share (1 - q^(n-j),
-    1 - q^(2n-2j), ...) once per n, by the operations of the per-entry
-    formula, so every value is its bit for bit; as in
-    :func:`coefficient_rows`, a pass raises what its entries, taken in
-    order, raise.
+    carry the deformation alpha.  They are the one copy of the recurrence:
+    :func:`coefficient_rows` maps them to b_n and u_n, and the dual-Hahn
+    limit consumes them directly.  ac, a/c and c/a are formed once per pass
+    and each factor A_n and C_n share (1 - q^(n-j), 1 - q^(2n-2j), ...) once
+    per n, by the operations of the per-entry formula, so every value is its
+    bit for bit; a factor 1 - q^k that can meet k = -1 is read from
+    :func:`_one_minus`.  Only a read of a negative power of q or a division
+    can raise, so a pass raises what its entries, taken in order, raise.
     """
     a, c, al, q, j = _unpack(fam)
     pw = fam.powers()
@@ -176,11 +125,12 @@ def limit_rows(fam: ParaRacahFamily, degrees) -> list:
     rows = []
     if fam.odd:
         for n in degrees:
-            D = 1 - pw[2 * n - 2 * j - 1]
+            D = _one_minus(pw, 2 * n - 2 * j - 1)
             if n == j:
-                A = al * (1 - ac * pw[j]) * (c - a) * (1 - pw[-j - 1]) / (ac * (1 - 1 / q))
+                A = (al * (1 - ac * pw[j]) * (c - a) * _one_minus(pw, -j - 1)
+                     / (ac * _one_minus(pw, -1)))
             else:
-                A = ((1 - ac * pw[n]) * (c - a * pw[n - j]) * (1 - pw[n - 2 * j - 1])
+                A = ((1 - ac * pw[n]) * (c - a * pw[n - j]) * _one_minus(pw, n - 2 * j - 1)
                      / (ac * D * (1 + pw[n - j])))
             if n == j + 1:
                 C = (1 - al) * (1 - pw[j + 1]) * (a - c) * (ac - pw[-j]) / (ac * (1 - q))
@@ -192,14 +142,15 @@ def limit_rows(fam: ParaRacahFamily, degrees) -> list:
     a_c, c_a = a / c, c / a
     for n in degrees:
         if n == j:
-            rows.append((al * (1 - ac * pw[j]) * (1 - a_c * q) * (1 - pw[-j]) / (a * (1 - q)),
+            rows.append((al * (1 - ac * pw[j]) * (1 - a_c * q) * _one_minus(pw, -j)
+                         / (a * (1 - q)),
                          (1 - al) * a * (1 - pw[j]) * (1 - c_a / q) * (1 - pw[-j] / ac)
-                         / (1 - 1 / q)))
+                         / _one_minus(pw, -1)))
             continue
-        E = 1 - pw[n - j]
+        E = _one_minus(pw, n - j)
         D = 1 - pw[2 * n - 2 * j]
-        A = (E * (1 - ac * pw[n]) * (1 - a_c * pw[n - j + 1]) * (1 - pw[n - 2 * j])
-             / (a * D * (1 - pw[2 * n - 2 * j + 1])))
+        A = (E * (1 - ac * pw[n]) * (1 - a_c * pw[n - j + 1]) * _one_minus(pw, n - 2 * j)
+             / (a * D * _one_minus(pw, 2 * n - 2 * j + 1)))
         C = (a * (1 - pw[n]) * (1 - c_a * pw[n - j - 1]) * (1 - pw[n - 2 * j] / ac) * E
              / ((1 - pw[2 * n - 2 * j - 1]) * D))
         rows.append((A, C))
@@ -329,12 +280,14 @@ def _point_factors(fam: ParaRacahFamily, z) -> list:
     return basis
 
 
-def _explicit_value(row, basis) -> tuple:
+def _explicit_value(row, basis, raw=None) -> tuple:
     """(value, cancellation scale) of a degree's coefficient row at a point's
     basis row: the sum of C_k phi_k and the sum of |C_k phi_k|, each added in
-    increasing k from the first product.  With mpf operands throughout it
-    runs on raw tuples (:mod:`qortho._mpfloops`), bit for bit."""
-    if all_mpf(basis, (c for _, c in row)):
+    increasing k from the first product.  With mpf operands throughout (``raw``,
+    unless decided once by the caller) it runs on raw tuples, bit for bit."""
+    if raw is None:
+        raw = all_mpf(basis, (c for _, c in row))
+    if raw:
         from . import _mpfloops
         return _mpfloops.series_sum(row, basis)
     (k, c), *rest = row
@@ -362,8 +315,9 @@ def eval_explicit(tri: TridiagonalSystem, zs, recurrence=None) -> list:
 
     Each degree's coefficient row is computed once (:func:`_explicit_plan`)
     and each point's basis row (az, a/z; q)_k once (:func:`_point_factors`),
-    so each value is one dot product of the two (:func:`_explicit_value`).
-    Degrees are evaluated in order, so a singular denominator raises what
+    so each value is one dot product of the two (:func:`_explicit_value`),
+    on raw mpf tuples or not as decided once for the point set and once per
+    coefficient row.  Degrees are evaluated in order, so a singular denominator raises what
     the lowest degree that has one raises.
 
     Agrees with the forward recurrence; the two routes together cross-check
@@ -383,6 +337,7 @@ def eval_explicit(tri: TridiagonalSystem, zs, recurrence=None) -> list:
     # c = a puts an exact zero in a denominator of the expansion.
     fam.require_distinct_strands("the explicit expansion is undefined")
     points = [_point_factors(fam, z) for z in zs]
+    mpf_points = all_mpf(*points)
     recurrence = recurrence or [tri.values((z + 1 / z) / 2, fam.N) for z in zs]
     prec = working_precision(fam.q) or 53
     # magnitude u > ACC |r| with both sides scaled by 1/u = 2^prec, exactly.
@@ -390,9 +345,10 @@ def eval_explicit(tri: TridiagonalSystem, zs, recurrence=None) -> list:
     rows, flagged = [], []
     for n in range(fam.N + 1):
         plan = _explicit_plan(fam, n)
+        raw = mpf_points and all_mpf(c for _, c in plan)
         row = []
         for i, point in enumerate(points):
-            value, magnitude = _explicit_value(plan, point)
+            value, magnitude = _explicit_value(plan, point, raw)
             r = abs(recurrence[i][n])
             if not (is_finite(magnitude) and is_finite(r)):
                 raise OverflowError("the explicit expansion of degree %d or its recurrence "
@@ -422,7 +378,8 @@ def _rerun(fam: ParaRacahFamily, zs, rows, flagged, prec: int) -> None:
         plans = {n: _explicit_plan(hi_fam, n) for n in sorted({n for n, _, _ in flagged})}
         points = {i: _point_factors(hi_fam, mpmath.mpmathify(zs[i]))
                   for i in sorted({i for _, i, _ in flagged})}
-        values = [_explicit_value(plans[n], points[i])[0] for n, i, _ in flagged]
+        raw = all_mpf(*points.values(), *((c for _, c in plan) for plan in plans.values()))
+        values = [_explicit_value(plans[n], points[i], raw)[0] for n, i, _ in flagged]
     # float, complex, mpf and mpc each round to the working precision.
     for (n, i, _), value in zip(flagged, values):
         rows[n][i] = type(rows[n][i])(value)

@@ -16,8 +16,8 @@ its type dispatch and the mpf it builds per step.  The truncated families
 with :func:`tridiagonal`, from one pass of their kind's ``coefficient_rows``,
 and read every degree, the normalization products and the persymmetry
 residual from it.
-The q-Racah recurrence maps its parent coefficients (A_n, C_n) to monic ones
-with :func:`monic_coefficients` and feeds them to the same loop.
+The q-para-Racah truncation limits and the q-Racah recurrence map their
+parent coefficients (A_n, C_n) to monic ones with :func:`monic_coefficients`.
 
 This module owns the other conventions the families share, each written
 once: the bi-lattice order (:func:`interleave` puts one strand at the even
@@ -207,20 +207,17 @@ def monic_values(b, u, x) -> list:
     return out
 
 
-def monic_coefficients(ac, n, shift, scale) -> tuple:
-    """Monic b_0..b_{n-1} and u_0..u_{n-1} (u_0 = 0.0) of a parent recurrence
+def monic_coefficients(rows, b_degrees, u_degrees, shift, scale) -> tuple:
+    """([b_n for n in b_degrees], [u_n for n in u_degrees]) of a parent
+    recurrence
 
         X p_m = A_m p_{m+1} + (shift - A_m - C_m) p_m + C_m p_{m-1}
 
-    in the variable X = scale * x, with (A_m, C_m) = ac(m).
+    in the variable X = scale * x, with (A_m, C_m) = rows[m]: b_n =
+    (shift - A_n - C_n) / scale and u_n = A_{n-1} C_n / scale^2, u_0 = 0.0.
     """
-    b, u = [], []
-    prev_A = None
-    for m in range(n):
-        A, C = ac(m)
-        b.append((shift - A - C) / scale)
-        u.append(0.0 if m == 0 else prev_A * C / scale ** 2)
-        prev_A = A
+    b = [(shift - rows[n][0] - rows[n][1]) / scale for n in b_degrees]
+    u = [0.0 if n == 0 else rows[n - 1][0] * rows[n][1] / scale ** 2 for n in u_degrees]
     return b, u
 
 

@@ -278,7 +278,8 @@ def suite_dualhahn(run, rng):
 
 def suite_qpk_limit(run, rng):
     """Closed-form exponential-lattice coefficients vs the scaled limit of
-    the q-para-Racah tables at a c = theta = 10^3, 10^4, 10^5, a / c = Delta."""
+    the q-para-Racah tables at a c = theta = 10^3, 10^4, 10^5, a / c = Delta;
+    a qpr run's qpk table has the theta tables' 50-digit Delta, alpha and q."""
     fam, N = run.fam, run.fam.N
     if _is_qpk(fam):
         # Read outside the block below, so it is filled at the run's precision.
@@ -292,10 +293,10 @@ def suite_qpk_limit(run, rng):
     import mpmath
     worst = mpmath.mpf(0)  # every residual below is an mpf
     with mpmath.workdps(connections.LIMIT_DIGITS):
+        D, qq, al = map(mpmath.mpf, (delta, fam.q, fam.alpha))
         if qpk is None:
             qpk = tridiagonal(para_krawtchouk.ParaKrawtchoukFamily(
-                Delta=delta, alpha=fam.alpha, q=fam.q, N=N))
-        D, qq, al = map(mpmath.mpf, (delta, fam.q, fam.alpha))
+                Delta=D, alpha=al, q=qq, N=N))
         b_rows, u_rows = [], []
         for k in (3, 4, 5):
             theta = mpmath.mpf(10) ** k

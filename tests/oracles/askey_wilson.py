@@ -100,7 +100,8 @@ def monic_eval(p: AskeyWilsonParams, n: int, z):
     if z == 0:
         raise ValueError("z must be nonzero")
     # The recurrence is in the variable 2x.
-    b, u = monic_coefficients(lambda m: recurrence_ac(p, m), n, p.a + 1 / p.a, 2)
+    rows = [recurrence_ac(p, m) for m in range(n)]
+    b, u = monic_coefficients(rows, range(n), range(n), p.a + 1 / p.a, 2)
     return monic_values(b, u, (z + 1 / z) / 2)[-1]
 
 

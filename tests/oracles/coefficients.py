@@ -1,8 +1,15 @@
 """The per-entry coefficient formulas, one call per entry, as the package
 wrote them before its coefficient passes: qpr and qpk b_n and u_n, the qpr
-truncation limits (A_n, C_n) and the q-Racah (A_n, C_n).  Every entry of a
-pass must equal its formula's value bit for bit, and a table must raise what
-these, taken b row first and then u row, raise."""
+truncation limits (A_n, C_n) and the q-Racah (A_n, C_n).
+
+A qpk table entry must equal its formula's value bit for bit, and a qpk
+table must raise what these, taken b row first and then u row, raise.  A
+qpr table is the Askey-Wilson monic map of the truncation limits,
+b_n = (a + 1/a - A_n - C_n) / 2 and u_n = A_{n-1} C_n / 4 (``qpr_b_from_limits``
+and ``qpr_u_from_limits``), bit for bit, and raises what the limits of
+degrees 0..N, taken in order, raise; the closed forms ``qpr_b_coefficient``
+and ``qpr_u_coefficient`` are the reference it must agree with to its
+working precision."""
 
 from __future__ import annotations
 
@@ -15,6 +22,8 @@ __all__ = [
     "qpr_b_coefficient",
     "qpr_u_coefficient",
     "limit_recurrence_ac",
+    "qpr_b_from_limits",
+    "qpr_u_from_limits",
     "qpk_b_coefficient",
     "qpk_u_coefficient",
     "qracah_recurrence_ac",
@@ -83,38 +92,54 @@ def limit_recurrence_ac(fam: ParaRacahFamily, n: int):
     These are the closed-form values the Askey-Wilson A_n and C_n approach
     under the truncating parametrization; the special indices around N/2
     carry the deformation alpha.  b_n and u_n are algebraic combinations of
-    these, and the dual-Hahn limit consumes them directly.
+    these, and the dual-Hahn limit consumes them directly.  A factor
+    1 - q^k at k = -1 is written (q - 1) / q.
     """
     if not 0 <= n <= fam.N + 1:
         raise ValueError("limit coefficients require 0 <= n <= N+1")
     a, c, al, q, j = _unpack(fam)
     pw = fam.powers()
+
+    def one_minus(k):
+        return (q - 1) / q if k == -1 else 1 - pw[k]
+
     if fam.odd:
         if n == j:
-            A = (al * (1 - a * c * pw[j]) * (c - a) * (1 - pw[-j - 1])
-                 / (a * c * (1 - 1 / q)))
+            A = (al * (1 - a * c * pw[j]) * (c - a) * one_minus(-j - 1)
+                 / (a * c * ((q - 1) / q)))
         else:
-            A = ((1 - a * c * pw[n]) * (c - a * pw[n - j]) * (1 - pw[n - 2 * j - 1])
-                 / (a * c * (1 - pw[2 * n - 2 * j - 1]) * (1 + pw[n - j])))
+            A = ((1 - a * c * pw[n]) * (c - a * pw[n - j]) * one_minus(n - 2 * j - 1)
+                 / (a * c * one_minus(2 * n - 2 * j - 1) * (1 + pw[n - j])))
         if n == j + 1:
             C = ((1 - al) * (1 - pw[j + 1]) * (a - c) * (a * c - pw[-j])
                  / (a * c * (1 - q)))
         else:
             C = ((1 - pw[n]) * (a - c * pw[n - j - 1]) * (a * c - pw[n - 2 * j - 1])
-                 / (a * c * (1 + pw[n - j - 1]) * (1 - pw[2 * n - 2 * j - 1])))
+                 / (a * c * (1 + pw[n - j - 1]) * one_minus(2 * n - 2 * j - 1)))
         return A, C
     if n == j:
-        A = al * (1 - a * c * pw[j]) * (1 - (a / c) * q) * (1 - pw[-j]) / (a * (1 - q))
+        A = al * (1 - a * c * pw[j]) * (1 - (a / c) * q) * one_minus(-j) / (a * (1 - q))
         C = ((1 - al) * a * (1 - pw[j]) * (1 - (c / a) / q) * (1 - pw[-j] / (a * c))
-             / (1 - 1 / q))
+             / ((q - 1) / q))
         return A, C
-    A = ((1 - pw[n - j]) * (1 - a * c * pw[n]) * (1 - (a / c) * pw[n - j + 1])
-         * (1 - pw[n - 2 * j])
-         / (a * (1 - pw[2 * n - 2 * j]) * (1 - pw[2 * n - 2 * j + 1])))
+    A = (one_minus(n - j) * (1 - a * c * pw[n]) * (1 - (a / c) * pw[n - j + 1])
+         * one_minus(n - 2 * j)
+         / (a * (1 - pw[2 * n - 2 * j]) * one_minus(2 * n - 2 * j + 1)))
     C = (a * (1 - pw[n]) * (1 - (c / a) * pw[n - j - 1]) * (1 - pw[n - 2 * j] / (a * c))
-         * (1 - pw[n - j])
+         * one_minus(n - j)
          / ((1 - pw[2 * n - 2 * j - 1]) * (1 - pw[2 * n - 2 * j])))
     return A, C
+
+
+def qpr_b_from_limits(fam: ParaRacahFamily, n: int):
+    """b_n = (a + 1/a - A_n - C_n) / 2, the monic map in X = 2x."""
+    A, C = limit_recurrence_ac(fam, n)
+    return (fam.a + 1 / fam.a - A - C) / 2
+
+
+def qpr_u_from_limits(fam: ParaRacahFamily, n: int):
+    """u_n = A_{n-1} C_n / 4, the monic map in X = 2x."""
+    return limit_recurrence_ac(fam, n - 1)[0] * limit_recurrence_ac(fam, n)[1] / 4
 
 
 def qpk_b_coefficient(fam: ParaKrawtchoukFamily, n: int):
@@ -180,11 +205,15 @@ def qracah_recurrence_ac(p: QRacahParams, n: int):
 
 
 def coefficient_table(fam) -> tuple:
-    """(b_0..b_N, u_1..u_N) of either kind, one formula call per entry, the
-    b row first."""
+    """(b_0..b_N, u_1..u_N) of either kind: for qpk one formula call per
+    entry, the b row first; for qpr the limits of degrees 0..N in order,
+    then their monic map."""
+    N = fam.N
     if isinstance(fam, ParaRacahFamily):
-        b_coefficient, u_coefficient = qpr_b_coefficient, qpr_u_coefficient
+        for n in range(N + 1):  # what a qpr table raises, it raises here
+            limit_recurrence_ac(fam, n)
+        b_coefficient, u_coefficient = qpr_b_from_limits, qpr_u_from_limits
     else:
         b_coefficient, u_coefficient = qpk_b_coefficient, qpk_u_coefficient
-    b = [b_coefficient(fam, n) for n in range(fam.N + 1)]
-    return b, [u_coefficient(fam, n) for n in range(1, fam.N + 1)]
+    b = [b_coefficient(fam, n) for n in range(N + 1)]
+    return b, [u_coefficient(fam, n) for n in range(1, N + 1)]

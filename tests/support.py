@@ -333,8 +333,9 @@ def count_family_builds(monkeypatch, module):
 
 def count_passes(monkeypatch) -> list:
     """The list of coefficient passes made from now on, each (kind, family,
-    b degrees, u degrees) with kind "qpr" or "qpk", and of the dual-Hahn
-    limit passes, each ("limit", family, degrees)."""
+    b degrees, u degrees) with kind "qpr" or "qpk", and of the truncation
+    limit passes, each ("limit", family, degrees): those a qpr table reads
+    and those of the dual-Hahn limit."""
     from qortho import connections
     passes = []
     for kind, module in (("qpr", para_racah), ("qpk", para_krawtchouk)):
@@ -346,14 +347,15 @@ def count_passes(monkeypatch) -> list:
             return _original(fam, b_degrees, u_degrees)
 
         monkeypatch.setattr(module, "coefficient_rows", counted)
-    original_limit = connections.limit_rows
+    original_limit = para_racah.limit_rows
 
     def counted_limit(fam, degrees):
         degrees = tuple(degrees)
         passes.append(("limit", fam, degrees))
         return original_limit(fam, degrees)
 
-    monkeypatch.setattr(connections, "limit_rows", counted_limit)
+    for module in (para_racah, connections):
+        monkeypatch.setattr(module, "limit_rows", counted_limit)
     return passes
 
 
@@ -413,18 +415,20 @@ def _richardson10_reference(vals):
 
 def qpk_theta_limit_reference(fam):
     """The qpk-theta-limit residual of a family of either kind, with the
-    q-para-Krawtchouk coefficients refilled at 50 digits."""
+    q-para-Krawtchouk coefficients refilled at 50 digits: a qpk family's
+    own, a qpr family's from its 50-digit Delta = a / c, alpha and q."""
     if isinstance(fam, para_krawtchouk.ParaKrawtchoukFamily):
-        delta = fam.Delta
+        delta, qfam = fam.Delta, fam
     else:
-        delta = fam.a / fam.c
+        delta, qfam = fam.a / fam.c, None
     alpha, q, N = fam.alpha, fam.q, fam.N
-    qfam = para_krawtchouk.ParaKrawtchoukFamily(Delta=delta, alpha=alpha, q=q, N=N)
     worst = 0.0
     with mpmath.workdps(50):
         D = mpmath.mpf(delta)
         qq = mpmath.mpf(q)
         al = mpmath.mpf(alpha)
+        if qfam is None:  # a qpr run's target has the limit's own parameters
+            qfam = para_krawtchouk.ParaKrawtchoukFamily(Delta=D, alpha=al, q=qq, N=N)
         for n in range(N + 1):
             vals_b, vals_u = [], []
             for k in (3, 4, 5):

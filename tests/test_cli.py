@@ -240,7 +240,7 @@ def test_default_reruns_a_refused_double_run_at_50_digits(capsys):
     ("lattice-weights --a 1.1522 --c 2.6228 --alpha 0.5 --q 0.0844 --N 17",
      "non-finite output: 21 of 39 printed values are nan or inf"),
     ("lattice-weights --a 0.0550 --c 1.6651 --alpha 0.5 --q 0.4404 --N 23",
-     "orthogonality not certified: gram_max_error = 2.234e-02 exceeds 1e-08"),
+     "orthogonality not certified: gram_max_error = 3.273e-02 exceeds 1e-08"),
 ], ids=["underflow", "overflow", "non-finite", "gram"])
 def test_a_rerun_prints_the_extended_output_after_one_note(capsys, argv, refusal):
     code, out, err = run_cli(capsys, argv.split())
@@ -464,10 +464,10 @@ def test_uncertified_gram_trailer_exits_4(capsys):
     # table is printed and refused.
     code, out, err = run_cli(capsys, [
         "lattice-weights", "--kind", "qpr", "--a", "0.95", "--c", "0.2", "--alpha", "0.5",
-        "--q", "0.2", "--N", "30", "--precision", "extended:15"])
+        "--q", "0.2", "--N", "34", "--precision", "extended:15"])
     assert code == 4
     assert "orthogonality not certified" in err
-    assert out.strip().splitlines()[-1] == "# gram_max_error = 1.365e-06"
+    assert out.strip().splitlines()[-1] == "# gram_max_error = 3.116e-06"
 
 
 def test_the_twist_alone_makes_lattice_weights_exit_4(capsys, monkeypatch):
@@ -611,8 +611,9 @@ def test_qpk_overflow_names_the_precision_and_the_remedy(capsys, command):
 
 @pytest.mark.parametrize("command", ["coeffs", "lattice-weights", "verify"])
 def test_underflow_is_not_invalid_parameters(capsys, command):
-    # a = 1e-160 is valid; a binary64 denominator underflows to zero.
-    argv = [command, "--kind", "qpr", "--a", "1e-160", "--c", "0.7", "--alpha", "0.5",
+    # a = 1e-160 and c = 1e-170 are valid; their product a c, a denominator
+    # of every truncation limit, underflows to zero in binary64.
+    argv = [command, "--kind", "qpr", "--a", "1e-160", "--c", "1e-170", "--alpha", "0.5",
             "--q", "0.5", "--N", "5", "--precision", "double"]
     code, _, err = run_cli(capsys, argv)
     assert code == 2
@@ -758,13 +759,32 @@ def test_finite_lattice_parameters_beyond_the_double_range_are_accepted(capsys, 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_coeffs_refuses_non_finite_output(capsys, fmt):
+    # At a = 1e-160 every u_n but u_0 is about 1e318, beyond binary64.
     code, out, err = run_cli(capsys, [
-        "coeffs", "--kind", "qpr", "--a", "1e150", "--c", "0.7", "--alpha", "0.5",
+        "coeffs", "--kind", "qpr", "--a", "1e-160", "--c", "0.7", "--alpha", "0.5",
         "--q", "0.5", "--N", "5", "--precision", "double", "--format", fmt])
     # The table is still printed, then refused.
     assert code == 4
     assert "inf" in out
     assert err == "non-finite output: 5 of 12 printed values are nan or inf\n"
+
+
+def test_coeffs_at_a_large_a_prints_the_extended_values(capsys):
+    # At a = 1e150 the u_n are about 1e298: each is A_{n-1} C_n / 4, a
+    # product inside binary64, so double prints the extended values to 16
+    # digits.
+    argv = ("coeffs --kind qpr --a 1e150 --c 0.7 --alpha 0.5 --q 0.5 --N 5 "
+            "--precision").split()
+    code, out, err = run_cli(capsys, argv + ["double"])
+    assert (code, err) == (0, "")
+    code, ext, err = run_cli(capsys, argv + ["extended:30"])
+    assert (code, err) == (0, "")
+    rows, ext_rows = out.splitlines(), ext.splitlines()
+    assert rows[0] == ext_rows[0] == "n,b,u" and len(rows) == len(ext_rows) == 7
+    for row, ext_row in zip(rows[1:], ext_rows[1:]):
+        for value, reference in zip(row.split(",")[1:], ext_row.split(",")[1:]):
+            value, reference = float(value), float(reference)
+            assert abs(value - reference) <= 1e-15 * abs(reference)
 
 
 def test_runtime_imports_neither_numpy_nor_scipy():
@@ -787,9 +807,9 @@ def test_runtime_imports_neither_numpy_nor_scipy():
 # here.
 GOLDEN = [
     ("coeffs --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5 --format csv",
-     "0ba27eda587deb014f07895bbdbdeffa0f937ec7520d3d688d22fb7654aa64ea"),
+     "6913d3beda94377ca206075cd910d7fabb808aa2bfde85091965e776fd13e4e5"),
     ("coeffs --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --format json --precision extended",
-     "25fefe9b9ac3eff4b1878d228b28ecc2f5cda7df9170f157a819a662039fe854"),
+     "8cbbf4672847d542d3f017ab4571ffc8e06ba3f0fa22bcbaa8343273a5be33da"),
     ("coeffs --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format csv --precision extended:30",
      "03101d3fe8395b18e8629e25d1d9da1d9d58496ac87c23a6916e47d800fc1157"),
     ("coeffs --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format json",
@@ -799,42 +819,42 @@ GOLDEN = [
     ("coeffs --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
      "1e923937fcc248028a0c6ec3970e1be19a6e6352935bf4f35a78c7da5a062138"),
     ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5 --format csv",
-     "0784897e7d0668e12b9a509fbac96f5a5ebea120caed133bfa1d1eab05312dab"),
+     "6b30c2c3d86de3ca98d0f139ba04628b5a7055c9ddf8c0a02d6ee778b326b0ef"),
     ("lattice-weights --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --format json --precision extended",
-     "b620e78bb62df115799657dc160c0662b281b2de6a0e1bc3604268f5ed6dcb1c"),
+     "eda7ef8b1c81cd99fcfbaebb6038586b4da926e7702914ea560fe0bff7cd1c97"),
     ("lattice-weights --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format csv --precision extended:30",
      "5ffc99f5e41e6705dcb9f58cf5054ff3504daad386d21189fafbc862fa57da0f"),
     ("lattice-weights --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format json",
      "1b857ea1bc7d0cf66f3753612823114857a493a6d0edbf48f2c786beae766b40"),
     ("lattice-weights --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --format csv --precision extended:40",
-     "135eb7931cf3d840caf1416e11b0306525ed1a68038290c0ad49ad71329e5903"),
+     "8172282f31b48be192ca9e7585a4d36317c5e9def1d0cb03391dcf39b6fd6cda"),
     ("lattice-weights --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
      "6f98faaa99978eb4bfec25ce625ad6ff2dbda2a38705bc9f2c293d645eceb49b"),
     ("coeffs --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format csv --precision extended",
      "1bd54ff8d1139511527c197b15b5ac163eaf16e219f7da8ddabaea15905a9056"),
     ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format json --precision extended",
-     "a46bb4720e65a974990fcf2502d9a8a91aa7dbba411c4ace48521278f5c99761"),
+     "48b659ad844858421a0ca19f5e8451336e6322eac92c8e9d054895c2da656fd0"),
     # The same two at the default precision: certified in double.
     ("coeffs --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format csv",
-     "a1953a19fa9c3d3732a2af3f9b7447bc233093574e26e6bc51290a85d6bcfce3"),
+     "5acbc7b141b58538741031b26a18fef2b539fd1c22aee642325d387aa537b558"),
     ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format json",
-     "9201818dba8973beaf973d4d4e0169ad794f45f32456f72405527410854dbd93"),
+     "c1fc07dd40d22f01ae3801d93c1175cdbbf356035d5224c406a61a34c8a4d71f"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5 --format csv --precision double",
-     "9803e6fb3da883e524f645aea1345ae0dfc1e2cdf962df632efd5d1156df1961"),
+     "9db054834f9b56353240d973ba732b685c3c092a96262af63beaac1a73423be3"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --format json --precision double --seed 3",
-     "1f4d6f344e41ad48f2180d5cab979a7b512e293d9bec6f8f33078665bdb74447"),
+     "2851c94209e15c1005d431535fc2f53fca94c8c61c8c0ebfe2b804623875d3d0"),
     ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
      "df14261354ca68e03cca1515251fa4d7be07257824c7ea48ae5f722a6915cecb"),
     ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format csv --precision extended",
-     "cdbe3353dbb2bb908ac956dbc2f1017b83715810c117046d6726d246ba9ab0b3"),
+     "3d614d6631132163d9d4a13876281d40d37d3ea43587b5709c2e156209a9bfda"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --suite orthogonality --format json --precision extended",
-     "48624a550ca1ea96a5112cfc21b978d51c2a463bc4947c0c06970ecbec0bb504"),
+     "8f5b3ba07969b42e39be69254a44d5e68a36a2584e18e61562daee89456bcaa1"),
     # The explicit expansion of both parities, in double where the rerun
     # fires (q = 0.3) and at 60 digits.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.3 --N 8 --suite explicit --format csv --precision double",
-     "f4aa71679496d0214fbded38cb58ed2d37277f6f3b7d7d3ed8877c080ce04808"),
+     "e8c604616249c8719b5beec31183af809157b0e3aa4e58fb31d1eefec21f98d5"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.3 --N 9 --suite explicit --format csv --precision double",
-     "9b47cd011c965f9e95c94b9bc457036fb7b1fab09f2075d3039005ed09953976"),
+     "59c5671cafea65c095c34169c5b3995a95752a1b477f03fd2d6b7399ba5e770b"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 12 --suite explicit --format csv --precision extended:60",
      "72361358edb3c2addf3b3f83a889472075d6fdc66575663b05f09ae4e8f5210b"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite explicit --format csv --precision extended:60",
@@ -843,49 +863,49 @@ GOLDEN = [
     # verify-ext benchmark: odd N, even N, and odd N with the middle-degree
     # branch at n = j and j+1; and the q-difference check at 60 digits.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 9 --format json --precision extended",
-     "2d9041ef09e5d05cff946a9f8135bbcb276d1f6d7cba8f70d1ffe80858fdcdcb"),
+     "ec06ddf248bdb1e0322b3d66fc659a10e76f5489e16c936d437c39cd507d5d74"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 12 --format json --precision extended",
-     "7a99f78e83429bacfa6c783d4c96dce829ebd8cf7dcd24ba6a79044fd90b419c"),
+     "f232509d68c2581cae55d4393db96edb6dc367659ffa6433820f12092b04d707"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --format json --precision extended",
-     "648085060b916bb1c527721c194d2d36cee6f52f5f19a8f88b062f2a14c687a8"),
+     "1f2388db6e39004369147f4dcaae44c79a0bfea85458c70ce1d42216eda76241"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite bispectral --format json --precision extended:60",
-     "dbb4f19b7bd38643eccb833816c5c6f491ed0d618e15ec8beefedc3fd9874e7f"),
+     "b805345583fe1b8e92a373b2799d6b4de7c9824061b9d0e52f3a13c080cea0c5"),
     # The two limit oracles, which extrapolate at a fixed 50 digits whatever
     # the run's precision, and a qpk run that reads its own table in the
     # theta limit.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 9 --suite dualhahn --format csv --precision extended:80",
      "8f09a8b75a17bc922b0c360ae042584464739c45c19beaf039bd597cd3b25433"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 8 --suite qpk-limit --format csv --precision extended:80",
-     "471038cad7db7585e8fd6a5b7b4a5ad834ea38dacf810ced406599e573cfafd1"),
+     "a79190f2c59b7052f4d6fab6eab4844f4854efdabdaad9a52cdcdc28d64f46b9"),
     ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 7 --suite all --format csv --precision double",
      "6fa35da6007a9adb330bfede7a7d4d689e83fcac77e2d3dde1b6d78afc2185ae"),
     ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 8 --suite all --format json --precision extended",
-     "7882732751b6dc65aa529301e09e0b5fdcfef0ddd93ce85ee1ae75d2b71e8b06"),
+     "060301e21fe58d9ca182e6a83a7b046952f3b5c90de50102d2e911bfaa5c4f6a"),
     # The isospectral suite's deformed tables: N = 1, 2, 3, where the splice
     # n = j, j+1 reaches both ends of the table, families at alpha = 1/2 of
     # both parities, and one at a grid alpha, each in double and extended.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 1 --suite isospectral --format json --precision double",
-     "9708b1243b1b8b6962dd20eb8390f97ae95bdc8be59924c0662e3ddf201fea66"),
+     "fda218d1d730c5a865fb514976fdf66ed0179da6910bc147a667e671ab5dfd74"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 1 --suite isospectral --format json --precision extended",
      "9a907680a2639710e580fe66dbb85030c9ddb588600a3535e2a92b5bcfeafaad"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 2 --suite isospectral --format json --precision double",
-     "db79053b4c4461f1b8275c1193ec68b51b6718a160eefbf5939d2ebea0dd2427"),
+     "89082f99a3a2e3951091e56d8734d1f52d2db535007407503b0b36a9f406fea7"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 2 --suite isospectral --format json --precision extended",
      "f90f538ea26751ee26c2c05864e73e8b58907232c07fa80161ab24a7fa6c6048"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 3 --suite isospectral --format json --precision double",
-     "25773b1e891e7273f356258559f33a1151664c611e4f9717a10b22775973ab5d"),
+     "fa9b18933eb010c8400a84ba5c2381f5c1b9c4e3b2c946de4a3689e3c9b6088d"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 3 --suite isospectral --format json --precision extended",
      "7db1c1d079ebc4de1f6f6fe593ac7a30fb1014373135f2cef15b6a93b8f21019"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 7 --suite isospectral --format json --precision double",
-     "9b499adc725dcb9e75ca1e1fcd8a01cbb724182d70f813921828576f5852fd4b"),
+     "58b1be1d2a7697056a1f3331be8d4190cf07e802683f92a5e2fe9b03d46c2413"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 7 --suite isospectral --format json --precision extended",
      "18636c3d5db9e2ce234c112597c3e6fa61da1aabd3aa1acfa0cc06169ddc0c54"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --suite isospectral --format json --precision double",
-     "89115cf51295c3270e611b9ec8e6749132746e373b0df6955c8b6ad5d0157a59"),
+     "ff1bb1e409ae1efc913790f88ea9b66a80ace28cd57bc4866bc9df64035b5db9"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --suite isospectral --format json --precision extended",
      "24f757da5718cc1c344986058ab5ff480fc4aed467b91f43dd5295d397c360f8"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.7 --q 0.5 --N 4 --suite isospectral --format json --precision double",
-     "f6bf1e6a287d24387e2d4eba541cbed60dd04af1af21a78b732df510288e20a4"),
+     "aab9edf1ed99495b73de24ab3827a9a575863dcabd8967a9166426cc141cfb5f"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.7 --q 0.5 --N 4 --suite isospectral --format json --precision extended",
      "c28c1e95f6aa870683be85f174882489cf5e877aa76580937ef038d8355b26bc"),
 ]

@@ -1,6 +1,8 @@
-"""Coefficient passes: every row entry is the per-entry formula's value bit
-for bit (tests/oracles/coefficients.py), a table raises what those formulas,
-taken b row first, raise, and each table, deformed table and dual-Hahn step
+"""Coefficient passes: every qpk row entry and every qpr truncation limit is
+the per-entry formula's value bit for bit (tests/oracles/coefficients.py),
+every qpr entry is the monic map of those limits bit for bit and agrees with
+the closed-form b_n and u_n to its working precision, a table raises what
+those formulas raise, and each table, deformed table and dual-Hahn step
 family costs exactly one pass."""
 
 import itertools
@@ -41,7 +43,7 @@ def _families(kind, N, num):
 @pytest.mark.parametrize("kind", ["qpr", "qpk"])
 def test_rows_are_the_per_entry_formulas_bit_for_bit(kind, num, digits, N):
     module = para_racah if kind == "qpr" else para_krawtchouk
-    b_formula, u_formula = ((oracle.qpr_b_coefficient, oracle.qpr_u_coefficient)
+    b_formula, u_formula = ((oracle.qpr_b_from_limits, oracle.qpr_u_from_limits)
                             if kind == "qpr" else
                             (oracle.qpk_b_coefficient, oracle.qpk_u_coefficient))
     with mpmath.workdps(digits):
@@ -125,7 +127,8 @@ def test_tables_raise_what_the_per_entry_formulas_raise():
 def test_a_verify_run_makes_one_pass_per_table(monkeypatch):
     # qpr N = 12 at 50 digits builds six tables (its own, the q-Racah single
     # lattice, three theta tables and their qpk target) and deforms its own
-    # to alpha = 1/2 and the four isospectral alphas.
+    # to alpha = 1/2 and the four isospectral alphas.  Each qpr pass reads
+    # one limit pass, over the degrees its b_n and u_n need.
     N, j = 12, 6
     passes = support.count_passes(monkeypatch)
     with mpmath.workdps(50):
@@ -136,13 +139,20 @@ def test_a_verify_run_makes_one_pass_per_table(monkeypatch):
     full = (tuple(range(N + 1)), tuple(range(1, N + 1)))
     tables = [p for p in passes if p[0] != "limit" and p[2:] == full]
     deformed = [p for p in passes if p[0] != "limit" and p[2:] != full]
-    limits = [p for p in passes if p[0] == "limit"]
     assert [kind for kind, *_ in tables] == ["qpr"] * 2 + ["qpk"] + ["qpr"] * 3
     assert len({fam for _, fam, *_ in tables}) == 6
     assert len(deformed) == 5
     assert all(p[2:] == ((j, j + 1), (j, j + 1)) for p in deformed)
-    assert len(limits) == 6 and all(p[2] == tuple(range(1, N)) for p in limits)
-    assert len(passes) == len(tables) + len(deformed) + len(limits)
+    read = []
+    for i, (kind, fam, *rows) in enumerate(passes):
+        if kind == "qpr":
+            needed = tuple(range(N + 1)) if tuple(rows) == full else (j - 1, j, j + 1)
+            assert passes[i + 1] == ("limit", fam, needed)
+            read.append(passes[i + 1])
+    # The dual-Hahn limit's six step families, one pass each.
+    dual = [p for p in passes if p[0] == "limit" and p not in read]
+    assert len(dual) == 6 and all(p[2] == tuple(range(1, N)) for p in dual)
+    assert len(passes) == len(tables) + len(deformed) + len(read) + len(dual)
 
 
 @pytest.mark.parametrize("N", [1, 2, 7, 16])
@@ -153,3 +163,53 @@ def test_dual_hahn_makes_one_limit_pass_per_step_family(monkeypatch, N):
     assert len(passes) == 6
     assert len({fam for _, fam, _ in passes}) == 6
     assert all(degrees == tuple(range(N + 1)) for *_, degrees in passes)
+
+
+@pytest.mark.parametrize("N", [51, 53, 60])
+@pytest.mark.parametrize("q", [0.01, 0.02, 0.2])
+@pytest.mark.parametrize("a,c", [(0.5, 0.45), (0.9, 0.7)], ids=["a0.5", "a0.9"])
+def test_double_tables_at_small_q_keep_their_digits(a, c, q, N):
+    # The closed forms at 300 digits from the same binary inputs are the
+    # reference.  A u_n formed as one quotient of products reached the
+    # subnormal range here and kept about 11 digits, or divided by zero.
+    tri = tridiagonal(ParaRacahFamily(a=a, c=c, alpha=0.3, q=q, N=N))
+    with mpmath.workdps(300):
+        fam = ParaRacahFamily(a=mpmath.mpf(a), c=mpmath.mpf(c), alpha=mpmath.mpf(0.3),
+                              q=mpmath.mpf(q), N=N)
+        b = [oracle.qpr_b_coefficient(fam, n) for n in range(N + 1)]
+        u = [oracle.qpr_u_coefficient(fam, n) for n in range(1, N + 1)]
+        scale = max(abs(v) for v in b)
+        assert all(abs(x - y) <= 2e-15 * scale for x, y in zip(tri.b, b))
+        assert all(abs(x - y) <= 4e-15 * abs(y) for x, y in zip(tri.u, u))
+
+
+def test_tables_agree_with_the_closed_forms_at_60_digits():
+    rng = random.Random("closed-forms")
+    with mpmath.workdps(60):
+        for _ in range(300):
+            fam = ParaRacahFamily(a=mpmath.mpf(10 ** rng.uniform(-3, 1.5)),
+                                  c=mpmath.mpf(10 ** rng.uniform(-3, 1.5)),
+                                  alpha=mpmath.mpf(rng.uniform(0.05, 0.95)),
+                                  q=mpmath.mpf(rng.uniform(0.005, 0.999)), N=rng.randint(1, 40))
+            tri = tridiagonal(fam)
+            b = [oracle.qpr_b_coefficient(fam, n) for n in range(fam.N + 1)]
+            u = [oracle.qpr_u_coefficient(fam, n) for n in range(1, fam.N + 1)]
+            scale = max(abs(v) for v in b)
+            assert all(abs(x - y) <= 1e-50 * scale for x, y in zip(tri.b, b)), fam
+            assert all(abs(x - y) <= 1e-50 * abs(y) for x, y in zip(tri.u, u)), fam
+
+
+@pytest.mark.parametrize("a,c,alpha,q,N", [(27.7825, 0.2236, 0.9029, 0.9981, 39),
+                                          (1.3298, 0.0215, 0.2738, 0.9978, 27),
+                                          (0.9, 0.7, 0.3, 0.998, 40)])
+def test_double_tables_near_q_1_keep_b_n_to_1e_14(a, c, alpha, q, N):
+    # The splice limits share a factor 1 - q^-1; formed as 1 - 1/q it
+    # carries the rounding of 1/q over 1 - q, about 500 ulps here, into
+    # b_n (2.8e-14 to 3.4e-14 of max |b_n|), where (q - 1) / q carries one.
+    tri = tridiagonal(ParaRacahFamily(a=a, c=c, alpha=alpha, q=q, N=N))
+    with mpmath.workdps(100):
+        fam = ParaRacahFamily(a=mpmath.mpf(a), c=mpmath.mpf(c), alpha=mpmath.mpf(alpha),
+                              q=mpmath.mpf(q), N=N)
+        b = [oracle.qpr_b_coefficient(fam, n) for n in range(N + 1)]
+        scale = max(abs(v) for v in b)
+        assert all(abs(x - y) <= 1e-14 * scale for x, y in zip(tri.b, b))

@@ -106,7 +106,7 @@ def _shared_conventions_digest():
 
 def test_shared_conventions_are_unchanged_bit_for_bit():
     assert _shared_conventions_digest() == (
-        "1c25ffbfa8d4285285e0c52880679f0c88d121299f847f7191e5f80f2dfca895")
+        "eb396bdb6ee3bb719dd356ed73146f46841e57acbc85cebed769f6a0cfa14148")
 
 
 @pytest.mark.parametrize("row", ["b", "u"])

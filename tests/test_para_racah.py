@@ -686,6 +686,27 @@ def test_explicit_builds_each_point_and_each_degree_once(monkeypatch, N):
             assert all(k <= once[name] for name, _, k in rerun), size
 
 
+@pytest.mark.parametrize("N", [1, 8, 12])
+def test_explicit_decides_its_dot_product_path_once_per_row(monkeypatch, N):
+    # One all_mpf read for the point set and one per coefficient row, not
+    # one per (degree, point) value; a rerun (N = 12 cancels past 30 digits)
+    # adds one read for all of its rows.  The values are unchanged.
+    with mpmath.workdps(30):
+        tri = tridiagonal(_draw_family(random.Random(N), N, mpmath.mpf))
+        zs = [mpmath.mpf(1.5 + k / 7) for k in range(10)]
+        expected = eval_explicit(tri, zs)
+        reads = []
+        original = para_racah.all_mpf
+        monkeypatch.setattr(para_racah, "all_mpf",
+                            lambda *groups: reads.append(len(groups)) or original(*groups))
+        monkeypatch.setattr(para_racah, "_rerun", lambda *args, _f=para_racah._rerun: (
+            reads.append("rerun"), _f(*args)))
+        assert eval_explicit(tri, zs) == expected
+    reruns = reads.count("rerun")
+    assert reads[:N + 2] == [len(zs)] + [1] * (N + 1)
+    assert len(reads) == N + 2 + 2 * reruns
+
+
 def _key(base):
     return getattr(base, "_mpf_", base)
 

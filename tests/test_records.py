@@ -182,4 +182,4 @@ def _weighted_and_deformed_digest():
 
 def test_weighted_and_deformed_tables_are_unchanged_bit_for_bit():
     assert _weighted_and_deformed_digest() == (
-        "97ed0c747feca91caf25e915377af7bbc2fda9d5ab3cfd5211e8d3286ecba1b5")
+        "c2485acf7d56af27b5626e10e93ba6ec8d211d8c14d8495a670239e3ddb71903")

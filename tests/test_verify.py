@@ -124,6 +124,28 @@ def test_qpr_theta_limit_is_the_reference_at_any_precision(digits, N):
         assert chk.residual == support.qpk_theta_limit_reference(fam)
 
 
+@pytest.mark.parametrize("N", [1, 6, 9])
+def test_a_double_qpr_theta_limit_builds_its_qpk_target_at_the_limits_digits(monkeypatch, N):
+    # The target has the 50-digit Delta, alpha and q of the three theta
+    # tables, so its b_n and u_n are mpf, not the binary64 table of the run.
+    built = []
+    original = verify.tridiagonal
+
+    def spy(fam):
+        built.append(original(fam))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "tridiagonal", spy)
+    fam = para_racah.ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=N)
+    [chk] = verify.run_suite("qpk-limit", fam)
+    [target] = [t for t in built if isinstance(t.family, para_krawtchouk.ParaKrawtchoukFamily)]
+    assert len(built) == 4
+    assert all(type(v) is mpmath.mpf for v in (target.family.Delta, target.family.alpha,
+                                               target.family.q, *target.b, *target.u))
+    assert target.family.Delta == mpmath.mpf(0.9 / 0.7)
+    assert chk.passed and chk.residual == support.qpk_theta_limit_reference(fam)
+
+
 def test_qpk_theta_limit_reads_the_runs_own_table():
     # At 30 digits the residual measures the run's 30-digit table, whether
     # the table was filled by an earlier suite or by the limit itself.
