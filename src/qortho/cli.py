@@ -275,22 +275,41 @@ def _run(args, precision: str):
     except DegenerateFamilyError as exc:
         print("degenerate configuration: %s" % exc, file=sys.stderr)
         return EXIT_DEGENERATE, None
-    except OverflowError as exc:
-        reason = "numeric overflow at %s precision" % prec.label
-        # A binary64 overflow's own text is an errno tuple.
-        detail = (exc if prec.extended else "a value exceeds the binary64 range; "
-                  "rerun with --precision extended or extended:P")
-        print("%s: %s" % (reason, detail), file=sys.stderr)
-        return EXIT_USAGE, reason
-    except ZeroDivisionError as exc:
-        # Caught before ArithmeticError: a valid a = 1e-160 underflows a
-        # binary64 denominator to zero.  mpmath raises it without a message.
-        reason = "numeric underflow or zero denominator at %s precision" % prec.label
-        print("%s: %s" % (reason, str(exc) or "division by zero"), file=sys.stderr)
-        return EXIT_USAGE, reason
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         print("invalid parameters: %s" % exc, file=sys.stderr)
         return EXIT_USAGE, None
+    except ArithmeticError as exc:
+        signal = _decimal_signal(exc)
+        if isinstance(exc, OverflowError) or signal == "Overflow":
+            reason = "numeric overflow at %s precision" % prec.label
+            # A binary64 overflow's own text is an errno tuple.
+            detail = ("a value exceeds 10^999999" if signal else exc if prec.extended
+                      else "a value exceeds the binary64 range; "
+                      "rerun with --precision extended or extended:P")
+            print("%s: %s" % (reason, detail), file=sys.stderr)
+            return EXIT_USAGE, reason
+        if isinstance(exc, ZeroDivisionError) or signal in ("DivisionUndefined", "Underflow"):
+            # A valid a = 1e-160 underflows a binary64 denominator to zero.
+            reason = "numeric underflow or zero denominator at %s precision" % prec.label
+            detail = ("a value falls below 10^-999999" if signal == "Underflow"
+                      else "division by zero" if signal else str(exc) or "division by zero")
+            print("%s: %s" % (reason, detail), file=sys.stderr)
+            return EXIT_USAGE, reason
+        print("invalid parameters: %s" % ("invalid operation" if signal else exc),
+              file=sys.stderr)
+        return EXIT_USAGE, None
+
+
+def _decimal_signal(exc):
+    """The name of the Decimal condition behind ``exc`` (``Overflow``,
+    ``Underflow``, ``DivisionByZero``, ``DivisionUndefined`` for 0 / 0, ...),
+    or None for an exception that is no Decimal signal.  The C module raises
+    a signal with the list of its conditions as its argument."""
+    decimal = sys.modules.get("decimal")
+    if decimal is None or not isinstance(exc, decimal.DecimalException):
+        return None
+    conditions = exc.args[0] if exc.args and isinstance(exc.args[0], list) else [type(exc)]
+    return conditions[0].__name__
 
 
 def main(argv=None) -> int:

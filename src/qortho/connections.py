@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .para_racah import ParaRacahFamily, limit_rows
 from .recurrence import monic_coefficients, monic_values, tridiagonal
-from .scalars import max_keep_nan, sqrt, typed_float
+from .scalars import extended_precision, max_keep_nan, sqrt, to_extended, typed_float, unit
 
 __all__ = [
     "QRacahParams",
@@ -115,7 +115,7 @@ def verify_qracah_identity(a, q, N: int, zs) -> float:
     tri = tridiagonal(single_lattice_family(a, q, N))
     qr_coefficients = _qracah_monic_coefficients(single_lattice_qracah_params(a, q, N), N)
     rhs_scales = [(2 * a) ** -n for n in range(N + 1)]
-    one = q ** 0  # typed by q, so an mpf scale is not compared with a float
+    one = unit(q)  # typed by q, so a Decimal scale is not compared with a float
     worst = one - one
     for z in zs:
         x = (z + 1 / z) / 2
@@ -129,34 +129,17 @@ def verify_qracah_identity(a, q, N: int, zs) -> float:
 
 
 def richardson(values, ratio):
-    """The last entry of every level of the Richardson table of the mpf
-    values v_k = L + c1 h_k + c2 h_k^2 + ..., h_k shrinking by the integer
+    """The last entry of every level of the Richardson table of the values
+    v_k = L + c1 h_k + c2 h_k^2 + ..., h_k shrinking by the integer
     ``ratio`` each step: from v_last itself to the fully accelerated estimate
-    of L.
-
-    Each entry is (f * hi - lo) / (f - 1) with f = ratio**level, taken on
-    mpmath's raw tuples with the ``mpmath.libmp`` call each mpf operator
-    makes, at the (prec, rounding) it reads.  f and f - 1 are made once per
-    level from exact integers, so while ratio**level fits the working
-    precision (ratio 2 at five levels for the dual-Hahn limit, ratio 10 at
-    two for the theta limit) every estimate is the mpf operator table's bit
-    for bit.
-    """
-    import mpmath
-    lib = mpmath.libmp
-    from_int, mpf_div, mpf_mul, mpf_sub = lib.from_int, lib.mpf_div, lib.mpf_mul, lib.mpf_sub
-    values = list(values)
-    mpf, new, (prec, rnd) = values[-1]._ctxdata
-    table = [v._mpf_ for v in values]
-    estimates = [values[-1]]
+    of L.  Each entry is (f * hi - lo) / (f - 1) with the integer
+    f = ratio**level."""
+    table = list(values)
+    estimates = [table[-1]]
     for level in range(1, len(table)):
-        power = ratio ** level
-        f, d = from_int(power, prec, rnd), from_int(power - 1, prec, rnd)
-        table = [mpf_div(mpf_sub(mpf_mul(f, hi, prec, rnd), lo, prec, rnd), d, prec, rnd)
-                 for lo, hi in zip(table, table[1:])]
-        value = new(mpf)
-        value._mpf_ = table[-1]
-        estimates.append(value)
+        f = ratio ** level
+        table = [(f * hi - lo) / (f - 1) for lo, hi in zip(table, table[1:])]
+        estimates.append(table[-1])
     return estimates
 
 
@@ -171,8 +154,8 @@ def dual_hahn_limit(a_exponent, N: int, degrees) -> list:
     2^k > 32 |e|, so a = q^e ~ exp(-2 e 2^-k) stays within exp(+-1/16) of 1
     at every step, whatever e.  A limit whose last two estimates differ by
     more than 10^-CONTRACTION_DIGITS relative to max(|limit|, 1), or whose
-    finest step leaves fewer than 53 bits of 1 - sqrt(q) at LIMIT_DIGITS,
-    raises :class:`ExtrapolationError`.  Returns one
+    finest step leaves fewer than 53 bits of 1 - sqrt(q) above the rounding
+    of sqrt(q) at LIMIT_DIGITS, raises :class:`ExtrapolationError`.  Returns one
     ``(lim_a, lim_c, target_a, target_c)`` per degree n in ``degrees``;
     the targets are the dual-Hahn recurrence coefficients with both lattice
     parameters (4*a_exponent - 1)/2:
@@ -185,26 +168,24 @@ def dual_hahn_limit(a_exponent, N: int, degrees) -> list:
         raise ValueError("n must satisfy 0 <= n <= N")
     if not degrees:
         return []
-    import mpmath
     g = (4 * a_exponent - 1) / 2
+    # 2^(bits-1) <= |e| < 2^bits for |e| >= 1, so k = bits + 5 is the
+    # smallest k with 2^k > 32 |e|; |e| < 1 reads bits = 0.
+    first = max(8, int(abs(a_exponent)).bit_length() + 5)
+    # At LIMIT_DIGITS digits, guard digits aside, sqrt(q) < 1 is rounded by
+    # at most 10^-LIMIT_DIGITS / 2.
+    if 2 ** (first + DUAL_HAHN_STEPS - 1 + 53) > 2 * 10 ** LIMIT_DIGITS:
+        raise ExtrapolationError("step families are not resolved at %d digits" % LIMIT_DIGITS)
     out = []
-    with mpmath.workdps(LIMIT_DIGITS):
-        # The float exponent is converted once, and alpha is typed by q: a
-        # float would be converted again at every read.
-        exponent = mpmath.mpf(a_exponent)
-        # 2^(bits-1) <= |e| < 2^bits, so k = bits + 5 is the smallest k with
-        # 2^k > 32 |e|; frexp reads an mpf of any size, and 0 as bits = 0.
-        bits = mpmath.frexp(exponent)[1]
-        first = max(8, bits + 5)
-        if first + DUAL_HAHN_STEPS - 1 + 53 > mpmath.mp.prec:
-            raise ExtrapolationError(
-                "step families are not resolved at %d digits" % LIMIT_DIGITS)
+    with extended_precision(LIMIT_DIGITS):
+        # The exponent is converted once, and alpha is typed by q.
+        exponent = to_extended(a_exponent)
         fams, scales = [], []
         for k in range(first, first + DUAL_HAHN_STEPS):
-            p = 1 - mpmath.mpf(2) ** -k
+            p = 1 - unit(exponent) / 2 ** k
             q = p * p
             a = q ** exponent
-            fams.append(ParaRacahFamily(a=a, c=a * p, alpha=q ** 0 / 2, q=q, N=N))
+            fams.append(ParaRacahFamily(a=a, c=a * p, alpha=unit(q) / 2, q=q, N=N))
             scales.append((1 - p) ** 2)
         rows = [limit_rows(fam, degrees) for fam in fams]
         for i, n in enumerate(degrees):

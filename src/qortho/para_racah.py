@@ -14,7 +14,7 @@ c q^s) in one expression, so no x -> z inversion is ever needed on the grid.
 
 The explicit expansion cancels like q^(-j^2); ``eval_explicit`` reads the
 digits each value loses off the recurrence and reruns the values that lose
-too many, by one rule for binary64 and mpf runs alike.
+too many, by one rule for binary64 and Decimal runs alike.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from .qseries import PowerTable, SeriesPlan, qpochhammer
 from .recurrence import (_DEGENERATE_TOL, BiLatticeFamily, DegenerateFamilyError,
                          LatticeWeights, TridiagonalSystem, interleave, monic_coefficients,
                          qdifference_residual, weight_table, weights_from_christoffel)
-from .scalars import all_mpf, is_finite, typed_float, working_precision
+from .scalars import (extended_precision, is_extended, is_finite, to_extended, typed_float,
+                      working_precision)
 
 __all__ = [
     "ParaRacahFamily",
@@ -92,16 +93,13 @@ def coefficient_rows(fam: ParaRacahFamily, b_degrees, u_degrees) -> tuple:
     of the limits of the degrees they need, in increasing order: a table
     raises what that pass raises.
     """
-    degrees = sorted({*b_degrees, *u_degrees, *(n - 1 for n in u_degrees)})
-    rows = dict(zip(degrees, limit_rows(fam, degrees)))
+    if b_degrees == range(fam.N + 1) and u_degrees == range(1, fam.N + 1):
+        # A whole table: the pass's list is indexed by degree.
+        rows = limit_rows(fam, b_degrees)
+    else:
+        degrees = sorted({*b_degrees, *u_degrees, *(n - 1 for n in u_degrees)})
+        rows = dict(zip(degrees, limit_rows(fam, degrees)))
     return monic_coefficients(rows, b_degrees, u_degrees, fam.a + 1 / fam.a, 2)
-
-
-def _one_minus(pw, k):
-    """1 - q^k from the family's powers; at k = -1 as (q - 1) / q, whose
-    numerator is exact, where 1 - 1/q would carry the rounding of 1/q into
-    a difference near 0 for q near 1."""
-    return (pw.q - 1) / pw.q if k == -1 else 1 - pw[k]
 
 
 def limit_rows(fam: ParaRacahFamily, degrees) -> list:
@@ -115,22 +113,29 @@ def limit_rows(fam: ParaRacahFamily, degrees) -> list:
     limit consumes them directly.  ac, a/c and c/a are formed once per pass
     and each factor A_n and C_n share (1 - q^(n-j), 1 - q^(2n-2j), ...) once
     per n, by the operations of the per-entry formula, so every value is its
-    bit for bit; a factor 1 - q^k that can meet k = -1 is read from
-    :func:`_one_minus`.  Only a read of a negative power of q or a division
-    can raise, so a pass raises what its entries, taken in order, raise.
+    bit for bit.  A factor 1 - q^k that can meet k = -1 is read from
+    ``one_minus``, which gives 1 - q^-1 as (q - 1) / q, formed once per pass:
+    its numerator is exact, where 1 - 1/q would carry the rounding of 1/q
+    into a difference near 0 for q near 1.  Only a read of a negative power
+    of q or a division can raise, so a pass raises what its entries, taken
+    in order, raise.
     """
     a, c, al, q, j = _unpack(fam)
     pw = fam.powers()
     ac = a * c
+    below = (q - 1) / q
+
+    def one_minus(k):
+        return below if k == -1 else 1 - pw[k]
     rows = []
     if fam.odd:
         for n in degrees:
-            D = _one_minus(pw, 2 * n - 2 * j - 1)
+            D = one_minus(2 * n - 2 * j - 1)
             if n == j:
-                A = (al * (1 - ac * pw[j]) * (c - a) * _one_minus(pw, -j - 1)
-                     / (ac * _one_minus(pw, -1)))
+                A = (al * (1 - ac * pw[j]) * (c - a) * one_minus(-j - 1)
+                     / (ac * below))
             else:
-                A = ((1 - ac * pw[n]) * (c - a * pw[n - j]) * _one_minus(pw, n - 2 * j - 1)
+                A = ((1 - ac * pw[n]) * (c - a * pw[n - j]) * one_minus(n - 2 * j - 1)
                      / (ac * D * (1 + pw[n - j])))
             if n == j + 1:
                 C = (1 - al) * (1 - pw[j + 1]) * (a - c) * (ac - pw[-j]) / (ac * (1 - q))
@@ -142,15 +147,15 @@ def limit_rows(fam: ParaRacahFamily, degrees) -> list:
     a_c, c_a = a / c, c / a
     for n in degrees:
         if n == j:
-            rows.append((al * (1 - ac * pw[j]) * (1 - a_c * q) * _one_minus(pw, -j)
+            rows.append((al * (1 - ac * pw[j]) * (1 - a_c * q) * one_minus(-j)
                          / (a * (1 - q)),
                          (1 - al) * a * (1 - pw[j]) * (1 - c_a / q) * (1 - pw[-j] / ac)
-                         / _one_minus(pw, -1)))
+                         / below))
             continue
-        E = _one_minus(pw, n - j)
+        E = one_minus(n - j)
         D = 1 - pw[2 * n - 2 * j]
-        A = (E * (1 - ac * pw[n]) * (1 - a_c * pw[n - j + 1]) * _one_minus(pw, n - 2 * j)
-             / (a * D * _one_minus(pw, 2 * n - 2 * j + 1)))
+        A = (E * (1 - ac * pw[n]) * (1 - a_c * pw[n - j + 1]) * one_minus(n - 2 * j)
+             / (a * D * one_minus(2 * n - 2 * j + 1)))
         C = (a * (1 - pw[n]) * (1 - c_a * pw[n - j - 1]) * (1 - pw[n - 2 * j] / ac) * E
              / ((1 - pw[2 * n - 2 * j - 1]) * D))
         rows.append((A, C))
@@ -280,16 +285,10 @@ def _point_factors(fam: ParaRacahFamily, z) -> list:
     return basis
 
 
-def _explicit_value(row, basis, raw=None) -> tuple:
+def _explicit_value(row, basis) -> tuple:
     """(value, cancellation scale) of a degree's coefficient row at a point's
     basis row: the sum of C_k phi_k and the sum of |C_k phi_k|, each added in
-    increasing k from the first product.  With mpf operands throughout (``raw``,
-    unless decided once by the caller) it runs on raw tuples, bit for bit."""
-    if raw is None:
-        raw = all_mpf(basis, (c for _, c in row))
-    if raw:
-        from . import _mpfloops
-        return _mpfloops.series_sum(row, basis)
+    increasing k from the first product."""
     (k, c), *rest = row
     total = c * basis[k]
     magnitude = abs(total)
@@ -304,7 +303,8 @@ def _explicit_value(row, basis, raw=None) -> tuple:
 # sum is at most its term magnitude times the unit roundoff u, up to the term
 # count (Higham, Accuracy and Stability of Numerical Algorithms, 4.2), so a
 # value whose magnitude times u exceeds this times |R_n(x)| is summed again.
-# In double that is a magnitude above 1e6 |R_n(x)|.
+# In double (u = 2^-53) that is a magnitude above 1e6 |R_n(x)|; at P working
+# digits u = 10^(1-P) / 2.
 _EXPLICIT_ACCURACY = 1e6 * 2.0 ** -53
 
 
@@ -315,9 +315,8 @@ def eval_explicit(tri: TridiagonalSystem, zs, recurrence=None) -> list:
 
     Each degree's coefficient row is computed once (:func:`_explicit_plan`)
     and each point's basis row (az, a/z; q)_k once (:func:`_point_factors`),
-    so each value is one dot product of the two (:func:`_explicit_value`),
-    on raw mpf tuples or not as decided once for the point set and once per
-    coefficient row.  Degrees are evaluated in order, so a singular denominator raises what
+    so each value is one dot product of the two (:func:`_explicit_value`).
+    Degrees are evaluated in order, so a singular denominator raises what
     the lowest degree that has one raises.
 
     Agrees with the forward recurrence; the two routes together cross-check
@@ -327,7 +326,8 @@ def eval_explicit(tri: TridiagonalSystem, zs, recurrence=None) -> list:
     roundoff and r = R_n(x) read from one recurrence pass per point (the
     caller's ``recurrence`` rows ``tri.values(x, N)``, when it has them), a
     value whose term magnitude times u exceeds ``_EXPLICIT_ACCURACY`` |r| is
-    summed again (:func:`_rerun`) and rounded back to the working type.  A
+    summed again in Decimal (:func:`_rerun`) and rounded back to the working
+    type; a complex point's value is not, as Decimal has no complex type.  A
     value or an r that is not finite raises ``OverflowError``.  A degenerate
     family (c = a) raises :class:`DegenerateFamilyError`.
     """
@@ -337,52 +337,50 @@ def eval_explicit(tri: TridiagonalSystem, zs, recurrence=None) -> list:
     # c = a puts an exact zero in a denominator of the expansion.
     fam.require_distinct_strands("the explicit expansion is undefined")
     points = [_point_factors(fam, z) for z in zs]
-    mpf_points = all_mpf(*points)
     recurrence = recurrence or [tri.values((z + 1 / z) / 2, fam.N) for z in zs]
-    prec = working_precision(fam.q) or 53
-    # magnitude u > ACC |r| with both sides scaled by 1/u = 2^prec, exactly.
-    trigger = typed_float(_EXPLICIT_ACCURACY, fam.q) * 2 ** prec
+    digits = working_precision(fam.q)
+    # magnitude u > ACC |r| with both sides scaled by the integer 1/u, exactly.
+    trigger = typed_float(_EXPLICIT_ACCURACY, fam.q) * (
+        2 ** 53 if digits is None else 2 * 10 ** (digits - 1))
     rows, flagged = [], []
     for n in range(fam.N + 1):
         plan = _explicit_plan(fam, n)
-        raw = mpf_points and all_mpf(c for _, c in plan)
         row = []
         for i, point in enumerate(points):
-            value, magnitude = _explicit_value(plan, point, raw)
+            value, magnitude = _explicit_value(plan, point)
             r = abs(recurrence[i][n])
             if not (is_finite(magnitude) and is_finite(r)):
                 raise OverflowError("the explicit expansion of degree %d or its recurrence "
                                     "value is not finite" % n)
             # An exact zero of R_n has no relative accuracy to keep.
-            if magnitude > trigger * r > 0:
+            if magnitude > trigger * r > 0 and not isinstance(zs[i], complex):
                 flagged.append((n, i, magnitude / r))
             row.append(value)
         rows.append(row)
     if flagged:
-        _rerun(fam, zs, rows, flagged, prec)
+        _rerun(fam, zs, rows, flagged, digits)
     return rows
 
 
-def _rerun(fam: ParaRacahFamily, zs, rows, flagged, prec: int) -> None:
+def _rerun(fam: ParaRacahFamily, zs, rows, flagged, digits) -> None:
     """Sum again, in place in ``rows``, the flagged (n, point index,
     magnitude / |R_n|) values of one :func:`eval_explicit` call, all at one
     precision: the most digits any of them lost, ceil(log10(magnitude /
-    |R_n|)), plus the run's own, ceil(prec log10 2).  Coefficient rows and
-    basis rows are built for the flagged degrees and points only, and each
-    value is rounded back to its working type."""
-    import mpmath
-    lost = int(mpmath.ceil(mpmath.log10(max(ratio for _, _, ratio in flagged))))
-    with mpmath.workdps(lost + math.ceil(prec * math.log10(2))):
-        hi_fam = fam.replace(a=mpmath.mpf(fam.a), c=mpmath.mpf(fam.c),
-                             alpha=mpmath.mpf(fam.alpha), q=mpmath.mpf(fam.q))
+    |R_n|)), plus the run's own, its ``digits`` or 16 in binary64.
+    Coefficient rows and basis rows are built for the flagged degrees and
+    points only, and each value is rounded back to its working type."""
+    worst = max(ratio for _, _, ratio in flagged)
+    lost = math.ceil(worst.log10() if is_extended(worst) else math.log10(worst))
+    with extended_precision(lost + (digits or 16)):
+        hi_fam = fam.replace(a=to_extended(fam.a), c=to_extended(fam.c),
+                             alpha=to_extended(fam.alpha), q=to_extended(fam.q))
         plans = {n: _explicit_plan(hi_fam, n) for n in sorted({n for n, _, _ in flagged})}
-        points = {i: _point_factors(hi_fam, mpmath.mpmathify(zs[i]))
+        points = {i: _point_factors(hi_fam, to_extended(zs[i]))
                   for i in sorted({i for _, i, _ in flagged})}
-        raw = all_mpf(*points.values(), *((c for _, c in plan) for plan in plans.values()))
-        values = [_explicit_value(plans[n], points[i], raw)[0] for n, i, _ in flagged]
-    # float, complex, mpf and mpc each round to the working precision.
+        values = [_explicit_value(plans[n], points[i])[0] for n, i, _ in flagged]
+    # Unary plus rounds a Decimal to the working digits.
     for (n, i, _), value in zip(flagged, values):
-        rows[n][i] = type(rows[n][i])(value)
+        rows[n][i] = float(value) if digits is None else +value
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,13 @@ product per term.  Every factor 1 - p q^k comes from one loop,
 :meth:`PowerTable.factors`.
 
 In binary64 mode :meth:`SeriesPlan.sum` accumulates the terms in increasing
-k with compensated (Kahan) summation; mpmath inputs are summed plainly
+k with compensated (Kahan) summation; Decimal inputs are summed plainly
 since the working precision already dominates the roundoff budget.
 """
 
 from __future__ import annotations
 
-from .scalars import is_mp, typed_float
+from .scalars import is_extended, typed_float
 
 __all__ = [
     "SingularSeriesError",
@@ -89,8 +89,7 @@ class PowerTable(dict):
     def factors(self, base, k) -> list:
         """The factors 1 - base q^i for i < k: the table's own row, at least k
         long, shared by every reader and extended in place."""
-        # Hashing an mpf costs a multiplication; its _mpf_ tuple is cheap.
-        row = self._rows.setdefault(getattr(base, "_mpf_", base), [])
+        row = self._rows.setdefault(base, [])
         if len(row) < k:
             running = self._running
             while len(running) < k:
@@ -102,8 +101,7 @@ class PowerTable(dict):
         """(base; q)_k, the product of the base's first k factors in order."""
         if k < 0:
             raise ValueError("q-Pochhammer length must be non-negative")
-        key = getattr(base, "_mpf_", base)
-        prefixes = self._prefixes.get(key) or self._prefixes.setdefault(key, [self._running[0]])
+        prefixes = self._prefixes.get(base) or self._prefixes.setdefault(base, [self._running[0]])
         if k >= len(prefixes):
             for f in self.factors(base, k)[len(prefixes) - 1:k]:
                 prefixes.append(prefixes[-1] * f)
@@ -112,15 +110,14 @@ class PowerTable(dict):
     def vanishing(self, base, k) -> int:
         """The lowest i < k at which the factor 1 - base q^i lies within the
         singular guard of zero, relative to max(1, |base q^i|), or k."""
-        key = getattr(base, "_mpf_", base)
-        clear = self._clear.get(key, 0)
+        clear = self._clear.get(base, 0)
         if clear < k:
             row, running = self.factors(base, k), self._running
             one = running[0]  # the guard's terms, typed by q
             guard = typed_float(_SINGULAR_GUARD, one)
             while clear < k and not abs(row[clear]) <= guard * max(one, abs(base * running[clear])):
                 clear += 1
-            self._clear[key] = clear
+            self._clear[base] = clear
         return min(clear, k)
 
 
@@ -153,7 +150,7 @@ class SeriesPlan:
             raise ValueError("truncation degree must be non-negative")
         self.degree = degree
         self.argument = argument
-        self.plain = any(is_mp(v) for v in (table.q, argument) + numerator + denominator)
+        self.plain = any(is_extended(v) for v in (table.q, argument) + numerator + denominator)
         self.first = argument ** 0
         vanishing = [table.vanishing(p, degree) for p in denominator]
         k = min(vanishing, default=degree)

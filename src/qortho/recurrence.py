@@ -5,13 +5,9 @@ Every family here is a sequence of monic polynomials
     P_{n+1}(x) = (x - b_n) P_n(x) - u_n P_{n-1}(x),   P_{-1} = 0,  P_0 = 1,
 
 and :func:`monic_values` is the one loop that evaluates it.  P_0 = 1, like
-h_0 = 1 in :attr:`TridiagonalSystem.h`, is the table's own one, b_0 ** 0:
-1.0 in binary64 and an mpf 1 in an mpf table, so no caller meets a float
-unit it must replace.  At an mpf point of an mpf table that loop runs on
-mpmath's raw tuples (:mod:`qortho._mpfloops`): each step is the
-``mpmath.libmp`` call the mpf operator makes, at the (prec, rounding) the
-operator reads, so every value is the operator loop's bit for bit, without
-its type dispatch and the mpf it builds per step.  The truncated families
+h_0 = 1 in :attr:`TridiagonalSystem.h`, is the table's own one, in b_0's
+type: 1.0 in binary64 and a Decimal 1 in a Decimal table, so no caller
+meets a float unit it must replace.  The truncated families
 (q-para-Racah and q-para-Krawtchouk) fill a :class:`TridiagonalSystem` once
 with :func:`tridiagonal`, from one pass of their kind's ``coefficient_rows``,
 and read every degree, the normalization products and the persymmetry
@@ -38,7 +34,7 @@ The deformation alpha enters b_n and u_n only at the splice n = j, j+1, so
 alpha by the same pass restricted to those entries, sharing every other one.
 
 A table belongs to one verify run or one command and is never cached beyond
-it: a table of mpmath values built at one working precision must not be
+it: a table of Decimal values built at one working precision must not be
 read at another, nor deformed by ``at_alpha`` at another.  A family keeps
 the powers of its q and the factor rows of its z-free bases for as long as
 it lives, one table per working precision (:meth:`BiLatticeFamily.powers`).
@@ -50,7 +46,7 @@ from functools import reduce
 from operator import attrgetter, mul
 
 from .qseries import PowerTable
-from .scalars import all_mpf, max_keep_nan, sqrt, typed_float, working_precision
+from .scalars import max_keep_nan, sqrt, typed_float, unit, working_precision
 
 __all__ = [
     "Record",
@@ -179,19 +175,13 @@ def monic_values(b, u, x) -> list:
     """[P_0(x), ..., P_n(x)] with n = min(len(b), len(u)).
 
     ``u[m]`` multiplies P_{m-1}; u_0 is never read (callers pass 0.0).
-    P_0 is the table's own one, ``b[0] ** 0`` (1.0 in binary64, an mpf 1 in
-    an mpf table), and ``x ** 0`` when ``b`` is empty; so a caller may pass
-    the whole of ``b`` and set n by the length of ``u``.  P_1 = x - b_0 and
-    P_2 = (x - b_1) P_1 - u_1 are written out: the general step's products
-    by P_0 = 1 and P_{-1} = 0 are exact.  With an mpf ``x``, ``b`` and
-    ``u[1:]`` the same loop runs on raw tuples (:mod:`qortho._mpfloops`),
-    bit for bit.
+    P_0 is the table's own one, in the type of ``b[0]`` (1.0 in binary64, a
+    Decimal 1 in a Decimal table), or of ``x`` when ``b`` is empty; so a
+    caller may pass the whole of ``b`` and set n by the length of ``u``.
+    P_1 = x - b_0 and P_2 = (x - b_1) P_1 - u_1 are written out: the general
+    step's products by P_0 = 1 and P_{-1} = 0 are exact.
     """
-    one = (b[0] if b else x) ** 0
-    if all_mpf((x,), b, u[1:]):
-        from . import _mpfloops
-        return _mpfloops.monic_values(b, u, x, one)
-    out = [one]
+    out = [unit(b[0] if b else x)]
     # One iterator: each inner loop takes every later step, so the outer
     # loops run at most once.
     steps = zip(b, u)
@@ -266,7 +256,7 @@ def lattice_vectors(b, u, points) -> tuple:
     """
     roots = [sqrt(abs(v)) for v in u]
     signed = [-r if v < 0 else r for v, r in zip(u, roots)]
-    one = b[0] ** 0
+    one = unit(b[0])
     zero = 0 * one
     vectors, twists = [], []
     for x in points:
@@ -318,25 +308,20 @@ def gram_errors(vectors, weights, h):
     vectors[s] the y_0..y_N at the lattice point x_s (:func:`lattice_vectors`),
     w_s = weights[s] and h the table's :attr:`TridiagonalSystem.h`; no h_n is
     read but for its sign.  An error is NaN when an entry is; a y_0^2 that
-    underflows to 0 raises ZeroDivisionError.  With mpf values every dot
-    product runs on raw tuples (:mod:`qortho._mpfloops`), bit for bit."""
+    underflows to 0 raises ZeroDivisionError."""
     # Column n holds y_n at every point; c_s y_n(x_s), c_s = w_s / y_0(x_s)^2,
     # is formed once per (s, n) and then multiplied by y_m(x_s).
     cols = list(zip(*vectors))
     scale = [w / (y[0] * y[0]) for w, y in zip(weights, vectors)]
     weighted = [list(map(mul, scale, col)) for col in cols]
-    if all_mpf(*weighted, *cols):
-        from ._mpfloops import dot
-    else:
-        def dot(xs, ys):
-            return sum(map(mul, xs, ys))
     signs = _h_signs(h)
-    # Folded from a zero of the table's type: an mpf error meets no float.
+    # Folded from a zero of the table's type: a Decimal error meets no float.
     worst_diag = worst_off = 0 * signs[0]
     for n in range(len(cols)):
         for m in range(n):
-            worst_off = max_keep_nan(worst_off, abs(dot(weighted[n], cols[m])))
-        worst_diag = max_keep_nan(worst_diag, abs(dot(weighted[n], cols[n]) - signs[n]))
+            worst_off = max_keep_nan(worst_off, abs(sum(map(mul, weighted[n], cols[m]))))
+        worst_diag = max_keep_nan(worst_diag,
+                                  abs(sum(map(mul, weighted[n], cols[n])) - signs[n]))
     return float(worst_diag), float(worst_off)
 
 
@@ -407,8 +392,8 @@ class TridiagonalSystem(Record):
     @property
     def h(self) -> tuple:
         """Normalization products h_n = u_1 u_2 ... u_n for n = 0..N, from
-        the table's one h_0 = b_0 ** 0, as P_0."""
-        h = [self.b[0] ** 0]
+        the table's one h_0 in b_0's type, as P_0."""
+        h = [unit(self.b[0])]
         for v in self.u:
             h.append(h[-1] * v)
         return tuple(h)
@@ -487,7 +472,7 @@ def qdifference_residual(numerator, values, lams, q, zs) -> list:
 
 def palindrome_residual(*rows) -> float:
     """max |r_k - r_{len-1-k}| over nonempty rows, as a float; NaN if any is
-    NaN.  A row's fold starts at its first difference: an mpf meets no float."""
+    NaN.  A row's fold starts at its first difference: a Decimal meets no float."""
     return max_keep_nan(*(
         float(max_keep_nan(*(abs(x - y) for x, y in zip(row, reversed(row)))))
         for row in rows))

@@ -33,7 +33,8 @@ from functools import cached_property
 from . import connections, para_krawtchouk, para_racah, spectral
 from .recurrence import (family_module, gram_errors, lattice_vectors, persymmetry_residual,
                          tridiagonal, weights_from_christoffel)
-from .scalars import is_finite, is_mp, max_keep_nan, typed_float
+from .scalars import (extended_precision, is_extended, is_finite, max_keep_nan, sqrt,
+                      to_extended, typed_float, unit)
 
 __all__ = ["Check", "RunTables", "SUITES", "run_suite"]
 
@@ -82,12 +83,11 @@ def _failed(name, tolerance, note):
 
 
 def _format_e3(x) -> str:
-    """x as %.3e; a nonzero mpf whose float is 0 or subnormal, below the
+    """x as %.3e; a nonzero Decimal whose float is 0 or subnormal, below the
     binary64 range, from its own digits."""
     value = float(x)
-    if x and abs(value) < sys.float_info.min and is_mp(x):
-        import mpmath
-        return mpmath.libmp.to_str(x._mpf_, 4, strip_zeros=False)
+    if x and abs(value) < sys.float_info.min and is_extended(x):
+        return format(x, ".3e")
     return "%.3e" % value
 
 
@@ -95,17 +95,14 @@ def _random_z(rng, fam, lo=1.15, hi=2.5):
     """A uniform evaluation point in the family's scalar type, so that an
     extended-precision run does not evaluate at binary64 points."""
     z = rng.uniform(lo, hi)
-    if not is_mp(fam.q):
-        return z
-    import mpmath
-    return mpmath.mpf(z)
+    return to_extended(z) if is_extended(fam.q) else z
 
 
 class RunTables:
     """The parameter-only quantities of one family, each computed on first use.
 
     One instance serves one :func:`run_suite` call and is dropped with it, so
-    its mpmath values are read only at the working precision that made them.
+    its Decimal values are read only at the working precision that made them.
     """
 
     def __init__(self, fam):
@@ -153,7 +150,7 @@ def suite_orthogonality(run, rng):
     fam, tri = run.fam, run.tri
     note = "" if _is_qpk(fam) else "min u_n = %s" % _format_e3(min(tri.u))
     # A u_n that is 0 in binary64 may be a positive value below its range.
-    underflow = not is_mp(fam.q) and all(v >= 0 for v in tri.u)
+    underflow = not is_extended(fam.q) and all(v >= 0 for v in tri.u)
     checks = [Check("favard-positivity", tri.positive, 0.0 if tri.positive else 1.0, 0.5, note,
                     parameter_bound=not (tri.positive or underflow))]
     if not tri.positive:
@@ -260,8 +257,9 @@ def suite_qracah(run, rng):
 
 def suite_dualhahn(run, rng):
     fam = run.fam
-    log = fam.q.context.log if is_mp(fam.q) else math.log
-    a_exp = log(fam.a) / log(fam.q)  # in the family's scalar type
+    # In the family's scalar type.
+    a_exp = (fam.a.ln() / fam.q.ln() if is_extended(fam.q)
+             else math.log(fam.a) / math.log(fam.q))
     try:
         limits = connections.dual_hahn_limit(a_exp, fam.N, range(1, fam.N))
     except connections.ExtrapolationError as exc:
@@ -290,27 +288,27 @@ def suite_qpk_limit(run, rng):
         if not (is_finite(delta) and delta):
             raise (ZeroDivisionError if delta == 0 else OverflowError)(
                 "a / c is outside the binary64 range")
-    import mpmath
-    worst = mpmath.mpf(0)  # every residual below is an mpf
-    with mpmath.workdps(connections.LIMIT_DIGITS):
-        D, qq, al = map(mpmath.mpf, (delta, fam.q, fam.alpha))
+    with extended_precision(connections.LIMIT_DIGITS):
+        D, qq, al = map(to_extended, (delta, fam.q, fam.alpha))
+        worst = 0 * qq  # every residual below is a Decimal
         if qpk is None:
             qpk = tridiagonal(para_krawtchouk.ParaKrawtchoukFamily(
                 Delta=D, alpha=al, q=qq, N=N))
         b_rows, u_rows = [], []
         for k in (3, 4, 5):
-            theta = mpmath.mpf(10) ** k
-            a = mpmath.sqrt(theta * D)
-            c = mpmath.sqrt(theta / D)
+            theta = unit(qq) * 10 ** k
+            a = sqrt(theta * D)
+            c = sqrt(theta / D)
             big = tridiagonal(para_racah.ParaRacahFamily(a=a, c=c, alpha=al, q=qq, N=N))
             scale_b, scale_u = 2 * a / theta, 4 * a * a / theta ** 2
             b_rows.append([scale_b * v for v in big.b])
             u_rows.append([scale_u * v for v in big.u])
+        floor = unit(qq) / 10 ** 6
         for rows, closed in ((b_rows, qpk.b), (u_rows, qpk.u)):
             for steps, value in zip(zip(*rows), closed):
                 ext = connections.richardson(steps, 10)[-1]
-                worst = max_keep_nan(
-                    worst, abs(ext - value) / max(mpmath.mpf(1) / 10 ** 6, abs(ext)))
+                error = abs(ext - to_extended(value))  # a double qpk table's floats
+                worst = max_keep_nan(worst, error / max(floor, abs(ext)))
     return [_check("qpk-theta-limit", worst, TOL_QPK_LIMIT)]
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from qortho import qseries
 from qortho.qseries import qpochhammer
-from qortho.scalars import is_mp
+from qortho.scalars import is_extended, typed_float
 
 __all__ = ["SeriesSpec", "phi_basis", "terminating_series_eval", "series_terms",
            "series_value"]
@@ -50,12 +50,13 @@ def series_terms(num, den, q, argument, degree) -> list:
     term = argument ** 0
     terms = [term]
     qpow = q ** 0
+    guard = typed_float(qseries._SINGULAR_GUARD, q)
     for k in range(degree):
         for p in num:
             term = term * (1 - p * qpow)
         for p in den:
             f = 1 - p * qpow
-            if abs(f) <= qseries._SINGULAR_GUARD * max(1.0, abs(p * qpow)):
+            if abs(f) <= guard * max(qpow ** 0, abs(p * qpow)):
                 raise qseries.SingularSeriesError(p, k)
             term = term / f
         term = term * argument
@@ -66,9 +67,9 @@ def series_terms(num, den, q, argument, degree) -> list:
 
 def series_value(num, den, q, argument, degree):
     """(value, sum of |term|) of :func:`series_terms` in increasing k:
-    compensated (Kahan) unless an operand is an mpmath number."""
-    plain = any(is_mp(v) for v in (q, argument) + num + den)
-    total = comp = magnitude = 0.0
+    compensated (Kahan) unless an operand is a Decimal."""
+    plain = any(is_extended(v) for v in (q, argument) + num + den)
+    total = comp = magnitude = 0 * q
     for term in series_terms(num, den, q, argument, degree):
         magnitude = magnitude + abs(term)
         if plain:

@@ -3,22 +3,38 @@
 The truncation-substitution oracle evaluates the raw parent-family
 recurrence coefficients at an explicit tiny limit parameter t under mpmath,
 instead of using the resolved closed forms; it is the independent route the
-coefficient tables are checked against.  The per-point and limit references
-at the end are the exact-equality references of the library routes.
+coefficient tables are checked against, and it converts a family's Decimal
+or float parameters at its boundary.  :func:`family` builds the qortho
+families of the tests, in binary64 or in Decimal.  The per-point and limit
+references at the end are the exact-equality references of the library
+routes.
 """
 
 import contextlib
+import decimal
 import math
 import sys
+from decimal import Decimal
 
 import mpmath
-import mpmath.ctx_mp_python
 
 from oracles import askey_wilson
 from oracles import qseries as oracle_qseries
-from qortho import para_krawtchouk, para_racah, qseries
+from qortho import connections, para_krawtchouk, para_racah, qseries, verify
 from qortho.recurrence import DegenerateFamilyError, interleave, tridiagonal
-from qortho.scalars import is_finite, is_mp, max_keep_nan, working_precision
+from qortho.scalars import (extended_precision, is_extended, is_finite, max_keep_nan,
+                            working_precision)
+
+KINDS = {"qpr": para_racah.ParaRacahFamily, "qpk": para_krawtchouk.ParaKrawtchoukFamily}
+
+
+def family(kind, N, num=float, **params):
+    """A qortho family of ``kind`` ("qpr" or "qpk", or the class itself)
+    whose parameters but N are ``num`` of the given strings or numbers:
+    float, or Decimal for an extended-precision family, which takes a
+    string's digits and a float's value exactly."""
+    cls = KINDS.get(kind, kind)
+    return cls(N=N, **{name: num(v) for name, v in params.items()})
 
 # Tiny but nonzero limit parameter; the weights e1, e2 are scaled down so the
 # first-order limit error e*t*log(q) sits far below the 40-digit comparison.
@@ -31,12 +47,10 @@ def truncated_parent_params(fam):
     """Raw parent parameters b = a^-1 q^(-j + e1 t), d = c^-1 q^(-j(-1) + e2 t).
 
     Must be called inside an mpmath working-precision context; the family's
-    a, c, alpha, q are converted to the current precision.
+    a, c, alpha, q, floats or Decimals, are converted to the current
+    precision.
     """
-    a = mpmath.mpf(fam.a)
-    c = mpmath.mpf(fam.c)
-    q = mpmath.mpf(fam.q)
-    alpha = mpmath.mpf(fam.alpha)
+    a, c, q, alpha = map(mpmath.mpmathify, (fam.a, fam.c, fam.q, fam.alpha))
     j = fam.j
     e1 = alpha * ORACLE_E_SCALE
     e2 = (1 - alpha) * ORACLE_E_SCALE
@@ -47,14 +61,17 @@ def truncated_parent_params(fam):
 
 
 def oracle_recurrence_coefficients(fam, n):
-    """(b_n, u_n) from the substitution oracle; u_0 is returned as 0."""
-    p = truncated_parent_params(fam)
-    A_n, C_n = askey_wilson.recurrence_ac(p, n, singular_tol=0.0)
-    b = (p.a + 1 / p.a - A_n - C_n) / 2
-    if n == 0:
-        return b, mpmath.mpf(0)
-    A_prev, _ = askey_wilson.recurrence_ac(p, n - 1, singular_tol=0.0)
-    return b, A_prev * C_n / 4
+    """(b_n, u_n) from the substitution oracle, run by mpmath at ORACLE_DPS
+    digits and returned as Decimals of those digits; u_0 is returned as 0."""
+    with mpmath.workdps(ORACLE_DPS):
+        p = truncated_parent_params(fam)
+        A_n, C_n = askey_wilson.recurrence_ac(p, n, singular_tol=0.0)
+        b = (p.a + 1 / p.a - A_n - C_n) / 2
+        u = mpmath.mpf(0)
+        if n:
+            A_prev, _ = askey_wilson.recurrence_ac(p, n - 1, singular_tol=0.0)
+            u = A_prev * C_n / 4
+        return tuple(Decimal(mpmath.nstr(v, ORACLE_DPS)) for v in (b, u))
 
 
 def sample_family(rng, N, alpha=None, q=None):
@@ -93,21 +110,38 @@ def _qortho_source(frame):
 
 @contextlib.contextmanager
 def float_conversions():
-    """Collect every float that an mpf operator, comparison or constructor
-    converts inside the block, as (value, source) pairs, the source given by
-    :func:`_qortho_source`.  Each such conversion goes through
-    ``mpmath.ctx_mp_python.from_float``, which is wrapped for the block."""
-    original = mpmath.ctx_mp_python.from_float
+    """Collect every float converted to a Decimal inside the block, as
+    (value, source) pairs, the source given by :func:`_qortho_source`.  The
+    package converts a float through ``to_extended`` alone, which is wrapped
+    for the block in each module that binds it; every Decimal context made in
+    the block traps ``FloatOperation``, so a float that meets a Decimal
+    anywhere else, in a constructor or an ordering, raises."""
     found = []
+    modules = (para_racah, connections, verify)
+    originals = [module.to_extended for module in modules]
+    context = decimal.Context
 
-    def counted(x, *rest):
-        found.append((x, _qortho_source(sys._getframe(1))))
-        return original(x, *rest)
-    mpmath.ctx_mp_python.from_float = counted
+    def counted(x):
+        if isinstance(x, float):
+            found.append((x, _qortho_source(sys._getframe(1))))
+            return Decimal.from_float(x)
+        return Decimal(x)
+
+    class Trapping(context):
+        def __init__(self, *args, traps=None, **kwargs):
+            traps = list(traps if traps is not None else
+                         (s for s, on in decimal.DefaultContext.traps.items() if on))
+            super().__init__(*args, traps=traps + [decimal.FloatOperation], **kwargs)
+
+    decimal.Context = Trapping
+    for module in modules:
+        module.to_extended = counted
     try:
         yield found
     finally:
-        mpmath.ctx_mp_python.from_float = original
+        decimal.Context = context
+        for module, original in zip(modules, originals):
+            module.to_extended = original
 
 
 def lattice_z(fam):
@@ -125,15 +159,15 @@ def eval_recurrence_with_peak(b_coefficient, u_coefficient, fam, n, x):
 
     A reference loop, independent of the library's recurrence engine, over
     the coefficient functions b_coefficient(fam, m) and u_coefficient(fam, m)
-    (u_0 is taken as the float 0.0).  The peak is the natural roundoff scale
-    for near-zero values such as the characteristic polynomial at its own
-    roots.
+    (u_0 is taken as 0).  It runs in the type of x: from 1.0, or a Decimal
+    1.  The peak is the natural roundoff scale for near-zero values such as
+    the characteristic polynomial at its own roots.
     """
-    prev, cur = 0.0, 1.0
-    peak = 1.0
+    cur = Decimal(1) if isinstance(x, Decimal) else 1.0
+    prev, peak = 0 * cur, cur
     for m in range(n):
         b = b_coefficient(fam, m)
-        u = 0.0 if m == 0 else u_coefficient(fam, m)
+        u = 0 * cur if m == 0 else u_coefficient(fam, m)
         cur, prev = (x - b) * cur - u * prev, cur
         peak = max(peak, abs(cur))
     return cur, peak
@@ -197,12 +231,17 @@ def explicit_value_reference(fam, n, z, eta):
 def eval_explicit_reference(tri, zs):
     """para_racah.eval_explicit, one value at a time: each value summed at
     its point alone, with r = R_n(x) from one recurrence pass per point, and
-    each value whose term magnitude exceeds the accuracy constant times
-    2^prec |r| summed again at the digits the call's worst one lost plus
-    ceil(prec log10 2), then rounded back to its working type."""
+    each value at a real point whose term magnitude times the unit roundoff
+    u (2^-53, or 10^(1-P)/2 at P working digits) exceeds the accuracy constant times
+    |r| summed again in Decimal at the digits the call's worst one lost plus
+    16 (binary64) or P, then rounded back to its working type."""
     fam = tri.family
-    prec = working_precision(fam.q) or 53
-    trigger = para_racah._EXPLICIT_ACCURACY * 2 ** prec
+    digits = working_precision(fam.q)
+    if digits is None:
+        trigger = para_racah._EXPLICIT_ACCURACY * 2 ** 53
+    else:
+        num, den = para_racah._EXPLICIT_ACCURACY.as_integer_ratio()
+        trigger = Decimal(num) / den * (2 * 10 ** (digits - 1))
     rows, flagged = [], []
     for n in range(fam.N + 1):
         eta = para_racah._eta(fam, n)
@@ -212,22 +251,22 @@ def eval_explicit_reference(tri, zs):
             r = abs(tri.values((z + 1 / z) / 2, fam.N)[n])
             if not (is_finite(magnitude) and is_finite(r)):
                 raise OverflowError("degree %d" % n)
-            if r != 0 and magnitude > trigger * r:
+            if r != 0 and magnitude > trigger * r and not isinstance(z, complex):
                 flagged.append((n, i, magnitude / r))
             row.append(value)
         rows.append(row)
     if not flagged:
         return rows
-    lost = max(mpmath.log10(ratio) for _, _, ratio in flagged)
-    with mpmath.workdps(int(mpmath.ceil(lost)) + math.ceil(prec * math.log10(2))):
-        hi_fam = fam.replace(a=mpmath.mpf(fam.a), c=mpmath.mpf(fam.c),
-                             alpha=mpmath.mpf(fam.alpha), q=mpmath.mpf(fam.q))
-        values = [explicit_value_reference(hi_fam, n, mpmath.mpmathify(zs[i]),
+    worst = max(ratio for _, _, ratio in flagged)
+    lost = math.ceil(worst.log10() if is_extended(worst) else math.log10(worst))
+    with extended_precision(lost + (digits or 16)):
+        hi_fam = fam.replace(a=Decimal(fam.a), c=Decimal(fam.c),
+                             alpha=Decimal(fam.alpha), q=Decimal(fam.q))
+        values = [explicit_value_reference(hi_fam, n, Decimal(zs[i]),
                                            para_racah._eta(hi_fam, n))[0]
                   for n, i, _ in flagged]
     for (n, i, _), value in zip(flagged, values):
-        rows[n][i] = (+value if is_mp(rows[n][i])
-                      else complex(value) if isinstance(zs[i], complex) else float(value))
+        rows[n][i] = +value if digits else float(value)
     return rows
 
 
@@ -369,11 +408,11 @@ def _richardson_halving_reference(values):
     deltas = []
     while len(table) > 1:
         level += 1
-        f = mpmath.mpf(2) ** level
+        f = Decimal(2) ** level
         table = [(f * hi - lo) / (f - 1) for lo, hi in zip(table, table[1:])]
         deltas.append(abs(table[-1] - last))
         last = table[-1]
-    if deltas and deltas[-1] > max(abs(last), mpmath.mpf(1)) * mpmath.mpf("1e-4"):
+    if deltas and deltas[-1] > max(abs(last), Decimal(1)) * Decimal("1e-4"):
         raise ArithmeticError("extrapolation estimates are not contracting")
     return last
 
@@ -382,20 +421,21 @@ def dual_hahn_limit_reference(a_exponent, N, n):
     """(lim_a, lim_c, target_a, target_c) of one degree at 50 digits, from
     six steps sqrt(q) = 1 - 2^-k, the first the smallest k >= 8 with
     2^k > 32 |a_exponent|; ArithmeticError when the finest step keeps fewer
-    than 53 bits of 1 - sqrt(q)."""
-    with mpmath.workdps(50):
-        exponent = mpmath.mpf(a_exponent)
+    than 53 bits of 1 - sqrt(q) above the half unit 10^-50 / 2 in which
+    sqrt(q) is rounded."""
+    with extended_precision(50):
+        exponent = Decimal(a_exponent)
         first = 8
         while 2 ** first <= 32 * abs(exponent):
             first += 1
-        if mpmath.mp.prec - (first + 5) < 53:
+        if Decimal(2) ** -(first + 5) < Decimal(2) ** 53 * Decimal("1e-50") / 2:
             raise ArithmeticError("step families are not resolved at 50 digits")
         vals_a, vals_c = [], []
         for k in range(first, first + 6):
-            p = 1 - mpmath.mpf(2) ** -k
+            p = 1 - Decimal(1) / 2 ** k
             q = p * p
             a = q ** exponent
-            fam = para_racah.ParaRacahFamily(a=a, c=a * p, alpha=0.5, q=q, N=N)
+            fam = para_racah.ParaRacahFamily(a=a, c=a * p, alpha=Decimal("0.5"), q=q, N=N)
             A, C = para_racah.limit_rows(fam, (n,))[0]
             s = (1 - p) ** 2
             vals_a.append(A / s)
@@ -423,32 +463,29 @@ def qpk_theta_limit_reference(fam):
         delta, qfam = fam.a / fam.c, None
     alpha, q, N = fam.alpha, fam.q, fam.N
     worst = 0.0
-    with mpmath.workdps(50):
-        D = mpmath.mpf(delta)
-        qq = mpmath.mpf(q)
-        al = mpmath.mpf(alpha)
+    with extended_precision(50):
+        D, qq, al = Decimal(delta), Decimal(q), Decimal(alpha)
         if qfam is None:  # a qpr run's target has the limit's own parameters
             qfam = para_krawtchouk.ParaKrawtchoukFamily(Delta=D, alpha=al, q=qq, N=N)
+        floor = Decimal(1) / 10 ** 6
         for n in range(N + 1):
             vals_b, vals_u = [], []
             for k in (3, 4, 5):
-                theta = mpmath.mpf(10) ** k
-                a = mpmath.sqrt(theta * D)
-                c = mpmath.sqrt(theta / D)
+                theta = Decimal(10) ** k
+                a = (theta * D).sqrt()
+                c = (theta / D).sqrt()
                 big = para_racah.ParaRacahFamily(a=a, c=c, alpha=al, q=qq, N=N)
                 vals_b.append((2 * a / theta) * para_racah.b_coefficient(big, n))
                 if n >= 1:
                     vals_u.append((4 * a * a / theta ** 2)
                                   * para_racah.u_coefficient(big, n))
             b_ext = _richardson10_reference(vals_b)
-            worst = max_keep_nan(
-                worst, abs(b_ext - para_krawtchouk.b_coefficient(qfam, n))
-                / max(mpmath.mpf(1) / 10 ** 6, abs(b_ext)))
+            closed = Decimal(para_krawtchouk.b_coefficient(qfam, n))
+            worst = max_keep_nan(worst, abs(b_ext - closed) / max(floor, abs(b_ext)))
             if n >= 1:
                 u_ext = _richardson10_reference(vals_u)
-                worst = max_keep_nan(
-                    worst, abs(u_ext - para_krawtchouk.u_coefficient(qfam, n))
-                    / max(mpmath.mpf(1) / 10 ** 6, abs(u_ext)))
+                closed = Decimal(para_krawtchouk.u_coefficient(qfam, n))
+                worst = max_keep_nan(worst, abs(u_ext - closed) / max(floor, abs(u_ext)))
     return float(worst)
 
 

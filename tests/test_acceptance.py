@@ -11,12 +11,13 @@ import math
 import random
 import time
 
-import mpmath
+from decimal import Decimal
+
 import pytest
 
 import support
 from qortho import cli, connections, para_krawtchouk, para_racah, recurrence, spectral, verify
-from qortho.scalars import max_keep_nan
+from qortho.scalars import extended_precision, max_keep_nan
 
 BOX_ALPHAS = (0.25, 0.5, 0.75)
 
@@ -169,18 +170,18 @@ def test_criterion_08_dual_hahn_limit():
 
 def test_criterion_09_para_krawtchouk():
     # closed forms vs the rescaled limit of the biexponential family
-    with mpmath.workdps(50):
+    with extended_precision(50):
         for N in (4, 5):
-            D = mpmath.mpf("1.3")
-            q = mpmath.mpf("0.5")
-            al = mpmath.mpf("0.35")
+            D = Decimal("1.3")
+            q = Decimal("0.5")
+            al = Decimal("0.35")
             fam = para_krawtchouk.ParaKrawtchoukFamily(Delta=D, alpha=al, q=q, N=N)
             for n in range(N + 1):
                 vals_b, vals_u = [], []
                 for k in (3, 4, 5):
-                    theta = mpmath.mpf(10) ** k
-                    a = mpmath.sqrt(theta * D)
-                    c = mpmath.sqrt(theta / D)
+                    theta = Decimal(10) ** k
+                    a = (theta * D).sqrt()
+                    c = (theta / D).sqrt()
                     big = para_racah.ParaRacahFamily(a=a, c=c, alpha=al, q=q, N=N)
                     vals_b.append((2 * a / theta) * para_racah.b_coefficient(big, n))
                     if n >= 1:
@@ -189,12 +190,12 @@ def test_criterion_09_para_krawtchouk():
                 r = [(10 * hi - lo) / 9 for lo, hi in zip(vals_b, vals_b[1:])]
                 ext = (100 * r[1] - r[0]) / 99
                 closed = para_krawtchouk.b_coefficient(fam, n)
-                assert abs(ext - closed) <= 1e-6 * max(1, abs(ext)), (N, n)
+                assert abs(ext - closed) <= Decimal("1e-6") * max(1, abs(ext)), (N, n)
                 if n >= 1:
                     r = [(10 * hi - lo) / 9 for lo, hi in zip(vals_u, vals_u[1:])]
                     ext = (100 * r[1] - r[0]) / 99
                     closed = para_krawtchouk.u_coefficient(fam, n)
-                    assert abs(ext - closed) <= 1e-6 * max(1, abs(ext)), (N, n)
+                    assert abs(ext - closed) <= Decimal("1e-6") * max(1, abs(ext)), (N, n)
     # Gram orthogonality and persymmetry on the exponential bi-lattice
     for N in range(2, 10):
         for alpha in BOX_ALPHAS:
@@ -220,13 +221,11 @@ def test_criterion_09_para_krawtchouk():
 def test_criterion_10_oracle_consistency():
     # Tiny-t substitution into the raw parent coefficients reproduces the
     # closed-form tables to 40 significant digits.
-    with mpmath.workdps(support.ORACLE_DPS):
-        tol = mpmath.mpf("1e-40")
+    with extended_precision(support.ORACLE_DPS):
+        tol = Decimal("1e-40")
         for N in range(1, 8):
             for (a, c, alpha) in (("0.9", "0.7", "0.3"), ("0.55", "0.4", "0.65")):
-                fam = para_racah.ParaRacahFamily(
-                    a=mpmath.mpf(a), c=mpmath.mpf(c),
-                    alpha=mpmath.mpf(alpha), q=mpmath.mpf("0.5"), N=N)
+                fam = support.family("qpr", N, Decimal, a=a, c=c, alpha=alpha, q="0.5")
                 for n in range(N + 1):
                     b_or, u_or = support.oracle_recurrence_coefficients(fam, n)
                     b_cf = para_racah.b_coefficient(fam, n)

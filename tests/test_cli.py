@@ -6,12 +6,14 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from qortho import cli, connections, verify
+from qortho import cli, connections, scalars, verify
 from qortho.cli import main
+from qortho.scalars import extended_precision
 
 QPR = ["--kind", "qpr", "--a", "0.9", "--c", "0.7",
        "--alpha", "0.5", "--q", "0.5", "--N", "5"]
@@ -369,9 +371,8 @@ def test_an_underflowed_u_is_refused_in_double(capsys):
     ("2.5e-310", "2.500e-310"), ("3.14159e-300", "3.142e-300"), ("-0.5", "-5.000e-01")])
 def test_the_favard_note_keeps_the_digits_of_a_value_below_binary64(low, note):
     # A value whose float is normal prints as "%.3e" % float, as before.
-    import mpmath
-    with mpmath.workdps(50):
-        assert verify._format_e3(mpmath.mpf(low)) == note
+    with extended_precision(50):
+        assert verify._format_e3(Decimal(low)) == note
     if float(low) == 0 or abs(float(low)) >= sys.float_info.min:
         assert verify._format_e3(float(low)) == "%.3e" % float(low)
 
@@ -467,7 +468,7 @@ def test_uncertified_gram_trailer_exits_4(capsys):
         "--q", "0.2", "--N", "34", "--precision", "extended:15"])
     assert code == 4
     assert "orthogonality not certified" in err
-    assert out.strip().splitlines()[-1] == "# gram_max_error = 3.116e-06"
+    assert out.strip().splitlines()[-1] == "# gram_max_error = 3.428e-07"
 
 
 def test_the_twist_alone_makes_lattice_weights_exit_4(capsys, monkeypatch):
@@ -638,13 +639,68 @@ def test_an_underflowed_first_component_is_refused(capsys, command):
 def test_zero_denominator_without_a_message_names_the_precision(capsys):
     # Delta q^(j+1) = 1 (Delta = 4 at q = 1/2, N = 2, outside the positivity
     # region) is an exact zero of the denominator of qpk's closed-form
-    # weights' normalization; mpmath raises ZeroDivisionError with no text.
+    # weights' normalization; Decimal signals DivisionByZero, whose own text
+    # is the list of its conditions.
     argv = ["lattice-weights", "--kind", "qpk", "--Delta", "4",
             "--alpha", "0.5", "--q", "0.5", "--N", "2", "--precision", "extended"]
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert err == ("numeric underflow or zero denominator at extended:50 precision: "
                    "division by zero\n")
+
+
+@pytest.mark.parametrize("value", ["0", "3", "1.5", "123456", "1e-7", "1e49", "1e50",
+                                   "-2.5e-300"])
+def test_extended_values_print_in_the_shape_of_mpmath_nstr(value):
+    # Exact in both types at 50 digits, so only the rendering can differ.
+    import mpmath
+    with extended_precision(50), mpmath.workdps(50):
+        assert scalars.format_scalar(Decimal(value), 50) == mpmath.nstr(mpmath.mpf(value), 50)
+
+
+EXTENDED_OVERFLOW = ("numeric overflow at extended:50 precision: "
+                     "a value exceeds 10^999999\n")
+
+
+@pytest.mark.parametrize("command", ["coeffs", "lattice-weights", "verify"])
+@pytest.mark.parametrize("a", ["1e999990", "1e-999990"])
+def test_a_parameter_near_the_decimal_exponent_limit_is_an_overflow(capsys, monkeypatch,
+                                                                    command, a):
+    # a^2 leaves Decimal's exponent range (mpmath's has no such limit): the
+    # Overflow signal is a numeric overflow, not invalid parameters.
+    monkeypatch.delenv("QORTHO_PRECISION", raising=False)
+    argv = [command, "--a", a, "--c", "0.7", "--alpha", "0.5", "--q", "0.5", "--N", "3"]
+    assert run_cli(capsys, argv + ["--precision", "extended"]) == (2, "", EXTENDED_OVERFLOW)
+    # A default run is refused by binary64's range first, then reruns.
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    note, rest = err.split("\n", 1)
+    assert note.startswith("note: numeric ") and note.endswith("; rerunning at extended:50")
+    assert rest == EXTENDED_OVERFLOW
+
+
+@pytest.mark.parametrize("operation,err", [
+    (lambda: Decimal(1) / 0, "numeric underflow or zero denominator at extended:50 precision: "
+                             "division by zero"),
+    (lambda: Decimal(0) / 0, "numeric underflow or zero denominator at extended:50 precision: "
+                             "division by zero"),
+    (lambda: Decimal("1e-999990") ** 2, "numeric underflow or zero denominator at "
+                                        "extended:50 precision: a value falls below "
+                                        "10^-999999"),
+    (lambda: Decimal("1e999990") ** 2, EXTENDED_OVERFLOW.strip()),
+    (lambda: Decimal(-1).sqrt(), "invalid parameters: invalid operation"),
+], ids=["division-by-zero", "zero-over-zero", "underflow", "overflow", "invalid"])
+def test_each_decimal_signal_keeps_the_exit_code_contract(capsys, monkeypatch, operation,
+                                                          err):
+    # Whatever Decimal operation signals inside a command: a range signal is
+    # exit 2 with its refusal's name, an invalid operation exit 2 as invalid
+    # parameters.
+    def command(args, prec):
+        with prec.context():
+            operation()
+    monkeypatch.setattr(cli, "cmd_coeffs", command)
+    code, out, text = run_cli(capsys, ["coeffs"] + QPR + ["--precision", "extended"])
+    assert (code, out, text) == (2, "", err + "\n")
 
 
 @pytest.mark.parametrize("precision", ["double", "extended"])
@@ -699,7 +755,7 @@ def test_verify_degenerate_exits_3(capsys, suite, precision):
 
 
 def test_persymmetry_violation_beyond_binary64_does_not_pass(capsys):
-    # a = 1e-240 puts b_0 near 1e240: the residual is an mpf beyond the binary64
+    # a = 1e-240 puts b_0 near 1e240: the residual is a Decimal beyond the binary64
     # range, printed as inf, and a check with a residual it cannot print fails.
     code, out, err = run_cli(capsys, [
         "verify", "--kind", "qpr", "--a", "1e-240", "--c", "0.5", "--alpha", "0.75",
@@ -809,7 +865,7 @@ GOLDEN = [
     ("coeffs --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5 --format csv",
      "6913d3beda94377ca206075cd910d7fabb808aa2bfde85091965e776fd13e4e5"),
     ("coeffs --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --format json --precision extended",
-     "8cbbf4672847d542d3f017ab4571ffc8e06ba3f0fa22bcbaa8343273a5be33da"),
+     "f0429a144f994bbe91a38fe9d4416f9e03f8b54dd8ff51428ff838599094a51a"),
     ("coeffs --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format csv --precision extended:30",
      "03101d3fe8395b18e8629e25d1d9da1d9d58496ac87c23a6916e47d800fc1157"),
     ("coeffs --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format json",
@@ -821,34 +877,34 @@ GOLDEN = [
     ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5 --format csv",
      "6b30c2c3d86de3ca98d0f139ba04628b5a7055c9ddf8c0a02d6ee778b326b0ef"),
     ("lattice-weights --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --format json --precision extended",
-     "eda7ef8b1c81cd99fcfbaebb6038586b4da926e7702914ea560fe0bff7cd1c97"),
+     "c528cc8ce563c9c5b95fbe4d46777f5bd010761a3682bdf03ed73d4aa3d05671"),
     ("lattice-weights --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format csv --precision extended:30",
-     "5ffc99f5e41e6705dcb9f58cf5054ff3504daad386d21189fafbc862fa57da0f"),
+     "25525f64a2cbea9ff7c2160924181dd06963202db3318e03603ee69f607b74e9"),
     ("lattice-weights --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format json",
      "1b857ea1bc7d0cf66f3753612823114857a493a6d0edbf48f2c786beae766b40"),
     ("lattice-weights --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --format csv --precision extended:40",
-     "8172282f31b48be192ca9e7585a4d36317c5e9def1d0cb03391dcf39b6fd6cda"),
+     "18b06ee45641becf7c7ba03f554863a84ce28773033fb047c87d7110cd3df10f"),
     ("lattice-weights --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
      "6f98faaa99978eb4bfec25ce625ad6ff2dbda2a38705bc9f2c293d645eceb49b"),
     ("coeffs --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format csv --precision extended",
-     "1bd54ff8d1139511527c197b15b5ac163eaf16e219f7da8ddabaea15905a9056"),
+     "ea48e93654f7078153c976a6933c5f42817f39c6650d42f24a5d175f2c08ef22"),
     ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format json --precision extended",
-     "48b659ad844858421a0ca19f5e8451336e6322eac92c8e9d054895c2da656fd0"),
+     "40b752187b9f26d48ac54883edbdcfd536b0eaa67197abe1e4dfc68e4c59eb71"),
     # The same two at the default precision: certified in double.
     ("coeffs --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format csv",
      "5acbc7b141b58538741031b26a18fef2b539fd1c22aee642325d387aa537b558"),
     ("lattice-weights --kind qpr --a 0.9 --c 0.7 --alpha 0.5 --q 0.5 --N 12 --format json",
      "c1fc07dd40d22f01ae3801d93c1175cdbbf356035d5224c406a61a34c8a4d71f"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 5 --format csv --precision double",
-     "9db054834f9b56353240d973ba732b685c3c092a96262af63beaac1a73423be3"),
+     "fe9b82d77668077c36c82aa66a9ef21f31fd6b66f5c31d6e682db5c68ce065f5"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.5 --q 0.45 --N 6 --format json --precision double --seed 3",
-     "2851c94209e15c1005d431535fc2f53fca94c8c61c8c0ebfe2b804623875d3d0"),
+     "7af2b91e4456d15ed6c9eac9018404c0f79425b602fad028ff741a21bbf99b0d"),
     ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 5 --format json --precision double",
      "df14261354ca68e03cca1515251fa4d7be07257824c7ea48ae5f722a6915cecb"),
     ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 6 --format csv --precision extended",
-     "3d614d6631132163d9d4a13876281d40d37d3ea43587b5709c2e156209a9bfda"),
+     "b940ba5bcf563449e151e6803866df300d0e033cf754ce5bdc042e9687d881c2"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 6 --suite orthogonality --format json --precision extended",
-     "8f5b3ba07969b42e39be69254a44d5e68a36a2584e18e61562daee89456bcaa1"),
+     "7cb868966dcfc145edc5026ceadf022fd46171214756105a0ce3397c9c2b48fc"),
     # The explicit expansion of both parities, in double where the rerun
     # fires (q = 0.3) and at 60 digits.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.3 --N 8 --suite explicit --format csv --precision double",
@@ -856,31 +912,31 @@ GOLDEN = [
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.3 --N 9 --suite explicit --format csv --precision double",
      "59c5671cafea65c095c34169c5b3995a95752a1b477f03fd2d6b7399ba5e770b"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 12 --suite explicit --format csv --precision extended:60",
-     "72361358edb3c2addf3b3f83a889472075d6fdc66575663b05f09ae4e8f5210b"),
+     "63f272160a8c0c580dd6bd060d277731f1e67ed0055fe3b567a4e18acf4d9ab8"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite explicit --format csv --precision extended:60",
-     "b9244662b5cb4e45709d28dae8ea9d182c1525eee23aade94bdcba483f6f79b2"),
+     "eb1bb1872a0720afac2cb1803ec913bc44f12f321cccf4c38aa584585d510380"),
     # Every suite at the default extended precision, the setting of the
     # verify-ext benchmark: odd N, even N, and odd N with the middle-degree
     # branch at n = j and j+1; and the q-difference check at 60 digits.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 9 --format json --precision extended",
-     "ec06ddf248bdb1e0322b3d66fc659a10e76f5489e16c936d437c39cd507d5d74"),
+     "21413e07003325d9b166d81ff222e6f1b9e2234a0ec8979866de2e05801ad3ff"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 12 --format json --precision extended",
-     "f232509d68c2581cae55d4393db96edb6dc367659ffa6433820f12092b04d707"),
+     "7c4d01c7cf7b3ba005243cad3a6057ebd6c01aa84e5486087c1200d75ad0cb17"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --format json --precision extended",
-     "1f2388db6e39004369147f4dcaae44c79a0bfea85458c70ce1d42216eda76241"),
+     "25e5a061e6762cca54ad49ccf6aa983c1e6f25bfd94fb8593743ee3392e34ce0"),
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 13 --suite bispectral --format json --precision extended:60",
-     "b805345583fe1b8e92a373b2799d6b4de7c9824061b9d0e52f3a13c080cea0c5"),
+     "feb14a75b41441ff330c6ab0235b508c2989eb7a716088846f7b2b75d925fdf2"),
     # The two limit oracles, which extrapolate at a fixed 50 digits whatever
     # the run's precision, and a qpk run that reads its own table in the
     # theta limit.
     ("verify --kind qpr --a 0.9 --c 0.7 --alpha 0.3 --q 0.5 --N 9 --suite dualhahn --format csv --precision extended:80",
      "8f09a8b75a17bc922b0c360ae042584464739c45c19beaf039bd597cd3b25433"),
     ("verify --kind qpr --a 0.8 --c 0.55 --alpha 0.75 --q 0.45 --N 8 --suite qpk-limit --format csv --precision extended:80",
-     "a79190f2c59b7052f4d6fab6eab4844f4854efdabdaad9a52cdcdc28d64f46b9"),
+     "a8c32427d8f61c556275df235528c65d819342f0f9de2a63a4b2eab17ab356ac"),
     ("verify --kind qpk --Delta 1.2 --alpha 0.25 --q 0.6 --N 7 --suite all --format csv --precision double",
      "6fa35da6007a9adb330bfede7a7d4d689e83fcac77e2d3dde1b6d78afc2185ae"),
     ("verify --kind qpk --Delta 1.3 --alpha 0.35 --q 0.5 --N 8 --suite all --format json --precision extended",
-     "060301e21fe58d9ca182e6a83a7b046952f3b5c90de50102d2e911bfaa5c4f6a"),
+     "af0329cb84f0159f21d2872d215bd8a2fafd1818bbc98ffa342f59b365c5a6b5"),
     # The isospectral suite's deformed tables: N = 1, 2, 3, where the splice
     # n = j, j+1 reaches both ends of the table, families at alpha = 1/2 of
     # both parities, and one at a grid alpha, each in double and extended.

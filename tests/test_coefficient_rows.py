@@ -7,8 +7,8 @@ family costs exactly one pass."""
 
 import itertools
 import random
+from decimal import Decimal
 
-import mpmath
 import pytest
 
 import support
@@ -17,8 +17,9 @@ from qortho import connections, para_krawtchouk, para_racah, verify
 from qortho.para_krawtchouk import ParaKrawtchoukFamily
 from qortho.para_racah import ParaRacahFamily
 from qortho.recurrence import tridiagonal
+from qortho.scalars import extended_precision
 
-PRECISIONS = [(float, 15), (mpmath.mpf, 50)]
+PRECISIONS = [(float, 15), (Decimal, 50)]
 
 
 def _same(value, reference) -> bool:
@@ -46,7 +47,7 @@ def test_rows_are_the_per_entry_formulas_bit_for_bit(kind, num, digits, N):
     b_formula, u_formula = ((oracle.qpr_b_from_limits, oracle.qpr_u_from_limits)
                             if kind == "qpr" else
                             (oracle.qpk_b_coefficient, oracle.qpk_u_coefficient))
-    with mpmath.workdps(digits):
+    with extended_precision(digits):
         for fam in _families(kind, N, num):
             tri = tridiagonal(fam)
             b, u = oracle.coefficient_table(fam)
@@ -131,9 +132,9 @@ def test_a_verify_run_makes_one_pass_per_table(monkeypatch):
     # one limit pass, over the degrees its b_n and u_n need.
     N, j = 12, 6
     passes = support.count_passes(monkeypatch)
-    with mpmath.workdps(50):
-        fam = ParaRacahFamily(a=mpmath.mpf("0.9"), c=mpmath.mpf("0.7"),
-                              alpha=mpmath.mpf("0.25"), q=mpmath.mpf("0.5"), N=N)
+    with extended_precision(50):
+        fam = ParaRacahFamily(a=Decimal("0.9"), c=Decimal("0.7"),
+                              alpha=Decimal("0.25"), q=Decimal("0.5"), N=N)
         checks = verify.run_suite("all", fam)
     assert all(chk.passed for chk in checks)
     full = (tuple(range(N + 1)), tuple(range(1, N + 1)))
@@ -173,30 +174,30 @@ def test_double_tables_at_small_q_keep_their_digits(a, c, q, N):
     # reference.  A u_n formed as one quotient of products reached the
     # subnormal range here and kept about 11 digits, or divided by zero.
     tri = tridiagonal(ParaRacahFamily(a=a, c=c, alpha=0.3, q=q, N=N))
-    with mpmath.workdps(300):
-        fam = ParaRacahFamily(a=mpmath.mpf(a), c=mpmath.mpf(c), alpha=mpmath.mpf(0.3),
-                              q=mpmath.mpf(q), N=N)
+    with extended_precision(300):
+        fam = ParaRacahFamily(a=Decimal(a), c=Decimal(c), alpha=Decimal(0.3),
+                              q=Decimal(q), N=N)
         b = [oracle.qpr_b_coefficient(fam, n) for n in range(N + 1)]
         u = [oracle.qpr_u_coefficient(fam, n) for n in range(1, N + 1)]
         scale = max(abs(v) for v in b)
-        assert all(abs(x - y) <= 2e-15 * scale for x, y in zip(tri.b, b))
-        assert all(abs(x - y) <= 4e-15 * abs(y) for x, y in zip(tri.u, u))
+        assert all(abs(Decimal(x) - y) <= Decimal(2e-15) * scale for x, y in zip(tri.b, b))
+        assert all(abs(Decimal(x) - y) <= Decimal(4e-15) * abs(y) for x, y in zip(tri.u, u))
 
 
 def test_tables_agree_with_the_closed_forms_at_60_digits():
     rng = random.Random("closed-forms")
-    with mpmath.workdps(60):
+    with extended_precision(60):
         for _ in range(300):
-            fam = ParaRacahFamily(a=mpmath.mpf(10 ** rng.uniform(-3, 1.5)),
-                                  c=mpmath.mpf(10 ** rng.uniform(-3, 1.5)),
-                                  alpha=mpmath.mpf(rng.uniform(0.05, 0.95)),
-                                  q=mpmath.mpf(rng.uniform(0.005, 0.999)), N=rng.randint(1, 40))
+            fam = ParaRacahFamily(a=Decimal(10 ** rng.uniform(-3, 1.5)),
+                                  c=Decimal(10 ** rng.uniform(-3, 1.5)),
+                                  alpha=Decimal(rng.uniform(0.05, 0.95)),
+                                  q=Decimal(rng.uniform(0.005, 0.999)), N=rng.randint(1, 40))
             tri = tridiagonal(fam)
             b = [oracle.qpr_b_coefficient(fam, n) for n in range(fam.N + 1)]
             u = [oracle.qpr_u_coefficient(fam, n) for n in range(1, fam.N + 1)]
             scale = max(abs(v) for v in b)
-            assert all(abs(x - y) <= 1e-50 * scale for x, y in zip(tri.b, b)), fam
-            assert all(abs(x - y) <= 1e-50 * abs(y) for x, y in zip(tri.u, u)), fam
+            assert all(abs(x - y) <= Decimal(1e-50) * scale for x, y in zip(tri.b, b)), fam
+            assert all(abs(x - y) <= Decimal(1e-50) * abs(y) for x, y in zip(tri.u, u)), fam
 
 
 @pytest.mark.parametrize("a,c,alpha,q,N", [(27.7825, 0.2236, 0.9029, 0.9981, 39),
@@ -207,9 +208,9 @@ def test_double_tables_near_q_1_keep_b_n_to_1e_14(a, c, alpha, q, N):
     # carries the rounding of 1/q over 1 - q, about 500 ulps here, into
     # b_n (2.8e-14 to 3.4e-14 of max |b_n|), where (q - 1) / q carries one.
     tri = tridiagonal(ParaRacahFamily(a=a, c=c, alpha=alpha, q=q, N=N))
-    with mpmath.workdps(100):
-        fam = ParaRacahFamily(a=mpmath.mpf(a), c=mpmath.mpf(c), alpha=mpmath.mpf(alpha),
-                              q=mpmath.mpf(q), N=N)
+    with extended_precision(100):
+        fam = ParaRacahFamily(a=Decimal(a), c=Decimal(c), alpha=Decimal(alpha),
+                              q=Decimal(q), N=N)
         b = [oracle.qpr_b_coefficient(fam, n) for n in range(N + 1)]
         scale = max(abs(v) for v in b)
-        assert all(abs(x - y) <= 1e-14 * scale for x, y in zip(tri.b, b))
+        assert all(abs(Decimal(x) - y) <= Decimal(1e-14) * scale for x, y in zip(tri.b, b))

@@ -1,6 +1,6 @@
 import random
+from decimal import Decimal
 
-import mpmath
 import pytest
 
 import support
@@ -14,6 +14,7 @@ from qortho.connections import (
     verify_qracah_identity,
 )
 from qortho.recurrence import tridiagonal
+from qortho.scalars import extended_precision
 
 
 def test_qracah_monic_trivial_degrees():
@@ -90,7 +91,7 @@ def test_dual_hahn_matches_the_per_degree_reference(N):
     a_exp = rng.uniform(0.05, 1.5)
     expected = [support.dual_hahn_limit_reference(a_exp, N, n) for n in range(N + 1)]
     assert dual_hahn_limit(a_exp, N, range(N + 1)) == expected
-    with mpmath.workdps(50):
+    with extended_precision(50):
         assert dual_hahn_limit(a_exp, N, range(N + 1)) == expected
 
 
@@ -125,7 +126,7 @@ def test_limit_rows_that_do_not_contract_raise(monkeypatch):
 
     def alternating(fam, degrees):
         passes.append(fam)
-        return [(mpmath.mpf(-1) ** len(passes), mpmath.mpf(1))] * len(degrees)
+        return [(Decimal(-1) ** len(passes), Decimal(1))] * len(degrees)
     monkeypatch.setattr(connections, "limit_rows", alternating)
     with pytest.raises(connections.ExtrapolationError, match="not contracting"):
         dual_hahn_limit(0.4, 5, [2])
@@ -137,8 +138,8 @@ def test_dual_hahn_refuses_steps_finer_than_its_digits(monkeypatch, a_exp):
     # From |e| = 2^106 (8.11e31) on, the finest step would keep fewer than
     # 53 bits of 1 - sqrt(q) at 50 digits, and no family is built.
     built = support.count_family_builds(monkeypatch, connections)
-    with mpmath.workdps(50):
-        exponent = mpmath.mpf(a_exp)
+    with extended_precision(50):
+        exponent = Decimal(a_exp)
     with pytest.raises(connections.ExtrapolationError, match="not resolved at 50 digits"):
         dual_hahn_limit(exponent, 5, [2])
     assert built == []
@@ -146,8 +147,8 @@ def test_dual_hahn_refuses_steps_finer_than_its_digits(monkeypatch, a_exp):
 
 def test_richardson_levels():
     # v_k = 1 + 2^-k + 4^-k: each level removes one power exactly.
-    with mpmath.workdps(30):
-        values = [1 + mpmath.mpf(2) ** -k + mpmath.mpf(4) ** -k for k in range(3)]
+    with extended_precision(30):
+        values = [1 + Decimal(2) ** -k + Decimal(4) ** -k for k in range(3)]
         estimates = connections.richardson(values, 2)
     assert estimates[0] == values[-1]
     assert len(estimates) == 3
@@ -173,12 +174,12 @@ def test_dual_hahn_limit_converts_only_its_float_exponent(N):
 
 @pytest.mark.parametrize("a_exp", [0.0, -0.3, -1328.77, 1608.63, "0", "-0.3", "1e400"])
 def test_dual_hahn_reads_its_first_step_without_converting_again(a_exp):
-    # A float exponent is converted once; an mpf one, beyond the binary64
+    # A float exponent is converted once; a Decimal one, beyond the binary64
     # range too, is read as it is.
     exponent = a_exp
     if isinstance(a_exp, str):
-        with mpmath.workdps(50):
-            exponent = mpmath.mpf(a_exp)
+        with extended_precision(50):
+            exponent = Decimal(a_exp)
     with support.float_conversions() as floats:
         try:
             dual_hahn_limit(exponent, 5, range(1, 5))

@@ -7,12 +7,15 @@ record dropped its z representatives, after a diff of the hashed data showed
 only the 51 mpf P_0 and h_0 entries moving from 1.0 to an mpf 1; and
 re-recorded over the kept fields, computed on the code before that change,
 when the weight record dropped its copies of h_n, k_norm and the measure's
-sign), and no module outside ``recurrence`` spells out the strand order
+sign; and re-recorded when the extended scalar became ``decimal.Decimal``,
+after the binary64 rows and the Askey-Wilson oracle's mpmath rows hashed as
+before), and no module outside ``recurrence`` spells out the strand order
 again."""
 
 import hashlib
 import math
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import mpmath
@@ -25,6 +28,7 @@ from qortho import connections, para_krawtchouk, para_racah, recurrence, spectra
 from qortho.para_krawtchouk import ParaKrawtchoukFamily
 from qortho.para_racah import ParaRacahFamily
 from qortho.recurrence import tridiagonal
+from qortho.scalars import extended_precision, typed_float
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qortho"
 
@@ -36,6 +40,8 @@ def _bits(v):
         return [_bits(x) for x in v]
     if isinstance(v, float):
         return v.hex()
+    if isinstance(v, Decimal):
+        return ["decimal", str(v)]
     if isinstance(v, mpmath.mpf):
         return ["mpf", list(v._mpf_)]
     return repr(v)
@@ -61,7 +67,7 @@ def _qracah_rows(num, N):
 
 def _persymmetry_rows(tri):
     rows = []
-    for table in (tri, tri.at_alpha(0.5)):
+    for table in (tri, tri.at_alpha(typed_float(0.5, tri.family.q))):
         rows.append(_bits(recurrence.persymmetry_residual(table)))
         if table.positive:
             rows.append(_bits(spectral.persymmetry_residual(table)))
@@ -96,9 +102,10 @@ def _shared_conventions_digest():
     weights, the strand sums, the qpr q-difference residuals and both
     persymmetry residuals, in binary64 and at 50 digits."""
     out = []
-    for num, digits in ((float, 15), (mpmath.mpf, 50)):
-        with mpmath.workdps(digits):
-            out.append(_askey_wilson_rows(num))
+    for num, digits in ((float, 15), (Decimal, 50)):
+        # The Askey-Wilson oracle keeps mpmath for its extended rows.
+        with extended_precision(digits), mpmath.workdps(digits):
+            out.append(_askey_wilson_rows(num if num is float else mpmath.mpf))
             for N in range(1, 13):
                 out.append([N, _qracah_rows(num, N), _qpr_rows(num, N), _qpk_rows(num, N)])
     return hashlib.sha256(repr(out).encode()).hexdigest()
@@ -106,7 +113,7 @@ def _shared_conventions_digest():
 
 def test_shared_conventions_are_unchanged_bit_for_bit():
     assert _shared_conventions_digest() == (
-        "eb396bdb6ee3bb719dd356ed73146f46841e57acbc85cebed769f6a0cfa14148")
+        "98903c607b466a59bd7b633dfbec9bc72a4adaf3f89b9d66ab589db0896dac70")
 
 
 @pytest.mark.parametrize("row", ["b", "u"])

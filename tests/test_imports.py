@@ -1,14 +1,14 @@
-"""What a process loads.  mpmath: a binary64 table command never imports
-it, every run that needs extended precision or a limit check does, and
-``is_mp`` stays right when a caller imports mpmath after qortho.  A binary64
-table process never loads the raw-tuple mpf loops (``qortho._mpfloops``),
-which an extended one does.  The Askey-Wilson parent family is a test
-oracle: the package has no such module, and a ``coeffs`` process does not
-load one; no process loads
-``dataclasses`` (or the ``inspect`` it pulls in), and only a JSON-writing one
-loads ``json``.  No module imports mpmath, ``dataclasses`` or ``typing`` at
-import time, and neither ``para_krawtchouk`` nor ``spectral`` imports
-``para_racah``.  The benchmark's tracer finds every function it wraps."""
+"""What a process loads.  mpmath: no qortho process imports it, whatever its
+command, kind and precision, limit checks included.  ``decimal``: a binary64
+table command never imports it, every run that needs extended precision or a
+limit check does, and ``is_extended`` stays right when a caller imports
+``decimal`` after qortho.  The Askey-Wilson parent family is a test oracle:
+the package has no such module, and a ``coeffs`` process does not load one;
+no process loads ``dataclasses`` (or the ``inspect`` it pulls in), and only
+a JSON-writing one loads ``json``.  No module imports mpmath, ``decimal``,
+``dataclasses`` or ``typing`` at import time, and neither
+``para_krawtchouk`` nor ``spectral`` imports ``para_racah``.  The
+benchmark's tracer finds every function it wraps."""
 
 import ast
 import importlib.util
@@ -16,13 +16,14 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
-import mpmath
 import pytest
 
 from qortho.para_racah import ParaRacahFamily
 from qortho.recurrence import tridiagonal
+from qortho.scalars import extended_precision
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qortho"
@@ -31,15 +32,17 @@ BOX = {"qpr": ["--kind", "qpr", "--a", "0.9", "--c", "0.7", "--alpha", "0.3", "-
        "qpk": ["--kind", "qpk", "--Delta", "1.3", "--alpha", "0.35", "--q", "0.5"]}
 
 # Runs each argv through qortho.cli.main in this fresh process and prints, per
-# argv, the exit code and whether mpmath is loaded afterwards.
+# argv, the exit code and whether mpmath and decimal are loaded afterwards.
 _RUNNER = """
 import contextlib, io, json, sys
 import qortho, qortho.cli
-out = [[None, "mpmath" in sys.modules]]
+def loaded():
+    return ["mpmath" in sys.modules, "decimal" in sys.modules]
+out = [[None, *loaded()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = qortho.cli.main(argv)
-    out.append([code, "mpmath" in sys.modules])
+    out.append([code, *loaded()])
 print(json.dumps(out))
 """
 
@@ -62,7 +65,22 @@ def test_binary64_table_commands_never_load_mpmath():
              for kind in ("qpr", "qpk")
              for fmt in ("csv", "json")
              for N in (5, 6, 12)]
-    assert _run_fresh(*argvs) == [[None, False]] + [[0, False]] * len(argvs)
+    assert _run_fresh(*argvs) == [[None, False, False]] + [[0, False, False]] * len(argvs)
+
+
+@pytest.mark.parametrize("kind", ["qpr", "qpk"])
+def test_no_qortho_process_loads_mpmath(kind):
+    # Every command at every precision, verify's limit checks included, and
+    # a default run that reruns at extended precision (N 40 at q 0.2).
+    argvs = [[command, *BOX[kind], "--N", "6", *precision]
+             for command in ("coeffs", "lattice-weights", "verify")
+             for precision in ([], ["--precision", "double"], ["--precision", "extended"],
+                               ["--precision", "extended:30"])]
+    argvs.append(["lattice-weights", *BOX[kind], "--q", "0.2", "--N", "40"])
+    out = _run_fresh(*argvs)
+    assert [code for code, *_ in out[1:]] == [0] * len(argvs)
+    assert not any(mpmath for _, mpmath, _ in out)
+    assert out[-1][2]  # the rerun made Decimal values
 
 
 def _modules_loaded_by(*argv):
@@ -81,16 +99,14 @@ def _modules_loaded_by(*argv):
     ("lattice-weights --precision double", False),
     ("coeffs", False),
     ("lattice-weights", False),
-    # The Gram check of an extended run sums on raw tuples: the name checked
-    # here is the module's live one.
     ("lattice-weights --precision extended", True),
 ])
 @pytest.mark.parametrize("kind", ["qpr", "qpk"])
-def test_binary64_table_processes_never_load_the_mpf_loops(kind, argv, loaded):
+def test_binary64_table_processes_never_load_decimal(kind, argv, loaded):
     command, *rest = argv.split()
     modules = _modules_loaded_by(command, *BOX[kind], "--N", "6", *rest)
-    assert ("qortho._mpfloops" in modules) is loaded
-    assert ("mpmath" in modules) is loaded
+    assert ("decimal" in modules) is loaded
+    assert "mpmath" not in modules
 
 
 def test_coeffs_process_does_not_load_askey_wilson():
@@ -158,9 +174,9 @@ def test_no_process_loads_dataclasses_and_only_json_output_loads_json(argv):
     # q = 0.3 overrides the box family's q: the explicit rerun fires.
     ("verify --suite explicit --q 0.3 --N 8 --precision double", 0),
 ], ids=["verify-double", "coeffs-extended", "precision-rerun", "explicit-rerun"])
-def test_extended_values_and_limit_checks_load_mpmath(argv, code):
+def test_extended_values_and_limit_checks_load_decimal(argv, code):
     assert _run_fresh(argv.split()[:1] + BOX["qpr"] + argv.split()[1:]) == [
-        [None, False], [code, True]]
+        [None, False, False], [code, False, True]]
 
 
 def _module_level_imports(tree):
@@ -188,8 +204,8 @@ def test_module_imports_nothing_from_para_racah(module):
     assert not [name for name in imported if name and "para_racah" in name]
 
 
-# Loaded inside the functions that need them (mpmath), or not at all.
-_DENIED_AT_IMPORT_TIME = {"mpmath", "dataclasses", "typing"}
+# Loaded inside the functions that need them (decimal), or not at all.
+_DENIED_AT_IMPORT_TIME = {"mpmath", "decimal", "dataclasses", "typing"}
 
 
 def test_no_module_imports_a_denied_module_at_import_time():
@@ -200,36 +216,36 @@ def test_no_module_imports_a_denied_module_at_import_time():
     assert not found
 
 
-_IS_MP_LATE = """
+_IS_EXTENDED_LATE = """
 import json, sys
-from fractions import Fraction
 from qortho import scalars
-assert "mpmath" not in sys.modules
-import mpmath
+assert "decimal" not in sys.modules
+from decimal import Decimal
+from fractions import Fraction  # which imports decimal too
 from qortho.para_racah import ParaRacahFamily
 from qortho.qseries import PowerTable, SeriesPlan
 from qortho.recurrence import tridiagonal
-mp = [scalars.is_mp(v) for v in (mpmath.mpf(1), mpmath.mpc(1, 2))]
-plain = [scalars.is_mp(v) for v in (1.0, 1, 1j, Fraction(1, 3))]
-plan = SeriesPlan((mpmath.mpf("0.25"),), (mpmath.mpf("0.5"),), PowerTable(mpmath.mpf("0.5")),
-                  mpmath.mpf("0.5"), 3)
-with mpmath.workdps(50):
-    fam = ParaRacahFamily(a=mpmath.mpf("0.9"), c=mpmath.mpf("0.7"),
-                          alpha=mpmath.mpf("0.3"), q=mpmath.mpf("0.5"), N=7)
+extended = [scalars.is_extended(v) for v in (Decimal(1), Decimal("0.5"))]
+plain = [scalars.is_extended(v) for v in (1.0, 1, 1j, Fraction(1, 3))]
+plan = SeriesPlan((Decimal("0.25"),), (Decimal("0.5"),), PowerTable(Decimal("0.5")),
+                  Decimal("0.5"), 3)
+with scalars.extended_precision(50):
+    fam = ParaRacahFamily(a=Decimal("0.9"), c=Decimal("0.7"), alpha=Decimal("0.3"),
+                          q=Decimal("0.5"), N=7)
     tri = tridiagonal(fam)
-    entries = [[type(v) is mpmath.mpf, list(v.man_exp)] for v in tri.b + tri.u]
-print(json.dumps([mp, plain, plan.plain, entries]))
+    entries = [[type(v) is Decimal, str(v)] for v in tri.b + tri.u]
+print(json.dumps([extended, plain, plan.plain, entries]))
 """
 
 
-def test_is_mp_when_mpmath_is_imported_after_qortho():
-    mp, plain, plan_plain, entries = _fresh_process(_IS_MP_LATE)
-    assert mp == [True, True]
+def test_is_extended_when_decimal_is_imported_after_qortho():
+    extended, plain, plan_plain, entries = _fresh_process(_IS_EXTENDED_LATE)
+    assert extended == [True, True]
     assert plain == [False, False, False, False]
     assert plan_plain is True
-    with mpmath.workdps(50):
-        fam = ParaRacahFamily(a=mpmath.mpf("0.9"), c=mpmath.mpf("0.7"),
-                              alpha=mpmath.mpf("0.3"), q=mpmath.mpf("0.5"), N=7)
+    with extended_precision(50):
+        fam = ParaRacahFamily(a=Decimal("0.9"), c=Decimal("0.7"), alpha=Decimal("0.3"),
+                              q=Decimal("0.5"), N=7)
         tri = tridiagonal(fam)
-        expected = [[True, list(v.man_exp)] for v in tri.b + tri.u]
+        expected = [[True, str(v)] for v in tri.b + tri.u]
     assert entries == expected

@@ -1,11 +1,11 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
-import mpmath
 import pytest
-import support
 
+import support
 from qortho import para_racah
 from qortho.para_krawtchouk import (
     ParaKrawtchoukFamily,
@@ -18,6 +18,7 @@ from qortho.para_krawtchouk import (
 from qortho.para_racah import DegenerateFamilyError
 from qortho.recurrence import (lattice_vectors, persymmetry_residual, tridiagonal,
                                weights_from_christoffel)
+from qortho.scalars import extended_precision, sqrt
 
 ODD = ParaKrawtchoukFamily(Delta=1.3, alpha=0.35, q=0.5, N=5)
 EVEN = ParaKrawtchoukFamily(Delta=1.3, alpha=0.35, q=0.5, N=6)
@@ -115,17 +116,17 @@ def test_persymmetric_weights_reflect_through_gram_structure():
 def test_closed_forms_match_scaled_limit(N):
     # Rescaled biexponential coefficients at a c = theta -> infinity,
     # Richardson-accelerated over three decades at extended precision.
-    with mpmath.workdps(50):
-        D = mpmath.mpf("1.3")
-        q = mpmath.mpf("0.5")
-        al = mpmath.mpf("0.35")
+    with extended_precision(50):
+        D = Decimal("1.3")
+        q = Decimal("0.5")
+        al = Decimal("0.35")
         fam = ParaKrawtchoukFamily(Delta=D, alpha=al, q=q, N=N)
         for n in range(N + 1):
             vals_b, vals_u = [], []
             for k in (3, 4, 5):
-                theta = mpmath.mpf(10) ** k
-                a = mpmath.sqrt(theta * D)
-                c = mpmath.sqrt(theta / D)
+                theta = Decimal(10) ** k
+                a = sqrt(theta * D)
+                c = sqrt(theta / D)
                 big = para_racah.ParaRacahFamily(a=a, c=c, alpha=al, q=q, N=N)
                 vals_b.append((2 * a / theta) * para_racah.b_coefficient(big, n))
                 if n >= 1:
@@ -141,45 +142,45 @@ def test_closed_forms_match_scaled_limit(N):
 
 
 def test_lattice_is_scaled_limit_of_biexponential_grid():
-    with mpmath.workdps(50):
-        D = mpmath.mpf("1.3")
-        q = mpmath.mpf("0.5")
-        fam = ParaKrawtchoukFamily(Delta=D, alpha=mpmath.mpf("0.5"), q=q, N=5)
+    with extended_precision(50):
+        D = Decimal("1.3")
+        q = Decimal("0.5")
+        fam = ParaKrawtchoukFamily(Delta=D, alpha=Decimal("0.5"), q=q, N=5)
         target = lattice(fam)
         vals = []
         for k in (3, 4, 5):
-            theta = mpmath.mpf(10) ** k
-            a = mpmath.sqrt(theta * D)
-            c = mpmath.sqrt(theta / D)
-            big = para_racah.ParaRacahFamily(a=a, c=c, alpha=mpmath.mpf("0.5"),
+            theta = Decimal(10) ** k
+            a = sqrt(theta * D)
+            c = sqrt(theta / D)
+            big = para_racah.ParaRacahFamily(a=a, c=c, alpha=Decimal("0.5"),
                                              q=q, N=5)
             vals.append([(2 * a / theta) * x for x in para_racah.lattice(big)])
         for s in range(6):
             seq = [v[s] for v in vals]
             r = [(10 * hi - lo) / 9 for lo, hi in zip(seq, seq[1:])]
             ext = (100 * r[1] - r[0]) / 99
-            assert abs(ext - target[s]) <= 1e-8 * max(1, abs(ext))
+            assert abs(ext - target[s]) <= Decimal(1e-8) * max(1, abs(ext))
 
 
 def test_eval_is_scaled_limit_of_biexponential_polynomials():
-    with mpmath.workdps(50):
-        D = mpmath.mpf("1.3")
-        q = mpmath.mpf("0.5")
-        al = mpmath.mpf("0.4")
+    with extended_precision(50):
+        D = Decimal("1.3")
+        q = Decimal("0.5")
+        al = Decimal("0.4")
         tri = tridiagonal(ParaKrawtchoukFamily(Delta=D, alpha=al, q=q, N=5))
-        y = mpmath.mpf("0.8")
+        y = Decimal("0.8")
         for n in (2, 4):
             target = eval_recurrence(tri, n, y)
             vals = []
             for k in (3, 4, 5):
-                theta = mpmath.mpf(10) ** k
-                a = mpmath.sqrt(theta * D)
-                c = mpmath.sqrt(theta / D)
+                theta = Decimal(10) ** k
+                a = sqrt(theta * D)
+                c = sqrt(theta / D)
                 big = para_racah.ParaRacahFamily(a=a, c=c, alpha=al, q=q, N=5)
                 scale = theta / (2 * a)
                 # x = scale * y maps to z via the exponential representative
                 x = scale * y
-                z = x + mpmath.sqrt(x * x - 1)
+                z = x + sqrt(x * x - 1)
                 big_tri = tridiagonal(big)
                 vals.append(scale ** -n * para_racah.eval_recurrence(big_tri, n, z))
             r = [(10 * hi - lo) / 9 for lo, hi in zip(vals, vals[1:])]
@@ -187,12 +188,12 @@ def test_eval_is_scaled_limit_of_biexponential_polynomials():
             assert abs(ext - target) <= 1e-6 * max(1, abs(target))
 
 
-@pytest.mark.parametrize("num,dps,tol", [(float, 15, 1e-13), (mpmath.mpf, 50, 1e-45)],
+@pytest.mark.parametrize("num,dps,tol", [(float, 15, 1e-13), (Decimal, 50, 1e-45)],
                          ids=["double", "50"])
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_christoffel_route_matches_closed_forms(N, num, dps, tol):
     # qpr's route, at qpk's lattice: it reads only the table and the points.
-    with mpmath.workdps(dps):
+    with extended_precision(dps):
         fam = ParaKrawtchoukFamily(Delta=num("1.3"), alpha=num("0.35"), q=num("0.5"), N=N)
         tri = tridiagonal(fam)
         lw = weights(fam)
@@ -200,10 +201,10 @@ def test_christoffel_route_matches_closed_forms(N, num, dps, tol):
         cw = weights_from_christoffel(tri, vectors)
         assert len(cw) == len(lw.points) and all(w > 0 for w in cw) and twist <= tol
         for w_closed, w_chr in zip(lw.weights, cw):
-            assert abs(w_closed - w_chr) <= tol * abs(w_closed)
+            assert abs(w_closed - w_chr) <= num(tol) * abs(w_closed)
 
 
-@pytest.mark.parametrize("scalar", [float, mpmath.mpf], ids=["float", "mpf"])
+@pytest.mark.parametrize("scalar", [float, Decimal], ids=["float", "mpf"])
 def test_infinite_delta_is_refused(scalar):
     with pytest.raises(ValueError, match="^Delta must be finite$"):
         ParaKrawtchoukFamily(Delta=scalar("inf"), alpha=scalar(0.5), q=scalar(0.5), N=5)
@@ -256,10 +257,10 @@ def test_double_coefficients_are_within_1e_13_of_150_digits(N, q):
     # N = 60, q = 0.05) and underflow in u_n (every digit at q = 0.02).
     D = 1.3 if q < 0.7 else 1.05
     tri = tridiagonal(ParaKrawtchoukFamily(Delta=D, alpha=0.3, q=q, N=N))
-    with mpmath.workdps(150):
-        ref = tridiagonal(ParaKrawtchoukFamily(Delta=mpmath.mpf(D), alpha=mpmath.mpf(0.3),
-                                               q=mpmath.mpf(q), N=N))
-        worst = max(abs(x - y) / abs(y) for x, y in zip(tri.b + tri.u, ref.b + ref.u))
+    with extended_precision(150):
+        ref = tridiagonal(ParaKrawtchoukFamily(Delta=Decimal(D), alpha=Decimal(0.3),
+                                               q=Decimal(q), N=N))
+        worst = max(abs(Decimal(x) - y) / abs(y) for x, y in zip(tri.b + tri.u, ref.b + ref.u))
     assert worst <= 1e-13
 
 
@@ -277,8 +278,8 @@ def _bits(v):
         return [_bits(x) for x in v]
     if isinstance(v, float):
         return ("float", v.hex())
-    if isinstance(v, mpmath.mpf):
-        return ("mpf", v._mpf_)
+    if isinstance(v, Decimal):
+        return ("decimal", str(v))
     return (type(v).__name__, repr(v))
 
 
@@ -306,12 +307,12 @@ def _random_families(rng, count):
         yield D, rng.uniform(0.01, 0.99), q, rng.randint(1, 24)
 
 
-@pytest.mark.parametrize("num,digits", [(float, 15), (mpmath.mpf, 50)],
+@pytest.mark.parametrize("num,digits", [(float, 15), (Decimal, 50)],
                          ids=["double", "mpf50"])
 def test_weights_match_the_per_point_reference_bit_for_bit(num, digits):
     rng = random.Random(20261018)
     refused = 0
-    with mpmath.workdps(digits):
+    with extended_precision(digits):
         for D, al, q, N in _random_families(rng, 150):
             fam = ParaKrawtchoukFamily(Delta=num(D), alpha=num(al), q=num(q), N=N)
             got = _outcome(_library, fam)

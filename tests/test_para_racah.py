@@ -1,9 +1,9 @@
 import collections
 import math
 import random
+from decimal import Decimal, getcontext
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 import support
@@ -26,6 +26,7 @@ from qortho.para_racah import (
 )
 from qortho.qseries import PowerTable, SingularSeriesError
 from qortho.recurrence import family_module, lattice_vectors, persymmetry_residual, tridiagonal
+from qortho.scalars import GUARD_DIGITS, extended_precision
 
 ODD = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=5)
 EVEN = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=6)
@@ -47,7 +48,7 @@ def test_family_validation(kwargs):
         ParaRacahFamily(**kwargs)
 
 
-@pytest.mark.parametrize("scalar", [float, mpmath.mpf], ids=["float", "mpf"])
+@pytest.mark.parametrize("scalar", [float, Decimal], ids=["float", "mpf"])
 @pytest.mark.parametrize("field", ["a", "c"])
 def test_infinite_a_or_c_is_refused(scalar, field):
     params = dict(a=scalar(0.9), c=scalar(0.7), alpha=scalar(0.5), q=scalar(0.5), N=5)
@@ -98,16 +99,16 @@ def test_spec_point_u2_matches_resolved_parent_product():
 def test_coefficients_against_substitution_oracle(N):
     # Tiny-t substitution into the raw parent coefficients at high precision.
     fam = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=N)
-    with mpmath.workdps(support.ORACLE_DPS):
-        hi = ParaRacahFamily(a=mpmath.mpf(0.9), c=mpmath.mpf(0.7),
-                             alpha=mpmath.mpf(0.3), q=mpmath.mpf(0.5), N=N)
+    with extended_precision(support.ORACLE_DPS):
+        hi = ParaRacahFamily(a=Decimal(0.9), c=Decimal(0.7),
+                             alpha=Decimal(0.3), q=Decimal(0.5), N=N)
         for n in range(N + 1):
             b_or, u_or = support.oracle_recurrence_coefficients(hi, n)
             b_cf = b_coefficient(hi, n)
-            assert abs(b_cf - b_or) <= abs(b_or) * mpmath.mpf("1e-40")
+            assert abs(b_cf - b_or) <= abs(b_or) * Decimal("1e-40")
             if n >= 1:
                 u_cf = u_coefficient(hi, n)
-                assert abs(u_cf - u_or) <= abs(u_or) * mpmath.mpf("1e-40")
+                assert abs(u_cf - u_or) <= abs(u_or) * Decimal("1e-40")
     assert b_coefficient(fam, 0) == pytest.approx(
         float(b_coefficient(hi, 0)), rel=1e-14)
 
@@ -205,16 +206,16 @@ def test_explicit_matches_recurrence_at_60_digits(N):
     # Every degree of both parities; the series cancel like q^(-j^2), which
     # leaves about 40 of the 60 digits at q = 0.4 and N = 14.
     rng = random.Random(600 + N)
-    with mpmath.workdps(60):
+    with extended_precision(60):
         for q in ("0.4", "0.7"):
-            fam = ParaRacahFamily(a=mpmath.mpf("0.9"), c=mpmath.mpf("0.7"),
-                                  alpha=mpmath.mpf("0.3"), q=mpmath.mpf(q), N=N)
+            fam = ParaRacahFamily(a=Decimal("0.9"), c=Decimal("0.7"),
+                                  alpha=Decimal("0.3"), q=Decimal(q), N=N)
             tri = tridiagonal(fam)
-            zs = [mpmath.mpf(rng.uniform(1.1, 2.5)) for _ in range(3)]
+            zs = [Decimal(rng.uniform(1.1, 2.5)) for _ in range(3)]
             for n, row in enumerate(eval_explicit(tri, zs)):
                 for z, e in zip(zs, row):
                     r = eval_recurrence(tri, n, z)
-                    assert abs(e - r) <= mpmath.mpf("1e-30") * max(abs(r), abs(e)), (q, n)
+                    assert abs(e - r) <= Decimal("1e-30") * max(abs(r), abs(e)), (q, n)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +346,9 @@ def test_weights_refuse_degenerate_spectrum():
         weights_from_christoffel(tridiagonal(fam), [])
 
 
-@pytest.mark.parametrize("scalar,dps", [(float, 15), (mpmath.mpf, 50)], ids=["double", "50"])
+@pytest.mark.parametrize("scalar,dps", [(float, 15), (Decimal, 50)], ids=["double", "50"])
 def test_explicit_refuses_degenerate_family(scalar, dps):
-    with mpmath.workdps(dps):
+    with extended_precision(dps):
         for N in (5, 6):
             fam = ParaRacahFamily(a=scalar(0.7), c=scalar(0.7), alpha=scalar(0.5),
                                   q=scalar(0.5), N=N)
@@ -489,10 +490,13 @@ def _draw_family(rng, N, scalar=float):
 
 
 def _draw_points(rng, scalar=float):
-    """Three real points above 1, three below 1 and three complex points."""
+    """Three real points above 1, three below 1 and three complex points, or,
+    for a Decimal, which has no complex type, three more real points above 1."""
     real = [scalar(rng.uniform(1.15, 2.5)) for _ in range(3)]
     recip = [1 / scalar(rng.uniform(1.15, 2.5)) for _ in range(3)]
-    cplx = [scalar(rng.uniform(1.15, 2.5)) + 1j * scalar(rng.uniform(-1, 1)) for _ in range(3)]
+    if scalar is not float:
+        return real + recip + [scalar(rng.uniform(1.15, 2.5)) for _ in range(3)]
+    cplx = [rng.uniform(1.15, 2.5) + 1j * rng.uniform(-1, 1) for _ in range(3)]
     return real + recip + cplx
 
 
@@ -505,14 +509,14 @@ def test_explicit_equals_per_point_reference_in_double(N):
         assert eval_explicit(tri, zs) == support.eval_explicit_reference(tri, zs)
 
 
-@pytest.mark.parametrize("N,scalar,dps", [(8, float, 15), (9, float, 15), (20, mpmath.mpf, 50)],
+@pytest.mark.parametrize("N,scalar,dps", [(8, float, 15), (9, float, 15), (20, Decimal, 50)],
                          ids=["8", "9", "20-50"])
 def test_explicit_equals_reference_where_the_rerun_fires(monkeypatch, N, scalar, dps):
     plans = []
     original = para_racah._explicit_plan
     monkeypatch.setattr(para_racah, "_explicit_plan",
                         lambda fam, n: plans.append(n) or original(fam, n))
-    with mpmath.workdps(dps):
+    with extended_precision(dps):
         fam = ParaRacahFamily(a=scalar("0.9"), c=scalar("0.7"), alpha=scalar("0.3"),
                               q=scalar("0.3"), N=N)
         tri = tridiagonal(fam)
@@ -525,23 +529,22 @@ def test_explicit_equals_reference_where_the_rerun_fires(monkeypatch, N, scalar,
 @pytest.mark.parametrize("N", range(1, 21))
 def test_explicit_equals_per_point_reference_at_60_digits(N):
     rng = random.Random(2000 + N)
-    with mpmath.workdps(60):
-        tri = tridiagonal(_draw_family(rng, N, mpmath.mpf))
-        zs = _draw_points(rng, mpmath.mpf)
+    with extended_precision(60):
+        tri = tridiagonal(_draw_family(rng, N, Decimal))
+        zs = _draw_points(rng, Decimal)
         assert eval_explicit(tri, zs) == support.eval_explicit_reference(tri, zs)
 
 
-@pytest.mark.parametrize("scalar,dps", [(float, 15), (mpmath.mpf, 50)], ids=["double", "50"])
+@pytest.mark.parametrize("scalar,dps", [(float, 15), (Decimal, 50)], ids=["double", "50"])
 def test_explicit_agrees_with_the_per_point_series_form(scalar, dps):
     # The coefficient rows regroup the per-point series of the expression.
     # Where neither form's term magnitude asks for a rerun, each keeps
     # _EXPLICIT_ACCURACY of R_n, so the two agree within twice that.
     rng = random.Random(3000 + dps)
-    accuracy = para_racah._EXPLICIT_ACCURACY
+    accuracy = scalar(para_racah._EXPLICIT_ACCURACY)
     compared = 0
-    with mpmath.workdps(dps):
-        prec = mpmath.mp.prec if scalar is mpmath.mpf else 53
-        trigger = accuracy * 2 ** prec
+    with extended_precision(dps):
+        trigger = accuracy * _inverse_unit_roundoff(scalar, dps)
         for N in range(1, 17):
             tri = tridiagonal(_draw_family(rng, N, scalar))
             fam = tri.family
@@ -559,12 +562,10 @@ def test_explicit_agrees_with_the_per_point_series_form(scalar, dps):
     assert compared > 1000
 
 
-def _fraction(x):
-    """The exact rational value of a float or an mpf."""
-    if isinstance(x, float):
-        return Fraction(x)
-    sign, man, exp, _ = x._mpf_
-    return Fraction(-man if sign else man) * Fraction(2) ** exp
+def _inverse_unit_roundoff(scalar, dps):
+    """1/u: 2^53 in binary64, 2 * 10^(P-1) for a Decimal of P = dps digits
+    and the context's guard digits."""
+    return 2 ** 53 if scalar is float else 2 * 10 ** (dps + GUARD_DIGITS - 1)
 
 
 @pytest.mark.parametrize("N", range(1, 17))
@@ -572,7 +573,7 @@ def test_explicit_is_within_a_tenth_of_its_tolerance_of_the_exact_value(monkeypa
     # A Fraction family builds the same coefficient and basis rows and dot
     # products with no rounding: its values are R_n exactly, the
     # recurrence's in Fractions, at the binary parameters and dyadic points
-    # that double and 50 digits hold exactly.  So the digits each value
+    # that double and Decimal hold exactly.  So the digits each value
     # loses are known exactly, and every value that loses more than the rule
     # allows must have been rerun.
     reran = []
@@ -591,16 +592,16 @@ def test_explicit_is_within_a_tenth_of_its_tolerance_of_the_exact_value(monkeypa
                   for point in points] for n in range(N + 1)]
         for i, z in enumerate(map(Fraction, zs)):
             assert [row[i][0] for row in exact] == exact_tri.values((z + 1 / z) / 2, N)
-        for scalar, dps in ((float, 15), (mpmath.mpf, 50)):
-            with mpmath.workdps(dps):
-                prec = mpmath.mp.prec if scalar is mpmath.mpf else 53
+        for scalar, dps in ((float, 15), (Decimal, 50)):
+            with extended_precision(dps):
                 fam = ParaRacahFamily(N=N, **{k: scalar(v) for k, v in params.items()})
                 reran.clear()
                 rows = eval_explicit(tridiagonal(fam), [scalar(z) for z in zs])
+            trigger = accuracy * _inverse_unit_roundoff(scalar, dps)
             for n, (row, exact_row) in enumerate(zip(rows, exact)):
                 for i, (got, (value, magnitude)) in enumerate(zip(row, exact_row)):
-                    assert abs(_fraction(got) - value) <= tolerance * abs(value), (q, dps, n, i)
-                    if magnitude > accuracy * 2 ** prec * abs(value):
+                    assert abs(Fraction(got) - value) <= tolerance * abs(value), (q, dps, n, i)
+                    if magnitude > trigger * abs(value):
                         assert (n, i) in reran, (q, dps, n, i)
 
 
@@ -633,27 +634,28 @@ def test_explicit_singular_denominators_raise_as_the_reference():
     assert singular > 0
 
 
-@pytest.mark.parametrize("scalar,dps", [(float, 15), (mpmath.mpf, 60)], ids=["double", "60"])
+@pytest.mark.parametrize("scalar,dps", [(float, 15), (Decimal, 60)], ids=["double", "60"])
 def test_qdiff_residual_equals_per_point_reference(scalar, dps):
     rng = random.Random(7)
-    with mpmath.workdps(dps):
+    with extended_precision(dps):
         for N in range(1, 21):
             tri = tridiagonal(_draw_family(rng, N, scalar))
             zs = [scalar(rng.uniform(2.0, 3.0)) for _ in range(4)]
-            zs.append(scalar(rng.uniform(2.0, 3.0)) + 1j * scalar(rng.uniform(-1, 1)))
+            if scalar is float:  # Decimal has no complex type
+                zs.append(rng.uniform(2.0, 3.0) + 1j * rng.uniform(-1, 1))
             assert qdiff_residual(tri, zs) == [
                 [support.qdiff_residual_reference(tri, n, z) for z in zs]
                 for n in range(N + 1)]
 
 
-@pytest.mark.parametrize("scalar,dps", [(float, 15), (mpmath.mpf, 40)], ids=["double", "40"])
+@pytest.mark.parametrize("scalar,dps", [(float, 15), (Decimal, 40)], ids=["double", "40"])
 def test_weights_equal_per_point_reference(scalar, dps):
     rng = random.Random(11)
-    with mpmath.workdps(dps):
+    with extended_precision(dps):
         for N in range(1, 21):
             fam = _draw_family(rng, N, scalar)
             lw = weights(fam)
-            half = fam.replace(alpha=0.5)
+            half = fam.replace(alpha=scalar(0.5))
             k_norm = para_racah._k_norm(fam)
             assert lw.weights == tuple(support.weight_reference(fam, i, k_norm)
                                        for i in range(N + 1))
@@ -672,43 +674,18 @@ def test_explicit_builds_each_point_and_each_degree_once(monkeypatch, N):
     for name in ("qpochhammer", "_point_factors", "_explicit_plan"):
         original = getattr(para_racah, name)
         monkeypatch.setattr(para_racah, name, lambda *args, _name=name, _f=original:
-                            calls.update([(_name, mpmath.mp.prec)]) or _f(*args))
-    with mpmath.workdps(30):
-        work = mpmath.mp.prec
-        tri = tridiagonal(_draw_family(random.Random(N), N, mpmath.mpf))
+                            calls.update([(_name, getcontext().prec)]) or _f(*args))
+    with extended_precision(30):
+        work = getcontext().prec
+        tri = tridiagonal(_draw_family(random.Random(N), N, Decimal))
         for size in (1, 2, 3):
             calls.clear()
-            eval_explicit(tri, [mpmath.mpf(1.5 + k / 7) for k in range(size)])
+            eval_explicit(tri, [Decimal(1.5 + k / 7) for k in range(size)])
             once = {"_point_factors": size, "_explicit_plan": N + 1}
             assert {name: k for (name, prec), k in calls.items() if prec == work} == once, size
             rerun = [(name, prec, k) for (name, prec), k in calls.items() if prec != work]
             assert len({prec for _, prec, _ in rerun}) <= 1, size
             assert all(k <= once[name] for name, _, k in rerun), size
-
-
-@pytest.mark.parametrize("N", [1, 8, 12])
-def test_explicit_decides_its_dot_product_path_once_per_row(monkeypatch, N):
-    # One all_mpf read for the point set and one per coefficient row, not
-    # one per (degree, point) value; a rerun (N = 12 cancels past 30 digits)
-    # adds one read for all of its rows.  The values are unchanged.
-    with mpmath.workdps(30):
-        tri = tridiagonal(_draw_family(random.Random(N), N, mpmath.mpf))
-        zs = [mpmath.mpf(1.5 + k / 7) for k in range(10)]
-        expected = eval_explicit(tri, zs)
-        reads = []
-        original = para_racah.all_mpf
-        monkeypatch.setattr(para_racah, "all_mpf",
-                            lambda *groups: reads.append(len(groups)) or original(*groups))
-        monkeypatch.setattr(para_racah, "_rerun", lambda *args, _f=para_racah._rerun: (
-            reads.append("rerun"), _f(*args)))
-        assert eval_explicit(tri, zs) == expected
-    reruns = reads.count("rerun")
-    assert reads[:N + 2] == [len(zs)] + [1] * (N + 1)
-    assert len(reads) == N + 2 + 2 * reruns
-
-
-def _key(base):
-    return getattr(base, "_mpf_", base)
 
 
 @pytest.mark.parametrize("N", range(1, 17))
@@ -723,15 +700,15 @@ def test_explicit_forms_and_checks_each_z_free_factor_once(monkeypatch, N):
     factors, vanishing = PowerTable.factors, PowerTable.vanishing
 
     def counted_factors(table, base, k):
-        before = len(table._rows.get(_key(base), ()))
+        before = len(table._rows.get(base, ()))
         row = factors(table, base, k)
-        formed.update((mpmath.mp.prec, _key(base), i) for i in range(before, len(row)))
+        formed.update((getcontext().prec, base, i) for i in range(before, len(row)))
         return row
 
     def counted_vanishing(table, base, k):
-        before = table._clear.get(_key(base), 0)
+        before = table._clear.get(base, 0)
         first = vanishing(table, base, k)
-        checked.update((mpmath.mp.prec, _key(base), i) for i in range(before, min(first + 1, k)))
+        checked.update((getcontext().prec, base, i) for i in range(before, min(first + 1, k)))
         return first
 
     class CountedPlan(para_racah.SeriesPlan):
@@ -745,17 +722,17 @@ def test_explicit_forms_and_checks_each_z_free_factor_once(monkeypatch, N):
     for name in ("_explicit_plan", "_point_factors"):
         original = getattr(para_racah, name)
         monkeypatch.setattr(para_racah, name, lambda fam, arg, _name=name, _f=original: (
-            built.update([(_name, mpmath.mp.prec, _key(arg))]) or _f(fam, arg)))
-    with mpmath.workdps(50):
-        num = mpmath.mpf
+            built.update([(_name, getcontext().prec, arg)]) or _f(fam, arg)))
+    with extended_precision(50):
+        num = Decimal
         fam = ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"), q=num("0.5"), N=N)
         zs = [num(1.15 + k / 8) for k in range(10)]
-        point_keys = {_key(p) for z in zs for p in (fam.a * z, fam.a / z)}
+        point_keys = {p for z in zs for p in (fam.a * z, fam.a / z)}
         eval_explicit(tridiagonal(fam), zs)
-        table, prec = fam.powers(), mpmath.mp.prec
+        table, prec = fam.powers(), getcontext().prec
     assert built == collections.Counter(
         [("_explicit_plan", prec, n) for n in range(N + 1)]
-        + [("_point_factors", prec, _key(z)) for z in zs])
+        + [("_point_factors", prec, z) for z in zs])
     assert formed and set(formed.values()) == {1}
     assert point_keys <= {key for _, key, _ in formed}
     # At N = 1 every series has degree 0: there is nothing to check.

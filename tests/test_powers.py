@@ -2,56 +2,50 @@
 a z-free base is computed once per family and working precision, and every
 value read from a table is the one the direct computation gives, bit for
 bit.  The recurrence loop with its first two steps written out is the plain
-loop's, bit for bit, at every kind of point.  Each loop that runs on mpmath's
-raw tuples (qortho._mpfloops) is its plain operator loop's, bit for bit, at
-20, 50 and 120 digits; NaN, infinite, mpc and float operands, and mixed ones,
-take the operator loop itself."""
+loop's, bit for bit, at every kind of point.  The series sums, the explicit
+dot product, the Richardson table and the Gram errors are their plain
+reference loops', bit for bit, in binary64 (NaN, infinite and complex
+operands among them) and at 20, 50 and 120 Decimal digits."""
 
 import ast
 import math
 import random
-from operator import mul
+from decimal import Decimal, getcontext
 from pathlib import Path
 
-import mpmath
 import pytest
 
-from qortho import _mpfloops, connections, para_krawtchouk, para_racah, recurrence, verify
-from qortho.para_krawtchouk import ParaKrawtchoukFamily
-from qortho.para_racah import ParaRacahFamily
+import support
+from qortho import connections, para_krawtchouk, para_racah, recurrence, verify
 from qortho.qseries import PowerTable, SeriesPlan, qpochhammer
 from qortho.recurrence import monic_values, tridiagonal
-from qortho.scalars import max_keep_nan, sqrt, typed_float
+from qortho.scalars import extended_precision, max_keep_nan, sqrt, typed_float
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qortho"
 
 QPR = dict(a="0.9", c="0.7", alpha="0.3", q="0.5")
 QPK = dict(Delta="1.3", alpha="0.35", q="0.5")
 
-# (scalar type, working digits): binary64, and mpf at three precisions, so a
-# raw-tuple loop that read the precision anywhere but the context would show.
-PRECISIONS = [pytest.param(float, 50, id="double"), pytest.param(mpmath.mpf, 20, id="mpf20"),
-              pytest.param(mpmath.mpf, 50, id="mpf"), pytest.param(mpmath.mpf, 120, id="mpf120")]
+# (scalar type, working digits): binary64, and Decimal at three precisions,
+# so a loop that read the precision anywhere but the context would show.
+PRECISIONS = [pytest.param(float, 50, id="double"), pytest.param(Decimal, 20, id="mpf20"),
+              pytest.param(Decimal, 50, id="mpf"), pytest.param(Decimal, 120, id="mpf120")]
 
 
 def _family(kind, N, num):
-    params = QPR if kind == "qpr" else QPK
-    cls = ParaRacahFamily if kind == "qpr" else ParaKrawtchoukFamily
-    return cls(N=N, **{k: num(v) for k, v in params.items()})
+    return support.family(kind, N, num, **(QPR if kind == "qpr" else QPK))
 
 
 def _bits(v):
-    """A value's type and exact bits: NaN, -0.0 and the float/mpf types count."""
+    """A value's type and exact bits: NaN, -0.0 and the float/Decimal types count."""
     if isinstance(v, (tuple, list)):
         return [_bits(x) for x in v]
     if isinstance(v, float):
         return ("float", v.hex())
     if isinstance(v, complex):
         return ("complex", v.real.hex(), v.imag.hex())
-    if isinstance(v, mpmath.mpf):
-        return ("mpf", v._mpf_)
-    if isinstance(v, mpmath.mpc):
-        return ("mpc", v._mpc_)
+    if isinstance(v, Decimal):
+        return ("decimal", str(v))
     return (type(v).__name__, repr(v))
 
 
@@ -59,8 +53,9 @@ def _bits(v):
 
 
 def reference_monic_values(b, u, x):
-    # P_0 is the table's one, as in the library: b_0 ** 0.
-    prev, cur = 0.0, b[0] ** 0
+    # P_0 is the table's one, as in the library: 1 in b_0's type.
+    cur = type(b[0])(1)
+    prev = 0 * cur
     out = [cur]
     for bm, um in zip(b, u):
         cur, prev = (x - bm) * cur - um * prev, cur
@@ -69,7 +64,7 @@ def reference_monic_values(b, u, x):
 
 
 def reference_qpochhammer(a, q, k):
-    out = 1.0
+    out = q ** 0
     qpow = q ** 0
     for _ in range(k):
         out = out * (1 - a * qpow)
@@ -101,9 +96,8 @@ def reference_terms(numerator, denominator, q, argument, degree):
 
 
 def reference_series_sum(numerator, denominator, q, argument, degree):
-    plain = any(isinstance(v, (mpmath.mpf, mpmath.mpc))
-                for v in (q, argument) + numerator + denominator)
-    total = comp = magnitude = 0.0
+    plain = any(isinstance(v, Decimal) for v in (q, argument) + numerator + denominator)
+    total = comp = magnitude = 0 * q
     for term in reference_terms(numerator, denominator, q, argument, degree):
         magnitude = magnitude + abs(term)
         if plain:
@@ -143,7 +137,7 @@ def reference_richardson(values, ratio):
     table = list(values)
     estimates = [table[-1]]
     for level in range(1, len(table)):
-        f = mpmath.mpf(ratio) ** level
+        f = (Decimal(ratio) if isinstance(table[0], Decimal) else float(ratio)) ** level
         d = f - 1
         table = [(f * hi - lo) / d for lo, hi in zip(table, table[1:])]
         estimates.append(table[-1])
@@ -168,10 +162,8 @@ def reference_gram_errors(vectors, weights, h):
 def _points(num):
     pts = [num("0.37"), num("-1.25"), num("2.5"), num("0.0")]
     if num is float:
+        # A Decimal NaN or infinity would be an invalid operation, trapped.
         pts += [-0.0, math.inf, -math.inf, math.nan, complex(0.4, -1.3), complex(-0.0, 2.0)]
-    else:
-        # The float point meets an mpf table: a mixed loop.
-        pts += [mpmath.inf, -mpmath.inf, mpmath.nan, mpmath.mpc("0.4", "-1.3"), 0.37]
     return pts
 
 
@@ -179,9 +171,9 @@ def _points(num):
 @pytest.mark.parametrize("kind", ["qpr", "qpk"])
 @pytest.mark.parametrize("N", [1, 2, 5, 8])
 def test_monic_values_is_the_plain_loop_bit_for_bit(kind, N, num, dps):
-    with mpmath.workdps(dps):
+    with extended_precision(dps):
         tri = tridiagonal(_family(kind, N, num))
-        u = (0.0,) + tri.u
+        u = (num(0),) + tri.u
         for x in _points(num):
             for n in range(N + 2):
                 # The whole table with n steps set by u, as tri.values passes it.
@@ -194,25 +186,25 @@ def _bases(num):
     bases = [num("0.3"), num("-2.5"), num("1.0"), num("0.0"), num("1e300")]
     if num is float:
         return bases + [-0.0, math.inf, -math.inf, math.nan, complex(0.5, 0.25)]
-    return bases + [mpmath.inf, -mpmath.inf, mpmath.nan, mpmath.mpc("0.5", "0.25"), 0.3]
+    return bases
 
 
 @pytest.mark.parametrize("num,dps", PRECISIONS)
 def test_qpochhammer_is_the_plain_loop_bit_for_bit(num, dps):
-    with mpmath.workdps(dps):
+    with extended_precision(dps):
         for q in (num("0.5"), num("0.83")):
             for base in _bases(num):
                 for k in range(1, 12):
                     assert _bits(qpochhammer(base, q, k)) == _bits(
                         reference_qpochhammer(base, q, k)), (base, q, k)
-                # The empty product is typed by the nome: 1.0 or mpf(1).
+                # The empty product is typed by the nome: 1.0 or Decimal(1).
                 assert _bits(qpochhammer(base, q, 0)) == _bits(q ** 0)
 
 
 @pytest.mark.parametrize("num,dps", PRECISIONS)
 def test_table_entries_are_the_direct_values(num, dps):
     rng = random.Random(5)
-    with mpmath.workdps(dps):
+    with extended_precision(dps):
         q = num("0.61")
         table = PowerTable(q)
         exponents = [rng.randint(-40, 90) for _ in range(200)]
@@ -233,7 +225,7 @@ def test_factor_rows_and_prefixes_are_the_running_power_loop(num, dps):
     # Each row is 1 - p q^i on the running powers, each prefix the product
     # of its row in order, read in any order and at any length; a plan holds
     # the table's own rows.
-    with mpmath.workdps(dps):
+    with extended_precision(dps):
         q = num("0.61")
         table = PowerTable(q)
         table.pochhammer(num("0.3"), 5)
@@ -256,10 +248,11 @@ def test_factor_rows_and_prefixes_are_the_running_power_loop(num, dps):
 def test_typed_float_is_the_product_bit_for_bit(num, dps):
     # The constant times 1 in the scalar type of like, without a float
     # conversion: the singular guard, the c = a tolerance, the grid alphas.
-    with mpmath.workdps(dps):
+    # A Decimal is the constant's exact value rounded once.
+    with extended_precision(dps):
         for like in (num("0.5"), num("2.75")):
             for value in (1e-13, 1e-12, 0.1, 0.3, 0.7, 0.9, 1e6, 0.5):
-                assert _bits(typed_float(value, like)) == _bits(value * like ** 0)
+                assert _bits(typed_float(value, like)) == _bits(num(value) * like ** 0)
 
 
 def test_a_power_that_overflows_raises_at_every_read():
@@ -283,26 +276,26 @@ def test_one_family_read_at_two_precisions_matches_fresh_families(kind, N):
         lw = module.weights(fam)
         out = [tri.b, tri.u, lw.weights, lw.points]
         if kind == "qpr":
-            zs = [mpmath.mpf("1.7"), mpmath.mpf("2.3")]
+            zs = [Decimal("1.7"), Decimal("2.3")]
             out += para_racah.eval_explicit(tri, zs)
             out += para_racah.qdiff_residual(tri, zs)
             out.append(lw.weights_half)
         return _bits(out)
 
-    with mpmath.workdps(50):
-        shared = _family(kind, N, mpmath.mpf)
+    with extended_precision(50):
+        shared = _family(kind, N, Decimal)
     precisions = set()
     for dps in (30, 50):
-        with mpmath.workdps(dps):
-            precisions.add(mpmath.mp.prec)
+        with extended_precision(dps):
+            precisions.add(getcontext().prec)
             assert results(shared) == results(shared.replace()), dps
     assert set(shared.__dict__["_powers"]) == precisions
 
 
-@pytest.mark.parametrize("num", [float, mpmath.mpf], ids=["double", "mpf"])
+@pytest.mark.parametrize("num", [float, Decimal], ids=["double", "mpf"])
 @pytest.mark.parametrize("kind", ["qpr", "qpk"])
 def test_a_filled_table_leaves_the_record_unchanged(kind, num):
-    with mpmath.workdps(50):
+    with extended_precision(50):
         fam = _family(kind, 5, num)
         before = (repr(fam), hash(fam))
         module = para_racah if kind == "qpr" else para_krawtchouk
@@ -321,7 +314,7 @@ def test_a_filled_table_leaves_the_record_unchanged(kind, num):
 def test_series_sums_are_the_plain_loop(N, num, dps):
     # A plan's terms and their sum, a point's basis row and the explicit
     # expansion's dot product of the two: each is its plain loop's.
-    with mpmath.workdps(dps):
+    with extended_precision(dps):
         fam = _family("qpr", N, num)
         q, a, c, j = fam.q, fam.a, fam.c, fam.j
         params = ((q ** -j, q ** (j - N)), (q ** -j, a * c, (a / c) * q ** (j + 1 - N), q))
@@ -363,20 +356,17 @@ def test_family_formulas_read_powers_and_prefixes_from_the_table(module):
 
 @pytest.mark.parametrize("num,dps", PRECISIONS)
 def test_series_sums_at_special_and_mixed_points_are_the_plain_loop(num, dps):
-    with mpmath.workdps(dps):
+    with extended_precision(dps):
         fam = _family("qpr", 6, num)
         q, a, c = fam.q, fam.a, fam.c
         plans = [((q ** -3,), (a * c, q))]
-        if num is not float:
-            # A float parameter makes the whole plan a mixed one.
-            plans.append(((q ** -3,), (a * c, 0.25, q)))
         for params in plans:
             plan = SeriesPlan(*params, PowerTable(q), q, 3)
             assert _bits(plan.terms()) == _bits(reference_terms(*params, q, q, 3))
             assert _bits(plan.sum()) == _bits(reference_series_sum(*params, q, q, 3))
             pairs = list(enumerate(plan.terms()))
-            # The whole row, one with a gap (k = 0 and 3), one led by a float.
-            rows = [pairs, pairs[::3], [(0, 0.25)] + pairs[1:]]
+            # The whole row, one with a gap (k = 0 and 3), one led by 0.25.
+            rows = [pairs, pairs[::3], [(0, num(0.25))] + pairs[1:]]
             for p in _points(num):
                 for bases in ((p,), (a, p), ()):
                     basis = reference_basis(q, 4, bases)
@@ -388,12 +378,12 @@ def test_series_sums_at_special_and_mixed_points_are_the_plain_loop(num, dps):
 @pytest.mark.parametrize("dps", [20, 50, 120])
 def test_richardson_is_the_plain_table(dps):
     rng = random.Random(dps)
-    with mpmath.workdps(dps):
-        tables = [[mpmath.mpf(2) + mpmath.mpf(3) / 2 ** k for k in range(11)],
-                  [mpmath.mpf(rng.uniform(-5, 5)) for _ in range(7)],
-                  [mpmath.mpf("0.5")],
-                  [mpmath.mpf(1), mpmath.nan, mpmath.mpf(3)],
-                  [mpmath.inf, mpmath.mpf(1), -mpmath.inf]]
+    with extended_precision(dps):
+        tables = [[Decimal(2) + Decimal(3) / 2 ** k for k in range(11)],
+                  [Decimal(rng.uniform(-5, 5)) for _ in range(7)],
+                  [Decimal("0.5")],
+                  [1.0, math.nan, 3.0],
+                  [math.inf, 1.0, -math.inf]]
         for values in tables:
             for ratio in (2, 10):
                 assert _bits(connections.richardson(values, ratio)) == _bits(
@@ -402,41 +392,25 @@ def test_richardson_is_the_plain_table(dps):
                     reference_richardson(values, ratio))
 
 
-def _columns(vectors, weights):
-    cols = list(zip(*vectors))
-    scale = [w / (y[0] * y[0]) for w, y in zip(weights, vectors)]
-    return [list(map(mul, scale, col)) for col in cols], cols
-
-
 @pytest.mark.parametrize("num,dps", PRECISIONS)
 @pytest.mark.parametrize("kind", ["qpr", "qpk"])
 @pytest.mark.parametrize("N", [2, 5, 8])
 def test_gram_dot_products_and_errors_are_the_plain_loops(kind, N, num, dps):
     module = para_racah if kind == "qpr" else para_krawtchouk
-    with mpmath.workdps(dps):
+    with extended_precision(dps):
         tri = tridiagonal(_family(kind, N, num))
         lw = module.weights(tri.family)
         vectors, _ = recurrence.lattice_vectors(tri.b, tri.u, lw.points)
         assert _bits(verify.gram_errors(vectors, lw.weights, tri.h)) == _bits(
             reference_gram_errors(vectors, lw.weights, tri.h))
-        weighted, cols = _columns(vectors, lw.weights)
-        if num is float:
-            return
-        # Every dot product gram_errors takes on raw tuples.
-        for n in range(N + 1):
-            for m in range(n + 1):
-                assert _bits(_mpfloops.dot(weighted[n], cols[m])) == _bits(
-                    sum(map(mul, weighted[n], cols[m])))
-        # A special value at one lattice point, and a float weight (mixed).
-        for poison in (mpmath.nan, mpmath.inf, -mpmath.inf, mpmath.mpf(0), 0.5):
+        # A special value at one lattice point: NaN, infinities and zero in
+        # binary64; NaN and zero in Decimal, where an infinite weight would
+        # meet an invalid operation.
+        poisons = ((num("nan"), num(0)) if num is Decimal else
+                   (math.nan, math.inf, -math.inf, 0.0))
+        for poison in poisons:
             for s in (0, N):
                 bad = list(lw.weights)
                 bad[s] = poison
                 assert _bits(verify.gram_errors(vectors, bad, tri.h)) == _bits(
                     reference_gram_errors(vectors, bad, tri.h)), (poison, s)
-                if poison == 0.5:
-                    continue
-                weighted, cols = _columns(vectors, bad)
-                for m in range(N + 1):
-                    assert _bits(_mpfloops.dot(weighted[N], cols[m])) == _bits(
-                        sum(map(mul, weighted[N], cols[m])))

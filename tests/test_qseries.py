@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from oracles.qseries import SeriesSpec, phi_basis, series_value, terminating_series_eval
 from qortho import qseries
 from qortho.qseries import SingularSeriesError, qpochhammer
+from qortho.scalars import extended_precision
 
 
 def test_the_package_exports_the_plan_its_factors_and_its_error():
@@ -171,9 +174,8 @@ def test_double_vs_extended_ten_digits():
         den = tuple(rng.uniform(1.02, 2) for _ in range(2)) + (q,)
         arg = rng.uniform(-2, 2)
         lo = terminating_series_eval(SeriesSpec(num, den, q, arg, truncation=k))
-        with mpmath.workdps(50):
-            hi = terminating_series_eval(SeriesSpec(
-                tuple(mpmath.mpf(v) for v in num),
-                tuple(mpmath.mpf(v) for v in den),
-                mpmath.mpf(q), mpmath.mpf(arg), truncation=k))
-            assert abs(lo - hi) <= 1e-10 * max(1.0, abs(hi))
+        with extended_precision(50):
+            hi = float(terminating_series_eval(SeriesSpec(
+                tuple(map(Decimal, num)), tuple(map(Decimal, den)),
+                Decimal(q), Decimal(arg), truncation=k)))
+        assert abs(lo - hi) <= 1e-10 * max(1.0, abs(hi))

@@ -8,11 +8,13 @@ record dropped its z representatives, after a diff of the hashed data showed
 only the 24 h_0 entries of the mpf tables moving from 1.0 to an mpf 1; and
 re-recorded over the kept fields, computed on the code before that change,
 when the weight record dropped its copies of h_n, k_norm and the measure's
-sign and the table its positivity field)."""
+sign and the table its positivity field; and re-recorded when the extended
+scalar became ``decimal.Decimal``, after the binary64 half hashed as
+before)."""
 
 import hashlib
+from decimal import Decimal
 
-import mpmath
 import pytest
 
 from oracles.askey_wilson import AskeyWilsonParams
@@ -22,6 +24,7 @@ from qortho.connections import QRacahParams
 from qortho.para_krawtchouk import ParaKrawtchoukFamily
 from qortho.para_racah import LatticeWeights, ParaRacahFamily
 from qortho.recurrence import TridiagonalSystem, lattice_vectors, tridiagonal
+from qortho.scalars import extended_precision
 from qortho.verify import Check
 
 QPR = dict(a=0.9, c=0.7, alpha=0.3, q=0.5, N=5)
@@ -40,8 +43,8 @@ def test_equal_families_compare_and_hash_equal(cls, params):
     other = one.replace(alpha=0.5)
     assert other != one
     assert {one: 1, other: 2}[two] == 1
-    with mpmath.workdps(50):
-        hi = cls(**{k: v if k == "N" else mpmath.mpf(v) for k, v in params.items()})
+    with extended_precision(50):
+        hi = cls(**{k: v if k == "N" else Decimal(v) for k, v in params.items()})
         assert hi == hi.replace() and hash(hi) == hash(hi.replace())
 
 
@@ -139,8 +142,8 @@ def _bits(v):
         return [_bits(x) for x in v]
     if isinstance(v, float):
         return v.hex()
-    if isinstance(v, mpmath.mpf):
-        return ["mpf", list(v._mpf_)]
+    if isinstance(v, Decimal):
+        return ["decimal", str(v)]
     return repr(v)
 
 
@@ -158,8 +161,8 @@ def _weighted_and_deformed_digest():
     and every table deformed to 0.1, 0.3, 0.5, 0.7 and 0.9 of qpr and qpk
     families at N 1-8, in binary64 and at 50 digits."""
     out = []
-    for num, digits in ((float, 15), (mpmath.mpf, 50)):
-        with mpmath.workdps(digits):
+    for num, digits in ((float, 15), (Decimal, 50)):
+        with extended_precision(digits):
             for N in range(1, 9):
                 fams = [ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"),
                                         q=num("0.5"), N=N),
@@ -174,7 +177,7 @@ def _weighted_and_deformed_digest():
                         vectors, _ = lattice_vectors(tri.b, tri.u, lw.points)
                         out.append(_bits(para_racah.weights_from_christoffel(tri, vectors)))
                     for al in (0.1, 0.3, 0.5, 0.7, 0.9):
-                        moved = tri.at_alpha(al)
+                        moved = tri.at_alpha(num(al))
                         out.append(_fields(moved.family, _FAMILY_FIELDS[type(fam)]))
                         out.append(_fields(moved, ("b", "u")))
     return hashlib.sha256(repr(out).encode()).hexdigest()
@@ -182,4 +185,4 @@ def _weighted_and_deformed_digest():
 
 def test_weighted_and_deformed_tables_are_unchanged_bit_for_bit():
     assert _weighted_and_deformed_digest() == (
-        "c2485acf7d56af27b5626e10e93ba6ec8d211d8c14d8495a670239e3ddb71903")
+        "7215d1733241e6db4b574145a63d27d6a54e9ef9a36dba596a6501dc51a045d8")

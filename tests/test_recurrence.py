@@ -7,7 +7,8 @@ shared table changes no computed value.  A table deformed to another alpha
 is the table built at that alpha, entry for entry.
 """
 
-import mpmath
+from decimal import Decimal
+
 import pytest
 
 import support
@@ -15,19 +16,18 @@ from oracles import askey_wilson
 from oracles.connections import qracah_monic_eval
 from qortho import connections, para_krawtchouk, para_racah
 from qortho.recurrence import monic_values, tridiagonal
+from qortho.scalars import extended_precision
 
 N_VALUES = list(range(1, 10)) + [16]
 
 
 def _qpr(N, num):
-    fam = para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"),
-                                     q=num("0.5"), N=N)
+    fam = support.family("qpr", N, num, a="0.9", c="0.7", alpha="0.3", q="0.5")
     return fam, [num("1.7"), num("2.3"), num("-1.25")]
 
 
 def _qpk(N, num):
-    fam = para_krawtchouk.ParaKrawtchoukFamily(Delta=num("1.3"), alpha=num("0.35"),
-                                               q=num("0.5"), N=N)
+    fam = support.family("qpk", N, num, Delta="1.3", alpha="0.35", q="0.5")
     return fam, [num("0.8"), num("1.1"), num("0.3")]
 
 
@@ -59,12 +59,12 @@ def test_engine_matches_reference_loop_double(kind, N):
 @pytest.mark.parametrize("N", N_VALUES)
 @pytest.mark.parametrize("kind", ["qpr", "qpk"])
 def test_engine_matches_reference_loop_extended(kind, N):
-    with mpmath.workdps(50):
-        _check_family(kind, N, mpmath.mpf)
+    with extended_precision(50):
+        _check_family(kind, N, Decimal)
 
 
 def _bits(v):
-    return type(v), v._mpf_ if isinstance(v, mpmath.mpf) else v.hex()
+    return type(v), v.as_tuple() if isinstance(v, Decimal) else v.hex()
 
 
 @pytest.mark.parametrize("N", range(1, 17))
@@ -73,13 +73,13 @@ def test_deformed_table_is_the_table_built_at_that_alpha(kind, N):
     # The splice n = j, j+1 reaches both ends of the table at N = 1 and 2;
     # fam.alpha itself and alpha = 1/2 take the shortcut that returns the
     # table unchanged.
-    for num, digits in ((float, 15), (mpmath.mpf, 50)):
-        with mpmath.workdps(digits):
+    for num, digits in ((float, 15), (Decimal, 50)):
+        with extended_precision(digits):
             for fam_alpha in ("0.3", "0.5"):
                 fam = (_qpr if kind == "qpr" else _qpk)(N, num)[0]
                 fam = fam.replace(alpha=num(fam_alpha))
                 tri = tridiagonal(fam)
-                for al in (0.1, 0.3, 0.5, 0.7, 0.9, fam.alpha):
+                for al in (*map(num, (0.1, 0.3, 0.5, 0.7, 0.9)), fam.alpha):
                     got, ref = tri.at_alpha(al), tridiagonal(fam.replace(alpha=al))
                     assert got.family == ref.family
                     assert got.positive == ref.positive
@@ -99,16 +99,16 @@ def test_table_rows_and_normalization_products():
     assert tri.h[0] == 1.0
 
 
-@pytest.mark.parametrize("num,digits", [(float, 15), (mpmath.mpf, 50)])
+@pytest.mark.parametrize("num,digits", [(float, 15), (Decimal, 50)], ids=["float-15", "mpf-50"])
 @pytest.mark.parametrize("kind", ["qpr", "qpk"])
 def test_p0_and_h0_are_the_tables_own_one(kind, num, digits):
     # P_0 at every degree and at any point, and h_0, are the table's one,
-    # b_0 ** 0: 1.0 in binary64, an mpf 1 at 50 digits.
-    with mpmath.workdps(digits):
+    # in b_0's type: 1.0 in binary64, a Decimal 1 at 50 digits.
+    with extended_precision(digits):
         fam, _ = (_qpr if kind == "qpr" else _qpk)(5, num)
         tri = tridiagonal(fam)
         one = type(tri.b[0])
-        for x in (num("0.37"), tri.b[1], 0.37):
+        for x in (num("0.37"), tri.b[1], num(0)):
             for n in (0, 1, 5, None):
                 p0 = tri.values(x, n)[0]
                 assert type(p0) is one and p0 == 1, (x, n)

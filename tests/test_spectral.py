@@ -1,7 +1,7 @@
 import math
+from decimal import Decimal
 from types import SimpleNamespace
 
-import mpmath
 import pytest
 
 from oracles.spectral import spectrum as ql_spectrum
@@ -9,6 +9,7 @@ from qortho import para_krawtchouk
 from qortho.para_racah import ParaRacahFamily, lattice
 from qortho.recurrence import (TridiagonalSystem, family_module, gram_errors, lattice_vectors,
                                tridiagonal, weights_from_christoffel)
+from qortho.scalars import extended_precision
 from qortho.spectral import matrix_norm, persymmetry_residual, spectrum
 
 FAM = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=7)
@@ -43,9 +44,9 @@ def test_nonpositive_u_is_refused(read):
 @pytest.mark.parametrize("read", READERS, ids=READER_IDS)
 def test_a_positive_u_below_binary64_is_refused_as_an_underflow(read):
     # u_1 = (1 - alpha) alpha (c - a)^2 ... is about 4e-344 at 30 digits.
-    with mpmath.workdps(30):
-        fam = ParaRacahFamily(a=mpmath.mpf("0.9"), c=mpmath.mpf("0.8"),
-                              alpha=mpmath.mpf("1e-340"), q=mpmath.mpf("0.5"), N=1)
+    with extended_precision(30):
+        fam = ParaRacahFamily(a=Decimal("0.9"), c=Decimal("0.8"),
+                              alpha=Decimal("1e-340"), q=Decimal("0.5"), N=1)
         tri = tridiagonal(fam)
     assert tri.positive and float(tri.u[0]) == 0
     with pytest.raises(ZeroDivisionError, match="underflows"):

@@ -10,10 +10,10 @@ import math
 import random
 import re
 from collections import Counter
+from decimal import Decimal
 from pathlib import Path
 from types import SimpleNamespace
 
-import mpmath
 import pytest
 
 import support
@@ -21,6 +21,7 @@ from oracles.qseries import SeriesSpec, terminating_series_eval
 from qortho import (cli, connections, para_krawtchouk, para_racah, recurrence, scalars,
                     spectral, verify)
 from qortho.recurrence import TridiagonalSystem, persymmetry_residual, tridiagonal
+from qortho.scalars import extended_precision, sqrt
 
 FAM = para_racah.ParaRacahFamily(a=0.9, c=0.7, alpha=0.5, q=0.5, N=5)
 NAN = float("nan")
@@ -34,22 +35,22 @@ def _entries(passes) -> Counter:
 
 
 def _qpk(Delta, alpha, q, N, num=float):
-    return para_krawtchouk.ParaKrawtchoukFamily(Delta=num(Delta), alpha=num(alpha),
-                                                q=num(q), N=N)
+    return support.family("qpk", N, num, Delta=Delta, alpha=alpha, q=q)
 
 
 @pytest.mark.parametrize("kind,alpha,num,N", [
     pytest.param(kind, alpha, num, N, id="-".join(
-        ([] if kind == "qpr" else [kind]) + [str(alpha), num.__name__, str(N)]))
+        ([] if kind == "qpr" else [kind]) + [str(alpha), "float" if num is float else "mpf",
+                                             str(N)]))
     for kind, alpha, num, N in [
-        ("qpr", 0.5, float, 5), ("qpr", 0.3, float, 6), ("qpr", "0.25", mpmath.mpf, 7),
-        ("qpr", "0.5", mpmath.mpf, 8), ("qpk", "0.35", float, 5), ("qpk", "0.35", float, 6),
-        ("qpk", "0.25", mpmath.mpf, 7), ("qpk", "0.5", mpmath.mpf, 8)]])
+        ("qpr", 0.5, float, 5), ("qpr", 0.3, float, 6), ("qpr", "0.25", Decimal, 7),
+        ("qpr", "0.5", Decimal, 8), ("qpk", "0.35", float, 5), ("qpk", "0.35", float, 6),
+        ("qpk", "0.25", Decimal, 7), ("qpk", "0.5", Decimal, 8)]])
 def test_one_coefficient_call_per_family_and_degree(monkeypatch, kind, alpha, num, N):
     # A qpk run's own table is the one the theta limit compares with; a qpr
     # run fills the one qpk table of Delta = a/c.
     passes = support.count_passes(monkeypatch)
-    with mpmath.workdps(50):
+    with extended_precision(50):
         if kind == "qpr":
             fam = para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num(alpha),
                                              q=num("0.5"), N=N)
@@ -62,14 +63,14 @@ def test_one_coefficient_call_per_family_and_degree(monkeypatch, kind, alpha, nu
     assert len(qpk_keys) == 2 * N + 1
 
 
-@pytest.mark.parametrize("num", [float, mpmath.mpf], ids=["double", "mpf"])
+@pytest.mark.parametrize("num", [float, Decimal], ids=["double", "mpf"])
 @pytest.mark.parametrize("kind", ["qpr", "qpk"])
 @pytest.mark.parametrize("N", [1, 2, 3, 6, 9])
 def test_deformed_tables_recompute_only_the_splice(monkeypatch, N, kind, num):
     # The reference and grid tables share every entry alpha does not enter
     # with the run's own table: at most b_j, b_{j+1}, u_j and u_{j+1} each.
     # A grid alpha equal to the family's (0.3 in double) is the run's table.
-    with mpmath.workdps(50):
+    with extended_precision(50):
         if kind == "qpr":
             fam = para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"),
                                              q=num("0.5"), N=N)
@@ -98,8 +99,8 @@ def test_theta_limit_builds_one_family_per_step(monkeypatch, N):
 @pytest.mark.parametrize("N", range(1, 17))
 def test_theta_limit_matches_the_per_degree_reference(kind, N):
     rng = random.Random(N)
-    for num, digits in ((float, 15), (mpmath.mpf, 50)):
-        with mpmath.workdps(digits):
+    for num, digits in ((float, 15), (Decimal, 50)):
+        with extended_precision(digits):
             if kind == "qpr":
                 fam = support.sample_family(rng, N, alpha=rng.choice([0.25, 0.5, 0.75]))
                 fam = fam.replace(a=num(fam.a), c=num(fam.c),
@@ -116,9 +117,9 @@ def test_theta_limit_matches_the_per_degree_reference(kind, N):
 def test_qpr_theta_limit_is_the_reference_at_any_precision(digits, N):
     # A qpr run fills its qpk table at the limit's 50 digits whatever its own
     # precision, so every residual is the reference's.
-    with mpmath.workdps(digits):
-        fam = para_racah.ParaRacahFamily(a=mpmath.mpf("0.8"), c=mpmath.mpf("0.55"),
-                                         alpha=mpmath.mpf("0.75"), q=mpmath.mpf("0.45"),
+    with extended_precision(digits):
+        fam = para_racah.ParaRacahFamily(a=Decimal("0.8"), c=Decimal("0.55"),
+                                         alpha=Decimal("0.75"), q=Decimal("0.45"),
                                          N=N)
         [chk] = verify.run_suite("qpk-limit", fam)
         assert chk.residual == support.qpk_theta_limit_reference(fam)
@@ -127,7 +128,7 @@ def test_qpr_theta_limit_is_the_reference_at_any_precision(digits, N):
 @pytest.mark.parametrize("N", [1, 6, 9])
 def test_a_double_qpr_theta_limit_builds_its_qpk_target_at_the_limits_digits(monkeypatch, N):
     # The target has the 50-digit Delta, alpha and q of the three theta
-    # tables, so its b_n and u_n are mpf, not the binary64 table of the run.
+    # tables, so its b_n and u_n are Decimals, not the binary64 table of the run.
     built = []
     original = verify.tridiagonal
 
@@ -140,22 +141,22 @@ def test_a_double_qpr_theta_limit_builds_its_qpk_target_at_the_limits_digits(mon
     [chk] = verify.run_suite("qpk-limit", fam)
     [target] = [t for t in built if isinstance(t.family, para_krawtchouk.ParaKrawtchoukFamily)]
     assert len(built) == 4
-    assert all(type(v) is mpmath.mpf for v in (target.family.Delta, target.family.alpha,
+    assert all(type(v) is Decimal for v in (target.family.Delta, target.family.alpha,
                                                target.family.q, *target.b, *target.u))
-    assert target.family.Delta == mpmath.mpf(0.9 / 0.7)
+    assert target.family.Delta == Decimal(0.9 / 0.7)
     assert chk.passed and chk.residual == support.qpk_theta_limit_reference(fam)
 
 
 def test_qpk_theta_limit_reads_the_runs_own_table():
     # At 30 digits the residual measures the run's 30-digit table, whether
     # the table was filled by an earlier suite or by the limit itself.
-    with mpmath.workdps(30):
-        fam = _qpk("2.2695", "0.5", "0.4148", 5, mpmath.mpf)
+    with extended_precision(30):
+        fam = _qpk("2.2695", "0.5", "0.4148", 5, Decimal)
         alone = verify.run_suite("qpk-limit", fam)[0].residual
         every = {c.name: c.residual for c in verify.run_suite("all", fam)}
         run = verify.RunTables(fam)
         tri = run.tri
-        run.tri = tri.replace(b=(tri.b[0] * (1 + mpmath.mpf(10) ** -20),)
+        run.tri = tri.replace(b=(tri.b[0] * (1 + Decimal(10) ** -20),)
                               + tri.b[1:])
         perturbed = verify.suite_qpk_limit(run, None)[0].residual
     assert alone == every["qpk-limit/qpk-theta-limit"]
@@ -201,11 +202,11 @@ def test_qpk_orthogonality_carries_the_christoffel_cross_check(N):
 
 
 def test_family_checks_and_persymmetry_folds_convert_no_float():
-    # Finiteness and degeneracy are read off the mpf itself, and each
+    # Finiteness and degeneracy are read off the Decimal itself, and each
     # palindrome fold starts from a difference of its row's type, so none
     # meets a float.
-    num = mpmath.mpf
-    with mpmath.workdps(50):
+    num = Decimal
+    with extended_precision(50):
         tables = [tridiagonal(fam) for fam in (
             para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.5"),
                                        q=num("0.5"), N=6),
@@ -220,15 +221,16 @@ def test_family_checks_and_persymmetry_folds_convert_no_float():
 
 def test_isospectral_grid_is_typed_by_q():
     # A double run deforms at the float alphas themselves; an extended run
-    # at its own precision, so every deformed entry is an mpf.
+    # at each one rounded to its own digits, so every deformed entry is a
+    # Decimal.
     assert [t.family.alpha for t in verify.RunTables(FAM).grid] == list(
         verify.ISOSPECTRAL_ALPHAS)
-    num = mpmath.mpf
-    with mpmath.workdps(50):
+    num = Decimal
+    with extended_precision(50):
         fam = para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"),
                                          q=num("0.5"), N=9)
         grid = verify.RunTables(fam).grid
-        assert [t.family.alpha for t in grid] == [num(al) for al in verify.ISOSPECTRAL_ALPHAS]
+        assert [t.family.alpha for t in grid] == [+num(al) for al in verify.ISOSPECTRAL_ALPHAS]
         assert all(type(t.family.alpha) is num for t in grid)
         assert all(type(v) is num for t in grid for v in t.b + t.u)
 
@@ -237,17 +239,17 @@ def test_gram_off_diagonal_beyond_the_double_range():
     # b_n = 0, u_n = U on four symmetric points with equal weights: the
     # scaled off-diagonal entries are 1.5 (n, m = 2, 0) and 3.5 (3, 1), where
     # h_n = U^n is far above the largest double.
-    with mpmath.workdps(30):
-        U = mpmath.mpf(10) ** 200
-        tri = TridiagonalSystem(family=SimpleNamespace(N=3), b=(mpmath.mpf(0),) * 4,
+    with extended_precision(30):
+        U = Decimal(10) ** 200
+        tri = TridiagonalSystem(family=SimpleNamespace(N=3), b=(Decimal(0),) * 4,
                                 u=(U,) * 3)
-        root = mpmath.sqrt(U)
+        root = sqrt(U)
         points = tuple(k * root for k in (-2, -1, 1, 2))
         # Forward vectors P_n / sqrt(h_n): the twisted ones hide that these
         # points are not zeros of R_4, and their twist shows it.
-        forward = [[p / mpmath.sqrt(h) for p, h in zip(tri.values(x, 3), tri.h)]
+        forward = [[p / sqrt(h) for p, h in zip(tri.values(x, 3), tri.h)]
                    for x in points]
-        _, off = verify.gram_errors(forward, (mpmath.mpf(1) / 4,) * 4, tri.h)
+        _, off = verify.gram_errors(forward, (Decimal(1) / 4,) * 4, tri.h)
         _, twist = recurrence.lattice_vectors(tri.b, tri.u, points)
     assert off == pytest.approx(3.5, rel=1e-12)
     assert twist == pytest.approx(0.5, rel=1e-12)
@@ -274,7 +276,7 @@ def test_explicit_suite_makes_one_pass_and_one_factor_build_per_point_at_any_N(m
     # Ten points shared by every degree: at each, one build of the
     # z-dependent factors and one recurrence pass up to P_N, which both
     # eval_explicit's rerun rule and the check read.
-    num = mpmath.mpf
+    num = Decimal
     passes, builds = [], []
     original_values = recurrence.monic_values
     original_factors = para_racah._point_factors
@@ -283,7 +285,7 @@ def test_explicit_suite_makes_one_pass_and_one_factor_build_per_point_at_any_N(m
                         or original_values(b, u, x))
     monkeypatch.setattr(para_racah, "_point_factors",
                         lambda fam, z: builds.append(z) or original_factors(fam, z))
-    with mpmath.workdps(50):
+    with extended_precision(50):
         fam = para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"),
                                          q=num("0.5"), N=N)
         checks = verify.run_suite("explicit", fam)
@@ -297,8 +299,8 @@ def test_extended_explicit_suite_converts_only_its_points(N):
     # At 50 digits the suite converts its ten drawn points and nothing else:
     # P_0, the singular guard and the c = a tolerance are typed by the
     # family's scalars.
-    num = mpmath.mpf
-    with mpmath.workdps(50):
+    num = Decimal
+    with extended_precision(50):
         fam = para_racah.ParaRacahFamily(a=num("0.9"), c=num("0.7"), alpha=num("0.3"),
                                          q=num("0.5"), N=N)
         with support.float_conversions() as floats:
@@ -312,9 +314,9 @@ def test_extended_explicit_suite_converts_only_its_points(N):
 @pytest.mark.parametrize("kind,alpha", [("qpr", "0.3"), ("qpr", "0.5"),
                                         ("qpk", "0.35"), ("qpk", "0.5")])
 def test_extended_verify_converts_only_its_points(capsys, kind, alpha, N):
-    # One precision policy: every scalar of a 50-digit run is an mpf.  The
+    # One precision policy: every scalar of a 50-digit run is a Decimal.  The
     # only floats converted are the 30 points the bispectral, explicit and
-    # qracah suites draw; the dual-Hahn exponent is an mpf log ratio, and a
+    # qracah suites draw; the dual-Hahn exponent is a Decimal log ratio, and a
     # qpk run draws no point and converts nothing.  At alpha = 1/2 the
     # isospectral reference is the run's own table.
     family = ["--a", "0.9", "--c", "0.7"] if kind == "qpr" else ["--Delta", "1.3"]
