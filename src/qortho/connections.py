@@ -154,8 +154,8 @@ def dual_hahn_limit(a_exponent, N: int, degrees) -> list:
     2^k > 32 |e|, so a = q^e ~ exp(-2 e 2^-k) stays within exp(+-1/16) of 1
     at every step, whatever e.  A limit whose last two estimates differ by
     more than 10^-CONTRACTION_DIGITS relative to max(|limit|, 1), or whose
-    finest step leaves fewer than 53 bits of 1 - sqrt(q) above the rounding
-    of sqrt(q) at LIMIT_DIGITS, raises :class:`ExtrapolationError`.  Returns one
+    finest step leaves fewer than 53 bits of 1 - sqrt(q) above
+    10^-(LIMIT_DIGITS + 1), raises :class:`ExtrapolationError`.  Returns one
     ``(lim_a, lim_c, target_a, target_c)`` per degree n in ``degrees``;
     the targets are the dual-Hahn recurrence coefficients with both lattice
     parameters (4*a_exponent - 1)/2:
@@ -170,11 +170,13 @@ def dual_hahn_limit(a_exponent, N: int, degrees) -> list:
         return []
     g = (4 * a_exponent - 1) / 2
     # 2^(bits-1) <= |e| < 2^bits for |e| >= 1, so k = bits + 5 is the
-    # smallest k with 2^k > 32 |e|; |e| < 1 reads bits = 0.
-    first = max(8, int(abs(a_exponent)).bit_length() + 5)
-    # At LIMIT_DIGITS digits, guard digits aside, sqrt(q) < 1 is rounded by
-    # at most 10^-LIMIT_DIGITS / 2.
-    if 2 ** (first + DUAL_HAHN_STEPS - 1 + 53) > 2 * 10 ** LIMIT_DIGITS:
+    # smallest k with 2^k > 32 |e|; |e| < 1 reads bits = 0.  int() truncates a
+    # Decimal exactly, where abs() would round it in the caller's context.
+    first = max(8, abs(int(a_exponent)).bit_length() + 5)
+    # The finest step keeps 53 bits above 10^-(LIMIT_DIGITS + 1), twenty
+    # times the half unit in which the context, carrying the guard digits,
+    # rounds sqrt(q) < 1: at 50 digits that is |e| < 2^106.
+    if 2 ** (first + DUAL_HAHN_STEPS - 1 + 53) > 10 ** (LIMIT_DIGITS + 1):
         raise ExtrapolationError("step families are not resolved at %d digits" % LIMIT_DIGITS)
     out = []
     with extended_precision(LIMIT_DIGITS):

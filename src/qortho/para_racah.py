@@ -91,14 +91,14 @@ def coefficient_rows(fam: ParaRacahFamily, b_degrees, u_degrees) -> tuple:
     are the Askey-Wilson monic map in X = 2x, b_n = (a + 1/a - A_n - C_n) / 2
     and u_n = A_{n-1} C_n / 4 (:func:`~qortho.recurrence.monic_coefficients`),
     of the limits of the degrees they need, in increasing order: a table
-    raises what that pass raises.
+    raises what that pass raises.  Each of ``b_degrees`` and ``u_degrees``
+    is a run of consecutive degrees, so the pass covers every degree from
+    the lowest needed to the highest, and its list is indexed by degree.
     """
-    if b_degrees == range(fam.N + 1) and u_degrees == range(1, fam.N + 1):
-        # A whole table: the pass's list is indexed by degree.
-        rows = limit_rows(fam, b_degrees)
-    else:
-        degrees = sorted({*b_degrees, *u_degrees, *(n - 1 for n in u_degrees)})
-        rows = dict(zip(degrees, limit_rows(fam, degrees)))
+    N = fam.N
+    lo = min(b_degrees[0] if b_degrees else N, u_degrees[0] - 1 if u_degrees else N)
+    hi = max(b_degrees[-1] if b_degrees else 0, u_degrees[-1] if u_degrees else 0)
+    rows = [None] * lo + limit_rows(fam, range(lo, hi + 1))
     return monic_coefficients(rows, b_degrees, u_degrees, fam.a + 1 / fam.a, 2)
 
 
@@ -326,10 +326,11 @@ def eval_explicit(tri: TridiagonalSystem, zs, recurrence=None) -> list:
     roundoff and r = R_n(x) read from one recurrence pass per point (the
     caller's ``recurrence`` rows ``tri.values(x, N)``, when it has them), a
     value whose term magnitude times u exceeds ``_EXPLICIT_ACCURACY`` |r| is
-    summed again in Decimal (:func:`_rerun`) and rounded back to the working
-    type; a complex point's value is not, as Decimal has no complex type.  A
-    value or an r that is not finite raises ``OverflowError``.  A degenerate
-    family (c = a) raises :class:`DegenerateFamilyError`.
+    summed again in Decimal (:func:`_rerun`), a complex point's as an
+    :class:`~qortho.scalars.ExtendedComplex`, and rounded back to the
+    working type.  A value or an r that is not finite raises
+    ``OverflowError``.  A degenerate family (c = a) raises
+    :class:`DegenerateFamilyError`.
     """
     fam = tri.family
     if any(z == 0 for z in zs):
@@ -353,7 +354,7 @@ def eval_explicit(tri: TridiagonalSystem, zs, recurrence=None) -> list:
                 raise OverflowError("the explicit expansion of degree %d or its recurrence "
                                     "value is not finite" % n)
             # An exact zero of R_n has no relative accuracy to keep.
-            if magnitude > trigger * r > 0 and not isinstance(zs[i], complex):
+            if magnitude > trigger * r > 0:
                 flagged.append((n, i, magnitude / r))
             row.append(value)
         rows.append(row)
@@ -378,9 +379,9 @@ def _rerun(fam: ParaRacahFamily, zs, rows, flagged, digits) -> None:
         points = {i: _point_factors(hi_fam, to_extended(zs[i]))
                   for i in sorted({i for _, i, _ in flagged})}
         values = [_explicit_value(plans[n], points[i])[0] for n, i, _ in flagged]
-    # Unary plus rounds a Decimal to the working digits.
+    # float and complex round to binary64, unary plus to the working digits.
     for (n, i, _), value in zip(flagged, values):
-        rows[n][i] = float(value) if digits is None else +value
+        rows[n][i] = type(rows[n][i])(value) if digits is None else +value
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 All formulas in this package are written generically: a computation stays in
 whatever scalar type the caller supplies.  Binary64 mode works on plain
 Python float/complex, extended mode on the standard library's
-``decimal.Decimal`` values made under an ``extended_precision`` context.
-Only the handful of operations that need to dispatch on the type live here.
+``decimal.Decimal`` values made under an ``extended_precision`` context, and
+on :class:`ExtendedComplex` for a point off the real line.  Only the handful
+of operations that need to dispatch on the type live here.
 
 ``decimal`` is imported by the functions that create Decimal values, so a
 binary64 run never loads it.  Until something has imported it no value can
@@ -78,9 +79,76 @@ def as_scalar(value, extended: bool = False):
 
 def to_extended(x):
     """``x`` as a Decimal, exactly: the one conversion by which a float
-    enters a Decimal computation."""
+    enters a Decimal computation.  A complex number becomes the
+    :class:`ExtendedComplex` of its parts'."""
     from decimal import Decimal
+    if isinstance(x, (complex, ExtendedComplex)):
+        return ExtendedComplex(Decimal(x.real), Decimal(x.imag))
     return Decimal(x)
+
+
+class ExtendedComplex:
+    """A complex number with Decimal parts, the extended counterpart of
+    ``complex``, which Decimal lacks.  It meets a Decimal or an int as a
+    Decimal does, and each operation rounds its parts in the current
+    context: ``+z`` rounds both to the working digits and ``complex(z)`` to
+    binary64."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    def __add__(self, other):
+        return ExtendedComplex(self.real + other.real, self.imag + other.imag)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return ExtendedComplex(self.real - other.real, self.imag - other.imag)
+
+    def __rsub__(self, other):
+        return ExtendedComplex(other.real - self.real, other.imag - self.imag)
+
+    def __mul__(self, other):
+        if not isinstance(other, ExtendedComplex):
+            return ExtendedComplex(self.real * other, self.imag * other)
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return ExtendedComplex(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, ExtendedComplex):
+            return ExtendedComplex(self.real / other, self.imag / other)
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        den = c * c + d * d
+        return ExtendedComplex((a * c + b * d) / den, (b * c - a * d) / den)
+
+    def __rtruediv__(self, other):
+        return ExtendedComplex(other, 0 * other) / self
+
+    def __neg__(self):
+        return ExtendedComplex(-self.real, -self.imag)
+
+    def __pos__(self):
+        return ExtendedComplex(+self.real, +self.imag)
+
+    def __abs__(self):
+        return (self.real * self.real + self.imag * self.imag).sqrt()
+
+    def __eq__(self, other):
+        return self.real == other.real and self.imag == other.imag
+
+    def __hash__(self):
+        # As for complex, a zero imaginary part hashes as the real part it equals.
+        return hash(self.real) + 1000003 * hash(self.imag)
+
+    def __complex__(self):
+        return complex(float(self.real), float(self.imag))
+
+    def __repr__(self):
+        return "ExtendedComplex(%r, %r)" % (self.real, self.imag)
 
 
 def unit(like):

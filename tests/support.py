@@ -23,7 +23,7 @@ from oracles import qseries as oracle_qseries
 from qortho import connections, para_krawtchouk, para_racah, qseries, verify
 from qortho.recurrence import DegenerateFamilyError, interleave, tridiagonal
 from qortho.scalars import (extended_precision, is_extended, is_finite, max_keep_nan,
-                            working_precision)
+                            to_extended, working_precision)
 
 KINDS = {"qpr": para_racah.ParaRacahFamily, "qpk": para_krawtchouk.ParaKrawtchoukFamily}
 
@@ -125,7 +125,7 @@ def float_conversions():
         if isinstance(x, float):
             found.append((x, _qortho_source(sys._getframe(1))))
             return Decimal.from_float(x)
-        return Decimal(x)
+        return to_extended(x)
 
     class Trapping(context):
         def __init__(self, *args, traps=None, **kwargs):
@@ -231,10 +231,11 @@ def explicit_value_reference(fam, n, z, eta):
 def eval_explicit_reference(tri, zs):
     """para_racah.eval_explicit, one value at a time: each value summed at
     its point alone, with r = R_n(x) from one recurrence pass per point, and
-    each value at a real point whose term magnitude times the unit roundoff
-    u (2^-53, or 10^(1-P)/2 at P working digits) exceeds the accuracy constant times
-    |r| summed again in Decimal at the digits the call's worst one lost plus
-    16 (binary64) or P, then rounded back to its working type."""
+    each value whose term magnitude times the unit roundoff u (2^-53, or
+    10^(1-P)/2 at P working digits) exceeds the accuracy constant times |r|
+    summed again in Decimal, a complex point's as an ExtendedComplex, at the
+    digits the call's worst one lost plus 16 (binary64) or P, then rounded
+    back to its working type."""
     fam = tri.family
     digits = working_precision(fam.q)
     if digits is None:
@@ -251,7 +252,7 @@ def eval_explicit_reference(tri, zs):
             r = abs(tri.values((z + 1 / z) / 2, fam.N)[n])
             if not (is_finite(magnitude) and is_finite(r)):
                 raise OverflowError("degree %d" % n)
-            if r != 0 and magnitude > trigger * r and not isinstance(z, complex):
+            if r != 0 and magnitude > trigger * r:
                 flagged.append((n, i, magnitude / r))
             row.append(value)
         rows.append(row)
@@ -262,11 +263,11 @@ def eval_explicit_reference(tri, zs):
     with extended_precision(lost + (digits or 16)):
         hi_fam = fam.replace(a=Decimal(fam.a), c=Decimal(fam.c),
                              alpha=Decimal(fam.alpha), q=Decimal(fam.q))
-        values = [explicit_value_reference(hi_fam, n, Decimal(zs[i]),
+        values = [explicit_value_reference(hi_fam, n, to_extended(zs[i]),
                                            para_racah._eta(hi_fam, n))[0]
                   for n, i, _ in flagged]
     for (n, i, _), value in zip(flagged, values):
-        rows[n][i] = +value if digits else float(value)
+        rows[n][i] = +value if digits else type(rows[n][i])(value)
     return rows
 
 
@@ -421,14 +422,14 @@ def dual_hahn_limit_reference(a_exponent, N, n):
     """(lim_a, lim_c, target_a, target_c) of one degree at 50 digits, from
     six steps sqrt(q) = 1 - 2^-k, the first the smallest k >= 8 with
     2^k > 32 |a_exponent|; ArithmeticError when the finest step keeps fewer
-    than 53 bits of 1 - sqrt(q) above the half unit 10^-50 / 2 in which
-    sqrt(q) is rounded."""
+    than 53 bits of 1 - sqrt(q) above 10^-51, twenty half units of the
+    52 digits at which sqrt(q) is rounded."""
     with extended_precision(50):
         exponent = Decimal(a_exponent)
         first = 8
         while 2 ** first <= 32 * abs(exponent):
             first += 1
-        if Decimal(2) ** -(first + 5) < Decimal(2) ** 53 * Decimal("1e-50") / 2:
+        if Decimal(2) ** -(first + 5) < Decimal(2) ** 53 * Decimal("1e-51"):
             raise ArithmeticError("step families are not resolved at 50 digits")
         vals_a, vals_c = [], []
         for k in range(first, first + 6):

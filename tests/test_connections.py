@@ -145,6 +145,19 @@ def test_dual_hahn_refuses_steps_finer_than_its_digits(monkeypatch, a_exp):
     assert built == []
 
 
+@pytest.mark.parametrize("a_exp", [2 ** 106 - 1, -(2 ** 106 - 1), "8.1e31"])
+def test_dual_hahn_resolves_exponents_just_below_the_bound(a_exp):
+    # Below |e| = 2^106 the finest step keeps 53 bits above 10^-51.  The
+    # bound is read off the exponent exactly: rounded to the default
+    # context's 28 digits, 2^106 itself would fall below it.
+    exponent = Decimal(a_exp)
+    N = 5
+    expected = [support.dual_hahn_limit_reference(exponent, N, n) for n in range(N + 1)]
+    assert dual_hahn_limit(exponent, N, range(N + 1)) == expected
+    with pytest.raises(connections.ExtrapolationError, match="not resolved at 50 digits"):
+        dual_hahn_limit(Decimal(2 ** 106), N, [2])
+
+
 def test_richardson_levels():
     # v_k = 1 + 2^-k + 4^-k: each level removes one power exactly.
     with extended_precision(30):

@@ -26,7 +26,7 @@ from qortho.para_racah import (
 )
 from qortho.qseries import PowerTable, SingularSeriesError
 from qortho.recurrence import family_module, lattice_vectors, persymmetry_residual, tridiagonal
-from qortho.scalars import GUARD_DIGITS, extended_precision
+from qortho.scalars import GUARD_DIGITS, extended_precision, to_extended
 
 ODD = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=5)
 EVEN = ParaRacahFamily(a=0.9, c=0.7, alpha=0.3, q=0.5, N=6)
@@ -489,14 +489,36 @@ def _draw_family(rng, N, scalar=float):
                                    q=scalar(rng.uniform(0.1, 0.9)), N=N)
 
 
+def _complex_point(re, im, scalar=float):
+    """re + i im, a complex for a float scalar, else an ExtendedComplex."""
+    z = complex(re, im)
+    return z if scalar is float else to_extended(z)
+
+
+def test_extended_complex_arithmetic_agrees_with_complex():
+    rng = random.Random(5)
+    with extended_precision(40):
+        for _ in range(200):
+            z, w = (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2))
+            r = rng.uniform(-2, 2)
+            Z, W, R = to_extended(z), to_extended(w), Decimal(r)
+            for got, want in [(Z + W, z + w), (Z - W, z - w), (Z * W, z * w), (Z / W, z / w),
+                              (R + Z, r + z), (R - Z, r - z), (R * Z, r * z), (R / Z, r / z),
+                              (Z / R, z / r), (1 - Z, 1 - z), (1 / Z, 1 / z), (-Z, -z)]:
+                assert abs(complex(got) - want) <= 1e-15 * max(abs(want), 1)
+            assert float(abs(Z)) == pytest.approx(abs(z), rel=1e-15)
+            assert Z == to_extended(z) and hash(Z) == hash(to_extended(z)) and Z != W
+            assert complex(+Z) == z
+            real = to_extended(complex(r, 0))
+            assert real == R and hash(real) == hash(R)
+
+
 def _draw_points(rng, scalar=float):
-    """Three real points above 1, three below 1 and three complex points, or,
-    for a Decimal, which has no complex type, three more real points above 1."""
+    """Three real points above 1, three below 1 and three complex points."""
     real = [scalar(rng.uniform(1.15, 2.5)) for _ in range(3)]
     recip = [1 / scalar(rng.uniform(1.15, 2.5)) for _ in range(3)]
-    if scalar is not float:
-        return real + recip + [scalar(rng.uniform(1.15, 2.5)) for _ in range(3)]
-    cplx = [rng.uniform(1.15, 2.5) + 1j * rng.uniform(-1, 1) for _ in range(3)]
+    cplx = [_complex_point(rng.uniform(1.15, 2.5), rng.uniform(-1, 1), scalar)
+            for _ in range(3)]
     return real + recip + cplx
 
 
@@ -524,6 +546,25 @@ def test_explicit_equals_reference_where_the_rerun_fires(monkeypatch, N, scalar,
         assert eval_explicit(tri, zs) == support.eval_explicit_reference(tri, zs)
     # One plan per degree, and a second for a degree that reruns.
     assert plans[:N + 1] == list(range(N + 1)) and len(plans) > N + 1
+
+
+@pytest.mark.parametrize("N,scalar,dps", [(9, float, 15), (20, Decimal, 50)], ids=["9", "20-50"])
+def test_a_complex_value_that_cancels_is_summed_again(N, scalar, dps):
+    # R_N at a complex point loses about 8 digits in double and 46 at 50
+    # digits to cancellation; summed again as an ExtendedComplex, it comes
+    # back in the point's type within a few units of its working roundoff.
+    with extended_precision(dps):
+        fam = ParaRacahFamily(a=scalar("0.9"), c=scalar("0.7"), alpha=scalar("0.3"),
+                              q=scalar("0.3"), N=N)
+        point = _complex_point(1.6, 0.4, scalar)
+        value = eval_explicit(tridiagonal(fam), [point])[N][0]
+    assert type(value) is type(point)
+    with extended_precision(dps + 40):
+        hi = fam.replace(a=to_extended(fam.a), c=to_extended(fam.c),
+                         alpha=to_extended(fam.alpha), q=to_extended(fam.q))
+        exact = eval_recurrence(tridiagonal(hi), N, to_extended(point))
+        error = abs(to_extended(value) - exact)
+        assert error * _inverse_unit_roundoff(scalar, dps) <= 4 * abs(exact)
 
 
 @pytest.mark.parametrize("N", range(1, 21))
@@ -641,8 +682,7 @@ def test_qdiff_residual_equals_per_point_reference(scalar, dps):
         for N in range(1, 21):
             tri = tridiagonal(_draw_family(rng, N, scalar))
             zs = [scalar(rng.uniform(2.0, 3.0)) for _ in range(4)]
-            if scalar is float:  # Decimal has no complex type
-                zs.append(rng.uniform(2.0, 3.0) + 1j * rng.uniform(-1, 1))
+            zs.append(_complex_point(rng.uniform(2.0, 3.0), rng.uniform(-1, 1), scalar))
             assert qdiff_residual(tri, zs) == [
                 [support.qdiff_residual_reference(tri, n, z) for z in zs]
                 for n in range(N + 1)]
