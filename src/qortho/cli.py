@@ -14,12 +14,12 @@ Data goes to stdout, diagnostics to stderr.  A fixed configuration (including
 
 The environment variable QORTHO_PRECISION ("double", "extended" or
 "extended:P") overrides the --precision flag.  When neither is given, a
-command runs in double with its output held back.  If it is refused for a
-reason that a higher precision might lift (an exit 4 with a failed check
-that is not skipped, unless favard-positivity failed with a u_n below zero,
-or exit 2 from an overflow or a vanishing denominator),
-one stderr note names the refusal and the command reruns at extended
-precision; otherwise the double run's output is printed.
+command runs in double with its output held back.  It reruns at extended
+precision, after one stderr note that names the refusal, exactly when a
+higher precision may lift that refusal: a failed verify line that says so
+(``verify.Check.precision_bound``), a non-finite or uncertified table (all
+exit 4), or an overflow or a vanishing denominator (exit 2).  Otherwise the
+double run's output is printed.
 """
 
 from __future__ import annotations
@@ -220,12 +220,8 @@ def cmd_verify(args, prec: _Precision):
     failed = [chk for chk in checks if not chk.passed]
     if not failed:
         return EXIT_OK, None
-    # A failed favard-positivity with a u_n below zero is a fact of the
-    # parameters at any precision, and so is a skipped line; any other
-    # failure may be lifted by a higher one.
     return _refuse("verification failed: %d of %d checks" % (len(failed), len(checks)),
-                   not any(chk.parameter_bound for chk in failed)
-                   and not all(chk.note.startswith("skipped") for chk in failed))
+                   any(chk.precision_bound for chk in failed))
 
 
 def _family_options() -> argparse.ArgumentParser:

@@ -18,7 +18,7 @@ import math
 
 from .recurrence import (DegenerateFamilyError, TridiagonalSystem, lattice_vectors,
                          palindrome_residual)
-from .scalars import max_keep_nan
+from .scalars import max_keep_nan, sqrt
 
 __all__ = [
     "spectrum",
@@ -29,13 +29,12 @@ __all__ = [
 
 def _jacobi(tri: TridiagonalSystem) -> tuple:
     """(diagonal, off-diagonal) of the table's symmetrized Jacobi matrix in
-    binary64: float(b_n) and sqrt(float(u_n))."""
+    binary64: float(b_n) and sqrt(float(u_n)), or the root in the table's
+    own scalars of a positive u_n that is 0 in binary64."""
     if any(v <= 0 for v in tri.u):
         raise ValueError("all u_n must be positive to symmetrize the recurrence")
-    u = [float(v) for v in tri.u]
-    if not all(u):
-        raise ZeroDivisionError("a positive u_n underflows the binary64 Jacobi matrix")
-    return tuple(float(v) for v in tri.b), tuple(math.sqrt(v) for v in u)
+    return (tuple(float(v) for v in tri.b),
+            tuple(math.sqrt(float(v)) or float(sqrt(v)) for v in tri.u))
 
 
 def spectrum(tri: TridiagonalSystem, points) -> list:

@@ -366,6 +366,56 @@ def test_an_underflowed_u_is_refused_in_double(capsys):
                                    "5.000000e-01,min u_n = 0.000e+00")
 
 
+@pytest.mark.parametrize("suite,refusal", [
+    ("all", UNDERFLOW), ("isospectral", "verification failed: 1 of 1 checks")])
+def test_an_underflowed_u_certifies_its_spectrum_at_50_digits(capsys, suite, refusal):
+    # The rerun's Jacobi matrix takes sqrt(u_1), about 4.3e-164, from the
+    # 50-digit u_1, whose float is 0.
+    argv = UNDERFLOWED_U + [suite]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, "") == run_cli(capsys, argv + ["--precision", "extended"])
+    assert (code, err) == (0, "note: " + refusal + RERUN)
+    assert "isospectral/spectrum-vs-lattice,pass," in out
+
+
+# Outside the positivity region (min u_n = -1.695), the q-difference
+# equation and the explicit expression still hold: their failures in double
+# rerun, and at 50 digits only favard-positivity and the lines it skips fail.
+OUTSIDE_MEASURED = ("verify --suite all --kind qpr --a 5.846 --c 6.961 --alpha 0.07499 "
+                    "--q 0.8346 --N 36").split()
+
+
+def test_a_measured_failure_outside_the_positivity_region_reruns(capsys):
+    code, out, err = run_cli(capsys, OUTSIDE_MEASURED)
+    failed = "verification failed: 3 of 10 checks\n"
+    assert (code, out, failed) == run_cli(capsys, OUTSIDE_MEASURED + ["--precision", "extended"])
+    assert (code, err) == (4, "note: verification failed: 5 of 10 checks" + RERUN + failed)
+    assert [line.split(",")[0] for line in out.splitlines() if ",fail," in line] == [
+        "orthogonality/favard-positivity", "orthogonality/gram-orthogonality",
+        "isospectral/isospectrality"]
+
+
+def test_a_point_where_every_term_is_an_exact_zero_reports_its_check(capsys):
+    # At 48 digits R_32 rounds to an exact 0 at three bispectral points, so
+    # each term of its q-difference equation and their scale are 0 there:
+    # residual 0, not a 0 / 0 refusal (exit 2).
+    argv = ("verify --suite all --kind qpr --a 0.00278986 --c 0.380227 --alpha 0.856909 "
+            "--q 0.592861 --N 64 --precision extended:48").split()
+    assert run_cli(capsys, argv) == (4, """\
+check,status,residual,tolerance,note
+orthogonality/favard-positivity,fail,1.000000e+00,5.000000e-01,min u_n = -2.075e+19
+orthogonality/gram-orthogonality,fail,nan,1.000000e-08,skipped: family is outside the positivity region
+bispectral/qdiff-residual,fail,1.536946e+00,1.000000e-09,
+bispectral/eigenvalue-degeneracy,pass,0.000000e+00,1.000000e-14,
+persymmetry/persymmetry-violation,pass,1.728129e+19,1.000000e-06,expected residual above tolerance
+explicit/explicit-vs-recurrence,fail,1.181110e+00,1.000000e-08,
+isospectral/isospectrality,fail,nan,1.000000e-09,skipped: Jacobi matrix is not symmetrizable
+qracah/qracah-identity,pass,4.828036e-46,1.000000e-08,"at c = a sqrt(q), alpha = 1/2"
+dualhahn/dual-hahn-limit,pass,1.133548e-13,1.000000e-04,a-exponent 11.2506
+qpk-limit/qpk-theta-limit,pass,4.379168e-46,1.000000e-06,
+""", "verification failed: 5 of 10 checks\n")
+
+
 @pytest.mark.parametrize("low,note", [
     ("1.890e-327", "1.890e-327"), ("-1.2345e-400", "-1.234e-400"), ("0", "0.000e+00"),
     ("2.5e-310", "2.500e-310"), ("3.14159e-300", "3.142e-300"), ("-0.5", "-5.000e-01")])

@@ -41,16 +41,26 @@ def test_nonpositive_u_is_refused(read):
         read(tri)
 
 
-@pytest.mark.parametrize("read", READERS, ids=READER_IDS)
-def test_a_positive_u_below_binary64_is_refused_as_an_underflow(read):
-    # u_1 = (1 - alpha) alpha (c - a)^2 ... is about 4e-344 at 30 digits.
+# J = [[b_0, r], [r, b_1]], r = sqrt(u_1): each lattice point is a b_n, and
+# its vector's residual is r, far inside the gap |b_0 - b_1|.
+@pytest.mark.parametrize("read,expected", [
+    (lambda tri: spectrum(tri, lattice(tri.family)), lambda b, r: [r, r]),
+    (matrix_norm, lambda b, r: max(b) + 2 * r),
+    (persymmetry_residual, lambda b, r: abs(b[0] - b[1])),
+], ids=READER_IDS)
+def test_a_positive_u_below_binary64_takes_its_root_from_the_table(read, expected):
+    # u_1 = (1 - alpha) alpha (c - a)^2 ... is about 3.8e-344 at 30 digits
+    # and 0 in binary64; its root, 1.944e-172, is a normal double.
     with extended_precision(30):
         fam = ParaRacahFamily(a=Decimal("0.9"), c=Decimal("0.8"),
                               alpha=Decimal("1e-340"), q=Decimal("0.5"), N=1)
         tri = tridiagonal(fam)
+        root = float(tri.u[0].sqrt())
     assert tri.positive and float(tri.u[0]) == 0
-    with pytest.raises(ZeroDivisionError, match="underflows"):
-        read(tri)
+    assert root == pytest.approx(1.944444444444444e-172, rel=1e-15)
+    b = [float(v) for v in tri.b]
+    assert 2 * root < abs(b[0] - b[1])
+    assert read(tri) == pytest.approx(expected(b, root), rel=1e-15)
 
 
 # The QL oracle against matrices with known spectra.

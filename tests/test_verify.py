@@ -448,6 +448,52 @@ def test_run_suite_refuses_a_suite_the_kind_lacks_in_the_cli_text(suite):
     assert str(info.value) == "suite %r is not defined for kind 'qpk'" % suite
 
 
+def _not_contracting(*args):
+    raise connections.ExtrapolationError("extrapolation estimates are not contracting")
+
+
+# favard-positivity and the two lines its failure skips.
+POSITIVITY_LINES = ["orthogonality/favard-positivity", "orthogonality/gram-orthogonality",
+                    "isospectral/isospectrality"]
+# Each kind of failing line, in double: (family, suites, the failing lines,
+# whether a higher precision may lift them).
+VERDICTS = {
+    # A u_n below zero.
+    "below-zero": (dict(a=2.3135, c=1.626, alpha=0.75, q=0.2465, N=8),
+                   ("orthogonality", "isospectral"), POSITIVITY_LINES, False),
+    # alpha = 5e-324 reads u_1 as 0 in binary64; it is 1.890e-327 at 50 digits.
+    "underflowed": (dict(a=0.9, c=0.8, alpha=5e-324, q=0.5, N=1),
+                    ("orthogonality", "isospectral"), POSITIVITY_LINES, True),
+    # The limit runs at its own 50 digits whatever the precision.
+    "dual-hahn-skip": (dict(a=0.2, c=0.19995, alpha=0.5, q=0.999, N=5), ("dualhahn",),
+                       ["dualhahn/dual-hahn-limit"], False),
+    # Outside the positivity region, two identities that fail in double.
+    "measured": (dict(a=5.846, c=6.961, alpha=0.07499, q=0.8346, N=36),
+                 ("bispectral", "explicit"),
+                 ["bispectral/qdiff-residual", "explicit/explicit-vs-recurrence"], True),
+}
+
+
+@pytest.mark.parametrize("case", VERDICTS)
+def test_each_failing_line_says_whether_more_digits_may_lift_it(monkeypatch, case):
+    params, suites, lines, bound = VERDICTS[case]
+    monkeypatch.setattr(connections, "dual_hahn_limit", _not_contracting)
+    fam = para_racah.ParaRacahFamily(**params)
+    failed = [chk for suite in suites for chk in verify.run_suite(suite, fam)
+              if not chk.passed]
+    assert [chk.name for chk in failed] == lines
+    assert [chk.precision_bound for chk in failed] == [bound] * len(failed)
+
+
+def test_an_explicit_value_that_is_an_exact_zero_both_ways_agrees(monkeypatch):
+    # Both evaluations read 0 at every degree and point: residual 0, not 0 / 0.
+    monkeypatch.setattr(TridiagonalSystem, "values", lambda self, x, n=None: [0.0] * (n + 1))
+    monkeypatch.setattr(para_racah, "eval_explicit",
+                        lambda tri, zs, recurrence: [list(row) for row in zip(*recurrence)])
+    [chk] = verify.run_suite("explicit", FAM)
+    assert (chk.passed, chk.residual) == (True, 0.0)
+
+
 def _load_tracer():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
