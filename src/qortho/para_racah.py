@@ -444,44 +444,32 @@ def _k_norm(fam: ParaRacahFamily):
 
 def _weight_strands(fam: ParaRacahFamily, k_norm):
     """The alpha-free parts of the closed-form weights, a-strand first, in
-    the (head, rows) form of :func:`~qortho.recurrence.weight_table`."""
+    the (head, rows) form of :func:`~qortho.recurrence.weight_table`, each
+    from one ``strand`` at z = x q^s, s <= m, y the other strand's parameter:
+    row s is q^(step s + shift) (1 - x^2 q^(2s)) (x^2, q^-m, ac, (x/y) q^(1-L); q)_s
+    over den0 (q, (x/y) q, x^2 q^(m+1), ac q^L; q)_s, den0 = (q, x^2 q; q)_m
+    (y/x, ac; q)_L (1 - x^2).  (m, L) is (j, j+1) at odd N; at even N the
+    Christoffel route fixes (j, j) on the a-strand and (j-1, j+1) on the
+    c-strand.  At x = 1 (or a Decimal x^2 rounding to 1) den0's 1 - x^2 cancels
+    against (x^2; q)_s = (1 - x^2) (x^2 q; q)_(s-1), and s = 0 reads 1."""
     a, c, _, q, j = _unpack(fam)
     pw = fam.powers()
     qp = pw.pochhammer
-    # q^(2s) is read as pw[s + s]: the product form, 2 times s in brackets, is
-    # how an index into a strand is written, and only recurrence writes one.
+    # q^(2s) is pw[s + s]: only recurrence writes a strand index as 2 times s.
+
+    def strand(x, y, m, L, head, step, shift):
+        xx, cut = x * x, 1 - x * x == 0
+        den0 = qp(q, m) * qp(xx * q, m) * qp(y / x, L) * qp(a * c, L) * (pw[0] if cut else 1 - xx)
+        return head, [((pw[step * s + shift], *((pw[0], pw[0]) if cut and not s else (
+                            1 - xx * pw[s + s], qp(xx * q, s - 1) if cut else qp(xx, s))),
+                        qp(pw[-m], s), qp(a * c, s), qp((x / y) * pw[1 - L], s)),
+                       den0 * qp(q, s) * qp((x / y) * q, s) * qp(xx * pw[m + 1], s)
+                       * qp(a * c * pw[L], s)) for s in range(m + 1)]
     if fam.odd:
-        def strand(x, y):
-            den0 = (qp(q, j) * qp(x * x * q, j)
-                    * qp(y / x, j + 1) * qp(a * c, j + 1) * (1 - x * x))
-            return ((k_norm, 2 ** (2 * j + 1), x ** j, y ** (j + 1)),
-                    [((pw[(2 * j + 1) * s + (j + 1) * j], 1 - x * x * pw[s + s],
-                       qp(x * x, s), qp(pw[-j], s),
-                       qp(a * c, s), qp((x / y) * pw[-j], s)),
-                      den0 * qp(q, s) * qp((x / y) * q, s)
-                      * qp(x * x * pw[j + 1], s) * qp(a * c * pw[j + 1], s))
-                     for s in range(j + 1)])
-        return strand(a, c), strand(c, a)
-    # (c/a; q)_j on the a-strand, one factor shorter than on the c-strand: the
-    # length is fixed by the Christoffel route and the strand-sum 1-alpha.
-    a_den0 = (qp(q, j) * qp(a * a * q, j)
-              * qp(c / a, j) * qp(a * c, j) * (1 - a * a))
-    c_den0 = (qp(q, j - 1) * qp(c * c * q, j - 1)
-              * qp(a / c, j + 1) * qp(a * c, j + 1) * (1 - c * c))
-    return (((k_norm, a ** j, c ** j),
-             [((pw[2 * j * s], 1 - a * a * pw[s + s],
-                qp(a * a, s), qp(pw[-j], s),
-                qp(a * c, s), qp((a / c) * pw[-j + 1], s)),
-               a_den0 * qp(q, s) * qp((a / c) * q, s)
-               * qp(a * a * pw[j + 1], s) * qp(a * c * pw[j], s))
-              for s in range(j + 1)]),
-            ((k_norm, a ** (j + 1), c ** (j - 1)),
-             [((pw[2 * j * s], 1 - c * c * pw[s + s],
-                qp(c * c, s), qp(pw[-j + 1], s),
-                qp(a * c, s), qp((c / a) * pw[-j], s)),
-               c_den0 * qp(q, s) * qp((c / a) * q, s)
-               * qp(c * c * pw[j], s) * qp(a * c * pw[j + 1], s))
-              for s in range(j)]))
+        return tuple(strand(x, y, j, j + 1, (k_norm, 2 ** (2 * j + 1), x ** j, y ** (j + 1)),
+                            2 * j + 1, (j + 1) * j) for x, y in ((a, c), (c, a)))
+    return (strand(a, c, j, j, (k_norm, a ** j, c ** j), 2 * j, 0),
+            strand(c, a, j - 1, j + 1, (k_norm, a ** (j + 1), c ** (j - 1)), 2 * j, 0))
 
 
 def _weight_leads(fam: ParaRacahFamily, al):

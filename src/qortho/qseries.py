@@ -19,7 +19,7 @@ since the working precision already dominates the roundoff budget.
 
 from __future__ import annotations
 
-from .scalars import is_extended, typed_float
+from .scalars import is_extended, is_finite, typed_float
 
 __all__ = [
     "SingularSeriesError",
@@ -109,7 +109,8 @@ class PowerTable(dict):
 
     def vanishing(self, base, k) -> int:
         """The lowest i < k at which the factor 1 - base q^i lies within the
-        singular guard of zero, relative to max(1, |base q^i|), or k."""
+        singular guard of zero, relative to max(1, |base q^i|), or k; an
+        infinite factor, which the guard takes for a zero, raises ``OverflowError``."""
         clear = self._clear.get(base, 0)
         if clear < k:
             row, running = self.factors(base, k), self._running
@@ -117,6 +118,8 @@ class PowerTable(dict):
             guard = typed_float(_SINGULAR_GUARD, one)
             while clear < k and not abs(row[clear]) <= guard * max(one, abs(base * running[clear])):
                 clear += 1
+            if clear < k and not is_finite(row[clear]):
+                raise OverflowError("denominator factor 1 - (%s) * q^%d is infinite" % (base, clear))
             self._clear[base] = clear
         return min(clear, k)
 

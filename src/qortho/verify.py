@@ -262,9 +262,9 @@ def suite_qracah(run, rng):
 
 def suite_dualhahn(run, rng):
     fam = run.fam
-    # In the family's scalar type.
+    # In the family's scalar type; + 0 makes a = 1 read 0, not -0.
     a_exp = (fam.a.ln() / fam.q.ln() if is_extended(fam.q)
-             else math.log(fam.a) / math.log(fam.q))
+             else math.log(fam.a) / math.log(fam.q)) + 0
     try:
         limits = connections.dual_hahn_limit(a_exp, fam.N, range(1, fam.N))
     except connections.ExtrapolationError as exc:

@@ -11,10 +11,12 @@ families inside and as many outside.  Each family runs `coeffs`,
 process.  For each population and command the script prints the exit codes,
 the cause of each rerun (range: an overflow, an underflow or a non-finite
 output; digits: a failed check or an uncertified Gram error), the failing
-checks of the verify reports with their counts, and how many of the
-refused commands exit 0 at ``--precision extended:120``.  Its stdout is
-the same for the same seed; the time taken goes to stderr.  It reports and
-does not gate, so it exits 0.
+checks of the verify reports with their counts, how many of the refused
+commands exit 0 at ``--precision extended:120``, and, per check, how many
+of its failing lines pass there.  A verify run outside the region exits 4
+at any precision on favard-positivity, so only the last count shows a line
+that more digits lift.  Its stdout is the same for the same seed; the time
+taken goes to stderr.  It reports and does not gate, so it exits 0.
 
     PYTHONPATH=src python tests/domain_scan.py [--seed 1] [--draws 100]
 
@@ -73,6 +75,12 @@ def positive(kind, texts):
         return None
 
 
+def marked(out, status):
+    """The names of the checks a verify report marks ``status``, pass or fail."""
+    return [line.split(",")[0] for line in out.splitlines()[1:]
+            if line.split(",")[1:2] == [status]]
+
+
 def run(argv):
     """(exit code, stdout, stderr) of one command."""
     out, err = io.StringIO(), io.StringIO()
@@ -104,12 +112,14 @@ def scan(rng, draws):
                 if RERUN in err:
                     digits = err.startswith(tuple("note: " + r for r in DIGITS_REFUSALS))
                     tally["rerun: %s" % ("digits" if digits else "range")] += 1
-                tally.update("fails " + line.split(",")[0] for line in out.splitlines()[1:]
-                             if line.split(",")[1:2] == ["fail"])
+                failed = marked(out, "fail")
+                tally.update("fails " + name for name in failed)
                 if code != 0:
                     tally["refused"] += 1
-                    lifted, _, _ = run(argv + " --precision extended:120")
+                    lifted, high, _ = run(argv + " --precision extended:120")
                     tally["lifted by extended:120"] += lifted == 0
+                    passed = marked(high, "pass")
+                    tally.update("lifted " + name for name in failed if name in passed)
     return report
 
 
@@ -133,9 +143,12 @@ def main_scan(argv=None) -> int:
         print("  reruns: %d range, %d digits; refused %d, lifted by extended:120 %d" % (
             tally["rerun: range"], tally["rerun: digits"], tally["refused"],
             tally["lifted by extended:120"]))
-        for key in sorted(tally):
-            if key.startswith("fails "):
-                print("  %s in %d" % (key[len("fails "):], tally[key]))
+        fails = [key[len("fails "):] for key in sorted(tally) if key.startswith("fails ")]
+        for name in fails:
+            print("  %s in %d" % (name, tally["fails " + name]))
+        if fails:
+            print("  failing lines that pass at extended:120: %s" % ", ".join(
+                "%s %d" % (name, tally["lifted " + name]) for name in fails))
     return 0
 
 

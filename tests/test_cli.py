@@ -652,6 +652,29 @@ def test_overflow_is_not_invalid_parameters(capsys, command):
     assert (code, out, err) == (2, "", _OVERFLOW_TEXT)
 
 
+# a / c = 1e460 is inf in binary64, a denominator parameter of the explicit
+# expansion's series: an overflow the 50-digit rerun lifts.
+_INFINITE_PARAMETER = ["verify", "--kind", "qpr", "--a", "1e300", "--c", "1e-160",
+                       "--alpha", "0.3", "--q", "0.01", "--N", "12"]
+
+
+def test_an_infinite_series_parameter_is_an_overflow(capsys):
+    code, out, err = run_cli(capsys, _INFINITE_PARAMETER + ["--precision", "double"])
+    assert (code, out, err) == (2, "", _OVERFLOW_TEXT)
+
+
+def test_an_infinite_series_parameter_reruns_at_50_digits(capsys):
+    code, out, err = run_cli(capsys, _INFINITE_PARAMETER)
+    assert code == 4
+    assert err == ("note: numeric overflow at double precision; rerunning at extended:50\n"
+                   "verification failed: 5 of 10 checks\n")
+    assert [line.split(",")[0] for line in out.splitlines()[1:]
+            if line.split(",")[1] == "fail"] == [
+        "orthogonality/favard-positivity", "orthogonality/gram-orthogonality",
+        "persymmetry/persymmetry-violation", "explicit/explicit-vs-recurrence",
+        "isospectral/isospectrality"]
+
+
 @pytest.mark.parametrize("command", ["verify", "lattice-weights"])
 def test_qpk_overflow_names_the_precision_and_the_remedy(capsys, command):
     argv = [command, "--kind", "qpk", "--Delta", "1.3", "--alpha", "0.5",
@@ -684,6 +707,52 @@ def test_an_underflowed_first_component_is_refused(capsys, command):
     assert (code, out) == (2, "")
     assert err == ("numeric underflow or zero denominator at double precision: "
                    "float division by zero\n")
+
+
+# a = 1 or c = 1 puts the zero 1 - x^2 in that strand's den0 and in its
+# (x^2; q)_s for every s >= 1; the strand routine cancels the two.
+_UNIT_STRAND = ["lattice-weights --a 1 --c 0.7 --alpha 0.3 --q 0.5 --N 5",
+                "verify --a 0.8 --c 1 --alpha 0.3 --q 0.5 --N 5",
+                "verify --a 1 --c 0.6 --alpha 0.3 --q 0.5 --N 6"]
+
+
+@pytest.mark.parametrize("precision", [[], ["--precision", "extended"]],
+                         ids=["default", "extended"])
+@pytest.mark.parametrize("argv", _UNIT_STRAND)
+def test_a_strand_parameter_of_1_certifies_without_a_rerun(capsys, argv, precision):
+    code, out, err = run_cli(capsys, argv.split() + precision)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    if argv.startswith("verify"):
+        assert [line.split(",")[1] for line in lines[1:]] == ["pass"] * 16
+        # log(1) / log(q) is -0; the note reads 0.
+        assert any(line.endswith(",a-exponent 0") for line in lines) == ("--a 1 " in argv)
+    elif precision:
+        assert lines[-1] == "# gram_max_error = 8.900e-51"
+    else:
+        assert lines[1:3] == ["0,1,0.36470204081632651", "1,1.0642857142857143,0.25829706717123951"]
+        assert lines[-1] == "# gram_max_error = 5.794e-16"
+
+
+@pytest.mark.parametrize("precision", [[], ["--precision", "extended"]],
+                         ids=["default", "extended"])
+def test_the_even_c_strand_at_c_1_keeps_its_signed_measure(capsys, precision):
+    code, out, err = run_cli(capsys, "lattice-weights --a 2 --c 1 --alpha 0.3 --q 0.2 --N 8"
+                             .split() + precision)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:] if not line.startswith("#")]
+    w = [float(row[2]) for row in rows]
+    assert float(rows[1][1]) == 1 and w[1] > 0  # the c-strand's point s = 0
+    assert sum(v < 0 for v in w) == 7
+    assert sum(w[0::2]) == pytest.approx(0.7, abs=1e-14)
+    assert sum(w[1::2]) == pytest.approx(0.3, abs=1e-14)
+
+
+def test_a_decimal_a_whose_square_rounds_to_1_reads_as_a_1(capsys):
+    family = ["--c", "0.7", "--alpha", "0.3", "--q", "0.5", "--N", "5", "--precision", "extended"]
+    near = run_cli(capsys, ["lattice-weights", "--a", "1." + "0" * 57 + "1"] + family)
+    assert near == run_cli(capsys, ["lattice-weights", "--a", "1"] + family)
+    assert near[0] == 0 and near[2] == ""
 
 
 def test_zero_denominator_without_a_message_names_the_precision(capsys):

@@ -293,6 +293,21 @@ def test_weight_strand_sums(N, alpha):
     assert all(w > 0 for w in lw.weights)
 
 
+@pytest.mark.parametrize("a,c,q,N", [("1", "0.7", "0.5", 5), ("1", "0.6", "0.5", 6),
+                                     ("0.8", "1", "0.5", 5), ("2", "1", "0.2", 8)])
+def test_weights_at_a_strand_parameter_of_1_are_its_limit(a, c, q, N):
+    # 10^-40 away from 1, the strand's 1 - x^2 keeps 20 of 60 digits and
+    # cancels exactly against the first factor of (x^2; q)_s, so that table
+    # is within about 10^-40 of the one whose zero is cancelled by hand.
+    def near(v):
+        return Decimal(v) + Decimal("1e-40") if v == "1" else Decimal(v)
+    with extended_precision(60):
+        at = weights(ParaRacahFamily(Decimal(a), Decimal(c), Decimal("0.3"), Decimal(q), N))
+        by = weights(ParaRacahFamily(near(a), near(c), Decimal("0.3"), Decimal(q), N))
+    for u, v in zip(at.weights + at.weights_half, by.weights + by.weights_half):
+        assert abs(u - v) <= Decimal("1e-38") * abs(v)
+
+
 @pytest.mark.parametrize("fam", [ODD, EVEN], ids=["odd", "even"])
 def test_gram_orthogonality(fam):
     tri = tridiagonal(fam)

@@ -162,6 +162,14 @@ def test_series_raises_at_the_lowest_vanishing_index_as_the_reference():
     assert (err.value.index, err.value.parameter) == (2, q ** -2)
 
 
+def test_an_infinite_denominator_parameter_is_an_overflow():
+    # 1 - inf q^0 is within any relative guard of zero; it is an overflow of
+    # the parameter, not a vanishing factor.
+    with pytest.raises(OverflowError) as err:
+        qseries.SeriesPlan((), (float("inf"), 0.5), qseries.PowerTable(0.5), 0.5, 3)
+    assert not isinstance(err.value, SingularSeriesError)
+
+
 def test_double_vs_extended_ten_digits():
     # Regression set: truncation degrees up to 30, parameters in [-2, 2].
     import random
