@@ -3,12 +3,13 @@ verification suites, with CSV or JSON output.
 
 Exit codes: 0 success, 2 invalid parameters, usage, numeric overflow or a
 division by zero (a denominator that underflows or vanishes at the working
-precision), 3 degenerate configuration (coincident strands, or a qpr family
-at even N with a = c q^j, a c q^(2j) = 1 or c = a q^(j+1), where the weights
-are undefined), 4 verification failure, non-finite output or a
-lattice-weights ``gram_max_error`` above tolerance: the largest of the two
-Gram errors and the lattice's twist, read from one evaluation of the table
-at its lattice.
+precision), 3 degenerate configuration (coincident strands, strands that
+share a lattice point, a / c or Delta = q^k with k != 0 within their lengths,
+or a qpr family at even N with a = c q^j, a c q^(2j) = 1 or c = a q^(j+1),
+where the weights are undefined), 4 verification failure, non-finite output
+or a lattice-weights ``gram_max_error`` above tolerance: the largest of the
+two Gram errors and the lattice's twist, read from one evaluation of the
+table at its lattice.
 Data goes to stdout, diagnostics to stderr.  A fixed configuration (including
 --seed and the precision mode) produces byte-identical output.
 
@@ -224,10 +225,8 @@ def cmd_verify(args, prec: _Precision):
                    any(chk.precision_bound for chk in failed))
 
 
-def _family_options() -> argparse.ArgumentParser:
-    """The options of every subcommand, each added once.  The subcommands share
-    these actions, so a set_defaults on one of their dests would reach all three."""
-    p = argparse.ArgumentParser(add_help=False)
+def _add_family_options(p: argparse.ArgumentParser) -> None:
+    """The ten options of every subcommand, added to ``p``."""
     p.add_argument("--kind", choices=tuple(_KINDS), default="qpr",
                    help="family kind: biexponential (qpr) or exponential (qpk)")
     p.add_argument("--a", help="a parameter (qpr)")
@@ -241,23 +240,31 @@ def _family_options() -> argparse.ArgumentParser:
                    help="double | extended | extended:P (env QORTHO_PRECISION wins)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for random evaluation points (default 0)")
-    return p
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of the command line ``argv``.  All three subcommands exist,
+    so the top-level help and usage errors list them; only the one that argv
+    names gets its options.  With no argv every subcommand gets them."""
     parser = argparse.ArgumentParser(prog="qortho", description=(
         "Bi-lattice orthogonal polynomial tables and verification."))
     # Given prog, argparse need not format a usage line to learn the prefix.
     sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
-    family = [_family_options()]
-    sub.add_parser("coeffs", parents=family, help="emit the recurrence table (n, b_n, u_n)"
-                   ).set_defaults(func=cmd_coeffs)
-    sub.add_parser("lattice-weights", parents=family,
-                   help="emit lattice points and orthogonality weights"
-                   ).set_defaults(func=cmd_lattice_weights)
-    p_verify = sub.add_parser("verify", parents=family, help="run a verification suite")
-    p_verify.add_argument("--suite", choices=verify.SUITES, default="all")
-    p_verify.set_defaults(func=cmd_verify)
+    # The top parser's one option, -h, takes no value, so the command is the
+    # first word without a leading dash, or argparse refuses that word as one.
+    named = None if argv is None else next(
+        (word for word in argv if not word.startswith("-")), None)
+    for name, func, text in (
+            ("coeffs", cmd_coeffs, "emit the recurrence table (n, b_n, u_n)"),
+            ("lattice-weights", cmd_lattice_weights,
+             "emit lattice points and orthogonality weights"),
+            ("verify", cmd_verify, "run a verification suite")):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        if argv is None or name == named:
+            _add_family_options(p)
+            if name == "verify":
+                p.add_argument("--suite", choices=verify.SUITES, default="all")
     return parser
 
 
@@ -309,9 +316,12 @@ def _decimal_signal(exc):
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code; a usage error raises argparse's
-    ``SystemExit(2)``.  The parser is built on each call and no state outlives it."""
-    args = build_parser().parse_args(argv)
+    """Run one command (``argv``, or ``sys.argv[1:]``) and return its exit code;
+    a usage error raises argparse's ``SystemExit(2)``.  The parser is built on
+    each call, with the options of the named subcommand only, and no state
+    outlives it."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     given = os.environ.get("QORTHO_PRECISION") or args.precision
     if given is not None:
         return _run(args, given)[0]

@@ -36,6 +36,7 @@ class ParaKrawtchoukFamily(BiLatticeFamily):
 
     _fields = ("Delta", "alpha", "q", "N")
     _coincident_strands = "Delta = 1 collapses the two strands"
+    _strand_heads = ("Delta", "")
 
     def __init__(self, Delta, alpha, q, N: int):
         self._check_shared(alpha, q, N)

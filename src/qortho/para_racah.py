@@ -58,6 +58,7 @@ class ParaRacahFamily(BiLatticeFamily):
 
     _fields = ("a", "c", "alpha", "q", "N")
     _coincident_strands = "c = a makes the spectrum doubly degenerate"
+    _strand_heads = ("a", "c")
 
     def __init__(self, a, c, alpha, q, N: int):
         self._check_shared(alpha, q, N)

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import sys
 from functools import reduce
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul
 
 from .qseries import PowerTable
 from .scalars import max_keep_nan, sqrt, typed_float, unit, working_precision
@@ -103,9 +103,10 @@ class Record:
 
 
 class DegenerateFamilyError(ArithmeticError):
-    """The two strands coincide (c = a, Delta = 1), or a q-para-Racah family
-    at even N has a = c q^j, a c q^(2j) = 1 or c = a q^(j+1): weights are
-    undefined."""
+    """The two strands coincide (c = a, Delta = 1) or share a lattice point
+    (a / c or Delta is q^k, k != 0, within the strands' lengths), or a
+    q-para-Racah family at even N has a = c q^j, a c q^(2j) = 1 or
+    c = a q^(j+1): weights are undefined."""
 
 
 class BiLatticeFamily(Record):
@@ -119,7 +120,9 @@ class BiLatticeFamily(Record):
     recurrence coefficients b_n and u_n only at n = j, j+1, which is what
     :meth:`TridiagonalSystem.at_alpha` relies on; it must run at the working
     precision that built the table it deforms.  A subclass says when its
-    strands coincide (``degenerate``) and how (``_coincident_strands``).
+    strands coincide (``degenerate``) and how (``_coincident_strands``), and
+    names the fields x and y of its strands' points x q^s and y q^t
+    (``_strand_heads``; '' stands for y = 1).
     """
 
     @staticmethod
@@ -142,9 +145,31 @@ class BiLatticeFamily(Record):
         return hash(self._values())
 
     def require_distinct_strands(self, undefined="weights are undefined"):
-        """Raise :class:`DegenerateFamilyError` if the strands coincide."""
+        """Raise :class:`DegenerateFamilyError` if the strands coincide or
+        share a lattice point."""
         if self.degenerate:
             raise DegenerateFamilyError("%s; %s" % (self._coincident_strands, undefined))
+        shared = self._shared_point()
+        if shared:
+            raise DegenerateFamilyError("%s puts one lattice point on both strands; %s"
+                                        % (shared, undefined))
+
+    def _shared_point(self) -> str:
+        """The words ``x q^s = y q^t`` of the first points x q^s (s <= j) and
+        y q^t (t < N - j) of the two strands that agree to
+        :data:`_DEGENERATE_TOL`, or ''.  Off coincident strands one of s and
+        t is 0 at such points."""
+        names = self._strand_heads
+        x, y = (getattr(self, name) if name else unit(self.q) for name in names)
+        pw = self.powers()
+        tol = typed_float(_DEGENERATE_TOL, self.q)
+        for s, t in [(0, t) for t in range(1, self.N - self.j)] + [
+                (s, 0) for s in range(1, self.j + 1)]:
+            xs, yt = x * pw[s], y * pw[t]
+            if abs(xs - yt) <= tol * max(xs, yt):
+                return " = ".join(("%s q^%d" % (name, k)).lstrip()
+                                  for name, k in zip(names, (s, t)))
+        return ""
 
     _powers = None  # {working precision: PowerTable}, made by powers()
 
@@ -296,6 +321,12 @@ def lattice_vectors(b, u, points) -> tuple:
     return vectors, max_keep_nan(*twists) / max(abs(x) for x in points)
 
 
+def _sum(terms):
+    """The terms added left to right from 0.  Python 3.12's builtin ``sum``
+    compensates float sums (Neumaier) and would print other bits."""
+    return reduce(add, terms, 0)
+
+
 def _h_signs(h) -> list:
     """sign(h_n) for each h_n, in the type of the table's one h_0."""
     one = h[0]
@@ -319,9 +350,9 @@ def gram_errors(vectors, weights, h):
     worst_diag = worst_off = 0 * signs[0]
     for n in range(len(cols)):
         for m in range(n):
-            worst_off = max_keep_nan(worst_off, abs(sum(map(mul, weighted[n], cols[m]))))
+            worst_off = max_keep_nan(worst_off, abs(_sum(map(mul, weighted[n], cols[m]))))
         worst_diag = max_keep_nan(worst_diag,
-                                  abs(sum(map(mul, weighted[n], cols[n])) - signs[n]))
+                                  abs(_sum(map(mul, weighted[n], cols[n])) - signs[n]))
     return float(worst_diag), float(worst_off)
 
 
@@ -336,7 +367,7 @@ def weights_from_christoffel(tri: TridiagonalSystem, vectors) -> tuple:
     kind's ``weights``."""
     tri.family.require_distinct_strands()
     signs = _h_signs(tri.h)
-    return tuple(y[0] * y[0] / sum(s * v * v for s, v in zip(signs, y)) for y in vectors)
+    return tuple(y[0] * y[0] / _sum(s * v * v for s, v in zip(signs, y)) for y in vectors)
 
 
 class LatticeWeights(Record):
@@ -359,7 +390,7 @@ class LatticeWeights(Record):
     def strand_sums(self) -> tuple:
         """(sum of the weights at even indices, at odd indices): 1 - alpha and
         alpha for an orthogonality measure."""
-        return sum(self.weights[0::2]), sum(self.weights[1::2])
+        return _sum(self.weights[0::2]), _sum(self.weights[1::2])
 
 
 class TridiagonalSystem(Record):

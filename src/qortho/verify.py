@@ -83,10 +83,11 @@ def _failed(name, tolerance, note, precision_bound):
 
 
 def _format_e3(x) -> str:
-    """x as %.3e; a nonzero Decimal whose float is 0 or subnormal, below the
-    binary64 range, from its own digits."""
+    """x as %.3e; a finite nonzero Decimal outside the binary64 range (its
+    float is 0, subnormal or infinite) from its own digits."""
     value = float(x)
-    if x and abs(value) < sys.float_info.min and is_extended(x):
+    if (x and not sys.float_info.min <= abs(value) <= sys.float_info.max
+            and is_extended(x) and x.is_finite()):
         return format(x, ".3e")
     return "%.3e" % value
 

@@ -533,6 +533,13 @@ def qpk_weights_reference(tri):
         raise DegenerateFamilyError(
             "Delta = 1 collapses the two strands; weights are undefined"
         )
+    # Delta = q^k, k != 0: the point Delta q^s is the point q^(s + k).
+    D, q, j = float(fam.Delta), float(fam.q), fam.j
+    for k in range(-j, fam.N - j):
+        if k and abs(D - q ** k) <= 1e-12 * max(D, q ** k):
+            s = max(0, -k)
+            raise DegenerateFamilyError("Delta q^%d = q^%d puts one lattice point on both "
+                                        "strands; weights are undefined" % (s, s + k))
     points = para_krawtchouk.lattice(fam)
     k_norm = para_krawtchouk._k_norm(fam)
     w = interleave([_qpk_weight_at_reference(fam, s, False, k_norm)

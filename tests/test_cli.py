@@ -104,6 +104,62 @@ def test_lattice_weights_refuses_coincident_strands(capsys, family, text, precis
     assert err == "degenerate configuration: %s; weights are undefined\n" % text
 
 
+# a / c = q^k or Delta = q^k, k != 0, with both strands long enough to hold
+# the point: a q^s = c q^t (Delta q^s = q^t) for s <= j and t < N - j.
+SHARED_POINT = [
+    ("--a 0.9 --c 1.8 --N 5", "a q^0 = c q^1"),
+    ("--a 0.9 --c 3.6 --N 6", "a q^0 = c q^2"),
+    ("--a 0.9 --c 0.45 --N 6", "a q^1 = c q^0"),
+    ("--a 0.9 --c 0.225 --N 7", "a q^2 = c q^0"),
+    ("--kind qpk --Delta 2 --N 5", "Delta q^1 = q^0"),
+    ("--kind qpk --Delta 0.25 --N 5", "Delta q^0 = q^2"),
+]
+SHARED_IDS = [text.replace(" ", "") for _, text in SHARED_POINT]
+
+
+@pytest.mark.parametrize("precision", [[], ["--precision", "double"],
+                                       ["--precision", "extended"]],
+                         ids=["default", "double", "extended"])
+@pytest.mark.parametrize("family,text", SHARED_POINT, ids=SHARED_IDS)
+def test_strands_that_share_a_point_are_degenerate(capsys, family, text, precision):
+    # Refused before any weight is formed, with no rerun; the table does not
+    # need the weights and is still printed.
+    argv = [*family.split(), "--alpha", "0.3", "--q", "0.5", *precision]
+    assert run_cli(capsys, ["lattice-weights", *argv]) == (
+        3, "", "degenerate configuration: %s puts one lattice point on both strands; "
+        "weights are undefined\n" % text)
+    code, out, err = run_cli(capsys, ["coeffs", *argv])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == int(family.split()[-1]) + 2
+
+
+@pytest.mark.parametrize("family,text", SHARED_POINT, ids=SHARED_IDS)
+def test_verify_on_strands_that_share_a_point(capsys, family, text):
+    code, out, err = run_cli(capsys, ["verify", *family.split(), "--alpha", "0.3",
+                                      "--q", "0.5"])
+    if "--Delta" in family:
+        # Delta = q^k lies outside q < Delta < 1/q, so favard-positivity fails
+        # and no weight is formed.
+        assert code == 4
+        assert out.splitlines()[1].startswith("orthogonality/favard-positivity,fail,")
+        assert err.endswith("verification failed: 2 of 4 checks\n")
+    else:
+        assert (code, out, err) == (
+            3, "", "degenerate configuration: %s puts one lattice point on both strands; "
+            "the explicit expansion is undefined\n" % text)
+
+
+@pytest.mark.parametrize("family", ["--a 0.9 --c 0.1125", "--a 0.9 --c 7.2",
+                                    "--kind qpk --Delta 0.125", "--kind qpk --Delta 8"])
+def test_a_power_of_q_beyond_the_strands_is_not_degenerate(capsys, family):
+    # At N = 5 (j = 2), a / c = q^-3 or q^3 and Delta = q^3 or q^-3 would need
+    # a fourth a-strand or c-strand point: the weights certify.
+    code, out, err = run_cli(capsys, ["lattice-weights", *family.split(), "--alpha", "0.3",
+                                      "--q", "0.5", "--N", "5"])
+    assert (code, err) == (0, "")
+    assert float(out.splitlines()[-1].split(" = ")[1]) < verify.TOL_GRAM
+
+
 def test_degenerate_family_error_is_one_class():
     import qortho
     assert (qortho.DegenerateFamilyError is qortho.para_racah.DegenerateFamilyError
@@ -425,6 +481,24 @@ def test_the_favard_note_keeps_the_digits_of_a_value_below_binary64(low, note):
         assert verify._format_e3(Decimal(low)) == note
     if float(low) == 0 or abs(float(low)) >= sys.float_info.min:
         assert verify._format_e3(float(low)) == "%.3e" % float(low)
+
+
+@pytest.mark.parametrize("high,note", [
+    ("-1.7681e597", "-1.768e+597"), ("2.5e309", "2.500e+309"), ("9.9999e999", "1.000e+1000")])
+def test_the_favard_note_keeps_the_digits_of_a_value_above_binary64(high, note):
+    # float() of these is an infinity; a Decimal infinity still prints as one.
+    with extended_precision(50):
+        assert verify._format_e3(Decimal(high)) == note
+        assert verify._format_e3(Decimal("-Infinity")) == "-inf"
+
+
+def test_the_favard_note_of_a_u_n_above_binary64_is_read_from_its_digits(capsys):
+    code, out, err = run_cli(capsys, "verify --kind qpr --a 1e300 --c 1e-160 --alpha 0.3 "
+                             "--q 0.01 --N 12".split())
+    assert code == 4
+    assert err.startswith("note: numeric overflow at double precision; rerunning")
+    assert out.splitlines()[1] == ("orthogonality/favard-positivity,fail,1.000000e+00,"
+                                   "5.000000e-01,min u_n = -1.768e+597")
 
 
 @pytest.mark.parametrize("a,c,exponent,note", [

@@ -145,6 +145,40 @@ def test_each_subcommand_keeps_its_options_in_order():
         assert _actions(subparsers[name]) == expected, name
 
 
+def test_a_command_line_builds_the_options_of_the_command_it_names():
+    subparsers = _subparsers(cli.build_parser(["coeffs", *BOX, "--N", "5"]))
+    assert list(subparsers) == list(ACTIONS)
+    assert _actions(subparsers["coeffs"]) == ACTIONS["coeffs"]
+    assert _actions(subparsers["lattice-weights"]) == [HELP]
+    assert _actions(subparsers["verify"]) == [HELP]
+
+
+# Command lines that name their subcommand in each place argparse reads it,
+# or name none: help, usage errors and real runs.
+FORMS = [
+    "", "-h", "--help", "--he", "bogus", "coeffs", "coeffs -h", "lattice-weights -h",
+    "verify -h", "-h coeffs", "coeffs %s --N 5 -h", "-- coeffs %s --N 5",
+    "--kind=qpr coeffs %s --N 5", "--kind qpr coeffs %s --N 5", "-5 coeffs %s --N 5",
+    "- coeffs", "coeffs %s --N 5 --suite all", "verify %s --N 5 --suite nope",
+    "verify %s --N 5 --su persymmetry", "coeffs %s --N 5 extra",
+    "coeffs %s --N 5", "lattice-weights %s --N 5", "verify %s --N 5",
+    "lattice-weights --kind qpk --Delta 1.3 --alpha 0.3 --q 0.5 --N 5 --format json",
+]
+
+
+@pytest.mark.parametrize("form", FORMS, ids=[form.replace("%s", "BOX") or "no-argv"
+                                            for form in FORMS])
+def test_each_command_line_reads_as_with_every_subcommand_built(monkeypatch, form):
+    # Run on every Python, where the CONTRACT digests run only on 3.11.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("QORTHO_PRECISION", raising=False)
+    argv = _argv(form)
+    built = _outcome(argv)
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: build_parser())
+    assert built == _outcome(argv)
+
+
 # Every option at its default, as each subcommand parses it.
 DEFAULTS = {"kind": "qpr", "a": None, "c": None, "Delta": None, "alpha": "0.3",
             "q": "0.5", "N": 2, "format": "csv", "precision": None, "seed": 0}
@@ -197,8 +231,6 @@ def test_calls_in_one_process_match_fresh_processes(monkeypatch):
     for argv, got, expected in zip(argvs, in_process, fresh):
         assert got == expected, " ".join(argv)
     assert [code for code, _, _ in in_process] == [0] * len(argvs)
-    # The three subcommands share the family options' actions, so a default
-    # set on one of them would reach the other two.
     after = _parsed_defaults()
     assert after == before
     assert after == {

@@ -151,7 +151,9 @@ def reference_gram_errors(vectors, weights, h):
     for n in range(len(cols)):
         sign = -1 if h[n] < 0 else 1
         for m in range(n + 1):
-            g = sum(c * yn * ym for c, yn, ym in zip(scale, cols[n], cols[m]))
+            g = 0
+            for c, yn, ym in zip(scale, cols[n], cols[m]):
+                g = g + c * yn * ym
             if n == m:
                 worst_diag = max_keep_nan(worst_diag, abs(g - sign))
             else:
