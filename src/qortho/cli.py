@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 invalid parameters, usage, numeric overflow or a
 division by zero (a denominator that underflows or vanishes at the working
 precision), 3 degenerate configuration (coincident strands, strands that
 share a lattice point, a / c or Delta = q^k with k != 0 within their lengths,
+qpr strand points z and z' with z z' = 1, which x = (z + 1/z)/2 makes one,
 or a qpr family at even N with a = c q^j, a c q^(2j) = 1 or c = a q^(j+1),
 where the weights are undefined), 4 verification failure, non-finite output
 or a lattice-weights ``gram_max_error`` above tolerance: the largest of the

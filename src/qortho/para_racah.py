@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .qseries import PowerTable, SeriesPlan, qpochhammer
+from .qseries import PowerTable, qpochhammer, series_terms
 # weights_from_christoffel (both kinds' route, in recurrence) is bound here only
 # for the benchmark tracer's para_racah.christoffel layer.
 from .recurrence import (_DEGENERATE_TOL, BiLatticeFamily, DegenerateFamilyError,
@@ -77,6 +77,28 @@ class ParaRacahFamily(BiLatticeFamily):
     def degenerate(self) -> bool:
         a, c = self.a, self.c
         return abs(a - c) <= typed_float(_DEGENERATE_TOL, a) * max(a, c)
+
+    def _shared_point(self) -> str:
+        """Also two strand points z = x q^s and z' = y q^t whose product is
+        within :data:`_DEGENERATE_TOL` of 1, since x = (z + 1/z)/2 maps both
+        to one lattice point: a c q^m = 1 (m < N), a^2 q^m = 1 (0 < m < 2j)
+        or c^2 q^m = 1 (0 < m < 2(N - j - 1)), each m tried at its lowest s."""
+        shared = super()._shared_point()
+        if shared:
+            return shared
+        heads = {"a": self.a, "c": self.c}
+        last = {"a": self.j, "c": self.N - self.j - 1}  # the highest s on each strand
+        pw = self.powers()
+        tol = typed_float(_DEGENERATE_TOL, self.q)
+        for x, y in (("a", "c"), ("a", "a"), ("c", "c")):
+            twice = x == y
+            for m in range(twice, last[x] + last[y] + 1 - twice):
+                s = max(0, m - last[y])
+                # Point by point: a c or a^2 alone may overflow where the points do not.
+                if abs(heads[x] * pw[s] * (heads[y] * pw[m - s]) - 1) <= tol:
+                    return "%s q^%d %s q^%d = 1 puts one lattice point %s" % (
+                        x, s, y, m - s, "twice on one strand" if twice else "on both strands")
+        return ""
 
 
 def _unpack(fam):
@@ -251,7 +273,7 @@ def _explicit_plan(fam: ParaRacahFamily, n: int) -> list:
     tail = ()
     if fam.odd and n in (j, j + 1):
         # sum_{k<=j} (q^{-j-1}, az, a/z; q)_k q^k / (q, ac, (a/c)q^{-j}; q)_k
-        head = SeriesPlan((pw[-j - 1],), (q, a * c, (a / c) * pw[-j]), pw, q, j)
+        head = series_terms((pw[-j - 1],), (q, a * c, (a / c) * pw[-j]), pw, q, j)
         if n == j + 1:
             # The alpha-weighted term (az, a/z; q)_(j+1) P: one tail term.
             pref = qp(pw[-j - 1], j + 1) * qj1 / (
@@ -259,15 +281,15 @@ def _explicit_plan(fam: ParaRacahFamily, n: int) -> list:
             tail = [pw[0]]
     else:
         r = (a / c) * pw[j + 1 - N]
-        head = SeriesPlan((pw[-n], pw[n - N]), (pw[-j], a * c, r, q), pw, q, min(n, N - n))
+        head = series_terms((pw[-n], pw[n - N]), (pw[-j], a * c, r, q), pw, q, min(n, N - n))
         if n > j:
             pref = (qp(pw[n - N], N - n) * qp(pw[-n], j + 1) * qp(q, n + j - N) * qj1
                     / (al * qp(pw[-j], j) * qp(q, j + 1) * qp(a * c, j + 1) * qp(r, j + 1)))
             # (a/c) q^(2j+2-N), multiplied left to right: (a/c) q q for even N.
-            tail = SeriesPlan((pw[j + 1 - n], pw[n + j + 1 - N]),
-                              (pw[j + 2], a * c * qj1, (a / c) * q * pw[2 * j + 1 - N], q),
-                              pw, q, n - j - 1).terms()
-    row = [(k, eta * t) for k, t in enumerate(head.terms())]
+            tail = series_terms((pw[j + 1 - n], pw[n + j + 1 - N]),
+                                (pw[j + 2], a * c * qj1, (a / c) * q * pw[2 * j + 1 - N], q),
+                                pw, q, n - j - 1)
+    row = [(k, eta * t) for k, t in enumerate(head)]
     if tail:
         scale = eta * pref
         row += [(j + 1 + m, scale * s) for m, s in enumerate(tail)]

@@ -4,17 +4,14 @@ This is the numeric substrate of the package.  The series engine treats
 numerator and denominator parameter lists uniformly: the standard r-phi-s
 normalisation is obtained by listing the nome q itself among the denominator
 parameters, which contributes the usual (q;q)_k factor.  Every sum
-terminates at a truncation degree its caller states.  A
-:class:`SeriesPlan` holds the parameter-only factors and yields the sum's
-coefficient row, its terms t_0..t_d.  A sum whose parameters also depend on
-an evaluation point is that row times a basis row of the point's own (the
-explicit expansion of :mod:`qortho.para_racah`), so a point costs one
-product per term.  Every factor 1 - p q^k comes from one loop,
-:meth:`PowerTable.factors`.
-
-In binary64 mode :meth:`SeriesPlan.sum` accumulates the terms in increasing
-k with compensated (Kahan) summation; Decimal inputs are summed plainly
-since the working precision already dominates the roundoff budget.
+terminates at a truncation degree its caller states.
+:func:`series_terms` reads the parameter-only factors from a
+:class:`PowerTable` and gives the sum's coefficient row, its terms
+t_0..t_d.  A sum whose parameters also depend on an evaluation point is
+that row times a basis row of the point's own (the explicit expansion of
+:mod:`qortho.para_racah`, which adds the products left to right), so a
+point costs one product per term.  Every factor 1 - p q^k comes from one
+loop, :meth:`PowerTable.factors`.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from .scalars import is_extended, is_finite, typed_float
 
 __all__ = [
     "SingularSeriesError",
-    "SeriesPlan",
+    "series_terms",
     "qpochhammer",
     "PowerTable",
 ]
@@ -124,74 +121,60 @@ class PowerTable(dict):
         return min(clear, k)
 
 
+def series_terms(numerator, denominator, table, argument, degree: int) -> list:
+    """The terms t_0..t_degree of sum_k prod (numerator; q)_k /
+    prod (denominator; q)_k argument^k, the sum's coefficient row: t_0 = 1,
+    and t_(k+1) is t_k times each numerator factor 1 - p q^k, divided by
+    each denominator factor and times the argument, in that order.  The
+    factors are rows of ``table``, so the sums of one family share its rows
+    and guard checks; a vanishing denominator raises
+    :class:`SingularSeriesError` at the lowest such k and the first
+    parameter there."""
+    if degree < 0:
+        raise ValueError("truncation degree must be non-negative")
+    term = argument ** 0
+    vanishing = [table.vanishing(p, degree) for p in denominator]
+    k = min(vanishing, default=degree)
+    if k < degree:
+        raise SingularSeriesError(denominator[vanishing.index(k)], k)
+    num = [table.factors(p, degree) for p in numerator]
+    den = [table.factors(p, degree) for p in denominator]
+    out = [term]
+    for k in range(degree):
+        for row in num:
+            term = term * row[k]
+        for row in den:
+            term = term / row[k]
+        term = term * argument
+        out.append(term)
+    return out
+
+
 def _series_eval_with_magnitude(spec):
-    """(value, sum of |term|) of a spelled-out sum: the magnitude bounds the
-    cancellation noise.  ``spec`` carries ``numerator``, ``denominator``,
-    ``q``, ``argument`` and ``truncation``, the degree, as the test oracle's
-    ``SeriesSpec`` does; only that oracle calls this function, and the
-    benchmark tracer wraps it."""
+    """(value, sum of |term|) of a spelled-out sum, its :func:`series_terms`
+    added in increasing k: compensated (Kahan) in binary64, plainly when an
+    operand is a Decimal, since the working precision already dominates the
+    roundoff budget there.  The magnitude bounds the cancellation noise.
+    ``spec`` carries ``numerator``, ``denominator``, ``q``, ``argument`` and
+    ``truncation``, the degree, as the test oracle's ``SeriesSpec`` does;
+    only that oracle calls this function, and the benchmark tracer wraps
+    it."""
     _check_nome(spec.q)
-    return SeriesPlan(tuple(spec.numerator), tuple(spec.denominator), PowerTable(spec.q),
-                      spec.argument, spec.truncation).sum()
-
-
-class SeriesPlan:
-    """The parameter-only work of a terminating sum, done once.
-
-    The plan holds the row of factors 1 - p q^k, k below the degree, of each
-    numerator and each denominator parameter p, read from ``table``: the
-    plans of one family share its rows and guard checks.  A vanishing
-    denominator raises :class:`SingularSeriesError` at the lowest such k and
-    the first parameter there.  :meth:`terms` is the coefficient row, which
-    a caller with point-dependent parameters multiplies into their basis
-    row; :meth:`sum` adds the terms up.  A plan holds values at the working
-    precision that built it.
-    """
-
-    def __init__(self, numerator, denominator, table, argument, degree: int):
-        if degree < 0:
-            raise ValueError("truncation degree must be non-negative")
-        self.degree = degree
-        self.argument = argument
-        self.plain = any(is_extended(v) for v in (table.q, argument) + numerator + denominator)
-        self.first = argument ** 0
-        vanishing = [table.vanishing(p, degree) for p in denominator]
-        k = min(vanishing, default=degree)
-        if k < degree:
-            raise SingularSeriesError(denominator[vanishing.index(k)], k)
-        self.num = [table.factors(p, degree) for p in numerator]
-        self.den = [table.factors(p, degree) for p in denominator]
-
-    def terms(self) -> list:
-        """The terms t_0..t_degree: t_0 = 1, and t_(k+1) is t_k times each
-        numerator factor 1 - p q^k, divided by each denominator factor and
-        times the argument, in that order."""
-        argument, num, den = self.argument, self.num, self.den
-        term = self.first
-        out = [term]
-        for k in range(self.degree):
-            for row in num:
-                term = term * row[k]
-            for row in den:
-                term = term / row[k]
-            term = term * argument
-            out.append(term)
-        return out
-
-    def sum(self):
-        """(value, sum of |term|) of :meth:`terms`, added in increasing k."""
-        terms = self.terms()
-        # The first term is exactly 1, so it starts the sums as they are.
-        total = terms[0]
-        comp = total - total
-        magnitude = abs(total)
-        for term in terms[1:]:
-            magnitude = magnitude + abs(term)
-            if self.plain:
-                total = total + term
-            else:
-                y = term - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
-        return total, magnitude
+    numerator, denominator = tuple(spec.numerator), tuple(spec.denominator)
+    plain = any(is_extended(v) for v in (spec.q, spec.argument) + numerator + denominator)
+    terms = series_terms(numerator, denominator, PowerTable(spec.q), spec.argument,
+                         spec.truncation)
+    # The first term is exactly 1, so it starts the sums as they are.
+    total = terms[0]
+    comp = total - total
+    magnitude = abs(total)
+    for term in terms[1:]:
+        magnitude = magnitude + abs(term)
+        if plain:
+            total = total + term
+        else:
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+    return total, magnitude

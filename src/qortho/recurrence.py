@@ -104,9 +104,10 @@ class Record:
 
 class DegenerateFamilyError(ArithmeticError):
     """The two strands coincide (c = a, Delta = 1) or share a lattice point
-    (a / c or Delta is q^k, k != 0, within the strands' lengths), or a
-    q-para-Racah family at even N has a = c q^j, a c q^(2j) = 1 or
-    c = a q^(j+1): weights are undefined."""
+    (a / c or Delta is q^k, k != 0, within the strands' lengths), two
+    q-para-Racah strand points z and z' have z z' = 1, so x = (z + 1/z)/2
+    puts them on one lattice point, or a q-para-Racah family at even N has
+    a = c q^j, a c q^(2j) = 1 or c = a q^(j+1): weights are undefined."""
 
 
 class BiLatticeFamily(Record):
@@ -146,19 +147,18 @@ class BiLatticeFamily(Record):
 
     def require_distinct_strands(self, undefined="weights are undefined"):
         """Raise :class:`DegenerateFamilyError` if the strands coincide or
-        share a lattice point."""
+        two strand points are one lattice point (:meth:`_shared_point`)."""
         if self.degenerate:
             raise DegenerateFamilyError("%s; %s" % (self._coincident_strands, undefined))
         shared = self._shared_point()
         if shared:
-            raise DegenerateFamilyError("%s puts one lattice point on both strands; %s"
-                                        % (shared, undefined))
+            raise DegenerateFamilyError("%s; %s" % (shared, undefined))
 
     def _shared_point(self) -> str:
-        """The words ``x q^s = y q^t`` of the first points x q^s (s <= j) and
-        y q^t (t < N - j) of the two strands that agree to
-        :data:`_DEGENERATE_TOL`, or ''.  Off coincident strands one of s and
-        t is 0 at such points."""
+        """``x q^s = y q^t puts one lattice point on both strands`` for the
+        first points x q^s (s <= j) and y q^t (t < N - j) of the two strands
+        that agree to :data:`_DEGENERATE_TOL`, or ''.  Off coincident
+        strands one of s and t is 0 at such points."""
         names = self._strand_heads
         x, y = (getattr(self, name) if name else unit(self.q) for name in names)
         pw = self.powers()
@@ -167,8 +167,8 @@ class BiLatticeFamily(Record):
                 (s, 0) for s in range(1, self.j + 1)]:
             xs, yt = x * pw[s], y * pw[t]
             if abs(xs - yt) <= tol * max(xs, yt):
-                return " = ".join(("%s q^%d" % (name, k)).lstrip()
-                                  for name, k in zip(names, (s, t)))
+                return " = ".join(("%s q^%d" % (name, k)).lstrip() for name, k in zip(
+                    names, (s, t))) + " puts one lattice point on both strands"
         return ""
 
     _powers = None  # {working precision: PowerTable}, made by powers()

@@ -160,6 +160,71 @@ def test_a_power_of_q_beyond_the_strands_is_not_degenerate(capsys, family):
     assert float(out.splitlines()[-1].split(" = ")[1]) < verify.TOL_GRAM
 
 
+# Two strand points z and z' with z z' = 1 give one x = (z + 1/z)/2: a c q^m
+# = 1 for m < N, a^2 q^m = 1 for 0 < m < 2j, c^2 q^m = 1 for 0 < m < 2(N-j-1).
+PRODUCT_ONE = [
+    ("--a 1.6 --c 0.625 --q 0.5 --N 5", "a q^0 c q^0 = 1", "on both strands"),
+    ("--a 3.2 --c 0.625 --q 0.5 --N 5", "a q^0 c q^1 = 1", "on both strands"),
+    ("--a 2 --c 0.7 --q 0.25 --N 5", "a q^0 a q^1 = 1", "twice on one strand"),
+    ("--a 0.7 --c 2 --q 0.25 --N 6", "c q^0 c q^1 = 1", "twice on one strand"),
+    ("--a 0.7 --c 4 --q 0.25 --N 6", "c q^0 c q^2 = 1", "twice on one strand"),
+]
+PRODUCT_ONE_IDS = [text.replace(" ", "") for _, text, _ in PRODUCT_ONE]
+
+
+@pytest.mark.parametrize("precision", [[], ["--precision", "extended"]],
+                         ids=["default", "extended"])
+@pytest.mark.parametrize("family,text,where", PRODUCT_ONE, ids=PRODUCT_ONE_IDS)
+def test_strand_points_with_product_one_are_degenerate(capsys, family, text, where, precision):
+    # Refused with no rerun; the table does not need the lattice and is
+    # still printed.
+    argv = [*family.split(), "--alpha", "0.3", *precision]
+    assert run_cli(capsys, ["lattice-weights", *argv]) == (
+        3, "", "degenerate configuration: %s puts one lattice point %s; "
+        "weights are undefined\n" % (text, where))
+    code, out, err = run_cli(capsys, ["coeffs", *argv])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == int(family.split()[-1]) + 2
+
+
+@pytest.mark.parametrize("precision", [[], ["--precision", "extended"]],
+                         ids=["default", "extended"])
+def test_verify_on_strand_points_with_product_one(capsys, precision):
+    argv = "verify --a 1.6 --c 0.625 --alpha 0.3 --q 0.5 --N 5".split() + precision
+    assert run_cli(capsys, argv) == (
+        3, "", "degenerate configuration: a q^0 c q^0 = 1 puts one lattice point on both "
+        "strands; the explicit expansion is undefined\n")
+
+
+_SKIPPED_GRAM = ("orthogonality/gram-orthogonality,fail,nan,1.000000e-08,skipped: family is "
+                 "outside the positivity region\n")
+_QPK_REPORT = ("check,status,residual,tolerance,note\n"
+               "orthogonality/favard-positivity,fail,1.000000e+00,5.000000e-01,\n"
+               + _SKIPPED_GRAM +
+               "persymmetry/persymmetry-violation,pass,7.000000e-01,1.000000e-06,"
+               "expected residual above tolerance\n"
+               "qpk-limit/qpk-theta-limit,pass,%s,1.000000e-06,\n")
+
+
+@pytest.mark.parametrize("command,double,extended", [
+    ("verify --kind qpk --Delta 2 --alpha 0.3 --q 0.5 --N 5",
+     (_QPK_REPORT % "1.969751e-16", "verification failed: 2 of 4 checks\n"),
+     (_QPK_REPORT % "1.345634e-46", "verification failed: 2 of 4 checks\n")),
+    ("verify --suite orthogonality --a 0.9 --c 0.45 --alpha 0.3 --q 0.5 --N 6",
+     ("check,status,residual,tolerance,note\n"
+      "orthogonality/favard-positivity,fail,1.000000e+00,5.000000e-01,min u_n = -0.000e+00\n"
+      + _SKIPPED_GRAM, "verification failed: 2 of 2 checks\n"), None),
+], ids=["qpk-Delta-q^-1", "qpr-c-a-q"])
+def test_a_zero_u_n_of_strands_that_share_a_point_is_not_rerun(capsys, command, double,
+                                                                extended):
+    # Delta q = q^0 and c = a q make some u_n exactly 0, which no precision
+    # lifts: the default run prints its double report with no rerun note.
+    # An explicit precision never reruns; extended prints its own report.
+    assert run_cli(capsys, command.split()) == (4, *double)
+    assert run_cli(capsys, command.split() + ["--precision", "extended"]) == (
+        4, *(extended or double))
+
+
 def test_degenerate_family_error_is_one_class():
     import qortho
     assert (qortho.DegenerateFamilyError is qortho.para_racah.DegenerateFamilyError

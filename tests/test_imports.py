@@ -222,27 +222,34 @@ from qortho import scalars
 assert "decimal" not in sys.modules
 from decimal import Decimal
 from fractions import Fraction  # which imports decimal too
+from types import SimpleNamespace
+from qortho import qseries
 from qortho.para_racah import ParaRacahFamily
-from qortho.qseries import PowerTable, SeriesPlan
 from qortho.recurrence import tridiagonal
 extended = [scalars.is_extended(v) for v in (Decimal(1), Decimal("0.5"))]
 plain = [scalars.is_extended(v) for v in (1.0, 1, 1j, Fraction(1, 3))]
-plan = SeriesPlan((Decimal("0.25"),), (Decimal("0.5"),), PowerTable(Decimal("0.5")),
-                  Decimal("0.5"), 3)
+spec = SimpleNamespace(numerator=(Decimal("0.25"),), denominator=(Decimal("0.3"),),
+                       q=Decimal("0.5"), argument=Decimal("0.5"), truncation=3)
+terms = qseries.series_terms(spec.numerator, spec.denominator, qseries.PowerTable(spec.q),
+                             spec.argument, spec.truncation)
+sums = [str(qseries._series_eval_with_magnitude(spec)[0]),
+        str(terms[0] + terms[1] + terms[2] + terms[3])]
 with scalars.extended_precision(50):
     fam = ParaRacahFamily(a=Decimal("0.9"), c=Decimal("0.7"), alpha=Decimal("0.3"),
                           q=Decimal("0.5"), N=7)
     tri = tridiagonal(fam)
     entries = [[type(v) is Decimal, str(v)] for v in tri.b + tri.u]
-print(json.dumps([extended, plain, plan.plain, entries]))
+print(json.dumps([extended, plain, sums, entries]))
 """
 
 
 def test_is_extended_when_decimal_is_imported_after_qortho():
-    extended, plain, plan_plain, entries = _fresh_process(_IS_EXTENDED_LATE)
+    extended, plain, sums, entries = _fresh_process(_IS_EXTENDED_LATE)
     assert extended == [True, True]
     assert plain == [False, False, False, False]
-    assert plan_plain is True
+    # The oracle entry adds Decimal terms plainly, left to right; a
+    # compensated sum of these terms reads ...656 in the last digit.
+    assert sums == ["1.951180303202362025891437657"] * 2
     with extended_precision(50):
         fam = ParaRacahFamily(a=Decimal("0.9"), c=Decimal("0.7"), alpha=Decimal("0.3"),
                               q=Decimal("0.5"), N=7)

@@ -24,7 +24,7 @@ from qortho.para_racah import (
     weights,
     weights_from_christoffel,
 )
-from qortho.qseries import PowerTable, SingularSeriesError
+from qortho.qseries import PowerTable
 from qortho.recurrence import family_module, lattice_vectors, persymmetry_residual, tridiagonal
 from qortho.scalars import GUARD_DIGITS, extended_precision, to_extended
 
@@ -673,7 +673,7 @@ def test_explicit_singular_denominators_raise_as_the_reference():
     # denominator factor of the head, middle or tail series vanish.  All
     # degrees are evaluated together, so the outcome is the reference's at
     # the lowest degree that raises.
-    singular = 0
+    reciprocal = 0
     zs = [1.7, 2.2]
     for N in range(1, 13):
         for m in range(-3, 4):
@@ -682,15 +682,24 @@ def test_explicit_singular_denominators_raise_as_the_reference():
                 tri = tridiagonal(fam)
                 got = _outcome(eval_explicit, tri, zs)
                 j = N // 2
-                if fam.degenerate or any(a / c == 0.5 ** k for k in range(-j, N - j)):
+                shared = fam.degenerate or any(a / c == 0.5 ** k for k in range(-j, N - j))
+                # Two strand points z, z' with z z' = 1 are one point x:
+                # a c q^k = 1 (k < N), a^2 q^k = 1 (0 < k < 2j) or
+                # c^2 q^k = 1 (0 < k < 2(N - j - 1)).
+                product_one = (any(a * c == 2.0 ** k for k in range(N))
+                               or any(a * a == 2.0 ** k for k in range(1, 2 * j))
+                               or any(c * c == 2.0 ** k for k in range(1, 2 * (N - j - 1))))
+                if shared or product_one:
                     # c = a, or a / c = q^k with both strands holding the
-                    # point (a q^s = c q^t, s <= j, t < N - j), is refused
-                    # before any sum.
+                    # point (a q^s = c q^t, s <= j, t < N - j), or a product
+                    # of 1, is refused before any sum.
                     assert got == (DegenerateFamilyError, None, None)
+                    reciprocal += not shared
                     continue
                 assert got == _outcome(support.eval_explicit_reference, tri, zs), (N, m, a, c)
-                singular += isinstance(got, tuple) and got[0] is SingularSeriesError
-    assert singular > 0
+    # Among these are all 17 families of the grid whose series meet a
+    # vanishing denominator; the guard itself is tested in test_qseries.
+    assert reciprocal == 46
 
 
 @pytest.mark.parametrize("scalar,dps", [(float, 15), (Decimal, 60)], ids=["double", "60"])
@@ -750,17 +759,19 @@ def test_explicit_builds_each_point_and_each_degree_once(monkeypatch, N):
 def test_explicit_forms_and_checks_each_z_free_factor_once(monkeypatch, N):
     # Counted over every table at every precision: each factor 1 - p q^i is
     # formed once, and a denominator's once guard-checked, for all degrees
-    # and points; every series plan reads the family's own rows.  Each
+    # and points; every series reads the family's own rows.  Each
     # degree's coefficient row and each point's basis row are built once,
     # and no z-dependent row lands on the family's table.
-    formed, checked, built, plans = (collections.Counter(), collections.Counter(),
-                                     collections.Counter(), [])
-    factors, vanishing = PowerTable.factors, PowerTable.vanishing
+    formed, checked, built, plans, read = (collections.Counter(), collections.Counter(),
+                                           collections.Counter(), [], [])
+    factors, vanishing, series_terms = (PowerTable.factors, PowerTable.vanishing,
+                                        para_racah.series_terms)
 
     def counted_factors(table, base, k):
         before = len(table._rows.get(base, ()))
         row = factors(table, base, k)
         formed.update((getcontext().prec, base, i) for i in range(before, len(row)))
+        read.append((base, row))
         return row
 
     def counted_vanishing(table, base, k):
@@ -769,14 +780,15 @@ def test_explicit_forms_and_checks_each_z_free_factor_once(monkeypatch, N):
         checked.update((getcontext().prec, base, i) for i in range(before, min(first + 1, k)))
         return first
 
-    class CountedPlan(para_racah.SeriesPlan):
-        def __init__(self, numerator, denominator, table, argument, degree):
-            super().__init__(numerator, denominator, table, argument, degree)
-            plans.append((table, numerator + denominator, self.num + self.den))
+    def counted_terms(numerator, denominator, table, argument, degree):
+        start = len(read)
+        terms = series_terms(numerator, denominator, table, argument, degree)
+        plans.append((table, numerator + denominator, read[start:]))
+        return terms
 
     monkeypatch.setattr(PowerTable, "factors", counted_factors)
     monkeypatch.setattr(PowerTable, "vanishing", counted_vanishing)
-    monkeypatch.setattr(para_racah, "SeriesPlan", CountedPlan)
+    monkeypatch.setattr(para_racah, "series_terms", counted_terms)
     for name in ("_explicit_plan", "_point_factors"):
         original = getattr(para_racah, name)
         monkeypatch.setattr(para_racah, name, lambda fam, arg, _name=name, _f=original: (
@@ -797,5 +809,5 @@ def test_explicit_forms_and_checks_each_z_free_factor_once(monkeypatch, N):
     assert set(checked.values()) == ({1} if N > 1 else set())
     assert not point_keys & (set(table._rows) | set(table._prefixes) | set(table._clear))
     assert plans and all(plan_table is table for plan_table, _, _ in plans)
-    assert all(row is table.factors(p, 0)
-               for _, params, rows in plans for p, row in zip(params, rows))
+    assert all({p for p, _ in rows} == set(params) for _, params, rows in plans)
+    assert all(row is table.factors(p, 0) for _, _, rows in plans for p, row in rows)

@@ -16,8 +16,9 @@ from pathlib import Path
 import pytest
 
 import support
-from qortho import connections, para_krawtchouk, para_racah, recurrence, verify
-from qortho.qseries import PowerTable, SeriesPlan, qpochhammer
+from oracles.qseries import SeriesSpec
+from qortho import connections, para_krawtchouk, para_racah, qseries, recurrence, verify
+from qortho.qseries import PowerTable, qpochhammer, series_terms
 from qortho.recurrence import monic_values, tridiagonal
 from qortho.scalars import extended_precision, max_keep_nan, sqrt, typed_float
 
@@ -223,9 +224,9 @@ def test_table_entries_are_the_direct_values(num, dps):
 
 
 @pytest.mark.parametrize("num,dps", PRECISIONS)
-def test_factor_rows_and_prefixes_are_the_running_power_loop(num, dps):
+def test_factor_rows_and_prefixes_are_the_running_power_loop(monkeypatch, num, dps):
     # Each row is 1 - p q^i on the running powers, each prefix the product
-    # of its row in order, read in any order and at any length; a plan holds
+    # of its row in order, read in any order and at any length; a sum reads
     # the table's own rows.
     with extended_precision(dps):
         q = num("0.61")
@@ -241,9 +242,17 @@ def test_factor_rows_and_prefixes_are_the_running_power_loop(num, dps):
                     prefix = prefix * f
                 assert _bits(table.pochhammer(base, k)) == _bits(prefix), (base, k)
         params = ((num("0.3"), num("-2.5")), (num("0.2"), q))
-        plan = SeriesPlan(*params, table, q, 9)
-        assert all(row is table.factors(p, 0)
-                   for row, p in zip(plan.num + plan.den, params[0] + params[1]))
+        read, factors = [], PowerTable.factors
+
+        def reading(self, base, k):
+            row = factors(self, base, k)
+            read.append((self, base, row))
+            return row
+        monkeypatch.setattr(PowerTable, "factors", reading)
+        series_terms(*params, table, q, 9)
+        monkeypatch.undo()
+        assert {base for _, base, _ in read} == set(params[0] + params[1])
+        assert all(t is table and row is table.factors(p, 0) for t, p, row in read)
 
 
 @pytest.mark.parametrize("num,dps", PRECISIONS)
@@ -314,16 +323,17 @@ def test_a_filled_table_leaves_the_record_unchanged(kind, num):
 @pytest.mark.parametrize("num,dps", PRECISIONS)
 @pytest.mark.parametrize("N", [3, 6, 9])
 def test_series_sums_are_the_plain_loop(N, num, dps):
-    # A plan's terms and their sum, a point's basis row and the explicit
+    # A sum's terms and their sum, a point's basis row and the explicit
     # expansion's dot product of the two: each is its plain loop's.
     with extended_precision(dps):
         fam = _family("qpr", N, num)
         q, a, c, j = fam.q, fam.a, fam.c, fam.j
         params = ((q ** -j, q ** (j - N)), (q ** -j, a * c, (a / c) * q ** (j + 1 - N), q))
-        plan = SeriesPlan(*params, PowerTable(q), q, j)
-        assert _bits(plan.terms()) == _bits(reference_terms(*params, q, q, j))
-        assert _bits(plan.sum()) == _bits(reference_series_sum(*params, q, q, j))
-        row = list(enumerate(plan.terms()))
+        terms = series_terms(*params, PowerTable(q), q, j)
+        assert _bits(terms) == _bits(reference_terms(*params, q, q, j))
+        assert _bits(qseries._series_eval_with_magnitude(SeriesSpec(*params, q, q, j))) == _bits(
+            reference_series_sum(*params, q, q, j))
+        row = list(enumerate(terms))
         for z in (num("1.3"), num("2.9")):
             basis = para_racah._point_factors(fam, z)
             assert _bits(basis) == _bits(reference_basis(q, N + 1, (a * z, a / z)))
@@ -361,12 +371,12 @@ def test_series_sums_at_special_and_mixed_points_are_the_plain_loop(num, dps):
     with extended_precision(dps):
         fam = _family("qpr", 6, num)
         q, a, c = fam.q, fam.a, fam.c
-        plans = [((q ** -3,), (a * c, q))]
-        for params in plans:
-            plan = SeriesPlan(*params, PowerTable(q), q, 3)
-            assert _bits(plan.terms()) == _bits(reference_terms(*params, q, q, 3))
-            assert _bits(plan.sum()) == _bits(reference_series_sum(*params, q, q, 3))
-            pairs = list(enumerate(plan.terms()))
+        for params in [((q ** -3,), (a * c, q))]:
+            terms = series_terms(*params, PowerTable(q), q, 3)
+            assert _bits(terms) == _bits(reference_terms(*params, q, q, 3))
+            assert _bits(qseries._series_eval_with_magnitude(SeriesSpec(*params, q, q, 3))) == (
+                _bits(reference_series_sum(*params, q, q, 3)))
+            pairs = list(enumerate(terms))
             # The whole row, one with a gap (k = 0 and 3), one led by 0.25.
             rows = [pairs, pairs[::3], [(0, num(0.25))] + pairs[1:]]
             for p in _points(num):

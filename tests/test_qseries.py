@@ -11,10 +11,10 @@ from qortho.qseries import SingularSeriesError, qpochhammer
 from qortho.scalars import extended_precision
 
 
-def test_the_package_exports_the_plan_its_factors_and_its_error():
-    # A sum runs from a SeriesPlan at a degree its caller states; the
-    # spelled-out SeriesSpec is the test oracle's record.
-    assert qseries.__all__ == ["SingularSeriesError", "SeriesPlan", "qpochhammer", "PowerTable"]
+def test_the_package_exports_the_terms_its_factors_and_its_error():
+    # A sum's terms come from series_terms at a degree its caller states;
+    # the spelled-out SeriesSpec is the test oracle's record.
+    assert qseries.__all__ == ["SingularSeriesError", "series_terms", "qpochhammer", "PowerTable"]
 
 
 def test_qpochhammer_empty_product():
@@ -166,7 +166,7 @@ def test_an_infinite_denominator_parameter_is_an_overflow():
     # 1 - inf q^0 is within any relative guard of zero; it is an overflow of
     # the parameter, not a vanishing factor.
     with pytest.raises(OverflowError) as err:
-        qseries.SeriesPlan((), (float("inf"), 0.5), qseries.PowerTable(0.5), 0.5, 3)
+        qseries.series_terms((), (float("inf"), 0.5), qseries.PowerTable(0.5), 0.5, 3)
     assert not isinstance(err.value, SingularSeriesError)
 
 
