@@ -78,27 +78,28 @@ class ParaRacahFamily(BiLatticeFamily):
         a, c = self.a, self.c
         return abs(a - c) <= typed_float(_DEGENERATE_TOL, a) * max(a, c)
 
-    def _shared_point(self) -> str:
-        """Also two strand points z = x q^s and z' = y q^t whose product is
-        within :data:`_DEGENERATE_TOL` of 1, since x = (z + 1/z)/2 maps both
-        to one lattice point: a c q^m = 1 (m < N), a^2 q^m = 1 (0 < m < 2j)
-        or c^2 q^m = 1 (0 < m < 2(N - j - 1)), each m tried at its lowest s."""
-        shared = super()._shared_point()
-        if shared:
-            return shared
+    def require_distinct_strands(self, undefined="weights are undefined", same_strand=True):
+        """Also refuse two strand points z = x q^s and z' = y q^t whose
+        product is within :data:`_DEGENERATE_TOL` of 1, since x = (z + 1/z)/2
+        maps both to one lattice point: a c q^m = 1 (m < N) and, with
+        ``same_strand``, a^2 q^m = 1 (0 < m < 2j) or c^2 q^m = 1
+        (0 < m < 2(N - j - 1)), each m tried at its lowest s.  The explicit
+        expansion divides by (a c; q)_k but by no factor in a^2 or c^2, so it
+        passes ``same_strand=False``."""
+        super().require_distinct_strands(undefined)
         heads = {"a": self.a, "c": self.c}
         last = {"a": self.j, "c": self.N - self.j - 1}  # the highest s on each strand
         pw = self.powers()
         tol = typed_float(_DEGENERATE_TOL, self.q)
-        for x, y in (("a", "c"), ("a", "a"), ("c", "c")):
+        for x, y in (("a", "c"), ("a", "a"), ("c", "c"))[:3 if same_strand else 1]:
             twice = x == y
             for m in range(twice, last[x] + last[y] + 1 - twice):
                 s = max(0, m - last[y])
                 # Point by point: a c or a^2 alone may overflow where the points do not.
                 if abs(heads[x] * pw[s] * (heads[y] * pw[m - s]) - 1) <= tol:
-                    return "%s q^%d %s q^%d = 1 puts one lattice point %s" % (
-                        x, s, y, m - s, "twice on one strand" if twice else "on both strands")
-        return ""
+                    raise DegenerateFamilyError("%s q^%d %s q^%d = 1 puts one lattice point %s; %s"
+                                                % (x, s, y, m - s, "twice on one strand" if twice
+                                                   else "on both strands", undefined))
 
 
 def _unpack(fam):
@@ -352,14 +353,17 @@ def eval_explicit(tri: TridiagonalSystem, zs, recurrence=None) -> list:
     summed again in Decimal (:func:`_rerun`), a complex point's as an
     :class:`~qortho.scalars.ExtendedComplex`, and rounded back to the
     working type.  A value or an r that is not finite raises
-    ``OverflowError``.  A degenerate family (c = a) raises
-    :class:`DegenerateFamilyError`.
+    ``OverflowError``.  A family with c = a, a / c = q^k or a c q^m = 1
+    within the strands raises :class:`DegenerateFamilyError`; a^2 q^m = 1
+    or c^2 q^m = 1, which put one lattice point twice on a strand but no
+    zero in the expansion, is evaluated.
     """
     fam = tri.family
     if any(z == 0 for z in zs):
         raise ValueError("z must be nonzero")
-    # c = a puts an exact zero in a denominator of the expansion.
-    fam.require_distinct_strands("the explicit expansion is undefined")
+    # c = a, a / c = q^k or a c q^m = 1 within the strands puts an exact
+    # zero in a denominator of the expansion.
+    fam.require_distinct_strands("the explicit expansion is undefined", same_strand=False)
     points = [_point_factors(fam, z) for z in zs]
     recurrence = recurrence or [tri.values((z + 1 / z) / 2, fam.N) for z in zs]
     digits = working_precision(fam.q)

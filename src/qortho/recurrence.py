@@ -147,18 +147,19 @@ class BiLatticeFamily(Record):
 
     def require_distinct_strands(self, undefined="weights are undefined"):
         """Raise :class:`DegenerateFamilyError` if the strands coincide or
-        two strand points are one lattice point (:meth:`_shared_point`)."""
+        share a lattice point."""
         if self.degenerate:
             raise DegenerateFamilyError("%s; %s" % (self._coincident_strands, undefined))
         shared = self._shared_point()
         if shared:
-            raise DegenerateFamilyError("%s; %s" % (shared, undefined))
+            raise DegenerateFamilyError("%s puts one lattice point on both strands; %s"
+                                        % (shared, undefined))
 
     def _shared_point(self) -> str:
-        """``x q^s = y q^t puts one lattice point on both strands`` for the
-        first points x q^s (s <= j) and y q^t (t < N - j) of the two strands
-        that agree to :data:`_DEGENERATE_TOL`, or ''.  Off coincident
-        strands one of s and t is 0 at such points."""
+        """The words ``x q^s = y q^t`` of the first points x q^s (s <= j) and
+        y q^t (t < N - j) of the two strands that agree to
+        :data:`_DEGENERATE_TOL`, or ''.  Off coincident strands one of s and
+        t is 0 at such points."""
         names = self._strand_heads
         x, y = (getattr(self, name) if name else unit(self.q) for name in names)
         pw = self.powers()
@@ -167,8 +168,8 @@ class BiLatticeFamily(Record):
                 (s, 0) for s in range(1, self.j + 1)]:
             xs, yt = x * pw[s], y * pw[t]
             if abs(xs - yt) <= tol * max(xs, yt):
-                return " = ".join(("%s q^%d" % (name, k)).lstrip() for name, k in zip(
-                    names, (s, t))) + " puts one lattice point on both strands"
+                return " = ".join(("%s q^%d" % (name, k)).lstrip()
+                                  for name, k in zip(names, (s, t)))
         return ""
 
     _powers = None  # {working precision: PowerTable}, made by powers()

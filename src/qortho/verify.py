@@ -31,8 +31,8 @@ import sys
 from functools import cached_property
 
 from . import connections, para_krawtchouk, para_racah, spectral
-from .recurrence import (DegenerateFamilyError, family_module, gram_errors, lattice_vectors,
-                         persymmetry_residual, tridiagonal, weights_from_christoffel)
+from .recurrence import (family_module, gram_errors, lattice_vectors, persymmetry_residual,
+                         tridiagonal, weights_from_christoffel)
 from .scalars import (extended_precision, is_extended, is_finite, max_keep_nan, sqrt,
                       to_extended, typed_float, unit)
 
@@ -131,15 +131,12 @@ class RunTables:
     def underflowed(self):
         """Whether a higher precision may lift a failed positivity: a double
         table with no u_n below zero, whose 0 may be a positive u_n below
-        binary64.  Strands that coincide or share a lattice point make a
-        zero u_n exact, so no precision lifts it there."""
-        if is_extended(self.fam.q) or not all(v >= 0 for v in self.tri.u):
-            return False
-        try:
-            self.fam.require_distinct_strands()
-        except DegenerateFamilyError:
-            return False
-        return True
+        binary64.  Strands that coincide or share a point (c = a, Delta = 1,
+        a / c or Delta = q^k within the strands) make a zero u_n exact, so
+        no precision lifts it there."""
+        fam = self.fam
+        return (not is_extended(fam.q) and all(v >= 0 for v in self.tri.u)
+                and not (fam.degenerate or fam._shared_point()))
 
 
 # The benchmark tracer (perfbench/tracer.py) wraps both names.

@@ -177,7 +177,9 @@ PRODUCT_ONE_IDS = [text.replace(" ", "") for _, text, _ in PRODUCT_ONE]
 @pytest.mark.parametrize("family,text,where", PRODUCT_ONE, ids=PRODUCT_ONE_IDS)
 def test_strand_points_with_product_one_are_degenerate(capsys, family, text, where, precision):
     # Refused with no rerun; the table does not need the lattice and is
-    # still printed.
+    # still printed.  The explicit expansion divides by (a c; q)_k, so only a
+    # pair across the strands is refused there; a pair on one strand is
+    # evaluated and agrees with the recurrence.
     argv = [*family.split(), "--alpha", "0.3", *precision]
     assert run_cli(capsys, ["lattice-weights", *argv]) == (
         3, "", "degenerate configuration: %s puts one lattice point %s; "
@@ -185,6 +187,14 @@ def test_strand_points_with_product_one_are_degenerate(capsys, family, text, whe
     code, out, err = run_cli(capsys, ["coeffs", *argv])
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == int(family.split()[-1]) + 2
+    code, out, err = run_cli(capsys, ["verify", "--suite", "explicit", *argv])
+    if where == "on both strands":
+        assert (code, out, err) == (
+            3, "", "degenerate configuration: %s puts one lattice point on both strands; "
+            "the explicit expansion is undefined\n" % text)
+    else:
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith("explicit/explicit-vs-recurrence,pass,")
 
 
 @pytest.mark.parametrize("precision", [[], ["--precision", "extended"]],
@@ -223,6 +233,19 @@ def test_a_zero_u_n_of_strands_that_share_a_point_is_not_rerun(capsys, command, 
     assert run_cli(capsys, command.split()) == (4, *double)
     assert run_cli(capsys, command.split() + ["--precision", "extended"]) == (
         4, *(extended or double))
+
+
+def test_a_product_one_off_by_a_rounding_reruns_to_its_refusal(capsys):
+    # a c = 1 - 2^-53: the double u_1 reads -0, but 50 digits lift it, so
+    # the default run reruns and reaches weights, which refuses the pair
+    # within _DEGENERATE_TOL; both precisions exit 3.
+    argv = "verify --suite orthogonality --a 3.0 --c 0.3333333333333333 --alpha 0.3 " \
+           "--q 0.5 --N 1".split()
+    refusal = ("degenerate configuration: a q^0 c q^0 = 1 puts one lattice point on both "
+               "strands; weights are undefined\n")
+    assert run_cli(capsys, argv) == (
+        3, "", "note: verification failed: 2 of 2 checks; rerunning at extended:50\n" + refusal)
+    assert run_cli(capsys, argv + ["--precision", "extended"]) == (3, "", refusal)
 
 
 def test_degenerate_family_error_is_one_class():
